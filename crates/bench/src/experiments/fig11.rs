@@ -10,12 +10,14 @@
 use proteus_apps::video::corpus_1080p;
 use proteus_apps::WebWorkload;
 use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
+use proteus_runner::{payload, SimJob};
 use proteus_stats::Ecdf;
 use proteus_transport::Dur;
 
 use crate::experiments::video_util::{add_video_flow, VideoTransport};
 use crate::protocols::cc;
 use crate::report::{f2, write_report, Table};
+use crate::runner::campaign;
 use crate::RunCfg;
 
 const BACKGROUNDS: &[&str] = &["none", "Proteus-S", "LEDBAT", "CUBIC"];
@@ -33,10 +35,117 @@ fn add_background(sc: &mut Scenario, bg: &'static str, start: Dur) {
         .push(FlowSpec::bulk("background", start, move || cc(bg, 0xBADA)));
 }
 
-fn dash_table(cfg: RunCfg) -> Table {
+/// Mean chunk bitrate (Mbps) over `n` concurrent DASH sessions sharing the
+/// link with `bg`.
+fn dash_run(n: usize, bg: &'static str, secs: f64, seed: u64) -> f64 {
+    let mut sc = Scenario::new(link(), Dur::from_secs_f64(secs))
+        .with_seed(seed)
+        .with_rtt_stride(16);
+    let handles: Vec<_> = corpus_1080p(n, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| {
+            add_video_flow(
+                &mut sc,
+                v,
+                VideoTransport::Primary,
+                seed + i as u64,
+                false,
+                Dur::ZERO,
+            )
+        })
+        .collect();
+    add_background(&mut sc, bg, Dur::ZERO);
+    run(sc);
+    handles
+        .iter()
+        .map(|h| h.borrow().avg_bitrate())
+        .sum::<f64>()
+        / n as f64
+}
+
+/// Campaign job for one DASH cell: payload `[mean chunk bitrate]`.
+fn dash_job(n: usize, bg: &'static str, secs: f64, seed: u64) -> SimJob {
+    SimJob::new(
+        format!("fig11/dash/videos={n}/bg={bg}/secs={secs:?}/seed={seed}/v1"),
+        format!("{n} videos over {bg}"),
+        move || payload::encode_floats(&[dash_run(n, bg, secs, seed)]),
+    )
+}
+
+/// `[median, mean, p90, pages]` of the page-load times (seconds) of Poisson
+/// page loads generated for `duration` and sharing the link with `bg`;
+/// the statistics are NaN when no page completed.
+fn web_run(bg: &'static str, duration: Dur, seed: u64) -> [f64; 4] {
+    let workload = WebWorkload {
+        duration,
+        ..WebWorkload::default()
+    };
+    let pages = workload.generate(seed);
+    let mut sc = Scenario::new(link(), duration + Dur::from_secs(60))
+        .with_seed(seed)
+        .with_rtt_stride(16);
+    for (i, p) in pages.iter().enumerate() {
+        sc = sc.flow(FlowSpec::sized(
+            format!("page-{i}"),
+            p.start,
+            p.bytes,
+            move || cc("CUBIC", i as u64),
+        ));
+    }
+    add_background(&mut sc, bg, Dur::ZERO);
+    let res = run(sc);
+    let e = Ecdf::new(
+        res.flows
+            .iter()
+            .filter(|f| f.name.starts_with("page-"))
+            .filter_map(|f| f.completion_time().map(|d| d.as_secs_f64())),
+    );
+    [
+        e.median().unwrap_or(f64::NAN),
+        e.mean().unwrap_or(f64::NAN),
+        e.quantile(0.9).unwrap_or(f64::NAN),
+        e.len() as f64,
+    ]
+}
+
+/// Campaign job for one page-load row: payload is [`web_run`]'s four
+/// floats.
+fn web_job(bg: &'static str, duration: Dur, seed: u64) -> SimJob {
+    SimJob::new(
+        format!(
+            "fig11/web/bg={bg}/duration={:?}/seed={seed}/v1",
+            duration.as_secs_f64()
+        ),
+        format!("page loads over {bg}"),
+        move || payload::encode_floats(&web_run(bg, duration, seed)),
+    )
+}
+
+/// Runs the Fig.-11 experiment.
+pub fn run_experiment(cfg: RunCfg) -> String {
     let secs = if cfg.quick { 60.0 } else { 150.0 };
     let counts: &[usize] = if cfg.quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let mut t = Table::new(
+    let duration = if cfg.quick {
+        Dur::from_secs(120)
+    } else {
+        Dur::from_secs(600)
+    };
+
+    let mut camp = campaign("fig11", cfg);
+    for &n in counts {
+        for &bg in BACKGROUNDS {
+            camp.push(dash_job(n, bg, secs, cfg.seed));
+        }
+    }
+    for &bg in BACKGROUNDS {
+        camp.push(web_job(bg, duration, cfg.seed));
+    }
+    let result = camp.run();
+    let mut outputs = result.outputs.iter().map(|o| payload::decode_floats(o));
+    let mut next = || outputs.next().expect("one output per job");
+
+    let mut dash = Table::new(
         "Fig 11(a): average DASH chunk bitrate (Mbps) vs concurrent videos",
         &{
             let mut h = vec!["videos"];
@@ -46,91 +155,56 @@ fn dash_table(cfg: RunCfg) -> Table {
     );
     for &n in counts {
         let mut row = vec![n.to_string()];
-        for &bg in BACKGROUNDS {
-            let mut sc = Scenario::new(link(), Dur::from_secs_f64(secs))
-                .with_seed(cfg.seed)
-                .with_rtt_stride(16);
-            let corpus = corpus_1080p(n, cfg.seed);
-            let handles: Vec<_> = corpus
-                .into_iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    add_video_flow(
-                        &mut sc,
-                        v,
-                        VideoTransport::Primary,
-                        cfg.seed + i as u64,
-                        false,
-                        Dur::ZERO,
-                    )
-                })
-                .collect();
-            add_background(&mut sc, bg, Dur::ZERO);
-            run(sc);
-            let avg: f64 = handles
-                .iter()
-                .map(|h| h.borrow().avg_bitrate())
-                .sum::<f64>()
-                / n as f64;
-            row.push(f2(avg));
+        for _ in BACKGROUNDS {
+            row.push(f2(next()[0]));
         }
-        t.row(row);
+        dash.row(row);
     }
-    t
-}
-
-fn web_table(cfg: RunCfg) -> Table {
-    let duration = if cfg.quick {
-        Dur::from_secs(120)
-    } else {
-        Dur::from_secs(600)
-    };
-    let mut t = Table::new(
+    let mut web = Table::new(
         "Fig 11(b): page load time (seconds) with background flows",
         &["background", "median", "mean", "p90", "pages"],
     );
     for &bg in BACKGROUNDS {
-        let workload = WebWorkload {
-            duration,
-            ..WebWorkload::default()
-        };
-        let pages = workload.generate(cfg.seed);
-        let mut sc = Scenario::new(link(), duration + Dur::from_secs(60))
-            .with_seed(cfg.seed)
-            .with_rtt_stride(16);
-        for (i, p) in pages.iter().enumerate() {
-            sc = sc.flow(FlowSpec::sized(
-                format!("page-{i}"),
-                p.start,
-                p.bytes,
-                move || cc("CUBIC", i as u64),
-            ));
-        }
-        add_background(&mut sc, bg, Dur::ZERO);
-        let res = run(sc);
-        let plts: Vec<f64> = res
-            .flows
-            .iter()
-            .filter(|f| f.name.starts_with("page-"))
-            .filter_map(|f| f.completion_time().map(|d| d.as_secs_f64()))
-            .collect();
-        let e = Ecdf::new(plts.iter().copied());
-        t.row(vec![
+        let v = next();
+        web.row(vec![
             bg.into(),
-            f2(e.median().unwrap_or(f64::NAN)),
-            f2(e.mean().unwrap_or(f64::NAN)),
-            f2(e.quantile(0.9).unwrap_or(f64::NAN)),
-            e.len().to_string(),
+            f2(v[0]),
+            f2(v[1]),
+            f2(v[2]),
+            (v[3] as usize).to_string(),
         ]);
     }
-    t
-}
 
-/// Runs the Fig.-11 experiment.
-pub fn run_experiment(cfg: RunCfg) -> String {
-    let dash = dash_table(cfg);
-    let web = web_table(cfg);
     let text = format!("{}\n{}\n", dash.render(), web.render());
     write_report("fig11", &text, &[&dash, &web]);
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn jobs_match_direct_runs() {
+        let dash = payload::decode_floats(&dash_job(2, "CUBIC", 8.0, 3).execute());
+        assert_eq!(dash, vec![dash_run(2, "CUBIC", 8.0, 3)]);
+        assert!(dash[0] > 0.0);
+
+        let web = payload::decode_floats(&web_job("LEDBAT", Dur::from_secs(60), 3).execute());
+        assert_eq!(web, web_run("LEDBAT", Dur::from_secs(60), 3));
+        assert!(web[3] >= 1.0 && web[0] > 0.0);
+    }
+
+    #[test]
+    fn descriptors_identify_the_cell() {
+        let base = dash_job(4, "LEDBAT", 60.0, 1).key();
+        assert_eq!(base, dash_job(4, "LEDBAT", 60.0, 1).key());
+        assert_ne!(base, dash_job(1, "LEDBAT", 60.0, 1).key());
+        assert_ne!(base, dash_job(4, "none", 60.0, 1).key());
+        assert_ne!(base, dash_job(4, "LEDBAT", 150.0, 1).key());
+        assert_ne!(base, dash_job(4, "LEDBAT", 60.0, 2).key());
+        let web = web_job("none", Dur::from_secs(120), 1).key();
+        assert_ne!(web, web_job("none", Dur::from_secs(600), 1).key());
+        assert_ne!(web, web_job("CUBIC", Dur::from_secs(120), 1).key());
+    }
 }

@@ -9,10 +9,12 @@
 
 use proteus_apps::video::{corpus_1080p, corpus_4k};
 use proteus_netsim::{run, LinkSpec, Scenario};
+use proteus_runner::{payload, SimJob};
 use proteus_transport::Dur;
 
 use crate::experiments::video_util::{add_video_flow, VideoTransport};
 use crate::report::{f2, pct, write_report, Table};
+use crate::runner::campaign;
 use crate::RunCfg;
 
 /// Outcome of one 1×4K + 3×1080P run.
@@ -62,36 +64,78 @@ fn streaming_run(
     }
 }
 
-/// Averages [`streaming_run`] over `trials` seeds (rebuffering outcomes are
-/// seed-sensitive; the paper averages ≥ 10 trials).
-fn averaged_run(
-    bw: f64,
+/// Campaign job for one streaming trial: payload
+/// `[bitrate_4k, bitrate_1080, rebuffer_4k, rebuffer_1080]`. The sessions'
+/// `Rc` stats handles are created and read inside the job, so it is `Send`.
+pub fn streaming_job(
+    bw_mbps: f64,
     transport: VideoTransport,
+    forced_max: bool,
+    secs: f64,
+    seed: u64,
+) -> SimJob {
+    let mode = match transport {
+        VideoTransport::Hybrid => "H",
+        VideoTransport::Primary => "P",
+    };
+    SimJob::new(
+        format!(
+            "streaming/bw={bw_mbps:?}/transport={mode}/forced={forced_max}/secs={secs:?}/seed={seed}/v1"
+        ),
+        format!("Proteus-{mode} streaming at {bw_mbps} Mbps"),
+        move || {
+            let s = streaming_run(bw_mbps, transport, forced_max, secs, seed);
+            payload::encode_floats(&[s.bitrate_4k, s.bitrate_1080, s.rebuffer_4k, s.rebuffer_1080])
+        },
+    )
+}
+
+/// Submits `cfg.trials` streaming trials per (bandwidth, transport) —
+/// Hybrid then Primary within a bandwidth, trial seeds `seed + 101·t` —
+/// runs them, and returns each bandwidth's `(hybrid, primary)` stats
+/// averaged over the trials (rebuffering outcomes are seed-sensitive; the
+/// paper averages ≥ 10 trials).
+fn averaged_runs(
+    name: &str,
+    bws: &[f64],
     forced: bool,
     secs: f64,
-    base_seed: u64,
-    trials: u64,
-) -> ClassStats {
-    let mut acc = ClassStats {
-        bitrate_4k: 0.0,
-        bitrate_1080: 0.0,
-        rebuffer_4k: 0.0,
-        rebuffer_1080: 0.0,
+    cfg: &RunCfg,
+) -> Vec<(ClassStats, ClassStats)> {
+    const TRANSPORTS: [VideoTransport; 2] = [VideoTransport::Hybrid, VideoTransport::Primary];
+    let mut camp = campaign(name, *cfg);
+    for &bw in bws {
+        for transport in TRANSPORTS {
+            for t in 0..cfg.trials {
+                camp.push(streaming_job(
+                    bw,
+                    transport,
+                    forced,
+                    secs,
+                    cfg.seed + 101 * t,
+                ));
+            }
+        }
+    }
+    let result = camp.run();
+    let mut outputs = result.outputs.iter();
+    let n = cfg.trials as f64;
+    let mut averaged = || {
+        let mut acc = [0.0; 4];
+        for _ in 0..cfg.trials {
+            let v = payload::decode_floats(outputs.next().expect("one output per trial"));
+            for (a, x) in acc.iter_mut().zip(&v) {
+                *a += x;
+            }
+        }
+        ClassStats {
+            bitrate_4k: acc[0] / n,
+            bitrate_1080: acc[1] / n,
+            rebuffer_4k: acc[2] / n,
+            rebuffer_1080: acc[3] / n,
+        }
     };
-    for t in 0..trials {
-        let s = streaming_run(bw, transport, forced, secs, base_seed + 101 * t);
-        acc.bitrate_4k += s.bitrate_4k;
-        acc.bitrate_1080 += s.bitrate_1080;
-        acc.rebuffer_4k += s.rebuffer_4k;
-        acc.rebuffer_1080 += s.rebuffer_1080;
-    }
-    let n = trials as f64;
-    ClassStats {
-        bitrate_4k: acc.bitrate_4k / n,
-        bitrate_1080: acc.bitrate_1080 / n,
-        rebuffer_4k: acc.rebuffer_4k / n,
-        rebuffer_1080: acc.rebuffer_1080 / n,
-    }
+    bws.iter().map(|_| (averaged(), averaged())).collect()
 }
 
 /// Runs Fig. 12 (BOLA-adaptive).
@@ -116,23 +160,8 @@ pub fn run_experiment(cfg: RunCfg) -> String {
             "1080_rebuf_P",
         ],
     );
-    for &bw in bws {
-        let h = averaged_run(
-            bw,
-            VideoTransport::Hybrid,
-            false,
-            secs,
-            cfg.seed,
-            cfg.trials,
-        );
-        let p = averaged_run(
-            bw,
-            VideoTransport::Primary,
-            false,
-            secs,
-            cfg.seed,
-            cfg.trials,
-        );
+    let stats = averaged_runs("fig12", bws, false, secs, &cfg);
+    for (&bw, (h, p)) in bws.iter().zip(stats) {
         t.row(vec![
             format!("{bw:.0}"),
             f2(h.bitrate_4k),
@@ -168,16 +197,8 @@ pub fn run_experiment_forced(cfg: RunCfg) -> String {
             "1080_rebuf_P",
         ],
     );
-    for &bw in bws {
-        let h = averaged_run(bw, VideoTransport::Hybrid, true, secs, cfg.seed, cfg.trials);
-        let p = averaged_run(
-            bw,
-            VideoTransport::Primary,
-            true,
-            secs,
-            cfg.seed,
-            cfg.trials,
-        );
+    let stats = averaged_runs("fig13", bws, true, secs, &cfg);
+    for (&bw, (h, p)) in bws.iter().zip(stats) {
         t.row(vec![
             format!("{bw:.0}"),
             pct(h.rebuffer_4k),
@@ -189,4 +210,42 @@ pub fn run_experiment_forced(cfg: RunCfg) -> String {
     let text = format!("{}\n", t.render());
     write_report("fig13", &text, &[&t]);
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn streaming_job_matches_direct_run() {
+        let out = payload::decode_floats(
+            &streaming_job(100.0, VideoTransport::Hybrid, true, 10.0, 3).execute(),
+        );
+        let direct = streaming_run(100.0, VideoTransport::Hybrid, true, 10.0, 3);
+        assert_eq!(
+            out,
+            vec![
+                direct.bitrate_4k,
+                direct.bitrate_1080,
+                direct.rebuffer_4k,
+                direct.rebuffer_1080
+            ]
+        );
+        assert!(direct.bitrate_4k > 0.0);
+    }
+
+    #[test]
+    fn descriptors_identify_the_trial() {
+        let key = |bw, transport, forced, secs, seed| {
+            streaming_job(bw, transport, forced, secs, seed).key()
+        };
+        let base = key(110.0, VideoTransport::Hybrid, false, 60.0, 1);
+        assert_eq!(base, key(110.0, VideoTransport::Hybrid, false, 60.0, 1));
+        assert_ne!(base, key(90.0, VideoTransport::Hybrid, false, 60.0, 1));
+        assert_ne!(base, key(110.0, VideoTransport::Primary, false, 60.0, 1));
+        // Fig. 13's forced-max trials never alias Fig. 12's adaptive ones.
+        assert_ne!(base, key(110.0, VideoTransport::Hybrid, true, 60.0, 1));
+        assert_ne!(base, key(110.0, VideoTransport::Hybrid, false, 180.0, 1));
+        assert_ne!(base, key(110.0, VideoTransport::Hybrid, false, 60.0, 102));
+    }
 }

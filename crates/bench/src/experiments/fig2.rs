@@ -7,13 +7,14 @@
 //! consecutive 1.5-RTT (90 ms) windows over a 2-minute run.
 
 use proteus_netsim::{run, CrossTrafficSpec, FlowSpec, LinkSpec, Scenario};
+use proteus_runner::{payload, SimJob};
 use proteus_stats::{Histogram, LinearRegression, Welford};
 use proteus_transport::{factory, Dur};
 
-use crate::mi_trace::MiTraceSink;
+use crate::mi_trace::TraceFormat;
 use crate::protocols::{cc, cc_traced};
 use crate::report::{f3, write_report, Table};
-use crate::runner::TRACE_EVERY;
+use crate::runner::{campaign, scenario_job, Traces, TRACE_EVERY};
 use crate::RunCfg;
 
 /// Windowed (deviation, |gradient|) metrics from a probe's RTT samples.
@@ -85,6 +86,20 @@ fn probe_run(rate_per_sec: f64, secs: f64, seed: u64) -> (Vec<f64>, Vec<f64>) {
     window_metrics(&res.flows[0].rtt_samples, 0.090)
 }
 
+/// Campaign job for one probe run: payload is the two per-window sample
+/// sets (deviations, then |gradients|), length-prefixed — decode with
+/// [`payload::decode_float_sets`].
+pub fn probe_job(rate_per_sec: f64, secs: f64, seed: u64) -> SimJob {
+    SimJob::new(
+        format!("fig2/probe/rate={rate_per_sec:?}/secs={secs:?}/seed={seed}/v1"),
+        format!("probe under {rate_per_sec}/s"),
+        move || {
+            let (devs, grads) = probe_run(rate_per_sec, secs, seed);
+            payload::encode_float_sets(&[&devs, &grads])
+        },
+    )
+}
+
 /// The decision-trace companion scenario for `--trace-mi` runs of Fig. 2
 /// (and the golden decision-trace pin, see
 /// `crates/bench/tests/golden_trace.rs`): the figure's own probe is a
@@ -109,6 +124,24 @@ pub fn decision_scenario(secs: f64, seed: u64) -> Scenario {
         .with_trace(TRACE_EVERY)
 }
 
+/// Campaign job exporting [`decision_scenario`]'s trace under
+/// `trace-mi/fig2/`. The export files are declared artifacts, so a warm hit
+/// replays them; the payload is the number of decision events recorded.
+fn decision_job(secs: f64, seed: u64, format: TraceFormat) -> SimJob {
+    scenario_job(
+        "fig2",
+        format!("fig2/decision/secs={secs:?}/seed={seed}"),
+        format!("decision-s{seed}"),
+        "decision companion".into(),
+        Traces {
+            telemetry: false,
+            decisions: Some(format),
+        },
+        move |_| decision_scenario(secs, seed),
+        |res| vec![res.decisions.len() as f64],
+    )
+}
+
 /// Runs the Fig.-2 experiment.
 pub fn run_experiment(cfg: RunCfg) -> String {
     let secs = if cfg.quick { 30.0 } else { 120.0 };
@@ -123,12 +156,21 @@ pub fn run_experiment(cfg: RunCfg) -> String {
         &["bin", "0/s", "3/s", "6/s", "9/s"],
     );
 
+    let mut camp = campaign("fig2", cfg);
+    for (i, &rate) in rates.iter().enumerate() {
+        camp.push(probe_job(rate, secs, cfg.seed + i as u64));
+    }
+    if cfg.trace_mi {
+        camp.push(decision_job(secs, cfg.seed, cfg.trace_format));
+    }
+    let result = camp.run();
+
     let mut dev_sets = Vec::new();
     let mut grad_sets = Vec::new();
-    for (i, &rate) in rates.iter().enumerate() {
-        let (devs, grads) = probe_run(rate, secs, cfg.seed + i as u64);
-        dev_sets.push(devs);
-        grad_sets.push(grads);
+    for out in &result.outputs[..rates.len()] {
+        let mut sets = payload::decode_float_sets(out).into_iter();
+        dev_sets.push(sets.next().unwrap_or_default());
+        grad_sets.push(sets.next().unwrap_or_default());
     }
 
     let mut dev_h: Vec<Histogram> = (0..4).map(|_| Histogram::new(0.0, 1.4e-3, 14)).collect();
@@ -166,11 +208,6 @@ pub fn run_experiment(cfg: RunCfg) -> String {
         "|RTT gradient|".into(),
         format!("{:.1}%", conf_grad * 100.0),
     ]);
-
-    if cfg.trace_mi {
-        let res = run(decision_scenario(secs, cfg.seed));
-        MiTraceSink::new("fig2", format!("decision-s{}", cfg.seed), cfg.trace_format).write(&res);
-    }
 
     let text = format!(
         "{}\n{}\n{}\n",
@@ -225,5 +262,31 @@ mod tests {
         let (d, g) = window_metrics(&[], 0.09);
         assert!(d.is_empty() && g.is_empty());
         assert!(confusion_probability(&[], &[1.0]).is_nan());
+    }
+
+    #[test]
+    fn probe_job_matches_direct_run() {
+        let sets = payload::decode_float_sets(&probe_job(9.0, 6.0, 3).execute());
+        let (devs, grads) = probe_run(9.0, 6.0, 3);
+        assert!(!devs.is_empty());
+        assert_eq!(sets, vec![devs, grads]);
+    }
+
+    #[test]
+    fn descriptors_identify_the_run() {
+        let base = probe_job(3.0, 30.0, 1).key();
+        assert_eq!(base, probe_job(3.0, 30.0, 1).key());
+        assert_ne!(base, probe_job(6.0, 30.0, 1).key());
+        assert_ne!(base, probe_job(3.0, 120.0, 1).key());
+        assert_ne!(base, probe_job(3.0, 30.0, 2).key());
+
+        // The decision companion declares its exports, one identity per
+        // format selection.
+        let both = decision_job(30.0, 1, TraceFormat::Both);
+        let jsonl = decision_job(30.0, 1, TraceFormat::Jsonl);
+        assert_eq!(both.artifacts().len(), 2);
+        assert_eq!(jsonl.artifacts().len(), 1);
+        assert_ne!(both.key(), jsonl.key());
+        assert_ne!(both.key(), base);
     }
 }

@@ -80,32 +80,43 @@ pub fn cell_from_outputs(outputs: &[String], slots: (usize, usize)) -> YieldCell
     }
 }
 
-/// Runs the Fig.-6 experiment.
-pub fn run_experiment(cfg: RunCfg) -> String {
-    let secs = if cfg.quick { 25.0 } else { 60.0 };
-    let buffers: &[(u64, &str)] = &[(75_000, "75KB"), (375_000, "375KB")];
+/// Shallow (0.4 BDP) and large (2 BDP) buffers, bytes.
+const BUFFERS: [u64; 2] = [75_000, 375_000];
 
-    let mut camp = campaign("fig6", cfg);
+/// Submits every cell of the four tables, scavenger-major then primary
+/// then buffer; returns the (alone, pair) output slots in that order.
+pub(crate) fn submit_cells(
+    camp: &mut proteus_runner::Campaign,
+    cfg: &RunCfg,
+) -> Vec<(usize, usize)> {
+    let secs = if cfg.quick { 25.0 } else { 60.0 };
     let mut slots = Vec::new();
     for &scav in SCAV_ROLES {
         for &primary in PRIMARIES {
             if primary == scav {
                 continue; // the paper doesn't run a protocol against itself here
             }
-            for &(buf, _) in buffers {
+            for buf in BUFFERS {
                 slots.push(push_cell(
-                    &mut camp,
+                    camp,
                     "fig6",
                     primary,
                     scav,
                     buf,
                     secs,
                     cfg.seed,
-                    Traces::from_cfg(&cfg),
+                    Traces::from_cfg(cfg),
                 ));
             }
         }
     }
+    slots
+}
+
+/// Runs the Fig.-6 experiment.
+pub fn run_experiment(cfg: RunCfg) -> String {
+    let mut camp = campaign("fig6", cfg);
+    let slots = submit_cells(&mut camp, &cfg);
     let result = camp.run();
     let mut slot = slots.into_iter();
 
@@ -126,7 +137,7 @@ pub fn run_experiment(cfg: RunCfg) -> String {
                 continue;
             }
             let mut row = vec![primary.to_string()];
-            for _ in buffers {
+            for _ in BUFFERS {
                 let cell = cell_from_outputs(&result.outputs, slot.next().expect("slot per cell"));
                 row.push(pct(cell.ratio()));
                 row.push(f2(cell.utilization()));

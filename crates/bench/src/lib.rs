@@ -26,9 +26,7 @@ pub mod runner;
 pub use mi_trace::{mi_trace_dir, MiTraceSink, TraceFormat};
 pub use protocols::{cc, cc_traced, PRIMARIES, SCAVENGERS};
 pub use report::Table;
-pub use runner::{
-    campaign, run_pair, run_single, tail_mbps, tail_window, trace_jsonl, Traces, TRACE_EVERY,
-};
+pub use runner::{campaign, tail_mbps, tail_window, trace_jsonl, Traces, TRACE_EVERY};
 
 /// Global knobs for an experiment invocation.
 #[derive(Debug, Clone, Copy)]

@@ -1,13 +1,14 @@
-//! Shared scenario runners and campaign plumbing for the experiment
-//! modules.
+//! Shared job builders and campaign plumbing for the experiment modules.
 //!
-//! The grid experiments submit their cells as [`SimJob`]s through a
+//! Every experiment submits all of its simulation as [`SimJob`]s through a
 //! [`Campaign`] (built by [`campaign`] from the CLI's `--jobs` /
-//! `--no-cache` knobs). The job builders here cover the two shapes nearly
-//! every sweep reduces to — one bulk flow on a link ([`single_job`]) and a
-//! primary/scavenger pair ([`pair_job`]) — with stable descriptors shared
-//! across experiments, so e.g. Fig. 6 and Fig. 19 reuse each other's
-//! cached "primary alone" baselines.
+//! `--no-cache` knobs), so a warm re-run is pure cache replay. The job
+//! builders here cover the two shapes nearly every sweep reduces to — one
+//! bulk flow on a link ([`single_job`]) and a primary/scavenger pair
+//! ([`pair_job`]) — with stable descriptors shared across experiments:
+//! Fig. 7 reads Fig. 6's cells, Fig. 4's zero-loss row is Fig. 3's 375 KB
+//! row, and Fig. 6 and Fig. 19 reuse each other's "primary alone"
+//! baselines.
 
 use std::fs;
 use std::path::PathBuf;
@@ -147,11 +148,6 @@ pub fn trace_jsonl(res: &SimResult) -> String {
     out
 }
 
-/// Runs a scenario, recording telemetry first if a sink is given.
-pub fn run_traced(sc: Scenario, trace: Option<&TraceSink>) -> SimResult {
-    run_job(sc, trace, None)
-}
-
 /// Runs a scenario, writing telemetry and/or decision traces. Any active
 /// sink turns on 100 ms trace sampling, which also makes the engine drain
 /// the flows' decision rings on the same cadence.
@@ -205,7 +201,7 @@ impl Traces {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario builders (shared by direct runners and jobs)
+// Scenario builders
 // ---------------------------------------------------------------------------
 
 fn single_scenario(
@@ -228,7 +224,8 @@ fn single_scenario(
         .with_rtt_stride(2)
 }
 
-fn pair_scenario(
+/// `primary` from 0 against `scavenger` from 5 s; flow 0 is the primary.
+pub(crate) fn pair_scenario(
     primary: &'static str,
     scavenger: &'static str,
     link: LinkSpec,
@@ -256,14 +253,16 @@ fn pair_scenario(
         .with_rtt_stride(2)
 }
 
-/// Runs one bulk flow of `name` over `link` for `secs` seconds.
-pub fn run_single(name: &'static str, link: LinkSpec, secs: f64, seed: u64) -> SimResult {
+/// Direct-run oracle for [`single_job`].
+#[cfg(test)]
+pub(crate) fn run_single(name: &'static str, link: LinkSpec, secs: f64, seed: u64) -> SimResult {
     run(single_scenario(name, link, secs, seed, false))
 }
 
-/// Runs `primary` (starting at 0) against `scavenger` (starting at 5 s).
-/// Flow 0 is the primary.
-pub fn run_pair(
+/// Direct-run oracle for [`pair_job`] and the jobs built on
+/// [`pair_scenario`].
+#[cfg(test)]
+pub(crate) fn run_pair(
     primary: &'static str,
     scavenger: &'static str,
     link: LinkSpec,
@@ -294,12 +293,52 @@ pub(crate) fn trace_suffix(traces: Traces) -> String {
     s
 }
 
+/// A job that runs one scenario and reduces its result to floats, with the
+/// invocation's trace selection applied: `scenario(decisions)` builds the
+/// scenario (with decision-traced controllers when asked), `read` extracts
+/// the payload. `stem` is the descriptor up to the trace suffix and version;
+/// `run_name` names the trace files under `exp`.
+pub(crate) fn scenario_job(
+    exp: &'static str,
+    stem: String,
+    run_name: String,
+    label: String,
+    traces: Traces,
+    scenario: impl FnOnce(bool) -> Scenario + Send + 'static,
+    read: impl FnOnce(&SimResult) -> Vec<f64> + Send + 'static,
+) -> SimJob {
+    let descriptor = format!("{stem}{}/v1", trace_suffix(traces));
+    let sink = traces.telemetry.then(|| TraceSink::new(exp, &run_name));
+    let mi = traces
+        .decisions
+        .map(|fmt| MiTraceSink::new(exp, &run_name, fmt));
+    let artifacts: Vec<_> = mi.iter().flat_map(|s| s.paths()).collect();
+    let mut job = SimJob::new(descriptor, label, move || {
+        let res = run_job(scenario(mi.is_some()), sink.as_ref(), mi.as_ref());
+        payload::encode_floats(&read(&res))
+    });
+    for path in artifacts {
+        job = job.with_artifact(path);
+    }
+    job
+}
+
+/// A payload's p95 RTT, or `fallback` when the job recorded the `0.0`
+/// "unmeasured" sentinel (the flow took no RTT sample).
+pub fn p95_or(p95_rtt_s: f64, fallback: f64) -> f64 {
+    if p95_rtt_s > 0.0 {
+        p95_rtt_s
+    } else {
+        fallback
+    }
+}
+
 /// Decoded [`single_job`] payload.
 #[derive(Debug, Clone, Copy)]
 pub struct SingleOut {
     /// Tail-window goodput, Mbps.
     pub tail_mbps: f64,
-    /// 95th-percentile RTT, seconds (0 when unmeasured).
+    /// 95th-percentile RTT, seconds (0 when unmeasured, see [`p95_or`]).
     pub p95_rtt_s: f64,
     /// Sender-observed loss rate.
     pub loss_rate: f64,
@@ -329,33 +368,21 @@ pub fn single_job(
     seed: u64,
     traces: Traces,
 ) -> SimJob {
-    let descriptor = format!(
-        "single/{tag}/proto={proto}/secs={secs:?}/seed={seed}{}/v1",
-        trace_suffix(traces)
-    );
-    let run_name = format!("single-{tag}-{proto}-s{seed}");
-    let sink = traces.telemetry.then(|| TraceSink::new(exp, &run_name));
-    let mi = traces
-        .decisions
-        .map(|fmt| MiTraceSink::new(exp, &run_name, fmt));
-    let artifacts: Vec<_> = mi.iter().flat_map(|s| s.paths()).collect();
-    let decisions = mi.is_some();
-    let mut job = SimJob::new(descriptor, format!("{proto} alone"), move || {
-        let res = run_job(
-            single_scenario(proto, link, secs, seed, decisions),
-            sink.as_ref(),
-            mi.as_ref(),
-        );
-        payload::encode_floats(&[
-            tail_mbps(&res, 0, secs),
-            res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
-            res.flows[0].loss_rate(),
-        ])
-    });
-    for path in artifacts {
-        job = job.with_artifact(path);
-    }
-    job
+    scenario_job(
+        exp,
+        format!("single/{tag}/proto={proto}/secs={secs:?}/seed={seed}"),
+        format!("single-{tag}-{proto}-s{seed}"),
+        format!("{proto} alone"),
+        traces,
+        move |decisions| single_scenario(proto, link, secs, seed, decisions),
+        move |res| {
+            vec![
+                tail_mbps(res, 0, secs),
+                res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
+                res.flows[0].loss_rate(),
+            ]
+        },
+    )
 }
 
 /// Decoded [`pair_job`] payload.
@@ -365,7 +392,8 @@ pub struct PairOut {
     pub primary_mbps: f64,
     /// Scavenger's tail-window goodput, Mbps.
     pub scav_mbps: f64,
-    /// Primary's 95th-percentile RTT over the whole run, seconds.
+    /// Primary's 95th-percentile RTT over the whole run, seconds (0 when
+    /// unmeasured, see [`p95_or`]).
     pub p95_rtt_s: f64,
 }
 
@@ -392,33 +420,21 @@ pub fn pair_job(
     seed: u64,
     traces: Traces,
 ) -> SimJob {
-    let descriptor = format!(
-        "pair/{tag}/primary={primary}/scav={scavenger}/secs={secs:?}/seed={seed}{}/v1",
-        trace_suffix(traces)
-    );
-    let run_name = format!("pair-{tag}-{primary}-vs-{scavenger}-s{seed}");
-    let sink = traces.telemetry.then(|| TraceSink::new(exp, &run_name));
-    let mi = traces
-        .decisions
-        .map(|fmt| MiTraceSink::new(exp, &run_name, fmt));
-    let artifacts: Vec<_> = mi.iter().flat_map(|s| s.paths()).collect();
-    let decisions = mi.is_some();
-    let mut job = SimJob::new(descriptor, format!("{primary} vs {scavenger}"), move || {
-        let res = run_job(
-            pair_scenario(primary, scavenger, link, secs, seed, decisions),
-            sink.as_ref(),
-            mi.as_ref(),
-        );
-        payload::encode_floats(&[
-            tail_mbps(&res, 0, secs),
-            tail_mbps(&res, 1, secs),
-            res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
-        ])
-    });
-    for path in artifacts {
-        job = job.with_artifact(path);
-    }
-    job
+    scenario_job(
+        exp,
+        format!("pair/{tag}/primary={primary}/scav={scavenger}/secs={secs:?}/seed={seed}"),
+        format!("pair-{tag}-{primary}-vs-{scavenger}-s{seed}"),
+        format!("{primary} vs {scavenger}"),
+        traces,
+        move |decisions| pair_scenario(primary, scavenger, link, secs, seed, decisions),
+        move |res| {
+            vec![
+                tail_mbps(res, 0, secs),
+                tail_mbps(res, 1, secs),
+                res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
+            ]
+        },
+    )
 }
 
 #[cfg(test)]
@@ -457,6 +473,30 @@ mod tests {
         let direct = run_single("CUBIC", link, 10.0, 3);
         assert_eq!(out.tail_mbps, tail_mbps(&direct, 0, 10.0));
         assert_eq!(out.p95_rtt_s, direct.flows[0].rtt_percentile(95.0).unwrap());
+    }
+
+    #[test]
+    fn pair_job_matches_direct_run() {
+        let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
+        let tag = link_tag(&link);
+        let job = pair_job(
+            "test",
+            &tag,
+            "CUBIC",
+            "LEDBAT",
+            link,
+            12.0,
+            3,
+            Traces::off(),
+        );
+        let out = decode_pair(&job.execute());
+        let direct = run_pair("CUBIC", "LEDBAT", link, 12.0, 3);
+        assert_eq!(out.primary_mbps, tail_mbps(&direct, 0, 12.0));
+        assert_eq!(out.scav_mbps, tail_mbps(&direct, 1, 12.0));
+        let p95 = direct.flows[0].rtt_percentile(95.0).unwrap();
+        assert_eq!(p95_or(out.p95_rtt_s, 0.030), p95);
+        // The unmeasured sentinel maps back to the caller's fallback.
+        assert_eq!(p95_or(0.0, 0.030), 0.030);
     }
 
     #[test]

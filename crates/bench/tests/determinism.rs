@@ -9,6 +9,8 @@
 use std::fs;
 use std::path::PathBuf;
 
+use proteus_bench::experiments::video_util::VideoTransport;
+use proteus_bench::experiments::{fig12, fig14, fig2};
 use proteus_bench::report::Table;
 use proteus_bench::runner::{decode_single, link_tag, pair_job, single_job, Traces};
 use proteus_netsim::LinkSpec;
@@ -49,9 +51,25 @@ fn job_grid(seed: u64) -> Vec<SimJob> {
     jobs
 }
 
-/// Runs the grid on `workers` threads (no cache) and returns
+/// The job kinds with experiment-specific payloads: Fig. 2's per-window
+/// sample sets, Fig. 12/13's streaming trial (whose `Rc<RefCell<_>>` video
+/// stats handles live and die inside the job closure) and Fig. 14's binned
+/// timeline. Short horizons; two of each so workers interleave them.
+fn figure_job_grid(seed: u64) -> Vec<SimJob> {
+    let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
+    vec![
+        fig2::probe_job(9.0, 6.0, seed),
+        fig12::streaming_job(100.0, VideoTransport::Hybrid, false, 8.0, seed),
+        fig14::timeline_job("BBR", "BBR-S", link, 20.0, seed, Traces::off()),
+        fig2::probe_job(0.0, 6.0, seed + 1),
+        fig12::streaming_job(100.0, VideoTransport::Primary, true, 8.0, seed),
+        fig14::timeline_job("CUBIC", "BBR-S", link, 20.0, seed, Traces::off()),
+    ]
+}
+
+/// Runs `jobs` on `workers` threads (no cache) and returns
 /// `(keys, outputs)` in submission order.
-fn run_grid(workers: usize, seed: u64) -> (Vec<JobKey>, Vec<String>) {
+fn run_jobs(workers: usize, jobs: Vec<SimJob>) -> (Vec<JobKey>, Vec<String>) {
     let mut camp = Campaign::new(
         "determinism",
         CampaignOpts {
@@ -60,11 +78,15 @@ fn run_grid(workers: usize, seed: u64) -> (Vec<JobKey>, Vec<String>) {
         },
     );
     let mut keys = Vec::new();
-    for job in job_grid(seed) {
+    for job in jobs {
         keys.push(job.key());
         camp.push(job);
     }
     (keys, camp.run().outputs)
+}
+
+fn run_grid(workers: usize, seed: u64) -> (Vec<JobKey>, Vec<String>) {
+    run_jobs(workers, job_grid(seed))
 }
 
 /// Renders the single-flow outputs as the kind of CSV report the
@@ -94,6 +116,16 @@ fn parallel_campaign_matches_serial_bit_for_bit() {
     assert_eq!(out1, out8);
     // And therefore byte-identical CSV reports.
     assert_eq!(csv_report(&out1), csv_report(&out8));
+}
+
+#[test]
+fn figure_jobs_match_serial_bit_for_bit() {
+    let (keys1, out1) = run_jobs(1, figure_job_grid(42));
+    let (keys4, out4) = run_jobs(4, figure_job_grid(42));
+    assert_eq!(keys1, keys4);
+    assert_eq!(out1, out4);
+    // Real payloads, not six empty strings agreeing with each other.
+    assert!(out1.iter().all(|o| o.split_whitespace().count() >= 4));
 }
 
 #[test]

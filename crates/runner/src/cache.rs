@@ -7,10 +7,11 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hash::JobKey;
 
-const MAGIC: &str = "proteus-runner-cache v1";
+const MAGIC: &str = "proteus-runner-cache v2";
 
 /// A directory of cached job payloads, keyed by [`JobKey`].
 #[derive(Debug, Clone)]
@@ -35,67 +36,70 @@ impl ResultCache {
         self.dir.join(format!("{}.job", key.hex()))
     }
 
-    /// Looks up a payload. The stored descriptor must match `descriptor`
-    /// exactly (guards against hash-scheme changes and collisions).
-    pub fn get(&self, key: JobKey, descriptor: &str) -> Option<String> {
-        let text = fs::read_to_string(self.path(key)).ok()?;
-        let mut lines = text.splitn(4, '\n');
-        if lines.next() != Some(MAGIC) {
-            return None;
-        }
-        if lines.next() != Some(descriptor) {
-            return None;
-        }
-        if lines.next() != Some("---") {
-            return None;
-        }
-        Some(lines.next().unwrap_or("").to_string())
-    }
-
-    /// Stores a payload. Write failures are silently ignored (a cache must
-    /// never fail the campaign); a torn write is rejected on read by the
-    /// header check.
-    pub fn put(&self, key: JobKey, descriptor: &str, payload: &str) {
-        debug_assert!(!descriptor.contains('\n'), "descriptor must be one line");
-        let body = format!("{MAGIC}\n{descriptor}\n---\n{payload}");
-        // Write-then-rename so readers never observe a partial entry.
-        let tmp = self.dir.join(format!("{}.tmp", key.hex()));
-        if fs::write(&tmp, body).is_ok() {
-            let _ = fs::rename(&tmp, self.path(key));
-        }
-    }
-
     fn artifact_path(&self, key: JobKey, index: usize) -> PathBuf {
         self.dir.join(format!("{}.a{index}", key.hex()))
     }
 
-    /// Looks up a stored artifact (a declared side-effect file of the job,
-    /// see `SimJob::with_artifact`). Same header validation as
-    /// [`ResultCache::get`].
-    pub fn get_artifact(&self, key: JobKey, descriptor: &str, index: usize) -> Option<String> {
-        let text = fs::read_to_string(self.artifact_path(key, index)).ok()?;
-        let mut lines = text.splitn(4, '\n');
-        if lines.next() != Some(MAGIC) {
+    /// Reads one entry file: magic, descriptor, body byte length, `---`,
+    /// body. Anything that does not match — an entry of an older format, a
+    /// different descriptor (hash-scheme change or collision), or a body
+    /// shorter or longer than its recorded length (a torn or truncated
+    /// write) — is a miss.
+    fn read_entry(path: &Path, descriptor: &str) -> Option<String> {
+        let text = fs::read_to_string(path).ok()?;
+        let mut lines = text.splitn(5, '\n');
+        if lines.next() != Some(MAGIC) || lines.next() != Some(descriptor) {
             return None;
         }
-        if lines.next() != Some(descriptor) {
-            return None;
-        }
+        let len: usize = lines.next()?.parse().ok()?;
         if lines.next() != Some("---") {
             return None;
         }
-        Some(lines.next().unwrap_or("").to_string())
+        let body = lines.next().unwrap_or("");
+        (body.len() == len).then(|| body.to_string())
+    }
+
+    /// Writes one entry file through a temporary name unique to this
+    /// process and write, then renames it into place: readers never observe
+    /// a partial entry, and two processes sharing the directory never write
+    /// through the same temporary. Failures are silently ignored (a cache
+    /// must never fail the campaign).
+    fn write_entry(&self, path: &Path, descriptor: &str, body: &str) {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        debug_assert!(!descriptor.contains('\n'), "descriptor must be one line");
+        let text = format!("{MAGIC}\n{descriptor}\n{}\n---\n{body}", body.len());
+        let tmp = self.dir.join(format!(
+            "{}-{}.tmp",
+            std::process::id(),
+            WRITES.fetch_add(1, Ordering::Relaxed)
+        ));
+        if fs::write(&tmp, text).is_err() || fs::rename(&tmp, path).is_err() {
+            let _ = fs::remove_file(&tmp);
+        }
+    }
+
+    /// Looks up a payload. The stored descriptor must match `descriptor`
+    /// exactly and the payload must have its recorded length.
+    pub fn get(&self, key: JobKey, descriptor: &str) -> Option<String> {
+        Self::read_entry(&self.path(key), descriptor)
+    }
+
+    /// Stores a payload.
+    pub fn put(&self, key: JobKey, descriptor: &str, payload: &str) {
+        self.write_entry(&self.path(key), descriptor, payload);
+    }
+
+    /// Looks up a stored artifact (a declared side-effect file of the job,
+    /// see `SimJob::with_artifact`). Same validation as
+    /// [`ResultCache::get`].
+    pub fn get_artifact(&self, key: JobKey, descriptor: &str, index: usize) -> Option<String> {
+        Self::read_entry(&self.artifact_path(key, index), descriptor)
     }
 
     /// Stores one artifact alongside the job's payload entry, under the
     /// same key. Failure semantics match [`ResultCache::put`].
     pub fn put_artifact(&self, key: JobKey, descriptor: &str, index: usize, content: &str) {
-        debug_assert!(!descriptor.contains('\n'), "descriptor must be one line");
-        let body = format!("{MAGIC}\n{descriptor}\n---\n{content}");
-        let tmp = self.dir.join(format!("{}.a{index}.tmp", key.hex()));
-        if fs::write(&tmp, body).is_ok() {
-            let _ = fs::rename(&tmp, self.artifact_path(key, index));
-        }
+        self.write_entry(&self.artifact_path(key, index), descriptor, content);
     }
 
     /// Removes every cache entry (used by tests and `--no-cache` refresh).
@@ -183,6 +187,48 @@ mod tests {
         assert_eq!(c.get_artifact(key, "exp/a=1", 2), None);
         c.clear().unwrap();
         assert_eq!(c.get_artifact(key, "exp/a=1", 0), None);
+    }
+
+    #[test]
+    fn truncated_or_stale_entries_are_misses() {
+        let c = tmp_cache("truncated");
+        let key = JobKey::from_descriptor("k");
+        let path = c.dir().join(format!("{}.job", key.hex()));
+        c.put(key, "k", "1.5 2.5 3.5");
+        let full = fs::read_to_string(&path).unwrap();
+
+        // A torn write: the header survives, the payload is cut short. It
+        // would parse as a shorter float list.
+        fs::write(&path, &full[..full.len() - 4]).unwrap();
+        assert_eq!(c.get(key, "k"), None);
+        // Trailing garbage is no better.
+        fs::write(&path, format!("{full} 4.5")).unwrap();
+        assert_eq!(c.get(key, "k"), None);
+        // The previous format (no length line) reads as a miss.
+        fs::write(&path, "proteus-runner-cache v1\nk\n---\n1.5 2.5 3.5").unwrap();
+        assert_eq!(c.get(key, "k"), None);
+
+        // Artifacts get the same check.
+        let apath = c.dir().join(format!("{}.a0", key.hex()));
+        c.put_artifact(key, "k", 0, "line1\nline2\n");
+        let full = fs::read_to_string(&apath).unwrap();
+        fs::write(&apath, &full[..full.len() - 3]).unwrap();
+        assert_eq!(c.get_artifact(key, "k", 0), None);
+    }
+
+    #[test]
+    fn writes_leave_no_temporaries() {
+        let c = tmp_cache("tmpnames");
+        for i in 0..4 {
+            let d = format!("exp/{i}");
+            c.put(JobKey::from_descriptor(&d), &d, "x");
+        }
+        let leftovers = fs::read_dir(c.dir())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .count();
+        assert_eq!(leftovers, 0);
     }
 
     #[test]

@@ -52,13 +52,21 @@ impl Default for CampaignOpts {
 }
 
 /// Number of zero floats in a skipped job's placeholder payload — sized
-/// past every float index any experiment decoder reads, so sharded runs
+/// past every float index a *fixed-length* decoder reads, so sharded runs
 /// produce partial-but-well-formed reports instead of panicking.
 pub const SKIPPED_PAYLOAD_FLOATS: usize = 16;
 
 /// The placeholder payload a sharded campaign stores in the output slot of
 /// an out-of-shard job: [`SKIPPED_PAYLOAD_FLOATS`] zeros, encoded with
 /// [`crate::payload::encode_floats`].
+///
+/// Decoder contract: a decoder that indexes a fixed number of floats (at
+/// most [`SKIPPED_PAYLOAD_FLOATS`]) may index directly. A payload whose
+/// length varies with the sweep — a binned timeline, a set of per-window
+/// samples — can be longer than the placeholder, so its decoder must be
+/// total instead: read through [`crate::payload::float_at`] (missing values
+/// read as 0) or [`crate::payload::decode_float_sets`] (the placeholder
+/// decodes as empty sets).
 pub fn skipped_payload() -> String {
     crate::payload::encode_floats(&[0.0; SKIPPED_PAYLOAD_FLOATS])
 }
@@ -519,6 +527,53 @@ mod tests {
         warm.push(artifact_job(&dir, &counter));
         assert_eq!(warm.run().stats.cached, 1);
         assert_eq!(counter.load(Ordering::Relaxed), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_cache_entries_re_execute() {
+        let dir = tmp_dir("damaged");
+        let cache_dir = dir.join("cache");
+        let opts = CampaignOpts {
+            cache: Some(cache_dir.clone()),
+            ..CampaignOpts::default()
+        };
+        let counter = Arc::new(AtomicUsize::new(0));
+        let key = SimJob::new("test/artifact/0", "a0", String::new)
+            .key()
+            .hex();
+        let run = |expect_executed: usize| {
+            let mut c = Campaign::new("t", opts.clone());
+            c.push(artifact_job(&dir, &counter));
+            let r = c.run();
+            assert_eq!(r.stats.executed, expect_executed);
+            assert_eq!(r.stats.cached, 1 - expect_executed);
+            assert_eq!(r.outputs, vec!["payload"]);
+        };
+        let cut_tail = |name: String| {
+            let path = cache_dir.join(name);
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&path, &text[..text.len() - 2]).unwrap();
+        };
+        run(1);
+        run(0);
+
+        // Truncated payload, truncated artifact, entry of the previous
+        // format: each is a miss that re-executes and heals the entry.
+        cut_tail(format!("{key}.job"));
+        run(1);
+        run(0);
+        cut_tail(format!("{key}.a0"));
+        run(1);
+        run(0);
+        std::fs::write(
+            cache_dir.join(format!("{key}.job")),
+            "proteus-runner-cache v1\ntest/artifact/0\n---\npayload",
+        )
+        .unwrap();
+        run(1);
+        run(0);
+        assert_eq!(counter.load(Ordering::Relaxed), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -36,6 +36,40 @@ pub fn decode_floats(payload: &str) -> Vec<f64> {
         .collect()
 }
 
+/// Float `index` of a decoded payload, 0 when the payload is shorter.
+///
+/// Decoders of variable-length payloads read through this so they stay
+/// total on [`crate::skipped_payload`], whose fixed length they can exceed.
+pub fn float_at(values: &[f64], index: usize) -> f64 {
+    values.get(index).copied().unwrap_or(0.0)
+}
+
+/// Encodes several float sets of varying size as one float list, each set
+/// prefixed by its length: `[n0, s0.., n1, s1.., ...]`.
+pub fn encode_float_sets(sets: &[&[f64]]) -> String {
+    let mut flat = Vec::with_capacity(sets.iter().map(|s| s.len() + 1).sum());
+    for set in sets {
+        flat.push(set.len() as f64);
+        flat.extend_from_slice(set);
+    }
+    encode_floats(&flat)
+}
+
+/// Decodes a payload produced by [`encode_float_sets`]. Total on any float
+/// list: a length prefix that overruns the payload is clamped to what is
+/// there, so [`crate::skipped_payload`] decodes as empty sets.
+pub fn decode_float_sets(payload: &str) -> Vec<Vec<f64>> {
+    let flat = decode_floats(payload);
+    let mut sets = Vec::new();
+    let mut rest = flat.as_slice();
+    while let Some((&n, tail)) = rest.split_first() {
+        let (set, tail) = tail.split_at((n as usize).min(tail.len()));
+        sets.push(set.to_vec());
+        rest = tail;
+    }
+    sets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,5 +101,23 @@ mod tests {
     #[test]
     fn single_value() {
         assert_eq!(decode_floats(&encode_floats(&[42.25])), vec![42.25]);
+    }
+
+    #[test]
+    fn float_sets_round_trip() {
+        let (a, b) = ([1.5, -2.0, 0.1 + 0.2], []);
+        let decoded = decode_float_sets(&encode_float_sets(&[&a, &b, &a[..1]]));
+        assert_eq!(decoded, vec![a.to_vec(), vec![], vec![1.5]]);
+    }
+
+    #[test]
+    fn variable_length_decoders_are_total_on_the_placeholder() {
+        let skipped = crate::skipped_payload();
+        assert!(decode_float_sets(&skipped).iter().all(|s| s.is_empty()));
+        // An overrunning length prefix is clamped, not a panic.
+        assert_eq!(decode_float_sets("5 1 2"), vec![vec![1.0, 2.0]]);
+        let v = decode_floats(&skipped);
+        assert_eq!(float_at(&v, 3), 0.0);
+        assert_eq!(float_at(&v, 41), 0.0);
     }
 }
