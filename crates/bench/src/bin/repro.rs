@@ -16,6 +16,9 @@
 //! finish, re-run without `--shard` for complete reports (pure cache
 //! replay).
 //! `--no-cache` bypasses the disk result cache under `results/.cache/`.
+//! A campaign invariant that fails (`stress`, `scale`, `topology`, `rtc`) is
+//! listed on stderr and makes the exit status 1 — except under `--shard`,
+//! where skipped cells are placeholders, not measurements.
 //! `--trace` records per-flow telemetry JSONL under `results/trace/`.
 //! `--trace-mi` records structured decision traces (MI closes, mode
 //! switches, filter verdicts — see `OBSERVABILITY.md`) under
@@ -29,6 +32,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use proteus_bench::experiments::registry;
+use proteus_bench::invariants::take_session_failures;
 use proteus_bench::{mi_trace, RunCfg, TraceFormat};
 
 const USAGE: &str = "usage: repro [--quick] [--seed N] [--jobs N] [--shard I/N] [--no-cache] \
@@ -170,6 +174,7 @@ fn main() -> ExitCode {
 
     proteus_runner::take_session_stats(); // discard anything pre-run
     proteus_netsim::take_session_event_totals(); // same for engine totals
+    take_session_failures(); // and for invariant verdicts
     let mut timings: Vec<ExperimentTiming> = Vec::new();
     for e in &experiments {
         if run_all || cli.ids.iter().any(|i| i == e.id) {
@@ -198,7 +203,19 @@ fn main() -> ExitCode {
     }
 
     print_run_summary(&timings, &proteus_runner::take_session_stats());
-    ExitCode::SUCCESS
+    let failures = take_session_failures();
+    let status = exit_status(&failures, cfg.shard.is_some());
+    if status != 0 {
+        eprintln!("invariants FAILED: {}", failures.join(", "));
+    }
+    ExitCode::from(status)
+}
+
+/// The exit status after every requested experiment ran: 1 when a campaign
+/// invariant failed on real measurements. A sharded run judges placeholder
+/// zeros for its out-of-shard cells, so its verdicts do not count.
+fn exit_status(invariant_failures: &[String], sharded: bool) -> u8 {
+    u8::from(!sharded && !invariant_failures.is_empty())
 }
 
 /// Wall time plus engine event totals for one experiment.
@@ -268,6 +285,15 @@ mod tests {
         for bad in ["0/4", "5/4", "4", "a/b", "1/0", "/", ""] {
             assert!(parse_shard(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn failed_invariants_fail_the_run_unless_sharded() {
+        let failed = ["stress/flap/CUBIC/progress".to_string()];
+        assert_eq!(exit_status(&[], false), 0);
+        assert_eq!(exit_status(&failed, false), 1);
+        assert_eq!(exit_status(&failed, true), 0);
+        assert_eq!(exit_status(&[], true), 0);
     }
 
     #[test]

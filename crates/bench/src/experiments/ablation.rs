@@ -28,10 +28,8 @@ use proteus_runner::{payload, Campaign, SimJob};
 use proteus_transport::{CongestionControl, Dur};
 
 use crate::experiments::wifi::{path_tag, wifi_paths};
+use crate::jobs::{campaign, decode_single, link_tag, single_job, tail_mbps, tail_window, Traces};
 use crate::report::{f2, pct, write_report, Table};
-use crate::runner::{
-    campaign, decode_single, link_tag, single_job, tail_mbps, tail_window, Traces,
-};
 use crate::RunCfg;
 
 /// Named noise-tolerance variants for ablation runs.

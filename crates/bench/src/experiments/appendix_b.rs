@@ -19,9 +19,9 @@ use proteus_transport::{Dur, Time};
 
 use crate::experiments::fig5::fairness_job;
 use crate::experiments::fig6::{cell_from_outputs, push_cell};
+use crate::jobs::{campaign, decode_single, link_tag, single_job, Traces};
 use crate::protocols::{cc, PRIMARIES};
 use crate::report::{f2, f3, pct, write_report, Table};
-use crate::runner::{campaign, decode_single, link_tag, single_job, Traces};
 use crate::RunCfg;
 
 const LEDBATS: &[&str] = &["LEDBAT-25", "LEDBAT", "Proteus-S", "Proteus-P"];

@@ -15,9 +15,9 @@ use proteus_stats::Ecdf;
 use proteus_transport::Dur;
 
 use crate::experiments::video_util::{add_video_flow, VideoTransport};
+use crate::jobs::campaign;
 use crate::protocols::cc;
 use crate::report::{f2, write_report, Table};
-use crate::runner::campaign;
 use crate::RunCfg;
 
 const BACKGROUNDS: &[&str] = &["none", "Proteus-S", "LEDBAT", "CUBIC"];

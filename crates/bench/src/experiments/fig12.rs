@@ -13,8 +13,8 @@ use proteus_runner::{payload, SimJob};
 use proteus_transport::Dur;
 
 use crate::experiments::video_util::{add_video_flow, VideoTransport};
+use crate::jobs::campaign;
 use crate::report::{f2, pct, write_report, Table};
-use crate::runner::campaign;
 use crate::RunCfg;
 
 /// Outcome of one 1×4K + 3×1080P run.

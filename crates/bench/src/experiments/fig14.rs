@@ -9,8 +9,8 @@ use proteus_netsim::LinkSpec;
 use proteus_runner::{payload, SimJob};
 use proteus_transport::{Dur, Time};
 
+use crate::jobs::{campaign, link_tag, pair_scenario, scenario_job, tail_window, Traces};
 use crate::report::{f2, write_report, Table};
-use crate::runner::{campaign, link_tag, pair_scenario, scenario_job, tail_window, Traces};
 use crate::RunCfg;
 
 const BIN_SECS: f64 = 10.0;
@@ -117,7 +117,7 @@ pub fn run_experiment(cfg: RunCfg) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_pair;
+    use crate::jobs::run_pair;
 
     #[test]
     fn timeline_job_matches_direct_run() {
@@ -148,7 +148,7 @@ mod tests {
         assert_ne!(base, key("BBR", "BBR-S", 200.0, 1));
         assert_ne!(base, key("BBR", "BBR-S", 60.0, 2));
         // Same scenario as a pair cell, different payload: never aliased.
-        let pair = crate::runner::pair_job(
+        let pair = crate::jobs::pair_job(
             "fig14",
             &link_tag(&link),
             "BBR",

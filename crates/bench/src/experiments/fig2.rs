@@ -11,10 +11,10 @@ use proteus_runner::{payload, SimJob};
 use proteus_stats::{Histogram, LinearRegression, Welford};
 use proteus_transport::{factory, Dur};
 
+use crate::jobs::{campaign, scenario_job, Traces, TRACE_EVERY};
 use crate::mi_trace::TraceFormat;
 use crate::protocols::{cc, cc_traced};
 use crate::report::{f3, write_report, Table};
-use crate::runner::{campaign, scenario_job, Traces, TRACE_EVERY};
 use crate::RunCfg;
 
 /// Windowed (deviation, |gradient|) metrics from a probe's RTT samples.

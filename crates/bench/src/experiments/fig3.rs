@@ -9,9 +9,9 @@ use proteus_transport::Dur;
 
 use proteus_runner::{Campaign, SimJob};
 
+use crate::jobs::{campaign, decode_single, link_tag, p95_or, single_job, Traces};
 use crate::protocols::ALL_FIG3;
 use crate::report::{f2, write_report, Table};
-use crate::runner::{campaign, decode_single, link_tag, p95_or, single_job, Traces};
 use crate::RunCfg;
 
 const BASE_RTT_S: f64 = 0.030;

@@ -10,9 +10,9 @@ use proteus_transport::Dur;
 
 use proteus_runner::Campaign;
 
+use crate::jobs::{campaign, decode_single, link_tag, single_job, Traces};
 use crate::protocols::ALL_FIG3;
 use crate::report::{f2, write_report, Table};
-use crate::runner::{campaign, decode_single, link_tag, single_job, Traces};
 use crate::RunCfg;
 
 fn loss_rates(quick: bool) -> Vec<f64> {

@@ -11,9 +11,9 @@ use proteus_runner::{payload, SimJob};
 use proteus_stats::jain_index;
 use proteus_transport::{Dur, Time};
 
+use crate::jobs::campaign;
 use crate::protocols::{cc, ALL_FIG3};
 use crate::report::{f3, write_report, Table};
-use crate::runner::campaign;
 use crate::RunCfg;
 
 fn flow_counts(quick: bool) -> Vec<usize> {

@@ -10,9 +10,9 @@
 use proteus_netsim::LinkSpec;
 use proteus_transport::Dur;
 
+use crate::jobs::{campaign, decode_pair, decode_single, link_tag, pair_job, single_job, Traces};
 use crate::protocols::PRIMARIES;
 use crate::report::{f2, pct, write_report, Table};
-use crate::runner::{campaign, decode_pair, decode_single, link_tag, pair_job, single_job, Traces};
 use crate::RunCfg;
 
 /// The scavenger-role protocols of Fig. 6(a–d).

@@ -8,9 +8,9 @@
 use proteus_runner::Campaign;
 
 use crate::experiments::fig6::push_cell;
+use crate::jobs::{campaign, decode_pair, decode_single, p95_or, Traces};
 use crate::protocols::PRIMARIES;
 use crate::report::{f2, write_report, Table};
-use crate::runner::{campaign, decode_pair, decode_single, p95_or, Traces};
 use crate::RunCfg;
 
 /// Scavenger-role protocols of the Fig.-7 bars.

@@ -11,8 +11,8 @@ use proteus_netsim::LinkSpec;
 use proteus_stats::Ecdf;
 use proteus_transport::Dur;
 
+use crate::jobs::{campaign, decode_pair, decode_single, link_tag, pair_job, single_job, Traces};
 use crate::report::{pct, write_report, Table};
-use crate::runner::{campaign, decode_pair, decode_single, link_tag, pair_job, single_job, Traces};
 use crate::RunCfg;
 
 const PRIMARIES_FIG8: &[&str] = &["BBR", "CUBIC", "Proteus-P"];

@@ -30,17 +30,16 @@
 //! Reports land in `results/rtc/`; the campaign is deterministic, so two
 //! runs (at any worker count) produce byte-identical reports.
 
-use std::fs;
-
 use proteus_apps::{MediaSource, MediaSpec};
 use proteus_netsim::{run, FaultSchedule, FlowSpec, LinkSpec, Scenario, SimResult, Topology};
 use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
+use crate::invariants::{finish, Check, Layout, Outcome};
+use crate::jobs::{campaign, tail_mbps};
 use crate::protocols::cc;
-use crate::report::{f2, results_dir, Table};
-use crate::runner::{campaign, tail_mbps};
+use crate::report::{f2, Table};
 use crate::RunCfg;
 
 /// The path profiles of the RTC matrix, in report order.
@@ -211,50 +210,6 @@ fn rtc_job(profile: &'static str, companion: &'static str, secs: f64, seed: u64)
     )
 }
 
-// ---------------------------------------------------------------------------
-// Invariant checker
-// ---------------------------------------------------------------------------
-
-/// One invariant verdict: a named check on one (profile, cell).
-#[derive(Debug, Clone)]
-pub struct RtcCheck {
-    /// Path profile the run used.
-    pub profile: &'static str,
-    /// Cell the check applies to (e.g. `"RTC vs Proteus-S"`).
-    pub subject: String,
-    /// Check name (`progress`, `clean-slo`, `scavenger-harm`, `finite`).
-    pub check: &'static str,
-    /// The measured value the verdict was taken on.
-    pub value: f64,
-    /// Whether the invariant held.
-    pub pass: bool,
-}
-
-/// The machine-checkable result of an RTC campaign.
-#[derive(Debug, Clone)]
-pub struct RtcOutcome {
-    /// Every invariant verdict, in matrix order.
-    pub checks: Vec<RtcCheck>,
-    /// The rendered report text.
-    pub report: String,
-}
-
-impl RtcOutcome {
-    /// Whether every invariant held.
-    pub fn all_pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-
-    /// The checks that failed.
-    pub fn failures(&self) -> Vec<&RtcCheck> {
-        self.checks.iter().filter(|c| !c.pass).collect()
-    }
-}
-
-fn verdict(pass: bool) -> String {
-    if pass { "PASS" } else { "FAIL" }.into()
-}
-
 /// p95 inflation of a companioned cell over the alone run, as `"x.xx"`.
 fn inflation(cell: &RtcCellOut, alone: &RtcCellOut) -> f64 {
     cell.p95_frame_s / alone.p95_frame_s.max(1e-6)
@@ -266,7 +221,7 @@ fn inflation(cell: &RtcCellOut, alone: &RtcCellOut) -> f64 {
 
 /// Runs the RTC campaign and returns both the rendered report and the
 /// machine-checkable invariant verdicts.
-pub fn run_with_outcome(cfg: RunCfg) -> RtcOutcome {
+pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     let secs = if cfg.quick { 24.0 } else { 60.0 };
     let nominal_frames = secs * MediaSpec::default().fps;
 
@@ -310,7 +265,7 @@ pub fn run_with_outcome(cfg: RunCfg) -> RtcOutcome {
             "cubic_x",
         ],
     );
-    let mut checks: Vec<RtcCheck> = Vec::new();
+    let mut checks: Vec<Check> = Vec::new();
     for (fi, &profile) in PROFILES.iter().enumerate() {
         let cells: Vec<RtcCellOut> = slots[fi]
             .iter()
@@ -339,23 +294,18 @@ pub fn run_with_outcome(cfg: RunCfg) -> RtcOutcome {
                 && o.p95_frame_s.is_finite()
                 && o.p99_frame_s.is_finite()
                 && o.time_in_freeze_s.is_finite();
-            checks.push(RtcCheck {
-                profile,
-                subject: subject.clone(),
-                check: "finite",
-                value: if finite { 0.0 } else { 1.0 },
-                pass: finite,
-            });
+            let mut check = |name, value, pass| {
+                checks.push(Check::new([profile, &subject], name, value, pass));
+            };
+            check("finite", if finite { 0.0 } else { 1.0 }, finite);
             // The call must keep running everywhere: most frames complete
             // and bytes still move over the tail.
             let frac = o.frames_completed as f64 / nominal_frames;
-            checks.push(RtcCheck {
-                profile,
-                subject,
-                check: "progress",
-                value: frac,
-                pass: frac >= MIN_FRAMES_FRACTION && o.rtc_mbps > 0.05,
-            });
+            check(
+                "progress",
+                frac,
+                frac >= MIN_FRAMES_FRACTION && o.rtc_mbps > 0.05,
+            );
         }
 
         let alone = &cells[0];
@@ -374,14 +324,13 @@ pub fn run_with_outcome(cfg: RunCfg) -> RtcOutcome {
         ]);
 
         if profile == "clean" {
-            checks.push(RtcCheck {
-                profile,
-                subject: "RTC alone".into(),
-                check: "clean-slo",
-                value: alone.p95_frame_s,
-                pass: alone.freezes == 0
+            checks.push(Check::new(
+                [profile, "RTC alone"],
+                "clean-slo",
+                alone.p95_frame_s,
+                alone.freezes == 0
                     && alone.p95_frame_s <= MediaSpec::default().deadline.as_secs_f64(),
-            });
+            ));
         }
         // The headline bound: Proteus-S underneath may not blow up the
         // call's p95 frame delay relative to its alone run on the same
@@ -392,58 +341,24 @@ pub fn run_with_outcome(cfg: RunCfg) -> RtcOutcome {
             alone.p95_frame_s
         };
         let bound = HARM_X * reference + HARM_SLACK_S;
-        checks.push(RtcCheck {
-            profile,
-            subject: "RTC vs Proteus-S".into(),
-            check: "scavenger-harm",
-            value: scav.p95_frame_s,
-            pass: scav.p95_frame_s <= bound,
-        });
+        checks.push(Check::new(
+            [profile, "RTC vs Proteus-S"],
+            "scavenger-harm",
+            scav.p95_frame_s,
+            scav.p95_frame_s <= bound,
+        ));
     }
 
-    let mut inv = Table::new(
-        "Invariants: the call's latency SLO under background traffic",
-        &["profile", "subject", "check", "value", "verdict"],
-    );
-    for c in &checks {
-        inv.row(vec![
-            c.profile.into(),
-            c.subject.clone(),
-            c.check.into(),
-            format!("{:.4}", c.value),
-            verdict(c.pass),
-        ]);
-    }
-
-    let failed = checks.iter().filter(|c| !c.pass).count();
-    let summary = format!(
-        "invariants: {}/{} passed{}\n",
-        checks.len() - failed,
-        checks.len(),
-        if failed == 0 {
-            String::new()
-        } else {
-            format!(" — {failed} FAILED")
-        }
-    );
-    let text = format!(
-        "{}\n{}\n{}\n{summary}",
-        matrix.render(),
-        harm.render(),
-        inv.render()
-    );
-
-    let dir = results_dir().join("rtc");
-    let _ = fs::create_dir_all(&dir);
-    let _ = fs::write(dir.join("report.txt"), &text);
-    let _ = fs::write(dir.join("matrix.csv"), matrix.to_csv());
-    let _ = fs::write(dir.join("harm.csv"), harm.to_csv());
-    let _ = fs::write(dir.join("invariants.csv"), inv.to_csv());
-
-    RtcOutcome {
+    finish(
+        &Layout {
+            campaign: "rtc",
+            report_file: "report.txt",
+            body: &[(&matrix, Some("matrix.csv")), (&harm, Some("harm.csv"))],
+            invariants_title: "Invariants: the call's latency SLO under background traffic",
+            scope_headers: &["profile", "subject"],
+        },
         checks,
-        report: text,
-    }
+    )
 }
 
 /// Registry entry point: runs the campaign and returns the report.
@@ -474,22 +389,5 @@ mod tests {
     #[test]
     fn faulted_schedule_is_nonempty_and_scaled() {
         assert!(!faulted_schedule(24.0).is_empty());
-    }
-
-    #[test]
-    fn outcome_reports_failures() {
-        let mk = |pass| RtcOutcome {
-            checks: vec![RtcCheck {
-                profile: "clean",
-                subject: "RTC alone".into(),
-                check: "progress",
-                value: 1.0,
-                pass,
-            }],
-            report: String::new(),
-        };
-        assert!(mk(true).all_pass());
-        assert!(!mk(false).all_pass());
-        assert_eq!(mk(false).failures().len(), 1);
     }
 }

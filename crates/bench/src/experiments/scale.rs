@@ -31,17 +31,16 @@
 //! `results/scale/scale.txt` (+ CSVs); the campaign is deterministic, so
 //! two runs produce byte-identical reports.
 
-use std::fs;
-
 use proteus_netsim::{run, ChurnClass, ChurnSpec, FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_stats::jain_index;
 use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
+use crate::invariants::{finish, Check, Layout, Outcome};
+use crate::jobs::campaign;
 use crate::protocols::cc;
-use crate::report::{f2, results_dir, Table};
-use crate::runner::campaign;
+use crate::report::{f2, Table};
 use crate::RunCfg;
 
 /// The mixed churn population, `(class, weight)`: mostly primaries with a
@@ -478,55 +477,12 @@ fn harm_job(cell: HarmCell, with_scavengers: bool, seed: u64) -> SimJob {
 }
 
 // ---------------------------------------------------------------------------
-// Invariant checker
-// ---------------------------------------------------------------------------
-
-/// One invariant verdict on one population cell.
-#[derive(Debug, Clone)]
-pub struct ScaleCheck {
-    /// Cell the check ran on.
-    pub cell: &'static str,
-    /// Check name (`equilibrium-jain`, `population-churns`, `progress`,
-    /// `scavenger-harm`, `100k-flows`).
-    pub check: &'static str,
-    /// The measured value the verdict was taken on.
-    pub value: f64,
-    /// Whether the invariant held.
-    pub pass: bool,
-}
-
-/// The machine-checkable result of a scale campaign.
-#[derive(Debug, Clone)]
-pub struct ScaleOutcome {
-    /// Every invariant verdict, in matrix order.
-    pub checks: Vec<ScaleCheck>,
-    /// The rendered report text.
-    pub report: String,
-}
-
-impl ScaleOutcome {
-    /// Whether every invariant held.
-    pub fn all_pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-
-    /// The checks that failed.
-    pub fn failures(&self) -> Vec<&ScaleCheck> {
-        self.checks.iter().filter(|c| !c.pass).collect()
-    }
-}
-
-fn verdict(pass: bool) -> String {
-    if pass { "PASS" } else { "FAIL" }.into()
-}
-
-// ---------------------------------------------------------------------------
 // The experiment
 // ---------------------------------------------------------------------------
 
 /// Runs the population-scale campaign and returns both the rendered report
 /// and the machine-checkable invariant verdicts.
-pub fn run_with_outcome(cfg: RunCfg) -> ScaleOutcome {
+pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     let fairs = fair_cells(cfg.quick);
     let churns = churn_cells(cfg.quick);
     let harm = harm_cell(cfg.quick);
@@ -553,7 +509,7 @@ pub fn run_with_outcome(cfg: RunCfg) -> ScaleOutcome {
     let dense_slot = camp.push_dedup(harm_job(dense, true, cfg.seed));
     let result = camp.run();
 
-    let mut checks: Vec<ScaleCheck> = Vec::new();
+    let mut checks: Vec<Check> = Vec::new();
 
     // ---- Equilibrium fairness. ----
     let mut fair_table = Table::new(
@@ -569,12 +525,12 @@ pub fn run_with_outcome(cfg: RunCfg) -> ScaleOutcome {
             f2(o.agg_mbps),
         ]);
         if checked {
-            checks.push(ScaleCheck {
-                cell: cell.name,
-                check: "equilibrium-jain",
-                value: o.jain,
-                pass: o.jain >= 0.9,
-            });
+            checks.push(Check::new(
+                [cell.name],
+                "equilibrium-jain",
+                o.jain,
+                o.jain >= 0.9,
+            ));
         }
     }
 
@@ -607,25 +563,12 @@ pub fn run_with_outcome(cfg: RunCfg) -> ScaleOutcome {
         // (σ/µ < 4% even in the quick cell): 80% of the mean only fails
         // if the churn stream silently stopped spawning.
         let floor = cell.initial as f64 + 0.8 * cell.arrivals_per_sec * cell.secs;
-        checks.push(ScaleCheck {
-            cell: cell.name,
-            check: "population-churns",
-            value: o.total_flows as f64,
-            pass: (o.total_flows as f64) >= floor,
-        });
-        checks.push(ScaleCheck {
-            cell: cell.name,
-            check: "progress",
-            value: o.utilization,
-            pass: o.utilization >= 0.5,
-        });
+        let flows = o.total_flows as f64;
+        let mut check = |name, value, pass| checks.push(Check::new([cell.name], name, value, pass));
+        check("population-churns", flows, flows >= floor);
+        check("progress", o.utilization, o.utilization >= 0.5);
         if cell.name == "churn-100k" {
-            checks.push(ScaleCheck {
-                cell: cell.name,
-                check: "100k-flows",
-                value: o.total_flows as f64,
-                pass: o.total_flows >= 100_000,
-            });
+            check("100k-flows", flows, o.total_flows >= 100_000);
         }
     }
 
@@ -667,55 +610,27 @@ pub fn run_with_outcome(cfg: RunCfg) -> ScaleOutcome {
         f2(dense_pair[1]),
         format!("{}", dense_pair[2] as u64),
     ]);
-    checks.push(ScaleCheck {
-        cell: harm.name,
-        check: "scavenger-harm",
-        value: ratio,
-        pass: ratio >= 0.7,
-    });
+    checks.push(Check::new(
+        [harm.name],
+        "scavenger-harm",
+        ratio,
+        ratio >= 0.7,
+    ));
 
-    // ---- Invariant table + summary. ----
-    let mut inv = Table::new(
-        "Invariants: population-scale contracts",
-        &["cell", "check", "value", "verdict"],
-    );
-    for c in &checks {
-        inv.row(vec![
-            c.cell.into(),
-            c.check.into(),
-            format!("{:.4}", c.value),
-            verdict(c.pass),
-        ]);
-    }
-    let failed = checks.iter().filter(|c| !c.pass).count();
-    let summary = format!(
-        "invariants: {}/{} passed{}\n",
-        checks.len() - failed,
-        checks.len(),
-        if failed == 0 {
-            String::new()
-        } else {
-            format!(" — {failed} FAILED")
-        }
-    );
-    let text = format!(
-        "{}\n{}\n{}\n{}\n{summary}",
-        fair_table.render(),
-        churn_table.render(),
-        harm_table.render(),
-        inv.render()
-    );
-
-    let dir = results_dir().join("scale");
-    let _ = fs::create_dir_all(&dir);
-    let _ = fs::write(dir.join("scale.txt"), &text);
-    let _ = fs::write(dir.join("cells.csv"), churn_table.to_csv());
-    let _ = fs::write(dir.join("invariants.csv"), inv.to_csv());
-
-    ScaleOutcome {
+    finish(
+        &Layout {
+            campaign: "scale",
+            report_file: "scale.txt",
+            body: &[
+                (&fair_table, None),
+                (&churn_table, Some("cells.csv")),
+                (&harm_table, None),
+            ],
+            invariants_title: "Invariants: population-scale contracts",
+            scope_headers: &["cell"],
+        },
         checks,
-        report: text,
-    }
+    )
 }
 
 /// Registry entry point: runs the campaign and returns the report.
@@ -760,21 +675,5 @@ mod tests {
         assert_ne!(a.key(), b.key());
         assert_ne!(a.key(), f.key());
         assert_ne!(h0.key(), h1.key());
-    }
-
-    #[test]
-    fn outcome_reports_failures() {
-        let mk = |pass| ScaleOutcome {
-            checks: vec![ScaleCheck {
-                cell: "fair-1k",
-                check: "equilibrium-jain",
-                value: 0.95,
-                pass,
-            }],
-            report: String::new(),
-        };
-        assert!(mk(true).all_pass());
-        assert!(!mk(false).all_pass());
-        assert_eq!(mk(false).failures().len(), 1);
     }
 }

@@ -27,21 +27,19 @@
 //! `results/stress/robustness.txt` (+ CSVs); the whole campaign is
 //! deterministic, so two runs produce byte-identical reports.
 
-use std::fs;
-
 use proteus_netsim::{
-    run, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, ReorderConfig,
-    Scenario, SimResult,
+    AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, ReorderConfig, Scenario,
+    SimResult,
 };
 use proteus_trace::EventKind;
 use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
-use crate::mi_trace::MiTraceSink;
+use crate::invariants::{finish, Check, Layout, Outcome};
+use crate::jobs::{campaign, scenario_job, tail_mbps, Traces, TRACE_EVERY};
 use crate::protocols::cc_traced;
-use crate::report::{f2, results_dir, Table};
-use crate::runner::{campaign, tail_mbps, trace_suffix, TraceSink, Traces, TRACE_EVERY};
+use crate::report::{f2, Table};
 use crate::RunCfg;
 
 /// The fault profiles of the robustness matrix, in report order.
@@ -221,17 +219,17 @@ fn decode_stress_pair(payload_text: &str) -> StressPairOut {
 // ---------------------------------------------------------------------------
 
 fn stress_scenario(
+    profile: &str,
     flows: Vec<(&'static str, f64, u64)>, // (proto, start_s, salt)
     secs: f64,
     seed: u64,
-    sched: FaultSchedule,
 ) -> Scenario {
     let mut sc = Scenario::new(LinkSpec::paper_default(), Dur::from_secs_f64(secs))
         .with_seed(seed)
         .with_rtt_stride(2)
         // Decision traces are always on: the invariant checker reads them.
         .with_trace(TRACE_EVERY)
-        .with_faults(sched);
+        .with_faults(profile_schedule(profile, secs));
     for (proto, start, salt) in flows {
         sc = sc.flow(FlowSpec::bulk(
             proto,
@@ -242,6 +240,9 @@ fn stress_scenario(
     sc
 }
 
+// Both builders ignore `scenario_job`'s decision-tracing flag: stress
+// scenarios are always decision-traced, whatever the CLI asked for.
+
 fn stress_single_job(
     profile: &'static str,
     proto: &'static str,
@@ -249,46 +250,26 @@ fn stress_single_job(
     seed: u64,
     traces: Traces,
 ) -> SimJob {
-    let descriptor = format!(
-        "stress-single/profile={profile}/proto={proto}/secs={secs:?}/seed={seed}{}/v1",
-        trace_suffix(traces)
-    );
-    let run_name = format!("stress-{profile}-{proto}-s{seed}");
-    let sink = traces
-        .telemetry
-        .then(|| TraceSink::new("stress", &run_name));
-    let mi = traces
-        .decisions
-        .map(|fmt| MiTraceSink::new("stress", &run_name, fmt));
-    let artifacts: Vec<_> = mi.iter().flat_map(|s| s.paths()).collect();
-    let mut job = SimJob::new(descriptor, format!("{proto} under {profile}"), move || {
-        let res = run(stress_scenario(
-            vec![(proto, 0.0, 0xA5)],
-            secs,
-            seed,
-            profile_schedule(profile, secs),
-        ));
-        if let Some(s) = &sink {
-            s.write(&res);
-        }
-        if let Some(s) = &mi {
-            s.write(&res);
-        }
-        let (max_rate, min_rate) = rate_envelope(&res);
-        payload::encode_floats(&[
-            tail_mbps(&res, 0, secs),
-            res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
-            res.flows[0].loss_rate(),
-            max_rate,
-            min_rate,
-            non_finite_count(&res) as f64,
-            ack_filter_trips(&res) as f64,
-        ])
-    });
-    for path in artifacts {
-        job = job.with_artifact(path);
-    }
-    job
+    scenario_job(
+        "stress",
+        format!("stress-single/profile={profile}/proto={proto}/secs={secs:?}/seed={seed}"),
+        format!("stress-{profile}-{proto}-s{seed}"),
+        format!("{proto} under {profile}"),
+        traces,
+        move |_| stress_scenario(profile, vec![(proto, 0.0, 0xA5)], secs, seed),
+        move |res| {
+            let (max_rate, min_rate) = rate_envelope(res);
+            vec![
+                tail_mbps(res, 0, secs),
+                res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
+                res.flows[0].loss_rate(),
+                max_rate,
+                min_rate,
+                non_finite_count(res) as f64,
+                ack_filter_trips(res) as f64,
+            ]
+        },
+    )
 }
 
 fn stress_pair_job(
@@ -299,90 +280,26 @@ fn stress_pair_job(
     seed: u64,
     traces: Traces,
 ) -> SimJob {
-    let descriptor = format!(
-        "stress-pair/profile={profile}/primary={primary}/scav={scavenger}/secs={secs:?}/seed={seed}{}/v1",
-        trace_suffix(traces)
-    );
-    let run_name = format!("stress-{profile}-{primary}-vs-{scavenger}-s{seed}");
-    let sink = traces
-        .telemetry
-        .then(|| TraceSink::new("stress", &run_name));
-    let mi = traces
-        .decisions
-        .map(|fmt| MiTraceSink::new("stress", &run_name, fmt));
-    let artifacts: Vec<_> = mi.iter().flat_map(|s| s.paths()).collect();
-    let mut job = SimJob::new(
-        descriptor,
+    scenario_job(
+        "stress",
+        format!(
+            "stress-pair/profile={profile}/primary={primary}/scav={scavenger}/secs={secs:?}/seed={seed}"
+        ),
+        format!("stress-{profile}-{primary}-vs-{scavenger}-s{seed}"),
         format!("{primary} vs {scavenger} under {profile}"),
-        move || {
-            let res = run(stress_scenario(
-                vec![(primary, 0.0, 0xA5), (scavenger, 5.0, 0x5A)],
-                secs,
-                seed,
-                profile_schedule(profile, secs),
-            ));
-            if let Some(s) = &sink {
-                s.write(&res);
-            }
-            if let Some(s) = &mi {
-                s.write(&res);
-            }
-            payload::encode_floats(&[
-                tail_mbps(&res, 0, secs),
-                tail_mbps(&res, 1, secs),
-                non_finite_count(&res) as f64,
-            ])
+        traces,
+        move |_| {
+            let flows = vec![(primary, 0.0, 0xA5), (scavenger, 5.0, 0x5A)];
+            stress_scenario(profile, flows, secs, seed)
         },
-    );
-    for path in artifacts {
-        job = job.with_artifact(path);
-    }
-    job
-}
-
-// ---------------------------------------------------------------------------
-// Invariant checker
-// ---------------------------------------------------------------------------
-
-/// One invariant verdict: a named check on one (profile, subject) cell.
-#[derive(Debug, Clone)]
-pub struct InvariantCheck {
-    /// Fault profile the run used.
-    pub profile: &'static str,
-    /// Protocol or pair the check applies to.
-    pub subject: String,
-    /// Check name (`finite-utility`, `rate-bounded`, `progress`,
-    /// `scavenger-yields`, `ack-filter-trips`).
-    pub check: &'static str,
-    /// The measured value the verdict was taken on.
-    pub value: f64,
-    /// Whether the invariant held.
-    pub pass: bool,
-}
-
-/// The machine-checkable result of a stress campaign.
-#[derive(Debug, Clone)]
-pub struct StressOutcome {
-    /// Every invariant verdict, in matrix order.
-    pub checks: Vec<InvariantCheck>,
-    /// The rendered report text.
-    pub report: String,
-}
-
-impl StressOutcome {
-    /// Whether every invariant held.
-    pub fn all_pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-
-    /// The checks that failed.
-    pub fn failures(&self) -> Vec<&InvariantCheck> {
-        self.checks.iter().filter(|c| !c.pass).collect()
-    }
-}
-
-fn verdict(pass: bool) -> String {
-    if pass { "PASS" } else { "FAIL" }.into()
+        move |res| {
+            vec![
+                tail_mbps(res, 0, secs),
+                tail_mbps(res, 1, secs),
+                non_finite_count(res) as f64,
+            ]
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +308,7 @@ fn verdict(pass: bool) -> String {
 
 /// Runs the robustness campaign and returns both the rendered report and
 /// the machine-checkable invariant verdicts.
-pub fn run_with_outcome(cfg: RunCfg) -> StressOutcome {
+pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     let secs = if cfg.quick { 24.0 } else { 60.0 };
     let nominal_mbps = LinkSpec::paper_default().bandwidth_mbps;
     let traces = Traces::from_cfg(&cfg);
@@ -431,7 +348,7 @@ pub fn run_with_outcome(cfg: RunCfg) -> StressOutcome {
             "CUBIC|Proteus-S",
         ],
     );
-    let mut checks: Vec<InvariantCheck> = Vec::new();
+    let mut checks: Vec<Check> = Vec::new();
     for (fi, &profile) in PROFILES.iter().enumerate() {
         let singles: Vec<StressSingleOut> = single_slots[fi]
             .iter()
@@ -445,45 +362,25 @@ pub fn run_with_outcome(cfg: RunCfg) -> StressOutcome {
 
         for (pi, &proto) in PROTOCOLS.iter().enumerate() {
             let o = &singles[pi];
-            checks.push(InvariantCheck {
-                profile,
-                subject: proto.into(),
-                check: "finite-utility",
-                value: o.non_finite as f64,
-                pass: o.non_finite == 0,
-            });
+            let mut check = |name, value, pass| {
+                checks.push(Check::new([profile, proto], name, value, pass));
+            };
+            check("finite-utility", o.non_finite as f64, o.non_finite == 0);
             // The profile's own capacity floor: bw_step leaves 12.5 Mbps,
             // an outage-free tail still spans the flap windows — 0.5 Mbps
             // of progress just asserts "not wedged".
-            checks.push(InvariantCheck {
-                profile,
-                subject: proto.into(),
-                check: "progress",
-                value: o.tail_mbps,
-                pass: o.tail_mbps > 0.5,
-            });
+            check("progress", o.tail_mbps, o.tail_mbps > 0.5);
             // Rate bounds only bind where a rate is traced at all; the
             // PCC family additionally must respect its configured floor.
             if o.max_rate_mbps > 0.0 {
                 let capped = o.max_rate_mbps <= RATE_CAP_X * nominal_mbps;
                 let floored =
                     !proto.starts_with("Proteus") || o.min_rate_mbps >= MIN_RATE_MBPS * 0.999;
-                checks.push(InvariantCheck {
-                    profile,
-                    subject: proto.into(),
-                    check: "rate-bounded",
-                    value: o.max_rate_mbps,
-                    pass: capped && floored,
-                });
+                check("rate-bounded", o.max_rate_mbps, capped && floored);
             }
             if profile == "ack_comp" && proto.starts_with("Proteus") {
-                checks.push(InvariantCheck {
-                    profile,
-                    subject: proto.into(),
-                    check: "ack-filter-trips",
-                    value: o.ack_filter_trips as f64,
-                    pass: o.ack_filter_trips >= 1,
-                });
+                let trips = o.ack_filter_trips;
+                check("ack-filter-trips", trips as f64, trips >= 1);
             }
         }
         // Yielding is judged the way the paper judges it (Fig. 6/10): the
@@ -498,61 +395,34 @@ pub fn run_with_outcome(cfg: RunCfg) -> StressOutcome {
             .expect("CUBIC is in the matrix")]
         .tail_mbps;
         let ratio = pair.primary_mbps / cubic_alone.max(1e-9);
-        checks.push(InvariantCheck {
-            profile,
-            subject: "CUBIC vs Proteus-S".into(),
-            check: "scavenger-yields",
-            value: ratio,
-            pass: ratio >= 0.7,
-        });
-        checks.push(InvariantCheck {
-            profile,
-            subject: "CUBIC vs Proteus-S".into(),
-            check: "finite-utility",
-            value: pair.non_finite as f64,
-            pass: pair.non_finite == 0,
-        });
+        let mut check = |name, value, pass| {
+            checks.push(Check::new(
+                [profile, "CUBIC vs Proteus-S"],
+                name,
+                value,
+                pass,
+            ));
+        };
+        check("scavenger-yields", ratio, ratio >= 0.7);
+        check(
+            "finite-utility",
+            pair.non_finite as f64,
+            pair.non_finite == 0,
+        );
     }
-
-    let mut inv = Table::new(
-        "Invariants: qualitative contracts under every fault profile",
-        &["profile", "subject", "check", "value", "verdict"],
-    );
-    for c in &checks {
-        inv.row(vec![
-            c.profile.into(),
-            c.subject.clone(),
-            c.check.into(),
-            format!("{:.4}", c.value),
-            verdict(c.pass),
-        ]);
-    }
-
-    let failed = checks.iter().filter(|c| !c.pass).count();
-    let summary = format!(
-        "invariants: {}/{} passed{}\n",
-        checks.len() - failed,
-        checks.len(),
-        if failed == 0 {
-            String::new()
-        } else {
-            format!(" — {failed} FAILED")
-        }
-    );
-    let text = format!("{}\n{}\n{summary}", matrix.render(), inv.render());
 
     // The robustness report gets its own directory, as promised by the
     // docs: results/stress/robustness.{txt,csv}.
-    let dir = results_dir().join("stress");
-    let _ = fs::create_dir_all(&dir);
-    let _ = fs::write(dir.join("robustness.txt"), &text);
-    let _ = fs::write(dir.join("matrix.csv"), matrix.to_csv());
-    let _ = fs::write(dir.join("invariants.csv"), inv.to_csv());
-
-    StressOutcome {
+    finish(
+        &Layout {
+            campaign: "stress",
+            report_file: "robustness.txt",
+            body: &[(&matrix, Some("matrix.csv"))],
+            invariants_title: "Invariants: qualitative contracts under every fault profile",
+            scope_headers: &["profile", "subject"],
+        },
         checks,
-        report: text,
-    }
+    )
 }
 
 /// Registry entry point: runs the campaign and returns the report.
@@ -587,22 +457,5 @@ mod tests {
         assert_ne!(a.key(), c.key());
         let p = stress_pair_job("flap", "CUBIC", "Proteus-S", 24.0, 1, Traces::off());
         assert_ne!(a.key(), p.key());
-    }
-
-    #[test]
-    fn invariant_outcome_reports_failures() {
-        let mk = |pass| StressOutcome {
-            checks: vec![InvariantCheck {
-                profile: "clean",
-                subject: "CUBIC".into(),
-                check: "progress",
-                value: 1.0,
-                pass,
-            }],
-            report: String::new(),
-        };
-        assert!(mk(true).all_pass());
-        assert!(!mk(false).all_pass());
-        assert_eq!(mk(false).failures().len(), 1);
     }
 }

@@ -27,17 +27,16 @@
 //! Reports land in `results/topology/report.txt` (+ CSVs); the campaign is
 //! deterministic, so two runs produce byte-identical reports.
 
-use std::fs;
-
 use proteus_netsim::{run, FlowSpec, LinkId, LinkSpec, Scenario, Topology};
 use proteus_stats::jain_index;
 use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
+use crate::invariants::{finish, Check, Layout, Outcome};
+use crate::jobs::{campaign, tail_mbps};
 use crate::protocols::cc;
-use crate::report::{f2, results_dir, Table};
-use crate::runner::{campaign, tail_mbps};
+use crate::report::{f2, Table};
 use crate::RunCfg;
 
 /// Parking-lot chain lengths exercised by the campaign.
@@ -177,56 +176,12 @@ fn harm_job(scav: bool, secs: f64, seed: u64) -> SimJob {
 }
 
 // ---------------------------------------------------------------------------
-// Invariant checker
-// ---------------------------------------------------------------------------
-
-/// One invariant verdict: a named check on one campaign cell.
-#[derive(Debug, Clone)]
-pub struct TopologyCheck {
-    /// Campaign cell the check applies to (e.g. `parking-2/CUBIC`).
-    pub cell: String,
-    /// Check name (`progress`, `links-utilized`, `long-flow-disadvantage`,
-    /// `short-flow-fairness`, `rtt-bias`, `bottleneck-saturated`,
-    /// `harm-bounded`).
-    pub check: &'static str,
-    /// The measured value the verdict was taken on.
-    pub value: f64,
-    /// Whether the invariant held.
-    pub pass: bool,
-}
-
-/// The machine-checkable result of a topology campaign.
-#[derive(Debug, Clone)]
-pub struct TopologyOutcome {
-    /// Every invariant verdict, in matrix order.
-    pub checks: Vec<TopologyCheck>,
-    /// The rendered report text.
-    pub report: String,
-}
-
-impl TopologyOutcome {
-    /// Whether every invariant held.
-    pub fn all_pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-
-    /// The checks that failed.
-    pub fn failures(&self) -> Vec<&TopologyCheck> {
-        self.checks.iter().filter(|c| !c.pass).collect()
-    }
-}
-
-fn verdict(pass: bool) -> String {
-    if pass { "PASS" } else { "FAIL" }.into()
-}
-
-// ---------------------------------------------------------------------------
 // The experiment
 // ---------------------------------------------------------------------------
 
 /// Runs the multi-bottleneck campaign and returns both the rendered report
 /// and the machine-checkable invariant verdicts.
-pub fn run_with_outcome(cfg: RunCfg) -> TopologyOutcome {
+pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     let secs = if cfg.quick { 24.0 } else { 60.0 };
 
     let mut camp = campaign("topology", cfg);
@@ -245,7 +200,7 @@ pub fn run_with_outcome(cfg: RunCfg) -> TopologyOutcome {
     let harm_pair = camp.push_dedup(harm_job(true, secs, cfg.seed));
     let result = camp.run();
 
-    let mut checks: Vec<TopologyCheck> = Vec::new();
+    let mut checks: Vec<Check> = Vec::new();
 
     // ---- Parking lot. ----
     let mut parking = Table::new(
@@ -268,36 +223,17 @@ pub fn run_with_outcome(cfg: RunCfg) -> TopologyOutcome {
             format!("{min_util:.3}"),
         ]);
 
+        let mut check = |name, value, pass| checks.push(Check::new([&cell], name, value, pass));
         let min_flow = shorts.iter().cloned().fold(long, f64::min);
-        checks.push(TopologyCheck {
-            cell: cell.clone(),
-            check: "progress",
-            value: min_flow,
-            pass: min_flow > 0.5,
-        });
-        checks.push(TopologyCheck {
-            cell: cell.clone(),
-            check: "links-utilized",
-            value: min_util,
-            pass: min_util >= 0.8,
-        });
+        check("progress", min_flow, min_flow > 0.5);
+        check("links-utilized", min_util, min_util >= 0.8);
         // The long flow crosses every bottleneck; loss-based and
         // deviation-based control both bias against it. A small tolerance
         // keeps the check about the *direction* of the bias.
         let avg_short = shorts.iter().sum::<f64>() / n as f64;
         let ratio = long / avg_short.max(1e-9);
-        checks.push(TopologyCheck {
-            cell: cell.clone(),
-            check: "long-flow-disadvantage",
-            value: ratio,
-            pass: ratio <= 1.05,
-        });
-        checks.push(TopologyCheck {
-            cell,
-            check: "short-flow-fairness",
-            value: jain,
-            pass: jain >= 0.8,
-        });
+        check("long-flow-disadvantage", ratio, ratio <= 1.05);
+        check("short-flow-fairness", jain, jain >= 0.8);
     }
 
     // ---- RTT unfairness. ----
@@ -317,27 +253,13 @@ pub fn run_with_outcome(cfg: RunCfg) -> TopologyOutcome {
             f2(ratio),
             format!("{util:.3}"),
         ]);
-        checks.push(TopologyCheck {
-            cell: cell.clone(),
-            check: "progress",
-            value: near.min(far),
-            pass: near.min(far) > 0.5,
-        });
-        checks.push(TopologyCheck {
-            cell: cell.clone(),
-            check: "bottleneck-saturated",
-            value: util,
-            pass: util >= 0.8,
-        });
+        let mut check = |name, value, pass| checks.push(Check::new([&cell], name, value, pass));
+        check("progress", near.min(far), near.min(far) > 0.5);
+        check("bottleneck-saturated", util, util >= 0.8);
         // Only loss-based control is *expected* to show the classic RTT
         // bias; for the PCC family the ratio is reported, not pinned.
         if proto == "CUBIC" {
-            checks.push(TopologyCheck {
-                cell,
-                check: "rtt-bias",
-                value: ratio,
-                pass: ratio >= 1.3,
-            });
+            check("rtt-bias", ratio, ratio >= 1.3);
         }
     }
 
@@ -351,12 +273,12 @@ pub fn run_with_outcome(cfg: RunCfg) -> TopologyOutcome {
     for (i, name) in ["primary-0", "primary-1"].iter().enumerate() {
         let ratio = pair[i] / alone[i].max(1e-9);
         harm.row(vec![(*name).into(), f2(alone[i]), f2(pair[i]), f2(ratio)]);
-        checks.push(TopologyCheck {
-            cell: format!("harm/{name}"),
-            check: "harm-bounded",
-            value: ratio,
-            pass: ratio >= 0.7,
-        });
+        checks.push(Check::new(
+            [&format!("harm/{name}")],
+            "harm-bounded",
+            ratio,
+            ratio >= 0.7,
+        ));
     }
     harm.row(vec![
         "scavenger".into(),
@@ -365,50 +287,20 @@ pub fn run_with_outcome(cfg: RunCfg) -> TopologyOutcome {
         "-".into(),
     ]);
 
-    // ---- Invariant table + report. ----
-    let mut inv = Table::new(
-        "Invariants: multi-bottleneck contracts",
-        &["cell", "check", "value", "verdict"],
-    );
-    for c in &checks {
-        inv.row(vec![
-            c.cell.clone(),
-            c.check.into(),
-            format!("{:.4}", c.value),
-            verdict(c.pass),
-        ]);
-    }
-    let failed = checks.iter().filter(|c| !c.pass).count();
-    let summary = format!(
-        "invariants: {}/{} passed{}\n",
-        checks.len() - failed,
-        checks.len(),
-        if failed == 0 {
-            String::new()
-        } else {
-            format!(" — {failed} FAILED")
-        }
-    );
-    let text = format!(
-        "{}\n{}\n{}\n{}\n{summary}",
-        parking.render(),
-        rtt.render(),
-        harm.render(),
-        inv.render()
-    );
-
-    let dir = results_dir().join("topology");
-    let _ = fs::create_dir_all(&dir);
-    let _ = fs::write(dir.join("report.txt"), &text);
-    let _ = fs::write(dir.join("parking.csv"), parking.to_csv());
-    let _ = fs::write(dir.join("rtt.csv"), rtt.to_csv());
-    let _ = fs::write(dir.join("harm.csv"), harm.to_csv());
-    let _ = fs::write(dir.join("invariants.csv"), inv.to_csv());
-
-    TopologyOutcome {
+    finish(
+        &Layout {
+            campaign: "topology",
+            report_file: "report.txt",
+            body: &[
+                (&parking, Some("parking.csv")),
+                (&rtt, Some("rtt.csv")),
+                (&harm, Some("harm.csv")),
+            ],
+            invariants_title: "Invariants: multi-bottleneck contracts",
+            scope_headers: &["cell"],
+        },
         checks,
-        report: text,
-    }
+    )
 }
 
 /// Registry entry point: runs the campaign and returns the report.
@@ -432,21 +324,5 @@ mod tests {
         let h1 = harm_job(true, 24.0, 1);
         assert_ne!(r.key(), h0.key());
         assert_ne!(h0.key(), h1.key());
-    }
-
-    #[test]
-    fn outcome_reports_failures() {
-        let mk = |pass| TopologyOutcome {
-            checks: vec![TopologyCheck {
-                cell: "parking-2/CUBIC".into(),
-                check: "progress",
-                value: 1.0,
-                pass,
-            }],
-            report: String::new(),
-        };
-        assert!(mk(true).all_pass());
-        assert!(!mk(false).all_pass());
-        assert_eq!(mk(false).failures().len(), 1);
     }
 }

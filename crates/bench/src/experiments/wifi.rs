@@ -15,9 +15,9 @@ use proteus_transport::Dur;
 use rand::rngs::SmallRng;
 use rand::{RngExt as _, SeedableRng};
 
+use crate::jobs::{campaign, decode_pair, decode_single, pair_job, single_job, Traces};
 use crate::protocols::{ALL_FIG3, PRIMARIES};
 use crate::report::{pct, write_report, Table};
-use crate::runner::{campaign, decode_pair, decode_single, pair_job, single_job, Traces};
 use crate::RunCfg;
 
 /// Builds `n` synthetic WiFi paths.

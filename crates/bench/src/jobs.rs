@@ -276,7 +276,7 @@ pub(crate) fn run_pair(
 // Campaign jobs
 // ---------------------------------------------------------------------------
 
-pub(crate) fn trace_suffix(traces: Traces) -> String {
+fn trace_suffix(traces: Traces) -> String {
     // Traced and untraced runs are simulated identically, but they get
     // distinct cache identities so enabling --trace / --trace-mi actually
     // (re)writes the exports instead of short-circuiting on a cached

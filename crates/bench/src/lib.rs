@@ -18,15 +18,16 @@
 #![deny(missing_docs)]
 
 pub mod experiments;
+pub mod invariants;
+pub mod jobs;
 pub mod mi_trace;
 pub mod protocols;
 pub mod report;
-pub mod runner;
 
+pub use jobs::{campaign, tail_mbps, tail_window, trace_jsonl, Traces, TRACE_EVERY};
 pub use mi_trace::{mi_trace_dir, MiTraceSink, TraceFormat};
 pub use protocols::{cc, cc_traced, PRIMARIES, SCAVENGERS};
 pub use report::Table;
-pub use runner::{campaign, tail_mbps, tail_window, trace_jsonl, Traces, TRACE_EVERY};
 
 /// Global knobs for an experiment invocation.
 #[derive(Debug, Clone, Copy)]

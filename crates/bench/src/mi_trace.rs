@@ -1,6 +1,6 @@
 //! Decision-trace ("MI trace") export plumbing for `--trace-mi`.
 //!
-//! Telemetry traces (`--trace`, see [`crate::runner::TraceSink`]) sample
+//! Telemetry traces (`--trace`, see [`crate::jobs::TraceSink`]) sample
 //! *state* every 100 ms; decision traces record the discrete *decisions*
 //! the controllers make — MI closes with the full utility breakdown, rate
 //! transitions, probe outcomes, §4.4 mode switches and §5 filter verdicts

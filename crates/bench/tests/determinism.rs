@@ -11,8 +11,8 @@ use std::path::PathBuf;
 
 use proteus_bench::experiments::video_util::VideoTransport;
 use proteus_bench::experiments::{fig12, fig14, fig2};
+use proteus_bench::jobs::{decode_single, link_tag, pair_job, single_job, Traces};
 use proteus_bench::report::Table;
-use proteus_bench::runner::{decode_single, link_tag, pair_job, single_job, Traces};
 use proteus_netsim::LinkSpec;
 use proteus_runner::{Campaign, CampaignOpts, JobKey, SimJob};
 use proteus_transport::Dur;

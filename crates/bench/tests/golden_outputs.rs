@@ -17,17 +17,13 @@
 //! 3. commit both, explaining the delta (see DESIGN.md §4d for the
 //!    streaming-regression tolerance that motivated this guard).
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
 use proteus_bench::experiments::registry;
 use proteus_bench::RunCfg;
-
-fn repo_path(rel: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(rel)
-}
 
 #[test]
 fn quick_fig2_matches_golden() {
@@ -49,12 +45,6 @@ fn quick_fig2_matches_golden() {
     });
     std::env::remove_var("PROTEUS_RESULTS_DIR");
 
-    let golden_dir = repo_path("results/golden");
-    let bless = std::env::var_os("PROTEUS_BLESS").is_some_and(|v| !v.is_empty());
-    if bless {
-        fs::create_dir_all(&golden_dir).expect("create results/golden");
-    }
-
     // The text report plus every CSV the experiment wrote, under stable
     // names (fig2_quick.txt, fig2_quick_1.csv, ...).
     let mut artifacts = vec![("fig2_quick.txt".to_string(), report)];
@@ -73,27 +63,9 @@ fn quick_fig2_matches_golden() {
         artifacts.push((golden_name, content));
     }
 
-    let mut mismatches = Vec::new();
+    // A mismatch here means the committed full-fidelity results/ are stale
+    // too: regenerate them with `repro --no-cache all`.
     for (name, fresh) in &artifacts {
-        let golden_path = golden_dir.join(name);
-        if bless {
-            fs::write(&golden_path, fresh).expect("write golden");
-            continue;
-        }
-        match fs::read_to_string(&golden_path) {
-            Ok(golden) if &golden == fresh => {}
-            Ok(_) => mismatches.push(format!("{name}: differs from results/golden/{name}")),
-            Err(e) => mismatches.push(format!("{name}: missing golden ({e})")),
-        }
+        common::check_or_bless(name, fresh, "golden_outputs");
     }
-    assert!(
-        mismatches.is_empty(),
-        "quick-mode Fig. 2 no longer matches the committed goldens — the \
-         committed full-fidelity results/ are stale too.\n  {}\n\
-         If the change is intentional: PROTEUS_BLESS=1 cargo test -p \
-         proteus-bench --test golden_outputs, then regenerate results/ with \
-         `cargo run --release -p proteus-bench --bin repro -- --no-cache all` \
-         and commit both.",
-        mismatches.join("\n  ")
-    );
 }

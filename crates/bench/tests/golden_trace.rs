@@ -25,8 +25,7 @@
 //! and commit the regenerated files, explaining the delta (see
 //! EXPERIMENTS.md, "Golden pins").
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
 use proteus_bench::experiments::fig2;
 use proteus_bench::{cc, cc_traced, TRACE_EVERY};
@@ -34,49 +33,7 @@ use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_trace::export::{to_chrome_trace, to_jsonl};
 use proteus_transport::Dur;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/golden")
-}
-
-fn blessing() -> bool {
-    std::env::var_os("PROTEUS_BLESS").is_some_and(|v| !v.is_empty())
-}
-
-/// Compares `fresh` against the committed golden `name`, or rewrites it
-/// under `PROTEUS_BLESS=1`.
-fn check_or_bless(name: &str, fresh: &str) {
-    let path = golden_dir().join(name);
-    if blessing() {
-        fs::create_dir_all(golden_dir()).expect("create results/golden");
-        fs::write(&path, fresh).expect("write golden");
-        return;
-    }
-    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {name} ({e}) — bless with PROTEUS_BLESS=1 \
-             cargo test -p proteus-bench --test golden_trace"
-        )
-    });
-    assert!(
-        golden == *fresh,
-        "decision trace no longer matches results/golden/{name}.\n\
-         If the change is intentional: PROTEUS_BLESS=1 cargo test -p \
-         proteus-bench --test golden_trace, and explain the delta in the \
-         commit. First differing line:\n  golden: {:?}\n  fresh:  {:?}",
-        golden
-            .lines()
-            .zip(fresh.lines())
-            .find(|(a, b)| a != b)
-            .map(|(a, _)| a)
-            .unwrap_or("<line count differs>"),
-        golden
-            .lines()
-            .zip(fresh.lines())
-            .find(|(a, b)| a != b)
-            .map(|(_, b)| b)
-            .unwrap_or("<line count differs>"),
-    );
-}
+use common::check_or_bless;
 
 fn exports(res: &SimResult) -> (String, String) {
     let names: Vec<&str> = res.flows.iter().map(|f| f.name.as_str()).collect();
@@ -114,8 +71,8 @@ fn tiny_deterministic_decision_trace_matches_golden() {
         jsonl.contains("\"event\":\"mi_close\""),
         "tiny scenario produced no MI closes"
     );
-    check_or_bless("decision_trace_tiny.jsonl", &jsonl);
-    check_or_bless("decision_trace_tiny.trace.json", &chrome);
+    check_or_bless("decision_trace_tiny.jsonl", &jsonl, "golden_trace");
+    check_or_bless("decision_trace_tiny.trace.json", &chrome, "golden_trace");
 }
 
 #[test]
@@ -127,7 +84,7 @@ fn quick_fig2_decision_trace_matches_golden() {
 
     let pinned = decision_lines(&jsonl);
     assert!(!pinned.is_empty(), "companion produced no decision lines");
-    check_or_bless("fig2_quick_decision.jsonl", &pinned);
+    check_or_bless("fig2_quick_decision.jsonl", &pinned, "golden_trace");
 
     // The Chrome export is derived from the same events: one "X" span per
     // MI close, and it must stay loadable (balanced JSON object).

@@ -11,17 +11,13 @@
 //! `PROTEUS_BLESS=1 cargo test -p proteus-bench --test golden_tune` and
 //! commit the updated goldens alongside the change.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
 use proteus_bench::experiments::registry;
 use proteus_bench::RunCfg;
-
-fn repo_path(rel: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(rel)
-}
 
 #[test]
 fn quick_tune_matches_golden() {
@@ -45,33 +41,9 @@ fn quick_tune_matches_golden() {
         "tune report lost its objective line:\n{report}"
     );
 
-    let golden_dir = repo_path("results/golden");
-    let bless = std::env::var_os("PROTEUS_BLESS").is_some_and(|v| !v.is_empty());
-    if bless {
-        fs::create_dir_all(&golden_dir).expect("create results/golden");
-    }
-
-    let mut mismatches = Vec::new();
     for name in ["leaderboard.csv", "frontier.csv", "best_config.json"] {
         let fresh = fs::read_to_string(scratch.join("tune").join(name))
             .unwrap_or_else(|e| panic!("tune did not write {name}: {e}"));
-        let golden_path = golden_dir.join(format!("tune_quick_{name}"));
-        if bless {
-            fs::write(&golden_path, &fresh).expect("write golden");
-            continue;
-        }
-        match fs::read_to_string(&golden_path) {
-            Ok(golden) if golden == fresh => {}
-            Ok(_) => mismatches.push(format!("{name}: differs from {golden_path:?}")),
-            Err(e) => mismatches.push(format!("{name}: missing golden ({e})")),
-        }
+        common::check_or_bless(&format!("tune_quick_{name}"), &fresh, "golden_tune");
     }
-    assert!(
-        mismatches.is_empty(),
-        "quick-mode tune no longer matches the committed goldens.\n  {}\n\
-         If the change is intentional: PROTEUS_BLESS=1 cargo test -p \
-         proteus-bench --test golden_tune, then commit the updated \
-         results/golden/tune_quick_* files.",
-        mismatches.join("\n  ")
-    );
 }
