@@ -8,7 +8,7 @@ use std::hint::black_box;
 use proteus_core::{evaluate, MiObservation, Mode, ProteusSender, SharedThreshold, UtilityParams};
 use proteus_netsim::{
     run, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, ReorderConfig,
-    Scenario, WirePath,
+    Scenario, Topology, WirePath,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, MiStats, MiTracker, SentPacket, Time};
 
@@ -322,11 +322,12 @@ fn bench_engine_loop(c: &mut Criterion) {
 
 /// Wire-path benchmarks: the per-packet `QueueDrain` → `Delivery` →
 /// `AckArrival` chain in isolation, fused against the staged reference on
-/// the same scenarios (ACK-clocked and paced — the two shapes every
-/// experiment reduces to), plus a faulted scenario where `Fused` must
-/// transparently fall back to staged, pricing the gate itself. The
-/// fused/staged delta is the tentpole win: three scheduler push/pop pairs
-/// per packet collapsed into one wire-ring slot with three cursors.
+/// the same scenarios: ACK-clocked and paced (the two shapes every clean
+/// experiment reduces to), a faulted link (bandwidth step + burst loss) and
+/// a 3-hop chain — the shapes that ran staged before the lanes. The
+/// fused/staged delta is what the lanes and link-owned departures buy:
+/// three (per hop: two) scheduler push/pop pairs per packet become FIFO
+/// appends.
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/wire");
     let link = || LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
@@ -336,50 +337,36 @@ fn bench_wire(c: &mut Criterion) {
             Box::new(FixedPaced { rate: 5_000_000.0 }) // 40 Mbps
         })
     };
-
-    for (name, path) in [
-        ("ack_clocked_fused_2s", WirePath::Fused),
-        ("ack_clocked_staged_2s", WirePath::Staged),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let sc = Scenario::new(link(), Dur::from_secs(2))
-                    .flow(win())
-                    .with_seed(7)
-                    .with_wire_path(path);
-                black_box(run(sc).flows[0].bytes_acked)
-            })
-        });
-    }
-    for (name, path) in [
-        ("paced_fused_2s", WirePath::Fused),
-        ("paced_staged_2s", WirePath::Staged),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let sc = Scenario::new(link(), Dur::from_secs(2))
-                    .flow(paced())
-                    .with_seed(7)
-                    .with_wire_path(path);
-                black_box(run(sc).flows[0].bytes_acked)
-            })
-        });
-    }
-    // Fallback price: Fused selected but a fault schedule forces staged
-    // execution — should cost the same as explicit Staged on this scenario.
-    group.bench_function("faulted_fallback_2s", |b| {
-        b.iter(|| {
-            let faults = FaultSchedule::new()
+    let clean = |flow: FlowSpec| Scenario::new(link(), Dur::from_secs(2)).flow(flow);
+    let faulted = || {
+        clean(win()).with_faults(
+            FaultSchedule::new()
                 .bandwidth_step(Dur::from_millis(500), 25.0)
-                .with_burst_loss(GilbertElliott::default());
-            let sc = Scenario::new(link(), Dur::from_secs(2))
-                .flow(win())
-                .with_seed(7)
-                .with_faults(faults)
-                .with_wire_path(WirePath::Fused);
-            black_box(run(sc).flows[0].bytes_acked)
-        })
-    });
+                .with_burst_loss(GilbertElliott::default()),
+        )
+    };
+    let chain3 = || {
+        // The same 30 ms and 375 KB end to end, split over three hops.
+        let hop = LinkSpec::new(50.0, Dur::from_millis(10), 125_000);
+        Scenario::over(Topology::chain([hop; 3]), Dur::from_secs(2)).flow(win())
+    };
+
+    let cases: [(&str, &dyn Fn() -> Scenario); 4] = [
+        ("ack_clocked", &|| clean(win())),
+        ("paced", &|| clean(paced())),
+        ("faulted", &faulted),
+        ("chain3", &chain3),
+    ];
+    for (shape, mk) in cases {
+        for (path_name, path) in [("fused", WirePath::Fused), ("staged", WirePath::Staged)] {
+            group.bench_function(format!("{shape}_{path_name}_2s").as_str(), |b| {
+                b.iter(|| {
+                    let sc = mk().with_seed(7).with_wire_path(path);
+                    black_box(run(sc).flows[0].bytes_acked)
+                })
+            });
+        }
+    }
     group.finish();
 }
 

@@ -39,31 +39,39 @@
 //! churn ([`crate::scenario::ChurnSpec`]) follows the same discipline with
 //! its own salted RNG stream.
 //!
-//! # Fused wire path
+//! # Wire path
 //!
-//! On a clean path (no fault schedule, no latency noise) every stage of a
-//! packet's wire trip is deterministic at admission, and each stage's
-//! timestamps are monotone non-decreasing in admission order: departures
-//! inherit the link's monotone `free_at`, deliveries add a constant forward
-//! propagation, and ACK returns add a constant reverse propagation. The
-//! engine exploits this by routing the per-packet
-//! `QueueDrain` → `Delivery` → `AckArrival` chain through a FIFO wire ring
-//! ([`WirePath::Fused`], the default) instead of the scheduler: three
-//! push/pop pairs per packet become one ring slot with three cursors, and
-//! the main loop merges the scheduler with the three (sorted) wire streams
-//! by `(time, seq)`. Event sequence numbers are still assigned at exactly
-//! the instants the staged path assigns them — two at admission, one at
-//! delivery dispatch — so every dispatched event carries the identical
-//! `(time, seq)` key and the total dispatch order (and with it every
-//! result byte) is unchanged by construction. Scenarios with faults or
-//! noise transparently fall back to the staged path — their draws are
-//! RNG-order- and state-sensitive — which also remains selectable
-//! explicitly ([`WirePath::Staged`]) as the executable ordering reference
-//! for the equivalence suite (`tests/wire_equivalence.rs`). Multi-link
-//! topologies gate fusion off the same way: per-hop admission interleaves
-//! across links in ways the FIFO ring cannot express.
+//! The per-packet `QueueDrain` → (`HopArrival` →)* `Delivery` →
+//! `AckArrival` chain is most of a run's events, and almost all of it is
+//! already in time order when it is created. Every scenario — clean,
+//! faulted, noisy, multi-hop — therefore runs it on one path
+//! ([`WirePath::Fused`], the default) that keeps it out of the scheduler:
+//!
+//! * **Link-owned departures.** A queue drain only releases buffer space,
+//!   and buffer space is only read by the next `offer` (or queue sample) on
+//!   that link. So each [`BottleneckLink`] keeps its departures in a FIFO —
+//!   sorted for free, since `free_at` is monotone — and releases, just
+//!   before such a read, the ones whose `(time, seq)` key precedes the key
+//!   of the event being dispatched: exactly those a scheduler would have
+//!   dispatched by then.
+//! * **Wire lanes.** Each link has a forward lane (`Delivery` /
+//!   `HopArrival` leaving it) and an ACK lane (`AckArrival` of flows whose
+//!   last hop it is) inside the [`EventQueue`]. A lane *prefers* sorted
+//!   input: an event at or after the lane's tail is appended, one before it
+//!   (an RTT step down, a jitter spike on another flow, a sub-path with a
+//!   shorter return) goes to the scheduler instead, as does every
+//!   reorder-held packet. `pop` merges the scheduler head with the lane
+//!   heads by `(time, seq)`.
+//!
+//! Sequence numbers are still taken from `event_seq` at exactly the
+//! instants the scheduler-only chain takes them, and no RNG draw moves, so
+//! every event carries the identical `(time, seq)` key whichever structure
+//! holds it, and the dispatch order — and with it every result byte — is
+//! unchanged by construction. [`WirePath::Staged`] sends everything,
+//! `QueueDrain` included, through the scheduler; it is the executable
+//! ordering reference for the equivalence suites
+//! (`tests/wire_equivalence.rs`, `tests/topology_equivalence.rs`).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -80,7 +88,7 @@ use crate::fault::{FaultState, LinkChange, WireLoss};
 use crate::flows::FlowTable;
 use crate::link::{BottleneckLink, Offer};
 use crate::metrics::{EventStats, FlowMetrics, LinkSummary, SimResult, TraceEvent};
-use crate::noise::{NoiseConfig, NoiseState};
+use crate::noise::NoiseState;
 use crate::scenario::{ChurnClass, Scenario};
 use crate::sched::EventQueue;
 use crate::topology::{LinkId, Topology};
@@ -115,16 +123,14 @@ pub const LINK_FAULT_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Mirrors [`crate::sched::Scheduler`]: [`WirePath::Fused`] is the default
 /// optimized implementation, [`WirePath::Staged`] keeps the original
-/// three-event scheduler chain available as an executable ordering
-/// reference so tests can assert the two produce identical results and
-/// benches can measure the before/after. Fused execution applies only when
-/// the scenario has no fault schedule and no latency noise; otherwise the
-/// engine transparently runs staged regardless of this setting (fault and
-/// noise draws are RNG-order- and state-sensitive, exactly like the
-/// `with_faults` empty-schedule normalization rule).
+/// scheduler chain available as an executable ordering reference so tests
+/// can assert the two produce identical results and benches can measure
+/// the before/after. Both apply to every scenario: faults, noise and
+/// multi-link paths run fused too (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WirePath {
-    /// Per-packet wire chain routed through the fused wire ring (default).
+    /// Per-packet wire chain on the links' departure FIFOs and wire lanes,
+    /// out-of-order events falling back to the scheduler (default).
     #[default]
     Fused,
     /// Per-packet wire chain staged through the scheduler (reference).
@@ -139,9 +145,10 @@ pub enum WirePath {
 /// experiment function. Updated once per completed [`Sim::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionEventTotals {
-    /// Events dispatched (scheduler pops plus fused wire phases).
+    /// Events dispatched (scheduler pops, lane pops and link-owned
+    /// departures).
     pub dispatched: u64,
-    /// Dispatches served by the fused wire pipeline.
+    /// Dispatches served by a wire lane or a link's departure FIFO.
     pub fused: u64,
 }
 
@@ -166,7 +173,8 @@ enum Event {
     FlowStart(u32),
     FlowStop(u32),
     /// A packet finished serializing at link `link`: release its buffer
-    /// space.
+    /// space. Scheduled on [`WirePath::Staged`] only — otherwise the link
+    /// owns its departures (`Sim::flush_departures`).
     QueueDrain {
         link: LinkId,
         bytes: u32,
@@ -229,6 +237,16 @@ enum Event {
     },
 }
 
+/// Wire lane of the `Delivery`/`HopArrival` events leaving link `li`.
+const fn fwd_lane(li: usize) -> usize {
+    2 * li
+}
+
+/// Wire lane of the `AckArrival` events of flows whose last hop is `li`.
+const fn ack_lane(li: usize) -> usize {
+    2 * li + 1
+}
+
 /// Index of `Event::QueueDrain` in [`crate::metrics::EVENT_KIND_NAMES`].
 const K_QUEUE_DRAIN: usize = 2;
 /// Index of `Event::Delivery` in [`crate::metrics::EVENT_KIND_NAMES`].
@@ -259,103 +277,6 @@ impl Event {
             Event::HopArrival { .. } => K_HOP_ARRIVAL,
         }
     }
-}
-
-/// One in-flight packet on the fused wire ring: every stage timestamp and
-/// sequence number is fixed at admission (except the ACK pair, assigned at
-/// delivery dispatch — the instant the staged path assigns it).
-#[derive(Debug, Clone, Copy)]
-struct WirePacket {
-    flow: u32,
-    bytes: u32,
-    seq: SeqNr,
-    sent_at: Time,
-    drain_at: Time,
-    deliver_at: Time,
-    ack_at: Time,
-    drain_seq: u64,
-    deliver_seq: u64,
-    ack_seq: u64,
-    /// Lost to `random_loss` at admission: the packet drains the queue but
-    /// never reaches the receiver (drain-only ring entry).
-    lost: bool,
-}
-
-/// The fused wire pipeline: a FIFO ring of admitted packets with one cursor
-/// per stage. Cursors are *absolute* admission indices (`base` counts
-/// entries already popped off the front), so a packet's ring slot is
-/// `abs - base`. Because every stage's timestamps are monotone in admission
-/// order on a clean path, the next event of each stage is always at its
-/// cursor — the three stage streams are sorted queues obtained for free.
-#[derive(Debug, Default)]
-struct WirePipeline {
-    ring: VecDeque<WirePacket>,
-    /// Packets fully retired off the front of the ring.
-    base: u64,
-    /// Next packet to drain the bottleneck queue.
-    drain_next: u64,
-    /// Next non-lost packet to reach the receiver.
-    deliver_next: u64,
-    /// Next delivered packet whose ACK returns (`< deliver_next` always;
-    /// the ACK stream head exists only once its delivery dispatched).
-    ack_next: u64,
-}
-
-impl WirePipeline {
-    fn new() -> Self {
-        WirePipeline {
-            ring: VecDeque::with_capacity(256),
-            ..Default::default()
-        }
-    }
-
-    /// Absolute index one past the newest admitted packet.
-    fn total(&self) -> u64 {
-        self.base + self.ring.len() as u64
-    }
-
-    fn pkt(&self, abs: u64) -> &WirePacket {
-        &self.ring[(abs - self.base) as usize]
-    }
-
-    fn pkt_mut(&mut self, abs: u64) -> &mut WirePacket {
-        &mut self.ring[(abs - self.base) as usize]
-    }
-
-    /// Advances the deliver/ack cursors past packets that never deliver,
-    /// keeping `ack_next <= deliver_next`.
-    fn skip_lost(&mut self) {
-        while self.deliver_next < self.total() && self.pkt(self.deliver_next).lost {
-            self.deliver_next += 1;
-        }
-        while self.ack_next < self.deliver_next && self.pkt(self.ack_next).lost {
-            self.ack_next += 1;
-        }
-    }
-
-    /// Pops fully-processed packets off the front. A packet is done once it
-    /// has drained and either was lost on the wire or its ACK dispatched.
-    fn pop_done(&mut self) {
-        while let Some(front) = self.ring.front() {
-            let done_drain = self.drain_next > self.base;
-            let done_ack = front.lost || self.ack_next > self.base;
-            if done_drain && done_ack {
-                self.ring.pop_front();
-                self.base += 1;
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// Which stream the fused main loop's 4-way `(time, seq)` merge chose.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FusedSrc {
-    Sched,
-    Drain,
-    Deliver,
-    Ack,
 }
 
 struct CrossState {
@@ -444,9 +365,12 @@ pub struct Sim {
     fault_changes: Vec<(LinkId, LinkChange)>,
     /// Event-queue traffic accounting (mechanics, not behavior).
     events: EventStats,
-    /// Fused wire ring; `Some` iff the scenario selected [`WirePath::Fused`]
-    /// and the path is clean (no faults, no noise).
-    wire: Option<WirePipeline>,
+    /// Sequence number of the event being dispatched: with `now`, the key
+    /// that bounds which link-owned departures are already due.
+    now_seq: u64,
+    /// [`WirePath::Staged`] was selected: wire events and queue drains all
+    /// go through the scheduler.
+    staged: bool,
 }
 
 impl Sim {
@@ -511,17 +435,6 @@ impl Sim {
             }
         }
 
-        // Fusion gate: fault schedules and latency noise make wire-stage
-        // draws RNG-order- and state-sensitive, and multi-link paths route
-        // packets through per-hop admissions the FIFO ring cannot express,
-        // so those scenarios run the staged reference path regardless of
-        // the selector (the same normalization rule as `with_faults` with
-        // an empty schedule).
-        let fused = wire_path == WirePath::Fused
-            && link_specs.len() == 1
-            && link_faults.iter().all(|f| f.is_none())
-            && link_specs[0].noise == NoiseConfig::None;
-
         // Initial scheduler capacity is derived from the scenario, not a
         // fixed constant: every static flow contributes a start (and maybe a
         // stop) event, the churn warm-start population does the same, and
@@ -559,7 +472,7 @@ impl Sim {
 
         let mut sim = Sim {
             now: Time::ZERO,
-            queue: EventQueue::new(scheduler, capacity),
+            queue: EventQueue::new(scheduler, capacity).with_lanes(2 * link_specs.len()),
             event_seq: 0,
             links,
             default_path,
@@ -583,7 +496,8 @@ impl Sim {
             frame_scratch: Vec::new(),
             fault_changes: Vec::new(),
             events: EventStats::default(),
-            wire: fused.then(WirePipeline::new),
+            now_seq: 0,
+            staged: wire_path == WirePath::Staged,
         };
 
         // Per-link fault runtimes: link 0 keeps the exact legacy seed (zero
@@ -684,21 +598,68 @@ impl Sim {
     fn push(&mut self, at: Time, ev: Event) {
         self.event_seq += 1;
         self.queue.push(at, self.event_seq, ev);
+        self.note_sched_push();
+    }
+
+    fn note_sched_push(&mut self) {
         self.events.pushes += 1;
-        let depth = self.queue.len() as u64;
+        let depth = self.queue.sched_len() as u64;
         if depth > self.events.peak_queue {
             self.events.peak_queue = depth;
         }
     }
 
+    /// Pushes a wire event (`Delivery`, `HopArrival`, `AckArrival`) onto
+    /// `lane`. The lane takes it when it arrives in time order; the
+    /// exceptions — an RTT step down, a noise spike on another flow, a
+    /// sub-path with a shorter return — go to the scheduler under the same
+    /// sequence number, so the event's `(time, seq)` key never depends on
+    /// which of the two carried it.
+    fn push_wire(&mut self, lane: usize, at: Time, ev: Event) {
+        if self.staged {
+            return self.push(at, ev);
+        }
+        self.event_seq += 1;
+        if !self.queue.push_lane(lane, at, self.event_seq, ev) {
+            self.events.lane_fallbacks += 1;
+            self.note_sched_push();
+        }
+    }
+
+    /// Releases link `li`'s departures that are due before the event being
+    /// dispatched, counting each as the `QueueDrain` it replaces. Must run
+    /// before anything reads that link's occupancy.
+    fn flush_departures(&mut self, li: usize) {
+        let n = self.links[li].link.release_before(self.now, self.now_seq);
+        self.events.pops[K_QUEUE_DRAIN] += n;
+        self.events.fused += n;
+        debug_assert!(
+            self.staged || self.links[li].link.owns_all_queued(),
+            "link {li}: occupancy diverged from its departure FIFO"
+        );
+    }
+
     /// Runs the scenario to completion and returns the measurements.
     pub fn run(mut self) -> SimResult {
         let end = Time::ZERO + self.duration;
-        if self.wire.is_some() {
-            self.run_fused(end);
-        } else {
-            self.run_staged(end);
+        while let Some((at, seq, ev)) = self.queue.pop_through(end) {
+            self.now = at;
+            self.now_seq = seq;
+            self.dispatch(ev);
         }
+        // Departures the run reached (`depart_at <= end`) but no later
+        // offer flushed.
+        (self.now, self.now_seq) = (end, u64::MAX);
+        for li in 0..self.links.len() {
+            self.flush_departures(li);
+            let l = &self.links[li].link;
+            debug_assert_eq!(
+                l.accepted_bytes(),
+                l.delivered_bytes() + l.queued_bytes(),
+                "link {li}: accepted bytes must be delivered or still queued"
+            );
+        }
+        self.events.fused += self.queue.lane_pops();
         // Final decision sweep (stopped flows included), then restore
         // global timestamp order: drains interleave flows per sweep, so a
         // stable sort by time is enough to keep each flow's own order.
@@ -731,134 +692,6 @@ impl Sim {
             decisions: self.decisions,
             events: self.events,
         }
-    }
-
-    /// The staged reference loop: every event flows through the scheduler.
-    fn run_staged(&mut self, end: Time) {
-        while let Some((at, _seq, ev)) = self.queue.pop() {
-            if at > end {
-                break;
-            }
-            self.now = at;
-            self.dispatch(ev);
-        }
-    }
-
-    /// The fused main loop: a 4-way merge by `(time, seq)` of the scheduler
-    /// head and the three wire-ring stage heads. Each head's key is exactly
-    /// the `(time, seq)` the staged path would have pushed for that event,
-    /// so the merge reproduces the staged dispatch order verbatim.
-    fn run_fused(&mut self, end: Time) {
-        let end_ns = end.as_nanos();
-        loop {
-            let sched = self.queue.peek();
-            let w = self.wire.as_ref().expect("run_fused requires a wire ring");
-            let mut best: Option<(u64, u64, FusedSrc)> =
-                sched.map(|(at, seq)| (at.as_nanos(), seq, FusedSrc::Sched));
-            let mut consider = |at: Time, seq: u64, src: FusedSrc| {
-                let key = (at.as_nanos(), seq);
-                if best.is_none_or(|(t, s, _)| key < (t, s)) {
-                    best = Some((key.0, key.1, src));
-                }
-            };
-            if w.drain_next < w.total() {
-                let p = w.pkt(w.drain_next);
-                consider(p.drain_at, p.drain_seq, FusedSrc::Drain);
-            }
-            if w.deliver_next < w.total() {
-                let p = w.pkt(w.deliver_next);
-                consider(p.deliver_at, p.deliver_seq, FusedSrc::Deliver);
-            }
-            if w.ack_next < w.deliver_next {
-                let p = w.pkt(w.ack_next);
-                consider(p.ack_at, p.ack_seq, FusedSrc::Ack);
-            }
-            let Some((at_ns, _seq, src)) = best else {
-                break;
-            };
-            if at_ns > end_ns {
-                break;
-            }
-            self.now = Time::from_nanos(at_ns);
-            match src {
-                FusedSrc::Sched => {
-                    let (_at, _seq, ev) = self.queue.pop().expect("peeked head vanished");
-                    self.dispatch(ev);
-                }
-                FusedSrc::Drain => self.wire_drain_phase(),
-                FusedSrc::Deliver => self.wire_deliver_phase(),
-                FusedSrc::Ack => self.wire_ack_phase(),
-            }
-        }
-    }
-
-    /// Fused analog of `Event::QueueDrain` dispatch.
-    fn wire_drain_phase(&mut self) {
-        let bytes = {
-            let w = self.wire.as_mut().expect("wire phase without ring");
-            let bytes = w.pkt(w.drain_next).bytes;
-            w.drain_next += 1;
-            w.pop_done();
-            bytes
-        };
-        self.events.pops[K_QUEUE_DRAIN] += 1;
-        self.events.fused += 1;
-        // Fused paths are single-link by the fusion gate.
-        self.links[0].link.on_departure(bytes as u64);
-    }
-
-    /// Fused analog of `Event::Delivery` dispatch: assigns the ACK's
-    /// sequence number here — the instant the staged path pushes
-    /// `AckArrival` — and computes its arrival with the same per-flow FIFO
-    /// clamp. ACK processing itself runs at `ack_at` via the merge.
-    fn wire_deliver_phase(&mut self) {
-        let (flow, idx) = {
-            let w = self.wire.as_ref().expect("wire phase without ring");
-            (w.pkt(w.deliver_next).flow as FlowId, w.deliver_next)
-        };
-        self.event_seq += 1;
-        let ack_seq = self.event_seq;
-        // Clean path: `NoiseState::None::ack_release` is the identity and
-        // the fault layer is absent, so the ACK departs the receiver at
-        // `now` and arrives after the reverse propagation, clamped FIFO
-        // (single link by the fusion gate).
-        let mut arrival = self.now + self.links[0].rev_prop;
-        if arrival < self.flows.last_ack_arrival_at[flow] {
-            arrival = self.flows.last_ack_arrival_at[flow];
-        }
-        self.flows.last_ack_arrival_at[flow] = arrival;
-        let w = self.wire.as_mut().expect("wire phase without ring");
-        {
-            let p = w.pkt_mut(idx);
-            p.ack_at = arrival;
-            p.ack_seq = ack_seq;
-        }
-        w.deliver_next = idx + 1;
-        w.skip_lost();
-        self.events.pops[K_DELIVERY] += 1;
-        self.events.fused += 1;
-    }
-
-    /// Fused analog of `Event::AckArrival` dispatch: retires the ring slot
-    /// and runs the full ACK path (which may re-enter `admit_fused`).
-    fn wire_ack_phase(&mut self) {
-        let pkt = {
-            let w = self.wire.as_mut().expect("wire phase without ring");
-            let pkt = *w.pkt(w.ack_next);
-            w.ack_next += 1;
-            w.skip_lost();
-            w.pop_done();
-            pkt
-        };
-        self.events.pops[K_ACK_ARRIVAL] += 1;
-        self.events.fused += 1;
-        self.on_ack_arrival(
-            pkt.flow as FlowId,
-            pkt.seq,
-            pkt.bytes as u64,
-            pkt.sent_at,
-            pkt.deliver_at,
-        );
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -895,6 +728,7 @@ impl Sim {
             Event::QueueSample => {
                 // Legacy samples cover link 0; per-link peaks are reported
                 // through `LinkSummary::peak_queued_bytes`.
+                self.flush_departures(0);
                 self.queue_samples
                     .push((self.now.as_secs_f64(), self.links[0].link.queued_bytes()));
                 if let Some(every) = self.queue_sample_every {
@@ -1080,7 +914,8 @@ impl Sim {
             arrival = self.flows.last_ack_arrival_at[flow];
         }
         self.flows.last_ack_arrival_at[flow] = arrival;
-        self.push(
+        self.push_wire(
+            ack_lane(last),
             arrival,
             Event::AckArrival {
                 flow: flow as u32,
@@ -1511,13 +1346,10 @@ impl Sim {
             self.metrics[flow].on_sent(bytes);
 
             let first = self.flows.path[flow][0] as usize;
+            self.flush_departures(first);
             match self.links[first].link.offer(now, bytes) {
                 Offer::Dropped => {
                     // Tail drop: the sender finds out via dup-ACKs or RTO.
-                }
-                Offer::Departs(at) if self.wire.is_some() => {
-                    self.note_queue_peak(first);
-                    self.admit_fused(flow, seq, bytes, at);
                 }
                 Offer::Departs(at) => {
                     self.note_queue_peak(first);
@@ -1540,14 +1372,17 @@ impl Sim {
         }
     }
 
-    /// Staged continuation after link `path[hop]` accepted a packet with
-    /// departure time `at`: schedules the queue drain, applies that link's
-    /// loss, noise and reordering processes, and forwards the packet to
-    /// the next hop (`HopArrival`) or the receiver (`Delivery`).
+    /// Continuation after link `path[hop]` accepted a packet with departure
+    /// time `at`: hands the departure to the link (or, staged, schedules the
+    /// queue drain), applies that link's loss, noise and reordering
+    /// processes, and forwards the packet to the next hop (`HopArrival`) or
+    /// the receiver (`Delivery`) on the link's forward lane.
     ///
     /// For a one-link path (`hop == 0`, last hop) this is byte-for-byte the
-    /// legacy wire chain: the same events pushed at the same instants, the
-    /// same draws from the same RNGs in the same order. Mid-path hops skip
+    /// legacy wire chain: the same sequence numbers taken at the same
+    /// instants, the same draws from the same RNGs in the same order —
+    /// whichever of lane, link FIFO or scheduler carries each event. Mid-path
+    /// hops skip
     /// the per-flow FIFO delivery clamp — each queue is itself FIFO, and
     /// the clamp's contract (jitter never reorders a flow) is enforced at
     /// the final hop exactly as before.
@@ -1564,13 +1399,20 @@ impl Sim {
             let p = &self.flows.path[flow];
             (p[hop] as usize, hop + 1 == p.len())
         };
-        self.push(
-            at,
-            Event::QueueDrain {
-                link: li as LinkId,
-                bytes: bytes as u32,
-            },
-        );
+        if self.staged {
+            self.push(
+                at,
+                Event::QueueDrain {
+                    link: li as LinkId,
+                    bytes: bytes as u32,
+                },
+            );
+        } else {
+            self.event_seq += 1;
+            self.links[li]
+                .link
+                .defer_departure(at, self.event_seq, bytes);
+        }
         // Fault layer first (its own RNG: no draws without a schedule),
         // then the pre-existing random-loss draw from the main RNG, in the
         // original order.
@@ -1600,45 +1442,45 @@ impl Sim {
             Some(f) => f.reorder_extra(),
             None => None,
         };
-        if !last_hop {
-            // Mid-path hop: reordering extra just delays the next-hop
-            // arrival (the next queue re-serializes arrivals anyway).
-            if let Some(extra) = reorder_extra {
-                arrives_at += extra;
-            }
-            self.push(
-                arrives_at,
-                Event::HopArrival {
-                    flow: flow as u32,
-                    seq,
-                    bytes: bytes as u32,
-                    sent_at,
-                    hop: (hop + 1) as u16,
-                },
-            );
-            return;
-        }
         if let Some(extra) = reorder_extra {
-            // Reordered packet: held back by `extra` and exempted from the
+            // Reordered packet: held back by `extra`. Mid-path that only
+            // delays the next-hop arrival (the next queue re-serializes
+            // arrivals anyway); on the last hop it is also exempted from the
             // FIFO clamp (and from advancing it), so later packets overtake
             // it.
             arrives_at += extra;
-        } else {
+        } else if last_hop {
             // FIFO clamp: jitter never reorders a flow's packets.
             if arrives_at < self.flows.last_delivery_at[flow] {
                 arrives_at = self.flows.last_delivery_at[flow];
             }
             self.flows.last_delivery_at[flow] = arrives_at;
         }
-        self.push(
-            arrives_at,
+        let (flow, bytes) = (flow as u32, bytes as u32);
+        let ev = if last_hop {
             Event::Delivery {
-                flow: flow as u32,
+                flow,
                 seq,
-                bytes: bytes as u32,
+                bytes,
                 sent_at,
-            },
-        );
+            }
+        } else {
+            Event::HopArrival {
+                flow,
+                seq,
+                bytes,
+                sent_at,
+                hop: (hop + 1) as u16,
+            }
+        };
+        if reorder_extra.is_some() {
+            // A held packet is the outlier that would block the lane: its
+            // late tail would turn every in-order packet behind it into a
+            // fallback. It goes straight to the scheduler.
+            self.push(arrives_at, ev);
+        } else {
+            self.push_wire(fwd_lane(li), arrives_at, ev);
+        }
     }
 
     /// A packet reaches the entry of a mid-path or final link: offer it to
@@ -1647,6 +1489,7 @@ impl Sim {
     /// first hop.
     fn on_hop_arrival(&mut self, flow: FlowId, seq: SeqNr, bytes: u64, sent_at: Time, hop: usize) {
         let li = self.flows.path[flow][hop] as usize;
+        self.flush_departures(li);
         match self.links[li].link.offer(self.now, bytes) {
             Offer::Dropped => {}
             Offer::Departs(at) => {
@@ -1654,46 +1497,6 @@ impl Sim {
                 self.forward_staged(flow, seq, bytes, sent_at, hop, at);
             }
         }
-    }
-
-    /// Admits one accepted packet to the fused wire ring, consuming the
-    /// same sequence numbers and RNG draws, at the same instants, as the
-    /// staged path's admission: one sequence for the queue drain, then the
-    /// random-loss draw (the fault layer is absent on a fused path), then —
-    /// for surviving packets — one sequence for the delivery plus the
-    /// per-flow FIFO clamp (a no-op on clean paths, replicated anyway so
-    /// flow state stays bit-identical).
-    fn admit_fused(&mut self, flow: FlowId, seq: SeqNr, bytes: u64, drain_at: Time) {
-        self.event_seq += 1;
-        let drain_seq = self.event_seq;
-        let lost =
-            self.links[0].random_loss > 0.0 && self.rng.random::<f64>() < self.links[0].random_loss;
-        let mut pkt = WirePacket {
-            flow: flow as u32,
-            bytes: bytes as u32,
-            seq,
-            sent_at: self.now,
-            drain_at,
-            deliver_at: Time::ZERO,
-            ack_at: Time::ZERO,
-            drain_seq,
-            deliver_seq: 0,
-            ack_seq: 0,
-            lost,
-        };
-        if !lost {
-            self.event_seq += 1;
-            pkt.deliver_seq = self.event_seq;
-            let mut delivered_at = drain_at + self.links[0].fwd_prop;
-            if delivered_at < self.flows.last_delivery_at[flow] {
-                delivered_at = self.flows.last_delivery_at[flow];
-            }
-            self.flows.last_delivery_at[flow] = delivered_at;
-            pkt.deliver_at = delivered_at;
-        }
-        let w = self.wire.as_mut().expect("admit_fused without ring");
-        w.ring.push_back(pkt);
-        w.skip_lost();
     }
 }
 

@@ -9,8 +9,14 @@
 //! The implementation uses a *virtual queue*: because service is FIFO and
 //! work-conserving, a packet's departure time is fully determined at arrival
 //! (`max(now, link_free_at) + serialization`), so no per-packet dequeue
-//! events are needed. Buffer occupancy is decremented by the engine when the
-//! departure time passes.
+//! events are needed. Buffer occupancy is decremented when the departure
+//! time passes: either the engine calls [`BottleneckLink::on_departure`] from
+//! a scheduled event, or the link owns its departures — a FIFO filled by
+//! [`BottleneckLink::defer_departure`] and released lazily by
+//! [`BottleneckLink::release_before`] ahead of whichever call next reads
+//! the occupancy.
+
+use std::collections::VecDeque;
 
 use proteus_transport::{serialization_delay, Dur, Time};
 
@@ -32,8 +38,13 @@ pub struct BottleneckLink {
     queued_bytes: u64,
     /// Time the serializer becomes free.
     free_at: Time,
+    /// Link-owned departures `(depart_at, seq, bytes)` not yet released, in
+    /// admission order — which is also `(depart_at, seq)` order, because
+    /// `free_at` and the engine's sequence counter are both monotone.
+    departures: VecDeque<(Time, u64, u32)>,
     /// Counters.
     accepted_pkts: u64,
+    accepted_bytes: u64,
     dropped_pkts: u64,
     delivered_bytes: u64,
 }
@@ -51,7 +62,9 @@ impl BottleneckLink {
             buffer_bytes,
             queued_bytes: 0,
             free_at: Time::ZERO,
+            departures: VecDeque::new(),
             accepted_pkts: 0,
+            accepted_bytes: 0,
             dropped_pkts: 0,
             delivered_bytes: 0,
         }
@@ -105,6 +118,7 @@ impl BottleneckLink {
         self.free_at = departs;
         self.queued_bytes += bytes;
         self.accepted_pkts += 1;
+        self.accepted_bytes += bytes;
         Offer::Departs(departs)
     }
 
@@ -116,6 +130,42 @@ impl BottleneckLink {
         self.delivered_bytes += bytes;
     }
 
+    /// Hands the departure of a just-accepted packet to the link: its buffer
+    /// space is released by the first [`BottleneckLink::release_before`]
+    /// whose key follows `(at, seq)`. `at` is the time `offer` returned and
+    /// `seq` the event sequence number a scheduled departure would carry.
+    pub fn defer_departure(&mut self, at: Time, seq: u64, bytes: u64) {
+        debug_assert!(
+            self.departures
+                .back()
+                .is_none_or(|&(t, s, _)| (t, s) < (at, seq)),
+            "departure FIFO must stay key-monotone"
+        );
+        self.departures.push_back((at, seq, bytes as u32));
+    }
+
+    /// Releases every deferred departure whose `(depart_at, seq)` key
+    /// precedes `(at, seq)` — the ones a scheduler would have dispatched
+    /// before the event with that key — and returns how many there were.
+    pub fn release_before(&mut self, at: Time, seq: u64) -> u64 {
+        let mut released = 0;
+        while let Some(&(t, s, bytes)) = self.departures.front() {
+            if (t, s) >= (at, seq) {
+                break;
+            }
+            self.departures.pop_front();
+            self.on_departure(bytes as u64);
+            released += 1;
+        }
+        released
+    }
+
+    /// Audit: the buffer occupancy equals the bytes of the departures the
+    /// link still owns. Holds whenever every accepted packet was deferred.
+    pub fn owns_all_queued(&self) -> bool {
+        self.queued_bytes == self.departures.iter().map(|d| d.2 as u64).sum::<u64>()
+    }
+
     /// Queueing + serialization delay a hypothetical packet would see now.
     pub fn current_delay(&self, now: Time, bytes: u64) -> Dur {
         let wait = self.free_at.since(now);
@@ -125,6 +175,11 @@ impl BottleneckLink {
     /// Packets accepted so far.
     pub fn accepted_pkts(&self) -> u64 {
         self.accepted_pkts
+    }
+
+    /// Bytes accepted so far (delivered, or still occupying the buffer).
+    pub fn accepted_bytes(&self) -> u64 {
+        self.accepted_bytes
     }
 
     /// Packets tail-dropped so far.
@@ -235,6 +290,27 @@ mod tests {
             panic!()
         };
         assert_eq!(t2, Time::from_millis(3));
+    }
+
+    #[test]
+    fn deferred_departures_release_in_key_order() {
+        let mut l = link();
+        for seq in 1..=3u64 {
+            let Offer::Departs(at) = l.offer(Time::ZERO, 1500) else {
+                panic!()
+            };
+            l.defer_departure(at, seq, 1500);
+        }
+        assert!(l.owns_all_queued());
+        // Nothing precedes the first departure's own key; the key just
+        // after it releases exactly that one.
+        assert_eq!(l.release_before(Time::from_millis(1), 1), 0);
+        assert_eq!(l.release_before(Time::from_millis(1), 2), 1);
+        assert_eq!(l.queued_bytes(), 3000);
+        assert_eq!(l.release_before(Time::from_millis(3), u64::MAX), 2);
+        assert_eq!(l.queued_bytes(), 0);
+        assert!(l.owns_all_queued());
+        assert_eq!(l.accepted_bytes(), l.delivered_bytes());
     }
 
     #[test]

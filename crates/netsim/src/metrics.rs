@@ -407,28 +407,33 @@ pub const EVENT_KIND_NAMES: [&str; 15] = [
 
 /// Event-loop accounting for one simulation run: how many events of each
 /// kind were dispatched, how many went through the scheduler versus the
-/// fused wire pipeline, and how deep the scheduler got.
+/// fused wire path, and how deep the scheduler got.
 ///
 /// These counters describe *execution mechanics*, not observable behavior:
 /// a staged and a fused run of the same scenario dispatch the identical
-/// event sequence (so [`EventStats::pops`] agrees), but the fused run pushes
-/// the per-packet wire chain through the wire ring instead of the scheduler
-/// (so `pushes`, `peak_queue` and `fused` differ). Equivalence tests that
-/// compare full [`SimResult`] digests across execution paths must therefore
-/// zero this field first.
+/// event sequence (so [`EventStats::pops`] agrees), but the fused run keeps
+/// the per-packet wire chain on the wire lanes and the links' departure
+/// FIFOs instead of the scheduler (so `pushes`, `peak_queue`, `fused` and
+/// `lane_fallbacks` differ). Equivalence tests that compare full
+/// [`SimResult`] digests across execution paths must therefore zero this
+/// field first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventStats {
     /// Events dispatched, by kind (indices match [`EVENT_KIND_NAMES`]).
-    /// Counts every dispatch regardless of execution path: a fused wire
-    /// phase counts under the kind of the staged event it replaces.
+    /// Counts every dispatch regardless of execution path: a lane pop counts
+    /// under its event's kind and a link-owned departure under `QueueDrain`,
+    /// the staged event it replaces.
     pub pops: [u64; EVENT_KIND_NAMES.len()],
     /// Events pushed into the scheduler.
     pub pushes: u64,
     /// Peak number of events pending in the scheduler.
     pub peak_queue: u64,
-    /// Dispatches served by the fused wire pipeline instead of the
-    /// scheduler (zero on the staged path).
+    /// Dispatches served by a wire lane or a link's departure FIFO instead
+    /// of the scheduler (zero on the staged path).
     pub fused: u64,
+    /// Wire events offered to a lane out of time order, which the scheduler
+    /// carried instead (zero on the staged path).
+    pub lane_fallbacks: u64,
 }
 
 impl EventStats {
@@ -437,7 +442,7 @@ impl EventStats {
         self.pops.iter().sum()
     }
 
-    /// Fraction of dispatches served by the fused wire pipeline.
+    /// Fraction of dispatches served by the fused wire path.
     pub fn fused_fraction(&self) -> f64 {
         let total = self.dispatched();
         if total == 0 {

@@ -363,10 +363,9 @@ pub struct Scenario {
     /// heap remains available as a reference for equivalence tests and
     /// before/after benchmarks).
     pub scheduler: Scheduler,
-    /// Wire-path execution strategy (fused by default, with automatic
-    /// fallback to staged when faults or noise are attached; the staged
-    /// chain remains selectable as the executable ordering reference — see
-    /// [`WirePath`]).
+    /// Wire-path execution strategy (fused by default, for every scenario;
+    /// the staged chain remains selectable as the executable ordering
+    /// reference — see [`WirePath`]).
     pub wire_path: WirePath,
 }
 
@@ -475,11 +474,12 @@ impl Scenario {
     }
 
     /// Selects the wire-path execution strategy (default:
-    /// [`WirePath::Fused`]). Fused execution collapses the per-packet
-    /// `QueueDrain`/`Delivery`/`AckArrival` scheduler chain into a wire
-    /// ring on clean paths and transparently falls back to staged when the
-    /// scenario attaches faults or noise; results are byte-identical either
-    /// way (`tests/wire_equivalence.rs`).
+    /// [`WirePath::Fused`]). Fused execution keeps the per-packet
+    /// `QueueDrain`/`HopArrival`/`Delivery`/`AckArrival` chain on per-link
+    /// departure FIFOs and wire lanes, handing only out-of-order events to
+    /// the scheduler; staged execution schedules all of it. Results are
+    /// byte-identical either way, faults, noise and multi-link paths
+    /// included (`tests/wire_equivalence.rs`).
     pub fn with_wire_path(mut self, wire_path: WirePath) -> Self {
         self.wire_path = wire_path;
         self

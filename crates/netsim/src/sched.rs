@@ -34,6 +34,8 @@
 //! pop sequence is globally sorted by `(time, seq)` — byte-identical to
 //! the binary heap's.
 
+use std::collections::VecDeque;
+
 use proteus_transport::Time;
 
 /// log2 of the level-0 slot width in nanoseconds (2^14 ns ≈ 16.4 µs).
@@ -73,70 +75,177 @@ pub enum Scheduler {
     Heap,
 }
 
-/// Event queue facade over the two scheduler implementations; the engine
-/// holds one of these and pays a single predictable branch per operation.
+/// The scheduler behind an [`EventQueue`].
 #[derive(Debug)]
-pub enum EventQueue<T> {
-    /// Timing-wheel backed queue.
+enum Sched<T> {
     Wheel(TimingWheel<T>),
-    /// Binary-heap backed queue.
     Heap(HeapQueue<T>),
 }
 
+/// Head key of an empty lane: sorts after every real `(time, seq)` key.
+const NO_HEAD: (u64, u64) = (u64::MAX, u64::MAX);
+
+/// The engine's event queue: one scheduler (wheel or heap) plus any number
+/// of *wire lanes* — plain FIFOs for event streams that are almost always
+/// pushed in time order (a link's deliveries, a link's returning ACKs).
+///
+/// A lane *prefers* sorted input rather than requiring it:
+/// [`EventQueue::push_lane`] appends when the new time is at or after the
+/// lane tail's and otherwise hands the entry to the scheduler under the same
+/// `(time, seq)` key. [`EventQueue::pop`] returns the minimum key over the
+/// scheduler head and every lane head, so the pop sequence is exactly the
+/// one a scheduler-only queue would produce, whatever mix of lane and plain
+/// pushes built it (`tests/lane_model.rs`).
+#[derive(Debug)]
+pub struct EventQueue<T> {
+    sched: Sched<T>,
+    lanes: Vec<VecDeque<Entry<T>>>,
+    /// `(at, seq)` of each lane's front entry ([`NO_HEAD`] when empty), kept
+    /// beside the lanes so `pop` scans one small contiguous array.
+    heads: Vec<(u64, u64)>,
+    lane_pops: u64,
+}
+
 impl<T> EventQueue<T> {
-    /// Creates a queue of the given kind, pre-sized for `capacity` events
-    /// (derived by the engine from the scenario's flow count and fault
-    /// schedule — see `Sim::new`). Capacity is an initial reservation only:
-    /// both implementations grow without bound and never drop events.
+    /// Creates a queue of the given kind with no lanes, pre-sized for
+    /// `capacity` events (derived by the engine from the scenario's flow
+    /// count and fault schedule — see `Sim::new`). Capacity is an initial
+    /// reservation only: both implementations grow without bound and never
+    /// drop events.
     pub fn new(kind: Scheduler, capacity: usize) -> Self {
-        match kind {
-            Scheduler::Wheel => EventQueue::Wheel(TimingWheel::with_capacity(capacity)),
-            Scheduler::Heap => EventQueue::Heap(HeapQueue::with_capacity(capacity)),
+        EventQueue {
+            sched: match kind {
+                Scheduler::Wheel => Sched::Wheel(TimingWheel::with_capacity(capacity)),
+                Scheduler::Heap => Sched::Heap(HeapQueue::with_capacity(capacity)),
+            },
+            lanes: Vec::new(),
+            heads: Vec::new(),
+            lane_pops: 0,
         }
+    }
+
+    /// Adds `lanes` empty wire lanes, addressed `0..lanes` in
+    /// [`EventQueue::push_lane`].
+    pub fn with_lanes(mut self, lanes: usize) -> Self {
+        self.lanes = (0..lanes).map(|_| VecDeque::with_capacity(256)).collect();
+        self.heads = vec![NO_HEAD; lanes];
+        self
     }
 
     /// Schedules `item` at `(at, seq)`.
     #[inline]
     pub fn push(&mut self, at: Time, seq: u64, item: T) {
-        match self {
-            EventQueue::Wheel(w) => w.push(at, seq, item),
-            EventQueue::Heap(h) => h.push(at, seq, item),
+        match &mut self.sched {
+            Sched::Wheel(w) => w.push(at, seq, item),
+            Sched::Heap(h) => h.push(at, seq, item),
         }
     }
 
-    /// Pops the earliest `(at, seq)` entry.
+    /// Offers `item` to wire lane `lane`. Appends it and returns `true` when
+    /// `at` is at or after the lane tail's time (or the lane is empty);
+    /// otherwise schedules it like [`EventQueue::push`] and returns `false`.
+    /// `seq` must exceed every sequence number already in the lane — the
+    /// engine's push counter guarantees it — which keeps each lane sorted by
+    /// `(time, seq)`.
+    #[inline]
+    pub fn push_lane(&mut self, lane: usize, at: Time, seq: u64, item: T) -> bool {
+        let at_ns = at.as_nanos();
+        let q = &mut self.lanes[lane];
+        match q.back() {
+            Some(tail) if at_ns < tail.at => {
+                self.push(at, seq, item);
+                return false;
+            }
+            Some(tail) => debug_assert!(seq > tail.seq, "lane pushes must carry rising seq"),
+            None => self.heads[lane] = (at_ns, seq),
+        }
+        q.push_back(Entry {
+            at: at_ns,
+            seq,
+            item,
+        });
+        true
+    }
+
+    /// Pops the earliest `(at, seq)` entry over the scheduler and all lanes.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, u64, T)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop(),
+        self.pop_through(Time::from_nanos(u64::MAX))
+    }
+
+    /// [`EventQueue::pop`], unless the earliest entry is later than `limit`:
+    /// then it stays queued and the result is `None`.
+    #[inline]
+    pub fn pop_through(&mut self, limit: Time) -> Option<(Time, u64, T)> {
+        let ((at, _), from) = self.next();
+        if at > limit.as_nanos() {
+            return None;
         }
+        let Some(lane) = from else {
+            // `None` here when nothing is pending at all.
+            return match &mut self.sched {
+                Sched::Wheel(w) => w.pop(),
+                Sched::Heap(h) => h.pop(),
+            };
+        };
+        let q = &mut self.lanes[lane];
+        let e = q.pop_front().expect("lane head key without an entry");
+        self.heads[lane] = q.front().map_or(NO_HEAD, |n| (n.at, n.seq));
+        self.lane_pops += 1;
+        Some((Time::from_nanos(e.at), e.seq, e.item))
     }
 
     /// The `(at, seq)` key of the entry [`EventQueue::pop`] would return,
-    /// without removing it. `&mut` because the wheel may need to advance to
-    /// the next occupied slot to learn its minimum; advancing early is
-    /// order-neutral (later pushes inside the drained span land in the
-    /// `current` heap exactly as they would have on the pop itself).
-    #[inline]
+    /// without removing it.
     pub fn peek(&mut self) -> Option<(Time, u64)> {
-        match self {
-            EventQueue::Wheel(w) => w.peek(),
-            EventQueue::Heap(h) => h.peek(),
-        }
+        let ((at, seq), _) = self.next();
+        ((at, seq) != NO_HEAD).then(|| (Time::from_nanos(at), seq))
     }
 
-    /// Number of pending events.
+    /// The minimum pending key and the lane holding it (`None`: the
+    /// scheduler, or nothing pending when the key is [`NO_HEAD`]). `&mut`
+    /// because the wheel may need to advance to its next occupied slot to
+    /// learn its minimum; advancing early is order-neutral (later pushes
+    /// inside the drained span land in the `current` heap exactly as they
+    /// would have on the pop itself).
+    #[inline]
+    fn next(&mut self) -> ((u64, u64), Option<usize>) {
+        let mut best = match &mut self.sched {
+            Sched::Wheel(w) => w.peek(),
+            Sched::Heap(h) => h.peek(),
+        }
+        .map_or(NO_HEAD, |(at, seq)| (at.as_nanos(), seq));
+        let mut from = None;
+        for (lane, &head) in self.heads.iter().enumerate() {
+            if head < best {
+                best = head;
+                from = Some(lane);
+            }
+        }
+        (best, from)
+    }
+
+    /// Number of pending events, lanes included.
     pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            EventQueue::Heap(h) => h.len(),
+        self.sched_len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
+    }
+
+    /// Number of events pending in the scheduler proper (lanes excluded).
+    pub fn sched_len(&self) -> usize {
+        match &self.sched {
+            Sched::Wheel(w) => w.len(),
+            Sched::Heap(h) => h.len(),
         }
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Entries popped from a lane (rather than the scheduler) so far.
+    pub fn lane_pops(&self) -> u64 {
+        self.lane_pops
     }
 }
 

@@ -81,8 +81,8 @@ impl Topology {
     }
 
     /// Attach a fault schedule to one link. An empty schedule is
-    /// normalized away so it cannot perturb determinism or the fused wire
-    /// path. `Topology::single(l).with_faults(0, s)` is byte-identical to
+    /// normalized away so it cannot perturb determinism.
+    /// `Topology::single(l).with_faults(0, s)` is byte-identical to
     /// the legacy `Scenario::with_faults(s)`.
     ///
     /// # Panics

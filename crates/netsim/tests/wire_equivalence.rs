@@ -1,17 +1,21 @@
-//! Wire-path equivalence: the fused wire ring and the staged scheduler
-//! chain must produce *identical* `SimResult`s, because fusion preserves
-//! the exact `(time, push-sequence)` key of every replaced event and the
-//! main loop merges the streams in that same total order. Exercised on the
+//! Wire-path equivalence: the fused wire path (per-link lanes plus
+//! link-owned departures) and the staged scheduler chain must produce
+//! *identical* `SimResult`s, because every event keeps the `(time,
+//! push-sequence)` key the staged path gives it and the queue pops lanes and
+//! scheduler in that same total order. Exercised on the
 //! `sched_equivalence.rs` scenario matrix (legacy-shaped, faulted, churn)
-//! plus clean-with-loss and paced scenarios, and on randomized scenarios
-//! via proptest (populations × churn × faults × noise), which doubles as a
-//! fallback-correctness check: faulted/noisy scenarios must run staged
-//! (zero fused dispatches) even when `WirePath::Fused` is selected.
+//! plus clean-with-loss, paced and noisy scenarios, and on randomized
+//! scenarios via proptest (populations × churn × every fault class × noise
+//! models × chains and parking lots with sub-paths) — the inputs that break
+//! lane monotonicity and force the per-event fallback to the scheduler.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use proteus_netsim::{
-    run, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec, GilbertElliott,
-    LinkSpec, NoiseConfig, Scenario, SimResult, WirePath,
+    run, AckCompression, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec,
+    GilbertElliott, LinkId, LinkSpec, NoiseConfig, ReorderConfig, Scenario, SimResult, Topology,
+    WirePath,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
 
@@ -62,7 +66,7 @@ fn digest(r: &SimResult) -> String {
 }
 
 /// Runs the scenario on both wire paths and asserts digest equality.
-/// Returns the fused run's result for gate assertions.
+/// Returns the fused run's result for lane-share assertions.
 fn assert_paths_agree(mk: impl Fn() -> Scenario) -> SimResult {
     let fused = run(mk().with_wire_path(WirePath::Fused));
     let staged = run(mk().with_wire_path(WirePath::Staged));
@@ -72,8 +76,13 @@ fn assert_paths_agree(mk: impl Fn() -> Scenario) -> SimResult {
         "fused and staged wire paths diverged on an identical scenario"
     );
     assert_eq!(
-        staged.events.fused, 0,
-        "staged path must never dispatch through the wire ring"
+        fused.events.pops, staged.events.pops,
+        "the two wire paths must dispatch the same events by kind"
+    );
+    assert_eq!(
+        (staged.events.fused, staged.events.lane_fallbacks),
+        (0, 0),
+        "staged path must never dispatch through the wire lanes"
     );
     fused
 }
@@ -100,7 +109,11 @@ fn clean_ack_clocked_scenario_fuses_and_matches() {
     });
     assert!(
         fused.events.fused > 0,
-        "clean scenario selected Fused but dispatched nothing through the ring"
+        "clean scenario selected Fused but dispatched nothing through the lanes"
+    );
+    assert_eq!(
+        fused.events.lane_fallbacks, 0,
+        "a clean single link is monotone"
     );
     // Every data packet costs three wire dispatches minus the drain-only
     // entries; on a loss-free link the three stages account for the bulk of
@@ -163,8 +176,10 @@ fn churn_population_fuses_and_matches() {
 }
 
 #[test]
-fn noisy_scenario_falls_back_to_staged() {
-    // Noise draws are RNG-order-sensitive: selecting Fused must be a no-op.
+fn noisy_scenario_fuses_and_matches_staged() {
+    // Noise draws are RNG-order-sensitive: both paths make them at the same
+    // instants, and jitter that lands a delivery before the lane tail takes
+    // the scheduler for that one event.
     let fused = assert_paths_agree(|| {
         Scenario::new(
             LinkSpec::new(40.0, Dur::from_millis(30), 300_000)
@@ -180,11 +195,11 @@ fn noisy_scenario_falls_back_to_staged() {
         .with_trace(Dur::from_millis(100))
         .with_seed(1234)
     });
-    assert_eq!(fused.events.fused, 0, "noise must force the staged path");
+    assert!(fused.events.fused > 0, "noise must not gate the lanes off");
 }
 
 #[test]
-fn faulted_scenario_falls_back_to_staged() {
+fn faulted_scenario_fuses_and_matches_staged() {
     let fused = assert_paths_agree(|| {
         Scenario::new(
             LinkSpec::new(20.0, Dur::from_millis(30), 150_000),
@@ -193,11 +208,17 @@ fn faulted_scenario_falls_back_to_staged() {
         .flow(FlowSpec::bulk("win", Dur::ZERO, || {
             Box::new(TestWindow { cwnd: 100_000 })
         }))
+        // A second flow: one flow alone is kept in order by its own FIFO
+        // clamps, so only interleaved flows can see the RTT step down.
+        .flow(FlowSpec::bulk("paced", Dur::ZERO, || {
+            Box::new(TestPaced { rate: 250_000.0 })
+        }))
         .with_faults(
             FaultSchedule::new()
                 .bandwidth_step(Dur::from_secs(3), 8.0)
                 .rtt_step(Dur::from_secs(5), Dur::from_millis(60))
                 .outage(Dur::from_secs(7), Dur::from_millis(500))
+                .rtt_step(Dur::from_secs(9), Dur::from_millis(20))
                 .with_burst_loss(GilbertElliott {
                     p_enter: 0.002,
                     p_exit: 0.3,
@@ -208,9 +229,13 @@ fn faulted_scenario_falls_back_to_staged() {
         .with_trace(Dur::from_millis(200))
         .with_seed(77)
     });
-    assert_eq!(
-        fused.events.fused, 0,
-        "a fault schedule must force the staged path"
+    assert!(
+        fused.events.fused > 0,
+        "a fault schedule must not gate the lanes off"
+    );
+    assert!(
+        fused.events.lane_fallbacks > 0,
+        "the RTT step down must push early events past the lane tail"
     );
 }
 
@@ -232,9 +257,9 @@ fn empty_fault_schedule_still_fuses() {
     assert!(fused.events.fused > 0);
 }
 
-/// One randomized scenario: population shape, churn, optional noise and
-/// optional faults all vary; fused-vs-staged digest equality must hold
-/// everywhere, with faulted/noisy draws transparently running staged.
+/// One randomized scenario. Population shape, churn, the noise model, every
+/// fault class and the topology all vary; fused-vs-staged digest equality
+/// must hold everywhere.
 #[derive(Debug, Clone)]
 struct RandScenario {
     rate_mbps: f64,
@@ -244,41 +269,108 @@ struct RandScenario {
     n_win: usize,
     n_paced: usize,
     churn: bool,
-    noisy: bool,
+    /// 0 none, 1 Gaussian, 2 `NoiseConfig::wifi_default()`.
+    noise: u8,
+    /// Bandwidth step + outage.
     faulted: bool,
+    /// RTT halves mid-run: later packets arrive before earlier ones' lane
+    /// entries.
+    rtt_down: bool,
+    reorder: bool,
+    ack_compression: bool,
+    burst_loss: bool,
+    /// 1 = the legacy dumbbell; 2–3 = a chain whose links differ in RTT, or
+    /// (`parking`) a parking lot of identical links.
+    links: usize,
+    parking: bool,
     seed: u64,
 }
 
 impl RandScenario {
-    fn build(&self) -> Scenario {
-        let mut s = Scenario::new(
-            LinkSpec::new(self.rate_mbps, Dur::from_millis(self.rtt_ms), self.buffer)
+    fn topology(&self) -> Topology {
+        let noise = match self.noise {
+            0 => NoiseConfig::None,
+            1 => NoiseConfig::Gaussian {
+                std: Dur::from_micros(200),
+            },
+            _ => NoiseConfig::wifi_default(),
+        };
+        let link = |rtt_ms: u64| {
+            LinkSpec::new(self.rate_mbps, Dur::from_millis(rtt_ms), self.buffer)
                 .with_random_loss(self.loss)
-                .with_noise(if self.noisy {
-                    NoiseConfig::Gaussian {
-                        std: Dur::from_micros(200),
-                    }
-                } else {
-                    NoiseConfig::None
-                }),
-            Dur::from_secs(2),
-        )
-        .with_seed(self.seed);
+                .with_noise(noise)
+        };
+        let topo = if self.parking {
+            Topology::parking_lot(self.links, link(self.rtt_ms))
+        } else {
+            // Unequal reverse halves: a sub-path's ACKs return sooner than
+            // the full path's through the same last-hop ACK lane.
+            Topology::chain((0..self.links as u64).map(|i| link(self.rtt_ms * (i + 1))))
+        };
+        let mut faults = FaultSchedule::new();
+        if self.faulted {
+            faults = faults
+                .bandwidth_step(Dur::from_millis(800), self.rate_mbps * 0.5)
+                .outage(Dur::from_millis(1200), Dur::from_millis(100));
+        }
+        if self.rtt_down {
+            faults = faults.rtt_step(Dur::from_millis(900), Dur::from_millis(self.rtt_ms / 2));
+        }
+        if self.reorder {
+            faults = faults.with_reorder(ReorderConfig {
+                prob: 0.02,
+                max_extra: Dur::from_millis(3),
+            });
+        }
+        if self.ack_compression {
+            faults = faults.with_ack_compression(AckCompression {
+                every: Dur::from_millis(300),
+                hold: Dur::from_millis(20),
+            });
+        }
+        if self.burst_loss {
+            faults = faults.with_burst_loss(GilbertElliott {
+                p_enter: 0.005,
+                p_exit: 0.3,
+                loss_good: 0.0,
+                loss_bad: 0.4,
+            });
+        }
+        // The last link: its faults shape both the final deliveries and the
+        // ACK releases.
+        topo.with_faults((self.links - 1) as LinkId, faults)
+    }
+
+    /// Flow `k`'s path: the full path, the last link alone, or everything
+    /// but the last link — so flows share lanes with different propagation.
+    fn path(&self, k: usize) -> Vec<LinkId> {
+        let n = self.links as LinkId;
+        match k % 3 {
+            1 if n > 1 => vec![n - 1],
+            2 if n > 1 => (0..n - 1).collect(),
+            _ => (0..n).collect(),
+        }
+    }
+
+    fn build(&self) -> Scenario {
+        let mut s = Scenario::over(self.topology(), Dur::from_secs(2)).with_seed(self.seed);
         for i in 0..self.n_win {
             let cwnd = 40_000 + 20_000 * i as u64;
-            s = s.flow(FlowSpec::bulk(
-                "win",
-                Dur::from_millis(100 * i as u64),
-                move || Box::new(TestWindow { cwnd }),
-            ));
+            s = s.flow(
+                FlowSpec::bulk("win", Dur::from_millis(100 * i as u64), move || {
+                    Box::new(TestWindow { cwnd })
+                })
+                .with_path(self.path(i)),
+            );
         }
         for i in 0..self.n_paced {
             let rate = 200_000.0 + 150_000.0 * i as f64;
-            s = s.flow(FlowSpec::bulk(
-                "paced",
-                Dur::from_millis(50 * i as u64),
-                move || Box::new(TestPaced { rate }),
-            ));
+            s = s.flow(
+                FlowSpec::bulk("paced", Dur::from_millis(50 * i as u64), move || {
+                    Box::new(TestPaced { rate })
+                })
+                .with_path(self.path(i + 1)),
+            );
         }
         if self.churn {
             let classes = vec![ChurnClass::new(
@@ -292,31 +384,53 @@ impl RandScenario {
                     .with_window(Dur::ZERO, Dur::from_millis(1500)),
             );
         }
-        if self.faulted {
-            s = s.with_faults(
-                FaultSchedule::new()
-                    .bandwidth_step(Dur::from_millis(800), self.rate_mbps * 0.5)
-                    .outage(Dur::from_millis(1200), Dur::from_millis(100)),
-            );
-        }
         s
+    }
+
+    fn assert_wire_path_independent(&self) -> SimResult {
+        let fused = run(self.build().with_wire_path(WirePath::Fused));
+        let staged = run(self.build().with_wire_path(WirePath::Staged));
+        assert_eq!(
+            digest(&fused),
+            digest(&staged),
+            "fused and staged diverged: {self:?}"
+        );
+        assert_eq!(fused.events.pops, staged.events.pops, "{self:?}");
+        assert_eq!(staged.events.fused, 0);
+        assert!(
+            fused.events.fused > 0 || fused.events.dispatched() < 100,
+            "no scenario shape gates the lanes off: {self:?}"
+        );
+        fused
     }
 }
 
+/// Cases of the randomized property below.
+const CASES: u32 = 48;
+/// Cases run / lane fallbacks seen so far by the randomized property.
+static CASES_RUN: AtomicU64 = AtomicU64::new(0);
+static FALLBACKS_SEEN: AtomicU64 = AtomicU64::new(0);
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
     fn randomized_scenarios_are_wire_path_independent(
         rate_mbps in 10.0f64..100.0,
-        rtt_ms in 5u64..60,
+        rtt_ms in 6u64..60,
         buffer in 50_000u64..500_000,
         loss in prop_oneof![Just(0.0), 0.001f64..0.02],
         n_win in 0usize..3,
         n_paced in 0usize..3,
         churn in any::<bool>(),
-        noisy in any::<bool>(),
+        noise in 0u8..3,
         faulted in any::<bool>(),
+        rtt_down in any::<bool>(),
+        reorder in any::<bool>(),
+        ack_compression in any::<bool>(),
+        burst_loss in any::<bool>(),
+        links in 1usize..4,
+        parking in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let rs = RandScenario {
@@ -327,22 +441,22 @@ proptest! {
             n_win,
             n_paced,
             churn,
-            noisy,
+            noise,
             faulted,
+            rtt_down,
+            reorder,
+            ack_compression,
+            burst_loss,
+            links,
+            parking,
             seed,
         };
-        let fused = run(rs.build().with_wire_path(WirePath::Fused));
-        let staged = run(rs.build().with_wire_path(WirePath::Staged));
-        prop_assert_eq!(
-            digest(&fused),
-            digest(&staged),
-            "fused and staged diverged: {:?}", rs
-        );
-        prop_assert_eq!(staged.events.fused, 0);
-        if rs.noisy || rs.faulted {
-            prop_assert_eq!(
-                fused.events.fused, 0,
-                "noisy/faulted scenario must fall back to staged: {:?}", rs
+        let fused = rs.assert_wire_path_independent();
+        FALLBACKS_SEEN.fetch_add(fused.events.lane_fallbacks, Ordering::Relaxed);
+        if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == CASES as u64 {
+            prop_assert!(
+                FALLBACKS_SEEN.load(Ordering::Relaxed) > 0,
+                "no generated case pushed a lane-eligible event out of order"
             );
         }
     }
