@@ -3,17 +3,16 @@
 
 use proteus_apps::{MediaSource, MediaSpec};
 use proteus_baselines::Cubic;
-use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario, SimResult, WirePath};
+use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario, Scheduler, Sim, SimResult, WirePath};
 use proteus_transport::Dur;
 
-fn rtc_scenario(secs: u64, wire: WirePath) -> Scenario {
+fn rtc_scenario(secs: u64) -> Scenario {
     let spec = MediaSpec::default();
     Scenario::new(
         LinkSpec::new(50.0, Dur::from_millis(30), 375_000),
         Dur::from_secs(secs),
     )
     .with_seed(11)
-    .with_wire_path(wire)
     .flow(
         FlowSpec::bulk("RTC", Dur::ZERO, || Box::new(Cubic::new()))
             .with_app(move || Box::new(MediaSource::new(spec)))
@@ -23,7 +22,7 @@ fn rtc_scenario(secs: u64, wire: WirePath) -> Scenario {
 
 #[test]
 fn rtc_flow_accounts_every_frame_end_to_end() {
-    let res = run(rtc_scenario(30, WirePath::Fused));
+    let res = run(rtc_scenario(30));
     let m = res.flows[0].media().expect("media metrics present");
     // 30 s at 30 fps on a fat, clean 50 Mbps link.
     assert!(
@@ -91,7 +90,7 @@ fn digest(res: &SimResult) -> (u64, u64, u64, Vec<f64>, u64, f64) {
 
 #[test]
 fn media_metrics_identical_across_wire_paths() {
-    let fused = run(rtc_scenario(20, WirePath::Fused));
-    let staged = run(rtc_scenario(20, WirePath::Staged));
+    let fused = run(rtc_scenario(20));
+    let staged = Sim::reference(rtc_scenario(20), Scheduler::Wheel, WirePath::Staged).run();
     assert_eq!(digest(&fused), digest(&staged));
 }

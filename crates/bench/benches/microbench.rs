@@ -7,8 +7,8 @@ use std::hint::black_box;
 
 use proteus_core::{evaluate, MiObservation, Mode, ProteusSender, SharedThreshold, UtilityParams};
 use proteus_netsim::{
-    run, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, ReorderConfig,
-    Scenario, Topology, WirePath,
+    run, AckCompression, ChurnClass, ChurnSpec, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec,
+    ReorderConfig, Scenario, Topology,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, MiStats, MiTracker, SentPacket, Time};
 
@@ -272,7 +272,8 @@ impl proteus_transport::CongestionControl for FixedPaced {
 
 /// Engine-loop benchmarks: raw discrete-event throughput for the two flow
 /// shapes every experiment reduces to (ACK-clocked and paced), clean and
-/// lossy. Reported as ns per simulated run; lower is faster engine.
+/// lossy, plus the ACK-clocked shape over a 3-hop chain (per-hop forward
+/// lanes). Reported as ns per simulated run; lower is faster engine.
 fn bench_engine_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     let link = || LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
@@ -317,56 +318,18 @@ fn bench_engine_loop(c: &mut Criterion) {
             black_box(run(sc).flows[0].bytes_acked)
         })
     });
-    group.finish();
-}
-
-/// Wire-path benchmarks: the per-packet `QueueDrain` → `Delivery` →
-/// `AckArrival` chain in isolation, fused against the staged reference on
-/// the same scenarios: ACK-clocked and paced (the two shapes every clean
-/// experiment reduces to), a faulted link (bandwidth step + burst loss) and
-/// a 3-hop chain — the shapes that ran staged before the lanes. The
-/// fused/staged delta is what the lanes and link-owned departures buy:
-/// three (per hop: two) scheduler push/pop pairs per packet become FIFO
-/// appends.
-fn bench_wire(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/wire");
-    let link = || LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
-    let win = || FlowSpec::bulk("w", Dur::ZERO, || Box::new(FixedWindow { cwnd: 375_000 }));
-    let paced = || {
-        FlowSpec::bulk("p", Dur::ZERO, || {
-            Box::new(FixedPaced { rate: 5_000_000.0 }) // 40 Mbps
+    group.bench_function("chain3_2s", |b| {
+        b.iter(|| {
+            // The same 30 ms and 375 KB end to end, split over three hops.
+            let hop = LinkSpec::new(50.0, Dur::from_millis(10), 125_000);
+            let sc = Scenario::over(Topology::chain([hop; 3]), Dur::from_secs(2))
+                .flow(FlowSpec::bulk("w", Dur::ZERO, || {
+                    Box::new(FixedWindow { cwnd: 375_000 })
+                }))
+                .with_seed(7);
+            black_box(run(sc).flows[0].bytes_acked)
         })
-    };
-    let clean = |flow: FlowSpec| Scenario::new(link(), Dur::from_secs(2)).flow(flow);
-    let faulted = || {
-        clean(win()).with_faults(
-            FaultSchedule::new()
-                .bandwidth_step(Dur::from_millis(500), 25.0)
-                .with_burst_loss(GilbertElliott::default()),
-        )
-    };
-    let chain3 = || {
-        // The same 30 ms and 375 KB end to end, split over three hops.
-        let hop = LinkSpec::new(50.0, Dur::from_millis(10), 125_000);
-        Scenario::over(Topology::chain([hop; 3]), Dur::from_secs(2)).flow(win())
-    };
-
-    let cases: [(&str, &dyn Fn() -> Scenario); 4] = [
-        ("ack_clocked", &|| clean(win())),
-        ("paced", &|| clean(paced())),
-        ("faulted", &faulted),
-        ("chain3", &chain3),
-    ];
-    for (shape, mk) in cases {
-        for (path_name, path) in [("fused", WirePath::Fused), ("staged", WirePath::Staged)] {
-            group.bench_function(format!("{shape}_{path_name}_2s").as_str(), |b| {
-                b.iter(|| {
-                    let sc = mk().with_seed(7).with_wire_path(path);
-                    black_box(run(sc).flows[0].bytes_acked)
-                })
-            });
-        }
-    }
+    });
     group.finish();
 }
 
@@ -424,97 +387,30 @@ fn bench_fault_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// Population-scale benchmarks for the timing-wheel scheduler (DESIGN.md
-/// §4c), in two layers:
-///
-/// * `sched_{wheel,heap}_{1k,10k}` — steady-state pop-one/push-one through
-///   the `EventQueue` facade with N events pending, deltas cycling through
-///   every wheel region (same slot, low levels, overflow). This is the
-///   O(1)-vs-O(log n) comparison in isolation: per-operation cost, so the
-///   wheel's advantage should *grow* from 1k to 10k.
-/// * `e2e_churn_{wheel,heap}` — a full churning simulation (250 warm-start
-///   paced flows, Poisson arrivals, 4 s), identical except for the
-///   scheduler, so the delta is the wheel's end-to-end win on the workload
-///   the `scale` campaign runs at 40× the size.
+/// Population-scale benchmark: a full churning simulation (250 warm-start
+/// paced flows, Poisson arrivals, 4 s) — the workload the `scale` campaign
+/// runs at 40× the size, where scheduler depth, timers and the flow table
+/// dominate (DESIGN.md §4c).
 fn bench_scale(c: &mut Criterion) {
-    use proteus_netsim::sched::EventQueue;
-    use proteus_netsim::{ChurnClass, ChurnSpec, Scheduler};
-
     let mut group = c.benchmark_group("scale");
-    // Delta mix matching the engine's event-horizon distribution on a
-    // churning 10k-flow link: mostly pacing/serialization gaps (sub-ms),
-    // a band of delivery/ACK horizons (one-way delay ~15 ms) and CC
-    // timers (~MI length), and one RTO-class outlier (300 ms) per 16 —
-    // RTOs are the only long timers and the one-live-event rule keeps
-    // them rare.
-    const DELTAS: [u64; 16] = [
-        0,
-        300,
-        800,
-        1_500,
-        3_000,
-        8_000,
-        12_000,
-        30_000,
-        90_000,
-        200_000,
-        400_000,
-        900_000,
-        2_500_000,
-        15_000_000,
-        30_000_000,
-        300_000_000,
-    ];
-    for (n, wheel_label, heap_label) in [
-        (1_000usize, "sched_wheel_1k", "sched_heap_1k"),
-        (10_000, "sched_wheel_10k", "sched_heap_10k"),
-    ] {
-        for (label, kind) in [
-            (wheel_label, Scheduler::Wheel),
-            (heap_label, Scheduler::Heap),
-        ] {
-            group.bench_function(label, |b| {
-                let mut q: EventQueue<u64> = EventQueue::new(kind, n);
-                let mut seq = 0u64;
-                for i in 0..n {
-                    seq += 1;
-                    q.push(Time::from_nanos(DELTAS[i % DELTAS.len()]), seq, seq);
-                }
-                b.iter(|| {
-                    let (at, _, v) = q.pop().expect("queue holds n events");
-                    seq += 1;
-                    let delta = DELTAS[(seq as usize) % DELTAS.len()];
-                    q.push(Time::from_nanos(at.as_nanos() + delta), seq, seq);
-                    black_box(v)
-                })
-            });
-        }
-    }
-
-    for (label, kind) in [
-        ("e2e_churn_wheel", Scheduler::Wheel),
-        ("e2e_churn_heap", Scheduler::Heap),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let classes = vec![ChurnClass::new(
-                    "paced",
-                    1.0,
-                    proteus_transport::factory(|_| FixedPaced { rate: 125_000.0 }),
-                )];
-                let sc = Scenario::new(
-                    LinkSpec::new(250.0, Dur::from_millis(30), 1_875_000),
-                    Dur::from_secs(4),
-                )
-                .with_churn(ChurnSpec::new(50.0, Dur::from_secs(5), classes).with_initial(250))
-                .with_rtt_stride(64)
-                .with_throughput_bin(Dur::from_secs(1))
-                .with_scheduler(kind)
-                .with_seed(7);
-                black_box(run(sc).flows.len())
-            })
-        });
-    }
+    group.bench_function("e2e_churn", |b| {
+        b.iter(|| {
+            let classes = vec![ChurnClass::new(
+                "paced",
+                1.0,
+                proteus_transport::factory(|_| FixedPaced { rate: 125_000.0 }),
+            )];
+            let sc = Scenario::new(
+                LinkSpec::new(250.0, Dur::from_millis(30), 1_875_000),
+                Dur::from_secs(4),
+            )
+            .with_churn(ChurnSpec::new(50.0, Dur::from_secs(5), classes).with_initial(250))
+            .with_rtt_stride(64)
+            .with_throughput_bin(Dur::from_secs(1))
+            .with_seed(7);
+            black_box(run(sc).flows.len())
+        })
+    });
     group.finish();
 }
 
@@ -525,7 +421,6 @@ criterion_group!(
     bench_cc_per_ack,
     bench_simulator,
     bench_engine_loop,
-    bench_wire,
     bench_fault_path,
     bench_scale
 );

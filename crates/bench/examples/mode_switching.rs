@@ -2,7 +2,7 @@
 //! mid-transfer (the paper's *flexibility* goal).
 //!
 //! ```text
-//! cargo run --release --example mode_switching
+//! cargo run --release -p proteus-bench --example mode_switching
 //! ```
 //!
 //! A Proteus-H sender shares a link with a Proteus-P flow. Its application
@@ -10,9 +10,9 @@
 //! 40 s, then ∞ (pure primary). No connection restart, no second codebase —
 //! the switch is just a cell write, exactly the "simple API call" of §3.
 
-use pcc_proteus::core::{ProteusSender, SharedThreshold};
-use pcc_proteus::netsim::{run, FlowSpec, LinkSpec, Scenario};
-use pcc_proteus::transport::{Application, Dur, Time};
+use proteus_core::{ProteusSender, SharedThreshold};
+use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
+use proteus_transport::{Application, Dur, Time};
 
 /// A bulk source that flips the shared threshold at a fixed time.
 struct FlipAt {

@@ -2,7 +2,7 @@
 //! path with each tolerance mechanism removed.
 //!
 //! ```text
-//! cargo run --release --example noise_tolerance
+//! cargo run --release -p proteus-bench --example noise_tolerance
 //! ```
 //!
 //! Proteus-S penalizes RTT deviation, so on a jittery path a naive
@@ -11,9 +11,9 @@
 //! tolerance, MI-history trending tolerance — let the full sender hold most
 //! of the link anyway.
 
-use pcc_proteus::core::{AdaptiveNoiseParams, Mode, NoiseTolerance, ProteusConfig, ProteusSender};
-use pcc_proteus::netsim::{run, FlowSpec, LinkSpec, NoiseConfig, Scenario};
-use pcc_proteus::transport::{Dur, Time};
+use proteus_core::{AdaptiveNoiseParams, Mode, NoiseTolerance, ProteusConfig, ProteusSender};
+use proteus_netsim::{run, FlowSpec, LinkSpec, NoiseConfig, Scenario};
+use proteus_transport::{Dur, Time};
 
 /// Mean throughput over a handful of noisy paths (single-path results are
 /// seed-sensitive; the fig9/ablation harness averages the same way).

@@ -2,7 +2,7 @@
 //! it yield.
 //!
 //! ```text
-//! cargo run --release --example quickstart
+//! cargo run --release -p proteus-bench --example quickstart
 //! ```
 //!
 //! This is the paper's core scenario in ~40 lines: a 50 Mbps / 30 ms
@@ -11,10 +11,10 @@
 //! primary's throughput and latency essentially untouched while soaking up
 //! whatever is left.
 
-use pcc_proteus::core::ProteusSender;
-use pcc_proteus::netsim::{run, FlowSpec, LinkSpec, Scenario};
-use pcc_proteus::transport::{Dur, Time};
 use proteus_baselines::Cubic;
+use proteus_core::ProteusSender;
+use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
+use proteus_transport::{Dur, Time};
 
 fn main() {
     // The paper's standard emulated bottleneck: 50 Mbps, 30 ms RTT, 375 KB.

@@ -2,7 +2,7 @@
 //! protocol of the paper.
 //!
 //! ```text
-//! cargo run --release --example scavenger_matrix
+//! cargo run --release -p proteus-bench --example scavenger_matrix
 //! ```
 //!
 //! For each primary (CUBIC, BBR, COPA, Proteus-P, PCC-Vivace) this runs
@@ -11,10 +11,10 @@
 //! metric of the paper's Fig. 6. Expect Proteus-S ≥ ~90 % everywhere while
 //! LEDBAT takes most of the link from the latency-aware primaries.
 
-use pcc_proteus::baselines::{Bbr, Copa, Cubic, Ledbat};
-use pcc_proteus::core::ProteusSender;
-use pcc_proteus::netsim::{run, FlowSpec, LinkSpec, Scenario};
-use pcc_proteus::transport::{CongestionControl, Dur, Time};
+use proteus_baselines::{Bbr, Copa, Cubic, Ledbat};
+use proteus_core::ProteusSender;
+use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
+use proteus_transport::{CongestionControl, Dur, Time};
 
 const PRIMARIES: &[&str] = &["CUBIC", "BBR", "COPA", "Proteus-P", "PCC-Vivace"];
 
@@ -31,7 +31,7 @@ fn make(name: &str, seed: u64) -> Box<dyn CongestionControl> {
     }
 }
 
-fn tail(res: &pcc_proteus::netsim::SimResult, idx: usize) -> f64 {
+fn tail(res: &proteus_netsim::SimResult, idx: usize) -> f64 {
     res.flows[idx].throughput_mbps(Time::from_secs_f64(20.0), Time::from_secs_f64(60.0))
 }
 

@@ -2,7 +2,7 @@
 //! cross-layer threshold policy.
 //!
 //! ```text
-//! cargo run --release --example video_streaming
+//! cargo run --release -p proteus-bench --example video_streaming
 //! ```
 //!
 //! One 4K and three 1080P BOLA-driven sessions share a 100 Mbps link for
@@ -13,11 +13,11 @@
 
 use std::cell::RefCell;
 
-use pcc_proteus::apps::video::{corpus_1080p, corpus_4k, VideoSession, VideoStatsHandle};
-use pcc_proteus::apps::VideoSpec;
-use pcc_proteus::core::{ProteusSender, SharedThreshold};
-use pcc_proteus::netsim::{run, FlowSpec, LinkSpec, Scenario};
-use pcc_proteus::transport::{Application, Dur};
+use proteus_apps::video::{corpus_1080p, corpus_4k, VideoSession, VideoStatsHandle};
+use proteus_apps::VideoSpec;
+use proteus_core::{ProteusSender, SharedThreshold};
+use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
+use proteus_transport::{Application, Dur};
 
 fn add_video(sc: &mut Scenario, spec: VideoSpec, hybrid: bool, seed: u64) -> VideoStatsHandle {
     let threshold = hybrid.then(|| SharedThreshold::new(f64::INFINITY));

@@ -473,7 +473,7 @@ fn main() -> ExitCode {
         }
     }
     if !args.faults.is_empty() {
-        let s = res.fault_stats;
+        let s = res.links[0].fault_stats;
         println!(
             "faults: {} link change(s), {} outage drop(s), {} burst loss(es) in {} episode(s), \
              {} reordered pkt(s), {} compressed ACK(s)",

@@ -8,7 +8,7 @@
 
 use proteus_netsim::{run, CrossTrafficSpec, FlowSpec, LinkSpec, Scenario};
 use proteus_runner::{payload, SimJob};
-use proteus_stats::{Histogram, LinearRegression, Welford};
+use proteus_stats::{LinearRegression, Welford};
 use proteus_transport::{factory, Dur};
 
 use crate::jobs::{campaign, scenario_job, Traces, TRACE_EVERY};
@@ -64,6 +64,34 @@ fn confusion_probability(idle: &[f64], congested: &[f64]) -> f64 {
         wins += gt as u64;
     }
     wins as f64 / (idle.len() as f64 * congested.len() as f64)
+}
+
+/// Probability mass of `samples` over `bins` equal-width bins on `[lo, hi]`,
+/// as `(bin_center, mass)` pairs — the paper's Fig.-2 series. Bins are
+/// left-closed, except that `hi` itself lands in the last one. A sample
+/// outside the range belongs to no bin but still counts toward the total, so
+/// the masses sum to one minus the out-of-range share. Non-finite samples
+/// are ignored.
+fn binned_pmf(samples: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<(f64, f64)> {
+    let width = (hi - lo) / bins as f64;
+    let mut counts = vec![0u64; bins];
+    let mut total = 0u64;
+    for &x in samples.iter().filter(|x| x.is_finite()) {
+        total += 1;
+        if x == hi {
+            counts[bins - 1] += 1;
+        } else if (lo..hi).contains(&x) {
+            counts[(((x - lo) / width) as usize).min(bins - 1)] += 1;
+        }
+    }
+    // No samples: every count is zero, and so is every mass.
+    let total = total.max(1) as f64;
+    let center = |i: usize| lo + (i as f64 + 0.5) * width;
+    counts
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| (center(i), c as f64 / total))
+        .collect()
 }
 
 /// Runs the probe under the given cross-traffic arrival rate; returns
@@ -173,26 +201,19 @@ pub fn run_experiment(cfg: RunCfg) -> String {
         grad_sets.push(sets.next().unwrap_or_default());
     }
 
-    let mut dev_h: Vec<Histogram> = (0..4).map(|_| Histogram::new(0.0, 1.4e-3, 14)).collect();
-    let mut grad_h: Vec<Histogram> = (0..4).map(|_| Histogram::new(0.0, 0.020, 20)).collect();
-    for i in 0..4 {
-        dev_h[i].extend(dev_sets[i].iter().copied());
-        grad_h[i].extend(grad_sets[i].iter().copied());
-    }
-    for b in 0..14 {
-        let mut row = vec![format!("{:.2}", dev_h[0].bin_center(b) * 1e3)];
-        for h in &dev_h {
-            row.push(f3(h.pmf()[b]));
+    // One row per bin: its center, then each arrival rate's mass in it.
+    let fill = |table: &mut Table, sets: &[Vec<f64>], hi, bins, center: fn(f64) -> String| {
+        let pmfs: Vec<_> = sets.iter().map(|s| binned_pmf(s, 0.0, hi, bins)).collect();
+        for b in 0..bins {
+            let mut row = vec![center(pmfs[0][b].0)];
+            row.extend(pmfs.iter().map(|s| f3(s[b].1)));
+            table.row(row);
         }
-        dev_hist.row(row);
-    }
-    for b in 0..20 {
-        let mut row = vec![format!("{:.4}", grad_h[0].bin_center(b))];
-        for h in &grad_h {
-            row.push(f3(h.pmf()[b]));
-        }
-        grad_hist.row(row);
-    }
+    };
+    fill(&mut dev_hist, &dev_sets, 1.4e-3, 14, |c| {
+        format!("{:.2}", c * 1e3)
+    });
+    fill(&mut grad_hist, &grad_sets, 0.020, 20, |c| format!("{c:.4}"));
 
     let conf_dev = confusion_probability(&dev_sets[0], &dev_sets[3]);
     let conf_grad = confusion_probability(&grad_sets[0], &grad_sets[3]);
@@ -222,6 +243,45 @@ pub fn run_experiment(cfg: RunCfg) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn masses(samples: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<f64> {
+        let series = binned_pmf(samples, lo, hi, bins);
+        series.into_iter().map(|(_, p)| p).collect()
+    }
+
+    #[test]
+    fn bins_are_left_closed_and_the_upper_bound_joins_the_last() {
+        // 0.0 -> bin 0, 0.25 -> bin 1, exactly `hi` -> bin 3.
+        assert_eq!(
+            masses(&[0.0, 0.25, 1.0, 1.0], 0.0, 1.0, 4),
+            [0.25, 0.25, 0.0, 0.5]
+        );
+        let centers: Vec<f64> = binned_pmf(&[], 0.0, 4.0, 4)
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect();
+        assert_eq!(centers, [0.5, 1.5, 2.5, 3.5]);
+    }
+
+    #[test]
+    fn out_of_range_samples_count_toward_the_total_only() {
+        // One under, one over, one inside; NaN and infinity are not samples.
+        let xs = [-0.1, 2.0, 0.5, f64::NAN, f64::INFINITY];
+        assert_eq!(masses(&xs, 0.0, 1.0, 2), [0.0, 1.0 / 3.0]);
+        assert_eq!(masses(&[], 0.0, 1.0, 2), [0.0, 0.0]);
+    }
+
+    proptest! {
+        /// Total probability mass is conserved: the bins plus the
+        /// out-of-range share account for every sample.
+        #[test]
+        fn binned_mass_is_conserved(xs in prop::collection::vec(-10.0_f64..10.0, 1..200)) {
+            let in_range: f64 = masses(&xs, -5.0, 5.0, 17).iter().sum();
+            let out = xs.iter().filter(|x| !(-5.0..=5.0).contains(*x)).count();
+            prop_assert!((in_range + out as f64 / xs.len() as f64 - 1.0).abs() < 1e-9);
+        }
+    }
 
     #[test]
     fn confusion_probability_extremes() {

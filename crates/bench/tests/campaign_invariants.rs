@@ -153,7 +153,7 @@ fn ack_compression_trips_the_per_ack_filter() {
         hold: Dur::from_millis(60),
     }));
 
-    assert!(compressed.fault_stats.compressed_acks > 100);
+    assert!(compressed.links[0].fault_stats.compressed_acks > 100);
     assert!(
         trips(&compressed) >= 1,
         "ACK compression did not trip the §5 per-ACK filter; decisions: {} events",

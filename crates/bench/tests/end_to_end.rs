@@ -1,29 +1,27 @@
-//! Workspace-level integration tests exercising the full public API through
-//! the `pcc-proteus` facade: simulator + baselines + Proteus + apps
-//! together, in the paper's scenarios.
+//! Workspace-level integration tests exercising the crates' public APIs
+//! together — simulator + baselines + Proteus + apps — in the paper's
+//! scenarios.
 
-use pcc_proteus::apps::video::{corpus_1080p, VideoSession};
-use pcc_proteus::apps::WebWorkload;
-use pcc_proteus::baselines::{Bbr, Cubic, Ledbat};
-use pcc_proteus::core::{
-    solve_equilibrium, GameParams, ProteusSender, SenderKind, SharedThreshold,
-};
-use pcc_proteus::netsim::{run, FlowSpec, LinkSpec, NoiseConfig, Scenario};
-use pcc_proteus::stats::jain_index;
-use pcc_proteus::transport::{Application, Dur, Time};
+use proteus_apps::video::{corpus_1080p, VideoSession};
+use proteus_apps::WebWorkload;
+use proteus_baselines::{Bbr, Cubic, Ledbat};
+use proteus_core::{solve_equilibrium, GameParams, ProteusSender, SenderKind, SharedThreshold};
+use proteus_netsim::{run, FlowSpec, LinkSpec, NoiseConfig, Scenario};
+use proteus_stats::jain_index;
+use proteus_transport::{Application, Dur, Time};
 
 fn paper_link() -> LinkSpec {
     LinkSpec::new(50.0, Dur::from_millis(30), 375_000)
 }
 
-fn tail(res: &pcc_proteus::netsim::SimResult, idx: usize, secs: f64) -> f64 {
+fn tail(res: &proteus_netsim::SimResult, idx: usize, secs: f64) -> f64 {
     res.flows[idx].throughput_mbps(Time::from_secs_f64(secs / 3.0), Time::from_secs_f64(secs))
 }
 
 #[test]
 fn the_headline_scenario() {
     // Proteus-S yields to BBR where LEDBAT starves it.
-    let run_with = |scav: fn() -> Box<dyn pcc_proteus::transport::CongestionControl>| {
+    let run_with = |scav: fn() -> Box<dyn proteus_transport::CongestionControl>| {
         let sc = Scenario::new(paper_link(), Dur::from_secs(45))
             .flow(FlowSpec::bulk("bbr", Dur::ZERO, || Box::new(Bbr::new())))
             .flow(FlowSpec::bulk("scav", Dur::from_secs(5), scav))
@@ -161,15 +159,4 @@ fn proteus_survives_wifi_noise() {
     let thpt = tail(&res, 0, 45.0);
     // Noise tolerance keeps the scavenger productive on a noisy idle link.
     assert!(thpt > 18.0, "Proteus-S on WiFi = {thpt}");
-}
-
-#[test]
-fn facade_reexports_compile_and_link() {
-    // Touch one symbol per re-exported crate.
-    let _ = pcc_proteus::stats::percentile(&[1.0, 2.0], 50.0);
-    let _ = pcc_proteus::transport::DEFAULT_PACKET_BYTES;
-    let _ = pcc_proteus::baselines::Cubic::new();
-    let _ = pcc_proteus::core::UtilityParams::default();
-    let _ = pcc_proteus::netsim::LinkSpec::paper_default();
-    let _ = pcc_proteus::apps::WebWorkload::default();
 }

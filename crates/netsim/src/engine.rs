@@ -19,10 +19,9 @@
 //! `tests/topology_equivalence.rs`).
 //!
 //! Events are ordered by `(time, push sequence)` through the scheduler in
-//! [`crate::sched`] (a hierarchical timing wheel by default, with the
-//! reference binary heap selectable per scenario); both implementations pop
-//! in exactly that total order, so results do not depend on the scheduler
-//! choice.
+//! [`crate::sched`]: a hierarchical timing wheel. The binary heap it
+//! replaced pops in exactly the same total order and stays as a test oracle
+//! (see "One configuration, two oracles" below).
 //!
 //! Loss detection mirrors TCP practice: a packet is declared lost when a
 //! packet sent three or more sequence numbers later is ACKed (dup-ACK
@@ -44,8 +43,8 @@
 //! The per-packet `QueueDrain` → (`HopArrival` →)* `Delivery` →
 //! `AckArrival` chain is most of a run's events, and almost all of it is
 //! already in time order when it is created. Every scenario — clean,
-//! faulted, noisy, multi-hop — therefore runs it on one path
-//! ([`WirePath::Fused`], the default) that keeps it out of the scheduler:
+//! faulted, noisy, multi-hop — therefore runs it on one path that keeps it
+//! out of the scheduler:
 //!
 //! * **Link-owned departures.** A queue drain only releases buffer space,
 //!   and buffer space is only read by the next `offer` (or queue sample) on
@@ -67,10 +66,18 @@
 //! instants the scheduler-only chain takes them, and no RNG draw moves, so
 //! every event carries the identical `(time, seq)` key whichever structure
 //! holds it, and the dispatch order — and with it every result byte — is
-//! unchanged by construction. [`WirePath::Staged`] sends everything,
-//! `QueueDrain` included, through the scheduler; it is the executable
-//! ordering reference for the equivalence suites
-//! (`tests/wire_equivalence.rs`, `tests/topology_equivalence.rs`).
+//! unchanged by construction.
+//!
+//! # One configuration, two oracles
+//!
+//! [`Sim::new`] and [`run`] always build the timing wheel with per-link
+//! lanes and link-owned departures; a [`Scenario`] cannot select anything
+//! else. The two implementations this engine replaced stay in the crate as
+//! executable ordering references, reachable only through the doc-hidden
+//! test constructor `Sim::reference`: [`Scheduler::Heap`] (the global
+//! binary heap; `tests/sched_equivalence.rs`) and [`WirePath::Staged`]
+//! (everything, `QueueDrain` included, through the scheduler;
+//! `tests/wire_equivalence.rs`, `tests/topology_equivalence.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,7 +97,7 @@ use crate::link::{BottleneckLink, Offer};
 use crate::metrics::{EventStats, FlowMetrics, LinkSummary, SimResult, TraceEvent};
 use crate::noise::NoiseState;
 use crate::scenario::{ChurnClass, Scenario};
-use crate::sched::EventQueue;
+use crate::sched::{EventQueue, Scheduler};
 use crate::topology::{LinkId, Topology};
 
 /// Dup-ACK threshold: a packet is lost once a packet sent this many
@@ -119,21 +126,19 @@ pub const CHURN_SEED_SALT: u64 = 0xC44E_5EED_0000_0002;
 /// never perturbs link *j*'s bursts or reordering.
 pub const LINK_FAULT_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Which wire-path execution strategy a scenario runs on.
+/// The two wire-path implementations, for `Sim::reference`.
 ///
-/// Mirrors [`crate::sched::Scheduler`]: [`WirePath::Fused`] is the default
-/// optimized implementation, [`WirePath::Staged`] keeps the original
-/// scheduler chain available as an executable ordering reference so tests
-/// can assert the two produce identical results and benches can measure
-/// the before/after. Both apply to every scenario: faults, noise and
-/// multi-link paths run fused too (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Mirrors [`Scheduler`]: [`WirePath::Fused`] is what every simulation
+/// runs; [`WirePath::Staged`] is the scheduler chain it replaced, kept as an
+/// executable ordering reference so the equivalence suites can assert the
+/// two produce identical results on every kind of scenario — faults, noise
+/// and multi-link paths included (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WirePath {
     /// Per-packet wire chain on the links' departure FIFOs and wire lanes,
-    /// out-of-order events falling back to the scheduler (default).
-    #[default]
+    /// out-of-order events falling back to the scheduler (production).
     Fused,
-    /// Per-packet wire chain staged through the scheduler (reference).
+    /// Per-packet wire chain staged through the scheduler (test oracle).
     Staged,
 }
 
@@ -173,8 +178,8 @@ enum Event {
     FlowStart(u32),
     FlowStop(u32),
     /// A packet finished serializing at link `link`: release its buffer
-    /// space. Scheduled on [`WirePath::Staged`] only — otherwise the link
-    /// owns its departures (`Sim::flush_departures`).
+    /// space. Scheduled by the [`WirePath::Staged`] oracle only — otherwise
+    /// the link owns its departures (`Sim::flush_departures`).
     QueueDrain {
         link: LinkId,
         bytes: u32,
@@ -353,7 +358,6 @@ pub struct Sim {
     id_scratch: Vec<u32>,
     cross: Option<CrossState>,
     churn: Option<ChurnState>,
-    link_rate_bps: f64,
     /// Reusable scratch for loss sweeps (dup-ACK and RTO), so the per-ACK
     /// and per-RTO paths stay allocation-free after warm-up.
     loss_scratch: Vec<(SeqNr, Time, u64)>,
@@ -368,8 +372,8 @@ pub struct Sim {
     /// Sequence number of the event being dispatched: with `now`, the key
     /// that bounds which link-owned departures are already due.
     now_seq: u64,
-    /// [`WirePath::Staged`] was selected: wire events and queue drains all
-    /// go through the scheduler.
+    /// Built as the [`WirePath::Staged`] oracle: wire events and queue
+    /// drains all go through the scheduler.
     staged: bool,
 }
 
@@ -382,6 +386,15 @@ impl Sim {
     /// schedule is attached to link 0 both via `Scenario::with_faults` and
     /// `Topology::with_faults`.
     pub fn new(scenario: Scenario) -> Self {
+        Self::reference(scenario, Scheduler::Wheel, WirePath::Fused)
+    }
+
+    /// [`Sim::new`] on a chosen scheduler and wire path: the entry point of
+    /// the equivalence suites, which run the same scenario on a reference
+    /// implementation and on production and compare every result byte.
+    /// `reference(sc, Scheduler::Wheel, WirePath::Fused)` is `new(sc)`.
+    #[doc(hidden)]
+    pub fn reference(scenario: Scenario, scheduler: Scheduler, wire_path: WirePath) -> Self {
         // Validate every declared path against the topology before
         // consuming the scenario (default paths are valid by construction).
         for spec in &scenario.flows {
@@ -413,8 +426,6 @@ impl Sim {
             trace_every,
             faults,
             churn,
-            scheduler,
-            wire_path,
         } = scenario;
         let Topology {
             links: link_specs,
@@ -452,7 +463,6 @@ impl Sim {
 
         let default_path: Arc<[LinkId]> =
             (0..link_specs.len() as LinkId).collect::<Vec<_>>().into();
-        let link_rate_bps = link_specs[0].rate_bps();
         let links: Vec<LinkState> = link_specs
             .iter()
             .map(|spec| {
@@ -491,7 +501,6 @@ impl Sim {
             id_scratch: Vec::new(),
             cross: None,
             churn: None,
-            link_rate_bps,
             loss_scratch: Vec::new(),
             frame_scratch: Vec::new(),
             fault_changes: Vec::new(),
@@ -682,10 +691,6 @@ impl Sim {
         SimResult {
             flows: self.metrics,
             duration: self.duration,
-            link_rate_bps: self.link_rate_bps,
-            link_delivered_bytes: links[0].delivered_bytes,
-            link_dropped_pkts: links[0].dropped_pkts,
-            fault_stats: links[0].fault_stats,
             links,
             queue_samples: self.queue_samples,
             trace: self.trace,
@@ -1353,7 +1358,7 @@ impl Sim {
                 }
                 Offer::Departs(at) => {
                     self.note_queue_peak(first);
-                    self.forward_staged(flow, seq, bytes, now, 0, at);
+                    self.forward_accepted(flow, seq, bytes, now, 0, at);
                 }
             }
             if arm_rto {
@@ -1373,20 +1378,20 @@ impl Sim {
     }
 
     /// Continuation after link `path[hop]` accepted a packet with departure
-    /// time `at`: hands the departure to the link (or, staged, schedules the
-    /// queue drain), applies that link's loss, noise and reordering
-    /// processes, and forwards the packet to the next hop (`HopArrival`) or
-    /// the receiver (`Delivery`) on the link's forward lane.
+    /// time `at`: hands the departure to the link (the staged oracle
+    /// schedules the queue drain instead), applies that link's loss, noise
+    /// and reordering processes, and forwards the packet to the next hop
+    /// (`HopArrival`) or the receiver (`Delivery`) on the link's forward
+    /// lane.
     ///
     /// For a one-link path (`hop == 0`, last hop) this is byte-for-byte the
     /// legacy wire chain: the same sequence numbers taken at the same
     /// instants, the same draws from the same RNGs in the same order —
-    /// whichever of lane, link FIFO or scheduler carries each event. Mid-path
-    /// hops skip
-    /// the per-flow FIFO delivery clamp — each queue is itself FIFO, and
-    /// the clamp's contract (jitter never reorders a flow) is enforced at
-    /// the final hop exactly as before.
-    fn forward_staged(
+    /// whichever of lane, link FIFO or scheduler carries each event.
+    /// Mid-path hops skip the per-flow FIFO delivery clamp — each queue is
+    /// itself FIFO, and the clamp's contract (jitter never reorders a flow)
+    /// is enforced at the final hop exactly as before.
+    fn forward_accepted(
         &mut self,
         flow: FlowId,
         seq: SeqNr,
@@ -1494,7 +1499,7 @@ impl Sim {
             Offer::Dropped => {}
             Offer::Departs(at) => {
                 self.note_queue_peak(li);
-                self.forward_staged(flow, seq, bytes, sent_at, hop, at);
+                self.forward_accepted(flow, seq, bytes, sent_at, hop, at);
             }
         }
     }
@@ -1509,7 +1514,6 @@ pub fn run(scenario: Scenario) -> SimResult {
 mod tests {
     use super::*;
     use crate::scenario::{ChurnSpec, CrossTrafficSpec, FlowSpec, LinkSpec};
-    use crate::sched::Scheduler;
     use proteus_transport::CongestionControl;
 
     /// Fixed congestion window, ACK-clocked. Ignores losses.
@@ -1711,7 +1715,7 @@ mod tests {
         let r2 = run(mk());
         assert_eq!(r1.flows[0].bytes_acked, r2.flows[0].bytes_acked);
         assert_eq!(r1.flows[0].pkts_lost, r2.flows[0].pkts_lost);
-        assert_eq!(r1.link_dropped_pkts, r2.link_dropped_pkts);
+        assert_eq!(r1.links[0].dropped_pkts, r2.links[0].dropped_pkts);
     }
 
     #[test]
@@ -1821,7 +1825,7 @@ mod tests {
         let r1 = run(churn_scenario(17));
         let r2 = run(churn_scenario(17));
         assert_eq!(digest(&r1), digest(&r2));
-        let r3 = run(churn_scenario(17).with_scheduler(Scheduler::Heap));
+        let r3 = Sim::reference(churn_scenario(17), Scheduler::Heap, WirePath::Fused).run();
         assert_eq!(digest(&r1), digest(&r3));
     }
 
@@ -1873,7 +1877,7 @@ mod tests {
             ))
         };
         let fused = run(mk());
-        let staged = run(mk().with_wire_path(WirePath::Staged));
+        let staged = Sim::reference(mk(), Scheduler::Wheel, WirePath::Staged).run();
 
         // Dispatched-by-kind counts are path-independent: the fused wire
         // phases count under the event kind they replace.

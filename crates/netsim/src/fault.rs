@@ -223,7 +223,7 @@ impl FaultSchedule {
 }
 
 /// Counters of what the fault layer actually did during a run, reported in
-/// [`crate::SimResult::fault_stats`]. All zero when no schedule is set.
+/// [`crate::LinkSummary::fault_stats`]. All zero when no schedule is set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Link changes applied (bandwidth/RTT steps, down/up edges).

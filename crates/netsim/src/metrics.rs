@@ -454,8 +454,7 @@ impl EventStats {
 }
 
 /// Per-link accounting for one run: one entry per topology link, in link-id
-/// order. Single-link scenarios have exactly one entry, mirrored by the
-/// legacy top-level `link_*` fields on [`SimResult`].
+/// order. Single-link scenarios have exactly one entry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkSummary {
     /// Configured (initial) link rate, bits/sec — before any fault-schedule
@@ -493,16 +492,8 @@ pub struct SimResult {
     pub flows: Vec<FlowMetrics>,
     /// Total simulated duration.
     pub duration: Dur,
-    /// Bottleneck rate, bits/sec (link 0 — see [`SimResult::links`] for
-    /// multi-link topologies).
-    pub link_rate_bps: f64,
-    /// Bytes that completed service at the bottleneck (link 0).
-    pub link_delivered_bytes: u64,
-    /// Packets tail-dropped at the bottleneck (link 0).
-    pub link_dropped_pkts: u64,
-    /// Per-link accounting, one entry per topology link in id order.
-    /// `links[0]` always mirrors the legacy top-level `link_*` fields and
-    /// [`SimResult::fault_stats`].
+    /// Per-link accounting, one entry per topology link in id order;
+    /// `links[0]` is the bottleneck of a single-link scenario.
     pub links: Vec<LinkSummary>,
     /// Periodic `(seconds, queued_bytes)` samples of buffer occupancy at
     /// link 0 (per-link peaks are in [`LinkSummary::peak_queued_bytes`]).
@@ -515,9 +506,6 @@ pub struct SimResult {
     /// recording `proteus-trace` sink). When a fault schedule is set, also
     /// contains the link-scoped fault records.
     pub decisions: Vec<proteus_trace::FlowEvent>,
-    /// What the fault layer injected at link 0 (all zero without a
-    /// schedule; per-link stats are in [`SimResult::links`]).
-    pub fault_stats: FaultStats,
     /// Event-loop accounting (dispatch counts, scheduler pressure, fused
     /// share). Mechanics, not behavior — see [`EventStats`].
     pub events: EventStats,
@@ -525,10 +513,10 @@ pub struct SimResult {
 
 impl SimResult {
     /// Aggregate goodput of a set of flows over `[from, to)`, as a fraction
-    /// of link capacity.
+    /// of link 0's configured capacity.
     pub fn utilization(&self, from: Time, to: Time) -> f64 {
         let total: f64 = self.flows.iter().map(|f| f.throughput_bps(from, to)).sum();
-        total / self.link_rate_bps
+        total / self.links[0].rate_bps
     }
 
     /// Finds a flow's metrics by name (first match).
@@ -611,9 +599,6 @@ mod tests {
         let r = SimResult {
             flows: vec![m],
             duration: Dur::from_secs(1),
-            link_rate_bps: 10e6,
-            link_delivered_bytes: 625_000,
-            link_dropped_pkts: 0,
             links: vec![LinkSummary {
                 rate_bps: 10e6,
                 delivered_bytes: 625_000,
@@ -625,7 +610,6 @@ mod tests {
             queue_samples: vec![],
             trace: vec![],
             decisions: vec![],
-            fault_stats: FaultStats::default(),
             events: EventStats::default(),
         };
         let u = r.utilization(Time::ZERO, Time::from_secs_f64(1.0));

@@ -8,10 +8,8 @@
 
 use proteus_transport::{Application, BulkApp, CcFactory, CongestionControl, Dur, SizedApp};
 
-use crate::engine::WirePath;
 use crate::fault::FaultSchedule;
 use crate::noise::NoiseConfig;
-use crate::sched::Scheduler;
 use crate::topology::{LinkId, Topology};
 
 /// Bottleneck link parameters.
@@ -359,14 +357,6 @@ pub struct Scenario {
     /// Poisson flow churn (population scenarios), if any. `None` keeps the
     /// static-flow path: existing results stay byte-identical.
     pub churn: Option<ChurnSpec>,
-    /// Event-scheduler implementation (timing wheel by default; the binary
-    /// heap remains available as a reference for equivalence tests and
-    /// before/after benchmarks).
-    pub scheduler: Scheduler,
-    /// Wire-path execution strategy (fused by default, for every scenario;
-    /// the staged chain remains selectable as the executable ordering
-    /// reference — see [`WirePath`]).
-    pub wire_path: WirePath,
 }
 
 impl Scenario {
@@ -392,8 +382,6 @@ impl Scenario {
             trace_every: None,
             faults: None,
             churn: None,
-            scheduler: Scheduler::default(),
-            wire_path: WirePath::default(),
         }
     }
 
@@ -465,25 +453,6 @@ impl Scenario {
         };
         self
     }
-
-    /// Selects the event-scheduler implementation (default:
-    /// [`Scheduler::Wheel`]).
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Selects the wire-path execution strategy (default:
-    /// [`WirePath::Fused`]). Fused execution keeps the per-packet
-    /// `QueueDrain`/`HopArrival`/`Delivery`/`AckArrival` chain on per-link
-    /// departure FIFOs and wire lanes, handing only out-of-order events to
-    /// the scheduler; staged execution schedules all of it. Results are
-    /// byte-identical either way, faults, noise and multi-link paths
-    /// included (`tests/wire_equivalence.rs`).
-    pub fn with_wire_path(mut self, wire_path: WirePath) -> Self {
-        self.wire_path = wire_path;
-        self
-    }
 }
 
 impl std::fmt::Debug for Scenario {
@@ -496,8 +465,6 @@ impl std::fmt::Debug for Scenario {
             .field("seed", &self.seed)
             .field("faults", &self.faults)
             .field("churn", &self.churn)
-            .field("scheduler", &self.scheduler)
-            .field("wire_path", &self.wire_path)
             .finish()
     }
 }

@@ -6,9 +6,9 @@
 //! load-bearing: same-timestamp tie order decides which flow acts first,
 //! so any scheduler swap must reproduce it *exactly* or every committed
 //! result changes. Both implementations here pop in that exact order;
-//! [`TimingWheel`] is the default, [`HeapQueue`] is kept as the executable
-//! reference for equivalence tests and before/after benchmarks
-//! (`scale/sched_*`).
+//! [`TimingWheel`] is what every simulation runs, [`HeapQueue`] is kept as
+//! the executable reference for the equivalence tests
+//! (`tests/sched_equivalence.rs`, `tests/wheel_model.rs`).
 //!
 //! # Timing-wheel layout
 //!
@@ -60,18 +60,17 @@ struct Entry<T> {
     item: T,
 }
 
-/// Which scheduler implementation a scenario runs on.
+/// The two scheduler implementations, for [`EventQueue::new`] and
+/// `Sim::reference`.
 ///
-/// [`Scheduler::Wheel`] is the default; [`Scheduler::Heap`] keeps the
-/// original `BinaryHeap` scheduler available as an executable reference so
-/// tests can assert the two produce identical results and benches can
-/// measure the before/after.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// [`Scheduler::Wheel`] is what every simulation runs; [`Scheduler::Heap`]
+/// keeps the original `BinaryHeap` scheduler as an executable reference so
+/// tests can assert the two produce identical results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// Hierarchical timing wheel (default).
-    #[default]
+    /// Hierarchical timing wheel (production).
     Wheel,
-    /// Global binary heap (reference implementation).
+    /// Global binary heap (test oracle).
     Heap,
 }
 

@@ -117,7 +117,7 @@ fn empty_schedule_is_identical_to_no_schedule() {
     let plain = run(base());
     let empty = run(base().with_faults(FaultSchedule::new()));
     assert_eq!(fingerprint(&plain), fingerprint(&empty));
-    assert_eq!(plain.fault_stats, Default::default());
+    assert_eq!(plain.links[0].fault_stats, Default::default());
 }
 
 #[test]
@@ -134,8 +134,8 @@ fn outage_stalls_throughput_then_recovers() {
     assert!(before > 17.0, "before = {before}");
     assert!(during < 1.0, "during = {during}");
     assert!(after > 15.0, "after = {after}");
-    assert!(res.fault_stats.outage_drops > 0);
-    assert_eq!(res.fault_stats.link_changes, 2);
+    assert!(res.links[0].fault_stats.outage_drops > 0);
+    assert_eq!(res.links[0].fault_stats.link_changes, 2);
     // The down/up edges are recorded as link-scoped trace events.
     let faults: Vec<_> = res
         .decisions
@@ -189,15 +189,16 @@ fn burst_loss_is_bursty() {
             loss_bad: 0.4,
         }));
     let res = run(sc);
-    assert!(res.fault_stats.loss_episodes >= 3, "{:?}", res.fault_stats);
-    assert!(res.fault_stats.burst_losses > 20, "{:?}", res.fault_stats);
+    let stats = res.links[0].fault_stats;
+    assert!(stats.loss_episodes >= 3, "{stats:?}");
+    assert!(stats.burst_losses > 20, "{stats:?}");
     // Loss-burst boundaries are traced.
     let bursts = res
         .decisions
         .iter()
         .filter(|fe| fe.flow == proteus_trace::LINK_FLOW)
         .count();
-    assert!(bursts as u64 >= res.fault_stats.loss_episodes);
+    assert!(bursts as u64 >= stats.loss_episodes);
     // The sender observes the losses.
     assert!(res.flows[0].pkts_lost > 0);
 }
@@ -220,7 +221,7 @@ fn reordering_causes_spurious_dupack_losses() {
     let clean = run(mk(false));
     assert_eq!(clean.flows[0].pkts_lost, 0);
     let reordered = run(mk(true));
-    assert!(reordered.fault_stats.reordered_pkts > 20);
+    assert!(reordered.links[0].fault_stats.reordered_pkts > 20);
     assert!(
         reordered.flows[0].pkts_lost > 0,
         "displaced packets should trip the dup-ACK threshold"
@@ -242,9 +243,9 @@ fn ack_compression_batches_acks() {
         }));
     let res = run(sc);
     assert!(
-        res.fault_stats.compressed_acks > 100,
+        res.links[0].fault_stats.compressed_acks > 100,
         "{:?}",
-        res.fault_stats
+        res.links[0].fault_stats
     );
     // Held ACKs carry RTTs inflated by up to the hold window.
     let max_rtt = res.flows[0]

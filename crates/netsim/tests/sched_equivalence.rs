@@ -7,7 +7,7 @@
 
 use proteus_netsim::{
     run, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec, GilbertElliott,
-    LinkSpec, NoiseConfig, Scenario, Scheduler, SimResult,
+    LinkSpec, NoiseConfig, Scenario, Scheduler, Sim, SimResult, WirePath,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
 
@@ -55,8 +55,8 @@ fn digest(r: &SimResult) -> String {
 }
 
 fn assert_schedulers_agree(mk: impl Fn() -> Scenario) {
-    let wheel = run(mk().with_scheduler(Scheduler::Wheel));
-    let heap = run(mk().with_scheduler(Scheduler::Heap));
+    let wheel = run(mk());
+    let heap = Sim::reference(mk(), Scheduler::Heap, WirePath::Fused).run();
     assert_eq!(
         digest(&wheel),
         digest(&heap),

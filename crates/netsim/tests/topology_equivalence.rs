@@ -1,6 +1,6 @@
 //! Topology reduction equivalence: a single-link [`Topology`] must be the
 //! legacy dumbbell, *byte for byte*. The engine routes every packet through
-//! the same per-hop staged chain regardless of path length, and for a
+//! the same per-hop wire chain regardless of path length, and for a
 //! one-link path that chain pushes the same events at the same instants and
 //! draws from the same RNGs in the same order as the pre-topology engine
 //! (DESIGN.md §4g). These tests pin that reduction over the legacy scenario
@@ -11,7 +11,7 @@
 
 use proteus_netsim::{
     run, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec, GilbertElliott,
-    LinkSpec, NoiseConfig, Scenario, SimResult, Topology, WirePath,
+    LinkSpec, NoiseConfig, Scenario, Scheduler, Sim, SimResult, Topology, WirePath,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
 
@@ -197,7 +197,7 @@ fn churned_single_link_topology_matches_legacy() {
 /// the staged oracle's.
 #[test]
 fn multi_link_topology_fuses_and_matches_staged() {
-    let mk = |wp: WirePath| {
+    let mk = || {
         let topo = Topology::chain(vec![
             LinkSpec::new(50.0, Dur::from_millis(10), 375_000),
             LinkSpec::new(50.0, Dur::from_millis(10), 375_000),
@@ -207,10 +207,9 @@ fn multi_link_topology_fuses_and_matches_staged() {
                 Box::new(TestWindow { cwnd: 200_000 })
             }))
             .with_seed(9)
-            .with_wire_path(wp)
     };
-    let fused = run(mk(WirePath::Fused));
-    let staged = run(mk(WirePath::Staged));
+    let fused = run(mk());
+    let staged = Sim::reference(mk(), Scheduler::Wheel, WirePath::Staged).run();
     assert!(
         fused.events.fused > 0,
         "a multi-link topology dispatched nothing through the wire lanes"
@@ -234,7 +233,6 @@ fn single_link_topology_still_fuses() {
     .flow(FlowSpec::bulk("win", Dur::ZERO, || {
         Box::new(TestWindow { cwnd: 200_000 })
     }))
-    .with_wire_path(WirePath::Fused)
     .with_seed(9));
     assert!(
         r.events.fused > 0,
@@ -268,10 +266,10 @@ fn overprovisioned_second_hop_is_transparent_to_throughput() {
     );
 }
 
-/// Per-link summaries mirror the run: link 0's summary equals the legacy
-/// scalar mirrors, and every path link carries traffic.
+/// Per-link summaries cover the run: one per topology link, and every path
+/// link carries traffic.
 #[test]
-fn link_summaries_mirror_legacy_fields() {
+fn link_summaries_cover_every_path_link() {
     let topo = Topology::chain(vec![
         LinkSpec::new(50.0, Dur::from_millis(10), 375_000),
         LinkSpec::new(50.0, Dur::from_millis(10), 375_000),
@@ -282,8 +280,6 @@ fn link_summaries_mirror_legacy_fields() {
         }))
         .with_seed(3));
     assert_eq!(r.links.len(), 2);
-    assert_eq!(r.links[0].delivered_bytes, r.link_delivered_bytes);
-    assert_eq!(r.links[0].dropped_pkts, r.link_dropped_pkts);
     for (i, l) in r.links.iter().enumerate() {
         assert!(l.delivered_bytes > 0, "link {i} saw no traffic");
         assert!(l.peak_queued_bytes > 0, "link {i} never queued");

@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 use proteus_netsim::{
     run, AckCompression, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec,
-    GilbertElliott, LinkId, LinkSpec, NoiseConfig, ReorderConfig, Scenario, SimResult, Topology,
-    WirePath,
+    GilbertElliott, LinkId, LinkSpec, NoiseConfig, ReorderConfig, Scenario, Scheduler, Sim,
+    SimResult, Topology, WirePath,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
 
@@ -65,11 +65,16 @@ fn digest(r: &SimResult) -> String {
     format!("{scrubbed:?}")
 }
 
+/// Runs the scenario on the staged scheduler chain, the ordering oracle.
+fn run_staged(sc: Scenario) -> SimResult {
+    Sim::reference(sc, Scheduler::Wheel, WirePath::Staged).run()
+}
+
 /// Runs the scenario on both wire paths and asserts digest equality.
 /// Returns the fused run's result for lane-share assertions.
 fn assert_paths_agree(mk: impl Fn() -> Scenario) -> SimResult {
-    let fused = run(mk().with_wire_path(WirePath::Fused));
-    let staged = run(mk().with_wire_path(WirePath::Staged));
+    let fused = run(mk());
+    let staged = run_staged(mk());
     assert_eq!(
         digest(&fused),
         digest(&staged),
@@ -109,7 +114,7 @@ fn clean_ack_clocked_scenario_fuses_and_matches() {
     });
     assert!(
         fused.events.fused > 0,
-        "clean scenario selected Fused but dispatched nothing through the lanes"
+        "clean scenario dispatched nothing through the lanes"
     );
     assert_eq!(
         fused.events.lane_fallbacks, 0,
@@ -257,6 +262,44 @@ fn empty_fault_schedule_still_fuses() {
     assert!(fused.events.fused > 0);
 }
 
+/// The oracle entry point cannot drift from production: on its production
+/// arguments `Sim::reference` is `run`, event accounting included, on a
+/// scenario that exercises the scheduler, both links' lanes and the fault
+/// layer at once.
+#[test]
+fn reference_on_wheel_and_fused_is_the_production_engine() {
+    let mk = || {
+        let hop = |rtt_ms| LinkSpec::new(20.0, Dur::from_millis(rtt_ms), 150_000);
+        let topo = Topology::chain(vec![hop(10), hop(30)]).with_faults(
+            1,
+            FaultSchedule::new()
+                .bandwidth_step(Dur::from_secs(2), 8.0)
+                .rtt_step(Dur::from_secs(3), Dur::from_millis(10))
+                .outage(Dur::from_secs(4), Dur::from_millis(300))
+                .with_burst_loss(GilbertElliott {
+                    p_enter: 0.002,
+                    p_exit: 0.3,
+                    loss_good: 0.0,
+                    loss_bad: 0.4,
+                }),
+        );
+        Scenario::over(topo, Dur::from_secs(6))
+            .flow(FlowSpec::bulk("win", Dur::ZERO, || {
+                Box::new(TestWindow { cwnd: 100_000 })
+            }))
+            .flow(FlowSpec::bulk("paced", Dur::ZERO, || {
+                Box::new(TestPaced { rate: 250_000.0 })
+            }))
+            .with_trace(Dur::from_millis(200))
+            .with_seed(77)
+    };
+    let production = run(mk());
+    let reference = Sim::reference(mk(), Scheduler::Wheel, WirePath::Fused).run();
+    assert_eq!(format!("{production:?}"), format!("{reference:?}"));
+    assert!(production.links[1].fault_stats.link_changes >= 4);
+    assert!(production.events.fused > 0 && production.events.lane_fallbacks > 0);
+}
+
 /// One randomized scenario. Population shape, churn, the noise model, every
 /// fault class and the topology all vary; fused-vs-staged digest equality
 /// must hold everywhere.
@@ -388,8 +431,8 @@ impl RandScenario {
     }
 
     fn assert_wire_path_independent(&self) -> SimResult {
-        let fused = run(self.build().with_wire_path(WirePath::Fused));
-        let staged = run(self.build().with_wire_path(WirePath::Staged));
+        let fused = run(self.build());
+        let staged = run_staged(self.build());
         assert_eq!(
             digest(&fused),
             digest(&staged),

@@ -4,7 +4,6 @@
 //! transport layer, the simulator and the experiment harness all rely on:
 //!
 //! * [`Welford`] — numerically stable online mean / variance,
-//! * [`Histogram`] — fixed-bin histograms and empirical PDFs (Fig. 2),
 //! * [`Ecdf`] — empirical CDFs (Figs. 8–10),
 //! * [`percentile`] — nearest-rank percentiles (95th-RTT metrics),
 //! * [`jain_index`] — Jain's fairness index (Fig. 5),
@@ -43,18 +42,14 @@
 
 mod cdf;
 mod ewma;
-mod histogram;
 mod jain;
 mod percentile;
 mod regression;
-mod summary;
 mod welford;
 
 pub use cdf::Ecdf;
 pub use ewma::{Ewma, MeanDeviationTracker};
-pub use histogram::Histogram;
 pub use jain::jain_index;
 pub use percentile::{median, percentile, percentile_sorted};
 pub use regression::{LinearRegression, RegressionAccumulator};
-pub use summary::Summary;
 pub use welford::Welford;
