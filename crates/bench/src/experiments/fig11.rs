@@ -2,7 +2,10 @@
 //!
 //! (a) 1/2/4/8 concurrent DASH videos on a ~100 Mbps downlink, with a
 //! single background bulk flow running nothing / Proteus-S / LEDBAT /
-//! CUBIC; reports the average chunk bitrate.
+//! CUBIC; reports the average chunk bitrate, averaged over `cfg.trials`
+//! seeds: one cell is a bimodal draw (an 8-video LEDBAT cell reads ≈ 2 Mbps
+//! on five seeds of six and ≈ 8.5 on the sixth — EXPERIMENTS.md, "Seed
+//! sweeps").
 //! (b) Poisson web page loads (top-30-style sizes, 1 request / 10 s over a
 //! 10-minute run) with the same backgrounds; reports page-load-time
 //! quantiles.
@@ -135,7 +138,10 @@ pub fn run_experiment(cfg: RunCfg) -> String {
     let mut camp = campaign("fig11", cfg);
     for &n in counts {
         for &bg in BACKGROUNDS {
-            camp.push(dash_job(n, bg, secs, cfg.seed));
+            // Trial seeds as in Fig. 12: `seed + 101·t`.
+            for t in 0..cfg.trials {
+                camp.push(dash_job(n, bg, secs, cfg.seed + 101 * t));
+            }
         }
     }
     for &bg in BACKGROUNDS {
@@ -156,7 +162,8 @@ pub fn run_experiment(cfg: RunCfg) -> String {
     for &n in counts {
         let mut row = vec![n.to_string()];
         for _ in BACKGROUNDS {
-            row.push(f2(next()[0]));
+            let sum: f64 = (0..cfg.trials).map(|_| next()[0]).sum();
+            row.push(f2(sum / cfg.trials as f64));
         }
         dash.row(row);
     }

@@ -12,10 +12,10 @@
 //!
 //! * **equilibrium-jain** — a static population of same-class Proteus-P
 //!   flows at fig-5-like per-flow rates (≥ 40 Mbps each) reaches Jain's
-//!   fairness ≥ 0.9 over the measurement tail. Thin-flow cells (1k/10k
-//!   flows at 0.5–2 Mbps each) are *reported unchecked*: convergence needs
-//!   ≈ 2.4 Gb delivered per flow, and below that the MI gradient estimate
-//!   starves (see [`fair_cells`]);
+//!   fairness ≥ [`EQUILIBRIUM_JAIN`] over the measurement tail. Thin-flow
+//!   cells (1k/10k flows at 0.5–2 Mbps each) are *reported unchecked*:
+//!   convergence needs ≈ 2.4 Gb delivered per flow, and below that the MI
+//!   gradient estimate starves (see [`fair_cells`]);
 //! * **population-churns** — churn cells actually turn their population
 //!   over (total flows ≥ warm-start + 80% of the expected Poisson
 //!   arrivals), and the 100k cell really exceeds 100 000 total flows;
@@ -77,6 +77,13 @@ impl Cell {
     }
 }
 
+/// Floor on a checked fairness cell's tail Jain index. A converged
+/// population reads 0.91–0.97 depending on the seed (EXPERIMENTS.md, "Seed
+/// sweeps": worst of seeds 1–12 is 0.935 on `fair-16`, worst of 1–6 is
+/// 0.911 on `fair-100`); what the check exists to catch is the thin-flow
+/// collapse (`fair-1k` reads 0.35).
+pub const EQUILIBRIUM_JAIN: f64 = 0.85;
+
 /// Static same-class Proteus-P populations for the equilibrium check.
 /// The bool marks whether the cell's Jain index is invariant-checked.
 ///
@@ -85,8 +92,9 @@ impl Cell {
 /// flow the per-MI ACK sample count starves the gradient estimate and
 /// Jain plateaus near 0.2–0.4 no matter how long the run. The *checked*
 /// cells therefore run at 40 Mbps per flow (fig. 5's regime, 10× its flow
-/// count); the 1k/10k thin-flow cells are *reported* so the degradation
-/// is visible in the matrix, not hidden by cell selection.
+/// count at full fidelity) for at least that budget — 64 s quick, 120 s
+/// full; the 1k/10k thin-flow cells are *reported* so the degradation is
+/// visible in the matrix, not hidden by cell selection.
 pub fn fair_cells(quick: bool) -> Vec<(Cell, bool)> {
     let fair = |name, initial, bw_mbps, secs| Cell {
         name,
@@ -97,10 +105,10 @@ pub fn fair_cells(quick: bool) -> Vec<(Cell, bool)> {
         secs,
     };
     if quick {
-        vec![(fair("fair-32", 32, 1280.0, 36.0), true)]
+        vec![(fair("fair-16", 16, 640.0, 64.0), true)]
     } else {
         vec![
-            (fair("fair-100", 100, 4000.0, 90.0), true),
+            (fair("fair-100", 100, 4000.0, 120.0), true),
             // ~2 Mbps per flow at 1k, ~0.5 Mbps at 10k: the regime the
             // ROADMAP's "millions of users" north star cares about is many
             // small flows — where fairness measurably degrades.
@@ -529,7 +537,7 @@ pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
                 [cell.name],
                 "equilibrium-jain",
                 o.jain,
-                o.jain >= 0.9,
+                o.jain >= EQUILIBRIUM_JAIN,
             ));
         }
     }

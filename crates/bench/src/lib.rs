@@ -60,7 +60,7 @@ impl RunCfg {
         Self {
             quick: false,
             seed: 1,
-            trials: 3,
+            trials: 10,
             jobs: 1,
             cache: true,
             trace: false,

@@ -98,6 +98,7 @@ use crate::metrics::{EventStats, FlowMetrics, LinkSummary, SimResult, TraceEvent
 use crate::noise::NoiseState;
 use crate::scenario::{ChurnClass, Scenario};
 use crate::sched::{EventQueue, Scheduler};
+use crate::timers::{Pop, TimerKind};
 use crate::topology::{LinkId, Topology};
 
 /// Dup-ACK threshold: a packet is lost once a packet sent this many
@@ -199,25 +200,11 @@ enum Event {
         sent_at: Time,
         delivered_at: Time,
     },
-    /// Pace and CcTimer keep per-flow epochs and re-push on every re-arm
-    /// (stale pops are filtered by epoch). A one-live-event discipline like
-    /// the RTO's would be cheaper, but it assigns the surviving event a
-    /// different `event_seq`, which perturbs same-timestamp tie order and
-    /// breaks bit-reproducibility of committed results.
-    Pace {
+    /// One of the flow's timers pops; [`crate::timers`] says whether it
+    /// is due.
+    Timer {
         flow: u32,
-        epoch: u64,
-    },
-    CcTimer {
-        flow: u32,
-        epoch: u64,
-    },
-    Rto {
-        flow: u32,
-    },
-    AppWake {
-        flow: u32,
-        epoch: u64,
+        kind: TimerKind,
     },
     SpawnCross,
     /// Next Poisson churn arrival (see [`crate::scenario::ChurnSpec`]).
@@ -260,6 +247,10 @@ const K_DELIVERY: usize = 3;
 const K_ACK_ARRIVAL: usize = 4;
 /// Index of `Event::HopArrival` in [`crate::metrics::EVENT_KIND_NAMES`].
 const K_HOP_ARRIVAL: usize = 14;
+/// Index of the first timer kind (`Pace`) in
+/// [`crate::metrics::EVENT_KIND_NAMES`]; `CcTimer`, `Rto` and `AppWake`
+/// follow in [`TimerKind`] order.
+const K_TIMERS: usize = 5;
 
 impl Event {
     /// Index into [`crate::metrics::EVENT_KIND_NAMES`] for accounting.
@@ -270,10 +261,7 @@ impl Event {
             Event::QueueDrain { .. } => K_QUEUE_DRAIN,
             Event::Delivery { .. } => K_DELIVERY,
             Event::AckArrival { .. } => K_ACK_ARRIVAL,
-            Event::Pace { .. } => 5,
-            Event::CcTimer { .. } => 6,
-            Event::Rto { .. } => 7,
-            Event::AppWake { .. } => 8,
+            Event::Timer { kind, .. } => K_TIMERS + *kind as usize,
             Event::SpawnCross => 9,
             Event::ChurnSpawn => 10,
             Event::QueueSample => 11,
@@ -720,14 +708,7 @@ impl Sim {
                 sent_at,
                 delivered_at,
             } => self.on_ack_arrival(flow as FlowId, seq, bytes as u64, sent_at, delivered_at),
-            Event::Pace { flow, epoch } => {
-                if self.flows.pace_epoch[flow as FlowId] == epoch {
-                    self.try_send(flow as FlowId);
-                }
-            }
-            Event::CcTimer { flow, epoch } => self.on_cc_timer(flow as FlowId, epoch),
-            Event::Rto { flow } => self.on_rto(flow as FlowId),
-            Event::AppWake { flow, epoch } => self.on_app_wake(flow as FlowId, epoch),
+            Event::Timer { flow, kind } => self.on_timer(flow as FlowId, kind),
             Event::SpawnCross => self.on_spawn_cross(),
             Event::ChurnSpawn => self.on_churn_spawn(),
             Event::QueueSample => {
@@ -812,27 +793,28 @@ impl Sim {
     /// telemetry sample — which bounds how full a flow's ring sink can get
     /// between sweeps — and once more at run end.
     ///
-    /// The sweep visits active and lingering flows in id order, which is
-    /// exactly the set the previous all-flows scan could extract anything
-    /// from: flows not yet started have never had a controller callback,
-    /// and quiesced flows (pruned from the lingering list after their final
-    /// drain below) never see another one.
+    /// The sweep visits active and lingering flows in id order: flows not
+    /// yet started have never had a controller callback, and retired flows
+    /// were drained when they retired.
     fn drain_decisions(&mut self) {
         let mut ids = std::mem::take(&mut self.id_scratch);
         self.flows.sweep_ids(&mut ids);
         for &id in &ids {
-            let id = id as usize;
-            self.decision_scratch.clear();
-            self.flows.cc[id].drain_decisions(&mut self.decision_scratch);
-            for &event in &self.decision_scratch {
-                self.decisions.push(proteus_trace::FlowEvent {
-                    flow: id as u32,
-                    event,
-                });
-            }
+            self.drain_flow_decisions(id as usize);
         }
         self.id_scratch = ids;
-        self.flows.prune_quiesced();
+    }
+
+    /// Moves one controller's buffered decision events to the run's stream.
+    fn drain_flow_decisions(&mut self, flow: FlowId) {
+        self.decision_scratch.clear();
+        self.flows.cc[flow].drain_decisions(&mut self.decision_scratch);
+        for &event in &self.decision_scratch {
+            self.decisions.push(proteus_trace::FlowEvent {
+                flow: flow as u32,
+                event,
+            });
+        }
     }
 
     /// Records one telemetry sample per active flow (in id order, walking
@@ -1036,29 +1018,53 @@ impl Sim {
         }
     }
 
-    fn on_rto(&mut self, flow: FlowId) {
-        // At most one RTO event is ever outstanding (pushes are guarded by
-        // `rto_event_at`), so a pop at any other time is impossible.
-        debug_assert_eq!(self.flows.rto_event_at[flow], Some(self.now));
-        let now = self.now;
-        self.flows.rto_event_at[flow] = None;
-        let Some(deadline) = self.flows.rto_deadline[flow] else {
-            return;
+    /// Arms `kind` for `flow` at `want` (`None` cancels it), pushing an
+    /// event only when the table has no live one at or before that time.
+    fn set_timer(&mut self, flow: FlowId, kind: TimerKind, want: Option<Time>) {
+        let Some(at) = want else {
+            return self.flows.timers.cancel(flow, kind);
         };
-        if now < deadline {
-            // The deadline moved later since this event was scheduled
-            // (progress was made); re-arm at the true deadline.
-            self.flows.rto_event_at[flow] = Some(deadline);
-            self.push(deadline, Event::Rto { flow: flow as u32 });
-            return;
+        if let Some(at) = self.flows.timers.arm(flow, kind, self.now, at) {
+            let flow = flow as u32;
+            self.push(at, Event::Timer { flow, kind });
         }
+    }
+
+    fn on_timer(&mut self, flow: FlowId, kind: TimerKind) {
+        let now = self.now;
+        match self.flows.timers.pop(flow, kind, now) {
+            Pop::Due => {}
+            Pop::Later(at) => {
+                let flow = flow as u32;
+                return self.push(at, Event::Timer { flow, kind });
+            }
+            Pop::Stale => return,
+        }
+        match kind {
+            TimerKind::Pace => {}
+            TimerKind::Cc => self.flows.cc[flow].on_timer(now),
+            TimerKind::Rto => {
+                self.expire_inflight(flow);
+                self.rearm_rto(flow);
+            }
+            TimerKind::App => {
+                self.flows.app[flow].on_wakeup(now);
+                self.sync_app_wake(flow);
+            }
+        }
+        self.sync_cc_timer(flow);
+        self.try_send(flow);
+        self.maybe_retire(flow);
+    }
+
+    /// Retransmission timeout: declares every packet older than one RTO
+    /// lost. Packets are sent in seq order at non-decreasing times, so the
+    /// stale set is exactly a prefix of the outstanding queue.
+    fn expire_inflight(&mut self, flow: FlowId) {
         let rto = self.flows.rtt[flow].rto(MIN_RTO);
-        // Declare every packet older than one RTO lost. Packets are sent in
-        // seq order at non-decreasing times, so the stale set is exactly a
-        // prefix of the outstanding queue.
         let mut stale = std::mem::take(&mut self.loss_scratch);
         stale.clear();
-        let cutoff = now - rto;
+        let cutoff = self.now - rto;
         while let Some((s, pkt)) = self.flows.inflight[flow].front() {
             if pkt.sent_at > cutoff {
                 break;
@@ -1072,91 +1078,23 @@ impl Sim {
             self.declare_loss(flow, s, sent, b, true);
         }
         self.loss_scratch = stale;
-        self.flows.rto_deadline[flow] = None;
-        self.rearm_rto(flow);
-        self.sync_cc_timer(flow);
-        self.try_send(flow);
-        self.maybe_retire(flow);
     }
 
     fn rearm_rto(&mut self, flow: FlowId) {
-        if self.flows.inflight[flow].is_empty() {
-            self.flows.rto_deadline[flow] = None;
-            return;
-        }
-        let rto = self.flows.rtt[flow].rto(MIN_RTO);
-        let deadline = self.now + rto;
-        self.flows.rto_deadline[flow] = Some(deadline);
-        if self.flows.rto_event_at[flow].is_none() {
-            self.flows.rto_event_at[flow] = Some(deadline);
-            self.push(deadline, Event::Rto { flow: flow as u32 });
-        }
-    }
-
-    fn on_cc_timer(&mut self, flow: FlowId, epoch: u64) {
-        if self.flows.cc_epoch[flow] != epoch {
-            return;
-        }
-        self.flows.cc_timer_at[flow] = None;
-        let now = self.now;
-        self.flows.cc[flow].on_timer(now);
-        self.sync_cc_timer(flow);
-        self.try_send(flow);
+        let want = (!self.flows.inflight[flow].is_empty())
+            .then(|| self.now + self.flows.rtt[flow].rto(MIN_RTO));
+        self.set_timer(flow, TimerKind::Rto, want);
     }
 
     fn sync_cc_timer(&mut self, flow: FlowId) {
         let want = self.flows.cc[flow].next_timer();
-        if want == self.flows.cc_timer_at[flow] {
-            return;
-        }
-        self.flows.cc_epoch[flow] += 1;
-        self.flows.cc_timer_at[flow] = want;
-        if let Some(t) = want {
-            let at = if t < self.now { self.now } else { t };
-            let epoch = self.flows.cc_epoch[flow];
-            self.push(
-                at,
-                Event::CcTimer {
-                    flow: flow as u32,
-                    epoch,
-                },
-            );
-        }
-    }
-
-    fn on_app_wake(&mut self, flow: FlowId, epoch: u64) {
-        if self.flows.app_epoch[flow] != epoch {
-            return;
-        }
-        let now = self.now;
-        self.flows.app_wake_at[flow] = None;
-        self.flows.app[flow].on_wakeup(now);
-        self.sync_app_wake(flow);
-        self.try_send(flow);
+        self.set_timer(flow, TimerKind::Cc, want);
     }
 
     fn sync_app_wake(&mut self, flow: FlowId) {
-        let now = self.now;
-        if !self.flows.active[flow] {
-            return;
-        }
-        let want = self.flows.app[flow]
-            .next_event(now)
-            .map(|t| if t < now { now } else { t });
-        if want == self.flows.app_wake_at[flow] {
-            return;
-        }
-        self.flows.app_epoch[flow] += 1;
-        self.flows.app_wake_at[flow] = want;
-        if let Some(at) = want {
-            let epoch = self.flows.app_epoch[flow];
-            self.push(
-                at,
-                Event::AppWake {
-                    flow: flow as u32,
-                    epoch,
-                },
-            );
+        if self.flows.active[flow] {
+            let want = self.flows.app[flow].next_event(self.now);
+            self.set_timer(flow, TimerKind::App, want);
         }
     }
 
@@ -1251,28 +1189,19 @@ impl Sim {
         self.push(now + Dur::from_secs_f64(gap), Event::ChurnSpawn);
     }
 
-    /// Churn scenarios only: once a stopped flow's last in-flight packet is
-    /// accounted for, drain its remaining decisions and retire it —
-    /// cancelling its timers and releasing its controller memory — so a
-    /// run that churns through 100k flows doesn't accumulate 100k live
-    /// controllers and their timer events. Without churn this is a no-op:
-    /// legacy scenarios keep the exact event stream they always had.
+    /// Once a stopped flow's last in-flight packet is accounted for, drain
+    /// its remaining decisions and retire it — cancelling its timers and
+    /// releasing its controller memory — so a run that churns through 100k
+    /// flows doesn't accumulate 100k live controllers and their timer
+    /// events.
     fn maybe_retire(&mut self, flow: FlowId) {
-        if self.churn.is_none()
-            || self.flows.retired[flow]
+        if self.flows.retired[flow]
             || self.flows.active[flow]
             || !self.flows.inflight[flow].is_empty()
         {
             return;
         }
-        self.decision_scratch.clear();
-        self.flows.cc[flow].drain_decisions(&mut self.decision_scratch);
-        for &event in &self.decision_scratch {
-            self.decisions.push(proteus_trace::FlowEvent {
-                flow: flow as u32,
-                event,
-            });
-        }
+        self.drain_flow_decisions(flow);
         self.flows.retire(flow);
     }
 
@@ -1315,17 +1244,8 @@ impl Sim {
                 debug_assert!(rate > 0.0);
                 if now < self.flows.next_pace_at[flow] {
                     // Pacing-limited: schedule the next opportunity.
-                    self.flows.pace_epoch[flow] += 1;
                     let at = self.flows.next_pace_at[flow];
-                    let epoch = self.flows.pace_epoch[flow];
-                    self.push(
-                        at,
-                        Event::Pace {
-                            flow: flow as u32,
-                            epoch,
-                        },
-                    );
-                    return;
+                    return self.set_timer(flow, TimerKind::Pace, Some(at));
                 }
                 let interval = Dur::from_secs_f64(bytes as f64 / rate);
                 self.flows.next_pace_at[flow] = now + interval;
@@ -1347,7 +1267,7 @@ impl Sim {
                 sent_at: now,
             };
             self.flows.cc[flow].on_packet_sent(now, &pkt);
-            let arm_rto = self.flows.rto_deadline[flow].is_none();
+            let arm_rto = self.flows.timers.deadline(flow, TimerKind::Rto).is_none();
             self.metrics[flow].on_sent(bytes);
 
             let first = self.flows.path[flow][0] as usize;
@@ -1776,6 +1696,77 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         // base 40ms + 0.12ms serialization
         assert!((min - 0.04012).abs() < 1e-4, "min rtt = {min}");
+    }
+
+    #[test]
+    fn pacing_keeps_one_live_event_per_flow() {
+        // Every ACK finds the flow pacing-limited and re-arms the timer it
+        // already has; re-pushing on each re-arm doubled the Pace events.
+        let sc = Scenario::new(link_10mbps_20ms(), Dur::from_secs(5)).flow(FlowSpec::bulk(
+            "paced",
+            Dur::ZERO,
+            || Box::new(TestPaced { rate: 500_000.0 }),
+        ));
+        let res = run(sc);
+        let (pace_pops, sent) = (res.events.pops[K_TIMERS], res.flows[0].pkts_sent);
+        assert!(sent > 1_500, "sent {sent}");
+        assert!(
+            pace_pops as f64 <= 1.1 * sent as f64,
+            "{pace_pops} Pace pops for {sent} packets"
+        );
+    }
+
+    /// `TestPaced` with a 10 ms controller timer that logs its last call.
+    struct TestTicker {
+        next: Time,
+        last_tick_ns: Arc<AtomicU64>,
+    }
+
+    impl CongestionControl for TestTicker {
+        fn name(&self) -> &str {
+            "test-ticker"
+        }
+        fn on_ack(&mut self, _now: Time, _ack: &AckInfo) {}
+        fn on_loss(&mut self, _now: Time, _loss: &LossInfo) {}
+        fn pacing_rate(&self) -> Option<f64> {
+            Some(250_000.0)
+        }
+        fn next_timer(&self) -> Option<Time> {
+            Some(self.next)
+        }
+        fn on_timer(&mut self, now: Time) {
+            self.last_tick_ns.store(now.as_nanos(), Ordering::Relaxed);
+            self.next = now + Dur::from_millis(10);
+        }
+    }
+
+    #[test]
+    fn stopped_flow_retires_without_churn() {
+        let last_tick_ns = Arc::new(AtomicU64::new(0));
+        let log = Arc::clone(&last_tick_ns);
+        let sc = Scenario::new(link_10mbps_20ms(), Dur::from_secs(4)).flow(
+            FlowSpec::bulk("t", Dur::ZERO, move || {
+                Box::new(TestTicker {
+                    next: Time::ZERO,
+                    last_tick_ns: Arc::clone(&log),
+                })
+            })
+            .with_stop(Dur::from_secs(1)),
+        );
+        let mut sim = Sim::new(sc);
+        while let Some((at, seq, ev)) = sim.queue.pop_through(Time::from_millis(4_000)) {
+            (sim.now, sim.now_seq) = (at, seq);
+            sim.dispatch(ev);
+        }
+        assert!(sim.flows.retired[0]);
+        assert_eq!(sim.flows.cc[0].name(), "retired", "controller box released");
+        // Stopped at 1 s with one RTT of packets in flight; the controller
+        // ticked until they drained and never again.
+        let last = last_tick_ns.load(Ordering::Relaxed);
+        assert!(
+            (990_000_000..1_100_000_000).contains(&last),
+            "last on_timer at {last} ns"
+        );
     }
 
     fn churn_scenario(seed: u64) -> Scenario {

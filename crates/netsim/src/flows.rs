@@ -11,25 +11,26 @@
 //! *lingering list* of stopped-but-not-yet-quiet flows so telemetry sweeps
 //! are O(active + recently stopped), not O(all flows ever created).
 //!
-//! Churn scenarios additionally *retire* flows once they have stopped and
-//! their last in-flight packet is accounted for: the controller and
+//! A flow is *retired* once it has stopped and its last in-flight packet
+//! is accounted for: its timers are disarmed, the controller and
 //! application boxes are replaced by zero-sized stubs (releasing
 //! controller memory — a Proteus sender's monitor-interval rings dwarf a
 //! flow's column entries) and the flow drops out of every sweep list for
-//! good. Legacy scenarios never retire, preserving historical results
-//! byte for byte.
+//! good. The lingering list therefore only ever holds stopped flows with
+//! packets still in flight.
 
 use std::sync::Arc;
 
 use proteus_transport::{Application, CongestionControl, RttEstimator, SeqNr, Time};
 
 use crate::inflight::InflightTracker;
+use crate::timers::{TimerKind, TimerTable};
 use crate::topology::LinkId;
 
 /// Sentinel for "not a member" in the position indexes.
 const NOT_MEMBER: u32 = u32::MAX;
 
-/// Stub controller installed when a churn flow is retired; never consulted
+/// Stub controller installed when a flow is retired; never consulted
 /// again (retired flows are inactive, their timers cancelled, and their
 /// inflight empty), it exists only so the column keeps a valid box while
 /// the real controller's memory is released.
@@ -49,7 +50,7 @@ impl CongestionControl for RetiredCc {
     }
 }
 
-/// Stub application installed when a churn flow is retired.
+/// Stub application installed when a flow is retired.
 struct RetiredApp;
 
 impl Application for RetiredApp {
@@ -63,7 +64,7 @@ impl Application for RetiredApp {
 
 /// Per-flow state as dense parallel columns (see module docs).
 ///
-/// Field groups, hottest first: per-packet counters and pacing/epoch/RTO
+/// Field groups, hottest first: per-packet counters and pacing/timer
 /// words (touched on every event), estimator/tracker columns (per ACK),
 /// then the boxed controller/application (per ACK, but behind a pointer
 /// chase the hot columns no longer share cache lines with).
@@ -72,7 +73,7 @@ pub(crate) struct FlowTable {
     pub active: Vec<bool>,
     /// Whether lost bytes are retransmitted.
     pub reliable: Vec<bool>,
-    /// Churn-mode only: stopped, quiesced, controller memory released.
+    /// Stopped and drained: timers disarmed, controller memory released.
     pub retired: Vec<bool>,
     /// Frame-paced media source (`Application::is_media`); only these
     /// flows pay the per-ACK frame bookkeeping.
@@ -85,20 +86,8 @@ pub(crate) struct FlowTable {
     pub retx_bytes: Vec<u64>,
     /// Earliest instant pacing allows the next transmission.
     pub next_pace_at: Vec<Time>,
-    /// Epoch of the live Pace event (older pops are stale no-ops).
-    pub pace_epoch: Vec<u64>,
-    /// Epoch of the live CcTimer event.
-    pub cc_epoch: Vec<u64>,
-    /// Deadline the controller asked for via `next_timer()`, if any.
-    pub cc_timer_at: Vec<Option<Time>>,
-    /// RFC 6298 retransmission deadline, if armed.
-    pub rto_deadline: Vec<Option<Time>>,
-    /// Time of the currently scheduled RTO event, if any (lazy re-arm).
-    pub rto_event_at: Vec<Option<Time>>,
-    /// Epoch of the live AppWake event.
-    pub app_epoch: Vec<u64>,
-    /// Scheduled application wakeup, if any.
-    pub app_wake_at: Vec<Option<Time>>,
+    /// Pacing, controller, retransmission and application timers.
+    pub timers: TimerTable,
     /// When the flow stops, if bounded.
     pub stop_at: Vec<Option<Time>>,
     /// FIFO clamp for the data path (jitter never reorders a flow).
@@ -122,9 +111,9 @@ pub(crate) struct FlowTable {
     active_ids: Vec<u32>,
     /// `active_pos[id]` — index of `id` in `active_ids`, or `NOT_MEMBER`.
     active_pos: Vec<u32>,
-    /// Ids of flows that stopped but may still produce controller activity
-    /// (in-flight ACKs, RTOs, controller timers); swept alongside active
-    /// flows until quiesced.
+    /// Ids of flows that stopped with packets still in flight (ACKs, RTOs
+    /// and controller timers keep reaching their controller); swept
+    /// alongside active flows until retired.
     lingering: Vec<u32>,
     /// `lingering_pos[id]` — index in `lingering`, or `NOT_MEMBER`.
     lingering_pos: Vec<u32>,
@@ -142,13 +131,7 @@ impl FlowTable {
             inflight_bytes: Vec::with_capacity(capacity),
             retx_bytes: Vec::with_capacity(capacity),
             next_pace_at: Vec::with_capacity(capacity),
-            pace_epoch: Vec::with_capacity(capacity),
-            cc_epoch: Vec::with_capacity(capacity),
-            cc_timer_at: Vec::with_capacity(capacity),
-            rto_deadline: Vec::with_capacity(capacity),
-            rto_event_at: Vec::with_capacity(capacity),
-            app_epoch: Vec::with_capacity(capacity),
-            app_wake_at: Vec::with_capacity(capacity),
+            timers: TimerTable::default(),
             stop_at: Vec::with_capacity(capacity),
             last_delivery_at: Vec::with_capacity(capacity),
             last_ack_arrival_at: Vec::with_capacity(capacity),
@@ -186,13 +169,7 @@ impl FlowTable {
         self.inflight_bytes.push(0);
         self.retx_bytes.push(0);
         self.next_pace_at.push(Time::ZERO);
-        self.pace_epoch.push(0);
-        self.cc_epoch.push(0);
-        self.cc_timer_at.push(None);
-        self.rto_deadline.push(None);
-        self.rto_event_at.push(None);
-        self.app_epoch.push(0);
-        self.app_wake_at.push(None);
+        self.timers.push_flow();
         self.stop_at.push(None);
         self.last_delivery_at.push(Time::ZERO);
         self.last_ack_arrival_at.push(Time::ZERO);
@@ -220,10 +197,15 @@ impl FlowTable {
     }
 
     /// Marks a flow stopped: removed from the active list (swap-remove,
-    /// O(1)) and parked on the lingering list until it quiesces.
+    /// O(1)) and parked on the lingering list until it retires. A stopped
+    /// flow sends nothing and is not polled, so its pacing and application
+    /// timers are disarmed; the RTO and the controller timer stay for the
+    /// packets still in flight.
     pub fn deactivate(&mut self, id: usize) {
         debug_assert!(self.active[id]);
         self.active[id] = false;
+        self.timers.cancel(id, TimerKind::Pace);
+        self.timers.cancel(id, TimerKind::App);
         let pos = self.active_pos[id] as usize;
         debug_assert!(pos != NOT_MEMBER as usize);
         let last = *self.active_ids.last().expect("active_ids non-empty");
@@ -238,8 +220,8 @@ impl FlowTable {
         }
     }
 
-    /// Drops a flow from the lingering list (it quiesced, restarted, or is
-    /// being retired). No-op when not lingering.
+    /// Drops a flow from the lingering list (it restarted or is being
+    /// retired). No-op when not lingering.
     pub fn remove_lingering(&mut self, id: usize) {
         let pos = self.lingering_pos[id];
         if pos == NOT_MEMBER {
@@ -253,47 +235,16 @@ impl FlowTable {
         self.lingering_pos[id] = NOT_MEMBER;
     }
 
-    /// Whether a stopped flow can no longer produce controller activity:
-    /// nothing in flight (so no ACKs or dup-ACK losses are coming), no RTO
-    /// armed, and no controller timer pending.
-    pub fn quiesced(&self, id: usize) -> bool {
-        !self.active[id]
-            && self.inflight[id].is_empty()
-            && self.rto_deadline[id].is_none()
-            && self.cc_timer_at[id].is_none()
-    }
-
-    /// Retires a stopped churn flow: cancels its timers via epoch bumps
-    /// (no queue pushes, so the event-sequence counter — and with it
-    /// same-timestamp tie order — is untouched) and swaps the controller
-    /// and application boxes for stubs, releasing their memory.
+    /// Retires a stopped, drained flow: disarms all four timers (their live
+    /// events pop as no-ops) and swaps the controller and application
+    /// boxes for stubs, releasing their memory.
     pub fn retire(&mut self, id: usize) {
         debug_assert!(!self.active[id] && self.inflight[id].is_empty());
         self.retired[id] = true;
-        self.cc_epoch[id] += 1;
-        self.cc_timer_at[id] = None;
-        self.app_epoch[id] += 1;
-        self.app_wake_at[id] = None;
-        self.pace_epoch[id] += 1;
+        self.timers.cancel_all(id);
         self.cc[id] = Box::new(RetiredCc);
         self.app[id] = Box::new(RetiredApp);
         self.remove_lingering(id);
-    }
-
-    /// Drops every quiesced flow from the lingering list. Called after a
-    /// decision sweep: a quiesced flow has just been drained and can never
-    /// produce another controller callback, so future sweeps skip it.
-    pub fn prune_quiesced(&mut self) {
-        let mut i = 0;
-        while i < self.lingering.len() {
-            let id = self.lingering[i] as usize;
-            if self.quiesced(id) {
-                // Swap-remove refills slot i; don't advance.
-                self.remove_lingering(id);
-            } else {
-                i += 1;
-            }
-        }
     }
 
     /// Fills `scratch` with the active flow ids in increasing order.
@@ -363,18 +314,43 @@ mod tests {
     }
 
     #[test]
-    fn retire_cancels_timers_and_stubs_boxes() {
-        let mut t = FlowTable::with_capacity(2);
+    fn deactivate_cancels_pace_and_app_only() {
+        use TimerKind::*;
+        let mut t = FlowTable::with_capacity(1);
         stub_flow(&mut t);
         t.activate(0);
-        t.cc_timer_at[0] = Some(Time::from_millis(5));
+        let at = Time::from_millis(5);
+        for kind in [Pace, Cc, Rto, App] {
+            assert_eq!(t.timers.arm(0, kind, Time::ZERO, at), Some(at));
+        }
         t.deactivate(0);
-        assert!(!t.quiesced(0), "pending cc timer keeps the flow lingering");
-        let epoch = t.cc_epoch[0];
+        assert_eq!(t.timers.deadline(0, Pace), None);
+        assert_eq!(
+            t.timers.deadline(0, App),
+            None,
+            "no wakeup outlives the flow"
+        );
+        assert_eq!(t.timers.deadline(0, Rto), Some(at));
+        assert_eq!(t.timers.deadline(0, Cc), Some(at));
+    }
+
+    #[test]
+    fn retire_cancels_timers_and_stubs_boxes() {
+        use crate::timers::Pop;
+        let mut t = FlowTable::with_capacity(1);
+        stub_flow(&mut t);
+        t.activate(0);
+        let at = Time::from_millis(5);
+        for kind in [TimerKind::Cc, TimerKind::Rto] {
+            assert_eq!(t.timers.arm(0, kind, Time::ZERO, at), Some(at));
+        }
+        t.deactivate(0);
         t.retire(0);
         assert!(t.retired[0]);
-        assert!(t.quiesced(0));
-        assert_eq!(t.cc_epoch[0], epoch + 1, "stale timer pops must miss");
+        for kind in [TimerKind::Cc, TimerKind::Rto] {
+            assert_eq!(t.timers.deadline(0, kind), None);
+            assert_eq!(t.timers.pop(0, kind, at), Pop::Stale, "live events miss");
+        }
         assert_eq!(t.cc[0].name(), "retired");
         let mut ids = Vec::new();
         t.sweep_ids(&mut ids);

@@ -55,6 +55,7 @@ pub mod metrics;
 pub mod noise;
 pub mod scenario;
 pub mod sched;
+pub mod timers;
 pub mod topology;
 
 pub use engine::{run, take_session_event_totals, SessionEventTotals, Sim, WirePath};
