@@ -64,7 +64,10 @@ use std::fs;
 use std::process::ExitCode;
 
 use proteus_apps::{MediaSource, MediaSpec};
-use proteus_bench::{cc, cc_traced, mi_trace, trace_jsonl, MiTraceSink, TraceFormat, TRACE_EVERY};
+use proteus_bench::protocols::NAMES;
+use proteus_bench::{
+    cc, cc_traced, mi_trace, trace_jsonl, try_cc, MiTraceSink, TraceFormat, TRACE_EVERY,
+};
 use proteus_netsim::{
     run, AckCompression, ChurnClass, ChurnSpec, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec,
     NoiseConfig, ReorderConfig, Scenario, Topology,
@@ -75,7 +78,7 @@ struct Args {
     bw: f64,
     rtt_ms: u64,
     links: usize,
-    buffer: String,
+    buffer_bytes: u64,
     loss: f64,
     wifi: bool,
     secs: f64,
@@ -91,6 +94,15 @@ struct Args {
     /// `(arrivals_per_sec, mean_lifetime_secs)`.
     churn: Option<(f64, f64)>,
     population: usize,
+}
+
+/// Parses `v` as a finite number that satisfies `ok`; `need` says what that
+/// is, for the error.
+fn number(v: &str, flag: &str, ok: impl Fn(f64) -> bool, need: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && ok(x) => Ok(x),
+        _ => Err(format!("{flag} needs {need}, got {v:?}")),
+    }
 }
 
 /// Splits `spec` into exactly `n` colon-separated floats.
@@ -109,7 +121,7 @@ fn parse() -> Result<Args, String> {
         bw: 50.0,
         rtt_ms: 30,
         links: 1,
-        buffer: "2xBDP".into(),
+        buffer_bytes: 0,
         loss: 0.0,
         wifi: false,
         secs: 60.0,
@@ -124,17 +136,23 @@ fn parse() -> Result<Args, String> {
         churn: None,
         population: 0,
     };
+    let mut buffer = String::from("2xBDP");
     let mut it = env::args().skip(1);
     let need = |it: &mut dyn Iterator<Item = String>, what: &str| {
         it.next().ok_or(format!("{what} requires a value"))
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--bw" => a.bw = need(&mut it, "--bw")?.parse().map_err(|e| format!("{e}"))?,
+            "--bw" => {
+                let v = need(&mut it, "--bw")?;
+                a.bw = number(&v, "--bw", |x| x > 0.0, "a bandwidth above 0 Mbps")?;
+            }
             "--rtt" => {
-                a.rtt_ms = need(&mut it, "--rtt")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
+                let v = need(&mut it, "--rtt")?;
+                a.rtt_ms = match v.parse() {
+                    Ok(ms) if ms > 0 => ms,
+                    _ => return Err(format!("--rtt needs a whole number of ms >= 1, got {v:?}")),
+                }
             }
             "--links" => {
                 a.links = need(&mut it, "--links")?
@@ -144,11 +162,11 @@ fn parse() -> Result<Args, String> {
                     return Err("--links needs at least 1".into());
                 }
             }
-            "--buffer" => a.buffer = need(&mut it, "--buffer")?,
+            "--buffer" => buffer = need(&mut it, "--buffer")?,
             "--loss" => {
-                a.loss = need(&mut it, "--loss")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
+                let v = need(&mut it, "--loss")?;
+                let unit = |p| (0.0..1.0).contains(&p);
+                a.loss = number(&v, "--loss", unit, "a probability in [0, 1)")?;
             }
             "--wifi" => a.wifi = true,
             "--secs" => {
@@ -224,6 +242,12 @@ fn parse() -> Result<Args, String> {
             "--trace-out" => mi_trace::set_mi_trace_dir(need(&mut it, "--trace-out")?),
             "--bw-step" => {
                 let v = floats(&need(&mut it, "--bw-step")?, 2, "--bw-step")?;
+                if !(v[1] > 0.0 && v[1].is_finite()) {
+                    return Err(format!(
+                        "--bw-step needs a bandwidth above 0 Mbps, got {}",
+                        v[1]
+                    ));
+                }
                 a.faults =
                     std::mem::take(&mut a.faults).bandwidth_step(Dur::from_secs_f64(v[0]), v[1]);
             }
@@ -270,6 +294,12 @@ fn parse() -> Result<Args, String> {
                     ),
                     None => (spec, 0.0),
                 };
+                if try_cc(&proto, 0).is_none() {
+                    return Err(format!(
+                        "unknown protocol {proto:?}: expected probe:<mbps> (mbps > 0) or one of {}",
+                        NAMES.join(", ")
+                    ));
+                }
                 a.flows.push((proto, start));
             }
             "--help" | "-h" => return Err(String::new()),
@@ -279,17 +309,25 @@ fn parse() -> Result<Args, String> {
     if a.flows.is_empty() {
         return Err("at least one --flow is required".into());
     }
+    // Sized last: "xBDP" needs the final --bw and --rtt.
+    a.buffer_bytes = buffer_bytes(&buffer, a.bw, a.rtt_ms)?;
     Ok(a)
 }
 
-fn buffer_bytes(spec: &str, link: LinkSpec) -> Result<u64, String> {
-    if let Some(x) = spec.strip_suffix("xBDP") {
-        let mult: f64 = x.parse().map_err(|e| format!("bad buffer: {e}"))?;
-        Ok(link.with_buffer_bdp(mult).buffer_bytes)
+/// `--buffer`: `<x>xBDP` (of the end-to-end path) or kilobytes.
+fn buffer_bytes(spec: &str, bw: f64, rtt_ms: u64) -> Result<u64, String> {
+    let positive = |x: f64| x > 0.0;
+    let bytes = if let Some(x) = spec.strip_suffix("xBDP") {
+        let mult = number(x, "--buffer", positive, "a BDP multiple above 0")?;
+        let link = LinkSpec::new(bw, Dur::from_millis(rtt_ms), 1);
+        link.with_buffer_bdp(mult).buffer_bytes
     } else {
-        let kb: f64 = spec.parse().map_err(|e| format!("bad buffer: {e}"))?;
-        Ok((kb * 1000.0) as u64)
+        (number(spec, "--buffer", positive, "KB above 0, or <x>xBDP")? * 1000.0) as u64
+    };
+    if bytes == 0 {
+        return Err(format!("--buffer {spec:?} holds no packet at all"));
     }
+    Ok(bytes)
 }
 
 fn main() -> ExitCode {
@@ -312,15 +350,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut link = LinkSpec::new(args.bw, Dur::from_millis(args.rtt_ms), 1);
-    link.buffer_bytes = match buffer_bytes(&args.buffer, link) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    link = link.with_random_loss(args.loss);
+    let mut link = LinkSpec::new(args.bw, Dur::from_millis(args.rtt_ms), args.buffer_bytes)
+        .with_random_loss(args.loss);
     if args.wifi {
         link = link.with_noise(NoiseConfig::wifi_default());
     }

@@ -16,6 +16,10 @@
 //! finish, re-run without `--shard` for complete reports (pure cache
 //! replay).
 //! `--no-cache` bypasses the disk result cache under `results/.cache/`.
+//! Only a full-fidelity run at the default seed writes `results/` — the
+//! committed reports. `--quick` and `--seed N` (N ≠ 1) runs write reports,
+//! cache and traces under `target/repro-scratch/` instead and say so on
+//! stderr; `$PROTEUS_RESULTS_DIR`, when set, overrides both.
 //! A campaign invariant that fails (`stress`, `scale`, `topology`, `rtc`) is
 //! listed on stderr and makes the exit status 1 — except under `--shard`,
 //! where skipped cells are placeholders, not measurements.
@@ -28,6 +32,7 @@
 //! of running simulations.
 
 use std::env;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -119,6 +124,16 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// Where a run that must not touch the committed `results/` writes
+/// instead: a `--quick` or non-default-seed run whose caller did not pick
+/// a directory through `$PROTEUS_RESULTS_DIR`.
+fn scratch_results_dir(cli: &Cli) -> Option<PathBuf> {
+    let chosen = env::var_os("PROTEUS_RESULTS_DIR").is_some_and(|d| !d.is_empty());
+    let full_fidelity = !cli.cfg_quick && cli.seed == 1;
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2)?;
+    (!chosen && !full_fidelity).then(|| workspace.join("target/repro-scratch"))
+}
+
 fn main() -> ExitCode {
     let cli = match parse_args(env::args().skip(1)) {
         Ok(c) => c,
@@ -128,6 +143,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+
+    if let Some(dir) = scratch_results_dir(&cli) {
+        eprintln!(
+            "not a full default-seed run: writing under {} instead of results/ \
+             (set PROTEUS_RESULTS_DIR to choose)",
+            dir.display()
+        );
+        env::set_var("PROTEUS_RESULTS_DIR", dir);
+    }
 
     let experiments = registry();
     if cli.ids.is_empty() || cli.ids.iter().any(|i| i == "list") {

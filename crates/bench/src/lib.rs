@@ -26,7 +26,7 @@ pub mod report;
 
 pub use jobs::{campaign, tail_mbps, tail_window, trace_jsonl, Traces, TRACE_EVERY};
 pub use mi_trace::{mi_trace_dir, MiTraceSink, TraceFormat};
-pub use protocols::{cc, cc_traced, PRIMARIES, SCAVENGERS};
+pub use protocols::{cc, cc_traced, try_cc, PRIMARIES, SCAVENGERS};
 pub use report::Table;
 
 /// Global knobs for an experiment invocation.

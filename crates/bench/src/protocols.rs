@@ -24,13 +24,38 @@ pub const ALL_FIG3: &[&str] = &[
     "PCC-Vivace",
 ];
 
+/// Every fixed name [`cc`] knows, for error messages (`probe:<mbps>` is the
+/// one parametric form).
+pub const NAMES: &[&str] = &[
+    "CUBIC",
+    "Reno",
+    "Vegas",
+    "BBR",
+    "BBR-S",
+    "COPA",
+    "LEDBAT",
+    "LEDBAT-25",
+    "Cross",
+    "Proteus-P",
+    "Proteus-S",
+    "PCC-Vivace",
+    "PCC-Allegro",
+];
+
 /// Builds a controller by display name. Probe rates are written as
 /// `"probe:<mbps>"`. Hybrid senders are built via [`hybrid`].
 ///
 /// # Panics
-/// Panics on an unknown name.
+/// Panics on a name [`try_cc`] does not know.
 pub fn cc(name: &str, seed: u64) -> Box<dyn CongestionControl> {
-    match name {
+    try_cc(name, seed).unwrap_or_else(|| panic!("unknown protocol {name}"))
+}
+
+/// [`cc`] for names that come from outside the program (command lines):
+/// `None` for an unknown name or a `probe:` rate that is not a positive
+/// number.
+pub fn try_cc(name: &str, seed: u64) -> Option<Box<dyn CongestionControl>> {
+    Some(match name {
         "CUBIC" => Box::new(Cubic::new()),
         "Reno" => Box::new(Reno::new()),
         "BBR" => Box::new(Bbr::new()),
@@ -45,13 +70,13 @@ pub fn cc(name: &str, seed: u64) -> Box<dyn CongestionControl> {
         "PCC-Allegro" => Box::new(ProteusSender::allegro(seed)),
         "Vegas" => Box::new(proteus_baselines::Vegas::new()),
         other => {
-            if let Some(rate) = other.strip_prefix("probe:") {
-                let mbps: f64 = rate.parse().expect("probe:<mbps>");
-                return Box::new(FixedRateProbe::mbps(mbps));
+            let mbps: f64 = other.strip_prefix("probe:")?.parse().ok()?;
+            if !(mbps > 0.0 && mbps.is_finite()) {
+                return None;
             }
-            panic!("unknown protocol {other}")
+            Box::new(FixedRateProbe::mbps(mbps))
         }
-    }
+    })
 }
 
 /// Builds a Proteus-H sender bound to a shared threshold cell.
@@ -96,8 +121,21 @@ mod tests {
     #[test]
     fn registry_builds_everything() {
         for name in PRIMARIES.iter().chain(SCAVENGERS).chain(ALL_FIG3) {
+            assert!(NAMES.contains(name), "{name} missing from NAMES");
+        }
+        for name in NAMES {
             let c = cc(name, 1);
             assert!(!c.name().is_empty());
+        }
+        for bad in [
+            "TCP-Tahoe",
+            "probe:",
+            "probe:0",
+            "probe:-3",
+            "probe:inf",
+            "probe:x",
+        ] {
+            assert!(try_cc(bad, 1).is_none(), "{bad} must not build");
         }
         let p = cc("probe:20", 1);
         assert_eq!(p.pacing_rate(), Some(2_500_000.0));

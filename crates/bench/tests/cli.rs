@@ -1,0 +1,70 @@
+//! The two binaries, driven the way a user drives them.
+
+use std::path::Path;
+use std::process::Command;
+
+/// Hostile `proteus-sim` flag values are rejected where flags are parsed —
+/// usage and exit status 2 — rather than tripping a library assertion
+/// (status 101 and a backtrace, for `--bw-step` a simulated second into the
+/// run).
+#[test]
+fn proteus_sim_rejects_hostile_flags_with_usage() {
+    let cases: [&[&str]; 9] = [
+        &["--bw", "0"],
+        &["--bw", "-5"],
+        &["--buffer", "0"],
+        &["--loss", "2"],
+        &["--flow", "NOPE"],
+        &["--bw-step", "1:0"],
+        &["--rtt", "0"],
+        &["--flow", "probe:0"],
+        &["--buffer", "0xBDP"],
+    ];
+    for case in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_proteus-sim"))
+            .args(["--flow", "CUBIC", "--secs", "2"])
+            .args(case)
+            .output()
+            .expect("proteus-sim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case:?}: {stderr}");
+        assert!(stderr.contains("usage: proteus-sim"), "{case:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{case:?} printed a result table");
+    }
+}
+
+/// Without `PROTEUS_RESULTS_DIR`, only a full default-seed run may write
+/// the committed `results/`: quick and re-seeded runs go to
+/// `target/repro-scratch/` and say so.
+#[test]
+fn repro_quick_and_reseeded_runs_leave_results_alone() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let committed = root.join("results/tbl_equilibrium.txt");
+    let scratch = root.join("target/repro-scratch/tbl_equilibrium.txt");
+    let before = std::fs::read(&committed).expect("the committed theory report");
+    for flags in [&["--quick"][..], &["--seed", "7"]] {
+        let _ = std::fs::remove_file(&scratch);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .env_remove("PROTEUS_RESULTS_DIR")
+            .args(flags)
+            .arg("theory")
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{flags:?}: {stderr}");
+        assert!(stderr.contains("repro-scratch"), "{flags:?}: {stderr}");
+        assert!(scratch.exists(), "{flags:?} wrote no scratch report");
+        assert_eq!(std::fs::read(&committed).unwrap(), before, "{flags:?}");
+    }
+    // An explicit directory wins, and is not announced as a redirect.
+    let dir = root.join("target/repro-scratch/explicit");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .env("PROTEUS_RESULTS_DIR", &dir)
+        .args(["--quick", "theory"])
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success());
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("instead of results/"));
+    assert!(dir.join("tbl_equilibrium.txt").exists());
+}

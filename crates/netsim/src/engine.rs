@@ -1,22 +1,30 @@
 //! The discrete-event simulation engine.
 //!
 //! One [`Sim`] executes one [`Scenario`]: flows hand MTU-sized packets to
-//! the first [`BottleneckLink`] on their path; accepted packets depart
-//! after queueing + serialization, cross that link's one-way propagation
-//! delay (plus optional noise), and either reach the receiver (last hop,
-//! `Delivery`) or are offered to the next link on the path (`HopArrival`).
-//! The ACK returns over a clean reverse path whose propagation is the sum
-//! of the path links' reverse halves. Senders are driven purely by events —
-//! ACK arrivals, pacing timers, controller timers, retransmission timeouts
-//! and application wakeups — so the whole run is a deterministic function
-//! of the scenario and its seed.
+//! the first [`Link`] on their path; an accepted packet departs after
+//! queueing and serialization, crosses that link's wire (propagation, loss,
+//! noise, faults), and either reaches the receiver (last hop, `Delivery`)
+//! or is offered to the next link on the path (`HopArrival`). The ACK
+//! returns over a clean reverse path whose propagation is the sum of the
+//! path links' reverse halves. Senders are driven purely by events — ACK
+//! arrivals, pacing timers, controller timers, retransmission timeouts and
+//! application wakeups — so the whole run is a deterministic function of
+//! the scenario and its seed.
 //!
-//! Single-link topologies (every scenario built with [`Scenario::new`])
-//! reduce to the legacy dumbbell engine byte-identically: hop 0 of a
-//! one-link path performs exactly the legacy operation and RNG-draw
-//! sequence, no `HopArrival` events exist, and per-link fault streams use a
-//! zero salt at link 0 (see DESIGN.md §4g and
-//! `tests/topology_equivalence.rs`).
+//! # Who owns what
+//!
+//! [`Sim`] is the event loop and the sender side of every flow: it owns
+//! the clock, the scheduler, the sequence counter, the main RNG, the flow
+//! table with its timers, loss detection and the send loop. Everything
+//! else is an entity that is told what happened and *returns* what should
+//! happen next, and never sees the scheduler: a [`Link`] decides what
+//! becomes of a packet on one hop (`crate::link`), a `Population` decides
+//! which flow arrives and when the next one does (`crate::population`),
+//! `Telemetry` keeps the sample and decision streams (`crate::telemetry`).
+//! What is left here of the wire is what needs the flow table or the event
+//! queue: the per-flow FIFO clamps, the choice of lane, and stamping
+//! sequence numbers. A flow comes to exist in exactly one place,
+//! `Sim::spawn`, whether it is static, cross-traffic or churn.
 //!
 //! Events are ordered by `(time, push sequence)` through the scheduler in
 //! [`crate::sched`]: a hierarchical timing wheel. The binary heap it
@@ -30,13 +38,14 @@
 //! pathology), or when the RFC 6298 retransmission timeout expires without
 //! progress.
 //!
-//! A scenario may attach a fault schedule: timed link changes arrive
-//! through the same event queue (`Event::Fault`), and the stochastic fault
-//! components (bursty loss, reordering, ACK compression) draw from a
-//! dedicated RNG so that fault-free scenarios reproduce historical results
-//! bit for bit (see `crate::fault` for the determinism rules). Poisson flow
-//! churn ([`crate::scenario::ChurnSpec`]) follows the same discipline with
-//! its own salted RNG stream.
+//! # Determinism
+//!
+//! Three RNG streams, so that attaching a feature never shifts another's
+//! draws: the main stream (`seed`: random loss, noise, cross-traffic),
+//! one fault stream per link (`seed ^ link · `[`LINK_FAULT_SEED_STRIDE`],
+//! salted again inside `crate::fault`; zero at link 0) and the churn stream
+//! (`seed ^ `[`CHURN_SEED_SALT`]). Timed link changes arrive through the
+//! same event queue as everything else (`Event::Fault`).
 //!
 //! # Wire path
 //!
@@ -47,12 +56,11 @@
 //! out of the scheduler:
 //!
 //! * **Link-owned departures.** A queue drain only releases buffer space,
-//!   and buffer space is only read by the next `offer` (or queue sample) on
-//!   that link. So each [`BottleneckLink`] keeps its departures in a FIFO —
-//!   sorted for free, since `free_at` is monotone — and releases, just
-//!   before such a read, the ones whose `(time, seq)` key precedes the key
-//!   of the event being dispatched: exactly those a scheduler would have
-//!   dispatched by then.
+//!   and buffer space is only read by the next `offer` on that link. So
+//!   each [`Link`] keeps its departures in a FIFO — sorted for free, since
+//!   `free_at` is monotone — and releases, just before such a read, the
+//!   ones whose `(time, seq)` key precedes the key of the event being
+//!   dispatched: exactly those a scheduler would have dispatched by then.
 //! * **Wire lanes.** Each link has a forward lane (`Delivery` /
 //!   `HopArrival` leaving it) and an ACK lane (`AckArrival` of flows whose
 //!   last hop it is) inside the [`EventQueue`]. A lane *prefers* sorted
@@ -62,42 +70,40 @@
 //!   reorder-held packet. `pop` merges the scheduler head with the lane
 //!   heads by `(time, seq)`.
 //!
-//! Sequence numbers are still taken from `event_seq` at exactly the
-//! instants the scheduler-only chain takes them, and no RNG draw moves, so
-//! every event carries the identical `(time, seq)` key whichever structure
-//! holds it, and the dispatch order — and with it every result byte — is
-//! unchanged by construction.
+//! Sequence numbers are taken from `event_seq` at exactly the instants a
+//! scheduler-only chain takes them, so every event carries the identical
+//! `(time, seq)` key whichever structure holds it, and the dispatch order —
+//! and with it every result byte — does not depend on the structure.
 //!
 //! # One configuration, two oracles
 //!
 //! [`Sim::new`] and [`run`] always build the timing wheel with per-link
 //! lanes and link-owned departures; a [`Scenario`] cannot select anything
-//! else. The two implementations this engine replaced stay in the crate as
-//! executable ordering references, reachable only through the doc-hidden
-//! test constructor `Sim::reference`: [`Scheduler::Heap`] (the global
-//! binary heap; `tests/sched_equivalence.rs`) and [`WirePath::Staged`]
-//! (everything, `QueueDrain` included, through the scheduler;
+//! else. Two reference implementations stay in the crate as executable
+//! ordering oracles, reachable only through the doc-hidden test constructor
+//! `Sim::reference`: [`Scheduler::Heap`] (the global binary heap;
+//! `tests/sched_equivalence.rs`) and [`WirePath::Staged`] (everything,
+//! `QueueDrain` included, through the scheduler;
 //! `tests/wire_equivalence.rs`, `tests/topology_equivalence.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
-use rand::{RngExt as Rng, SeedableRng};
+use rand::SeedableRng;
 
 use proteus_transport::{
-    AckInfo, BulkApp, Dur, FlowId, FrameRecord, LossInfo, SentPacket, SeqNr, Time,
-    DEFAULT_PACKET_BYTES,
+    AckInfo, Dur, FlowId, FrameRecord, LossInfo, SentPacket, SeqNr, Time, DEFAULT_PACKET_BYTES,
 };
 
-use crate::dist;
-use crate::fault::{FaultState, LinkChange, WireLoss};
+use crate::fault::LinkChange;
 use crate::flows::FlowTable;
-use crate::link::{BottleneckLink, Offer};
-use crate::metrics::{EventStats, FlowMetrics, LinkSummary, SimResult, TraceEvent};
-use crate::noise::NoiseState;
+use crate::link::{Link, Offer, Wire};
+use crate::metrics::{EventStats, FlowMetrics, SimResult};
+use crate::population::{NewFlow, Population};
 use crate::scenario::{ChurnClass, Scenario};
 use crate::sched::{EventQueue, Scheduler};
+use crate::telemetry::Telemetry;
 use crate::timers::{Pop, TimerKind};
 use crate::topology::{LinkId, Topology};
 
@@ -121,16 +127,17 @@ pub const CHURN_SEED_SALT: u64 = 0xC44E_5EED_0000_0002;
 
 /// Per-link salt stride for fault RNG streams: link `i`'s fault draws come
 /// from `seed ^ (i · LINK_FAULT_SEED_STRIDE)` (wrapping multiply; the
-/// Weyl/golden-ratio constant). Link 0's salt is zero, so single-link fault
-/// schedules reproduce historical results byte for byte, while every other
-/// link draws from an independent stream — attaching a schedule to link *k*
-/// never perturbs link *j*'s bursts or reordering.
+/// Weyl/golden-ratio constant). Link 0's salt is zero, so a schedule on a
+/// dumbbell's only link and the same schedule on link 0 of a chain draw the
+/// same stream, while every other link draws from an independent one —
+/// attaching a schedule to link *k* never perturbs link *j*'s bursts or
+/// reordering.
 pub const LINK_FAULT_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The two wire-path implementations, for `Sim::reference`.
 ///
 /// Mirrors [`Scheduler`]: [`WirePath::Fused`] is what every simulation
-/// runs; [`WirePath::Staged`] is the scheduler chain it replaced, kept as an
+/// runs; [`WirePath::Staged`] is the scheduler-only chain, kept as an
 /// executable ordering reference so the equivalence suites can assert the
 /// two produce identical results on every kind of scenario — faults, noise
 /// and multi-link paths included (see the module docs).
@@ -206,10 +213,10 @@ enum Event {
         flow: u32,
         kind: TimerKind,
     },
+    /// Next Poisson cross-traffic arrival.
     SpawnCross,
     /// Next Poisson churn arrival (see [`crate::scenario::ChurnSpec`]).
     ChurnSpawn,
-    QueueSample,
     /// Periodic per-flow telemetry sampling (see `Scenario::with_trace`).
     TraceSample,
     /// Apply the `idx`-th scheduled link change (see `Sim::fault_changes`).
@@ -241,12 +248,6 @@ const fn ack_lane(li: usize) -> usize {
 
 /// Index of `Event::QueueDrain` in [`crate::metrics::EVENT_KIND_NAMES`].
 const K_QUEUE_DRAIN: usize = 2;
-/// Index of `Event::Delivery` in [`crate::metrics::EVENT_KIND_NAMES`].
-const K_DELIVERY: usize = 3;
-/// Index of `Event::AckArrival` in [`crate::metrics::EVENT_KIND_NAMES`].
-const K_ACK_ARRIVAL: usize = 4;
-/// Index of `Event::HopArrival` in [`crate::metrics::EVENT_KIND_NAMES`].
-const K_HOP_ARRIVAL: usize = 14;
 /// Index of the first timer kind (`Pace`) in
 /// [`crate::metrics::EVENT_KIND_NAMES`]; `CcTimer`, `Rto` and `AppWake`
 /// follow in [`TimerKind`] order.
@@ -259,93 +260,61 @@ impl Event {
             Event::FlowStart(_) => 0,
             Event::FlowStop(_) => 1,
             Event::QueueDrain { .. } => K_QUEUE_DRAIN,
-            Event::Delivery { .. } => K_DELIVERY,
-            Event::AckArrival { .. } => K_ACK_ARRIVAL,
+            Event::Delivery { .. } => 3,
+            Event::AckArrival { .. } => 4,
             Event::Timer { kind, .. } => K_TIMERS + *kind as usize,
             Event::SpawnCross => 9,
             Event::ChurnSpawn => 10,
-            Event::QueueSample => 11,
-            Event::TraceSample => 12,
-            Event::Fault { .. } => 13,
-            Event::HopArrival { .. } => K_HOP_ARRIVAL,
+            Event::TraceSample => 11,
+            Event::Fault { .. } => 12,
+            Event::HopArrival { .. } => 13,
         }
     }
 }
 
-struct CrossState {
-    arrivals_per_sec: f64,
-    size_range: (u64, u64),
-    cc: proteus_transport::CcFactory,
-    stop: Time,
-    spawned: usize,
-}
-
-/// Runtime state of a [`crate::scenario::ChurnSpec`].
-struct ChurnState {
-    arrivals_per_sec: f64,
-    mean_lifetime_secs: f64,
-    classes: Vec<ChurnClass>,
-    /// Normalized cumulative class weights for arrival sampling.
-    cum_weights: Vec<f64>,
-    /// Resolved per-class paths (validated against the topology at build).
-    class_paths: Vec<Arc<[LinkId]>>,
-    stop: Time,
-    spawned: usize,
-    /// Dedicated churn RNG stream (`seed ^ CHURN_SEED_SALT`).
-    rng: SmallRng,
-}
-
-/// Runtime state of one topology link: its queue, propagation split,
-/// per-packet wire processes and fault layer. `Sim::links[0]` of a
-/// single-link topology is exactly the legacy dumbbell state.
-struct LinkState {
-    link: BottleneckLink,
-    /// One-way forward propagation (half the link's two-way `rtt`).
-    fwd_prop: Dur,
-    /// One-way reverse propagation (the other half).
-    rev_prop: Dur,
-    /// Probability of non-congestion loss per data packet at this hop.
-    random_loss: f64,
-    /// Latency-noise model: applied to this hop's data deliveries, and —
-    /// last hop only — to ACK releases at the receiver.
-    noise: NoiseState,
-    /// Fault runtime (`None` without a schedule: zero extra RNG draws).
-    faults: Option<FaultState>,
-    /// Configured rate before any fault-schedule changes, bits/sec.
-    rate_bps: f64,
-    /// Peak buffer occupancy observed at admission, bytes.
-    peak_queued_bytes: u64,
+/// The path a flow or churn class declared, checked against the topology,
+/// or the default path if it declared none.
+///
+/// # Panics
+/// Panics if the declared path is empty, names a link outside the topology
+/// or visits a link twice.
+fn resolve_path(
+    topology: &Topology,
+    default: &Arc<[LinkId]>,
+    declared: Option<&[LinkId]>,
+    what: &str,
+    name: &str,
+) -> Arc<[LinkId]> {
+    let Some(path) = declared else {
+        return Arc::clone(default);
+    };
+    if let Err(e) = topology.check_path(path) {
+        panic!("{what} {name:?}: {e}");
+    }
+    Arc::from(path)
 }
 
 /// The simulation engine. Construct with [`Sim::new`], execute with
 /// [`Sim::run`], or use the [`run`] convenience function.
 pub struct Sim {
     now: Time,
+    /// Sequence number of the event being dispatched: with `now`, the key
+    /// that bounds which link-owned departures are already due.
+    now_seq: u64,
     queue: EventQueue<Event>,
     event_seq: u64,
-    /// Per-link runtime state, indexed by [`LinkId`].
-    links: Vec<LinkState>,
-    /// The default flow path: every link in id order.
-    default_path: Arc<[LinkId]>,
+    /// The topology's links, indexed by [`LinkId`].
+    links: Vec<Link>,
     flows: FlowTable,
+    /// One row per `flows` row, in id order (`Sim::spawn` pushes both).
     metrics: Vec<FlowMetrics>,
     rng: SmallRng,
     duration: Dur,
     throughput_bin: Dur,
     rtt_stride: usize,
-    queue_sample_every: Option<Dur>,
-    queue_samples: Vec<(f64, u64)>,
-    trace_every: Option<Dur>,
-    trace: Vec<TraceEvent>,
-    /// Decision events drained from controllers carrying a recording
-    /// `proteus-trace` sink (stays empty for untraced controllers).
-    decisions: Vec<proteus_trace::FlowEvent>,
-    /// Reusable drain buffer for [`Sim::drain_decisions`].
-    decision_scratch: Vec<proteus_trace::DecisionEvent>,
-    /// Reusable sorted-id buffer for the telemetry and decision sweeps.
-    id_scratch: Vec<u32>,
-    cross: Option<CrossState>,
-    churn: Option<ChurnState>,
+    telemetry: Telemetry,
+    cross: Option<Population>,
+    churn: Option<Population>,
     /// Reusable scratch for loss sweeps (dup-ACK and RTO), so the per-ACK
     /// and per-RTO paths stay allocation-free after warm-up.
     loss_scratch: Vec<(SeqNr, Time, u64)>,
@@ -353,13 +322,10 @@ pub struct Sim {
     frame_scratch: Vec<FrameRecord>,
     /// Every scheduled link change across all per-link fault schedules,
     /// indexed by `Event::Fault::idx` (pushed in link order, then schedule
-    /// order — the legacy order for single-link scenarios).
+    /// order).
     fault_changes: Vec<(LinkId, LinkChange)>,
     /// Event-queue traffic accounting (mechanics, not behavior).
     events: EventStats,
-    /// Sequence number of the event being dispatched: with `now`, the key
-    /// that bounds which link-owned departures are already due.
-    now_seq: u64,
     /// Built as the [`WirePath::Staged`] oracle: wire events and queue
     /// drains all go through the scheduler.
     staged: bool,
@@ -370,9 +336,7 @@ impl Sim {
     ///
     /// # Panics
     /// Panics if a flow or churn class declares a path that is empty, names
-    /// a link outside the topology, or visits a link twice — or if a fault
-    /// schedule is attached to link 0 both via `Scenario::with_faults` and
-    /// `Topology::with_faults`.
+    /// a link outside the topology, or visits a link twice.
     pub fn new(scenario: Scenario) -> Self {
         Self::reference(scenario, Scheduler::Wheel, WirePath::Fused)
     }
@@ -383,25 +347,6 @@ impl Sim {
     /// `reference(sc, Scheduler::Wheel, WirePath::Fused)` is `new(sc)`.
     #[doc(hidden)]
     pub fn reference(scenario: Scenario, scheduler: Scheduler, wire_path: WirePath) -> Self {
-        // Validate every declared path against the topology before
-        // consuming the scenario (default paths are valid by construction).
-        for spec in &scenario.flows {
-            if let Some(p) = &spec.path {
-                if let Err(e) = scenario.topology.check_path(p) {
-                    panic!("flow {:?}: {e}", spec.name);
-                }
-            }
-        }
-        if let Some(cs) = &scenario.churn {
-            for class in &cs.classes {
-                if let Some(p) = &class.path {
-                    if let Err(e) = scenario.topology.check_path(p) {
-                        panic!("churn class {:?}: {e}", class.name);
-                    }
-                }
-            }
-        }
-
         let Scenario {
             topology,
             flows,
@@ -410,29 +355,12 @@ impl Sim {
             seed,
             throughput_bin,
             rtt_stride,
-            queue_sample_every,
             trace_every,
-            faults,
             churn,
         } = scenario;
-        let Topology {
-            links: link_specs,
-            faults: mut link_faults,
-        } = topology;
-        assert!(!link_specs.is_empty(), "topology needs at least one link");
-        link_faults.resize(link_specs.len(), None);
-        // The legacy `Scenario::with_faults` sugar targets link 0; merge it
-        // with the per-link attachment point, rejecting double attachment.
-        if let Some(sched) = faults {
-            if !sched.is_empty() {
-                assert!(
-                    link_faults[0].is_none(),
-                    "fault schedule attached to link 0 both via Scenario::with_faults \
-                     and Topology::with_faults"
-                );
-                link_faults[0] = Some(sched);
-            }
-        }
+        let n_links = topology.links.len();
+        assert!(n_links > 0, "topology needs at least one link");
+        let faults_of = |li: usize| topology.faults.get(li).and_then(Option::as_ref);
 
         // Initial scheduler capacity is derived from the scenario, not a
         // fixed constant: every static flow contributes a start (and maybe a
@@ -440,156 +368,133 @@ impl Sim {
         // each scheduled fault is one event. The scheduler grows beyond this
         // without dropping events (`sched` tests assert no silent cap);
         // deriving it just avoids regrowth storms at t=0 for 10k-flow runs.
-        let fault_events: usize = link_faults
+        let fault_events: usize = topology
+            .faults
             .iter()
             .flatten()
             .map(|s| s.link_events.len())
             .sum();
-        let churn_initial = churn.as_ref().map_or(0, |c| c.initial);
-        let capacity = (flows.len() + churn_initial) * 2 + fault_events + QUEUE_CAPACITY_MARGIN;
-        let flow_capacity = flows.len() + churn_initial;
-
-        let default_path: Arc<[LinkId]> =
-            (0..link_specs.len() as LinkId).collect::<Vec<_>>().into();
-        let links: Vec<LinkState> = link_specs
-            .iter()
-            .map(|spec| {
-                let half_rtt = Dur::from_nanos(spec.rtt.as_nanos() / 2);
-                LinkState {
-                    link: BottleneckLink::new(spec.rate_bps(), spec.buffer_bytes),
-                    fwd_prop: half_rtt,
-                    rev_prop: spec.rtt - half_rtt,
-                    random_loss: spec.random_loss,
-                    noise: spec.noise.build(),
-                    faults: None,
-                    rate_bps: spec.rate_bps(),
-                    peak_queued_bytes: 0,
-                }
-            })
-            .collect();
+        let flow_capacity = flows.len() + churn.as_ref().map_or(0, |c| c.initial);
+        let capacity = flow_capacity * 2 + fault_events + QUEUE_CAPACITY_MARGIN;
 
         let mut sim = Sim {
             now: Time::ZERO,
-            queue: EventQueue::new(scheduler, capacity).with_lanes(2 * link_specs.len()),
+            now_seq: 0,
+            queue: EventQueue::new(scheduler, capacity).with_lanes(2 * n_links),
             event_seq: 0,
-            links,
-            default_path,
+            links: Vec::with_capacity(n_links),
             flows: FlowTable::with_capacity(flow_capacity),
             metrics: Vec::with_capacity(flow_capacity),
             rng: SmallRng::seed_from_u64(seed),
             duration,
             throughput_bin,
             rtt_stride,
-            queue_sample_every,
-            queue_samples: Vec::new(),
-            trace_every,
-            trace: Vec::new(),
-            decisions: Vec::new(),
-            decision_scratch: Vec::new(),
-            id_scratch: Vec::new(),
+            telemetry: Telemetry::new(trace_every),
             cross: None,
             churn: None,
             loss_scratch: Vec::new(),
             frame_scratch: Vec::new(),
             fault_changes: Vec::new(),
             events: EventStats::default(),
-            now_seq: 0,
             staged: wire_path == WirePath::Staged,
         };
 
-        // Per-link fault runtimes: link 0 keeps the exact legacy seed (zero
-        // salt — see LINK_FAULT_SEED_STRIDE) and events are pushed in link
-        // order then schedule order, which for one link is the legacy push
-        // order, so single-link schedules stay byte-identical.
-        for (li, sched) in link_faults.iter().enumerate() {
-            let Some(sched) = sched else { continue };
-            sim.links[li].faults = Some(FaultState::new(
-                sched,
-                seed ^ (li as u64).wrapping_mul(LINK_FAULT_SEED_STRIDE),
-            ));
-            for &(at, change) in &sched.link_events {
+        // Links, each with its own fault stream (see
+        // LINK_FAULT_SEED_STRIDE); their timed changes are pushed in link
+        // order, then schedule order.
+        for (li, spec) in topology.links.iter().enumerate() {
+            let fault_seed = seed ^ (li as u64).wrapping_mul(LINK_FAULT_SEED_STRIDE);
+            sim.links.push(Link::new(spec, faults_of(li), fault_seed));
+            for &(at, change) in faults_of(li).into_iter().flat_map(|s| &s.link_events) {
                 let idx = sim.fault_changes.len() as u32;
                 sim.fault_changes.push((li as LinkId, change));
                 sim.push(Time::ZERO + at, Event::Fault { idx });
             }
         }
 
+        let default_path: Arc<[LinkId]> = topology.full_path().into();
         for spec in flows {
-            let path: Arc<[LinkId]> = match &spec.path {
-                Some(p) => Arc::from(p.as_slice()),
-                None => Arc::clone(&sim.default_path),
-            };
-            let id = sim
-                .flows
-                .push_flow((spec.cc)(), (spec.app)(), spec.reliable, path);
-            sim.flows.stop_at[id] = spec.stop.map(|d| Time::ZERO + d);
-            sim.metrics
-                .push(FlowMetrics::new(id, spec.name, throughput_bin, rtt_stride));
-            sim.push(Time::ZERO + spec.start, Event::FlowStart(id as u32));
-            if let Some(stop) = spec.stop {
-                sim.push(Time::ZERO + stop, Event::FlowStop(id as u32));
-            }
+            let path = spec.path.as_deref();
+            sim.spawn(NewFlow {
+                path: resolve_path(&topology, &default_path, path, "flow", &spec.name),
+                name: spec.name,
+                cc: (spec.cc)(),
+                app: (spec.app)(),
+                reliable: spec.reliable,
+                start: Time::ZERO + spec.start,
+                stop: spec.stop.map(|d| Time::ZERO + d),
+            });
         }
 
         if let Some(ct) = cross_traffic {
             sim.push(Time::ZERO + ct.start, Event::SpawnCross);
-            sim.cross = Some(CrossState {
-                arrivals_per_sec: ct.arrivals_per_sec,
-                size_range: ct.size_range,
-                cc: ct.cc,
-                stop: Time::ZERO + ct.stop,
-                spawned: 0,
-            });
+            sim.cross = Some(Population::cross(ct, Arc::clone(&default_path)));
         }
 
         if let Some(cs) = churn {
-            let total: f64 = cs.classes.iter().map(|c| c.weight).sum();
-            debug_assert!(total > 0.0, "churn classes need positive weight");
-            let mut cum_weights = Vec::with_capacity(cs.classes.len());
-            let mut acc = 0.0;
-            for c in &cs.classes {
-                acc += c.weight / total;
-                cum_weights.push(acc);
-            }
-            let class_paths: Vec<Arc<[LinkId]>> = cs
-                .classes
-                .iter()
-                .map(|c| match &c.path {
-                    Some(p) => Arc::from(p.as_slice()),
-                    None => Arc::clone(&sim.default_path),
-                })
-                .collect();
+            let resolve = |c: &ChurnClass| {
+                let path = c.path.as_deref();
+                resolve_path(&topology, &default_path, path, "churn class", &c.name)
+            };
+            let paths = cs.classes.iter().map(resolve).collect();
             let start = Time::ZERO + cs.start;
-            sim.churn = Some(ChurnState {
-                arrivals_per_sec: cs.arrivals_per_sec,
-                mean_lifetime_secs: cs.mean_lifetime.as_secs_f64(),
-                classes: cs.classes,
-                cum_weights,
-                class_paths,
-                stop: Time::ZERO + cs.stop,
-                spawned: 0,
-                rng: SmallRng::seed_from_u64(seed ^ CHURN_SEED_SALT),
-            });
+            let arrivals = cs.arrivals_per_sec > 0.0 && start < Time::ZERO + cs.stop;
+            let initial = cs.initial;
+            let mut churn = Population::churn(cs, paths, seed ^ CHURN_SEED_SALT);
             // Warm-start population: each flow draws (class, lifetime) from
             // the churn stream and starts when arrivals begin.
-            for _ in 0..cs.initial {
-                let (class_idx, lifetime) = sim.draw_churn();
-                sim.spawn_churn_flow(class_idx, start, lifetime);
+            for _ in 0..initial {
+                let flow = churn.draw(start, sim.flows.len(), &mut sim.rng);
+                sim.spawn(flow);
             }
-            if cs.arrivals_per_sec > 0.0 && start < Time::ZERO + cs.stop {
+            if arrivals {
                 sim.push(start, Event::ChurnSpawn);
             }
+            sim.churn = Some(churn);
         }
 
-        if let Some(every) = queue_sample_every {
-            sim.push(Time::ZERO + every, Event::QueueSample);
-        }
-
-        if let Some(every) = trace_every {
-            sim.push(Time::ZERO + every, Event::TraceSample);
+        if let Some(at) = sim.telemetry.next_sample(Time::ZERO) {
+            sim.push(at, Event::TraceSample);
         }
 
         sim
+    }
+
+    /// The one way a flow comes to exist — static, cross-traffic or churn:
+    /// a flow-table row, its metrics row, and its start (and stop) events.
+    fn spawn(&mut self, flow: NewFlow) {
+        let id = self
+            .flows
+            .push_flow(flow.cc, flow.app, flow.reliable, flow.path);
+        debug_assert_eq!(id, self.metrics.len(), "one metrics row per flow");
+        self.flows.stop_at[id] = flow.stop;
+        self.metrics.push(FlowMetrics::new(
+            id,
+            flow.name,
+            self.throughput_bin,
+            self.rtt_stride,
+        ));
+        self.push(flow.start, Event::FlowStart(id as u32));
+        if let Some(stop) = flow.stop {
+            self.push(stop, Event::FlowStop(id as u32));
+        }
+    }
+
+    /// One Poisson arrival of the population whose arrival event is `ev`
+    /// (`SpawnCross` or `ChurnSpawn`): spawn the flow now, schedule the
+    /// next arrival.
+    fn on_arrival(&mut self, ev: Event) {
+        let population = match ev {
+            Event::SpawnCross => &mut self.cross,
+            _ => &mut self.churn,
+        };
+        let arrival = population
+            .as_mut()
+            .and_then(|p| p.arrive(self.now, self.flows.len(), &mut self.rng));
+        if let Some((flow, next)) = arrival {
+            self.spawn(flow);
+            self.push(next, ev);
+        }
     }
 
     fn push(&mut self, at: Time, ev: Event) {
@@ -627,11 +532,11 @@ impl Sim {
     /// dispatched, counting each as the `QueueDrain` it replaces. Must run
     /// before anything reads that link's occupancy.
     fn flush_departures(&mut self, li: usize) {
-        let n = self.links[li].link.release_before(self.now, self.now_seq);
+        let n = self.links[li].release_before(self.now, self.now_seq);
         self.events.pops[K_QUEUE_DRAIN] += n;
         self.events.fused += n;
         debug_assert!(
-            self.staged || self.links[li].link.owns_all_queued(),
+            self.staged || self.links[li].owns_all_queued(),
             "link {li}: occupancy diverged from its departure FIFO"
         );
     }
@@ -649,40 +554,21 @@ impl Sim {
         (self.now, self.now_seq) = (end, u64::MAX);
         for li in 0..self.links.len() {
             self.flush_departures(li);
-            let l = &self.links[li].link;
-            debug_assert_eq!(
-                l.accepted_bytes(),
-                l.delivered_bytes() + l.queued_bytes(),
+            debug_assert!(
+                self.links[li].conserves_bytes(),
                 "link {li}: accepted bytes must be delivered or still queued"
             );
         }
         self.events.fused += self.queue.lane_pops();
-        // Final decision sweep (stopped flows included), then restore
-        // global timestamp order: drains interleave flows per sweep, so a
-        // stable sort by time is enough to keep each flow's own order.
-        self.drain_decisions();
-        self.decisions.sort_by_key(|fe| fe.event.t_ns);
+        let (trace, decisions) = self.telemetry.finish(&mut self.flows);
         SESSION_DISPATCHED.fetch_add(self.events.dispatched(), Ordering::Relaxed);
         SESSION_FUSED.fetch_add(self.events.fused, Ordering::Relaxed);
-        let links: Vec<LinkSummary> = self
-            .links
-            .iter()
-            .map(|l| LinkSummary {
-                rate_bps: l.rate_bps,
-                delivered_bytes: l.link.delivered_bytes(),
-                accepted_pkts: l.link.accepted_pkts(),
-                dropped_pkts: l.link.dropped_pkts(),
-                peak_queued_bytes: l.peak_queued_bytes,
-                fault_stats: l.faults.as_ref().map(|f| f.stats).unwrap_or_default(),
-            })
-            .collect();
         SimResult {
             flows: self.metrics,
             duration: self.duration,
-            links,
-            queue_samples: self.queue_samples,
-            trace: self.trace,
-            decisions: self.decisions,
+            links: self.links.iter().map(Link::summary).collect(),
+            trace,
+            decisions,
             events: self.events,
         }
     }
@@ -693,7 +579,7 @@ impl Sim {
             Event::FlowStart(id) => self.on_flow_start(id as FlowId),
             Event::FlowStop(id) => self.on_flow_stop(id as FlowId),
             Event::QueueDrain { link, bytes } => {
-                self.links[link as usize].link.on_departure(bytes as u64)
+                self.links[link as usize].on_departure(bytes as u64)
             }
             Event::Delivery {
                 flow,
@@ -709,142 +595,33 @@ impl Sim {
                 delivered_at,
             } => self.on_ack_arrival(flow as FlowId, seq, bytes as u64, sent_at, delivered_at),
             Event::Timer { flow, kind } => self.on_timer(flow as FlowId, kind),
-            Event::SpawnCross => self.on_spawn_cross(),
-            Event::ChurnSpawn => self.on_churn_spawn(),
-            Event::QueueSample => {
-                // Legacy samples cover link 0; per-link peaks are reported
-                // through `LinkSummary::peak_queued_bytes`.
-                self.flush_departures(0);
-                self.queue_samples
-                    .push((self.now.as_secs_f64(), self.links[0].link.queued_bytes()));
-                if let Some(every) = self.queue_sample_every {
-                    self.push(self.now + every, Event::QueueSample);
-                }
-            }
+            // Named afresh rather than passed on as `ev`: handing the
+            // matched value to a handler keeps the whole `Event` live in
+            // memory across this match, which cost every dispatch — about
+            // 5 % of a clean run's CPU time (DESIGN.md §4c).
+            Event::SpawnCross => self.on_arrival(Event::SpawnCross),
+            Event::ChurnSpawn => self.on_arrival(Event::ChurnSpawn),
             Event::TraceSample => {
-                self.sample_trace();
-                self.drain_decisions();
-                if let Some(every) = self.trace_every {
-                    self.push(self.now + every, Event::TraceSample);
+                self.telemetry.sample(self.now, &mut self.flows);
+                if let Some(at) = self.telemetry.next_sample(self.now) {
+                    self.push(at, Event::TraceSample);
                 }
             }
-            Event::Fault { idx } => self.on_fault(idx as usize),
+            Event::Fault { idx } => {
+                // One scheduled link change, recorded as a link-scoped
+                // trace event.
+                let (li, change) = self.fault_changes[idx as usize];
+                let fault = self.links[li as usize].apply(change);
+                self.telemetry.fault(self.now, fault);
+            }
             Event::HopArrival {
                 flow,
                 seq,
                 bytes,
                 sent_at,
                 hop,
-            } => self.on_hop_arrival(flow as FlowId, seq, bytes as u64, sent_at, hop as usize),
+            } => self.admit(flow as FlowId, seq, bytes as u64, sent_at, hop as usize),
         }
-    }
-
-    /// Applies one scheduled link change to its target link and records it
-    /// as a link-scoped trace event.
-    fn on_fault(&mut self, idx: usize) {
-        use proteus_trace::FaultKind;
-        let (li, change) = self.fault_changes[idx];
-        let li = li as usize;
-        let (kind, value) = match change {
-            LinkChange::Bandwidth(mbps) => {
-                self.links[li].link.set_rate(mbps * 1e6);
-                (FaultKind::Bandwidth, mbps)
-            }
-            LinkChange::Rtt(rtt) => {
-                // Same half-split as construction; in-flight packets keep
-                // the propagation delay they departed with.
-                let half = Dur::from_nanos(rtt.as_nanos() / 2);
-                self.links[li].fwd_prop = half;
-                self.links[li].rev_prop = rtt - half;
-                (FaultKind::Rtt, rtt.as_secs_f64())
-            }
-            LinkChange::Down => {
-                if let Some(f) = &mut self.links[li].faults {
-                    f.down = true;
-                }
-                (FaultKind::OutageStart, 0.0)
-            }
-            LinkChange::Up => {
-                if let Some(f) = &mut self.links[li].faults {
-                    f.down = false;
-                }
-                (FaultKind::OutageEnd, 0.0)
-            }
-        };
-        if let Some(f) = &mut self.links[li].faults {
-            f.stats.link_changes += 1;
-        }
-        self.record_fault(kind, value);
-    }
-
-    /// Appends a link-scoped fault record to the decision stream.
-    fn record_fault(&mut self, kind: proteus_trace::FaultKind, value: f64) {
-        self.decisions.push(proteus_trace::FlowEvent {
-            flow: proteus_trace::LINK_FLOW,
-            event: proteus_trace::DecisionEvent {
-                t_ns: self.now.as_nanos(),
-                kind: proteus_trace::EventKind::Fault(proteus_trace::Fault { kind, value }),
-            },
-        });
-    }
-
-    /// Moves buffered decision events out of every controller that can
-    /// still produce them, labelling them with the flow id. Called on each
-    /// telemetry sample — which bounds how full a flow's ring sink can get
-    /// between sweeps — and once more at run end.
-    ///
-    /// The sweep visits active and lingering flows in id order: flows not
-    /// yet started have never had a controller callback, and retired flows
-    /// were drained when they retired.
-    fn drain_decisions(&mut self) {
-        let mut ids = std::mem::take(&mut self.id_scratch);
-        self.flows.sweep_ids(&mut ids);
-        for &id in &ids {
-            self.drain_flow_decisions(id as usize);
-        }
-        self.id_scratch = ids;
-    }
-
-    /// Moves one controller's buffered decision events to the run's stream.
-    fn drain_flow_decisions(&mut self, flow: FlowId) {
-        self.decision_scratch.clear();
-        self.flows.cc[flow].drain_decisions(&mut self.decision_scratch);
-        for &event in &self.decision_scratch {
-            self.decisions.push(proteus_trace::FlowEvent {
-                flow: flow as u32,
-                event,
-            });
-        }
-    }
-
-    /// Records one telemetry sample per active flow (in id order, walking
-    /// the active list rather than every flow ever created).
-    fn sample_trace(&mut self) {
-        let t = self.now.as_secs_f64();
-        let mut ids = std::mem::take(&mut self.id_scratch);
-        self.flows.sorted_active(&mut ids);
-        for &id in &ids {
-            let id = id as usize;
-            let snap = self.flows.cc[id].snapshot();
-            self.trace.push(TraceEvent {
-                t,
-                flow: id,
-                rate_mbps: self.flows.cc[id].pacing_rate().map(|bps| bps * 8.0 / 1e6),
-                cwnd_bytes: match self.flows.cc[id].cwnd_bytes() {
-                    u64::MAX => None,
-                    w => Some(w),
-                },
-                inflight_bytes: self.flows.inflight_bytes[id],
-                srtt_ms: self.flows.rtt[id].srtt().map(|d| d.as_secs_f64() * 1e3),
-                rttvar_ms: self.flows.rtt[id]
-                    .srtt()
-                    .map(|_| self.flows.rtt[id].rttvar().as_secs_f64() * 1e3),
-                utility: snap.as_ref().and_then(|s| s.utility),
-                mode: snap.as_ref().and_then(|s| s.mode),
-                mode_switches: snap.map_or(0, |s| s.mode_switches),
-            });
-        }
-        self.id_scratch = ids;
     }
 
     fn on_flow_start(&mut self, id: FlowId) {
@@ -869,37 +646,19 @@ impl Sim {
         self.maybe_retire(id);
     }
 
-    /// Total reverse-path propagation for a flow: the sum of its links'
-    /// current `rev_prop`, in path order (for a one-link path, exactly the
-    /// legacy `rev_prop`).
-    fn rev_prop_of(&self, flow: FlowId) -> Dur {
-        let mut rev = Dur::ZERO;
-        for i in 0..self.flows.path[flow].len() {
-            rev += self.links[self.flows.path[flow][i] as usize].rev_prop;
-        }
-        rev
-    }
-
     fn on_delivery(&mut self, flow: FlowId, seq: SeqNr, bytes: u64, sent_at: Time) {
-        // Receiver generates an ACK immediately; the last hop's noise model
-        // may hold it (WiFi MAC aggregation) before it crosses the reverse
-        // path, whose propagation sums the path links' reverse halves. The
-        // return path is FIFO: ACK arrivals are clamped monotone per flow.
+        // The receiver generates an ACK immediately; the last hop may hold
+        // it (noise, ACK compression) before it crosses the reverse path,
+        // whose propagation sums the path links' reverse halves. The return
+        // path is FIFO: ACK arrivals are clamped monotone per flow.
         let delivered_at = self.now;
-        let last = {
-            let p = &self.flows.path[flow];
-            p[p.len() - 1] as usize
-        };
-        let mut release = self.links[last].noise.ack_release(self.now, &mut self.rng);
-        if let Some(f) = &mut self.links[last].faults {
-            // ACK compression: episodes hold ACKs past the noise model's
-            // release time and let them go in a single batch.
-            release = f.ack_release(release);
-        }
-        let mut arrival = release + self.rev_prop_of(flow);
-        if arrival < self.flows.last_ack_arrival_at[flow] {
-            arrival = self.flows.last_ack_arrival_at[flow];
-        }
+        let path = &self.flows.path[flow];
+        let last = path[path.len() - 1] as usize;
+        let rev_prop = path.iter().fold(Dur::ZERO, |sum, &li| {
+            sum + self.links[li as usize].rev_prop()
+        });
+        let release = self.links[last].ack_release(self.now, &mut self.rng);
+        let arrival = (release + rev_prop).max(self.flows.last_ack_arrival_at[flow]);
         self.flows.last_ack_arrival_at[flow] = arrival;
         self.push_wire(
             ack_lane(last),
@@ -1098,97 +857,6 @@ impl Sim {
         }
     }
 
-    fn on_spawn_cross(&mut self) {
-        let now = self.now;
-        let Some(cross) = &mut self.cross else {
-            return;
-        };
-        if now >= cross.stop {
-            return;
-        }
-        // Sample this arrival's flow and the next arrival time.
-        let size = dist::uniform_inclusive(&mut self.rng, cross.size_range.0, cross.size_range.1);
-        let gap = dist::exponential(&mut self.rng, 1.0 / cross.arrivals_per_sec);
-        cross.spawned += 1;
-        let n = cross.spawned;
-
-        let id = self.flows.len();
-        let cc = (self.cross.as_ref().expect("cross exists").cc)(id);
-        let path = Arc::clone(&self.default_path);
-        self.flows.push_flow(
-            cc,
-            Box::new(proteus_transport::SizedApp::new(size)),
-            true,
-            path,
-        );
-        self.metrics.push(FlowMetrics::new(
-            id,
-            format!("cross-{n}"),
-            self.throughput_bin,
-            self.rtt_stride,
-        ));
-        self.push(now, Event::FlowStart(id as u32));
-        self.push(now + Dur::from_secs_f64(gap), Event::SpawnCross);
-    }
-
-    /// Draws (class, lifetime) for one churn arrival from the churn stream.
-    fn draw_churn(&mut self) -> (usize, Dur) {
-        let ch = self.churn.as_mut().expect("churn exists");
-        let u: f64 = ch.rng.random();
-        let class_idx = ch
-            .cum_weights
-            .iter()
-            .position(|&w| u < w)
-            .unwrap_or(ch.cum_weights.len() - 1);
-        let lifetime = dist::exponential(&mut ch.rng, ch.mean_lifetime_secs);
-        (class_idx, Dur::from_secs_f64(lifetime))
-    }
-
-    /// Creates one churn flow (bulk, unreliable) that starts at `start`
-    /// and stops `lifetime` later.
-    fn spawn_churn_flow(&mut self, class_idx: usize, start: Time, lifetime: Dur) {
-        let n = {
-            let ch = self.churn.as_mut().expect("churn exists");
-            ch.spawned += 1;
-            ch.spawned
-        };
-        let id = self.flows.len();
-        let ch = self.churn.as_ref().expect("churn exists");
-        let cc = (ch.classes[class_idx].cc)(id);
-        let name = format!("{}~{n}", ch.classes[class_idx].name);
-        let path = Arc::clone(&ch.class_paths[class_idx]);
-        self.flows.push_flow(cc, Box::new(BulkApp), false, path);
-        let stop = start + lifetime;
-        self.flows.stop_at[id] = Some(stop);
-        self.metrics.push(FlowMetrics::new(
-            id,
-            name,
-            self.throughput_bin,
-            self.rtt_stride,
-        ));
-        self.push(start, Event::FlowStart(id as u32));
-        self.push(stop, Event::FlowStop(id as u32));
-    }
-
-    /// One Poisson churn arrival: spawn a flow now, schedule the next.
-    fn on_churn_spawn(&mut self) {
-        let now = self.now;
-        let Some(ch) = &self.churn else {
-            return;
-        };
-        if now >= ch.stop {
-            return;
-        }
-        let mean_gap = 1.0 / ch.arrivals_per_sec;
-        let (class_idx, lifetime) = self.draw_churn();
-        let gap = {
-            let ch = self.churn.as_mut().expect("churn exists");
-            dist::exponential(&mut ch.rng, mean_gap)
-        };
-        self.spawn_churn_flow(class_idx, now, lifetime);
-        self.push(now + Dur::from_secs_f64(gap), Event::ChurnSpawn);
-    }
-
     /// Once a stopped flow's last in-flight packet is accounted for, drain
     /// its remaining decisions and retire it — cancelling its timers and
     /// releasing its controller memory — so a run that churns through 100k
@@ -1201,7 +869,7 @@ impl Sim {
         {
             return;
         }
-        self.drain_flow_decisions(flow);
+        self.telemetry.drain_flow(&mut self.flows, flow);
         self.flows.retire(flow);
     }
 
@@ -1270,17 +938,7 @@ impl Sim {
             let arm_rto = self.flows.timers.deadline(flow, TimerKind::Rto).is_none();
             self.metrics[flow].on_sent(bytes);
 
-            let first = self.flows.path[flow][0] as usize;
-            self.flush_departures(first);
-            match self.links[first].link.offer(now, bytes) {
-                Offer::Dropped => {
-                    // Tail drop: the sender finds out via dup-ACKs or RTO.
-                }
-                Offer::Departs(at) => {
-                    self.note_queue_peak(first);
-                    self.forward_accepted(flow, seq, bytes, now, 0, at);
-                }
-            }
+            self.admit(flow, seq, bytes, now, 0);
             if arm_rto {
                 self.rearm_rto(flow);
             }
@@ -1289,28 +947,31 @@ impl Sim {
         debug_assert!(false, "try_send hit MAX_BURST — runaway controller?");
     }
 
-    /// Tracks a link's peak buffer occupancy after a successful admission.
-    fn note_queue_peak(&mut self, li: usize) {
-        let q = self.links[li].link.queued_bytes();
-        if q > self.links[li].peak_queued_bytes {
-            self.links[li].peak_queued_bytes = q;
+    /// Offers a packet to the link at hop `hop` of its flow's path: at hop 0
+    /// straight from `try_send`, further along when a `HopArrival` lands. A
+    /// tail drop is silent wherever it happens — the sender finds out via
+    /// dup-ACKs or its RTO.
+    fn admit(&mut self, flow: FlowId, seq: SeqNr, bytes: u64, sent_at: Time, hop: usize) {
+        let li = self.flows.path[flow][hop] as usize;
+        self.flush_departures(li);
+        if let Offer::Departs(at) = self.links[li].offer(self.now, bytes) {
+            self.forward_accepted(flow, seq, bytes, sent_at, hop, at);
         }
     }
 
-    /// Continuation after link `path[hop]` accepted a packet with departure
-    /// time `at`: hands the departure to the link (the staged oracle
-    /// schedules the queue drain instead), applies that link's loss, noise
-    /// and reordering processes, and forwards the packet to the next hop
-    /// (`HopArrival`) or the receiver (`Delivery`) on the link's forward
-    /// lane.
+    /// Continuation after link `path[hop]` accepted a packet that departs
+    /// its queue at `depart_at`: hands the departure to the link (the staged oracle
+    /// schedules the queue drain instead), lets the link carry the packet
+    /// across its wire, and forwards what arrives to the next hop
+    /// (`HopArrival`) or the receiver (`Delivery`).
     ///
-    /// For a one-link path (`hop == 0`, last hop) this is byte-for-byte the
-    /// legacy wire chain: the same sequence numbers taken at the same
-    /// instants, the same draws from the same RNGs in the same order —
-    /// whichever of lane, link FIFO or scheduler carries each event.
-    /// Mid-path hops skip the per-flow FIFO delivery clamp — each queue is
-    /// itself FIFO, and the clamp's contract (jitter never reorders a flow)
-    /// is enforced at the final hop exactly as before.
+    /// The link decides loss and arrival time; what stays here needs the
+    /// flow table or the queue. The per-flow FIFO clamp (jitter never
+    /// reorders a flow) applies at the final hop only — each mid-path queue
+    /// is itself FIFO — and not to a reorder-held packet, which neither
+    /// obeys nor advances it, so later packets overtake it. A held packet
+    /// also skips the lane: its late tail would turn every in-order packet
+    /// behind it into a fallback.
     fn forward_accepted(
         &mut self,
         flow: FlowId,
@@ -1318,7 +979,7 @@ impl Sim {
         bytes: u64,
         sent_at: Time,
         hop: usize,
-        at: Time,
+        depart_at: Time,
     ) {
         let (li, last_hop) = {
             let p = &self.flows.path[flow];
@@ -1326,7 +987,7 @@ impl Sim {
         };
         if self.staged {
             self.push(
-                at,
+                depart_at,
                 Event::QueueDrain {
                     link: li as LinkId,
                     bytes: bytes as u32,
@@ -1334,52 +995,18 @@ impl Sim {
             );
         } else {
             self.event_seq += 1;
-            self.links[li]
-                .link
-                .defer_departure(at, self.event_seq, bytes);
+            self.links[li].defer_departure(depart_at, self.event_seq, bytes);
         }
-        // Fault layer first (its own RNG: no draws without a schedule),
-        // then the pre-existing random-loss draw from the main RNG, in the
-        // original order.
-        let fault = match &mut self.links[li].faults {
-            Some(f) => f.wire_loss(),
-            None => WireLoss::default(),
-        };
-        if let Some(p_bad) = fault.burst_started {
-            self.record_fault(proteus_trace::FaultKind::LossBurstStart, p_bad);
+        let (wire, burst_edge) = self.links[li].wire(depart_at, &mut self.rng);
+        if let Some(fault) = burst_edge {
+            self.telemetry.fault(self.now, fault);
         }
-        if fault.burst_ended {
-            self.record_fault(proteus_trace::FaultKind::LossBurstEnd, 0.0);
-        }
-        if fault.lost {
-            // Outage or loss burst: departs the queue, never reaches the
-            // next hop.
+        let Wire::Arrives { mut at, held } = wire else {
             return;
-        }
-        if self.links[li].random_loss > 0.0 && self.rng.random::<f64>() < self.links[li].random_loss
-        {
-            // Non-congestion loss on the wire after the queue.
-            return;
-        }
-        let noise = self.links[li].noise.data_delay(&mut self.rng);
-        let mut arrives_at = at + self.links[li].fwd_prop + noise;
-        let reorder_extra = match &mut self.links[li].faults {
-            Some(f) => f.reorder_extra(),
-            None => None,
         };
-        if let Some(extra) = reorder_extra {
-            // Reordered packet: held back by `extra`. Mid-path that only
-            // delays the next-hop arrival (the next queue re-serializes
-            // arrivals anyway); on the last hop it is also exempted from the
-            // FIFO clamp (and from advancing it), so later packets overtake
-            // it.
-            arrives_at += extra;
-        } else if last_hop {
-            // FIFO clamp: jitter never reorders a flow's packets.
-            if arrives_at < self.flows.last_delivery_at[flow] {
-                arrives_at = self.flows.last_delivery_at[flow];
-            }
-            self.flows.last_delivery_at[flow] = arrives_at;
+        if last_hop && !held {
+            at = at.max(self.flows.last_delivery_at[flow]);
+            self.flows.last_delivery_at[flow] = at;
         }
         let (flow, bytes) = (flow as u32, bytes as u32);
         let ev = if last_hop {
@@ -1398,29 +1025,10 @@ impl Sim {
                 hop: (hop + 1) as u16,
             }
         };
-        if reorder_extra.is_some() {
-            // A held packet is the outlier that would block the lane: its
-            // late tail would turn every in-order packet behind it into a
-            // fallback. It goes straight to the scheduler.
-            self.push(arrives_at, ev);
+        if held {
+            self.push(at, ev);
         } else {
-            self.push_wire(fwd_lane(li), arrives_at, ev);
-        }
-    }
-
-    /// A packet reaches the entry of a mid-path or final link: offer it to
-    /// that link's queue. A tail drop here is a silent mid-path loss — the
-    /// sender finds out via dup-ACKs or its RTO, exactly like a drop at the
-    /// first hop.
-    fn on_hop_arrival(&mut self, flow: FlowId, seq: SeqNr, bytes: u64, sent_at: Time, hop: usize) {
-        let li = self.flows.path[flow][hop] as usize;
-        self.flush_departures(li);
-        match self.links[li].link.offer(self.now, bytes) {
-            Offer::Dropped => {}
-            Offer::Departs(at) => {
-                self.note_queue_peak(li);
-                self.forward_accepted(flow, seq, bytes, sent_at, hop, at);
-            }
+            self.push_wire(fwd_lane(li), at, ev);
         }
     }
 }
@@ -1638,16 +1246,18 @@ mod tests {
         assert_eq!(r1.links[0].dropped_pkts, r2.links[0].dropped_pkts);
     }
 
+    /// The link records its own occupancy peak (there is no periodic queue
+    /// sampler): a 4-BDP window against a 2-BDP buffer pins it near full.
     #[test]
     fn queue_sampling_records() {
-        let sc = Scenario::new(link_10mbps_20ms(), Dur::from_secs(5))
-            .flow(FlowSpec::bulk("w", Dur::ZERO, || {
-                Box::new(TestWindow { cwnd: 100_000 })
-            }))
-            .with_queue_sampling(Dur::from_millis(100));
-        let res = run(sc);
-        assert!(res.queue_samples.len() >= 45);
-        assert!(res.queue_samples.iter().any(|&(_, q)| q > 0));
+        let sc = Scenario::new(link_10mbps_20ms(), Dur::from_secs(5)).flow(FlowSpec::bulk(
+            "w",
+            Dur::ZERO,
+            || Box::new(TestWindow { cwnd: 100_000 }),
+        ));
+        let peak = run(sc).links[0].peak_queued_bytes;
+        assert!(peak <= 50_000, "queue exceeded the buffer: {peak}");
+        assert!(peak > 45_000, "peak queue = {peak}");
     }
 
     #[test]
@@ -1740,6 +1350,18 @@ mod tests {
         }
     }
 
+    /// Runs `sc`'s event loop to the end but keeps the engine, so a test can
+    /// look at its state.
+    fn run_in_place(sc: Scenario) -> Sim {
+        let end = Time::ZERO + sc.duration;
+        let mut sim = Sim::new(sc);
+        while let Some((at, seq, ev)) = sim.queue.pop_through(end) {
+            (sim.now, sim.now_seq) = (at, seq);
+            sim.dispatch(ev);
+        }
+        sim
+    }
+
     #[test]
     fn stopped_flow_retires_without_churn() {
         let last_tick_ns = Arc::new(AtomicU64::new(0));
@@ -1753,11 +1375,7 @@ mod tests {
             })
             .with_stop(Dur::from_secs(1)),
         );
-        let mut sim = Sim::new(sc);
-        while let Some((at, seq, ev)) = sim.queue.pop_through(Time::from_millis(4_000)) {
-            (sim.now, sim.now_seq) = (at, seq);
-            sim.dispatch(ev);
-        }
+        let sim = run_in_place(sc);
         assert!(sim.flows.retired[0]);
         assert_eq!(sim.flows.cc[0].name(), "retired", "controller box released");
         // Stopped at 1 s with one RTT of packets in flight; the controller
@@ -1803,6 +1421,53 @@ mod tests {
         );
         // The population actually transferred data.
         assert!(res.flows.iter().map(|f| f.bytes_acked).sum::<u64>() > 10_000_000);
+    }
+
+    #[test]
+    fn static_cross_and_churn_flows_all_register_through_spawn() {
+        let sc = churn_scenario(3)
+            .flow(FlowSpec::bulk("static-a", Dur::ZERO, || {
+                Box::new(TestWindow { cwnd: 30_000 })
+            }))
+            .flow(FlowSpec::sized(
+                "static-b",
+                Dur::from_secs(1),
+                50_000,
+                || Box::new(TestWindow { cwnd: 30_000 }),
+            ))
+            .with_cross_traffic(CrossTrafficSpec {
+                arrivals_per_sec: 3.0,
+                size_range: (20_000, 100_000),
+                cc: proteus_transport::factory(|_| TestWindow { cwnd: 30_000 }),
+                start: Dur::ZERO,
+                stop: Dur::from_secs(10),
+            });
+        let sim = run_in_place(sc);
+        // One table row per metrics row, ids in step, whatever the source.
+        assert_eq!(sim.flows.len(), sim.metrics.len());
+        assert!(sim.metrics.iter().enumerate().all(|(i, m)| m.id == i));
+        // Static flows first, then the warm-start churn population, then
+        // arrivals of both processes interleaved, each numbered by its own.
+        let names: Vec<&str> = sim.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(
+            names[..7],
+            ["static-a", "static-b", "w~1", "w~2", "w~3", "w~4", "w~5"]
+        );
+        let numbered = |prefix: &str| -> Vec<usize> {
+            let tail = names.iter().filter_map(|n| n.strip_prefix(prefix));
+            tail.map(|n| n.parse().unwrap()).collect()
+        };
+        let (cross, churn) = (numbered("cross-"), numbered("w~"));
+        assert!(cross.len() > 10 && churn.len() > 20, "{names:?}");
+        assert!(cross.iter().copied().eq(1..=cross.len()));
+        assert!(churn.iter().copied().eq(1..=churn.len()));
+        assert_eq!(names.len(), 2 + cross.len() + churn.len());
+        // Only churn flows carry a stop time; every flow that started has
+        // a row that says so.
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(sim.flows.stop_at[i].is_some(), name.starts_with("w~"));
+            assert!(sim.metrics[i].started_at.is_some(), "{name} never started");
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! exported traces show *cause* (fault) next to *effect* (filter/gate
 //! verdicts, rate transitions).
 
+use proteus_trace::{Fault, FaultKind};
 use proteus_transport::{Dur, Time};
 
 use rand::rngs::SmallRng;
@@ -240,18 +241,6 @@ pub struct FaultStats {
     pub compressed_acks: u64,
 }
 
-/// Per-packet verdict of [`FaultState::wire_loss`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct WireLoss {
-    /// The packet is lost on the wire (outage or burst loss).
-    pub lost: bool,
-    /// The chain just entered the bad state; carries `loss_bad` for the
-    /// trace event.
-    pub burst_started: Option<f64>,
-    /// The chain just returned to the good state.
-    pub burst_ended: bool,
-}
-
 /// Gilbert–Elliott chain state.
 #[derive(Debug, Clone)]
 struct GeRuntime {
@@ -303,41 +292,42 @@ impl FaultState {
         }
     }
 
-    /// Per-packet wire-loss verdict for a data packet leaving the queue.
+    /// Per-packet wire-loss verdict for a data packet leaving the queue:
+    /// whether it is lost (outage or burst loss), and the loss-burst
+    /// boundary the chain crossed on this packet, if any, as a trace record
+    /// (`LossBurstStart` carries `loss_bad`).
     ///
     /// During an outage every packet is lost and the loss chain is frozen
     /// (nothing crosses the wire to advance it). Otherwise the chain steps
     /// once and the packet is lost with the current state's probability.
     /// Draws nothing when neither outage nor burst loss is configured.
-    pub fn wire_loss(&mut self) -> WireLoss {
-        let mut out = WireLoss::default();
+    pub fn wire_loss(&mut self) -> (bool, Option<Fault>) {
         if self.down {
             self.stats.outage_drops += 1;
-            out.lost = true;
-            return out;
+            return (true, None);
         }
-        if let Some(ge) = &mut self.ge {
-            if ge.bad {
-                if self.rng.random::<f64>() < ge.cfg.p_exit {
-                    ge.bad = false;
-                    out.burst_ended = true;
-                }
-            } else if self.rng.random::<f64>() < ge.cfg.p_enter {
-                ge.bad = true;
-                out.burst_started = Some(ge.cfg.loss_bad);
-                self.stats.loss_episodes += 1;
+        let Some(ge) = &mut self.ge else {
+            return (false, None);
+        };
+        let mut edge = None;
+        if ge.bad {
+            if self.rng.random::<f64>() < ge.cfg.p_exit {
+                ge.bad = false;
+                edge = Some((FaultKind::LossBurstEnd, 0.0));
             }
-            let p = if ge.bad {
-                ge.cfg.loss_bad
-            } else {
-                ge.cfg.loss_good
-            };
-            if p > 0.0 && self.rng.random::<f64>() < p {
-                self.stats.burst_losses += 1;
-                out.lost = true;
-            }
+        } else if self.rng.random::<f64>() < ge.cfg.p_enter {
+            ge.bad = true;
+            edge = Some((FaultKind::LossBurstStart, ge.cfg.loss_bad));
+            self.stats.loss_episodes += 1;
         }
-        out
+        let p = if ge.bad {
+            ge.cfg.loss_bad
+        } else {
+            ge.cfg.loss_good
+        };
+        let lost = p > 0.0 && self.rng.random::<f64>() < p;
+        self.stats.burst_losses += lost as u64;
+        (lost, edge.map(|(kind, value)| Fault { kind, value }))
     }
 
     /// Extra delivery delay for a data packet, if it is reordered. Draws
@@ -441,13 +431,9 @@ mod tests {
         let mut losses = 0u64;
         let mut episodes = 0u64;
         for _ in 0..100_000 {
-            let v = f.wire_loss();
-            if v.lost {
-                losses += 1;
-            }
-            if v.burst_started.is_some() {
-                episodes += 1;
-            }
+            let (lost, edge) = f.wire_loss();
+            losses += lost as u64;
+            episodes += edge.is_some_and(|e| e.kind == FaultKind::LossBurstStart) as u64;
         }
         assert_eq!(f.stats.burst_losses, losses);
         assert_eq!(f.stats.loss_episodes, episodes);
@@ -464,7 +450,7 @@ mod tests {
         let mut f = FaultState::new(&sched, 1);
         f.down = true;
         for _ in 0..100 {
-            assert!(f.wire_loss().lost);
+            assert!(f.wire_loss().0);
         }
         assert_eq!(f.stats.outage_drops, 100);
         assert_eq!(f.stats.burst_losses, 0);
@@ -519,7 +505,7 @@ mod tests {
             let mut f = FaultState::new(&sched, seed);
             let mut sig = Vec::new();
             for _ in 0..1000 {
-                sig.push(f.wire_loss().lost);
+                sig.push(f.wire_loss().0);
                 sig.push(f.reorder_extra().is_some());
             }
             (sig, f.stats)

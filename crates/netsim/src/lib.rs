@@ -5,7 +5,7 @@
 //! WiFi paths; this crate substitutes a packet-level simulation of the same
 //! topology (see DESIGN.md §2):
 //!
-//! * [`BottleneckLink`] — fixed-rate FIFO tail-drop queue,
+//! * [`Link`] — fixed-rate FIFO tail-drop queue and the wire behind it,
 //! * [`NoiseConfig`] — latency-noise models (clean, Gaussian, WiFi-like),
 //! * [`FaultSchedule`] — deterministic fault injection (time-varying
 //!   bandwidth/RTT, outages, bursty loss, reordering, ACK compression),
@@ -53,8 +53,10 @@ pub mod inflight;
 pub mod link;
 pub mod metrics;
 pub mod noise;
+mod population;
 pub mod scenario;
 pub mod sched;
+mod telemetry;
 pub mod timers;
 pub mod topology;
 
@@ -63,7 +65,7 @@ pub use fault::{
     AckCompression, FaultSchedule, FaultStats, GilbertElliott, LinkChange, ReorderConfig,
 };
 pub use inflight::{InflightPkt, InflightTracker};
-pub use link::{BottleneckLink, Offer};
+pub use link::{Link, Offer, Wire};
 pub use metrics::{
     EventStats, FlowMetrics, LinkSummary, MediaMetrics, SimResult, TraceEvent, EVENT_KIND_NAMES,
 };

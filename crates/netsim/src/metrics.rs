@@ -387,7 +387,7 @@ pub struct TraceEvent {
 /// engine assigns each event kind a stable slot (`Event::kind` in
 /// `crate::engine`); this array gives reporting code human-readable names
 /// without exposing the private event enum.
-pub const EVENT_KIND_NAMES: [&str; 15] = [
+pub const EVENT_KIND_NAMES: [&str; 14] = [
     "FlowStart",
     "FlowStop",
     "QueueDrain",
@@ -399,7 +399,6 @@ pub const EVENT_KIND_NAMES: [&str; 15] = [
     "AppWake",
     "SpawnCross",
     "ChurnSpawn",
-    "QueueSample",
     "TraceSample",
     "Fault",
     "HopArrival",
@@ -495,9 +494,6 @@ pub struct SimResult {
     /// Per-link accounting, one entry per topology link in id order;
     /// `links[0]` is the bottleneck of a single-link scenario.
     pub links: Vec<LinkSummary>,
-    /// Periodic `(seconds, queued_bytes)` samples of buffer occupancy at
-    /// link 0 (per-link peaks are in [`LinkSummary::peak_queued_bytes`]).
-    pub queue_samples: Vec<(f64, u64)>,
     /// Per-flow telemetry time series (empty unless the scenario enables
     /// [`crate::scenario::Scenario::with_trace`]).
     pub trace: Vec<TraceEvent>,
@@ -607,7 +603,6 @@ mod tests {
                 peak_queued_bytes: 0,
                 fault_stats: FaultStats::default(),
             }],
-            queue_samples: vec![],
             trace: vec![],
             decisions: vec![],
             events: EventStats::default(),

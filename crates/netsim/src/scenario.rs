@@ -327,8 +327,8 @@ impl std::fmt::Debug for ChurnSpec {
 /// A complete simulation scenario.
 pub struct Scenario {
     /// The bottleneck links (a single dumbbell unless built with
-    /// [`Scenario::over`]). Flows traverse every link in id order unless
-    /// they declare a [`FlowSpec::with_path`].
+    /// [`Scenario::over`]) and their fault schedules. Flows traverse every
+    /// link in id order unless they declare a [`FlowSpec::with_path`].
     pub topology: Topology,
     /// Static flows.
     pub flows: Vec<FlowSpec>,
@@ -342,18 +342,9 @@ pub struct Scenario {
     pub throughput_bin: Dur,
     /// Keep every `stride`-th RTT sample (1 = all).
     pub rtt_stride: usize,
-    /// Sample bottleneck queue occupancy at this period, if set.
-    pub queue_sample_every: Option<Dur>,
     /// Record per-flow telemetry ([`crate::metrics::TraceEvent`]) at this
     /// period, if set.
     pub trace_every: Option<Dur>,
-    /// Injected path faults (link dynamics, bursty loss, reordering, ACK
-    /// compression), if any, applied to link 0. `None` keeps the
-    /// static-link fast path: existing results stay byte-identical.
-    /// Multi-link scenarios attach schedules per link with
-    /// [`Topology::with_faults`] instead; attaching to link 0 both ways is
-    /// rejected when the simulation is built.
-    pub faults: Option<FaultSchedule>,
     /// Poisson flow churn (population scenarios), if any. `None` keeps the
     /// static-flow path: existing results stay byte-identical.
     pub churn: Option<ChurnSpec>,
@@ -361,7 +352,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// Creates a single-bottleneck scenario with sensible defaults (1 s
-    /// throughput bins, all RTT samples, no queue sampling). Equivalent to
+    /// throughput bins, all RTT samples, no telemetry). Equivalent to
     /// `Scenario::over(Topology::single(link), duration)`.
     pub fn new(link: LinkSpec, duration: Dur) -> Self {
         Self::over(Topology::single(link), duration)
@@ -378,9 +369,7 @@ impl Scenario {
             seed: 1,
             throughput_bin: Dur::from_secs(1),
             rtt_stride: 1,
-            queue_sample_every: None,
             trace_every: None,
-            faults: None,
             churn: None,
         }
     }
@@ -415,12 +404,6 @@ impl Scenario {
         self
     }
 
-    /// Enables periodic queue sampling.
-    pub fn with_queue_sampling(mut self, every: Dur) -> Self {
-        self.queue_sample_every = Some(every);
-        self
-    }
-
     /// Enables periodic per-flow telemetry sampling: every `every`, each
     /// active flow's rate, window, in-flight bytes, RTT estimator state and
     /// controller internals are recorded into
@@ -430,27 +413,35 @@ impl Scenario {
         self
     }
 
-    /// Attaches a fault schedule to link 0 (see [`FaultSchedule`]). An
-    /// empty schedule is treated as no schedule. For multi-link scenarios
-    /// prefer the per-link [`Topology::with_faults`]; both forms are
-    /// byte-identical for single-link topologies.
+    /// Attaches a fault schedule to link 0 (see [`FaultSchedule`]):
+    /// shorthand for [`Topology::with_faults`]`(0, faults)` on the
+    /// scenario's topology, with its rules — an empty schedule is no
+    /// schedule.
+    ///
+    /// # Panics
+    /// Panics if link 0 already has a schedule, however it was attached.
     pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
-        self.faults = if faults.is_empty() {
-            None
-        } else {
-            Some(faults)
-        };
+        self.topology = self.topology.with_faults(0, faults);
         self
     }
 
     /// Attaches Poisson flow churn (see [`ChurnSpec`]). A spec with no
     /// classes is treated as no churn.
+    ///
+    /// # Panics
+    /// Panics if the class weights do not sum to a positive, finite number
+    /// (arrivals could not be shared out between the classes).
     pub fn with_churn(mut self, churn: ChurnSpec) -> Self {
-        self.churn = if churn.classes.is_empty() {
-            None
-        } else {
-            Some(churn)
-        };
+        if churn.classes.is_empty() {
+            self.churn = None;
+            return self;
+        }
+        let total: f64 = churn.classes.iter().map(|c| c.weight).sum();
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "churn class weights must sum to a positive number, got {total}"
+        );
+        self.churn = Some(churn);
         self
     }
 }
@@ -463,7 +454,6 @@ impl std::fmt::Debug for Scenario {
             .field("cross_traffic", &self.cross_traffic)
             .field("duration", &self.duration)
             .field("seed", &self.seed)
-            .field("faults", &self.faults)
             .field("churn", &self.churn)
             .finish()
     }
@@ -493,6 +483,62 @@ mod tests {
         let sc = Scenario::new(link, Dur::from_secs(5));
         assert_eq!(sc.topology.len(), 1);
         assert!(sc.topology.faults[0].is_none());
+    }
+
+    fn outage() -> FaultSchedule {
+        FaultSchedule::new().outage(Dur::from_secs(1), Dur::from_secs(1))
+    }
+
+    #[test]
+    fn with_faults_is_the_topology_call_on_link_0() {
+        let link = LinkSpec::paper_default();
+        let sc = Scenario::new(link, Dur::from_secs(5)).with_faults(outage());
+        assert_eq!(sc.topology.faults[0].as_ref().unwrap().link_events.len(), 2);
+        // An empty schedule is no schedule, and leaves room for a real one.
+        let sc = Scenario::over(Topology::parking_lot(2, link), Dur::from_secs(5))
+            .with_faults(FaultSchedule::new())
+            .with_faults(outage());
+        assert!(sc.topology.faults[0].is_some() && sc.topology.faults[1].is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0 already has a fault schedule")]
+    fn with_faults_twice_is_rejected_at_the_builder() {
+        let _ = Scenario::new(LinkSpec::paper_default(), Dur::from_secs(5))
+            .with_faults(outage())
+            .with_faults(outage());
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0 already has a fault schedule")]
+    fn with_faults_after_the_topology_attachment_is_rejected_at_the_builder() {
+        let topo = Topology::single(LinkSpec::paper_default()).with_faults(0, outage());
+        let _ = Scenario::over(topo, Dur::from_secs(5)).with_faults(outage());
+    }
+
+    /// The controller factories are never called: `with_churn` only reads
+    /// the weights.
+    fn churn_with_weights(weights: &[f64]) -> Scenario {
+        let class = |&w: &f64| ChurnClass::new("c", w, Box::new(|_| unreachable!()));
+        let classes = weights.iter().map(class).collect();
+        Scenario::new(LinkSpec::paper_default(), Dur::from_secs(5)).with_churn(ChurnSpec::new(
+            1.0,
+            Dur::from_secs(1),
+            classes,
+        ))
+    }
+
+    #[test]
+    fn churn_weights_need_a_positive_sum() {
+        assert!(churn_with_weights(&[2.0, 0.0, 1.0]).churn.is_some());
+        assert!(
+            churn_with_weights(&[]).churn.is_none(),
+            "no classes, no churn"
+        );
+        for bad in [&[0.0, 0.0][..], &[1.0, -1.0], &[-2.0], &[f64::NAN, 1.0]] {
+            let built = std::panic::catch_unwind(|| churn_with_weights(bad));
+            assert!(built.is_err(), "weights {bad:?} must be rejected");
+        }
     }
 
     #[test]

@@ -8,46 +8,13 @@
 //! — including that an *empty* schedule is byte-identical to no schedule at
 //! all.
 
+mod common;
+
+use common::{digest, TestPaced, TestWindow};
 use proteus_netsim::{
-    run, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, ReorderConfig,
-    Scenario, SimResult,
+    run, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, ReorderConfig, Scenario,
 };
-use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
-
-/// Fixed congestion window, ACK-clocked; ignores losses.
-struct TestWindow {
-    cwnd: u64,
-}
-
-impl CongestionControl for TestWindow {
-    fn name(&self) -> &str {
-        "test-window"
-    }
-    fn on_ack(&mut self, _now: Time, _ack: &AckInfo) {}
-    fn on_loss(&mut self, _now: Time, _loss: &LossInfo) {}
-    fn pacing_rate(&self) -> Option<f64> {
-        None
-    }
-    fn cwnd_bytes(&self) -> u64 {
-        self.cwnd
-    }
-}
-
-/// Fixed pacing rate, no window.
-struct TestPaced {
-    rate: f64, // bytes/sec
-}
-
-impl CongestionControl for TestPaced {
-    fn name(&self) -> &str {
-        "test-paced"
-    }
-    fn on_ack(&mut self, _now: Time, _ack: &AckInfo) {}
-    fn on_loss(&mut self, _now: Time, _loss: &LossInfo) {}
-    fn pacing_rate(&self) -> Option<f64> {
-        Some(self.rate)
-    }
-}
+use proteus_transport::{Dur, Time};
 
 fn link_20mbps_30ms() -> LinkSpec {
     // BDP = 20 Mbps * 30 ms = 75 KB; 2-BDP buffer.
@@ -64,12 +31,6 @@ fn paced_flow(mbps: f64) -> FlowSpec {
             rate: mbps * 1e6 / 8.0,
         })
     })
-}
-
-/// Debug rendering covers every public field of the result, so equal
-/// strings ⇒ equal measurements, trace, decisions and fault stats.
-fn fingerprint(res: &SimResult) -> String {
-    format!("{res:?}")
 }
 
 #[test]
@@ -96,14 +57,14 @@ fn same_seed_same_schedule_is_byte_identical() {
     };
     let a = run(mk());
     let b = run(mk());
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(digest(&a), digest(&b));
     // And a different seed diverges (the schedule is stochastic).
     let c = run({
         let mut sc = mk();
         sc.seed = 43;
         sc
     });
-    assert_ne!(fingerprint(&a), fingerprint(&c));
+    assert_ne!(digest(&a), digest(&c));
 }
 
 #[test]
@@ -116,7 +77,7 @@ fn empty_schedule_is_identical_to_no_schedule() {
     };
     let plain = run(base());
     let empty = run(base().with_faults(FaultSchedule::new()));
-    assert_eq!(fingerprint(&plain), fingerprint(&empty));
+    assert_eq!(digest(&plain), digest(&empty));
     assert_eq!(plain.links[0].fault_stats, Default::default());
 }
 

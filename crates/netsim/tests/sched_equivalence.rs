@@ -1,58 +1,19 @@
 //! Engine-level scheduler equivalence: the timing wheel and the reference
 //! binary heap must produce *identical* `SimResult`s — every metric, RTT
-//! sample, queue sample, telemetry record and decision event — because both
+//! sample, telemetry record, decision event and event count — because both
 //! pop events in the same `(time, push-sequence)` total order. Exercised on
 //! legacy-shaped scenarios (multi-flow, cross traffic, noise, random loss,
-//! faults, telemetry) and on a churning population.
+//! faults, telemetry), on a churning population, and on the randomized
+//! cases `wire_equivalence.rs` runs (`common::RandScenario`).
 
+mod common;
+
+use common::{digest, RandScenario, TestPaced, TestWindow};
 use proteus_netsim::{
     run, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec, GilbertElliott,
-    LinkSpec, NoiseConfig, Scenario, Scheduler, Sim, SimResult, WirePath,
+    LinkSpec, NoiseConfig, Scenario, Scheduler, Sim, WirePath,
 };
-use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
-
-/// Fixed congestion window, ACK-clocked; ignores losses.
-struct TestWindow {
-    cwnd: u64,
-}
-
-impl CongestionControl for TestWindow {
-    fn name(&self) -> &str {
-        "test-window"
-    }
-    fn on_ack(&mut self, _now: Time, _ack: &AckInfo) {}
-    fn on_loss(&mut self, _now: Time, _loss: &LossInfo) {}
-    fn pacing_rate(&self) -> Option<f64> {
-        None
-    }
-    fn cwnd_bytes(&self) -> u64 {
-        self.cwnd
-    }
-}
-
-/// Fixed pacing rate, no window.
-struct TestPaced {
-    rate: f64, // bytes/sec
-}
-
-impl CongestionControl for TestPaced {
-    fn name(&self) -> &str {
-        "test-paced"
-    }
-    fn on_ack(&mut self, _now: Time, _ack: &AckInfo) {}
-    fn on_loss(&mut self, _now: Time, _loss: &LossInfo) {}
-    fn pacing_rate(&self) -> Option<f64> {
-        Some(self.rate)
-    }
-}
-
-/// A `SimResult` is plain data all the way down; its debug rendering covers
-/// every field (per-flow counters, throughput bins, RTT samples, queue and
-/// telemetry samples, decisions, fault stats), so string equality here is
-/// full-result equality.
-fn digest(r: &SimResult) -> String {
-    format!("{r:?}")
-}
+use proteus_transport::Dur;
 
 fn assert_schedulers_agree(mk: impl Fn() -> Scenario) {
     let wheel = run(mk());
@@ -68,7 +29,7 @@ fn assert_schedulers_agree(mk: impl Fn() -> Scenario) {
 fn legacy_shaped_scenario_is_scheduler_independent() {
     // Everything the legacy event stream exercises at once: window + paced
     // flows, a late start/stop, Poisson cross traffic, random loss,
-    // Gaussian noise, queue sampling and telemetry.
+    // Gaussian noise and telemetry.
     assert_schedulers_agree(|| {
         Scenario::new(
             LinkSpec::new(40.0, Dur::from_millis(30), 300_000)
@@ -94,7 +55,6 @@ fn legacy_shaped_scenario_is_scheduler_independent() {
             start: Dur::ZERO,
             stop: Dur::from_secs(7),
         })
-        .with_queue_sampling(Dur::from_millis(50))
         .with_trace(Dur::from_millis(100))
         .with_seed(1234)
     });
@@ -153,4 +113,17 @@ fn churn_population_is_scheduler_independent() {
         )
         .with_seed(42)
     });
+}
+
+#[test]
+fn randomized_scenarios_are_scheduler_independent() {
+    for rs in RandScenario::cases() {
+        let wheel = run(rs.build());
+        let heap = Sim::reference(rs.build(), Scheduler::Heap, WirePath::Fused).run();
+        assert_eq!(
+            digest(&wheel),
+            digest(&heap),
+            "wheel and heap diverged: {rs:?}"
+        );
+    }
 }

@@ -5,34 +5,14 @@
 //! hand-built topology; a proptest sweeps random chains, subpaths and fault
 //! placements, also asserting two-run digest determinism.
 
+mod common;
+
+use common::{digest, TestWindow};
 use proptest::prelude::*;
 use proteus_netsim::{
     run, FaultSchedule, FlowSpec, LinkId, LinkSpec, Scenario, SimResult, Topology,
 };
-use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
-
-/// Fixed congestion window, ACK-clocked; ignores losses.
-struct TestWindow {
-    cwnd: u64,
-}
-
-impl CongestionControl for TestWindow {
-    fn name(&self) -> &str {
-        "test-window"
-    }
-    fn on_ack(&mut self, _now: Time, _ack: &AckInfo) {}
-    fn on_loss(&mut self, _now: Time, _loss: &LossInfo) {}
-    fn pacing_rate(&self) -> Option<f64> {
-        None
-    }
-    fn cwnd_bytes(&self) -> u64 {
-        self.cwnd
-    }
-}
-
-fn digest(r: &SimResult) -> String {
-    format!("{r:?}")
-}
+use proteus_transport::Dur;
 
 /// Per-link delivered bytes can never exceed the link's service capacity
 /// over the run (one in-flight MTU of slack for the packet being served at

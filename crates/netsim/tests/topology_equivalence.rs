@@ -9,64 +9,17 @@
 //! one, and pin multi-hop fusion: a chain runs on the wire lanes with
 //! results identical to the staged oracle's.
 
+mod common;
+
+use common::{digest, digest_scrubbed, TestPaced, TestWindow};
 use proteus_netsim::{
     run, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec, GilbertElliott,
-    LinkSpec, NoiseConfig, Scenario, Scheduler, Sim, SimResult, Topology, WirePath,
+    LinkSpec, NoiseConfig, Scenario, Scheduler, Sim, Topology, WirePath,
 };
-use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
-
-/// Fixed congestion window, ACK-clocked; ignores losses.
-struct TestWindow {
-    cwnd: u64,
-}
-
-impl CongestionControl for TestWindow {
-    fn name(&self) -> &str {
-        "test-window"
-    }
-    fn on_ack(&mut self, _now: Time, _ack: &AckInfo) {}
-    fn on_loss(&mut self, _now: Time, _loss: &LossInfo) {}
-    fn pacing_rate(&self) -> Option<f64> {
-        None
-    }
-    fn cwnd_bytes(&self) -> u64 {
-        self.cwnd
-    }
-}
-
-/// Fixed pacing rate, no window.
-struct TestPaced {
-    rate: f64, // bytes/sec
-}
-
-impl CongestionControl for TestPaced {
-    fn name(&self) -> &str {
-        "test-paced"
-    }
-    fn on_ack(&mut self, _now: Time, _ack: &AckInfo) {}
-    fn on_loss(&mut self, _now: Time, _loss: &LossInfo) {}
-    fn pacing_rate(&self) -> Option<f64> {
-        Some(self.rate)
-    }
-}
-
-/// A `SimResult` is plain data all the way down; its debug rendering covers
-/// every field, so string equality here is full-result equality.
-fn digest(r: &SimResult) -> String {
-    format!("{r:?}")
-}
-
-/// Digest with the event accounting zeroed: `EventStats` measures queue
-/// mechanics (the lanes legitimately push fewer scheduler events),
-/// so it is excluded when comparing across wire paths.
-fn digest_scrubbed(r: &SimResult) -> String {
-    let mut scrubbed = r.clone();
-    scrubbed.events = Default::default();
-    format!("{scrubbed:?}")
-}
+use proteus_transport::{Dur, Time};
 
 /// The legacy matrix scenario: window + paced flows, late start/stop,
-/// Poisson cross traffic, random loss, Gaussian noise, sampling, telemetry.
+/// Poisson cross traffic, random loss, Gaussian noise, telemetry.
 fn legacy_matrix(link: LinkSpec) -> Scenario {
     Scenario::new(
         link.with_random_loss(0.005)
@@ -91,7 +44,6 @@ fn legacy_matrix(link: LinkSpec) -> Scenario {
         start: Dur::ZERO,
         stop: Dur::from_secs(7),
     })
-    .with_queue_sampling(Dur::from_millis(50))
     .with_trace(Dur::from_millis(100))
     .with_seed(1234)
 }
