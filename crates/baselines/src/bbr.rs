@@ -12,12 +12,10 @@
 //! into ProbeRTT for at least 40 ms, causing it to yield like a scavenger.
 //! The paper uses it to show RTT deviation generalizes beyond Proteus.
 
-use std::collections::HashMap;
-
 use std::collections::VecDeque;
 
 use proteus_transport::{
-    AckInfo, CongestionControl, Dur, LossInfo, SentPacket, SeqNr, Time, DEFAULT_PACKET_BYTES,
+    AckInfo, CongestionControl, Dur, LossInfo, SentPacket, SeqRing, Time, DEFAULT_PACKET_BYTES,
 };
 
 /// Startup/Drain gain `2/ln 2`.
@@ -131,8 +129,8 @@ pub struct Bbr {
     cwnd_gain: f64,
     /// Cumulative bytes delivered (ACKed).
     delivered: u64,
-    /// Per-packet delivery snapshot for rate sampling.
-    packet_state: HashMap<SeqNr, (u64, Time)>,
+    /// Per-packet delivery snapshot `(delivered, sent at)` for rate sampling.
+    packet_state: SeqRing<(u64, Time)>,
     inflight_bytes: u64,
     /// Round tracking.
     next_round_delivered: u64,
@@ -180,7 +178,7 @@ impl Bbr {
             pacing_gain: STARTUP_GAIN,
             cwnd_gain: STARTUP_GAIN,
             delivered: 0,
-            packet_state: HashMap::new(),
+            packet_state: SeqRing::new(),
             inflight_bytes: 0,
             next_round_delivered: 0,
             round_count: 0,
@@ -368,7 +366,7 @@ impl CongestionControl for Bbr {
         }
 
         // Delivery-rate sample and round accounting.
-        if let Some((delivered_at_send, sent)) = self.packet_state.remove(&ack.seq) {
+        if let Some((delivered_at_send, sent)) = self.packet_state.remove(ack.seq) {
             if delivered_at_send >= self.next_round_delivered {
                 self.next_round_delivered = self.delivered;
                 self.round_count += 1;
@@ -394,7 +392,7 @@ impl CongestionControl for Bbr {
     }
 
     fn on_loss(&mut self, _now: Time, loss: &LossInfo) {
-        self.packet_state.remove(&loss.seq);
+        self.packet_state.remove(loss.seq);
         self.inflight_bytes = self.inflight_bytes.saturating_sub(loss.bytes);
         if loss.by_timeout {
             // v1's conservative RTO response: restart the model.
@@ -668,5 +666,74 @@ mod tests {
             },
         );
         assert_eq!(b.inflight_bytes, 0);
+    }
+
+    /// What keeps the per-packet delivery snapshots is invisible to the
+    /// model: a scripted trace of pipelined sends, ACKs, dup-ACK losses,
+    /// spurious ACKs of lost packets and one RTO ends on the numbers the
+    /// hash-map-keyed version produced (pinned at d1e8bf9).
+    #[test]
+    fn scripted_trace_pins_bandwidth_and_round_counts() {
+        let send_time = |seq: u64| Time::from_micros(100_000 + seq * 700);
+        let mut b = Bbr::new();
+        let mut lcg = 1u64;
+        let mut rounds_at_rto = 0;
+        for seq in 0..3000u64 {
+            let now = send_time(seq);
+            b.on_packet_sent(
+                now,
+                &SentPacket {
+                    seq,
+                    bytes: 1500,
+                    sent_at: now,
+                },
+            );
+            // Resolve the packet sent 40 sends (28 ms) ago.
+            let Some(old) = seq.checked_sub(40) else {
+                continue;
+            };
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let fate = (lcg >> 33) % 16;
+            let sent_at = send_time(old);
+            if fate < 2 || old == 1500 {
+                let by_timeout = old == 1500;
+                b.on_loss(
+                    now,
+                    &LossInfo {
+                        seq: old,
+                        bytes: 1500,
+                        sent_at,
+                        detected_at: now,
+                        by_timeout,
+                    },
+                );
+                if by_timeout {
+                    rounds_at_rto = b.round_count;
+                    assert_eq!(b.btl_bw.get(), None);
+                }
+            }
+            // Fate 1: the "lost" packet's ACK arrives after all (spurious).
+            if fate >= 1 {
+                b.on_ack(
+                    now,
+                    &AckInfo {
+                        seq: old,
+                        bytes: 1500,
+                        sent_at,
+                        recv_at: now,
+                        rtt: now.since(sent_at),
+                        one_way_delay: Dur::from_millis(14),
+                    },
+                );
+            }
+        }
+        assert_eq!((rounds_at_rto, b.round_count), (37, 72));
+        // 1500 B every 700 us, to the bit.
+        assert_eq!(b.btl_bw.get().map(f64::to_bits), Some(0x4140594492492492));
+        assert_eq!(b.delivered, 4_155_000);
+        assert_eq!(b.mode(), Mode::ProbeBw);
+        assert_eq!(b.packet_state.len(), 40, "the unresolved tail");
     }
 }

@@ -111,7 +111,8 @@ fn probe_run(rate_per_sec: f64, secs: f64, seed: u64) -> (Vec<f64>, Vec<f64>) {
         });
     }
     let res = run(sc);
-    window_metrics(&res.flows[0].rtt_samples, 0.090)
+    let samples: Vec<(f64, f64)> = res.flows[0].rtt_samples().collect();
+    window_metrics(&samples, 0.090)
 }
 
 /// Campaign job for one probe run: payload is the two per-window sample

@@ -8,8 +8,8 @@
 //! steady-state capacity), the allocation counter must not move across a
 //! long measurement window. This is the test form of the ISSUE's acceptance
 //! criterion and guards every structure DESIGN.md §4d describes:
-//! `RegressionAccumulator` (fixed-size MI state), `AttributionRing`
-//! (seq-indexed, amortized O(1)), `ProbePlan`/`ProbeResults` (stack-fixed
+//! `RegressionAccumulator` (fixed-size MI state), the `SeqRing` attribution
+//! ring (seq-indexed, amortized O(1)), `ProbePlan`/`ProbeResults` (stack-fixed
 //! probe buffers) and the `[_; TREND_WINDOW_MAX]` trending window.
 
 use std::alloc::{GlobalAlloc, Layout, System};

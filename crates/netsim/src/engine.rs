@@ -98,6 +98,7 @@ use proteus_transport::{
 
 use crate::fault::LinkChange;
 use crate::flows::FlowTable;
+use crate::inflight::InflightPkt;
 use crate::link::{Link, Offer, Wire};
 use crate::metrics::{EventStats, FlowMetrics, SimResult};
 use crate::population::{NewFlow, Population};
@@ -693,7 +694,7 @@ impl Sim {
             self.flows.rtt[flow].update(rtt);
             // Dup-ACK analog: earlier packets are lost once this ACK is
             // REORDER_THRESHOLD ahead of them.
-            while let Some((oldest, pkt)) = self.flows.inflight[flow].front() {
+            while let Some((oldest, &pkt)) = self.flows.inflight[flow].front() {
                 if oldest + REORDER_THRESHOLD <= seq {
                     self.flows.inflight[flow].pop_front();
                     self.flows.inflight_bytes[flow] =
@@ -824,7 +825,7 @@ impl Sim {
         let mut stale = std::mem::take(&mut self.loss_scratch);
         stale.clear();
         let cutoff = self.now - rto;
-        while let Some((s, pkt)) = self.flows.inflight[flow].front() {
+        while let Some((s, &pkt)) = self.flows.inflight[flow].front() {
             if pkt.sent_at > cutoff {
                 break;
             }
@@ -915,7 +916,9 @@ impl Sim {
                     let at = self.flows.next_pace_at[flow];
                     return self.set_timer(flow, TimerKind::Pace, Some(at));
                 }
-                let interval = Dur::from_secs_f64(bytes as f64 / rate);
+                let interval = self.flows.pace_interval[flow].get(bytes, rate, |bytes, rate| {
+                    Dur::from_secs_f64(bytes as f64 / rate)
+                });
                 self.flows.next_pace_at[flow] = now + interval;
             }
 
@@ -927,7 +930,11 @@ impl Sim {
             } else {
                 self.flows.app[flow].consume(bytes);
             }
-            self.flows.inflight[flow].insert(seq, now, bytes);
+            let sent = InflightPkt {
+                sent_at: now,
+                bytes,
+            };
+            self.flows.inflight[flow].insert(seq, sent);
             self.flows.inflight_bytes[flow] += bytes;
             let pkt = SentPacket {
                 seq,
@@ -1324,6 +1331,65 @@ mod tests {
             pace_pops as f64 <= 1.1 * sent as f64,
             "{pace_pops} Pace pops for {sent} packets"
         );
+    }
+
+    /// Paces at 500 kB/s until its timer fires at t = 1 s, at 250 kB/s from
+    /// then on, and logs every send time.
+    struct TestRateStep {
+        rate: f64,
+        step_at: Option<Time>,
+        sends_ns: Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+
+    impl CongestionControl for TestRateStep {
+        fn name(&self) -> &str {
+            "test-rate-step"
+        }
+        fn on_packet_sent(&mut self, now: Time, _pkt: &SentPacket) {
+            self.sends_ns.lock().unwrap().push(now.as_nanos());
+        }
+        fn on_ack(&mut self, _now: Time, _ack: &AckInfo) {}
+        fn on_loss(&mut self, _now: Time, _loss: &LossInfo) {}
+        fn pacing_rate(&self) -> Option<f64> {
+            Some(self.rate)
+        }
+        fn next_timer(&self) -> Option<Time> {
+            self.step_at
+        }
+        fn on_timer(&mut self, _now: Time) {
+            (self.rate, self.step_at) = (250_000.0, None);
+        }
+    }
+
+    /// The pacing interval is remembered from packet to packet, keyed by
+    /// `(bytes, rate)`: the first packet sent after the controller changes
+    /// its rate must already be followed by the new gap.
+    #[test]
+    fn rate_change_applies_to_the_very_next_pacing_gap() {
+        let sends_ns = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = sends_ns.clone();
+        let sc = Scenario::new(link_10mbps_20ms(), Dur::from_secs(2)).flow(FlowSpec::bulk(
+            "step",
+            Dur::ZERO,
+            move || {
+                Box::new(TestRateStep {
+                    rate: 500_000.0,
+                    step_at: Some(Time::from_millis(1000)),
+                    sends_ns: log,
+                })
+            },
+        ));
+        run(sc);
+        let sends = sends_ns.lock().unwrap();
+        let gaps: Vec<(u64, u64)> = sends.windows(2).map(|w| (w[0], w[1] - w[0])).collect();
+        // 1500 B at 500 kB/s is 3 ms; the send at t = 999 ms still is. The
+        // one at 1002 ms is the first to see 250 kB/s: 6 ms from there on.
+        assert_eq!(gaps[332], (996_000_000, 3_000_000));
+        assert_eq!(gaps[333], (999_000_000, 3_000_000));
+        assert_eq!(gaps[334], (1_002_000_000, 6_000_000));
+        assert!(gaps[..334].iter().all(|&(_, gap)| gap == 3_000_000));
+        assert!(gaps[334..].iter().all(|&(_, gap)| gap == 6_000_000));
+        assert!(gaps.len() > 490, "{} sends", sends.len());
     }
 
     /// `TestPaced` with a 10 ms controller timer that logs its last call.

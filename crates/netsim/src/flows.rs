@@ -24,6 +24,7 @@ use std::sync::Arc;
 use proteus_transport::{Application, CongestionControl, RttEstimator, SeqNr, Time};
 
 use crate::inflight::InflightTracker;
+use crate::link::DurMemo;
 use crate::timers::{TimerKind, TimerTable};
 use crate::topology::LinkId;
 
@@ -86,6 +87,8 @@ pub(crate) struct FlowTable {
     pub retx_bytes: Vec<u64>,
     /// Earliest instant pacing allows the next transmission.
     pub next_pace_at: Vec<Time>,
+    /// Pacing interval of the last packet sent.
+    pub pace_interval: Vec<DurMemo>,
     /// Pacing, controller, retransmission and application timers.
     pub timers: TimerTable,
     /// When the flow stops, if bounded.
@@ -131,6 +134,7 @@ impl FlowTable {
             inflight_bytes: Vec::with_capacity(capacity),
             retx_bytes: Vec::with_capacity(capacity),
             next_pace_at: Vec::with_capacity(capacity),
+            pace_interval: Vec::with_capacity(capacity),
             timers: TimerTable::default(),
             stop_at: Vec::with_capacity(capacity),
             last_delivery_at: Vec::with_capacity(capacity),
@@ -169,6 +173,7 @@ impl FlowTable {
         self.inflight_bytes.push(0);
         self.retx_bytes.push(0);
         self.next_pace_at.push(Time::ZERO);
+        self.pace_interval.push(DurMemo::default());
         self.timers.push_flow();
         self.stop_at.push(None);
         self.last_delivery_at.push(Time::ZERO);

@@ -1,21 +1,12 @@
-//! O(1) in-flight packet tracking for the per-ACK hot path.
+//! In-flight packet tracking for the per-ACK hot path.
 //!
-//! The engine assigns sequence numbers monotonically and the simulated path
-//! never reorders a flow's packets, so the set of outstanding packets is
-//! always a contiguous run of sequence numbers with holes where packets were
-//! already acknowledged or declared lost. [`InflightTracker`] exploits that:
-//! it is a `VecDeque` ring indexed by `seq - head_seq`, where a slot is
-//! `None` once its packet has been removed. Every operation the engine needs
-//! — insert at the tail, remove an arbitrary ACKed sequence, read/pop the
-//! oldest outstanding packet — is O(1) (amortized), where the `BTreeMap` it
-//! replaces paid O(log n) per ACK plus allocator traffic per node.
-//!
-//! Invariant: when the tracker is non-empty, the front slot is `Some` (front
-//! holes are trimmed on removal), so the oldest outstanding packet is always
-//! directly readable.
+//! The set of a flow's outstanding packets is a [`SeqRing`] of
+//! [`InflightPkt`]: insert at the tail, remove an arbitrary ACKed sequence
+//! number, read or pop the oldest outstanding packet — all O(1) (see
+//! `proteus_transport::seq_ring`; the model test against a `BTreeMap` lives
+//! there too).
 
-use proteus_transport::{SeqNr, Time};
-use std::collections::VecDeque;
+use proteus_transport::{SeqRing, Time};
 
 /// One outstanding packet: when it was sent and how big it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,102 +17,13 @@ pub struct InflightPkt {
     pub bytes: u64,
 }
 
-/// Seq-indexed ring buffer of outstanding packets (see module docs).
-#[derive(Debug, Clone, Default)]
-pub struct InflightTracker {
-    /// Slot `i` holds the packet with sequence number `head_seq + i`;
-    /// `None` marks a packet already removed (ACKed or declared lost).
-    slots: VecDeque<Option<InflightPkt>>,
-    /// Sequence number of `slots[0]`.
-    head_seq: SeqNr,
-    /// Number of `Some` slots.
-    live: usize,
-}
-
-impl InflightTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of outstanding packets.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no packets are outstanding.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Records a transmission. Sequence numbers must be non-decreasing
-    /// across calls and unused; the engine hands out `next_seq++` so both
-    /// hold by construction. Gaps (sequence numbers skipped entirely) are
-    /// tolerated and treated as already removed.
-    pub fn insert(&mut self, seq: SeqNr, sent_at: Time, bytes: u64) {
-        if self.slots.is_empty() {
-            self.head_seq = seq;
-        }
-        let idx = (seq - self.head_seq) as usize;
-        debug_assert!(
-            idx >= self.slots.len(),
-            "sequence numbers must be inserted in increasing order"
-        );
-        while self.slots.len() < idx {
-            self.slots.push_back(None);
-        }
-        self.slots.push_back(Some(InflightPkt { sent_at, bytes }));
-        self.live += 1;
-    }
-
-    /// Removes and returns the packet with sequence number `seq`, if it is
-    /// still outstanding.
-    pub fn remove(&mut self, seq: SeqNr) -> Option<InflightPkt> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        if idx >= self.slots.len() {
-            return None;
-        }
-        let taken = self.slots[idx].take();
-        if taken.is_some() {
-            self.live -= 1;
-            if idx == 0 {
-                self.trim_front();
-            }
-        }
-        taken
-    }
-
-    /// The oldest outstanding packet, if any.
-    pub fn front(&self) -> Option<(SeqNr, InflightPkt)> {
-        let pkt = (*self.slots.front()?).expect("front slot is live");
-        Some((self.head_seq, pkt))
-    }
-
-    /// Removes and returns the oldest outstanding packet.
-    pub fn pop_front(&mut self) -> Option<(SeqNr, InflightPkt)> {
-        let front = self.front()?;
-        self.slots[0] = None;
-        self.live -= 1;
-        self.trim_front();
-        Some(front)
-    }
-
-    /// Drops leading holes so the front slot is live again (or the ring is
-    /// empty). Amortized O(1): every slot is pushed and popped once.
-    fn trim_front(&mut self) {
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.head_seq += 1;
-        }
-        if self.slots.is_empty() {
-            debug_assert_eq!(self.live, 0);
-        }
-    }
-}
+/// A flow's outstanding packets, keyed by sequence number.
+pub type InflightTracker = SeqRing<InflightPkt>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus_transport::SeqNr;
 
     fn pkt(ms: u64, bytes: u64) -> InflightPkt {
         InflightPkt {
@@ -130,12 +32,16 @@ mod tests {
         }
     }
 
+    fn front(t: &InflightTracker) -> Option<(SeqNr, InflightPkt)> {
+        t.front().map(|(seq, &p)| (seq, p))
+    }
+
     #[test]
     fn insert_remove_round_trip() {
         let mut t = InflightTracker::new();
         assert!(t.is_empty());
-        t.insert(0, Time::from_millis(1), 1500);
-        t.insert(1, Time::from_millis(2), 1000);
+        t.insert(0, pkt(1, 1500));
+        t.insert(1, pkt(2, 1000));
         assert_eq!(t.len(), 2);
         assert_eq!(t.remove(0), Some(pkt(1, 1500)));
         assert_eq!(t.remove(0), None, "double-remove misses");
@@ -147,14 +53,14 @@ mod tests {
     fn front_skips_removed_holes() {
         let mut t = InflightTracker::new();
         for s in 0..5 {
-            t.insert(s, Time::from_millis(s), 100);
+            t.insert(s, pkt(s, 100));
         }
         // Punch holes at the front and middle.
         t.remove(0);
         t.remove(2);
-        assert_eq!(t.front(), Some((1, pkt(1, 100))));
+        assert_eq!(front(&t), Some((1, pkt(1, 100))));
         t.remove(1);
-        assert_eq!(t.front(), Some((3, pkt(3, 100))));
+        assert_eq!(front(&t), Some((3, pkt(3, 100))));
         assert_eq!(t.len(), 2);
     }
 
@@ -162,7 +68,7 @@ mod tests {
     fn pop_front_drains_in_seq_order() {
         let mut t = InflightTracker::new();
         for s in 10..15 {
-            t.insert(s, Time::from_millis(s), 100);
+            t.insert(s, pkt(s, 100));
         }
         t.remove(12);
         let drained: Vec<SeqNr> = std::iter::from_fn(|| t.pop_front().map(|(s, _)| s)).collect();
@@ -173,17 +79,17 @@ mod tests {
     #[test]
     fn reuse_after_full_drain() {
         let mut t = InflightTracker::new();
-        t.insert(0, Time::ZERO, 1);
+        t.insert(0, pkt(0, 1));
         t.remove(0);
         // Ring empty; head re-anchors at the next insert even if seqs jumped.
-        t.insert(7, Time::from_millis(7), 2);
-        assert_eq!(t.front(), Some((7, pkt(7, 2))));
+        t.insert(7, pkt(7, 2));
+        assert_eq!(front(&t), Some((7, pkt(7, 2))));
     }
 
     #[test]
     fn out_of_range_removals_miss() {
         let mut t = InflightTracker::new();
-        t.insert(5, Time::ZERO, 1);
+        t.insert(5, pkt(0, 1));
         assert_eq!(t.remove(4), None, "below head");
         assert_eq!(t.remove(6), None, "beyond tail");
         assert_eq!(t.len(), 1);

@@ -60,6 +60,34 @@ pub enum Wire {
     },
 }
 
+/// The last result of a pure `(bytes, rate) -> Dur` conversion, kept with its
+/// arguments. A link's serialization delay and a flow's pacing interval are
+/// each a float division and a rounding per packet for a value that changes
+/// when the packet size or the rate does — a short last packet, a bandwidth
+/// step, a new monitor interval — so the stale case is detected by comparing
+/// the arguments and needs no hook where rates are set.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DurMemo {
+    bytes: u64,
+    rate: f64,
+    value: Dur,
+}
+
+impl DurMemo {
+    /// `f(bytes, rate)`, computed only when either differs from last time.
+    #[inline]
+    pub fn get(&mut self, bytes: u64, rate: f64, f: impl FnOnce(u64, f64) -> Dur) -> Dur {
+        if (bytes, rate) != (self.bytes, self.rate) {
+            *self = DurMemo {
+                bytes,
+                rate,
+                value: f(bytes, rate),
+            };
+        }
+        self.value
+    }
+}
+
 /// A fixed-rate, tail-drop FIFO bottleneck and its wire (see module docs).
 #[derive(Debug)]
 pub struct Link {
@@ -73,6 +101,8 @@ pub struct Link {
     peak_queued_bytes: u64,
     /// Time the serializer becomes free.
     free_at: Time,
+    /// Serialization delay of the last packet offered.
+    ser_delay: DurMemo,
     /// Link-owned departures `(depart_at, seq, bytes)` not yet released, in
     /// admission order — which is also `(depart_at, seq)` order, because
     /// `free_at` and the engine's sequence counter are both monotone.
@@ -120,6 +150,7 @@ impl Link {
             queued_bytes: 0,
             peak_queued_bytes: 0,
             free_at: Time::ZERO,
+            ser_delay: DurMemo::default(),
             departures: VecDeque::new(),
             accepted_pkts: 0,
             accepted_bytes: 0,
@@ -153,7 +184,10 @@ impl Link {
             self.dropped_pkts += 1;
             return Offer::Dropped;
         }
-        let departs = self.free_at.max(now) + serialization_delay(bytes, self.rate_bps);
+        let ser = self
+            .ser_delay
+            .get(bytes, self.rate_bps, serialization_delay);
+        let departs = self.free_at.max(now) + ser;
         self.free_at = departs;
         self.queued_bytes += bytes;
         self.peak_queued_bytes = self.peak_queued_bytes.max(self.queued_bytes);
@@ -383,6 +417,32 @@ mod tests {
         assert_eq!((fault.kind, fault.value), (FaultKind::Bandwidth, 6.0));
         assert_eq!(departs(&mut l, Time::ZERO), Time::from_millis(3));
         assert_eq!(l.summary().rate_bps, 12e6);
+    }
+
+    /// The serialization delay is remembered from packet to packet, keyed
+    /// by `(bytes, rate)`: a bandwidth step or a packet of another size
+    /// changes the very next departure, and the old pair costs again.
+    #[test]
+    fn remembered_serialization_delay_follows_rate_and_size() {
+        let mut l = Link::new(&spec().with_buffer_bytes(1 << 20), None, 0);
+        // Offered back to back at t = 0, each packet departs one
+        // serialization delay after the one before it.
+        let mut last = Time::ZERO;
+        let mut ser_us = |l: &mut Link, bytes: u64| {
+            let Offer::Departs(at) = l.offer(Time::ZERO, bytes) else {
+                panic!("should accept");
+            };
+            at.since(std::mem::replace(&mut last, at)).as_nanos() / 1000
+        };
+        assert_eq!(ser_us(&mut l, 1500), 1000);
+        assert_eq!(ser_us(&mut l, 1500), 1000);
+        assert_eq!(ser_us(&mut l, 750), 500);
+        assert_eq!(ser_us(&mut l, 1500), 1000);
+        l.apply(LinkChange::Bandwidth(24.0));
+        assert_eq!(ser_us(&mut l, 1500), 500);
+        assert_eq!(ser_us(&mut l, 1500), 500);
+        l.apply(LinkChange::Bandwidth(12.0));
+        assert_eq!(ser_us(&mut l, 1500), 1000);
     }
 
     #[test]

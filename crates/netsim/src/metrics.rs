@@ -6,10 +6,9 @@
 //! feeds raw events into [`FlowMetrics`]; the harness reads the aggregate
 //! accessors.
 
-use std::cell::OnceCell;
 use std::collections::VecDeque;
 
-use proteus_stats::percentile_sorted;
+use proteus_stats::{percentile, percentile_select};
 use proteus_transport::{Dur, FlowId, FrameRecord, Time};
 
 use crate::fault::FaultStats;
@@ -36,8 +35,6 @@ pub struct MediaMetrics {
     time_in_freeze: f64,
     /// Completion delay of each completed frame, seconds, in encode order.
     delays: Vec<f64>,
-    /// Sorted delays, built lazily on the first percentile query.
-    delays_sorted: OnceCell<Vec<f64>>,
 }
 
 impl MediaMetrics {
@@ -72,19 +69,9 @@ impl MediaMetrics {
     }
 
     /// The `p`-th percentile frame completion delay in seconds, if any
-    /// frame completed. Cached after the first query like RTT percentiles.
+    /// frame completed.
     pub fn frame_delay_percentile(&self, p: f64) -> Option<f64> {
-        let sorted = self.delays_sorted.get_or_init(|| {
-            let mut v: Vec<f64> = self
-                .delays
-                .iter()
-                .copied()
-                .filter(|d| d.is_finite())
-                .collect();
-            v.sort_unstable_by(f64::total_cmp);
-            v
-        });
-        percentile_sorted(sorted, p)
+        percentile(&self.delays, p)
     }
 
     /// Mean frame completion delay in seconds.
@@ -94,6 +81,76 @@ impl MediaMetrics {
         } else {
             Some(self.delays.iter().sum::<f64>() / self.delays.len() as f64)
         }
+    }
+}
+
+/// One flow's `(ACK time, RTT)` samples: exact, in nanoseconds, 8 bytes a
+/// sample while the data allows.
+///
+/// `narrow` holds `(gap since the previous sample, RTT)` as two `u32`s, the
+/// first sample's time kept apart in `first_ns` so a flow that starts at
+/// t = 48 s stays narrow. The first sample whose gap or RTT does not fit
+/// 32 bits (4.29 s — an outage) goes to `wide` as an absolute `(time, RTT)`
+/// pair of `u64`s, and so does every sample after it: the data chooses, at
+/// most once a flow, and nothing is moved or truncated. In sample order the
+/// store reads `narrow` then `wide`.
+#[derive(Debug, Clone, Default)]
+struct RttStore {
+    /// Time of the first narrow sample.
+    first_ns: u64,
+    /// Time of the newest narrow sample: the base of the next gap.
+    last_ns: u64,
+    narrow: Vec<(u32, u32)>,
+    wide: Vec<(u64, u64)>,
+}
+
+impl RttStore {
+    #[inline]
+    fn push(&mut self, at: Time, rtt: Dur) {
+        let (t_ns, rtt_ns) = (at.as_nanos(), rtt.as_nanos());
+        if self.wide.is_empty() {
+            if self.narrow.is_empty() {
+                (self.first_ns, self.last_ns) = (t_ns, t_ns);
+            }
+            let gap = t_ns.checked_sub(self.last_ns).map(u32::try_from);
+            if let (Some(Ok(gap)), Ok(rtt)) = (gap, u32::try_from(rtt_ns)) {
+                self.narrow.push((gap, rtt));
+                self.last_ns = t_ns;
+                return;
+            }
+        }
+        self.wide.push((t_ns, rtt_ns));
+    }
+
+    fn len(&self) -> usize {
+        self.narrow.len() + self.wide.len()
+    }
+
+    /// `(ACK time, RTT)` in sample order.
+    fn iter(&self) -> impl Iterator<Item = (Time, Dur)> + '_ {
+        let mut t = self.first_ns;
+        let narrow = self.narrow.iter().map(move |&(gap, rtt)| {
+            t += u64::from(gap);
+            (t, u64::from(rtt))
+        });
+        narrow
+            .chain(self.wide.iter().copied())
+            .map(|(t, rtt)| (Time::from_nanos(t), Dur::from_nanos(rtt)))
+    }
+
+    /// The nearest-rank `p`-th percentile RTT, selected on a scratch copy of
+    /// the RTT column that is freed on return: O(n), 4 bytes a sample while
+    /// the store is narrow, and nothing to invalidate when the next sample
+    /// arrives.
+    fn rtt_percentile(&self, p: f64) -> Option<Dur> {
+        let ns = if self.wide.is_empty() {
+            let mut rtts: Vec<u32> = self.narrow.iter().map(|&(_, rtt)| rtt).collect();
+            percentile_select(&mut rtts, p).map(u64::from)
+        } else {
+            let mut rtts: Vec<u64> = self.iter().map(|(_, rtt)| rtt.as_nanos()).collect();
+            percentile_select(&mut rtts, p)
+        };
+        ns.map(Dur::from_nanos)
     }
 }
 
@@ -120,17 +177,18 @@ pub struct FlowMetrics {
     pub pkts_lost: u64,
     /// Width of each throughput bin.
     pub bin: Dur,
-    /// `(ack_time_seconds, rtt_seconds)` samples (possibly strided).
-    pub rtt_samples: Vec<(f64, f64)>,
+    /// `(ACK time, RTT)` of every `rtt_stride`-th ACK.
+    rtt: RttStore,
     /// Cumulative bytes acknowledged through each time bin since
     /// `Time::ZERO` (`acked_cum[i]` covers bins `0..=i`). Stored as a prefix
     /// sum so any `throughput_bps` window is two lookups instead of a scan.
     acked_cum: Vec<u64>,
-    /// Sorted RTT values, built lazily on the first percentile query and
-    /// invalidated by `on_ack` (percentile reads during a run stay correct).
-    rtt_sorted: OnceCell<Vec<f64>>,
+    /// End of the newest bin in `acked_cum`, nanoseconds (0 before the
+    /// first ACK): an ACK before it needs no division to find its bin.
+    bin_end_ns: u64,
     rtt_stride: usize,
-    rtt_counter: usize,
+    /// ACKs left until the next RTT sample.
+    rtt_countdown: usize,
     /// Frame-latency accounting; `None` for every non-media flow (boxed so
     /// the common case costs one pointer, keeping media-free scenarios'
     /// layout and results untouched).
@@ -140,6 +198,7 @@ pub struct FlowMetrics {
 impl FlowMetrics {
     /// Creates an empty metrics record.
     pub fn new(id: FlowId, name: String, bin: Dur, rtt_stride: usize) -> Self {
+        let rtt_stride = rtt_stride.max(1);
         Self {
             id,
             name,
@@ -151,11 +210,11 @@ impl FlowMetrics {
             pkts_acked: 0,
             pkts_lost: 0,
             bin,
-            rtt_samples: Vec::new(),
+            rtt: RttStore::default(),
             acked_cum: Vec::new(),
-            rtt_sorted: OnceCell::new(),
-            rtt_stride: rtt_stride.max(1),
-            rtt_counter: 0,
+            bin_end_ns: 0,
+            rtt_stride,
+            rtt_countdown: rtt_stride,
             media: None,
         }
     }
@@ -178,7 +237,6 @@ impl FlowMetrics {
         let Some(m) = self.media.as_deref_mut() else {
             return;
         };
-        let mut changed = false;
         while let Some(f) = m.pending.front() {
             if f.end_bytes > self.bytes_acked {
                 break;
@@ -192,10 +250,6 @@ impl FlowMetrics {
                 m.freeze_count += 1;
                 m.time_in_freeze += delay - budget;
             }
-            changed = true;
-        }
-        if changed {
-            m.delays_sorted.take();
         }
     }
 
@@ -207,22 +261,30 @@ impl FlowMetrics {
     pub(crate) fn on_ack(&mut self, now: Time, bytes: u64, rtt: Dur) {
         self.bytes_acked += bytes;
         self.pkts_acked += 1;
-        let bin_idx = (now.as_nanos() / self.bin.as_nanos().max(1)) as usize;
-        if self.acked_cum.len() <= bin_idx {
-            // New bins start from the running total (prefix-sum invariant).
-            let total = self.acked_cum.last().copied().unwrap_or(0);
-            self.acked_cum.resize(bin_idx + 1, total);
+        let now_ns = now.as_nanos();
+        if now_ns >= self.bin_end_ns {
+            self.open_bin(now_ns);
         }
         // ACK events arrive in time order, so this ACK lands in the last bin
         // and the prefix-sum stays consistent with a single update.
-        debug_assert_eq!(bin_idx + 1, self.acked_cum.len());
-        self.acked_cum[bin_idx] += bytes;
-        self.rtt_counter += 1;
-        if self.rtt_counter.is_multiple_of(self.rtt_stride) {
-            self.rtt_samples
-                .push((now.as_secs_f64(), rtt.as_secs_f64()));
-            self.rtt_sorted.take();
+        *self.acked_cum.last_mut().expect("open_bin leaves a bin") += bytes;
+        self.rtt_countdown -= 1;
+        if self.rtt_countdown == 0 {
+            self.rtt_countdown = self.rtt_stride;
+            self.rtt.push(now, rtt);
         }
+    }
+
+    /// Extends the bins to the one holding `now_ns`: the only division, paid
+    /// when an ACK crosses a bin edge rather than on every ACK.
+    fn open_bin(&mut self, now_ns: u64) {
+        let bin_ns = self.bin.as_nanos().max(1);
+        let bin_idx = now_ns / bin_ns;
+        // New bins — the ones skipped while the flow sat idle too — start
+        // from the running total (prefix-sum invariant).
+        let total = self.acked_cum.last().copied().unwrap_or(0);
+        self.acked_cum.resize(bin_idx as usize + 1, total);
+        self.bin_end_ns = (bin_idx + 1).saturating_mul(bin_ns);
     }
 
     pub(crate) fn on_loss(&mut self) {
@@ -289,48 +351,40 @@ impl FlowMetrics {
             .collect()
     }
 
+    /// `(ack_time_seconds, rtt_seconds)` of every sampled ACK (every one,
+    /// or every `rtt_stride`-th), in ACK order.
+    pub fn rtt_samples(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.rtt
+            .iter()
+            .map(|(t, rtt)| (t.as_secs_f64(), rtt.as_secs_f64()))
+    }
+
     /// RTT values (seconds), discarding timestamps.
     pub fn rtt_values(&self) -> Vec<f64> {
-        self.rtt_samples.iter().map(|&(_, r)| r).collect()
+        self.rtt_samples().map(|(_, r)| r).collect()
     }
 
     /// RTT values within a time window `[from, to)`, seconds.
     pub fn rtt_values_in(&self, from: Time, to: Time) -> Vec<f64> {
         let (a, b) = (from.as_secs_f64(), to.as_secs_f64());
-        self.rtt_samples
-            .iter()
-            .filter(|&&(t, _)| t >= a && t < b)
-            .map(|&(_, r)| r)
+        self.rtt_samples()
+            .filter(|&(t, _)| t >= a && t < b)
+            .map(|(_, r)| r)
             .collect()
     }
 
-    /// The `p`-th percentile RTT in seconds, if samples exist. The sorted
-    /// sample set is cached after the first query, so sweeping several
-    /// percentiles (p50/p95/p99 columns) costs one sort total.
+    /// The `p`-th percentile RTT in seconds (nearest rank), if samples
+    /// exist: an O(n) selection over the integer samples — nanoseconds to
+    /// seconds is monotone, so the value is the one a sort of the `f64`s
+    /// would pick — with nothing cached between queries.
     pub fn rtt_percentile(&self, p: f64) -> Option<f64> {
-        let sorted = self.rtt_sorted.get_or_init(|| {
-            let mut v: Vec<f64> = self
-                .rtt_samples
-                .iter()
-                .map(|&(_, r)| r)
-                .filter(|r| r.is_finite())
-                .collect();
-            v.sort_unstable_by(f64::total_cmp);
-            v
-        });
-        percentile_sorted(sorted, p)
+        self.rtt.rtt_percentile(p).map(Dur::as_secs_f64)
     }
 
     /// Mean RTT in seconds.
     pub fn rtt_mean(&self) -> Option<f64> {
-        if self.rtt_samples.is_empty() {
-            None
-        } else {
-            Some(
-                self.rtt_samples.iter().map(|&(_, r)| r).sum::<f64>()
-                    / self.rtt_samples.len() as f64,
-            )
-        }
+        let n = self.rtt.len();
+        (n > 0).then(|| self.rtt_samples().map(|(_, r)| r).sum::<f64>() / n as f64)
     }
 
     /// Loss rate observed by the sender: `lost / sent`.
@@ -559,8 +613,166 @@ mod tests {
         for i in 0..100 {
             m.on_ack(Time::from_millis(i), 1500, Dur::from_millis(30));
         }
-        assert_eq!(m.rtt_samples.len(), 25);
+        assert_eq!(m.rtt_samples().count(), 25);
         assert_eq!(m.pkts_acked, 100);
+    }
+
+    /// Nearest-rank percentile by full sort: what `rtt_percentile` and
+    /// `frame_delay_percentile` computed before they selected.
+    fn sorted_percentile(xs: &[f64], p: f64) -> Option<f64> {
+        let mut v = xs.to_vec();
+        v.sort_unstable_by(f64::total_cmp);
+        let rank = (p / 100.0 * v.len() as f64).ceil() as usize;
+        v.get(rank.saturating_sub(1).min(v.len().saturating_sub(1)))
+            .copied()
+    }
+
+    fn bits(samples: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        let pair = |&(t, r): &(f64, f64)| (t.to_bits(), r.to_bits());
+        samples.iter().map(pair).collect()
+    }
+
+    /// Feeds `trace` (`(ACK time, RTT)`, nanoseconds) at stride 1 and checks
+    /// every RTT reader, bit for bit, against the `Vec<(f64, f64)>` of
+    /// seconds the field used to be. Returns the metrics for layout checks.
+    fn check_against_float_record(trace: &[(u64, u64)]) -> FlowMetrics {
+        let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
+        let mut want = Vec::new();
+        for &(t, rtt) in trace {
+            let (t, rtt) = (Time::from_nanos(t), Dur::from_nanos(rtt));
+            m.on_ack(t, 1500, rtt);
+            want.push((t.as_secs_f64(), rtt.as_secs_f64()));
+        }
+        let got: Vec<(f64, f64)> = m.rtt_samples().collect();
+        assert_eq!(bits(&got), bits(&want));
+        let rtts: Vec<f64> = want.iter().map(|&(_, r)| r).collect();
+        assert_eq!(m.rtt_values(), rtts);
+        let mean = (!rtts.is_empty()).then(|| rtts.iter().sum::<f64>() / rtts.len() as f64);
+        assert_eq!(m.rtt_mean().map(f64::to_bits), mean.map(f64::to_bits));
+        for p in [0.0, 5.0, 50.0, 95.0, 99.0, 100.0] {
+            let (got, want) = (m.rtt_percentile(p), sorted_percentile(&rtts, p));
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "p{p}");
+        }
+        let (first, last) = (trace[0].0, trace[trace.len() - 1].0);
+        let from = Time::from_nanos(first + (last - first) / 3);
+        let to = Time::from_nanos(last - (last - first) / 3);
+        let in_window: Vec<f64> = want
+            .iter()
+            .filter(|&&(t, _)| t >= from.as_secs_f64() && t < to.as_secs_f64())
+            .map(|&(_, r)| r)
+            .collect();
+        assert_eq!(m.rtt_values_in(from, to), in_window);
+        m
+    }
+
+    /// Longer than 32 bits of nanoseconds hold (4.29 s).
+    const TOO_WIDE: u64 = u32::MAX as u64 + 1;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random traces — the first sample up to a minute into the run —
+        /// as they are, then with an RTT or a gap over 4.29 s forced at the
+        /// first, a middle and the last sample.
+        #[test]
+        fn rtt_store_equals_the_float_record(
+            draws in proptest::collection::vec(proptest::any::<u64>(), 1..120),
+            first_ms in 0u64..60_000,
+        ) {
+            let mut t = first_ms * 1_000_000;
+            let base: Vec<(u64, u64)> = draws
+                .iter()
+                .map(|&d| {
+                    t += d % 40_000_000; // gaps up to 40 ms
+                    (t, 1_000_000 + (d >> 32) % 400_000_000)
+                })
+                .collect();
+            let n = base.len();
+            let plain = check_against_float_record(&base);
+            proptest::prop_assert!(plain.rtt.wide.is_empty(), "a late first sample stays narrow");
+            proptest::prop_assert_eq!(plain.rtt.narrow.len(), n);
+            for at in [0, n / 2, n - 1] {
+                let mut long_rtt = base.clone();
+                long_rtt[at].1 += TOO_WIDE;
+                let m = check_against_float_record(&long_rtt);
+                proptest::prop_assert_eq!((m.rtt.narrow.len(), m.rtt.wide.len()), (at, n - at));
+                if at > 0 {
+                    let mut outage = base.clone();
+                    outage[at..].iter_mut().for_each(|s| s.0 += TOO_WIDE);
+                    let m = check_against_float_record(&outage);
+                    proptest::prop_assert_eq!((m.rtt.narrow.len(), m.rtt.wide.len()), (at, n - at));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_million_narrow_samples_occupy_eight_megabytes() {
+        let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
+        // 500 Mbps of 1500 B packets from t = 48 s: an ACK every 24 us.
+        for i in 0..1_000_000u64 {
+            let rtt = Dur::from_micros(30_000 + i % 7_000);
+            m.on_ack(Time::from_nanos(48_000_000_000 + i * 24_000), 1500, rtt);
+        }
+        assert!(m.rtt.wide.is_empty());
+        assert_eq!(std::mem::size_of_val(&m.rtt.narrow[..]), 8_000_000);
+        assert_eq!(m.rtt_samples().last(), Some((71.999976, 0.035999)));
+    }
+
+    #[test]
+    fn percentile_read_mid_run_does_not_go_stale() {
+        let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
+        for i in 0..10 {
+            m.on_ack(Time::from_millis(i), 1500, Dur::from_millis(30));
+        }
+        assert_eq!(m.rtt_percentile(95.0), Some(0.030));
+        for i in 10..200 {
+            m.on_ack(Time::from_millis(i), 1500, Dur::from_millis(80));
+        }
+        assert_eq!(m.rtt_percentile(95.0), Some(0.080));
+        assert_eq!(m.rtt_percentile(5.0), Some(0.030));
+        assert_eq!(m.rtt_percentile(6.0), Some(0.080));
+    }
+
+    /// Goodput bins and strided samples equal the per-ACK division and
+    /// modulo they used to be found with, over a trace whose idle gaps span
+    /// several bins.
+    #[test]
+    fn bins_and_strides_equal_the_division_based_reference() {
+        let bin = Dur::from_millis(100);
+        // Bursts of ACKs 1.7 ms apart; then idle for 0, 1 or 2-4 bins.
+        let mut trace = Vec::new();
+        let mut t = 30_000_000u64;
+        for burst in 0..40u64 {
+            for i in 0..(7 + burst * 13 % 90) {
+                trace.push((t, 100 + (burst + i) % 1400, 20_000_000 + i * 1000));
+                t += 1_700_000;
+            }
+            t += burst % 3 * (burst % 5) * 100_000_000;
+        }
+        for stride in [1usize, 64] {
+            let mut m = FlowMetrics::new(0, "t".into(), bin, stride);
+            let mut bins: Vec<u64> = Vec::new();
+            let mut samples = Vec::new();
+            for (k, &(t, bytes, rtt)) in trace.iter().enumerate() {
+                let (at, rtt) = (Time::from_nanos(t), Dur::from_nanos(rtt));
+                m.on_ack(at, bytes, rtt);
+                let idx = (t / bin.as_nanos()) as usize;
+                bins.resize(bins.len().max(idx + 1), 0);
+                bins[idx] += bytes;
+                if (k + 1) % stride == 0 {
+                    samples.push((at.as_secs_f64(), rtt.as_secs_f64()));
+                }
+            }
+            assert!(bins.iter().filter(|&&b| b == 0).count() > 20, "idle bins");
+            assert_eq!(m.acked_bins(), bins, "stride {stride}");
+            assert_eq!(m.rtt_samples().collect::<Vec<_>>(), samples);
+            let (from, to) = (Time::from_millis(500), Time::from_nanos(t));
+            let whole_bins = &bins[5..(t / bin.as_nanos()) as usize];
+            let secs = whole_bins.len() as f64 * 0.1;
+            let want = whole_bins.iter().sum::<u64>() as f64 * 8.0 / secs;
+            assert!((m.throughput_bps(from, to) - want).abs() < 1e-6 * want);
+        }
     }
 
     #[test]
@@ -650,6 +862,10 @@ mod tests {
         assert_eq!(mm.freeze_count(), 3);
         let p99 = mm.frame_delay_percentile(99.0).unwrap();
         assert!(p99 >= 0.39, "p99 = {p99}");
+        for p in [0.0, 25.0, 26.0, 50.0, 95.0, 100.0] {
+            let want = sorted_percentile(mm.frame_delays(), p);
+            assert_eq!(mm.frame_delay_percentile(p), want, "p{p}");
+        }
         assert!(mm.frame_delay_mean().unwrap() > 0.2);
     }
 

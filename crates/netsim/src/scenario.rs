@@ -393,7 +393,12 @@ impl Scenario {
     }
 
     /// Sets the throughput bin width.
+    ///
+    /// # Panics
+    /// Panics if `bin` is zero (a goodput timeline of zero-width bins would
+    /// hold one entry per simulated nanosecond).
     pub fn with_throughput_bin(mut self, bin: Dur) -> Self {
+        assert!(!bin.is_zero(), "the throughput bin must be positive");
         self.throughput_bin = bin;
         self
     }
@@ -408,7 +413,12 @@ impl Scenario {
     /// active flow's rate, window, in-flight bytes, RTT estimator state and
     /// controller internals are recorded into
     /// [`crate::metrics::SimResult::trace`].
+    ///
+    /// # Panics
+    /// Panics if `every` is zero (the sampler would re-arm at the same
+    /// instant forever).
     pub fn with_trace(mut self, every: Dur) -> Self {
+        assert!(!every.is_zero(), "the trace period must be positive");
         self.trace_every = Some(every);
         self
     }
@@ -514,6 +524,19 @@ mod tests {
     fn with_faults_after_the_topology_attachment_is_rejected_at_the_builder() {
         let topo = Topology::single(LinkSpec::paper_default()).with_faults(0, outage());
         let _ = Scenario::over(topo, Dur::from_secs(5)).with_faults(outage());
+    }
+
+    #[test]
+    #[should_panic(expected = "the throughput bin must be positive")]
+    fn zero_throughput_bin_is_rejected() {
+        let _ = Scenario::new(LinkSpec::paper_default(), Dur::from_secs(5))
+            .with_throughput_bin(Dur::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "the trace period must be positive")]
+    fn zero_trace_period_is_rejected() {
+        let _ = Scenario::new(LinkSpec::paper_default(), Dur::from_secs(5)).with_trace(Dur::ZERO);
     }
 
     /// The controller factories are never called: `with_churn` only reads

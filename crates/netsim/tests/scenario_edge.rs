@@ -77,7 +77,7 @@ fn probe_rtt_deviation_grows_with_cross_traffic() {
         }
         let res = run(sc);
         let mut acc = Welford::new();
-        for &(_, rtt) in &res.flows[0].rtt_samples {
+        for (_, rtt) in res.flows[0].rtt_samples() {
             acc.add(rtt);
         }
         acc.std_dev()

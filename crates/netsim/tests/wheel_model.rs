@@ -3,7 +3,8 @@
 //! the engine, under randomized interleavings of the operations the engine
 //! performs — pushes at the current instant (same-timestamp ties), short
 //! timer horizons, multi-level jumps, and far-future overflow entries —
-//! mirroring the `InflightTracker` vs `BTreeMap` model test from PR 2.
+//! mirroring the `SeqRing` vs `BTreeMap` model test
+//! (`crates/transport/tests/seq_ring_model.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -50,6 +50,6 @@ mod welford;
 pub use cdf::Ecdf;
 pub use ewma::{Ewma, MeanDeviationTracker};
 pub use jain::jain_index;
-pub use percentile::{median, percentile, percentile_sorted};
+pub use percentile::{median, percentile, percentile_select};
 pub use regression::{LinearRegression, RegressionAccumulator};
 pub use welford::Welford;

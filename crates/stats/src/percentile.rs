@@ -19,16 +19,16 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
     Some(*val)
 }
 
-/// Returns the `p`-th percentile of an **ascending-sorted** slice with no
-/// non-finite values, in O(1). Callers that cache a sorted sample set (e.g.
-/// per-flow RTT metrics) use this to answer repeated percentile queries
-/// without re-collecting.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
-    if sorted.is_empty() {
+/// The nearest-rank `p`-th percentile of totally ordered values, by the same
+/// selection; reorders `v`. For samples kept as integers (per-flow RTTs in
+/// nanoseconds): a monotone map of the result is the percentile of the
+/// mapped values, so nothing needs sorting, converting or caching first.
+pub fn percentile_select<T: Ord + Copy>(v: &mut [T], p: f64) -> Option<T> {
+    if v.is_empty() {
         return None;
     }
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input not sorted");
-    Some(sorted[nearest_rank_index(sorted.len(), p)])
+    let idx = nearest_rank_index(v.len(), p);
+    Some(*v.select_nth_unstable(idx).1)
 }
 
 /// Nearest-rank index for the `p`-th percentile of `len` samples.
@@ -116,20 +116,24 @@ mod tests {
         }
         let mut sorted = xs.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut bits: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
         for p in 0..=100 {
             let p = p as f64;
-            assert_eq!(percentile(&xs, p), percentile_sorted(&sorted, p), "p={p}");
+            let want = sorted[nearest_rank_index(sorted.len(), p)];
+            assert_eq!(percentile(&xs, p), Some(want), "p={p}");
+            // Positive floats order like their bit patterns.
+            assert_eq!(percentile_select(&mut bits, p), Some(want.to_bits()));
         }
     }
 
     #[test]
-    fn percentile_sorted_edges() {
-        assert_eq!(percentile_sorted(&[], 50.0), None);
-        assert_eq!(percentile_sorted(&[4.0], 0.0), Some(4.0));
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile_sorted(&xs, 0.0), Some(1.0));
-        assert_eq!(percentile_sorted(&xs, 25.0), Some(1.0));
-        assert_eq!(percentile_sorted(&xs, 26.0), Some(2.0));
-        assert_eq!(percentile_sorted(&xs, 100.0), Some(4.0));
+    fn percentile_select_edges() {
+        assert_eq!(percentile_select::<u32>(&mut [], 50.0), None);
+        assert_eq!(percentile_select(&mut [4], 0.0), Some(4));
+        let mut xs = [3, 1, 4, 2];
+        assert_eq!(percentile_select(&mut xs, 0.0), Some(1));
+        assert_eq!(percentile_select(&mut xs, 25.0), Some(1));
+        assert_eq!(percentile_select(&mut xs, 26.0), Some(2));
+        assert_eq!(percentile_select(&mut xs, 100.0), Some(4));
     }
 }

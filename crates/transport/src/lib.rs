@@ -9,6 +9,7 @@
 //!   COPA, LEDBAT, Vivace, Proteus-P/S/H, …) implement,
 //! * [`RttEstimator`] and windowed min/max filters,
 //! * [`MiTracker`]/[`MiStats`] — PCC monitor-interval accounting,
+//! * [`SeqRing`] — O(1) per-packet state keyed by sequence number,
 //! * [`Application`] — sender-side application models (bulk, fixed-size).
 //!
 //! The simulator (`proteus-netsim`) drives implementations of these traits;
@@ -22,6 +23,7 @@ pub mod cc;
 pub mod mi;
 pub mod packet;
 pub mod rtt;
+pub mod seq_ring;
 pub mod time;
 
 pub use app::{Application, BulkApp, FrameRecord, SizedApp};
@@ -29,4 +31,5 @@ pub use cc::{factory, CcFactory, CcSnapshot, CongestionControl};
 pub use mi::{MiId, MiStats, MiTracker};
 pub use packet::{AckInfo, FlowId, LossInfo, SentPacket, SeqNr, DEFAULT_PACKET_BYTES};
 pub use rtt::{RttEstimator, WindowedMax, WindowedMin};
+pub use seq_ring::SeqRing;
 pub use time::{serialization_delay, Dur, Time};

@@ -13,8 +13,8 @@
 //! is built to do **no hashing, no heap allocation and no linear scans** per
 //! event in steady state:
 //!
-//! * packet→MI attribution is a seq-indexed ring (`AttributionRing`, the
-//!   same shape as `netsim::inflight::InflightTracker`) instead of a SipHash
+//! * packet→MI attribution is a seq-indexed ring ([`SeqRing`], the one the
+//!   engine tracks in-flight packets with) instead of a SipHash
 //!   `HashMap<SeqNr, MiId>` — O(1) insert/remove with zero per-packet
 //!   allocator traffic once the ring has grown to the flow's in-flight size;
 //! * MI ids are handed out sequentially and `pending` is drained in order,
@@ -30,10 +30,12 @@
 //!   `Vec<MiStats>` per event.
 
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 use proteus_stats::{RegressionAccumulator, Welford};
 
-use crate::packet::{AckInfo, LossInfo, SentPacket, SeqNr};
+use crate::packet::{AckInfo, LossInfo, SentPacket};
+use crate::seq_ring::SeqRing;
 use crate::time::{Dur, Time};
 
 /// Identifier of a monitor interval within one flow.
@@ -176,73 +178,6 @@ impl MiState {
     }
 }
 
-/// Sentinel marking a ring slot whose packet is not attributed to any MI
-/// (already resolved, skipped, or sent with no MI open).
-const NO_MI: MiId = MiId::MAX;
-
-/// Seq-indexed packet→MI attribution ring, in the style of
-/// `netsim::inflight::InflightTracker`: slot `i` holds the MI id of the
-/// packet with sequence number `head_seq + i` (or [`NO_MI`]). Senders hand
-/// out sequence numbers monotonically, so insert is a push at the tail and
-/// removal is direct indexing — O(1) amortized, no hashing, and no
-/// allocation once the ring has reached the flow's steady-state in-flight
-/// window.
-#[derive(Debug, Default)]
-struct AttributionRing {
-    slots: VecDeque<MiId>,
-    /// Sequence number of `slots[0]`.
-    head_seq: SeqNr,
-    /// Number of non-[`NO_MI`] slots.
-    live: usize,
-}
-
-impl AttributionRing {
-    /// Attributes `seq` to `mi`. Sequence numbers must be non-decreasing
-    /// across calls and unused; gaps are tolerated and treated as
-    /// unattributed.
-    fn insert(&mut self, seq: SeqNr, mi: MiId) {
-        if self.slots.is_empty() {
-            self.head_seq = seq;
-        }
-        let idx = (seq - self.head_seq) as usize;
-        debug_assert!(
-            idx >= self.slots.len(),
-            "sequence numbers must be inserted in increasing order"
-        );
-        while self.slots.len() < idx {
-            self.slots.push_back(NO_MI);
-        }
-        self.slots.push_back(mi);
-        self.live += 1;
-    }
-
-    /// Removes and returns the MI attribution of `seq`, if present.
-    fn remove(&mut self, seq: SeqNr) -> Option<MiId> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        if idx >= self.slots.len() {
-            return None;
-        }
-        let mi = std::mem::replace(&mut self.slots[idx], NO_MI);
-        if mi == NO_MI {
-            return None;
-        }
-        self.live -= 1;
-        if idx == 0 {
-            // Drop leading holes; amortized O(1) (each slot pops once).
-            while let Some(&NO_MI) = self.slots.front() {
-                self.slots.pop_front();
-                self.head_seq += 1;
-            }
-        }
-        Some(mi)
-    }
-
-    /// Number of outstanding attributed packets.
-    fn len(&self) -> usize {
-        self.live
-    }
-}
-
 /// Attributes packets to monitor intervals and emits completed [`MiStats`].
 ///
 /// The owner (a PCC-style controller) calls [`MiTracker::start_mi`] whenever
@@ -259,8 +194,10 @@ pub struct MiTracker {
     /// `front.id ..= front.id + len − 1` — an id maps to its slot by direct
     /// indexing.
     pending: VecDeque<MiState>,
-    /// Which MI each outstanding packet belongs to.
-    seq_to_mi: AttributionRing,
+    /// Which MI each outstanding packet belongs to, as `id + 1`: the zero
+    /// niche keeps a ring slot at the 8 bytes of the id (lossy flows hold
+    /// thousands of slots each, and a population holds thousands of flows).
+    seq_to_mi: SeqRing<NonZeroU64>,
 }
 
 impl MiTracker {
@@ -326,7 +263,8 @@ impl MiTracker {
         open.bytes_sent += pkt.bytes;
         open.pkts_sent += 1;
         open.outstanding += 1;
-        self.seq_to_mi.insert(pkt.seq, open.id);
+        self.seq_to_mi
+            .insert(pkt.seq, NonZeroU64::MIN.saturating_add(open.id));
     }
 
     /// Direct-index access to a pending MI by id (ids are sequential and the
@@ -348,10 +286,10 @@ impl MiTracker {
     /// ACK counts for throughput/completion while its RTT sample is excluded
     /// from the latency metrics (used by Proteus' per-ACK noise filter, §5).
     pub fn on_ack_filtered_into(&mut self, ack: &AckInfo, keep_rtt: bool, out: &mut Vec<MiStats>) {
-        let Some(mi_id) = self.seq_to_mi.remove(ack.seq) else {
+        let Some(slot) = self.seq_to_mi.remove(ack.seq) else {
             return;
         };
-        if let Some(mi) = self.mi_mut(mi_id) {
+        if let Some(mi) = self.mi_mut(slot.get() - 1) {
             mi.bytes_acked += ack.bytes;
             mi.pkts_acked += 1;
             mi.outstanding = mi.outstanding.saturating_sub(1);
@@ -367,10 +305,10 @@ impl MiTracker {
 
     /// Processes a loss, appending MIs it completed to `out` in id order.
     pub fn on_loss_into(&mut self, loss: &LossInfo, out: &mut Vec<MiStats>) {
-        let Some(mi_id) = self.seq_to_mi.remove(loss.seq) else {
+        let Some(slot) = self.seq_to_mi.remove(loss.seq) else {
             return;
         };
-        if let Some(mi) = self.mi_mut(mi_id) {
+        if let Some(mi) = self.mi_mut(slot.get() - 1) {
             mi.bytes_lost += loss.bytes;
             mi.pkts_lost += 1;
             mi.outstanding = mi.outstanding.saturating_sub(1);
@@ -403,7 +341,7 @@ impl std::fmt::Debug for MiTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::DEFAULT_PACKET_BYTES;
+    use crate::packet::{SeqNr, DEFAULT_PACKET_BYTES};
 
     fn pkt(seq: SeqNr, at_ms: u64) -> SentPacket {
         SentPacket {

@@ -1,0 +1,151 @@
+//! O(1) per-packet state keyed by sequence number.
+//!
+//! A sender hands out sequence numbers monotonically and the simulated path
+//! never reorders a flow's packets, so the packets that still carry state —
+//! outstanding in the engine, attributed to a monitor interval, awaiting a
+//! BBR delivery-rate sample — are always a contiguous run of sequence
+//! numbers with holes where a packet was already acknowledged or declared
+//! lost. [`SeqRing`] exploits that: a `VecDeque` indexed by
+//! `seq - head_seq`, where a slot is `None` once its packet has been
+//! removed. Insert at the tail, remove an arbitrary sequence number, read or
+//! pop the oldest entry — each is O(1) (amortized), with no hashing and no
+//! allocation once the ring has grown to the flow's in-flight window.
+//!
+//! Invariant: when the ring is non-empty, the front slot is `Some` (leading
+//! holes are trimmed on removal), so the oldest entry is directly readable.
+
+use std::collections::VecDeque;
+
+use crate::packet::SeqNr;
+
+/// Seq-indexed ring of per-packet values (see module docs).
+#[derive(Debug, Clone)]
+pub struct SeqRing<T> {
+    /// Slot `i` holds the value of sequence number `head_seq + i`; `None`
+    /// marks one already removed or skipped.
+    slots: VecDeque<Option<T>>,
+    /// Sequence number of `slots[0]`.
+    head_seq: SeqNr,
+    /// Number of `Some` slots.
+    live: usize,
+}
+
+impl<T> Default for SeqRing<T> {
+    fn default() -> Self {
+        Self {
+            slots: VecDeque::new(),
+            head_seq: 0,
+            live: 0,
+        }
+    }
+}
+
+impl<T> SeqRing<T> {
+    /// Creates an empty ring.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether the ring holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Stores `value` under `seq`. Sequence numbers must rise across calls;
+    /// a sender's `next_seq++` guarantees it. Gaps (sequence numbers skipped
+    /// entirely) are tolerated and read as already removed.
+    #[inline]
+    pub fn insert(&mut self, seq: SeqNr, value: T) {
+        if self.slots.is_empty() {
+            self.head_seq = seq;
+        }
+        let idx = (seq - self.head_seq) as usize;
+        debug_assert!(
+            idx >= self.slots.len(),
+            "sequence numbers must be inserted in increasing order"
+        );
+        while self.slots.len() < idx {
+            self.slots.push_back(None);
+        }
+        self.slots.push_back(Some(value));
+        self.live += 1;
+    }
+
+    /// Removes and returns the value stored under `seq`, if it is still
+    /// there.
+    #[inline]
+    pub fn remove(&mut self, seq: SeqNr) -> Option<T> {
+        let idx = seq.checked_sub(self.head_seq)? as usize;
+        let taken = self.slots.get_mut(idx)?.take();
+        if taken.is_some() {
+            self.live -= 1;
+            if idx == 0 {
+                self.trim_front();
+            }
+        }
+        taken
+    }
+
+    /// The entry with the lowest sequence number, if any.
+    pub fn front(&self) -> Option<(SeqNr, &T)> {
+        let value = self.slots.front()?.as_ref().expect("front slot is live");
+        Some((self.head_seq, value))
+    }
+
+    /// Removes and returns the entry with the lowest sequence number.
+    pub fn pop_front(&mut self) -> Option<(SeqNr, T)> {
+        let value = self.slots.front_mut()?.take().expect("front slot is live");
+        let seq = self.head_seq;
+        self.live -= 1;
+        self.trim_front();
+        Some((seq, value))
+    }
+
+    /// Drops leading holes so the front slot is live again (or the ring is
+    /// empty). Amortized O(1): every slot is pushed and popped once.
+    fn trim_front(&mut self) {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.head_seq += 1;
+        }
+        debug_assert!(!self.slots.is_empty() || self.live == 0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn skipped_sequence_numbers_read_as_removed() {
+        let mut r = SeqRing::new();
+        r.insert(3, "a");
+        r.insert(6, "b");
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.remove(4), None, "never inserted");
+        assert_eq!(r.remove(3), Some("a"));
+        assert_eq!(
+            r.front(),
+            Some((6, &"b")),
+            "the gap is trimmed with the head"
+        );
+        assert_eq!(r.pop_front(), Some((6, "b")));
+        assert!(r.is_empty());
+        assert_eq!(r.pop_front(), None);
+    }
+
+    #[test]
+    fn holds_values_that_are_not_copy() {
+        let mut r = SeqRing::new();
+        r.insert(0, vec![1u8]);
+        r.insert(1, vec![2, 3]);
+        assert_eq!(r.remove(1), Some(vec![2, 3]));
+        assert_eq!(r.remove(1), None, "double remove misses");
+        assert_eq!(r.pop_front(), Some((0, vec![1])));
+    }
+}

@@ -7,6 +7,17 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
+/// `x.round() as u64` — half away from zero, saturating, negative and NaN
+/// to 0 — in integer steps the compiler inlines: `f64::round` is an
+/// out-of-line libm call on x86-64 without SSE4.1, and these conversions
+/// run once or more per packet. The fraction `x - t` is exact (Sterbenz for
+/// `x < 2^53`, zero above), so the comparison decides exactly as `round`.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
+}
+
 /// A point in simulated time (nanoseconds since simulation start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
@@ -37,9 +48,10 @@ impl Time {
     }
 
     /// Constructs from (possibly fractional) seconds.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0 && s.is_finite());
-        Time((s * 1e9).round() as u64)
+        Time(round_to_u64(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -96,9 +108,10 @@ impl Dur {
     }
 
     /// Constructs from fractional seconds (non-negative).
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0 && s.is_finite());
-        Dur((s * 1e9).round() as u64)
+        Dur(round_to_u64(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -122,9 +135,10 @@ impl Dur {
     }
 
     /// Scales the duration by a non-negative factor.
+    #[inline]
     pub fn mul_f64(self, k: f64) -> Dur {
         debug_assert!(k >= 0.0 && k.is_finite());
-        Dur((self.0 as f64 * k).round() as u64)
+        Dur(round_to_u64(self.0 as f64 * k))
     }
 
     /// Integer division of durations, as a float ratio.
@@ -200,6 +214,7 @@ impl fmt::Display for Dur {
 
 /// Converts a transmission of `bytes` at `rate_bps` bits/sec into the
 /// serialization delay.
+#[inline]
 pub fn serialization_delay(bytes: u64, rate_bps: f64) -> Dur {
     debug_assert!(rate_bps > 0.0);
     Dur::from_secs_f64(bytes as f64 * 8.0 / rate_bps)
@@ -236,6 +251,55 @@ mod tests {
     fn duration_scaling() {
         assert_eq!(Dur::from_millis(30).mul_f64(1.5), Dur::from_millis(45));
         assert!((Dur::from_millis(15).ratio(Dur::from_millis(30)) - 0.5).abs() < 1e-12);
+    }
+
+    /// `round_to_u64` is `f64::round` followed by the saturating cast, for
+    /// every class of input the conversions can see.
+    #[test]
+    fn inline_rounding_equals_libm_round() {
+        #[track_caller]
+        fn check(x: f64) {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        for x in [0.0, -0.0, 0.49999999999999994, 0.5, 1.0 - f64::EPSILON] {
+            check(x);
+        }
+        // k + 0.5 and its two neighbours, up to where halves stop existing.
+        for e in 0..=52 {
+            for k in [1u64 << e, (1 << e) + 1, (1u64 << e).wrapping_sub(1)] {
+                let half = k as f64 + 0.5;
+                check(half);
+                check(f64::from_bits(half.to_bits() - 1));
+                check(f64::from_bits(half.to_bits() + 1));
+            }
+        }
+        let (p53, p64) = ((1u64 << 53) as f64, 18_446_744_073_709_551_616.0);
+        for x in [p53 - 1.0, p53, p53 + 2.0, p64 / 2.0, p64 - 2048.0] {
+            check(x);
+        }
+        // At and beyond 2^64: saturates (no overflow panic in debug).
+        for x in [p64, p64 * 2.0, f64::MAX, f64::INFINITY] {
+            check(x);
+            assert_eq!(round_to_u64(x), u64::MAX);
+        }
+        // Negative and NaN: 0, as the cast gives.
+        for x in [-0.4, -0.5, -0.7, -1e30, f64::NEG_INFINITY, f64::NAN] {
+            check(x);
+            assert_eq!(round_to_u64(x), 0);
+        }
+        // 10 k draws spread over every binade from 2^-10 to 2^70.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..10_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let mantissa = (state >> 11) as f64 / (1u64 << 53) as f64 + 1.0;
+            let exponent = ((state >> 3) % 81) as i32 - 10;
+            check(mantissa * 2f64.powi(exponent));
+        }
+        assert_eq!(Dur::from_secs_f64(1.5e-9), Dur::from_nanos(2));
+        assert_eq!(Time::from_secs_f64(2.4e-9), Time::from_nanos(2));
+        assert_eq!(Dur::from_nanos(3).mul_f64(0.5), Dur::from_nanos(2));
     }
 
     #[test]

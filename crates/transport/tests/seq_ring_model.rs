@@ -1,14 +1,18 @@
-//! Model-based property test: [`InflightTracker`] must behave exactly like
-//! the `BTreeMap<SeqNr, (Time, u64)>` it replaced in the engine hot path,
-//! under randomized interleavings of the operations the engine performs —
-//! sends (monotone seqs, non-decreasing times), ACK removals (hits, repeats,
-//! and out-of-range seqs), dup-ACK oldest-first sweeps, and RTO prefix pops.
+//! Model-based property test: [`SeqRing`] must behave exactly like a
+//! `BTreeMap<SeqNr, T>` under randomized interleavings of the operations
+//! its three users perform — sends (monotone seqs, non-decreasing times),
+//! ACK removals (hits, repeats, and out-of-range seqs), the engine's dup-ACK
+//! oldest-first sweeps and RTO prefix pops. (The engine's in-flight tracker,
+//! `MiTracker`'s packet→MI attribution — also checked end to end by
+//! `mi_model.rs` — and BBR's delivery snapshots are all this one type.)
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use proteus_netsim::{InflightPkt, InflightTracker};
-use proteus_transport::{SeqNr, Time};
+use proteus_transport::{SeqNr, SeqRing, Time};
+
+/// The value the engine stores: send time and size.
+type Pkt = (Time, u64);
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -32,27 +36,28 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// The reference model's view of the oldest outstanding packet.
-fn ref_front(reference: &BTreeMap<SeqNr, (Time, u64)>) -> Option<(SeqNr, InflightPkt)> {
-    reference
-        .iter()
-        .next()
-        .map(|(&seq, &(sent_at, bytes))| (seq, InflightPkt { sent_at, bytes }))
+fn ref_front(reference: &BTreeMap<SeqNr, Pkt>) -> Option<(SeqNr, Pkt)> {
+    reference.iter().next().map(|(&seq, &pkt)| (seq, pkt))
+}
+
+fn front(ring: &SeqRing<Pkt>) -> Option<(SeqNr, Pkt)> {
+    ring.front().map(|(seq, &pkt)| (seq, pkt))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn tracker_matches_btreemap_reference(ops in prop::collection::vec(op_strategy(), 1..400)) {
-        let mut tracker = InflightTracker::new();
-        let mut reference: BTreeMap<SeqNr, (Time, u64)> = BTreeMap::new();
+    fn ring_matches_btreemap_reference(ops in prop::collection::vec(op_strategy(), 1..400)) {
+        let mut tracker = SeqRing::new();
+        let mut reference: BTreeMap<SeqNr, Pkt> = BTreeMap::new();
         let mut next_seq: SeqNr = 0;
 
         for (step, op) in ops.iter().enumerate() {
             let now = Time::from_millis(step as u64);
             match *op {
                 Op::Send { bytes } => {
-                    tracker.insert(next_seq, now, bytes);
+                    tracker.insert(next_seq, (now, bytes));
                     reference.insert(next_seq, (now, bytes));
                     next_seq += 1;
                 }
@@ -61,10 +66,7 @@ proptest! {
                     // tail get exercised too.
                     let seq = pick % (next_seq + 3);
                     let got = tracker.remove(seq);
-                    let want = reference
-                        .remove(&seq)
-                        .map(|(sent_at, bytes)| InflightPkt { sent_at, bytes });
-                    prop_assert_eq!(got, want, "remove({}) at step {}", seq, step);
+                    prop_assert_eq!(got, reference.remove(&seq), "remove({}) at step {}", seq, step);
                 }
                 Op::DupAckSweep { count } => {
                     for _ in 0..count {
@@ -77,8 +79,8 @@ proptest! {
                 }
                 Op::RtoSweep => {
                     let cutoff = Time::from_millis(step as u64 / 2);
-                    while let Some((_, pkt)) = tracker.front() {
-                        if pkt.sent_at > cutoff {
+                    while let Some((_, (sent_at, _))) = front(&tracker) {
+                        if sent_at > cutoff {
                             break;
                         }
                         let want = ref_front(&reference);
@@ -89,14 +91,14 @@ proptest! {
                     }
                     // Times are non-decreasing in seq, so the model must also
                     // have nothing at or before the cutoff left.
-                    if let Some((_, pkt)) = ref_front(&reference) {
-                        prop_assert!(pkt.sent_at > cutoff, "model retains expired packet");
+                    if let Some((_, (sent_at, _))) = ref_front(&reference) {
+                        prop_assert!(sent_at > cutoff, "model retains expired packet");
                     }
                 }
             }
             prop_assert_eq!(tracker.len(), reference.len(), "len diverged at step {}", step);
             prop_assert_eq!(tracker.is_empty(), reference.is_empty());
-            prop_assert_eq!(tracker.front(), ref_front(&reference), "front diverged at step {}", step);
+            prop_assert_eq!(front(&tracker), ref_front(&reference), "front diverged at step {}", step);
         }
     }
 }
