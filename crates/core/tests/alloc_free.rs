@@ -4,12 +4,12 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! phase (which is allowed to grow every reusable buffer — the MI drain
-//! scratch, the attribution ring, the controller's tag queue — to its
+//! scratch, the attribution bit set, the controller's tag queue — to its
 //! steady-state capacity), the allocation counter must not move across a
 //! long measurement window. This is the test form of the ISSUE's acceptance
 //! criterion and guards every structure DESIGN.md §4d describes:
-//! `RegressionAccumulator` (fixed-size MI state), the `SeqRing` attribution
-//! ring (seq-indexed, amortized O(1)), `ProbePlan`/`ProbeResults` (stack-fixed
+//! `RegressionAccumulator` (fixed-size MI state), the `SeqSet` attribution
+//! guard (seq-indexed, amortized O(1)), `ProbePlan`/`ProbeResults` (stack-fixed
 //! probe buffers) and the `[_; TREND_WINDOW_MAX]` trending window.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -98,7 +98,7 @@ use proteus_transport::{
 
 use crate::fault::LinkChange;
 use crate::flows::FlowTable;
-use crate::inflight::InflightPkt;
+use crate::inflight::{InflightPkt, SENT_AT_LIMIT};
 use crate::link::{Link, Offer, Wire};
 use crate::metrics::{EventStats, FlowMetrics, SimResult};
 use crate::population::{NewFlow, Population};
@@ -337,7 +337,8 @@ impl Sim {
     ///
     /// # Panics
     /// Panics if a flow or churn class declares a path that is empty, names
-    /// a link outside the topology, or visits a link twice.
+    /// a link outside the topology, or visits a link twice, or if
+    /// `duration` is 2^48 ns (about 78 hours) or longer.
     pub fn new(scenario: Scenario) -> Self {
         Self::reference(scenario, Scheduler::Wheel, WirePath::Fused)
     }
@@ -361,6 +362,13 @@ impl Sim {
         } = scenario;
         let n_links = topology.links.len();
         assert!(n_links > 0, "topology needs at least one link");
+        // What an in-flight record's 48-bit send time relies on: no event
+        // is dispatched after `duration`.
+        assert!(
+            Time::ZERO + duration < SENT_AT_LIMIT,
+            "duration {:.0} s is too long: a run must end before 2^48 ns (about 78 hours)",
+            duration.as_secs_f64()
+        );
         let faults_of = |li: usize| topology.faults.get(li).and_then(Option::as_ref);
 
         // Initial scheduler capacity is derived from the scenario, not a
@@ -698,8 +706,8 @@ impl Sim {
                 if oldest + REORDER_THRESHOLD <= seq {
                     self.flows.inflight[flow].pop_front();
                     self.flows.inflight_bytes[flow] =
-                        self.flows.inflight_bytes[flow].saturating_sub(pkt.bytes);
-                    lost.push((oldest, pkt.sent_at, pkt.bytes));
+                        self.flows.inflight_bytes[flow].saturating_sub(pkt.bytes());
+                    lost.push((oldest, pkt.sent_at(), pkt.bytes()));
                 } else {
                     break;
                 }
@@ -826,13 +834,13 @@ impl Sim {
         stale.clear();
         let cutoff = self.now - rto;
         while let Some((s, &pkt)) = self.flows.inflight[flow].front() {
-            if pkt.sent_at > cutoff {
+            if pkt.sent_at() > cutoff {
                 break;
             }
             self.flows.inflight[flow].pop_front();
             self.flows.inflight_bytes[flow] =
-                self.flows.inflight_bytes[flow].saturating_sub(pkt.bytes);
-            stale.push((s, pkt.sent_at, pkt.bytes));
+                self.flows.inflight_bytes[flow].saturating_sub(pkt.bytes());
+            stale.push((s, pkt.sent_at(), pkt.bytes()));
         }
         for &(s, sent, b) in &stale {
             self.declare_loss(flow, s, sent, b, true);
@@ -930,11 +938,7 @@ impl Sim {
             } else {
                 self.flows.app[flow].consume(bytes);
             }
-            let sent = InflightPkt {
-                sent_at: now,
-                bytes,
-            };
-            self.flows.inflight[flow].insert(seq, sent);
+            self.flows.inflight[flow].insert(seq, InflightPkt::new(now, bytes));
             self.flows.inflight_bytes[flow] += bytes;
             let pkt = SentPacket {
                 seq,
@@ -1089,6 +1093,29 @@ mod tests {
     fn link_10mbps_20ms() -> LinkSpec {
         // BDP = 10 Mbps * 20 ms = 25 KB
         LinkSpec::new(10.0, Dur::from_millis(20), 50_000)
+    }
+
+    /// What makes a waiting event one 64-byte wheel node (DESIGN.md §4c;
+    /// `sched::tests` has the other half): 40 bytes, and a spare tag value
+    /// for a free node's `None`.
+    #[test]
+    fn an_event_is_40_bytes_with_a_niche() {
+        assert_eq!(std::mem::size_of::<Event>(), 40);
+        assert_eq!(std::mem::size_of::<Option<Event>>(), 40);
+    }
+
+    #[test]
+    fn the_longest_run_ends_just_before_2_pow_48_ns() {
+        let _ = Sim::new(Scenario::new(
+            link_10mbps_20ms(),
+            Dur::from_nanos((1 << 48) - 1),
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "a run must end before 2^48 ns")]
+    fn a_run_of_2_pow_48_ns_is_rejected() {
+        let _ = Sim::new(Scenario::new(link_10mbps_20ms(), Dur::from_nanos(1 << 48)));
     }
 
     #[test]

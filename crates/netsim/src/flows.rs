@@ -13,11 +13,12 @@
 //!
 //! A flow is *retired* once it has stopped and its last in-flight packet
 //! is accounted for: its timers are disarmed, the controller and
-//! application boxes are replaced by zero-sized stubs (releasing
-//! controller memory — a Proteus sender's monitor-interval rings dwarf a
-//! flow's column entries) and the flow drops out of every sweep list for
-//! good. The lingering list therefore only ever holds stopped flows with
-//! packets still in flight.
+//! application boxes are replaced by zero-sized stubs, its in-flight ring
+//! is released (the ring is a flow's largest allocation — 8 bytes for every
+//! sequence number it ever had outstanding at once, thousands after a lossy
+//! start-up — where a PCC-family controller keeps one *bit* per packet) and
+//! the flow drops out of every sweep list for good. The lingering list
+//! therefore only ever holds stopped flows with packets still in flight.
 
 use std::sync::Arc;
 
@@ -74,7 +75,7 @@ pub(crate) struct FlowTable {
     pub active: Vec<bool>,
     /// Whether lost bytes are retransmitted.
     pub reliable: Vec<bool>,
-    /// Stopped and drained: timers disarmed, controller memory released.
+    /// Stopped and drained: timers disarmed, controller and ring released.
     pub retired: Vec<bool>,
     /// Frame-paced media source (`Application::is_media`); only these
     /// flows pay the per-ACK frame bookkeeping.
@@ -241,12 +242,13 @@ impl FlowTable {
     }
 
     /// Retires a stopped, drained flow: disarms all four timers (their live
-    /// events pop as no-ops) and swaps the controller and application
-    /// boxes for stubs, releasing their memory.
+    /// events pop as no-ops), swaps the controller and application boxes
+    /// for stubs and drops the empty in-flight ring, releasing their memory.
     pub fn retire(&mut self, id: usize) {
         debug_assert!(!self.active[id] && self.inflight[id].is_empty());
         self.retired[id] = true;
         self.timers.cancel_all(id);
+        self.inflight[id] = InflightTracker::new();
         self.cc[id] = Box::new(RetiredCc);
         self.app[id] = Box::new(RetiredApp);
         self.remove_lingering(id);
@@ -274,6 +276,7 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inflight::InflightPkt;
     use proteus_transport::BulkApp;
 
     fn stub_flow(t: &mut FlowTable) -> usize {
@@ -349,9 +352,16 @@ mod tests {
         for kind in [TimerKind::Cc, TimerKind::Rto] {
             assert_eq!(t.timers.arm(0, kind, Time::ZERO, at), Some(at));
         }
+        // A ring that once spanned a window and drained.
+        for seq in 0..100 {
+            t.inflight[0].insert(seq, InflightPkt::new(Time::ZERO, 1500));
+        }
+        while t.inflight[0].pop_front().is_some() {}
+        assert!(t.inflight[0].capacity() >= 100);
         t.deactivate(0);
         t.retire(0);
         assert!(t.retired[0]);
+        assert_eq!(t.inflight[0].capacity(), 0, "a retired flow holds no ring");
         for kind in [TimerKind::Cc, TimerKind::Rto] {
             assert_eq!(t.timers.deadline(0, kind), None);
             assert_eq!(t.timers.pop(0, kind, at), Pop::Stale, "live events miss");

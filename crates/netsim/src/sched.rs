@@ -16,20 +16,33 @@
 //! Level-0 slots are [`GRANULARITY_NS`] wide (2^14 ns ≈ 16.4 µs); each
 //! higher level's slots are `SLOTS`× wider, so the levels span ≈ 4.2 ms,
 //! 1.07 s, 4.6 min and 19.5 h of future time. Events beyond the top level
-//! land in an unsorted overflow list that is redistributed when the wheel
-//! reaches it. Pushes append to a slot's `Vec` in O(1); occupancy bitmaps
-//! (one `u64` word per 64 slots) let the wheel skip empty slots without
-//! visiting them.
+//! land in an unsorted overflow list whose entries are filed into slots
+//! once the wheel has advanced far enough for a level to cover them — before
+//! any slot that ends after the earliest of them is touched. Occupancy
+//! bitmaps (one `u64` word per 64 slots) let the wheel skip empty slots
+//! without visiting them.
+//!
+//! Every entry waiting in a slot is a node of one arena (`nodes`, 64 bytes
+//! each for the engine's event type) and a slot is the head index of a
+//! singly linked list through it; freed nodes go on a free list threaded
+//! through the same `next` field. A push takes a free node and links it at
+//! its slot's head in O(1), a cascade relinks nodes without moving them, and
+//! only the drain of a level-0 slot copies entries out (into `current`). The
+//! arena's length is therefore the peak number of entries that waited in
+//! slots at once — memory follows what is pending, however the pending
+//! entries were spread over slots — and once it and `current` have reached
+//! their peaks the wheel never calls the allocator.
 //!
 //! Draining preserves the exact `(time, seq)` order: when the wheel
 //! advances, it repeatedly picks the *earliest-starting* occupied slot
 //! across all levels (ties prefer the higher level, which must cascade its
 //! contents down before a lower slot of the same start may drain), cascades
 //! higher-level slots toward level 0, and finally moves one level-0 slot
-//! into the `current` min-heap ordered by `(time, seq)`. Events pushed at
-//! an instant the wheel has already advanced into (common: a dispatched
-//! event scheduling follow-ups "now") land directly in `current`, which
-//! keeps intra-slot ordering exact. Because slots partition time and
+//! into the `current` min-heap ordered by `(time, seq)`. Keys are unique, so
+//! the order of entries inside a slot's list (newest first) never reaches
+//! the pop sequence. Events pushed at an instant the wheel has already
+//! advanced into (common: a dispatched event scheduling follow-ups "now")
+//! land directly in `current`, which keeps intra-slot ordering exact. Because slots partition time and
 //! `current` is drained fully before the wheel advances past its slot, the
 //! pop sequence is globally sorted by `(time, seq)` — byte-identical to
 //! the binary heap's.
@@ -248,14 +261,35 @@ impl<T> EventQueue<T> {
     }
 }
 
+/// "No node": the end of a slot's list or of the free list.
+const NIL: u32 = u32::MAX;
+/// Index in `TimingWheel::heads` of the overflow list (after every slot).
+const OVERFLOW: usize = LEVELS * SLOTS;
+
+/// One arena node: an entry waiting in a slot (or the overflow list), or a
+/// free node (`item` is `None`) waiting for reuse.
+#[derive(Debug)]
+struct Node<T> {
+    at: u64,
+    seq: u64,
+    item: Option<T>,
+    /// Next node of the same list, or [`NIL`].
+    next: u32,
+}
+
 /// Hierarchical timing wheel (see the module docs for the layout and the
 /// ordering argument). Pops entries in exact `(time, seq)` order.
 #[derive(Debug)]
 pub struct TimingWheel<T> {
-    /// `slots[level][slot]` — unsorted entries of one slot.
-    slots: Vec<Vec<Vec<Entry<T>>>>,
+    /// Every entry waiting in a slot or in overflow, and every free node.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list through `nodes`.
+    free: u32,
+    /// `heads[level * SLOTS + slot]` — first node of that slot's unsorted
+    /// list; `heads[OVERFLOW]` — of the entries beyond the top level's span.
+    heads: Box<[u32]>,
     /// Occupancy bitmaps, one `[u64; WORDS]` per level.
-    occ: Vec<[u64; WORDS]>,
+    occ: [[u64; WORDS]; LEVELS],
     /// Min-heap on `(at, seq)` holding the slot currently being drained
     /// plus any events pushed inside its span.
     current: Vec<Entry<T>>,
@@ -263,24 +297,24 @@ pub struct TimingWheel<T> {
     /// `at < cur_end` is in `current`; everything in the wheel slots or the
     /// overflow list is at `>= cur_end`. Monotone non-decreasing.
     cur_end: u64,
-    /// Events beyond the top level's span.
-    overflow: Vec<Entry<T>>,
+    /// Earliest time in the overflow list (`u64::MAX` when it is empty):
+    /// what tells `advance` that an overflow entry is due before a slot.
+    overflow_min: u64,
     len: usize,
 }
 
 impl<T> TimingWheel<T> {
-    /// Creates a wheel pre-sized so that `capacity` same-instant events
-    /// (the worst case: a population's `FlowStart` burst at t=0) fit in the
-    /// drain heap without regrowth.
+    /// Creates a wheel with arena room for `capacity` waiting entries (the
+    /// worst case at set-up: a population's `FlowStart` burst at t=0).
     pub fn with_capacity(capacity: usize) -> Self {
         TimingWheel {
-            slots: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            occ: vec![[0u64; WORDS]; LEVELS],
-            current: Vec::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity),
+            free: NIL,
+            heads: vec![NIL; LEVELS * SLOTS + 1].into(),
+            occ: [[0u64; WORDS]; LEVELS],
+            current: Vec::new(),
             cur_end: 0,
-            overflow: Vec::new(),
+            overflow_min: u64::MAX,
             len: 0,
         }
     }
@@ -296,19 +330,35 @@ impl<T> TimingWheel<T> {
     }
 
     /// Schedules `item` at `(at, seq)`. O(1): one comparison against the
-    /// drain span, at most [`LEVELS`] window checks, one `Vec` push.
+    /// drain span, then a free node linked at its slot's head after at most
+    /// [`LEVELS`] window checks.
     pub fn push(&mut self, at: Time, seq: u64, item: T) {
         self.len += 1;
-        let e = Entry {
-            at: at.as_nanos(),
-            seq,
-            item,
-        };
-        if e.at < self.cur_end {
-            heap_push(&mut self.current, e);
-        } else {
-            self.place(e);
+        let at = at.as_nanos();
+        if at < self.cur_end {
+            return heap_push(&mut self.current, Entry { at, seq, item });
         }
+        let node = Node {
+            at,
+            seq,
+            item: Some(item),
+            next: NIL,
+        };
+        let idx = match self.free {
+            NIL => {
+                let idx = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&idx| idx != NIL)
+                    .expect("fewer than 2^32 - 1 events wait in the wheel at once");
+                self.nodes.push(node);
+                idx
+            }
+            idx => {
+                self.free = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+                idx
+            }
+        };
+        self.place(idx);
     }
 
     /// Pops the earliest `(at, seq)` entry.
@@ -333,21 +383,46 @@ impl<T> TimingWheel<T> {
         Some((Time::from_nanos(e.at), e.seq))
     }
 
-    /// Files an entry with `at >= cur_end` into the wheel: the first level
-    /// whose active window covers it, else overflow.
-    fn place(&mut self, e: Entry<T>) {
-        debug_assert!(e.at >= self.cur_end);
+    /// Links node `idx` (whose `at >= cur_end`) at the head of the list its
+    /// time belongs to: the slot of the first level whose active window
+    /// covers it, else overflow.
+    fn place(&mut self, idx: u32) {
+        let at = self.nodes[idx as usize].at;
+        debug_assert!(at >= self.cur_end);
+        let mut head = OVERFLOW;
         for level in 0..LEVELS {
             let shift = GRANULARITY_BITS + SLOT_BITS * level as u32;
             // Window: absolute slot indices [cur_end >> shift, + SLOTS).
-            if (e.at >> shift) - (self.cur_end >> shift) < SLOTS as u64 {
-                let slot = (e.at >> shift) as usize & (SLOTS - 1);
-                self.slots[level][slot].push(e);
+            if (at >> shift) - (self.cur_end >> shift) < SLOTS as u64 {
+                let slot = (at >> shift) as usize & (SLOTS - 1);
                 self.occ[level][slot >> 6] |= 1 << (slot & 63);
-                return;
+                head = level * SLOTS + slot;
+                break;
             }
         }
-        self.overflow.push(e);
+        if head == OVERFLOW {
+            self.overflow_min = self.overflow_min.min(at);
+        }
+        self.nodes[idx as usize].next = std::mem::replace(&mut self.heads[head], idx);
+    }
+
+    /// Detaches the list at `heads[head]` and re-places each of its nodes
+    /// (a cascade, or the overflow list's redistribution): nodes are
+    /// relinked where they sit, nothing is copied.
+    fn relink(&mut self, head: usize) {
+        let mut idx = std::mem::replace(&mut self.heads[head], NIL);
+        while idx != NIL {
+            let next = self.nodes[idx as usize].next;
+            self.place(idx);
+            idx = next;
+        }
+    }
+
+    /// Files every overflow entry a level's window now covers; the rest
+    /// re-overflow.
+    fn refile_overflow(&mut self) {
+        self.overflow_min = u64::MAX;
+        self.relink(OVERFLOW);
     }
 
     /// First occupied slot of `level` at absolute index `>= from` within
@@ -395,47 +470,52 @@ impl<T> TimingWheel<T> {
                     }
                 }
             }
-            match best {
-                Some((0, abs, start)) => {
-                    // Drain this slot: move its entries into the (empty)
-                    // current heap, reusing both allocations via swap.
-                    let slot = abs as usize & (SLOTS - 1);
-                    std::mem::swap(&mut self.current, &mut self.slots[0][slot]);
-                    self.occ[0][slot >> 6] &= !(1 << (slot & 63));
-                    heapify(&mut self.current);
-                    self.cur_end = start.saturating_add(GRANULARITY_NS);
-                    debug_assert!(!self.current.is_empty());
-                    return true;
-                }
-                Some((level, abs, start)) => {
-                    // Cascade: redistribute the slot one or more levels
-                    // down (never backward: `cur_end` stays monotone).
-                    let slot = abs as usize & (SLOTS - 1);
-                    let entries = std::mem::take(&mut self.slots[level][slot]);
-                    self.occ[level][slot >> 6] &= !(1 << (slot & 63));
-                    self.cur_end = self.cur_end.max(start);
-                    for e in entries {
-                        self.place(e);
-                    }
-                }
-                None => {
-                    // Levels exhausted; jump to the overflow region and
-                    // redistribute it (entries still beyond the top span
-                    // re-overflow and are reached on a later jump).
-                    debug_assert!(!self.overflow.is_empty());
-                    let min_at = self
-                        .overflow
-                        .iter()
-                        .map(|e| e.at)
-                        .min()
-                        .expect("overflow non-empty");
-                    self.cur_end = self.cur_end.max(min_at);
-                    let entries = std::mem::take(&mut self.overflow);
-                    for e in entries {
-                        self.place(e);
-                    }
-                }
+            let Some((level, abs, start)) = best else {
+                // Levels exhausted; jump to the overflow region and file
+                // its entries (those still beyond the top span re-overflow
+                // and are reached on a later jump).
+                debug_assert!(self.heads[OVERFLOW] != NIL);
+                self.cur_end = self.cur_end.max(self.overflow_min);
+                self.refile_overflow();
+                continue;
+            };
+            let shift = GRANULARITY_BITS + SLOT_BITS * level as u32;
+            if self.overflow_min < start.saturating_add(1 << shift) {
+                // An overflow entry is due before this slot's span ends, so
+                // the wheel has advanced far enough for a level to cover it
+                // (entries pushed since then, for later times, were filed
+                // in slots): it goes first.
+                self.refile_overflow();
+                continue;
             }
+            let slot = abs as usize & (SLOTS - 1);
+            self.occ[level][slot >> 6] &= !(1 << (slot & 63));
+            if level > 0 {
+                // Cascade: redistribute the slot one or more levels down
+                // (never backward: `cur_end` stays monotone).
+                self.cur_end = self.cur_end.max(start);
+                self.relink(level * SLOTS + slot);
+                continue;
+            }
+            // Drain this slot: move its entries into the (empty) current
+            // heap and hand their nodes to the free list.
+            let mut idx = std::mem::replace(&mut self.heads[slot], NIL);
+            while idx != NIL {
+                let node = &mut self.nodes[idx as usize];
+                let item = node.item.take().expect("a linked node holds an item");
+                self.current.push(Entry {
+                    at: node.at,
+                    seq: node.seq,
+                    item,
+                });
+                let next = std::mem::replace(&mut node.next, self.free);
+                self.free = idx;
+                idx = next;
+            }
+            heapify(&mut self.current);
+            self.cur_end = start.saturating_add(GRANULARITY_NS);
+            debug_assert!(!self.current.is_empty());
+            return true;
         }
     }
 }
@@ -561,6 +641,16 @@ mod tests {
         out
     }
 
+    /// A waiting entry of the engine's size — 40 bytes with a niche for the
+    /// free node's `None` (`engine::tests` holds `Event` to that) — is one
+    /// 64-byte arena node.
+    #[test]
+    fn a_40_byte_item_with_a_niche_makes_a_64_byte_node() {
+        type Item = (std::num::NonZeroU64, [u64; 4]);
+        assert_eq!(std::mem::size_of::<Option<Item>>(), 40);
+        assert_eq!(std::mem::size_of::<Node<Item>>(), 64);
+    }
+
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut w = TimingWheel::with_capacity(4);
@@ -596,6 +686,21 @@ mod tests {
         let order: Vec<u32> = got.iter().map(|&(_, _, v)| v).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(got[5].0, u64::MAX - 7);
+    }
+
+    #[test]
+    fn an_overflow_entry_pops_before_a_later_one_filed_in_a_level() {
+        const HOUR: u64 = 3_600_000_000_000;
+        let mut w = TimingWheel::with_capacity(4);
+        // 26 h is past the top level's 19.5 h span: overflow.
+        w.push(Time::from_nanos(26 * HOUR), 1, 1);
+        w.push(Time::from_nanos(8 * HOUR), 2, 2);
+        assert_eq!(w.pop().map(|e| e.2), Some(2));
+        // From 8 h on, level 3 reaches 27 h: this one is filed in a slot
+        // while the earlier entry still sits in overflow.
+        w.push(Time::from_nanos(27 * HOUR), 3, 3);
+        let order: Vec<u32> = drain_all(&mut w).iter().map(|e| e.2).collect();
+        assert_eq!(order, vec![1, 3]);
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! same `(time, push-sequence)` order as the `BinaryHeap` it replaced in
 //! the engine, under randomized interleavings of the operations the engine
 //! performs — pushes at the current instant (same-timestamp ties), short
-//! timer horizons, multi-level jumps, and far-future overflow entries —
-//! mirroring the `SeqRing` vs `BTreeMap` model test
-//! (`crates/transport/tests/seq_ring_model.rs`).
+//! timer horizons, multi-level jumps, far-future overflow entries and
+//! same-instant bursts (a population starting at once) — mirroring the
+//! `SeqRing` vs `BTreeMap` model test
+//! (`crates/transport/tests/seq_ring_model.rs`). The op sequence runs twice
+//! on one wheel with a full drain in between, so the second pass is served
+//! from recycled arena nodes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -18,6 +21,9 @@ use proteus_transport::Time;
 enum Op {
     /// Schedule an event `delta` ns after the last popped time.
     Push { delta: u64 },
+    /// Schedule `count` events at one instant `delta` ns after the last
+    /// popped time: one slot's list takes them all.
+    Burst { delta: u64, count: usize },
     /// Pop up to `count` events (stops when empty).
     Pop { count: usize },
 }
@@ -34,9 +40,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => 5_000_000u64..2_000_000_000,
         1 => 2_000_000_000u64..100_000_000_000_000,
     ];
+    // The vendored proptest has no tuple strategies; a burst's size and
+    // distance come from one draw. Its delta reaches levels 0-2.
+    let burst = any::<u64>().prop_map(|raw| Op::Burst {
+        delta: (raw >> 8) % 2_000_000_000,
+        count: 2 + (raw & 0x3f) as usize,
+    });
     prop_oneof![
-        5 => delta.prop_map(|delta| Op::Push { delta }),
-        3 => (1usize..8).prop_map(|count| Op::Pop { count }),
+        10 => delta.prop_map(|delta| Op::Push { delta }),
+        1 => burst,
+        6 => (1usize..8).prop_map(|count| Op::Pop { count }),
     ]
 }
 
@@ -54,34 +67,41 @@ proptest! {
         // after the most recently popped time.
         let mut now = 0u64;
 
-        for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Push { delta } => {
+        for pass in 0..2 {
+            for (step, op) in ops.iter().enumerate() {
+                let (delta, pushes) = match *op {
+                    Op::Push { delta } => (delta, 1),
+                    Op::Burst { delta, count } => (delta, count),
+                    Op::Pop { count } => {
+                        for _ in 0..count {
+                            let want = reference
+                                .pop()
+                                .map(|Reverse((at, s))| (Time::from_nanos(at), s, s));
+                            let got = wheel.pop();
+                            prop_assert_eq!(got, want, "pop diverged at step {}.{}", pass, step);
+                            if let Some((at, _, _)) = got {
+                                now = at.as_nanos();
+                            }
+                        }
+                        (0, 0)
+                    }
+                };
+                let at = now.saturating_add(delta);
+                for _ in 0..pushes {
                     seq += 1;
-                    let at = now.saturating_add(delta);
                     wheel.push(Time::from_nanos(at), seq, seq);
                     reference.push(Reverse((at, seq)));
                 }
-                Op::Pop { count } => {
-                    for _ in 0..count {
-                        let want = reference
-                            .pop()
-                            .map(|Reverse((at, s))| (Time::from_nanos(at), s, s));
-                        let got = wheel.pop();
-                        prop_assert_eq!(got, want, "pop diverged at step {}", step);
-                        if let Some((at, _, _)) = got {
-                            now = at.as_nanos();
-                        }
-                    }
-                }
+                prop_assert_eq!(wheel.len(), reference.len(), "len diverged at step {}.{}", pass, step);
             }
-            prop_assert_eq!(wheel.len(), reference.len(), "len diverged at step {}", step);
-        }
 
-        // Drain: every remaining entry pops in exact (time, seq) order.
-        while let Some(Reverse((at, s))) = reference.pop() {
-            prop_assert_eq!(wheel.pop(), Some((Time::from_nanos(at), s, s)));
+            // Drain: every remaining entry pops in exact (time, seq) order,
+            // and every node goes back on the free list.
+            while let Some(Reverse((at, s))) = reference.pop() {
+                prop_assert_eq!(wheel.pop(), Some((Time::from_nanos(at), s, s)));
+                now = at;
+            }
+            prop_assert!(wheel.pop().is_none());
         }
-        prop_assert!(wheel.pop().is_none());
     }
 }

@@ -9,7 +9,8 @@
 //!   COPA, LEDBAT, Vivace, Proteus-P/S/H, …) implement,
 //! * [`RttEstimator`] and windowed min/max filters,
 //! * [`MiTracker`]/[`MiStats`] — PCC monitor-interval accounting,
-//! * [`SeqRing`] — O(1) per-packet state keyed by sequence number,
+//! * [`SeqRing`]/[`SeqSet`] — O(1) per-packet state (or one bit of it) keyed
+//!   by sequence number,
 //! * [`Application`] — sender-side application models (bulk, fixed-size).
 //!
 //! The simulator (`proteus-netsim`) drives implementations of these traits;
@@ -31,5 +32,5 @@ pub use cc::{factory, CcFactory, CcSnapshot, CongestionControl};
 pub use mi::{MiId, MiStats, MiTracker};
 pub use packet::{AckInfo, FlowId, LossInfo, SentPacket, SeqNr, DEFAULT_PACKET_BYTES};
 pub use rtt::{RttEstimator, WindowedMax, WindowedMin};
-pub use seq_ring::SeqRing;
+pub use seq_ring::{SeqRing, SeqSet};
 pub use time::{serialization_delay, Dur, Time};

@@ -13,14 +13,13 @@
 //! is built to do **no hashing, no heap allocation and no linear scans** per
 //! event in steady state:
 //!
-//! * packet→MI attribution is a seq-indexed ring ([`SeqRing`], the one the
-//!   engine tracks in-flight packets with) instead of a SipHash
-//!   `HashMap<SeqNr, MiId>` — O(1) insert/remove with zero per-packet
-//!   allocator traffic once the ring has grown to the flow's in-flight size;
-//! * MI ids are handed out sequentially and `pending` is drained in order,
-//!   so the pending ids are always the contiguous range starting at the
-//!   front id and an id resolves to its `MiState` by direct indexing — no
-//!   linear `find`;
+//! * packet→MI attribution stores one bit per outstanding packet (a
+//!   seq-indexed [`SeqSet`], the exactly-once guard against repeated and
+//!   stray ACKs) instead of a SipHash `HashMap<SeqNr, MiId>`: an MI's
+//!   packets are consecutive sequence numbers, so *which* MI is a range
+//!   lookup — each pending MI carries `end_seq` and a packet belongs to the
+//!   first one with `seq < end_seq`, the front MI in the common case — with
+//!   zero allocator traffic once the set spans the flow's in-flight window;
 //! * each `MiState` is a fixed-size struct: the RTT-gradient fit runs on a
 //!   streaming `RegressionAccumulator` instead of a stored
 //!   `Vec<(f64, f64)>`, making `MiState::finish` O(1) in the number of RTT
@@ -30,12 +29,11 @@
 //!   `Vec<MiStats>` per event.
 
 use std::collections::VecDeque;
-use std::num::NonZeroU64;
 
 use proteus_stats::{RegressionAccumulator, Welford};
 
-use crate::packet::{AckInfo, LossInfo, SentPacket};
-use crate::seq_ring::SeqRing;
+use crate::packet::{AckInfo, LossInfo, SentPacket, SeqNr};
+use crate::seq_ring::SeqSet;
 use crate::time::{Dur, Time};
 
 /// Identifier of a monitor interval within one flow.
@@ -113,6 +111,11 @@ struct MiState {
     pkts_acked: u64,
     pkts_lost: u64,
     outstanding: u64,
+    /// One past the highest sequence number sent in this MI *or before it*:
+    /// inherited from the previous MI at `start_mi`, so an MI that sent
+    /// nothing claims no packet ahead of the one that did, and the values
+    /// never decrease along `pending`.
+    end_seq: SeqNr,
     /// Streaming least-squares fit of `(send time relative to MI start [s],
     /// RTT [s])` per ACKed packet — the RTT-gradient regression.
     reg: RegressionAccumulator,
@@ -120,7 +123,7 @@ struct MiState {
 }
 
 impl MiState {
-    fn new(id: MiId, start: Time, target_rate: f64) -> Self {
+    fn new(id: MiId, start: Time, target_rate: f64, end_seq: SeqNr) -> Self {
         Self {
             id,
             start,
@@ -133,6 +136,7 @@ impl MiState {
             pkts_acked: 0,
             pkts_lost: 0,
             outstanding: 0,
+            end_seq,
             reg: RegressionAccumulator::new(),
             rtt_acc: Welford::new(),
         }
@@ -189,15 +193,13 @@ impl MiState {
 #[derive(Default)]
 pub struct MiTracker {
     next_id: MiId,
-    /// Pending MIs, oldest first. Ids are sequential and the queue is pushed
-    /// and drained in order, so the stored ids are exactly
-    /// `front.id ..= front.id + len − 1` — an id maps to its slot by direct
-    /// indexing.
+    /// Pending MIs, oldest first, pushed and drained in id order.
     pending: VecDeque<MiState>,
-    /// Which MI each outstanding packet belongs to, as `id + 1`: the zero
-    /// niche keeps a ring slot at the 8 bytes of the id (lossy flows hold
-    /// thousands of slots each, and a population holds thousands of flows).
-    seq_to_mi: SeqRing<NonZeroU64>,
+    /// The attributed packets not yet acknowledged or declared lost, one bit
+    /// each (lossy flows span thousands of sequence numbers, and a
+    /// population holds thousands of flows). Every member belongs to a
+    /// pending MI: an MI leaves `pending` only with nothing outstanding.
+    outstanding: SeqSet,
 }
 
 impl MiTracker {
@@ -216,7 +218,10 @@ impl MiTracker {
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.pending.push_back(MiState::new(id, now, rate));
+        // Only the first MI finds nothing pending (the open MI never
+        // drains), and nothing was attributed before it.
+        let end_seq = self.pending.back().map_or(0, |prev| prev.end_seq);
+        self.pending.push_back(MiState::new(id, now, rate, end_seq));
         id
     }
 
@@ -263,18 +268,25 @@ impl MiTracker {
         open.bytes_sent += pkt.bytes;
         open.pkts_sent += 1;
         open.outstanding += 1;
-        self.seq_to_mi
-            .insert(pkt.seq, NonZeroU64::MIN.saturating_add(open.id));
+        open.end_seq = pkt.seq + 1;
+        // Rejects a falling sequence number, which keeps `end_seq`
+        // non-decreasing along `pending`.
+        self.outstanding.insert(pkt.seq);
     }
 
-    /// Direct-index access to a pending MI by id (ids are sequential and the
-    /// queue is contiguous in id, see [`MiTracker::pending`]).
-    fn mi_mut(&mut self, id: MiId) -> Option<&mut MiState> {
-        let front_id = self.pending.front()?.id;
-        let idx = id.checked_sub(front_id)? as usize;
-        let mi = self.pending.get_mut(idx)?;
-        debug_assert_eq!(mi.id, id, "pending ids must be contiguous");
-        Some(mi)
+    /// Takes `seq` out of the outstanding set and returns the pending MI it
+    /// was sent in: the first whose range reaches past it. `None` for a
+    /// packet never attributed or already resolved.
+    fn resolve(&mut self, seq: SeqNr) -> Option<&mut MiState> {
+        if !self.outstanding.remove(seq) {
+            return None;
+        }
+        let idx = self.pending.partition_point(|mi| mi.end_seq <= seq);
+        debug_assert!(
+            idx < self.pending.len(),
+            "an outstanding packet's MI is pending"
+        );
+        self.pending.get_mut(idx)
     }
 
     /// Processes an ACK, appending MIs it completed to `out` in id order.
@@ -286,33 +298,29 @@ impl MiTracker {
     /// ACK counts for throughput/completion while its RTT sample is excluded
     /// from the latency metrics (used by Proteus' per-ACK noise filter, §5).
     pub fn on_ack_filtered_into(&mut self, ack: &AckInfo, keep_rtt: bool, out: &mut Vec<MiStats>) {
-        let Some(slot) = self.seq_to_mi.remove(ack.seq) else {
+        let Some(mi) = self.resolve(ack.seq) else {
             return;
         };
-        if let Some(mi) = self.mi_mut(slot.get() - 1) {
-            mi.bytes_acked += ack.bytes;
-            mi.pkts_acked += 1;
-            mi.outstanding = mi.outstanding.saturating_sub(1);
-            if keep_rtt {
-                let rel_send = ack.sent_at.since(mi.start).as_secs_f64();
-                let rtt_s = ack.rtt.as_secs_f64();
-                mi.reg.add(rel_send, rtt_s);
-                mi.rtt_acc.add(rtt_s);
-            }
+        mi.bytes_acked += ack.bytes;
+        mi.pkts_acked += 1;
+        mi.outstanding = mi.outstanding.saturating_sub(1);
+        if keep_rtt {
+            let rel_send = ack.sent_at.since(mi.start).as_secs_f64();
+            let rtt_s = ack.rtt.as_secs_f64();
+            mi.reg.add(rel_send, rtt_s);
+            mi.rtt_acc.add(rtt_s);
         }
         self.drain_complete_into(out);
     }
 
     /// Processes a loss, appending MIs it completed to `out` in id order.
     pub fn on_loss_into(&mut self, loss: &LossInfo, out: &mut Vec<MiStats>) {
-        let Some(slot) = self.seq_to_mi.remove(loss.seq) else {
+        let Some(mi) = self.resolve(loss.seq) else {
             return;
         };
-        if let Some(mi) = self.mi_mut(slot.get() - 1) {
-            mi.bytes_lost += loss.bytes;
-            mi.pkts_lost += 1;
-            mi.outstanding = mi.outstanding.saturating_sub(1);
-        }
+        mi.bytes_lost += loss.bytes;
+        mi.pkts_lost += 1;
+        mi.outstanding = mi.outstanding.saturating_sub(1);
         self.drain_complete_into(out);
     }
 
@@ -333,7 +341,7 @@ impl std::fmt::Debug for MiTracker {
         f.debug_struct("MiTracker")
             .field("next_id", &self.next_id)
             .field("pending", &self.pending)
-            .field("outstanding_pkts", &self.seq_to_mi.len())
+            .field("outstanding_pkts", &self.outstanding.len())
             .finish()
     }
 }
@@ -560,7 +568,60 @@ mod tests {
         assert_eq!(out[1].id, 1);
     }
 
-    /// The attribution ring tolerates the same edge cases as the HashMap it
+    /// An MI that sent nothing sits between two that did: it inherits its
+    /// predecessor's range, so its neighbours' ACKs pass it by.
+    #[test]
+    fn silent_mi_between_two_senders_claims_no_packet() {
+        let mut t = MiTracker::new();
+        t.start_mi(Time::ZERO, 1e6);
+        t.on_sent(&pkt(0, 0));
+        t.on_sent(&pkt(1, 5));
+        t.start_mi(Time::from_millis(30), 2e6); // sends nothing
+        t.start_mi(Time::from_millis(60), 3e6);
+        t.on_sent(&pkt(2, 60));
+        t.on_sent(&pkt(3, 65));
+        t.start_mi(Time::from_millis(90), 1e6);
+        // Resolve the third MI first, then the first: each ACK must land in
+        // the MI that sent it, never in the silent one.
+        let mut done = Vec::new();
+        t.on_ack_into(&ack(2, 60, 30), &mut done);
+        t.on_loss_into(&loss(3, 65), &mut done);
+        t.on_ack_into(&ack(1, 5, 30), &mut done);
+        assert!(done.is_empty());
+        t.on_ack_into(&ack(0, 0, 30), &mut done);
+        let counts: Vec<_> = done
+            .iter()
+            .map(|mi| (mi.id, mi.pkts_sent, mi.pkts_acked, mi.pkts_lost))
+            .collect();
+        assert_eq!(counts, vec![(0, 2, 2, 0), (1, 0, 0, 0), (2, 2, 1, 1)]);
+    }
+
+    /// `pending` drained as far as it ever does — every closed MI completed,
+    /// only the open one left: old sequence numbers miss, new ones attribute
+    /// to the MIs started afterwards.
+    #[test]
+    fn start_mi_after_every_closed_mi_drained() {
+        let mut t = MiTracker::new();
+        t.start_mi(Time::ZERO, 1e6);
+        t.on_sent(&pkt(0, 0));
+        t.start_mi(Time::from_millis(30), 1e6);
+        assert_eq!(on_ack(&mut t, &ack(0, 0, 30)).len(), 1);
+        // The open, empty MI 1 completes on its own close.
+        t.start_mi(Time::from_millis(60), 1e6);
+        t.on_sent(&pkt(1, 60));
+        t.start_mi(Time::from_millis(90), 1e6);
+        let done = on_ack(&mut t, &ack(1, 60, 30));
+        assert_eq!(done.len(), 2);
+        assert_eq!(t.pending_count(), 1, "only the open MI is left");
+        assert!(on_ack(&mut t, &ack(0, 0, 30)).is_empty(), "long resolved");
+        t.on_sent(&pkt(2, 95));
+        t.start_mi(Time::from_millis(120), 1e6);
+        let done = on_ack(&mut t, &ack(2, 95, 30));
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].id, done[0].pkts_acked), (3, 1));
+    }
+
+    /// The attribution set tolerates the same edge cases as the HashMap it
     /// replaced: gaps from un-attributed packets, duplicate ACKs, and
     /// out-of-range sequence numbers.
     #[test]

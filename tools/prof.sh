@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Where a benchmark workload's CPU time goes, by sampling (DESIGN.md §4c).
+# Where a benchmark workload's CPU time goes, by sampling, or where its
+# memory is at the peak, by a heap census (DESIGN.md §4c).
 #
-#   tools/prof.sh WORKLOAD [PASSES]      e.g. tools/prof.sh clean_dumbbell 10
+#   tools/prof.sh WORKLOAD [PASSES]          e.g. tools/prof.sh clean_dumbbell 10
+#   tools/prof.sh --heap WORKLOAD [PASSES]   e.g. tools/prof.sh --heap churn_population 1
 #
 # Builds tools/prof (a package of its own, path-dependent on benchmark/),
 # runs WORKLOAD's set-up and PASSES passes (default 3) under a SIGPROF timer
@@ -15,12 +17,22 @@
 #     caller; the chain's innermost function when none is;
 #   - in-repo lines: that function's line.
 # Samples inside a shared object show as `[libm.so.6]` and the like.
+# With --heap the same passes run under a counting allocator instead of the
+# timer, and the output is the live heap where it peaked: live bytes now, the
+# peak, the process's VmHWM, and one row per exact allocation size — bytes
+# held, live allocations, size — largest holding first. `144 x 114688` names
+# its data structure (144 buffers of 2 048 56-byte entries); the gap to VmHWM
+# is the allocator's rounding and free lists, the binary and the stacks.
 # TOP=N sets the rows per table (default 25).
 set -euo pipefail
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 root="$(dirname "$here")"
 cargo build --release --offline --quiet --manifest-path "$here/prof/Cargo.toml" >&2
 bin="${CARGO_TARGET_DIR:-$here/prof/target}/release/proteus-prof"
+if [[ "${1:-}" == --heap ]]; then
+    "$bin" "$@" | awk -v top="${TOP:-25}" '/^#/ { print; next } rows++ <= top'
+    exit "${PIPESTATUS[0]}"
+fi
 raw="$(mktemp)"
 trap 'rm -f "$raw" "$raw.sym"' EXIT
 "$bin" "$@" >"$raw"

@@ -7,13 +7,21 @@
 //! `round`, libc's `memmove`, the vDSO). `tools/prof.sh` builds this, runs
 //! it and turns the addresses into functions and lines.
 //!
+//! `proteus-prof --heap WORKLOAD [PASSES]` runs the same thing under the
+//! heap census of [`heap`] instead of the timer and prints where the memory
+//! is at the peak: live bytes, and the live allocations by exact size.
+//!
 //! Sampling from inside the process needs no `perf`, no privileges and no
 //! engine code; the cost is that only the interrupted PC is recorded, not
 //! its stack — `addr2line -i` recovers the inline chain, which is where this
 //! simulator's per-packet work lives.
 
+mod heap;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler;
+
+#[global_allocator]
+static GLOBAL: heap::CensusAlloc = heap::CensusAlloc;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() -> std::process::ExitCode {
@@ -23,14 +31,19 @@ fn main() -> std::process::ExitCode {
     use proteus_benchmark::spans::Spans;
     use proteus_benchmark::{workloads, Kind};
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let census = args.first().is_some_and(|arg| arg == "--heap");
+    if census {
+        args.remove(0);
+    }
     let kind = args.first().and_then(|name| Kind::parse(name));
     let passes = args.get(1).map_or(Some(3), |n| n.parse::<usize>().ok());
     let (Some(kind), Some(passes @ 1..), true) = (kind, passes, args.len() <= 2) else {
         let names: Vec<&str> = Kind::ALL.iter().map(|k| k.name()).collect();
-        eprintln!("usage: proteus-prof WORKLOAD [PASSES]");
+        eprintln!("usage: proteus-prof [--heap] WORKLOAD [PASSES]");
+        eprintln!("  --heap    count live heap by allocation size instead of sampling the PC");
         eprintln!("  WORKLOAD  one of {}", names.join(", "));
-        eprintln!("  PASSES    passes to sample, the first one included (default 3)");
+        eprintln!("  PASSES    passes to run, the first one included (default 3)");
         return ExitCode::from(2);
     };
 
@@ -43,7 +56,11 @@ fn main() -> std::process::ExitCode {
 
     let mut workload = workloads::build(kind, 1, false);
     let mut spans = Spans::new(false);
-    sampler::start();
+    if census {
+        heap::enable();
+    } else {
+        sampler::start();
+    }
     workload.prepare(&scratch).expect("workload set-up");
     let mut failures = Vec::new();
     let mut digest = String::new();
@@ -51,6 +68,36 @@ fn main() -> std::process::ExitCode {
         let pass = workload.pass(false, &mut spans);
         failures.extend(pass.failures);
         digest = pass.digest;
+    }
+    if census {
+        let report = heap::report();
+        let _ = std::fs::remove_dir_all(&scratch);
+        let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+        let hwm = status.lines().find_map(|line| line.strip_prefix("VmHWM:"));
+        println!(
+            "# workload {} seed 1 passes {passes} sim_digest {digest} failed {}",
+            kind.name(),
+            failures.len(),
+        );
+        println!(
+            "# live_bytes {} peak_live_bytes {} VmHWM {}",
+            report.live,
+            report.peak,
+            hwm.map_or("?", str::trim),
+        );
+        println!(
+            "# live allocations by size at {} live bytes (copied every {} KiB of rise); \
+             {} distinct sizes, {} allocations untracked",
+            report.copied_at,
+            heap::STEP >> 10,
+            report.rows.len(),
+            report.untracked,
+        );
+        println!("{:>12} {:>8} {:>10}", "bytes", "count", "size");
+        for (size, count) in &report.rows {
+            println!("{:>12} {count:>8} {size:>10}", *size as u64 * count);
+        }
+        return exit_status(&failures);
     }
     let (pcs, dropped) = sampler::stop();
     let _ = std::fs::remove_dir_all(&scratch);
@@ -92,13 +139,20 @@ fn main() -> std::process::ExitCode {
     for (label, count) in &hits {
         println!("{count} {label}");
     }
-    for failure in &failures {
+    exit_status(&failures)
+}
+
+/// Lists the workload's failed operations on standard error; success when
+/// there are none.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn exit_status(failures: &[String]) -> std::process::ExitCode {
+    for failure in failures {
         eprintln!("failed: {failure}");
     }
     if failures.is_empty() {
-        ExitCode::SUCCESS
+        std::process::ExitCode::SUCCESS
     } else {
-        ExitCode::FAILURE
+        std::process::ExitCode::FAILURE
     }
 }
 
