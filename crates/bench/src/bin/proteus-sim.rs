@@ -96,24 +96,52 @@ struct Args {
     population: usize,
 }
 
-/// Parses `v` as a finite number that satisfies `ok`; `need` says what that
-/// is, for the error.
-fn number(v: &str, flag: &str, ok: impl Fn(f64) -> bool, need: &str) -> Result<f64, String> {
+/// What a numeric field must satisfy, and how the error says so.
+type Rule = (fn(f64) -> bool, &'static str);
+
+/// Parses `v` as a finite number that satisfies the rule `(ok, need)`.
+fn number(v: &str, flag: &str, (ok, need): Rule) -> Result<f64, String> {
     match v.parse::<f64>() {
         Ok(x) if x.is_finite() && ok(x) => Ok(x),
         _ => Err(format!("{flag} needs {need}, got {v:?}")),
     }
 }
 
-/// Splits `spec` into exactly `n` colon-separated floats.
-fn floats(spec: &str, n: usize, what: &str) -> Result<Vec<f64>, String> {
-    let vals: Result<Vec<f64>, _> = spec.split(':').map(str::parse).collect();
-    match vals {
-        Ok(v) if v.len() == n => Ok(v),
-        _ => Err(format!(
-            "{what} expects {n} colon-separated numbers, got {spec:?}"
-        )),
+/// Longest simulated time a flag may name, seconds: the engine stores send
+/// times in 48 bits of nanoseconds (~78.2 h) and rejects longer runs.
+const MAX_SECS: f64 = 78.0 * 3600.0;
+
+/// A point in simulated time, seconds.
+const AT: Rule = (|x| (0.0..MAX_SECS).contains(&x), "a time in [0 s, 78 h)");
+/// A positive length of simulated time, seconds.
+const LENGTH: Rule = (
+    |x| x > 0.0 && x < MAX_SECS,
+    "a length above 0 s and under 78 h",
+);
+/// A non-negative extra delay, milliseconds.
+const DELAY_MS: Rule = (
+    |x| (0.0..MAX_SECS * 1e3).contains(&x),
+    "a delay in [0 ms, 78 h)",
+);
+/// A link bandwidth, Mbps.
+const BANDWIDTH: Rule = (|x| x > 0.0, "a bandwidth above 0 Mbps");
+/// A probability.
+const PROB: Rule = (|x| (0.0..=1.0).contains(&x), "a probability in [0, 1]");
+
+/// Splits `spec` into exactly `N` colon-separated numbers, each checked
+/// against its rule.
+fn fields<const N: usize>(spec: &str, flag: &str, rules: [Rule; N]) -> Result<[f64; N], String> {
+    let parts: Vec<&str> = spec.split(':').collect();
+    if parts.len() != N {
+        return Err(format!(
+            "{flag} expects {N} colon-separated numbers, got {spec:?}"
+        ));
     }
+    let mut out = [0.0; N];
+    for ((x, v), rule) in out.iter_mut().zip(parts).zip(rules) {
+        *x = number(v, flag, rule)?;
+    }
+    Ok(out)
 }
 
 fn parse() -> Result<Args, String> {
@@ -145,7 +173,7 @@ fn parse() -> Result<Args, String> {
         match arg.as_str() {
             "--bw" => {
                 let v = need(&mut it, "--bw")?;
-                a.bw = number(&v, "--bw", |x| x > 0.0, "a bandwidth above 0 Mbps")?;
+                a.bw = number(&v, "--bw", BANDWIDTH)?;
             }
             "--rtt" => {
                 let v = need(&mut it, "--rtt")?;
@@ -166,13 +194,12 @@ fn parse() -> Result<Args, String> {
             "--loss" => {
                 let v = need(&mut it, "--loss")?;
                 let unit = |p| (0.0..1.0).contains(&p);
-                a.loss = number(&v, "--loss", unit, "a probability in [0, 1)")?;
+                a.loss = number(&v, "--loss", (unit, "a probability in [0, 1)"))?;
             }
             "--wifi" => a.wifi = true,
             "--secs" => {
-                a.secs = need(&mut it, "--secs")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
+                let v = need(&mut it, "--secs")?;
+                a.secs = number(&v, "--secs", LENGTH)?;
             }
             "--seed" => {
                 a.seed = need(&mut it, "--seed")?
@@ -241,57 +268,58 @@ fn parse() -> Result<Args, String> {
             }
             "--trace-out" => mi_trace::set_mi_trace_dir(need(&mut it, "--trace-out")?),
             "--bw-step" => {
-                let v = floats(&need(&mut it, "--bw-step")?, 2, "--bw-step")?;
-                if !(v[1] > 0.0 && v[1].is_finite()) {
-                    return Err(format!(
-                        "--bw-step needs a bandwidth above 0 Mbps, got {}",
-                        v[1]
-                    ));
-                }
+                let [at, mbps] =
+                    fields(&need(&mut it, "--bw-step")?, "--bw-step", [AT, BANDWIDTH])?;
                 a.faults =
-                    std::mem::take(&mut a.faults).bandwidth_step(Dur::from_secs_f64(v[0]), v[1]);
+                    std::mem::take(&mut a.faults).bandwidth_step(Dur::from_secs_f64(at), mbps);
             }
             "--rtt-step" => {
-                let v = floats(&need(&mut it, "--rtt-step")?, 2, "--rtt-step")?;
+                let [at, ms] = fields(
+                    &need(&mut it, "--rtt-step")?,
+                    "--rtt-step",
+                    [AT, (|x| x > 0.0 && x < MAX_SECS * 1e3, "an RTT above 0 ms")],
+                )?;
                 a.faults = std::mem::take(&mut a.faults)
-                    .rtt_step(Dur::from_secs_f64(v[0]), Dur::from_secs_f64(v[1] / 1e3));
+                    .rtt_step(Dur::from_secs_f64(at), Dur::from_secs_f64(ms / 1e3));
             }
             "--outage" => {
-                let v = floats(&need(&mut it, "--outage")?, 2, "--outage")?;
+                let [at, len] = fields(&need(&mut it, "--outage")?, "--outage", [AT, LENGTH])?;
                 a.faults = std::mem::take(&mut a.faults)
-                    .outage(Dur::from_secs_f64(v[0]), Dur::from_secs_f64(v[1]));
+                    .outage(Dur::from_secs_f64(at), Dur::from_secs_f64(len));
             }
             "--burst-loss" => {
-                let v = floats(&need(&mut it, "--burst-loss")?, 3, "--burst-loss")?;
+                let [p_enter, p_exit, loss_bad] =
+                    fields(&need(&mut it, "--burst-loss")?, "--burst-loss", [PROB; 3])?;
                 a.faults = std::mem::take(&mut a.faults).with_burst_loss(GilbertElliott {
-                    p_enter: v[0],
-                    p_exit: v[1],
+                    p_enter,
+                    p_exit,
                     loss_good: 0.0,
-                    loss_bad: v[2],
+                    loss_bad,
                 });
             }
             "--reorder" => {
-                let v = floats(&need(&mut it, "--reorder")?, 2, "--reorder")?;
+                let [prob, ms] =
+                    fields(&need(&mut it, "--reorder")?, "--reorder", [PROB, DELAY_MS])?;
                 a.faults = std::mem::take(&mut a.faults).with_reorder(ReorderConfig {
-                    prob: v[0],
-                    max_extra: Dur::from_secs_f64(v[1] / 1e3),
+                    prob,
+                    max_extra: Dur::from_secs_f64(ms / 1e3),
                 });
             }
             "--ack-comp" => {
-                let v = floats(&need(&mut it, "--ack-comp")?, 2, "--ack-comp")?;
+                let [every, hold] = fields(
+                    &need(&mut it, "--ack-comp")?,
+                    "--ack-comp",
+                    [LENGTH, DELAY_MS],
+                )?;
                 a.faults = std::mem::take(&mut a.faults).with_ack_compression(AckCompression {
-                    every: Dur::from_secs_f64(v[0]),
-                    hold: Dur::from_secs_f64(v[1] / 1e3),
+                    every: Dur::from_secs_f64(every),
+                    hold: Dur::from_secs_f64(hold / 1e3),
                 });
             }
             "--flow" => {
                 let spec = need(&mut it, "--flow")?;
                 let (proto, start) = match spec.split_once('@') {
-                    Some((p, s)) => (
-                        p.to_string(),
-                        s.parse::<f64>()
-                            .map_err(|e| format!("bad start time: {e}"))?,
-                    ),
+                    Some((p, s)) => (p.to_string(), number(s, "--flow start", AT)?),
                     None => (spec, 0.0),
                 };
                 if try_cc(&proto, 0).is_none() {
@@ -318,11 +346,11 @@ fn parse() -> Result<Args, String> {
 fn buffer_bytes(spec: &str, bw: f64, rtt_ms: u64) -> Result<u64, String> {
     let positive = |x: f64| x > 0.0;
     let bytes = if let Some(x) = spec.strip_suffix("xBDP") {
-        let mult = number(x, "--buffer", positive, "a BDP multiple above 0")?;
+        let mult = number(x, "--buffer", (positive, "a BDP multiple above 0"))?;
         let link = LinkSpec::new(bw, Dur::from_millis(rtt_ms), 1);
         link.with_buffer_bdp(mult).buffer_bytes
     } else {
-        (number(spec, "--buffer", positive, "KB above 0, or <x>xBDP")? * 1000.0) as u64
+        (number(spec, "--buffer", (positive, "KB above 0, or <x>xBDP"))? * 1000.0) as u64
     };
     if bytes == 0 {
         return Err(format!("--buffer {spec:?} holds no packet at all"));

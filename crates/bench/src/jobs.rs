@@ -280,8 +280,8 @@ fn trace_suffix(traces: Traces) -> String {
     // Traced and untraced runs are simulated identically, but they get
     // distinct cache identities so enabling --trace / --trace-mi actually
     // (re)writes the exports instead of short-circuiting on a cached
-    // payload. (Decision-trace files are additionally declared as cache
-    // artifacts, so even a warm hit replays them from the cache.)
+    // payload. (Every trace file is additionally declared as a cache
+    // artifact, so even a warm hit replays it from the cache.)
     let mut s = String::new();
     if traces.telemetry {
         s.push_str("/trace");
@@ -312,7 +312,13 @@ pub(crate) fn scenario_job(
     let mi = traces
         .decisions
         .map(|fmt| MiTraceSink::new(exp, &run_name, fmt));
-    let artifacts: Vec<_> = mi.iter().flat_map(|s| s.paths()).collect();
+    // Decision traces first, telemetry last: entries cached before the
+    // telemetry file was declared keep their artifact indices.
+    let artifacts: Vec<_> = mi
+        .iter()
+        .flat_map(|s| s.paths())
+        .chain(sink.as_ref().map(TraceSink::path))
+        .collect();
     let mut job = SimJob::new(descriptor, label, move || {
         let res = run_job(scenario(mi.is_some()), sink.as_ref(), mi.as_ref());
         payload::encode_floats(&read(&res))
@@ -521,9 +527,17 @@ mod tests {
         let m = single_job("x", &tag, "BBR", link, 30.0, 7, mi);
         assert_ne!(a.key(), m.key());
         assert_ne!(t.key(), m.key());
-        // Decision-tracing jobs declare their export files as artifacts.
+        // Tracing jobs declare every file they write as an artifact.
         assert_eq!(a.artifacts().len(), 0);
+        assert_eq!(t.artifacts().len(), 1);
         assert_eq!(m.artifacts().len(), 2);
+        let both = Traces {
+            telemetry: true,
+            decisions: Some(TraceFormat::Both),
+        };
+        let tb = single_job("x", &tag, "BBR", link, 30.0, 7, both);
+        assert_eq!(tb.artifacts().len(), 3);
+        assert!(tb.artifacts()[2].starts_with(results_dir().join("trace").join("x")));
     }
 
     #[test]

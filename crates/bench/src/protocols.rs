@@ -2,7 +2,7 @@
 //! constructible by name.
 
 use proteus_baselines::{Bbr, Copa, Cross, Cubic, FixedRateProbe, Ledbat, Reno, ScavengerMod};
-use proteus_core::{Mode, ProteusSender, SharedThreshold};
+use proteus_core::ProteusSender;
 use proteus_trace::RingSink;
 use proteus_transport::CongestionControl;
 
@@ -43,7 +43,8 @@ pub const NAMES: &[&str] = &[
 ];
 
 /// Builds a controller by display name. Probe rates are written as
-/// `"probe:<mbps>"`. Hybrid senders are built via [`hybrid`].
+/// `"probe:<mbps>"`. Proteus-H senders, which need a shared threshold
+/// cell, are built with [`ProteusSender::hybrid`].
 ///
 /// # Panics
 /// Panics on a name [`try_cc`] does not know.
@@ -79,14 +80,6 @@ pub fn try_cc(name: &str, seed: u64) -> Option<Box<dyn CongestionControl>> {
     })
 }
 
-/// Builds a Proteus-H sender bound to a shared threshold cell.
-pub fn hybrid(seed: u64, threshold: SharedThreshold) -> Box<dyn CongestionControl> {
-    Box::new(ProteusSender::with_config(
-        proteus_core::ProteusConfig::proteus().with_seed(seed),
-        Mode::Hybrid(threshold),
-    ))
-}
-
 /// Like [`cc`], but PCC-family senders carry a [`RingSink`] decision
 /// recorder (drained into `SimResult::decisions` by the engine). The other
 /// protocols have no MI decision points, so they are returned untraced —
@@ -100,18 +93,6 @@ pub fn cc_traced(name: &str, seed: u64) -> Box<dyn CongestionControl> {
         "PCC-Allegro" => Box::new(ProteusSender::allegro(seed).with_sink(ring())),
         other => cc(other, seed),
     }
-}
-
-/// Traced [`hybrid`]: a Proteus-H sender recording decisions (including the
-/// §4.4 mode switches) into a [`RingSink`].
-pub fn hybrid_traced(seed: u64, threshold: SharedThreshold) -> Box<dyn CongestionControl> {
-    Box::new(
-        ProteusSender::with_config(
-            proteus_core::ProteusConfig::proteus().with_seed(seed),
-            Mode::Hybrid(threshold),
-        )
-        .with_sink(RingSink::new(crate::mi_trace::MI_RING_CAPACITY)),
-    )
 }
 
 #[cfg(test)]
@@ -142,8 +123,6 @@ mod tests {
         let x = cc("Cross", 1);
         assert_eq!(x.name(), "Cross");
         assert!(x.pacing_rate().is_some());
-        let h = hybrid(1, SharedThreshold::new(10.0));
-        assert_eq!(h.name(), "Proteus-H");
     }
 
     #[test]
@@ -158,7 +137,5 @@ mod tests {
             let c = cc_traced(name, 1);
             assert_eq!(c.name(), cc(name, 1).name());
         }
-        let h = hybrid_traced(1, SharedThreshold::new(10.0));
-        assert_eq!(h.name(), "Proteus-H");
     }
 }

@@ -6,10 +6,11 @@ use std::process::Command;
 /// Hostile `proteus-sim` flag values are rejected where flags are parsed —
 /// usage and exit status 2 — rather than tripping a library assertion
 /// (status 101 and a backtrace, for `--bw-step` a simulated second into the
-/// run).
+/// run, for `--secs 1e30` the engine's 2^48 ns limit) or running silently
+/// (a zero-length run, probabilities above 1, a negative RTT).
 #[test]
 fn proteus_sim_rejects_hostile_flags_with_usage() {
-    let cases: [&[&str]; 9] = [
+    let cases: [&[&str]; 20] = [
         &["--bw", "0"],
         &["--bw", "-5"],
         &["--buffer", "0"],
@@ -19,6 +20,17 @@ fn proteus_sim_rejects_hostile_flags_with_usage() {
         &["--rtt", "0"],
         &["--flow", "probe:0"],
         &["--buffer", "0xBDP"],
+        &["--secs", "0"],
+        &["--secs", "-1"],
+        &["--secs", "nan"],
+        &["--secs", "1e30"],
+        &["--secs", "281000"],
+        &["--reorder", "2:5"],
+        &["--burst-loss", "2:0.5:0.5"],
+        &["--rtt-step", "1:-5"],
+        &["--outage", "-1:2"],
+        &["--ack-comp", "0:50"],
+        &["--flow", "CUBIC@-1"],
     ];
     for case in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_proteus-sim"))
@@ -67,4 +79,44 @@ fn repro_quick_and_reseeded_runs_leave_results_alone() {
     assert!(out.status.success());
     assert!(!String::from_utf8_lossy(&out.stderr).contains("instead of results/"));
     assert!(dir.join("tbl_equilibrium.txt").exists());
+}
+
+/// A warm `repro --trace` run restores every trace file it declared, not
+/// only the decision traces: delete `trace/` after a cold run, re-run, and
+/// the telemetry JSONL comes back byte-identical from the cache.
+#[test]
+fn repro_warm_trace_replays_telemetry() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = root.join("target/repro-scratch/warm-trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    let repro = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .env("PROTEUS_RESULTS_DIR", &dir)
+            .args(["--quick", "--trace", "fig4"])
+            .output()
+            .expect("repro runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let read_traces = || {
+        let mut files: Vec<_> = std::fs::read_dir(dir.join("trace/fig4"))
+            .expect("a trace directory")
+            .map(|e| {
+                let path = e.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    repro();
+    let cold = read_traces();
+    assert!(!cold.is_empty(), "a cold --trace run wrote no telemetry");
+    std::fs::remove_dir_all(dir.join("trace")).unwrap();
+    repro();
+    assert_eq!(read_traces(), cold);
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use proteus_core::{
-    evaluate, hybrid_ideal_allocation, solve_equilibrium, utility_primary, utility_scavenger,
-    GameParams, MiObservation, Mode, SenderKind, UtilityParams,
+    evaluate, hybrid_ideal_allocation, solve_equilibrium, GameParams, MiObservation, Mode,
+    SenderKind, UtilityParams,
 };
 use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
 use proteus_stats::{jain_index, percentile, Ecdf};
@@ -18,6 +18,14 @@ fn obs(rate: f64, loss: f64, grad: f64, dev: f64) -> MiObservation {
         rtt_deviation: dev,
         rtt_s: 0.05,
     }
+}
+
+fn primary(p: &UtilityParams, o: &MiObservation) -> f64 {
+    evaluate(&Mode::Primary, p, o)
+}
+
+fn scavenger(p: &UtilityParams, o: &MiObservation) -> f64 {
+    evaluate(&Mode::Scavenger, p, o)
 }
 
 /// The body of `hybrid_allocation_invariants`, shared with its pinned case.
@@ -59,7 +67,7 @@ proptest! {
     ) {
         let p = UtilityParams::default();
         let h = rate * 0.01;
-        for f in [utility_primary, utility_scavenger] {
+        for f in [primary, scavenger] {
             let a = f(&p, &obs(rate - h, loss, grad, dev));
             let b = f(&p, &obs(rate, loss, grad, dev));
             let c = f(&p, &obs(rate + h, loss, grad, dev));
@@ -76,7 +84,7 @@ proptest! {
     ) {
         let p = UtilityParams::default();
         let o = obs(rate, 0.0, 0.0, dev);
-        prop_assert!(utility_scavenger(&p, &o) <= utility_primary(&p, &o) + 1e-12);
+        prop_assert!(scavenger(&p, &o) <= primary(&p, &o) + 1e-12);
     }
 
     /// Proteus-H evaluates to exactly one of its two branches.
@@ -91,9 +99,9 @@ proptest! {
         let th = proteus_core::SharedThreshold::new(threshold);
         let h = evaluate(&Mode::Hybrid(th), &p, &o);
         let expect = if rate < threshold {
-            utility_primary(&p, &o)
+            primary(&p, &o)
         } else {
-            utility_scavenger(&p, &o)
+            scavenger(&p, &o)
         };
         prop_assert_eq!(h, expect);
     }

@@ -66,10 +66,8 @@ pub use equilibrium::{
     hybrid_ideal_allocation, solve_equilibrium, Equilibrium, GameParams, SenderKind,
 };
 pub use noise::{AckIntervalFilter, GatedMetrics, MiNoiseGate};
-pub use proteus::{MiTraceEntry, ProteusSender};
+pub use proteus::ProteusSender;
 pub use rate_control::RateController;
 pub use utility::{
-    evaluate, evaluate_terms, utility_allegro, utility_delay_budget, utility_hybrid,
-    utility_loss_only, utility_primary, utility_scavenger, utility_vivace, DelayBudgetParams,
-    MiObservation, Mode, SharedThreshold, UtilityFunction, UtilityTerms,
+    evaluate, evaluate_terms, DelayBudgetParams, MiObservation, Mode, SharedThreshold, UtilityTerms,
 };

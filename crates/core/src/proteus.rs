@@ -17,36 +17,14 @@ use proteus_transport::{
     SentPacket, Time,
 };
 
-use std::collections::VecDeque;
-
 use proteus_stats::Ewma;
 
 use crate::config::{NoiseTolerance, ProteusConfig};
 use crate::noise::{AckIntervalFilter, GatedMetrics, MiNoiseGate};
 use crate::rate_control::RateController;
 use crate::utility::{
-    evaluate, evaluate_terms, hybrid_uses_scavenger, MiObservation, Mode, SharedThreshold,
+    evaluate_terms, hybrid_uses_scavenger, MiObservation, Mode, SharedThreshold, UtilityTerms,
 };
-
-/// One entry of the sender's diagnostic trace: what the utility module saw
-/// and decided for a completed monitor interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MiTraceEntry {
-    /// MI end time.
-    pub at: Time,
-    /// Target rate of the MI, Mbps.
-    pub rate_mbps: f64,
-    /// Achieved goodput, Mbps.
-    pub goodput_mbps: f64,
-    /// Raw per-MI loss rate.
-    pub loss_rate: f64,
-    /// Latency metrics after the noise gates.
-    pub gated: GatedMetrics,
-    /// Resulting utility value.
-    pub utility: f64,
-    /// Active mode name at evaluation time.
-    pub mode: &'static str,
-}
 
 /// A Proteus (or PCC Vivace) sender.
 ///
@@ -79,9 +57,6 @@ pub struct ProteusSender<S: TraceSink = NoopSink> {
     mode_switches: u64,
     /// Most recent utility value (diagnostics).
     last_utility: Option<f64>,
-    /// Ring buffer of recent per-MI decisions (empty unless enabled).
-    trace: VecDeque<MiTraceEntry>,
-    trace_capacity: usize,
     /// Reusable drain buffer for completed MIs: cleared and refilled on
     /// every ACK/loss, so the steady-state per-ACK path performs no heap
     /// allocation (guarded by `tests/alloc_free.rs`).
@@ -117,8 +92,6 @@ impl ProteusSender {
             loss_ewma: Ewma::new(0.125),
             mode_switches: 0,
             last_utility: None,
-            trace: VecDeque::new(),
-            trace_capacity: 0,
             mi_scratch: Vec::new(),
             sink: NoopSink,
             clock: Time::ZERO,
@@ -159,19 +132,6 @@ impl ProteusSender {
 }
 
 impl<S: TraceSink> ProteusSender<S> {
-    /// Enables the per-MI diagnostic trace, keeping the most recent
-    /// `capacity` entries (see [`MiTraceEntry`]). Useful for debugging why
-    /// a sender yielded or ramped.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// The recorded per-MI trace, oldest first.
-    pub fn trace(&self) -> impl Iterator<Item = &MiTraceEntry> {
-        self.trace.iter()
-    }
-
     /// Rebuilds the sender with a different decision-trace sink (all
     /// controller and measurement state carries over; typically called
     /// right after construction). Enabling a recording sink also turns on
@@ -190,8 +150,6 @@ impl<S: TraceSink> ProteusSender<S> {
             loss_ewma: self.loss_ewma,
             mode_switches: self.mode_switches,
             last_utility: self.last_utility,
-            trace: self.trace,
-            trace_capacity: self.trace_capacity,
             mi_scratch: self.mi_scratch,
             sink,
             clock: self.clock,
@@ -289,101 +247,95 @@ impl<S: TraceSink> ProteusSender<S> {
                 continue;
             }
             let gated = self.gate.process(&mi);
-            let loss_rate = self.loss_ewma.update(mi.loss_rate);
             let obs = MiObservation {
                 rate_mbps: mi.target_rate * 8.0 / 1e6,
-                loss_rate,
+                loss_rate: self.loss_ewma.update(mi.loss_rate),
                 rtt_gradient: gated.rtt_gradient,
                 rtt_deviation: gated.rtt_deviation,
                 rtt_s: mi.rtt_mean,
             };
-            // The traced path evaluates through `evaluate_terms`, whose
-            // `utility` is bitwise identical to `evaluate` (tested in
-            // `utility.rs`), so tracing cannot perturb control decisions.
-            let u = if S::ENABLED {
-                let end_ns = mi.end.as_nanos();
-                self.sink.record(DecisionEvent {
-                    t_ns: end_ns,
-                    kind: EventKind::GateVerdict(GateVerdict {
-                        raw_gradient: mi.rtt_gradient,
-                        raw_deviation: mi.rtt_dev,
-                        gradient_error: mi.gradient_error,
-                        per_mi_gated: gated.per_mi_gated,
-                        trend_restored_gradient: gated.trend_restored_gradient,
-                        trend_restored_deviation: gated.trend_restored_deviation,
-                        out_gradient: gated.rtt_gradient,
-                        out_deviation: gated.rtt_deviation,
-                    }),
-                });
-                if let Mode::Hybrid(th) = &self.mode {
-                    let threshold = th.get();
-                    let scav = hybrid_uses_scavenger(obs.rate_mbps, threshold);
-                    if let Some(prev) = self.hybrid_branch {
-                        if prev != scav {
-                            let (from, to) = if scav {
-                                ("Proteus-P", "Proteus-S")
-                            } else {
-                                ("Proteus-S", "Proteus-P")
-                            };
-                            self.sink.record(DecisionEvent {
-                                t_ns: end_ns,
-                                kind: EventKind::ModeSwitch(ModeSwitch {
-                                    from,
-                                    to,
-                                    implicit: true,
-                                    threshold_mbps: threshold,
-                                    rate_mbps: obs.rate_mbps,
-                                }),
-                            });
-                        }
-                    }
-                    self.hybrid_branch = Some(scav);
-                }
-                let terms = evaluate_terms(&self.mode, &self.cfg.utility, &obs);
-                self.sink.record(DecisionEvent {
-                    t_ns: end_ns,
-                    kind: EventKind::MiClose(MiClose {
-                        mi_start_ns: mi.start.as_nanos(),
-                        rate_mbps: obs.rate_mbps,
-                        goodput_mbps: mi.throughput * 8.0 / 1e6,
-                        loss_rate,
-                        raw_loss_rate: mi.loss_rate,
-                        rtt_mean_s: mi.rtt_mean,
-                        rtt_dev_s: gated.rtt_deviation,
-                        rtt_gradient: gated.rtt_gradient,
-                        utility: terms.utility,
-                        term_rate: terms.term_rate,
-                        term_gradient: terms.term_gradient,
-                        term_loss: terms.term_loss,
-                        term_deviation: terms.term_deviation,
-                        mode: terms.effective,
-                    }),
-                });
-                terms.utility
-            } else {
-                evaluate(&self.mode, &self.cfg.utility, &obs)
-            };
-            self.last_utility = Some(u);
-            if self.trace_capacity > 0 {
-                if self.trace.len() == self.trace_capacity {
-                    self.trace.pop_front();
-                }
-                self.trace.push_back(MiTraceEntry {
-                    at: mi.end,
-                    rate_mbps: obs.rate_mbps,
-                    goodput_mbps: mi.throughput * 8.0 / 1e6,
-                    loss_rate: mi.loss_rate,
-                    gated,
-                    utility: u,
-                    mode: self.mode.name(),
-                });
+            // One evaluation drives the controller; a recording sink only
+            // observes it, so tracing cannot perturb a decision.
+            let terms = evaluate_terms(&self.mode, &self.cfg.utility, &obs);
+            if S::ENABLED {
+                self.record_mi(&mi, &gated, &obs, &terms);
             }
-            self.controller.on_mi_complete(u);
+            self.last_utility = Some(terms.utility);
+            self.controller.on_mi_complete(terms.utility);
             if S::ENABLED {
                 self.drain_controller_log(mi.end);
             }
         }
         self.mi_scratch = completed;
+    }
+
+    /// Records one completed MI's decisions: the noise-gate verdict, a
+    /// Proteus-H threshold crossing if the rule flipped sides, and the
+    /// `MiClose` carrying the utility `terms` the controller was fed.
+    fn record_mi(
+        &mut self,
+        mi: &MiStats,
+        gated: &GatedMetrics,
+        obs: &MiObservation,
+        terms: &UtilityTerms,
+    ) {
+        let end_ns = mi.end.as_nanos();
+        self.sink.record(DecisionEvent {
+            t_ns: end_ns,
+            kind: EventKind::GateVerdict(GateVerdict {
+                raw_gradient: mi.rtt_gradient,
+                raw_deviation: mi.rtt_dev,
+                gradient_error: mi.gradient_error,
+                per_mi_gated: gated.per_mi_gated,
+                trend_restored_gradient: gated.trend_restored_gradient,
+                trend_restored_deviation: gated.trend_restored_deviation,
+                out_gradient: gated.rtt_gradient,
+                out_deviation: gated.rtt_deviation,
+            }),
+        });
+        if let Mode::Hybrid(th) = &self.mode {
+            let threshold = th.get();
+            let scav = hybrid_uses_scavenger(obs.rate_mbps, threshold);
+            if let Some(prev) = self.hybrid_branch {
+                if prev != scav {
+                    let (from, to) = if scav {
+                        ("Proteus-P", "Proteus-S")
+                    } else {
+                        ("Proteus-S", "Proteus-P")
+                    };
+                    self.sink.record(DecisionEvent {
+                        t_ns: end_ns,
+                        kind: EventKind::ModeSwitch(ModeSwitch {
+                            from,
+                            to,
+                            implicit: true,
+                            threshold_mbps: threshold,
+                            rate_mbps: obs.rate_mbps,
+                        }),
+                    });
+                }
+            }
+            self.hybrid_branch = Some(scav);
+        }
+        self.sink.record(DecisionEvent {
+            t_ns: end_ns,
+            kind: EventKind::MiClose(MiClose {
+                mi_start_ns: mi.start.as_nanos(),
+                rate_mbps: obs.rate_mbps,
+                goodput_mbps: mi.throughput * 8.0 / 1e6,
+                loss_rate: obs.loss_rate,
+                raw_loss_rate: mi.loss_rate,
+                rtt_mean_s: mi.rtt_mean,
+                rtt_dev_s: gated.rtt_deviation,
+                rtt_gradient: gated.rtt_gradient,
+                utility: terms.utility,
+                term_rate: terms.term_rate,
+                term_gradient: terms.term_gradient,
+                term_loss: terms.term_loss,
+                term_deviation: terms.term_deviation,
+                mode: terms.effective,
+            }),
+        });
     }
 
     /// Moves the controller's per-completion decision log into the sink,
@@ -592,46 +544,91 @@ mod tests {
         assert!(p.ack_filter.is_some());
     }
 
-    #[test]
-    fn trace_records_mi_decisions() {
-        let mut s = ProteusSender::scavenger(1).with_trace(4);
-        s.on_flow_start(Time::ZERO);
-        // Complete six MIs; the ring must keep only the last four.
-        let mut now = Time::ZERO;
-        for i in 0..6u64 {
-            let pkt = SentPacket {
-                seq: i,
-                bytes: 1500,
-                sent_at: now + Dur::from_millis(1),
-            };
-            s.on_packet_sent(now + Dur::from_millis(1), &pkt);
-            s.on_timer(s.next_timer().unwrap());
-            now = s.next_timer().unwrap();
-            s.on_ack(now, &ack(i, pkt.sent_at, now));
+    /// An untraced sender and its `RingSink` twin fed one event stream.
+    struct Twins {
+        plain: ProteusSender,
+        traced: ProteusSender<proteus_trace::RingSink>,
+        /// Every `MiClose` the traced twin recorded, with its timestamp.
+        closes: Vec<(u64, MiClose)>,
+    }
+
+    impl Twins {
+        /// Feeds one event to both senders, then checks they still agree
+        /// and that the traced twin's newest `MiClose` carries the utility
+        /// its controller was fed.
+        fn step(&mut self, event: impl Fn(&mut dyn CongestionControl)) {
+            event(&mut self.plain);
+            event(&mut self.traced);
+            assert_eq!(self.plain.rate_mbps(), self.traced.rate_mbps());
+            assert_eq!(self.plain.last_utility(), self.traced.last_utility());
+            assert_eq!(self.plain.next_timer(), self.traced.next_timer());
+            let mut events = Vec::new();
+            self.traced.drain_decisions_into(&mut events);
+            let before = self.closes.len();
+            self.closes
+                .extend(events.iter().filter_map(|e| match e.kind {
+                    EventKind::MiClose(c) => Some((e.t_ns, c)),
+                    _ => None,
+                }));
+            if self.closes.len() > before {
+                let newest = self.closes.last().unwrap().1.utility;
+                assert_eq!(Some(newest), self.traced.last_utility());
+            }
         }
-        let entries: Vec<_> = s.trace().collect();
-        assert_eq!(entries.len(), 4);
-        assert!(entries.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(entries.iter().all(|e| e.mode == "Proteus-S"));
-        assert!(entries.iter().all(|e| e.utility.is_finite()));
     }
 
     #[test]
-    fn trace_disabled_by_default() {
-        let mut s = ProteusSender::primary(1);
-        s.on_flow_start(Time::ZERO);
-        let pkt = SentPacket {
-            seq: 0,
-            bytes: 1500,
-            sent_at: Time::from_millis(1),
+    fn tracing_observes_the_one_evaluation() {
+        // Proteus-H with a threshold slow start crosses, so both sides of
+        // the rule (and an implicit switch) are on the traced path.
+        let th = SharedThreshold::new(8.0);
+        let cfg = ProteusConfig::proteus().with_seed(3);
+        let mut t = Twins {
+            plain: ProteusSender::with_config(cfg, Mode::Hybrid(th.clone())),
+            traced: ProteusSender::with_config(cfg, Mode::Hybrid(th))
+                .with_sink(proteus_trace::RingSink::new(256)),
+            closes: Vec::new(),
         };
-        s.on_packet_sent(Time::from_millis(1), &pkt);
-        s.on_timer(s.next_timer().unwrap());
-        s.on_ack(
-            Time::from_millis(131),
-            &ack(0, Time::from_millis(1), Time::from_millis(131)),
-        );
-        assert_eq!(s.trace().count(), 0);
+        let mut now = Time::ZERO;
+        t.step(|s| s.on_flow_start(now));
+        let mut seq = 0u64;
+        for mi in 0..30u64 {
+            let mut sent = Vec::new();
+            for j in 0..6u64 {
+                let pkt = SentPacket {
+                    seq,
+                    bytes: 1500,
+                    sent_at: now + Dur::from_millis(j),
+                };
+                t.step(|s| s.on_packet_sent(pkt.sent_at, &pkt));
+                sent.push(pkt);
+                seq += 1;
+            }
+            now = t.plain.next_timer().unwrap().max(now + Dur::from_millis(6));
+            t.step(|s| s.on_timer(now));
+            for pkt in sent {
+                // 30–40 ms RTTs in a sawtooth, and one packet in seven lost.
+                let rtt = Dur::from_millis(30 + (pkt.seq * 7 + mi) % 11);
+                now = now.max(pkt.sent_at + rtt);
+                if pkt.seq % 7 == 3 {
+                    let loss = LossInfo {
+                        seq: pkt.seq,
+                        bytes: pkt.bytes,
+                        sent_at: pkt.sent_at,
+                        detected_at: now,
+                        by_timeout: false,
+                    };
+                    t.step(|s| s.on_loss(now, &loss));
+                } else {
+                    t.step(|s| s.on_ack(now, &ack(pkt.seq, pkt.sent_at, now)));
+                }
+            }
+        }
+        assert!(t.closes.len() >= 20, "{} MI closes", t.closes.len());
+        assert!(t.closes.windows(2).all(|w| w[0].0 <= w[1].0));
+        for side in ["Proteus-P", "Proteus-S"] {
+            assert!(t.closes.iter().any(|(_, c)| c.mode == side), "{side}");
+        }
     }
 
     #[test]

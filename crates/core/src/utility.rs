@@ -1,4 +1,5 @@
-//! The Proteus utility-function library (§4), as sealed plug-ins.
+//! The Proteus utility-function library (§4): one closed [`Mode`] enum and
+//! one `match` over it.
 //!
 //! Six utility functions share one shape, `u(x) = x^d − penalties·x`:
 //!
@@ -23,15 +24,9 @@
 //! control algorithm; it happens implicitly, simply by comparing utility
 //! values of different sending rates."
 //!
-//! # Why a *sealed* trait?
-//!
-//! Each function is a unit struct (or param-carrying struct) implementing
-//! [`UtilityFunction`], but the trait is sealed: the set of utilities is
-//! closed at compile time and dispatch happens through the [`Mode`] enum,
-//! never through `Box<dyn UtilityFunction>`. That keeps the per-ACK /
-//! per-MI control path fully monomorphized and allocation-free (see the
-//! counting-allocator test in `tests/alloc_free.rs`) while still giving
-//! tools like `proteus-tune` a uniform surface to enumerate and ablate.
+//! [`evaluate_terms`] is the only code that computes a utility, one `match`
+//! over the closed [`Mode`] enum, and [`evaluate`] is its `.utility`: adding
+//! a utility is one variant and one arm.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -61,7 +56,7 @@ impl SharedThreshold {
     }
 }
 
-/// Parameters of the [`DelayBudget`] utility variant.
+/// Parameters of the [`Mode::DelayBudget`] utility variant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayBudgetParams {
     /// RTT budget in seconds; RTTs at or below this are free.
@@ -86,9 +81,14 @@ impl Default for DelayBudgetParams {
 /// Which utility function a sender is currently optimizing.
 #[derive(Debug, Clone)]
 pub enum Mode {
-    /// PCC Allegro's loss-based sigmoid utility (NSDI'15) — latency-blind.
+    /// PCC Allegro's loss-based utility (NSDI'15):
+    /// `u = x·(1−L)·sigmoid(α·(0.05−L)) − x·L`, α = 100 — throughput
+    /// rewarded until loss approaches the 5 % cliff, no latency terms at
+    /// all. The PCC-family ancestor for ablations (the paper's §8 notes
+    /// Allegro "uses a loss-based utility function, and also suffers from
+    /// bufferbloat").
     Allegro,
-    /// PCC Vivace's published utility (raw gradient).
+    /// PCC Vivace's published utility (raw gradient, both signs).
     Vivace,
     /// Proteus-P: primary mode (Eq. 1).
     Primary,
@@ -96,9 +96,16 @@ pub enum Mode {
     Scavenger,
     /// Proteus-H: hybrid mode with an adaptive threshold (Eq. 3).
     Hybrid(SharedThreshold),
-    /// Loss-only ablation: Proteus-P without latency terms.
+    /// Loss-only ablation: Eq. 1 with both latency terms removed,
+    /// `u = x^d − c·x·L` — no coefficient setting of a latency-blind
+    /// utility can scavenge.
     LossOnly,
-    /// Delay-budget scavenger: absolute-RTT budget instead of deviation.
+    /// Delay-budget scavenger:
+    /// `u = x^d − b·x·max(0, grad) − c·x·L − w·x·max(0, RTT − budget)`.
+    /// Where Proteus-S keys on RTT *deviation* (relative competition
+    /// signal), this keys on the *absolute* RTT level against a budget —
+    /// yielding only once standing queues push the path past it. The
+    /// over-budget penalty is reported in [`UtilityTerms::term_deviation`].
     DelayBudget(DelayBudgetParams),
 }
 
@@ -132,276 +139,30 @@ pub struct MiObservation {
     pub rtt_deviation: f64,
     /// Mean RTT of the MI, seconds — raw (never noise-gated; the gates act
     /// on derivatives, not levels). Zero when the MI carried no RTT
-    /// samples. Only the [`DelayBudget`] variant consumes it.
+    /// samples. Only [`Mode::DelayBudget`] consumes it.
     pub rtt_s: f64,
-}
-
-mod sealed {
-    /// Seals [`super::UtilityFunction`]: only this crate's utility structs
-    /// may implement it.
-    pub trait Sealed {}
-}
-
-/// A pluggable utility function, `u(x) = reward(x) − penalties(x)`.
-///
-/// The trait is **sealed** — the implementor set is fixed at compile time
-/// (see the module docs for why). Every implementor must keep
-/// [`UtilityFunction::evaluate`] bitwise identical to
-/// `self.terms(p, o).utility`; the provided method guarantees that by
-/// construction, and the composition invariant
-/// `utility == term_rate − term_gradient − term_loss − term_deviation`
-/// (evaluated in that association order) is covered by tests.
-pub trait UtilityFunction: sealed::Sealed {
-    /// Display name of the term set this function applies.
-    fn label(&self) -> &'static str;
-
-    /// The utility value with its per-term breakdown.
-    fn terms(&self, p: &UtilityParams, o: &MiObservation) -> UtilityTerms;
-
-    /// The scalar utility value (what the controller optimizes).
-    fn evaluate(&self, p: &UtilityParams, o: &MiObservation) -> f64 {
-        self.terms(p, o).utility
-    }
-}
-
-/// PCC Allegro's loss-based utility (NSDI'15):
-/// `u = x·(1−L)·sigmoid(α·(0.05−L)) − x·L`, α = 100 — throughput rewarded
-/// until loss approaches the 5 % cliff, no latency terms at all. Included
-/// as the PCC-family ancestor for ablations (the paper's §8 notes Allegro
-/// "uses a loss-based utility function, and also suffers from bufferbloat").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Allegro;
-
-impl sealed::Sealed for Allegro {}
-impl UtilityFunction for Allegro {
-    fn label(&self) -> &'static str {
-        "PCC-Allegro"
-    }
-
-    fn terms(&self, _p: &UtilityParams, o: &MiObservation) -> UtilityTerms {
-        let x = o.rate_mbps.max(0.0);
-        let l = o.loss_rate;
-        let sig = 1.0 / (1.0 + (-100.0 * (0.05 - l)).exp());
-        let term_rate = x * (1.0 - l) * sig;
-        let term_loss = x * l;
-        UtilityTerms {
-            utility: term_rate - term_loss,
-            term_rate,
-            term_gradient: 0.0,
-            term_loss,
-            term_deviation: 0.0,
-            effective: self.label(),
-        }
-    }
-}
-
-/// PCC Vivace's published utility (raw gradient, both signs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Vivace;
-
-impl sealed::Sealed for Vivace {}
-impl UtilityFunction for Vivace {
-    fn label(&self) -> &'static str {
-        "PCC-Vivace"
-    }
-
-    fn terms(&self, p: &UtilityParams, o: &MiObservation) -> UtilityTerms {
-        let x = o.rate_mbps.max(0.0);
-        let term_rate = x.powf(p.exponent);
-        let term_gradient = p.gradient_coef * x * o.rtt_gradient;
-        let term_loss = p.loss_coef * x * o.loss_rate;
-        UtilityTerms {
-            utility: term_rate - term_gradient - term_loss,
-            term_rate,
-            term_gradient,
-            term_loss,
-            term_deviation: 0.0,
-            effective: self.label(),
-        }
-    }
-}
-
-/// Eq. 1's Proteus-P utility (primary mode).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Primary;
-
-impl Primary {
-    fn terms_as(
-        &self,
-        p: &UtilityParams,
-        o: &MiObservation,
-        effective: &'static str,
-    ) -> UtilityTerms {
-        let x = o.rate_mbps.max(0.0);
-        let term_rate = x.powf(p.exponent);
-        let term_gradient = p.gradient_coef * x * o.rtt_gradient.max(0.0);
-        let term_loss = p.loss_coef * x * o.loss_rate;
-        UtilityTerms {
-            utility: term_rate - term_gradient - term_loss,
-            term_rate,
-            term_gradient,
-            term_loss,
-            term_deviation: 0.0,
-            effective,
-        }
-    }
-}
-
-impl sealed::Sealed for Primary {}
-impl UtilityFunction for Primary {
-    fn label(&self) -> &'static str {
-        "Proteus-P"
-    }
-
-    fn terms(&self, p: &UtilityParams, o: &MiObservation) -> UtilityTerms {
-        self.terms_as(p, o, self.label())
-    }
-}
-
-/// Eq. 2's Proteus-S utility (scavenger mode).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Scavenger;
-
-impl sealed::Sealed for Scavenger {}
-impl UtilityFunction for Scavenger {
-    fn label(&self) -> &'static str {
-        "Proteus-S"
-    }
-
-    fn terms(&self, p: &UtilityParams, o: &MiObservation) -> UtilityTerms {
-        let base = Primary.terms_as(p, o, self.label());
-        let term_deviation = p.deviation_coef * o.rate_mbps.max(0.0) * o.rtt_deviation;
-        UtilityTerms {
-            utility: base.utility - term_deviation,
-            term_deviation,
-            ..base
-        }
-    }
-}
-
-/// Loss-only ablation: Eq. 1 with both latency terms removed,
-/// `u = x^d − c·x·L`. The Allegro/Vivace-style "loss is the only
-/// congestion signal" shape — useful for showing that no coefficient
-/// setting of a latency-blind utility can scavenge.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LossOnly;
-
-impl sealed::Sealed for LossOnly {}
-impl UtilityFunction for LossOnly {
-    fn label(&self) -> &'static str {
-        "Loss-Only"
-    }
-
-    fn terms(&self, p: &UtilityParams, o: &MiObservation) -> UtilityTerms {
-        let x = o.rate_mbps.max(0.0);
-        let term_rate = x.powf(p.exponent);
-        let term_loss = p.loss_coef * x * o.loss_rate;
-        UtilityTerms {
-            utility: term_rate - term_loss,
-            term_rate,
-            term_gradient: 0.0,
-            term_loss,
-            term_deviation: 0.0,
-            effective: self.label(),
-        }
-    }
-}
-
-/// Delay-budget scavenger (à la D'Aronco's delay-constrained utilities):
-/// `u = x^d − b·x·max(0, grad) − c·x·L − w·x·max(0, RTT − budget)`.
-/// Where Proteus-S keys on RTT *deviation* (relative competition signal),
-/// this keys on the *absolute* RTT level against a budget — yielding only
-/// once standing queues push the path past the budget. The over-budget
-/// penalty is reported in [`UtilityTerms::term_deviation`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DelayBudget(pub DelayBudgetParams);
-
-impl sealed::Sealed for DelayBudget {}
-impl UtilityFunction for DelayBudget {
-    fn label(&self) -> &'static str {
-        "Delay-Budget"
-    }
-
-    fn terms(&self, p: &UtilityParams, o: &MiObservation) -> UtilityTerms {
-        let base = Primary.terms_as(p, o, self.label());
-        let over = (o.rtt_s - self.0.budget_s).max(0.0);
-        let term_deviation = self.0.over_coef * o.rate_mbps.max(0.0) * over;
-        UtilityTerms {
-            utility: base.utility - term_deviation,
-            term_deviation,
-            ..base
-        }
-    }
-}
-
-/// Evaluates Eq. 1's Proteus-P utility.
-pub fn utility_primary(p: &UtilityParams, o: &MiObservation) -> f64 {
-    Primary.evaluate(p, o)
-}
-
-/// Evaluates PCC Vivace's published utility (raw gradient, both signs).
-pub fn utility_vivace(p: &UtilityParams, o: &MiObservation) -> f64 {
-    Vivace.evaluate(p, o)
-}
-
-/// Evaluates Eq. 2's Proteus-S utility.
-pub fn utility_scavenger(p: &UtilityParams, o: &MiObservation) -> f64 {
-    Scavenger.evaluate(p, o)
-}
-
-/// Evaluates PCC Allegro's loss-based utility (see [`Allegro`]).
-pub fn utility_allegro(p: &UtilityParams, o: &MiObservation) -> f64 {
-    Allegro.evaluate(p, o)
-}
-
-/// Evaluates the loss-only ablation utility (see [`LossOnly`]).
-pub fn utility_loss_only(p: &UtilityParams, o: &MiObservation) -> f64 {
-    LossOnly.evaluate(p, o)
-}
-
-/// Evaluates the delay-budget utility (see [`DelayBudget`]).
-pub fn utility_delay_budget(p: &UtilityParams, o: &MiObservation, b: &DelayBudgetParams) -> f64 {
-    DelayBudget(*b).evaluate(p, o)
 }
 
 /// Whether Eq. 3's piecewise rule selects the scavenger terms for this rate:
 /// `rate < threshold` is strictly primary, everything else (including NaN
-/// thresholds) scavenger. Shared between [`utility_hybrid`] and the sender's
+/// thresholds) scavenger. Shared between [`evaluate_terms`] and the sender's
 /// implicit mode-switch detection so the trace can never disagree with the
 /// utility actually evaluated.
 pub fn hybrid_uses_scavenger(rate_mbps: f64, threshold_mbps: f64) -> bool {
     rate_mbps.partial_cmp(&threshold_mbps) != Some(std::cmp::Ordering::Less)
 }
 
-/// Evaluates Eq. 3's Proteus-H utility for a given threshold (Mbps).
-pub fn utility_hybrid(p: &UtilityParams, o: &MiObservation, threshold_mbps: f64) -> f64 {
-    if hybrid_uses_scavenger(o.rate_mbps, threshold_mbps) {
-        utility_scavenger(p, o)
-    } else {
-        utility_primary(p, o)
-    }
-}
-
-/// Evaluates the utility for the given mode.
+/// Evaluates the utility for the given mode (what the controller
+/// optimizes): [`evaluate_terms`] without the breakdown.
 pub fn evaluate(mode: &Mode, p: &UtilityParams, o: &MiObservation) -> f64 {
-    match mode {
-        Mode::Allegro => Allegro.evaluate(p, o),
-        Mode::Vivace => Vivace.evaluate(p, o),
-        Mode::Primary => Primary.evaluate(p, o),
-        Mode::Scavenger => Scavenger.evaluate(p, o),
-        Mode::Hybrid(th) => utility_hybrid(p, o, th.get()),
-        Mode::LossOnly => LossOnly.evaluate(p, o),
-        Mode::DelayBudget(b) => DelayBudget(*b).evaluate(p, o),
-    }
+    evaluate_terms(mode, p, o).utility
 }
 
 /// A utility value decomposed into its additive terms (for decision traces).
 ///
 /// Invariant: `utility` equals
 /// `term_rate − term_gradient − term_loss − term_deviation` evaluated in
-/// that association order, bitwise identical to what [`evaluate`] returns
-/// for the same inputs — each plug-in's [`UtilityFunction::terms`] is the
-/// single implementation and `evaluate` is checked against it in tests.
+/// that association order (an absent term is `0.0`, and `a − 0.0 == a`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilityTerms {
     /// The utility value (what the controller optimizes).
@@ -423,22 +184,52 @@ pub struct UtilityTerms {
     pub effective: &'static str,
 }
 
-/// Evaluates the utility for the given mode with its per-term breakdown.
+/// Evaluates the utility for the given mode with its per-term breakdown:
+/// the one implementation of every utility shape. Every mode but Allegro is
+/// `x^d − b·x·grad − c·x·L − dev`, differing only in the gradient signal it
+/// penalizes (`None` drops the term) and its latency-level penalty `dev`.
 pub fn evaluate_terms(mode: &Mode, p: &UtilityParams, o: &MiObservation) -> UtilityTerms {
-    match mode {
-        Mode::Allegro => Allegro.terms(p, o),
-        Mode::Vivace => Vivace.terms(p, o),
-        Mode::Primary => Primary.terms(p, o),
-        Mode::Scavenger => Scavenger.terms(p, o),
-        Mode::Hybrid(th) => {
-            if hybrid_uses_scavenger(o.rate_mbps, th.get()) {
-                Scavenger.terms(p, o)
-            } else {
-                Primary.terms(p, o)
-            }
+    let x = o.rate_mbps.max(0.0);
+    let rising = Some(o.rtt_gradient.max(0.0));
+    let deviation = p.deviation_coef * x * o.rtt_deviation;
+    let (grad, term_deviation, effective) = match mode {
+        Mode::Allegro => {
+            let sig = 1.0 / (1.0 + (-100.0 * (0.05 - o.loss_rate)).exp());
+            let term_rate = x * (1.0 - o.loss_rate) * sig;
+            let term_loss = x * o.loss_rate;
+            return UtilityTerms {
+                utility: term_rate - term_loss,
+                term_rate,
+                term_gradient: 0.0,
+                term_loss,
+                term_deviation: 0.0,
+                effective: "PCC-Allegro",
+            };
         }
-        Mode::LossOnly => LossOnly.terms(p, o),
-        Mode::DelayBudget(b) => DelayBudget(*b).terms(p, o),
+        Mode::Vivace => (Some(o.rtt_gradient), 0.0, "PCC-Vivace"),
+        Mode::Hybrid(th) if !hybrid_uses_scavenger(o.rate_mbps, th.get()) => {
+            (rising, 0.0, "Proteus-P")
+        }
+        Mode::Primary => (rising, 0.0, "Proteus-P"),
+        Mode::Scavenger | Mode::Hybrid(_) => (rising, deviation, "Proteus-S"),
+        Mode::LossOnly => (None, 0.0, "Loss-Only"),
+        Mode::DelayBudget(b) => {
+            let over = (o.rtt_s - b.budget_s).max(0.0);
+            (rising, b.over_coef * x * over, "Delay-Budget")
+        }
+    };
+    let term_rate = x.powf(p.exponent);
+    let term_gradient = grad.map_or(0.0, |g| p.gradient_coef * x * g);
+    let term_loss = p.loss_coef * x * o.loss_rate;
+    UtilityTerms {
+        // Left to right, and `a − 0.0 == a`: an absent term leaves the
+        // other terms' bits alone.
+        utility: term_rate - term_gradient - term_loss - term_deviation,
+        term_rate,
+        term_gradient,
+        term_loss,
+        term_deviation,
+        effective,
     }
 }
 
@@ -460,17 +251,45 @@ mod tests {
         }
     }
 
+    fn primary(p: &UtilityParams, o: &MiObservation) -> f64 {
+        evaluate(&Mode::Primary, p, o)
+    }
+
+    fn scavenger(p: &UtilityParams, o: &MiObservation) -> f64 {
+        evaluate(&Mode::Scavenger, p, o)
+    }
+
+    fn vivace(p: &UtilityParams, o: &MiObservation) -> f64 {
+        evaluate(&Mode::Vivace, p, o)
+    }
+
+    fn allegro(p: &UtilityParams, o: &MiObservation) -> f64 {
+        evaluate(&Mode::Allegro, p, o)
+    }
+
+    fn loss_only(p: &UtilityParams, o: &MiObservation) -> f64 {
+        evaluate(&Mode::LossOnly, p, o)
+    }
+
+    fn delay_budget(p: &UtilityParams, o: &MiObservation, b: &DelayBudgetParams) -> f64 {
+        evaluate(&Mode::DelayBudget(*b), p, o)
+    }
+
+    fn hybrid(p: &UtilityParams, o: &MiObservation, threshold_mbps: f64) -> f64 {
+        evaluate(&Mode::Hybrid(SharedThreshold::new(threshold_mbps)), p, o)
+    }
+
     #[test]
     fn clean_network_utility_is_throughput_power() {
         let p = params();
         let o = obs(10.0);
         let expect = 10f64.powf(0.9);
-        assert!((utility_primary(&p, &o) - expect).abs() < 1e-12);
-        assert!((utility_scavenger(&p, &o) - expect).abs() < 1e-12);
-        assert!((utility_vivace(&p, &o) - expect).abs() < 1e-12);
-        assert!((utility_loss_only(&p, &o) - expect).abs() < 1e-12);
+        assert!((primary(&p, &o) - expect).abs() < 1e-12);
+        assert!((scavenger(&p, &o) - expect).abs() < 1e-12);
+        assert!((vivace(&p, &o) - expect).abs() < 1e-12);
+        assert!((loss_only(&p, &o) - expect).abs() < 1e-12);
         let b = DelayBudgetParams::default();
-        assert!((utility_delay_budget(&p, &o, &b) - expect).abs() < 1e-12);
+        assert!((delay_budget(&p, &o, &b) - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -478,10 +297,10 @@ mod tests {
         let p = params();
         let mut o = obs(10.0);
         o.rtt_gradient = 0.01;
-        let u = utility_primary(&p, &o);
-        assert!(u < utility_primary(&p, &obs(10.0)));
+        let u = primary(&p, &o);
+        assert!(u < primary(&p, &obs(10.0)));
         // b·x·grad = 900·10·0.01 = 90.
-        assert!((utility_primary(&p, &obs(10.0)) - u - 90.0).abs() < 1e-9);
+        assert!((primary(&p, &obs(10.0)) - u - 90.0).abs() < 1e-9);
     }
 
     #[test]
@@ -489,8 +308,8 @@ mod tests {
         let p = params();
         let mut o = obs(10.0);
         o.rtt_gradient = -0.01;
-        assert_eq!(utility_primary(&p, &o), utility_primary(&p, &obs(10.0)));
-        assert!(utility_vivace(&p, &o) > utility_vivace(&p, &obs(10.0)));
+        assert_eq!(primary(&p, &o), primary(&p, &obs(10.0)));
+        assert!(vivace(&p, &o) > vivace(&p, &obs(10.0)));
     }
 
     #[test]
@@ -503,13 +322,13 @@ mod tests {
         lo.loss_rate = 0.05;
         let mut hi = obs(10.5);
         hi.loss_rate = 0.05;
-        assert!(utility_primary(&p, &hi) > utility_primary(&p, &lo));
+        assert!(primary(&p, &hi) > primary(&p, &lo));
         // ...but 10% loss makes more rate worse at x = 10.
         let mut lo2 = obs(10.0);
         lo2.loss_rate = 0.10;
         let mut hi2 = obs(10.5);
         hi2.loss_rate = 0.10;
-        assert!(utility_primary(&p, &hi2) < utility_primary(&p, &lo2));
+        assert!(primary(&p, &hi2) < primary(&p, &lo2));
     }
 
     #[test]
@@ -517,10 +336,10 @@ mod tests {
         let p = params();
         let mut o = obs(10.0);
         o.rtt_deviation = 0.001; // 1 ms
-        assert_eq!(utility_primary(&p, &o), utility_primary(&p, &obs(10.0)));
-        let u_s = utility_scavenger(&p, &o);
+        assert_eq!(primary(&p, &o), primary(&p, &obs(10.0)));
+        let u_s = scavenger(&p, &o);
         // d·x·σ = 1500·10·0.001 = 15.
-        assert!((utility_scavenger(&p, &obs(10.0)) - u_s - 15.0).abs() < 1e-9);
+        assert!((scavenger(&p, &obs(10.0)) - u_s - 15.0).abs() < 1e-9);
     }
 
     #[test]
@@ -531,11 +350,11 @@ mod tests {
         o.rtt_deviation = 0.01;
         o.rtt_s = 0.4;
         // All latency signals ignored; only loss moves it.
-        assert_eq!(utility_loss_only(&p, &o), utility_loss_only(&p, &obs(10.0)));
+        assert_eq!(loss_only(&p, &o), loss_only(&p, &obs(10.0)));
         let mut lossy = obs(10.0);
         lossy.loss_rate = 0.05;
         // c·x·L = 11.35·10·0.05 = 5.675.
-        let drop = utility_loss_only(&p, &obs(10.0)) - utility_loss_only(&p, &lossy);
+        let drop = loss_only(&p, &obs(10.0)) - loss_only(&p, &lossy);
         assert!((drop - 5.675).abs() < 1e-9);
     }
 
@@ -546,21 +365,18 @@ mod tests {
         let mut under = obs(10.0);
         under.rtt_s = 0.050;
         assert_eq!(
-            utility_delay_budget(&p, &under, &b),
-            utility_delay_budget(&p, &obs(10.0), &b)
+            delay_budget(&p, &under, &b),
+            delay_budget(&p, &obs(10.0), &b)
         );
         let mut over = obs(10.0);
         over.rtt_s = 0.080; // 20 ms over budget
-        let u = utility_delay_budget(&p, &over, &b);
+        let u = delay_budget(&p, &over, &b);
         // w·x·over = 1500·10·0.020 = 300.
-        assert!((utility_delay_budget(&p, &obs(10.0), &b) - u - 300.0).abs() < 1e-9);
+        assert!((delay_budget(&p, &obs(10.0), &b) - u - 300.0).abs() < 1e-9);
         // ...and unlike Proteus-S, RTT deviation alone is ignored.
         let mut dev = obs(10.0);
         dev.rtt_deviation = 0.01;
-        assert_eq!(
-            utility_delay_budget(&p, &dev, &b),
-            utility_delay_budget(&p, &obs(10.0), &b)
-        );
+        assert_eq!(delay_budget(&p, &dev, &b), delay_budget(&p, &obs(10.0), &b));
     }
 
     #[test]
@@ -569,11 +385,11 @@ mod tests {
         let mut o = obs(10.0);
         o.rtt_deviation = 0.002;
         // Below threshold: primary (deviation ignored).
-        assert_eq!(utility_hybrid(&p, &o, 20.0), utility_primary(&p, &o));
+        assert_eq!(hybrid(&p, &o, 20.0), primary(&p, &o));
         // Above threshold: scavenger (deviation penalized).
-        assert_eq!(utility_hybrid(&p, &o, 5.0), utility_scavenger(&p, &o));
+        assert_eq!(hybrid(&p, &o, 5.0), scavenger(&p, &o));
         // Exactly at threshold counts as scavenger (x < threshold is strict).
-        assert_eq!(utility_hybrid(&p, &o, 10.0), utility_scavenger(&p, &o));
+        assert_eq!(hybrid(&p, &o, 10.0), scavenger(&p, &o));
     }
 
     #[test]
@@ -584,9 +400,9 @@ mod tests {
         let mut o = obs(10.0);
         o.rtt_deviation = 0.002;
         // Infinite threshold: pure primary.
-        assert_eq!(evaluate(&mode, &p, &o), utility_primary(&p, &o));
+        assert_eq!(evaluate(&mode, &p, &o), primary(&p, &o));
         th.set(0.0);
-        assert_eq!(evaluate(&mode, &p, &o), utility_scavenger(&p, &o));
+        assert_eq!(evaluate(&mode, &p, &o), scavenger(&p, &o));
     }
 
     #[test]
@@ -599,7 +415,7 @@ mod tests {
                 let u = |x: f64| {
                     let mut o = obs(x);
                     o.rtt_gradient = grad;
-                    utility_primary(&p, &o)
+                    primary(&p, &o)
                 };
                 let h = base * 0.01;
                 let second = u(base + h) - 2.0 * u(base) + u(base - h);
@@ -615,15 +431,15 @@ mod tests {
         o.rtt_gradient = 0.05;
         o.rtt_deviation = 0.01;
         // Latency terms ignored entirely.
-        assert_eq!(utility_allegro(&p, &o), utility_allegro(&p, &obs(10.0)));
+        assert_eq!(allegro(&p, &o), allegro(&p, &obs(10.0)));
         // Below the 5% knee utility is ~x; beyond it, strongly negative
         // marginal value.
         let mut low = obs(10.0);
         low.loss_rate = 0.01;
         let mut high = obs(10.0);
         high.loss_rate = 0.09;
-        assert!(utility_allegro(&p, &low) > 0.8 * 10.0);
-        assert!(utility_allegro(&p, &high) < 0.0);
+        assert!(allegro(&p, &low) > 0.8 * 10.0);
+        assert!(allegro(&p, &high) < 0.0);
     }
 
     #[test]
@@ -662,6 +478,101 @@ mod tests {
         }
     }
 
+    /// `to_bits()` of `utility`, `term_rate`, `term_gradient`, `term_loss`
+    /// and `term_deviation`, plus `effective`, for every mode over a grid
+    /// of observations — generated from the plug-in-struct implementation
+    /// this module replaced (commit e9111b3), so the one `match` is pinned
+    /// to the exact bits of the code it replaced, including the Allegro,
+    /// Loss-Only and Delay-Budget shapes no golden covers.
+    #[test]
+    fn every_mode_keeps_its_exact_bits() {
+        // (rate, loss, gradient, deviation, rtt): below, at and above the
+        // Hybrid threshold of 10 Mbps; negative, zero and positive gradient;
+        // zero loss, loss under, at and past Allegro's 5 % knee; RTT under
+        // (45, 30 ms), over (71, 90 ms) and without (0) the 60 ms budget.
+        const GRID: [(f64, f64, f64, f64, f64); 5] = [
+            (0.5, 0.0, -0.02, 0.002, 0.045),
+            (10.0, 0.03, 0.01, 0.002, 0.071),
+            (42.0, 0.08, -0.005, 0.004, 0.09),
+            (42.0, 0.0, 0.02, 0.001, 0.03),
+            (9.9, 0.05, 0.0, 0.0, 0.0),
+        ];
+        #[rustfmt::skip]
+        const BITS: [(usize, usize, [u64; 5], &str); 35] = [
+            (0, 0, [0x3fdfc92c130538e2, 0x3fdfc92c130538e2, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000], "PCC-Allegro"),
+            (0, 1, [0x40207cca654a59d6, 0x40211663fee3f370, 0x0000000000000000, 0x3fd3333333333333, 0x0000000000000000], "PCC-Allegro"),
+            (0, 2, [0xbff8707e5d44ec29, 0x3ffd5210fee40999, 0x0000000000000000, 0x400ae147ae147ae1, 0x0000000000000000], "PCC-Allegro"),
+            (0, 3, [0x4044dc04ec7b6d54, 0x4044dc04ec7b6d54, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000], "PCC-Allegro"),
+            (0, 4, [0x4010d47ae147ae14, 0x4012cf5c28f5c28f, 0x0000000000000000, 0x3fdfae147ae147af, 0x0000000000000000], "PCC-Allegro"),
+            (1, 0, [0x4023125fbee25066, 0x3fe125fbee250664, 0xc022000000000000, 0x0000000000000000, 0x0000000000000000], "PCC-Vivace"),
+            (1, 1, [0xc0555d8cc832a4fe, 0x401fc5ebcec13542, 0x4056800000000000, 0x400b3d70a3d70a3d, 0x0000000000000000], "PCC-Vivace"),
+            (1, 2, [0x40667881250718dd, 0x403ce6da0d990871, 0xc067a00000000000, 0x4043116872b020c5, 0x0000000000000000], "PCC-Vivace"),
+            (1, 3, [0xc086b8c92f9337bc, 0x403ce6da0d990871, 0x4087a00000000000, 0x0000000000000000, 0x0000000000000000], "PCC-Vivace"),
+            (1, 4, [0x4002072ea41f349c, 0x401f7cadd93a9c5a, 0x0000000000000000, 0x40167916872b020c, 0x0000000000000000], "PCC-Vivace"),
+            (2, 0, [0x3fe125fbee250664, 0x3fe125fbee250664, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000], "Proteus-P"),
+            (2, 1, [0xc0555d8cc832a4fe, 0x401fc5ebcec13542, 0x4056800000000000, 0x400b3d70a3d70a3d, 0x0000000000000000], "Proteus-P"),
+            (2, 2, [0xc02277edaf8e7232, 0x403ce6da0d990871, 0x0000000000000000, 0x4043116872b020c5, 0x0000000000000000], "Proteus-P"),
+            (2, 3, [0xc086b8c92f9337bc, 0x403ce6da0d990871, 0x4087a00000000000, 0x0000000000000000, 0x0000000000000000], "Proteus-P"),
+            (2, 4, [0x4002072ea41f349c, 0x401f7cadd93a9c5a, 0x0000000000000000, 0x40167916872b020c, 0x0000000000000000], "Proteus-P"),
+            (3, 0, [0xbfeeda0411daf99c, 0x3fe125fbee250664, 0x0000000000000000, 0x0000000000000000, 0x3ff8000000000000], "Proteus-S"),
+            (3, 1, [0xc05cdd8cc832a4fe, 0x401fc5ebcec13542, 0x4056800000000000, 0x400b3d70a3d70a3d, 0x403e000000000000], "Proteus-S"),
+            (3, 2, [0xc07053bf6d7c7392, 0x403ce6da0d990871, 0x0000000000000000, 0x4043116872b020c5, 0x406f800000000000], "Proteus-S"),
+            (3, 3, [0xc088b0c92f9337bc, 0x403ce6da0d990871, 0x4087a00000000000, 0x0000000000000000, 0x404f800000000000], "Proteus-S"),
+            (3, 4, [0x4002072ea41f349c, 0x401f7cadd93a9c5a, 0x0000000000000000, 0x40167916872b020c, 0x0000000000000000], "Proteus-S"),
+            (4, 0, [0x3fe125fbee250664, 0x3fe125fbee250664, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000], "Proteus-P"),
+            (4, 1, [0xc05cdd8cc832a4fe, 0x401fc5ebcec13542, 0x4056800000000000, 0x400b3d70a3d70a3d, 0x403e000000000000], "Proteus-S"),
+            (4, 2, [0xc07053bf6d7c7392, 0x403ce6da0d990871, 0x0000000000000000, 0x4043116872b020c5, 0x406f800000000000], "Proteus-S"),
+            (4, 3, [0xc088b0c92f9337bc, 0x403ce6da0d990871, 0x4087a00000000000, 0x0000000000000000, 0x404f800000000000], "Proteus-S"),
+            (4, 4, [0x4002072ea41f349c, 0x401f7cadd93a9c5a, 0x0000000000000000, 0x40167916872b020c, 0x0000000000000000], "Proteus-P"),
+            (5, 0, [0x3fe125fbee250664, 0x3fe125fbee250664, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000], "Loss-Only"),
+            (5, 1, [0x401227337cd5b024, 0x401fc5ebcec13542, 0x0000000000000000, 0x400b3d70a3d70a3d, 0x0000000000000000], "Loss-Only"),
+            (5, 2, [0xc02277edaf8e7232, 0x403ce6da0d990871, 0x0000000000000000, 0x4043116872b020c5, 0x0000000000000000], "Loss-Only"),
+            (5, 3, [0x403ce6da0d990871, 0x403ce6da0d990871, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000], "Loss-Only"),
+            (5, 4, [0x4002072ea41f349c, 0x401f7cadd93a9c5a, 0x0000000000000000, 0x40167916872b020c, 0x0000000000000000], "Loss-Only"),
+            (6, 0, [0x3fe125fbee250664, 0x3fe125fbee250664, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000], "Delay-Budget"),
+            (6, 1, [0xc06f4ec66419527d, 0x401fc5ebcec13542, 0x4056800000000000, 0x400b3d70a3d70a3d, 0x40649ffffffffffe], "Delay-Budget"),
+            (6, 2, [0xc09dacefdb5f1ce4, 0x403ce6da0d990871, 0x0000000000000000, 0x4043116872b020c5, 0x409d880000000000], "Delay-Budget"),
+            (6, 3, [0xc086b8c92f9337bc, 0x403ce6da0d990871, 0x4087a00000000000, 0x0000000000000000, 0x0000000000000000], "Delay-Budget"),
+            (6, 4, [0x4002072ea41f349c, 0x401f7cadd93a9c5a, 0x0000000000000000, 0x40167916872b020c, 0x0000000000000000], "Delay-Budget"),
+        ];
+        let modes = [
+            Mode::Allegro,
+            Mode::Vivace,
+            Mode::Primary,
+            Mode::Scavenger,
+            Mode::Hybrid(SharedThreshold::new(10.0)),
+            Mode::LossOnly,
+            Mode::DelayBudget(DelayBudgetParams::default()),
+        ];
+        let p = params();
+        for (m, g, bits, effective) in BITS {
+            let (rate_mbps, loss_rate, rtt_gradient, rtt_deviation, rtt_s) = GRID[g];
+            let o = MiObservation {
+                rate_mbps,
+                loss_rate,
+                rtt_gradient,
+                rtt_deviation,
+                rtt_s,
+            };
+            let t = evaluate_terms(&modes[m], &p, &o);
+            let got = [
+                t.utility,
+                t.term_rate,
+                t.term_gradient,
+                t.term_loss,
+                t.term_deviation,
+            ]
+            .map(f64::to_bits);
+            let name = modes[m].name();
+            assert_eq!(got, bits, "{name} at grid point {g}");
+            assert_eq!(t.effective, effective, "{name} at grid point {g}");
+            // Only Proteus-H reports a term set other than its own name.
+            if m != 4 {
+                assert_eq!(t.effective, name);
+            }
+        }
+    }
+
     #[test]
     fn evaluate_terms_reports_effective_hybrid_side() {
         let p = params();
@@ -688,15 +599,5 @@ mod tests {
             Mode::DelayBudget(DelayBudgetParams::default()).name(),
             "Delay-Budget"
         );
-    }
-
-    #[test]
-    fn plugin_labels_match_mode_names() {
-        assert_eq!(Allegro.label(), Mode::Allegro.name());
-        assert_eq!(Vivace.label(), Mode::Vivace.name());
-        assert_eq!(Primary.label(), Mode::Primary.name());
-        assert_eq!(Scavenger.label(), Mode::Scavenger.name());
-        assert_eq!(LossOnly.label(), Mode::LossOnly.name());
-        assert_eq!(DelayBudget::default().label(), "Delay-Budget");
     }
 }

@@ -29,7 +29,7 @@ impl InflightPkt {
     ///
     /// # Panics
     /// Panics if `bytes` is zero. `bytes < 2^16` and `sent_at <`
-    /// [`SENT_AT_LIMIT`] are the caller's to keep: the engine sends at most
+    /// `SENT_AT_LIMIT` are the caller's to keep: the engine sends at most
     /// `DEFAULT_PACKET_BYTES` at a time, inside a run `Sim::new` bounded.
     #[inline]
     pub fn new(sent_at: Time, bytes: u64) -> Self {
