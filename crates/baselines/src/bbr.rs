@@ -1,8 +1,8 @@
 //! TCP BBR v1 (Cardwell et al., 2016), plus the paper's BBR-S variant.
 //!
 //! BBR models the path with two estimates — bottleneck bandwidth (windowed
-//! max of per-packet delivery-rate samples) and minimum RTT (windowed min,
-//! refreshed by a periodic ProbeRTT episode) — and paces at
+//! max of per-packet delivery-rate samples) and minimum RTT (the lowest
+//! sample, with a ProbeRTT episode every 10 s) — and paces at
 //! `pacing_gain × btl_bw` while capping inflight at `cwnd_gain × BDP`.
 //! We implement the v1 state machine: Startup (gain 2/ln 2), Drain, the
 //! eight-phase ProbeBW gain cycle, and ProbeRTT every 10 s.
@@ -15,7 +15,8 @@
 use std::collections::VecDeque;
 
 use proteus_transport::{
-    AckInfo, CongestionControl, Dur, LossInfo, SentPacket, SeqRing, Time, DEFAULT_PACKET_BYTES,
+    AckInfo, CongestionControl, Dur, LossInfo, RttEstimator, SentPacket, SeqRing, Time,
+    DEFAULT_PACKET_BYTES,
 };
 
 /// Startup/Drain gain `2/ln 2`.
@@ -24,7 +25,7 @@ const STARTUP_GAIN: f64 = 2.885;
 const CYCLE_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 /// cwnd gain outside Startup.
 const CWND_GAIN: f64 = 2.0;
-/// min-RTT filter window.
+/// Time since the min-RTT stamp after which ProbeRTT starts.
 const MIN_RTT_WINDOW: Dur = Dur::from_secs(10);
 /// Minimum ProbeRTT dwell.
 const PROBE_RTT_DURATION: Dur = Dur::from_millis(200);
@@ -119,10 +120,11 @@ impl ScavengerMod {
 #[derive(Debug)]
 pub struct Bbr {
     name: &'static str,
-    mss: u64,
     mode: Mode,
     /// Windowed max of delivery-rate samples over 10 rounds, bytes/sec.
     btl_bw: RoundMaxFilter,
+    /// Lowest RTT seen; never expires. Its stamp is also the ProbeRTT
+    /// schedule, which [`Self::exit_probe_rtt`] restarts.
     min_rtt: Option<Dur>,
     min_rtt_stamp: Time,
     pacing_gain: f64,
@@ -145,9 +147,8 @@ pub struct Bbr {
     cycle_stamp: Time,
     /// ProbeRTT bookkeeping.
     probe_rtt_done_at: Option<Time>,
-    /// Smoothed RTT + deviation (for BBR-S).
-    srtt: Option<Dur>,
-    rttvar: Dur,
+    /// Smoothed RTT and deviation (for BBR-S).
+    rtt: RttEstimator,
     scavenger: Option<ScavengerMod>,
 }
 
@@ -170,7 +171,6 @@ impl Bbr {
     fn build(name: &'static str, scavenger: Option<ScavengerMod>) -> Self {
         Self {
             name,
-            mss: DEFAULT_PACKET_BYTES,
             mode: Mode::Startup,
             btl_bw: RoundMaxFilter::default(),
             min_rtt: None,
@@ -189,8 +189,7 @@ impl Bbr {
             cycle_index: 0,
             cycle_stamp: Time::ZERO,
             probe_rtt_done_at: None,
-            srtt: None,
-            rttvar: Dur::ZERO,
+            rtt: RttEstimator::new(),
             scavenger,
         }
     }
@@ -201,7 +200,7 @@ impl Bbr {
     }
 
     /// Bottleneck-bandwidth estimate, bytes/sec.
-    pub fn btl_bw_estimate(&self, _now: Time) -> Option<f64> {
+    pub fn btl_bw_estimate(&self) -> Option<f64> {
         self.btl_bw.get()
     }
 
@@ -212,10 +211,10 @@ impl Bbr {
 
     /// Smoothed RTT deviation (the BBR-S trigger signal).
     pub fn rtt_deviation(&self) -> Dur {
-        self.rttvar
+        self.rtt.rttvar()
     }
 
-    fn bdp_bytes(&self, _now: Time) -> Option<f64> {
+    fn bdp_bytes(&self) -> Option<f64> {
         let bw = self.btl_bw.get()?;
         let rtt = self.min_rtt?;
         Some(bw * rtt.as_secs_f64())
@@ -276,7 +275,7 @@ impl Bbr {
                 }
             }
             Mode::Drain => {
-                if let Some(bdp) = self.bdp_bytes(now) {
+                if let Some(bdp) = self.bdp_bytes() {
                     if (self.inflight_bytes as f64) <= bdp {
                         self.mode = Mode::ProbeBw;
                         self.cycle_index = 0;
@@ -292,7 +291,7 @@ impl Bbr {
                     // Leave the drain phase as soon as inflight is at BDP.
                     elapsed >= min_rtt
                         || self
-                            .bdp_bytes(now)
+                            .bdp_bytes()
                             .map(|bdp| (self.inflight_bytes as f64) <= bdp)
                             .unwrap_or(false)
                 } else {
@@ -342,22 +341,8 @@ impl CongestionControl for Bbr {
         self.delivered += ack.bytes;
         self.inflight_bytes = self.inflight_bytes.saturating_sub(ack.bytes);
 
-        // RFC 6298-style smoothing, used by BBR-S's trigger.
-        match self.srtt {
-            None => {
-                self.srtt = Some(ack.rtt);
-                self.rttvar = Dur::from_nanos(ack.rtt.as_nanos() / 2);
-            }
-            Some(s) => {
-                let diff = if s >= ack.rtt {
-                    s - ack.rtt
-                } else {
-                    ack.rtt - s
-                };
-                self.rttvar = Dur::from_nanos((3 * self.rttvar.as_nanos() + diff.as_nanos()) / 4);
-                self.srtt = Some(Dur::from_nanos((7 * s.as_nanos() + ack.rtt.as_nanos()) / 8));
-            }
-        }
+        // RFC 6298 smoothing, used by BBR-S's trigger.
+        self.rtt.update(ack.rtt);
 
         // min-RTT filter.
         if self.min_rtt.map(|m| ack.rtt <= m).unwrap_or(true) {
@@ -383,7 +368,7 @@ impl CongestionControl for Bbr {
 
         // BBR-S: yield on RTT-deviation evidence of competition.
         if let Some(cfg) = self.scavenger {
-            if self.rttvar > cfg.dev_threshold && self.mode != Mode::ProbeRtt {
+            if self.rtt.rttvar() > cfg.dev_threshold && self.mode != Mode::ProbeRtt {
                 self.enter_probe_rtt(now, cfg.min_dwell);
             }
         }
@@ -415,14 +400,14 @@ impl CongestionControl for Bbr {
 
     fn cwnd_bytes(&self) -> u64 {
         if self.mode == Mode::ProbeRtt {
-            return PROBE_RTT_CWND_PKTS * self.mss;
+            return PROBE_RTT_CWND_PKTS * DEFAULT_PACKET_BYTES;
         }
         match (self.btl_bw.get(), self.min_rtt) {
             (Some(bw), Some(rtt)) => {
                 let bdp = bw * rtt.as_secs_f64();
-                ((self.cwnd_gain * bdp) as u64).max(4 * self.mss)
+                ((self.cwnd_gain * bdp) as u64).max(4 * DEFAULT_PACKET_BYTES)
             }
-            _ => INIT_CWND_PKTS * self.mss,
+            _ => INIT_CWND_PKTS * DEFAULT_PACKET_BYTES,
         }
     }
 }
@@ -434,7 +419,7 @@ mod tests {
     /// Feeds a pipelined stream: packet `i` is sent at `start + i·gap` and
     /// ACKed `rtt` later, with sends and ACKs interleaved in time order the
     /// way a real flow sees them.
-    fn feed_steady(bbr: &mut Bbr, start_ms: u64, n: u64, rtt_ms: u64, gap_ms: u64) -> Time {
+    fn feed_steady(bbr: &mut Bbr, start_ms: u64, n: u64, rtt_ms: u64, gap_ms: u64) {
         let mut next_ack: u64 = 0;
         for i in 0..n {
             let send_at = start_ms + i * gap_ms;
@@ -457,7 +442,6 @@ mod tests {
             deliver_ack(bbr, start_ms + next_ack * gap_ms, rtt_ms, next_ack);
             next_ack += 1;
         }
-        Time::from_millis(start_ms + (n - 1) * gap_ms + rtt_ms)
     }
 
     fn deliver_ack(bbr: &mut Bbr, sent_ms: u64, rtt_ms: u64, seq: u64) {
@@ -488,8 +472,8 @@ mod tests {
     fn estimates_bandwidth_and_rtt() {
         let mut b = Bbr::new();
         // One packet per ms at 30ms RTT => ~1.5 MB/s delivery rate.
-        let end = feed_steady(&mut b, 100, 200, 30, 1);
-        let bw = b.btl_bw_estimate(end).unwrap();
+        feed_steady(&mut b, 100, 200, 30, 1);
+        let bw = b.btl_bw_estimate().unwrap();
         assert!(bw > 1.0e6 && bw < 2.5e6, "bw = {bw}");
         assert_eq!(b.min_rtt_estimate(), Some(Dur::from_millis(30)));
     }
@@ -640,7 +624,7 @@ mod tests {
             },
         );
         assert_eq!(b.mode(), Mode::Startup);
-        assert_eq!(b.btl_bw_estimate(Time::from_secs_f64(60.0)), None);
+        assert_eq!(b.btl_bw_estimate(), None);
     }
 
     #[test]
@@ -735,5 +719,58 @@ mod tests {
         assert_eq!(b.delivered, 4_155_000);
         assert_eq!(b.mode(), Mode::ProbeBw);
         assert_eq!(b.packet_state.len(), 40, "the unresolved tail");
+    }
+
+    /// BBR-S on a scripted trace whose RTT jitter turns from 2 ms to 20 ms
+    /// one second in three: the RTT deviation to the nanosecond, the mode,
+    /// the window and the pacing rate to the bit, every 500 packets.
+    #[test]
+    fn scripted_trace_pins_bbr_s_deviation_and_rate() {
+        let mut b = Bbr::scavenger_with(ScavengerMod::calibrated_for_sim());
+        let mut pins = Vec::new();
+        crate::script::run(
+            &mut b,
+            9_000,
+            Dur::from_millis(1),
+            |now, r| {
+                let noisy = now.as_nanos() / 1_000_000_000 % 3 == 1;
+                let jitter_us = r % if noisy { 20_000 } else { 2_000 };
+                let rtt = Dur::from_micros(20_000 + jitter_us);
+                (rtt, Dur::from_nanos(rtt.as_nanos() / 2))
+            },
+            |seq, _, b| {
+                if seq % 500 == 499 {
+                    pins.push((
+                        b.rtt_deviation().as_nanos(),
+                        b.mode(),
+                        b.cwnd_bytes(),
+                        b.pacing_rate().unwrap().to_bits(),
+                    ));
+                }
+            },
+        );
+        assert_eq!(
+            pins,
+            [
+                (585695, Mode::ProbeRtt, 6000, 0x4138519600000000),
+                (3783992, Mode::ProbeRtt, 6000, 0x4138519600000000),
+                (4303698, Mode::ProbeRtt, 6000, 0x4138519600000000),
+                (404902, Mode::ProbeBw, 63762, 0x4138519600000000),
+                (385428, Mode::ProbeBw, 63756, 0x4138519600000000),
+                (579882, Mode::ProbeBw, 63750, 0x4138519600000000),
+                (614562, Mode::ProbeBw, 63750, 0x413e65fb80000000),
+                (4317052, Mode::ProbeRtt, 6000, 0x4138519600000000),
+                (6452594, Mode::ProbeRtt, 6000, 0x4138519600000000),
+                (634209, Mode::ProbeRtt, 6000, 0x4138519600000000),
+                (620946, Mode::ProbeBw, 63750, 0x4138519600000000),
+                (682601, Mode::ProbeBw, 63750, 0x4138519600000000),
+                (599645, Mode::ProbeBw, 63750, 0x413e65fb80000000),
+                (4674363, Mode::ProbeRtt, 6000, 0x4138519600000000),
+                (4668025, Mode::ProbeRtt, 6000, 0x4138519600000000),
+                (374996, Mode::ProbeRtt, 6000, 0x4138519600000000),
+                (780189, Mode::ProbeBw, 63750, 0x413e65fb80000000),
+                (586887, Mode::ProbeBw, 63750, 0x4138519600000000),
+            ]
+        );
     }
 }

@@ -15,8 +15,10 @@
 //! retransmission timeouts collapse the window.
 
 use proteus_transport::{
-    AckInfo, CongestionControl, Dur, LossInfo, Time, WindowedMin, DEFAULT_PACKET_BYTES,
+    AckInfo, CongestionControl, Dur, LossInfo, RttEstimator, Time, WindowedMin,
 };
+
+use crate::MSS;
 
 /// COPA's δ: equilibrium queueing of `1/δ` packets per flow.
 const DEFAULT_DELTA: f64 = 0.5;
@@ -33,7 +35,6 @@ const MAX_VELOCITY: f64 = 1u64.wrapping_shl(16) as f64;
 #[derive(Debug)]
 pub struct Copa {
     delta: f64,
-    mss: f64,
     /// Congestion window, bytes (fractional).
     cwnd: f64,
     velocity: f64,
@@ -47,7 +48,7 @@ pub struct Copa {
     min_rtt: WindowedMin,
     /// Standing RTT: min over the last srtt/2.
     standing_rtt: WindowedMin,
-    srtt: Option<Dur>,
+    rtt: RttEstimator,
     in_slow_start: bool,
 }
 
@@ -62,23 +63,22 @@ impl Copa {
         assert!(delta > 0.0);
         Self {
             delta,
-            mss: DEFAULT_PACKET_BYTES as f64,
-            cwnd: INIT_CWND_PKTS * DEFAULT_PACKET_BYTES as f64,
+            cwnd: INIT_CWND_PKTS * MSS,
             velocity: 1.0,
             direction: 0,
             same_direction_count: 0,
-            cwnd_at_window_start: INIT_CWND_PKTS * DEFAULT_PACKET_BYTES as f64,
+            cwnd_at_window_start: INIT_CWND_PKTS * MSS,
             window_started: None,
             min_rtt: WindowedMin::new(MIN_RTT_WINDOW),
             standing_rtt: WindowedMin::new(Dur::from_millis(50)),
-            srtt: None,
+            rtt: RttEstimator::new(),
             in_slow_start: true,
         }
     }
 
     /// Current window, packets.
     pub fn cwnd_pkts(&self) -> f64 {
-        self.cwnd / self.mss
+        self.cwnd / MSS
     }
 
     /// Whether the controller is still in its startup phase.
@@ -87,16 +87,15 @@ impl Copa {
     }
 
     /// Standing queueing delay estimate, seconds.
-    fn queueing_delay(&self, now: Time) -> Option<f64> {
-        let min = self.min_rtt.get(now)?;
-        let standing = self.standing_rtt.get(now)?;
+    fn queueing_delay(&self) -> Option<f64> {
+        let min = self.min_rtt.get()?;
+        let standing = self.standing_rtt.get()?;
         Some((standing - min).max(0.0))
     }
 
     fn update_velocity(&mut self, now: Time) {
-        let srtt = match self.srtt {
-            Some(s) => s,
-            None => return,
+        let Some(srtt) = self.rtt.srtt() else {
+            return;
         };
         let started = match self.window_started {
             Some(t) => t,
@@ -144,23 +143,19 @@ impl CongestionControl for Copa {
 
     fn on_ack(&mut self, now: Time, ack: &AckInfo) {
         let rtt_s = ack.rtt.as_secs_f64();
-        self.srtt = Some(match self.srtt {
-            None => ack.rtt,
-            Some(s) => Dur::from_nanos((7 * s.as_nanos() + ack.rtt.as_nanos()) / 8),
-        });
+        self.rtt.update(ack.rtt);
         // The standing window is srtt/2, re-targeted as srtt evolves.
-        if let Some(srtt) = self.srtt {
-            self.standing_rtt
-                .set_window(Dur::from_nanos(srtt.as_nanos() / 2).max(Dur::from_millis(1)));
-        }
+        let srtt = self.rtt.srtt_or(ack.rtt);
+        self.standing_rtt
+            .set_window(Dur::from_nanos(srtt.as_nanos() / 2).max(Dur::from_millis(1)));
         self.min_rtt.update(now, rtt_s);
         self.standing_rtt.update(now, rtt_s);
 
-        let dq = self.queueing_delay(now).unwrap_or(0.0);
-        let standing = self.standing_rtt.get(now).unwrap_or(rtt_s).max(1e-6);
+        let dq = self.queueing_delay().unwrap_or(0.0);
+        let standing = self.standing_rtt.get().unwrap_or(rtt_s).max(1e-6);
         let current_rate = self.cwnd / standing; // bytes/sec
         let target_rate = if dq > 1e-6 {
-            self.mss / (self.delta * dq)
+            MSS / (self.delta * dq)
         } else {
             f64::INFINITY
         };
@@ -175,13 +170,13 @@ impl CongestionControl for Copa {
 
         self.update_velocity(now);
         // Window step: v / (δ · cwnd_pkts) packets per ACK.
-        let step = self.velocity * self.mss * self.mss / (self.delta * self.cwnd);
+        let step = self.velocity * MSS * MSS / (self.delta * self.cwnd);
         if current_rate <= target_rate {
             self.cwnd += step;
         } else {
             self.cwnd -= step;
         }
-        let floor = MIN_CWND_PKTS * self.mss;
+        let floor = MIN_CWND_PKTS * MSS;
         if self.cwnd < floor {
             self.cwnd = floor;
         }
@@ -189,7 +184,7 @@ impl CongestionControl for Copa {
 
     fn on_loss(&mut self, _now: Time, loss: &LossInfo) {
         if loss.by_timeout {
-            self.cwnd = MIN_CWND_PKTS * self.mss;
+            self.cwnd = MIN_CWND_PKTS * MSS;
             self.in_slow_start = true;
             self.velocity = 1.0;
             self.direction = 0;
@@ -200,7 +195,7 @@ impl CongestionControl for Copa {
 
     fn pacing_rate(&self) -> Option<f64> {
         // COPA paces at 2×cwnd/RTT to avoid bursts (NSDI'18 §3).
-        let srtt = self.srtt?.as_secs_f64();
+        let srtt = self.rtt.srtt()?.as_secs_f64();
         if srtt <= 0.0 {
             return None;
         }
@@ -323,7 +318,7 @@ mod tests {
     fn velocity_doubles_after_three_consistent_windows() {
         let mut c = Copa::with_delta(0.5);
         c.in_slow_start = false;
-        c.srtt = Some(Dur::from_millis(30));
+        c.rtt.update(Dur::from_millis(30));
         c.direction = 1;
         c.same_direction_count = 0;
         c.velocity = 1.0;
@@ -337,6 +332,53 @@ mod tests {
         assert!(c.velocity >= 4.0, "velocity = {}", c.velocity);
     }
 
+    /// A scripted trace with a queue that builds and drains and two
+    /// timeouts: window and pacing rate (which carries the smoothed RTT)
+    /// are pinned to the bit every 500 packets.
+    #[test]
+    fn scripted_trace_pins_window_and_pacing() {
+        let mut c = Copa::new();
+        let mut pins = Vec::new();
+        crate::script::run(
+            &mut c,
+            9_000,
+            Dur::from_millis(1),
+            |now, r| {
+                let queue_us = (now.as_nanos() / 1_000_000) % 1_500 * 40;
+                let rtt = Dur::from_micros(30_000 + queue_us + r % 3_000);
+                (rtt, Dur::from_nanos(rtt.as_nanos() / 2))
+            },
+            |seq, _, c| {
+                if seq % 500 == 499 {
+                    pins.push((c.cwnd.to_bits(), c.pacing_rate().unwrap().to_bits()));
+                }
+            },
+        );
+        assert_eq!(
+            pins,
+            [
+                (0x40c134479ab070b0, 0x4113a4ee703c459a),
+                (0x40b7700000000000, 0x410382722b80a857),
+                (0x40e51acbd508aa57, 0x41429f6158351591),
+                (0x40b8c449f83aa4e5, 0x410c2aba2193abc3),
+                (0x40b7700000000000, 0x410381cb6dcd3d28),
+                (0x41080e50c8fad0e7, 0x41656afee0801d59),
+                (0x40f4e0b58f923f86, 0x4147d1a13be76c47),
+                (0x40b7700000000000, 0x410368b2372a0cd0),
+                (0x40e16456b64bf871, 0x413efbd0e36786fc),
+                (0x40b9d32543798bd7, 0x410d31a842ad5719),
+                (0x40b7700000000000, 0x41037d623ffac052),
+                (0x41000b31f5126892, 0x415ccaeea94f7173),
+                (0x40baba292c9fdba1, 0x410e68aa78f1f072),
+                (0x40b7700000000000, 0x410370208fe4e3fc),
+                (0x413786c9a61c6f7d, 0x4194f16263787d38),
+                (0x41356e87f662ce10, 0x41883e0b2a53dfe9),
+                (0x40b7700000000000, 0x410371e5d203c83a),
+                (0x4103207aa1730b01, 0x4160dd51448b1fa8),
+            ]
+        );
+    }
+
     #[test]
     fn velocity_resets_on_direction_change() {
         let mut c = Copa::with_delta(0.5);
@@ -346,7 +388,7 @@ mod tests {
         c.velocity = 8.0;
         c.window_started = Some(Time::ZERO);
         c.cwnd_at_window_start = c.cwnd + 10_000.0; // we shrank
-        c.srtt = Some(Dur::from_millis(30));
+        c.rtt.update(Dur::from_millis(30));
         c.update_velocity(Time::from_millis(100));
         assert_eq!(c.velocity, 1.0);
         assert_eq!(c.direction, -1);

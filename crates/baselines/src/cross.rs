@@ -27,9 +27,9 @@
 //! sender cannot keep streaming packets into a dead link ("no cwnd
 //! escape").
 
-use std::collections::VecDeque;
+use proteus_transport::{AckInfo, BaseDelay, CongestionControl, Dur, LossInfo, Time};
 
-use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time, DEFAULT_PACKET_BYTES};
+use crate::MSS;
 
 /// Queuing delay (seconds) under which the controller may probe for rate.
 pub const TARGET_LOW: f64 = 0.010;
@@ -54,8 +54,6 @@ pub const MIN_RATE: f64 = 125_000.0;
 pub const MAX_RATE: f64 = 1.25e9;
 /// Initial pacing rate, bytes/sec (≈ 4 Mbit/s).
 const INIT_RATE: f64 = 500_000.0;
-/// Number of one-minute base-delay history buckets (as in LEDBAT).
-const BASE_HISTORY: usize = 10;
 /// Safety-window slack: in-flight may reach this multiple of `rate × srtt`
 /// (plus a few packets), bounding damage when ACKs stop arriving.
 const CWND_SLACK: f64 = 1.5;
@@ -76,7 +74,6 @@ pub enum CrossState {
 /// Cross delay-gradient congestion controller.
 #[derive(Debug)]
 pub struct Cross {
-    mss: f64,
     /// Pacing rate, bytes/sec.
     rate: f64,
     state: CrossState,
@@ -92,11 +89,8 @@ pub struct Cross {
     prev_round_owd: Option<f64>,
     /// Rounds completed since flow start.
     rounds: u64,
-    /// Per-minute minima of observed one-way delay, seconds; front is the
-    /// current minute.
-    base_history: VecDeque<f64>,
-    /// When the current minute bucket started.
-    bucket_started: Option<Time>,
+    /// Per-minute minima of observed one-way delay, as in LEDBAT.
+    base: BaseDelay,
     /// Once-per-RTT loss reaction latch.
     last_loss_at: Option<Time>,
 }
@@ -105,7 +99,6 @@ impl Cross {
     /// A fresh controller at the default initial rate.
     pub fn new() -> Self {
         Self {
-            mss: DEFAULT_PACKET_BYTES as f64,
             rate: INIT_RATE,
             state: CrossState::Probe,
             hold_rounds: 0,
@@ -114,8 +107,7 @@ impl Cross {
             round_min_owd: f64::INFINITY,
             prev_round_owd: None,
             rounds: 0,
-            base_history: VecDeque::new(),
-            bucket_started: None,
+            base: BaseDelay::default(),
             last_loss_at: None,
         }
     }
@@ -137,12 +129,7 @@ impl Cross {
 
     /// Current estimate of the path's base one-way delay, seconds.
     pub fn base_delay(&self) -> Option<f64> {
-        self.base_history
-            .iter()
-            .copied()
-            .fold(None, |acc: Option<f64>, x| {
-                Some(acc.map_or(x, |a| a.min(x)))
-            })
+        self.base.get()
     }
 
     /// Queuing delay implied by the last completed round, seconds.
@@ -150,28 +137,6 @@ impl Cross {
         match (self.prev_round_owd, self.base_delay()) {
             (Some(cur), Some(base)) => Some((cur - base).max(0.0)),
             _ => None,
-        }
-    }
-
-    fn update_base_delay(&mut self, now: Time, owd_s: f64) {
-        match self.bucket_started {
-            None => {
-                self.bucket_started = Some(now);
-                self.base_history.push_front(owd_s);
-            }
-            Some(started) => {
-                if now.since(started) >= Dur::from_secs(60) {
-                    self.bucket_started = Some(now);
-                    self.base_history.push_front(owd_s);
-                    while self.base_history.len() > BASE_HISTORY {
-                        self.base_history.pop_back();
-                    }
-                } else if let Some(front) = self.base_history.front_mut() {
-                    if owd_s < *front {
-                        *front = owd_s;
-                    }
-                }
-            }
         }
     }
 
@@ -224,7 +189,7 @@ impl CongestionControl for Cross {
         self.srtt = Dur::from_nanos((7 * self.srtt.as_nanos() + ack.rtt.as_nanos()) / 8);
 
         let owd_s = ack.one_way_delay.as_secs_f64();
-        self.update_base_delay(now, owd_s);
+        self.base.update(now, owd_s);
         self.round_min_owd = self.round_min_owd.min(owd_s);
 
         match self.round_started {
@@ -262,8 +227,8 @@ impl CongestionControl for Cross {
     fn cwnd_bytes(&self) -> u64 {
         // Safety window only: normally the pacer (and the app-limited
         // source) governs; when ACKs stop, this caps in-flight data.
-        let w = CWND_SLACK * self.rate * self.srtt.as_secs_f64() + MIN_CWND_PKTS * self.mss;
-        w.max(MIN_CWND_PKTS * self.mss) as u64
+        let w = CWND_SLACK * self.rate * self.srtt.as_secs_f64() + MIN_CWND_PKTS * MSS;
+        w.max(MIN_CWND_PKTS * MSS) as u64
     }
 }
 
@@ -483,6 +448,53 @@ mod tests {
         now += Dur::from_secs(61);
         c.on_ack(now, &ack_with_owd(1, now, Dur::from_millis(20)));
         assert!((c.base_delay().unwrap() - 0.020).abs() < 1e-9);
+    }
+
+    /// Fourteen minutes of a scripted trace whose path delay rises 1 ms a
+    /// minute: rate, base delay and queuing delay are pinned to the bit at
+    /// every minute, across the history's drop of its 11th bucket.
+    #[test]
+    fn scripted_trace_pins_rate_and_base_delay() {
+        let mut c = Cross::new();
+        let mut pins = Vec::new();
+        crate::script::run(
+            &mut c,
+            42_000,
+            Dur::from_millis(20),
+            |now, r| {
+                let minute = now.as_nanos() / 60_000_000_000;
+                let owd = Dur::from_micros(10_000 + 1_000 * minute + r % 500);
+                (Dur::from_nanos(2 * owd.as_nanos() + 5_000_000), owd)
+            },
+            |seq, _, c| {
+                if seq % 3_000 == 2_999 {
+                    pins.push((
+                        c.rate().to_bits(),
+                        c.base_delay().unwrap().to_bits(),
+                        c.queuing_delay().unwrap().to_bits(),
+                    ));
+                }
+            },
+        );
+        assert_eq!(
+            pins,
+            [
+                (0x41c839446a000000, 0x3f847ae147ae147b, 0x3f5711947cfa26a0),
+                (0x41c8042f34800002, 0x3f847ae147ae147b, 0x3f6083dbc23315d8),
+                (0x41d09ecc84000000, 0x3f847ae147ae147b, 0x3f6a5a89b951c5c4),
+                (0x41d0c388d0000000, 0x3f847ae147ae147b, 0x3f70d5a5b9628cbc),
+                (0x41cc7f9bc8000000, 0x3f847ae147ae147b, 0x3f758d9b5e95b78c),
+                (0x41cc7f9bc8000000, 0x3f847ae147ae147b, 0x3f78c8eef1bac2de),
+                (0x41c63cc369800001, 0x3f847ae147ae147b, 0x3f7db445ed4a1ad6),
+                (0x41d0c388d0000000, 0x3f847ae147ae147b, 0x3f809f1f14983d79),
+                (0x41cdbcea6f2d32a8, 0x3f847ae147ae147b, 0x3f8281fd9ba1b195),
+                (0x41c839446a000000, 0x3f847ae147ae147b, 0x3f853ef6b5d462c3),
+                (0x41ca295e5e000000, 0x3f86872b020c49ba, 0x3f84de7ea5f84cae),
+                (0x41cc7f9bc8000000, 0x3f889374bc6a7efa, 0x3f84aec8d5c74752),
+                (0x41b30d0bd4da1da4, 0x3f8a9fbe76c8b439, 0x3f84a0a0f4d7add1),
+                (0x41ce40f110a7bb33, 0x3f8cac083126e979, 0x3f849f0e4da09cc3),
+            ]
+        );
     }
 
     proptest::proptest! {

@@ -7,9 +7,9 @@
 //! convergence. The sender is ACK-clocked (no pacing), like the Linux
 //! default the paper competes against.
 
-use proteus_transport::{
-    AckInfo, CongestionControl, Dur, LossInfo, RttEstimator, SeqNr, Time, DEFAULT_PACKET_BYTES,
-};
+use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, RttEstimator, Time};
+
+use crate::MSS;
 
 /// CUBIC constant `C` (packets/sec³), per RFC 8312.
 const C: f64 = 0.4;
@@ -23,7 +23,6 @@ const INIT_CWND_PKTS: f64 = 10.0;
 /// TCP CUBIC congestion controller.
 #[derive(Debug)]
 pub struct Cubic {
-    mss: f64,
     /// Congestion window, packets (fractional).
     cwnd: f64,
     /// Slow-start threshold, packets.
@@ -40,8 +39,6 @@ pub struct Cubic {
     /// End of the current recovery episode: losses of packets sent before
     /// this are part of the same congestion event.
     recovery_until: Option<Time>,
-    /// Highest sequence sent, to bound recovery episodes.
-    highest_sent: SeqNr,
 }
 
 impl Default for Cubic {
@@ -54,7 +51,6 @@ impl Cubic {
     /// Creates a CUBIC controller with standard parameters.
     pub fn new() -> Self {
         Self {
-            mss: DEFAULT_PACKET_BYTES as f64,
             cwnd: INIT_CWND_PKTS,
             ssthresh: f64::INFINITY,
             w_max: 0.0,
@@ -63,7 +59,6 @@ impl Cubic {
             w_est: 0.0,
             rtt: RttEstimator::new(),
             recovery_until: None,
-            highest_sent: 0,
         }
     }
 
@@ -127,10 +122,6 @@ impl CongestionControl for Cubic {
         "CUBIC"
     }
 
-    fn on_packet_sent(&mut self, _now: Time, pkt: &proteus_transport::SentPacket) {
-        self.highest_sent = self.highest_sent.max(pkt.seq);
-    }
-
     fn on_ack(&mut self, now: Time, ack: &AckInfo) {
         self.rtt.update(ack.rtt);
         if self.in_recovery(ack.sent_at) {
@@ -163,14 +154,14 @@ impl CongestionControl for Cubic {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        (self.cwnd * self.mss) as u64
+        (self.cwnd * MSS) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_transport::SentPacket;
+    use proteus_transport::SeqNr;
 
     fn ack(seq: SeqNr, now: Time) -> AckInfo {
         AckInfo {
@@ -308,19 +299,5 @@ mod tests {
         assert_eq!(c.pacing_rate(), None);
         assert!(c.cwnd_bytes() < u64::MAX);
         assert_eq!(c.name(), "CUBIC");
-    }
-
-    #[test]
-    fn tracks_highest_sent() {
-        let mut c = Cubic::new();
-        c.on_packet_sent(
-            Time::ZERO,
-            &SentPacket {
-                seq: 5,
-                bytes: 1500,
-                sent_at: Time::ZERO,
-            },
-        );
-        assert_eq!(c.highest_sent, 5);
     }
 }

@@ -13,11 +13,10 @@
 
 use std::collections::VecDeque;
 
-use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time, DEFAULT_PACKET_BYTES};
+use proteus_transport::{AckInfo, BaseDelay, CongestionControl, Dur, LossInfo, Time};
 
-/// Number of one-minute base-delay history buckets (RFC 6817
-/// `BASE_HISTORY`).
-const BASE_HISTORY: usize = 10;
+use crate::MSS;
+
 /// Number of recent delay samples the current-delay filter keeps
 /// (`CURRENT_FILTER`).
 const CURRENT_FILTER: usize = 4;
@@ -33,14 +32,10 @@ const INIT_CWND_PKTS: f64 = 2.0;
 #[derive(Debug)]
 pub struct Ledbat {
     target: Dur,
-    mss: f64,
     /// Congestion window, bytes (fractional).
     cwnd: f64,
-    /// Per-minute minima of observed one-way delay, seconds; front is the
-    /// current minute.
-    base_history: VecDeque<f64>,
-    /// When the current minute bucket started.
-    bucket_started: Option<Time>,
+    /// Per-minute minima of observed one-way delay (RFC 6817 §3.4.1).
+    base: BaseDelay,
     /// Last `CURRENT_FILTER` one-way delay samples, seconds.
     current_filter: VecDeque<f64>,
     /// Once-per-RTT loss reaction latch.
@@ -65,10 +60,8 @@ impl Ledbat {
         assert!(!target.is_zero(), "target extra delay must be positive");
         Self {
             target,
-            mss: DEFAULT_PACKET_BYTES as f64,
-            cwnd: INIT_CWND_PKTS * DEFAULT_PACKET_BYTES as f64,
-            base_history: VecDeque::new(),
-            bucket_started: None,
+            cwnd: INIT_CWND_PKTS * MSS,
+            base: BaseDelay::default(),
             current_filter: VecDeque::new(),
             last_loss_at: None,
             srtt: Dur::from_millis(100),
@@ -82,51 +75,18 @@ impl Ledbat {
 
     /// Current estimate of the path's base one-way delay, seconds.
     pub fn base_delay(&self) -> Option<f64> {
-        self.base_history
-            .iter()
-            .copied()
-            .fold(None, |acc: Option<f64>, x| {
-                Some(acc.map_or(x, |a| a.min(x)))
-            })
+        self.base.get()
     }
 
     /// Filtered current one-way delay, seconds (minimum of recent samples,
     /// per RFC 6817 §3.4.2).
     pub fn current_delay(&self) -> Option<f64> {
-        self.current_filter
-            .iter()
-            .copied()
-            .fold(None, |acc: Option<f64>, x| {
-                Some(acc.map_or(x, |a| a.min(x)))
-            })
+        self.current_filter.iter().copied().reduce(f64::min)
     }
 
     /// Current window, packets.
     pub fn cwnd_pkts(&self) -> f64 {
-        self.cwnd / self.mss
-    }
-
-    fn update_base_delay(&mut self, now: Time, owd_s: f64) {
-        match self.bucket_started {
-            None => {
-                self.bucket_started = Some(now);
-                self.base_history.push_front(owd_s);
-            }
-            Some(started) => {
-                if now.since(started) >= Dur::from_secs(60) {
-                    // Roll over to a new minute bucket.
-                    self.bucket_started = Some(now);
-                    self.base_history.push_front(owd_s);
-                    while self.base_history.len() > BASE_HISTORY {
-                        self.base_history.pop_back();
-                    }
-                } else if let Some(front) = self.base_history.front_mut() {
-                    if owd_s < *front {
-                        *front = owd_s;
-                    }
-                }
-            }
-        }
+        self.cwnd / MSS
     }
 }
 
@@ -146,7 +106,7 @@ impl CongestionControl for Ledbat {
         self.srtt = Dur::from_nanos((7 * self.srtt.as_nanos() + ack.rtt.as_nanos()) / 8);
 
         let owd_s = ack.one_way_delay.as_secs_f64();
-        self.update_base_delay(now, owd_s);
+        self.base.update(now, owd_s);
         self.current_filter.push_back(owd_s);
         while self.current_filter.len() > CURRENT_FILTER {
             self.current_filter.pop_front();
@@ -160,9 +120,9 @@ impl CongestionControl for Ledbat {
         let off_target = (target_s - queuing) / target_s;
         // RFC 6817 window update: GAIN * off_target * bytes_newly_acked *
         // MSS / cwnd, with growth clamped to slow-start-like +1 MSS/ACK.
-        let delta = GAIN * off_target * ack.bytes as f64 * self.mss / self.cwnd;
-        self.cwnd += delta.min(self.mss);
-        let floor = MIN_CWND_PKTS * self.mss;
+        let delta = GAIN * off_target * ack.bytes as f64 * MSS / self.cwnd;
+        self.cwnd += delta.min(MSS);
+        let floor = MIN_CWND_PKTS * MSS;
         if self.cwnd < floor {
             self.cwnd = floor;
         }
@@ -176,9 +136,9 @@ impl CongestionControl for Ledbat {
             }
         }
         self.last_loss_at = Some(now);
-        self.cwnd = (self.cwnd / 2.0).max(MIN_CWND_PKTS * self.mss);
+        self.cwnd = (self.cwnd / 2.0).max(MIN_CWND_PKTS * MSS);
         if loss.by_timeout {
-            self.cwnd = MIN_CWND_PKTS * self.mss;
+            self.cwnd = MIN_CWND_PKTS * MSS;
         }
     }
 
@@ -293,7 +253,6 @@ mod tests {
         now += Dur::from_secs(61);
         l.on_ack(now, &ack_with_owd(1, now, Dur::from_millis(20)));
         assert!((l.base_delay().unwrap() - 0.020).abs() < 1e-9);
-        assert!(l.base_history.len() >= 2);
     }
 
     #[test]
@@ -324,6 +283,50 @@ mod tests {
         let later = now + Dur::from_millis(100);
         l.on_loss(later, &mk_loss(52, later));
         assert!(l.cwnd_bytes() < after_one || after_one == (MIN_CWND_PKTS * 1500.0) as u64);
+    }
+
+    /// Fourteen minutes of a scripted trace whose path delay rises 3 ms a
+    /// minute: the base delay stays at the first minute's minimum until
+    /// the history drops its 11th bucket, then climbs a minute at a time.
+    /// Window and base delay are pinned to the bit at every minute.
+    #[test]
+    fn scripted_trace_pins_window_and_base_delay() {
+        let mut l = Ledbat::new();
+        let mut pins = Vec::new();
+        crate::script::run(
+            &mut l,
+            42_000,
+            Dur::from_millis(20),
+            |now, r| {
+                let minute = now.as_nanos() / 60_000_000_000;
+                let owd = Dur::from_micros(10_000 + 3_000 * minute + r % 40_000);
+                (Dur::from_nanos(2 * owd.as_nanos() + 5_000_000), owd)
+            },
+            |seq, _, l| {
+                if seq % 3_000 == 2_999 {
+                    pins.push((l.cwnd.to_bits(), l.base_delay().unwrap().to_bits()));
+                }
+            },
+        );
+        assert_eq!(
+            pins,
+            [
+                (0x40b9c63f484798bd, 0x3f847e06961c3697),
+                (0x40b695513794a72c, 0x3f847e06961c3697),
+                (0x40c0255015bb9787, 0x3f847e06961c3697),
+                (0x40c7cf64fdc9e8b6, 0x3f847e06961c3697),
+                (0x40b9eac16665db97, 0x3f847e06961c3697),
+                (0x40b89b775363dde0, 0x3f847e06961c3697),
+                (0x40b1397ce39153fa, 0x3f847e06961c3697),
+                (0x40c7dad422482792, 0x3f847e06961c3697),
+                (0x40c030d8d9af2a83, 0x3f847e06961c3697),
+                (0x40bc02a3b649da7b, 0x3f847e06961c3697),
+                (0x40b59c8a623b69a9, 0x3f8aa25d8d79d0a6),
+                (0x40b87d054da6ab1e, 0x3f9065f9591cd1c8),
+                (0x40a7700000000000, 0x3f9374ff865d7cb3),
+                (0x40bf5c8c8f1788c5, 0x3f968cac4b4d056c),
+            ]
+        );
     }
 
     #[test]

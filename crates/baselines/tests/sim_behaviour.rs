@@ -4,7 +4,7 @@
 //! buffers, BBR saturates shallow buffers, LEDBAT holds ~target extra
 //! delay, COPA keeps queues short).
 
-use proteus_baselines::{Bbr, Copa, Cross, Cubic, FixedRateProbe, Ledbat, Reno};
+use proteus_baselines::{Bbr, Copa, Cross, Cubic, FixedRateProbe, Ledbat};
 use proteus_netsim::{run, FaultSchedule, FlowSpec, LinkSpec, Scenario};
 use proteus_transport::{Dur, Time};
 
@@ -46,13 +46,6 @@ fn cubic_struggles_with_random_loss() {
     let res = single_flow(link, 30, Cubic::new());
     let thpt = steady_throughput_mbps(&res, 30);
     assert!(thpt < 25.0, "CUBIC under 2% loss = {thpt}");
-}
-
-#[test]
-fn reno_saturates_with_big_buffer() {
-    let res = single_flow(paper_link(375_000), 40, Reno::new());
-    let thpt = steady_throughput_mbps(&res, 40);
-    assert!(thpt > 40.0, "Reno throughput = {thpt}");
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //!
 //!   --bw <Mbps>        bottleneck bandwidth      (default 50)
 //!   --rtt <ms>         base RTT                  (default 30)
-//!   --links <N>        chain of N identical bottlenecks (default 1); the
-//!                      base RTT is split evenly so the end-to-end path RTT
+//!   --links <N>        chain of N identical bottlenecks (default 1, at most
+//!                      65536); the base RTT is split evenly so the path RTT
 //!                      stays at --rtt, and every flow crosses all N links.
 //!                      Fault flags keep targeting the first link.
 //!   --buffer <KB|xBDP> bottleneck buffer         (default 2xBDP; "375" = KB)
@@ -44,8 +44,8 @@
 //!   --ack-comp <EVERY:HOLD> hold ACKs for HOLD ms roughly every EVERY seconds
 //! ```
 //!
-//! Protocols: CUBIC, Reno, Vegas, BBR, BBR-S, COPA, LEDBAT, LEDBAT-25,
-//! Proteus-P, Proteus-S, PCC-Vivace, PCC-Allegro, `probe:<mbps>`.
+//! Protocols: CUBIC, BBR, BBR-S, COPA, LEDBAT, LEDBAT-25, Cross, Proteus-P,
+//! Proteus-S, PCC-Vivace, PCC-Allegro, `probe:<mbps>`.
 //!
 //! Example — the paper's headline scenario:
 //!
@@ -127,6 +127,11 @@ const DELAY_MS: Rule = (
 const BANDWIDTH: Rule = (|x| x > 0.0, "a bandwidth above 0 Mbps");
 /// A probability.
 const PROB: Rule = (|x| (0.0..=1.0).contains(&x), "a probability in [0, 1]");
+/// A chain length: whole links, as many as 16-bit link ids can name.
+const LINKS: Rule = (
+    |x| x.fract() == 0.0 && (1.0..=65_536.0).contains(&x),
+    "a whole number of links in [1, 65536]",
+);
 
 /// Splits `spec` into exactly `N` colon-separated numbers, each checked
 /// against its rule.
@@ -183,12 +188,8 @@ fn parse() -> Result<Args, String> {
                 }
             }
             "--links" => {
-                a.links = need(&mut it, "--links")?
-                    .parse()
-                    .map_err(|e| format!("bad --links: {e}"))?;
-                if a.links == 0 {
-                    return Err("--links needs at least 1".into());
-                }
+                let v = need(&mut it, "--links")?;
+                a.links = number(&v, "--links", LINKS)? as usize;
             }
             "--buffer" => buffer = need(&mut it, "--buffer")?,
             "--loss" => {

@@ -1,12 +1,12 @@
 //! The protocol registry: every congestion controller the paper evaluates,
 //! constructible by name.
 
-use proteus_baselines::{Bbr, Copa, Cross, Cubic, FixedRateProbe, Ledbat, Reno, ScavengerMod};
+use proteus_baselines::{Bbr, Copa, Cross, Cubic, FixedRateProbe, Ledbat, ScavengerMod};
 use proteus_core::ProteusSender;
 use proteus_trace::RingSink;
 use proteus_transport::CongestionControl;
 
-/// The primary protocols of §6 (plus Reno as an extra reference).
+/// The primary protocols of §6.
 pub const PRIMARIES: &[&str] = &["CUBIC", "BBR", "COPA", "Proteus-P", "PCC-Vivace"];
 
 /// The scavengers compared throughout §6 (plus the Appendix-B LEDBAT-25 and
@@ -28,8 +28,6 @@ pub const ALL_FIG3: &[&str] = &[
 /// one parametric form).
 pub const NAMES: &[&str] = &[
     "CUBIC",
-    "Reno",
-    "Vegas",
     "BBR",
     "BBR-S",
     "COPA",
@@ -58,7 +56,6 @@ pub fn cc(name: &str, seed: u64) -> Box<dyn CongestionControl> {
 pub fn try_cc(name: &str, seed: u64) -> Option<Box<dyn CongestionControl>> {
     Some(match name {
         "CUBIC" => Box::new(Cubic::new()),
-        "Reno" => Box::new(Reno::new()),
         "BBR" => Box::new(Bbr::new()),
         "BBR-S" => Box::new(Bbr::scavenger_with(ScavengerMod::calibrated_for_sim())),
         "COPA" => Box::new(Copa::new()),
@@ -69,7 +66,6 @@ pub fn try_cc(name: &str, seed: u64) -> Option<Box<dyn CongestionControl>> {
         "Proteus-S" => Box::new(ProteusSender::scavenger(seed)),
         "PCC-Vivace" => Box::new(ProteusSender::vivace(seed)),
         "PCC-Allegro" => Box::new(ProteusSender::allegro(seed)),
-        "Vegas" => Box::new(proteus_baselines::Vegas::new()),
         other => {
             let mbps: f64 = other.strip_prefix("probe:")?.parse().ok()?;
             if !(mbps > 0.0 && mbps.is_finite()) {

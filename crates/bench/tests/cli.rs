@@ -10,7 +10,7 @@ use std::process::Command;
 /// (a zero-length run, probabilities above 1, a negative RTT).
 #[test]
 fn proteus_sim_rejects_hostile_flags_with_usage() {
-    let cases: [&[&str]; 20] = [
+    let cases: [&[&str]; 24] = [
         &["--bw", "0"],
         &["--bw", "-5"],
         &["--buffer", "0"],
@@ -31,6 +31,10 @@ fn proteus_sim_rejects_hostile_flags_with_usage() {
         &["--outage", "-1:2"],
         &["--ack-comp", "0:50"],
         &["--flow", "CUBIC@-1"],
+        &["--links", "65537"],
+        &["--links", "70000"],
+        &["--flow", "Reno"],
+        &["--flow", "Vegas"],
     ];
     for case in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_proteus-sim"))

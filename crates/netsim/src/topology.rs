@@ -112,7 +112,7 @@ impl Topology {
 
     /// The default path: every link in id order.
     pub fn full_path(&self) -> Vec<LinkId> {
-        (0..self.links.len() as LinkId).collect()
+        (0..=LinkId::MAX).take(self.links.len()).collect()
     }
 
     /// Validate a flow path against this topology: non-empty, in range,
@@ -178,6 +178,14 @@ mod tests {
         let _ = Topology::single(link())
             .with_faults(0, s.clone())
             .with_faults(0, s);
+    }
+
+    #[test]
+    fn full_path_spans_every_link_id() {
+        let t = Topology::parking_lot(LinkId::MAX as usize + 1, link());
+        let path = t.full_path();
+        assert_eq!(path.len(), 65_536);
+        assert_eq!(path.last(), Some(&LinkId::MAX));
     }
 
     #[test]

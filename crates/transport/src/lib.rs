@@ -7,7 +7,8 @@
 //! * [`SentPacket`]/[`AckInfo`]/[`LossInfo`] — per-packet events,
 //! * [`CongestionControl`] — the single trait all protocols (CUBIC, BBR,
 //!   COPA, LEDBAT, Vivace, Proteus-P/S/H, …) implement,
-//! * [`RttEstimator`] and windowed min/max filters,
+//! * [`RttEstimator`], the [`WindowedMin`] filter and the RFC 6817
+//!   [`BaseDelay`] history,
 //! * [`MiTracker`]/[`MiStats`] — PCC monitor-interval accounting,
 //! * [`SeqRing`]/[`SeqSet`] — O(1) per-packet state (or one bit of it) keyed
 //!   by sequence number,
@@ -31,6 +32,6 @@ pub use app::{Application, BulkApp, FrameRecord, SizedApp};
 pub use cc::{factory, CcFactory, CcSnapshot, CongestionControl};
 pub use mi::{MiId, MiStats, MiTracker};
 pub use packet::{AckInfo, FlowId, LossInfo, SentPacket, SeqNr, DEFAULT_PACKET_BYTES};
-pub use rtt::{RttEstimator, WindowedMax, WindowedMin};
+pub use rtt::{BaseDelay, RttEstimator, WindowedMin};
 pub use seq_ring::{SeqRing, SeqSet};
 pub use time::{serialization_delay, Dur, Time};

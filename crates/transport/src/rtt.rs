@@ -1,5 +1,7 @@
-//! RTT estimation: smoothed RTT/variation (RFC 6298 style) and windowed
-//! min/max filters (as used by BBR's bandwidth and min-RTT estimators).
+//! RTT estimation: smoothed RTT/variation (RFC 6298 style), a windowed
+//! minimum and RFC 6817's per-minute base-delay history.
+
+use std::collections::VecDeque;
 
 use crate::time::{Dur, Time};
 
@@ -94,21 +96,15 @@ impl RttEstimator {
     }
 }
 
-/// A windowed extremum filter: tracks the min (or max) of samples observed in
-/// the trailing `window` of time. BBR uses this for `min_rtt` (10 s window)
-/// and, via the three-slot variant below, bottleneck bandwidth (10 RTT).
+/// A windowed minimum filter: tracks the min of samples observed in the
+/// trailing `window` of time (COPA's minimum and standing RTT).
 #[derive(Debug, Clone, Copy)]
-pub struct WindowedExtremum<const IS_MIN: bool> {
+pub struct WindowedMin {
     window: Dur,
     estimate: Option<(Time, f64)>,
 }
 
-/// Windowed minimum of an `f64` signal.
-pub type WindowedMin = WindowedExtremum<true>;
-/// Windowed maximum of an `f64` signal.
-pub type WindowedMax = WindowedExtremum<false>;
-
-impl<const IS_MIN: bool> WindowedExtremum<IS_MIN> {
+impl WindowedMin {
     /// Creates a filter with the given trailing window.
     pub fn new(window: Dur) -> Self {
         Self {
@@ -117,21 +113,13 @@ impl<const IS_MIN: bool> WindowedExtremum<IS_MIN> {
         }
     }
 
-    fn better(a: f64, b: f64) -> bool {
-        if IS_MIN {
-            a <= b
-        } else {
-            a >= b
-        }
-    }
-
-    /// Feeds a sample at `now`, returning the current windowed extremum.
+    /// Feeds a sample at `now`, returning the current windowed minimum.
     ///
-    /// A sample replaces the estimate when it is better *or* when the
+    /// A sample replaces the estimate when it is lower *or* when the
     /// existing estimate has aged out of the window.
     pub fn update(&mut self, now: Time, sample: f64) -> f64 {
         match self.estimate {
-            Some((at, best)) if Self::better(best, sample) && now.since(at) <= self.window => best,
+            Some((at, best)) if best <= sample && now.since(at) <= self.window => best,
             _ => {
                 self.estimate = Some((now, sample));
                 sample
@@ -139,28 +127,59 @@ impl<const IS_MIN: bool> WindowedExtremum<IS_MIN> {
         }
     }
 
-    /// Current estimate, if fresh enough relative to `now`.
-    pub fn get(&self, now: Time) -> Option<f64> {
-        match self.estimate {
-            Some((at, best)) if now.since(at) <= self.window => Some(best),
-            Some((_, best)) => Some(best), // stale but better than nothing
-            None => None,
-        }
-    }
-
-    /// Timestamp of the current estimate.
-    pub fn estimate_time(&self) -> Option<Time> {
-        self.estimate.map(|(at, _)| at)
-    }
-
-    /// Clears the filter.
-    pub fn reset(&mut self) {
-        self.estimate = None;
+    /// Current estimate; one that has aged out of the window is still
+    /// returned until the next sample replaces it.
+    pub fn get(&self) -> Option<f64> {
+        self.estimate.map(|(_, best)| best)
     }
 
     /// Changes the window length.
     pub fn set_window(&mut self, window: Dur) {
         self.window = window;
+    }
+}
+
+/// RFC 6817's base-delay history, as LEDBAT and Cross keep it: the minimum
+/// delay sample of each of the last [`BUCKETS`](Self::BUCKETS) buckets of
+/// [`BUCKET`](Self::BUCKET) length, so an estimate inflated by a route
+/// change ages out after ten minutes.
+#[derive(Debug, Clone, Default)]
+pub struct BaseDelay {
+    /// Per-bucket minima, seconds; the front is the current bucket.
+    minima: VecDeque<f64>,
+    /// When the current bucket started.
+    bucket_started: Option<Time>,
+}
+
+impl BaseDelay {
+    /// Length of one history bucket.
+    pub const BUCKET: Dur = Dur::from_secs(60);
+    /// Number of buckets kept (RFC 6817's base-history length).
+    pub const BUCKETS: usize = 10;
+
+    /// Feeds a delay sample (seconds) taken at `now`. A sample
+    /// [`BUCKET`](Self::BUCKET) or more after the current bucket started
+    /// opens a new bucket and drops the oldest beyond
+    /// [`BUCKETS`](Self::BUCKETS).
+    pub fn update(&mut self, now: Time, sample: f64) {
+        match (self.bucket_started, self.minima.front_mut()) {
+            (Some(started), Some(min)) if now.since(started) < Self::BUCKET => {
+                if sample < *min {
+                    *min = sample;
+                }
+            }
+            _ => {
+                self.bucket_started = Some(now);
+                self.minima.push_front(sample);
+                self.minima.truncate(Self::BUCKETS);
+            }
+        }
+    }
+
+    /// The base delay, seconds: the minimum over the kept buckets, `None`
+    /// before the first sample.
+    pub fn get(&self) -> Option<f64> {
+        self.minima.iter().copied().reduce(f64::min)
     }
 }
 
@@ -216,20 +235,40 @@ mod tests {
     }
 
     #[test]
-    fn windowed_max_tracks_peak() {
-        let mut f = WindowedMax::new(Dur::from_secs(1));
-        f.update(Time::from_secs_f64(0.0), 10.0);
-        assert_eq!(f.update(Time::from_secs_f64(0.5), 5.0), 10.0);
-        assert_eq!(f.update(Time::from_secs_f64(2.0), 5.0), 5.0);
+    fn get_and_reset() {
+        let mut f = WindowedMin::new(Dur::from_secs(1));
+        assert_eq!(f.get(), None);
+        f.update(Time::ZERO, 3.0);
+        assert_eq!(f.get(), Some(3.0));
+        // Aged out but not yet replaced: still the estimate.
+        assert_eq!(f.update(Time::from_millis(500), 4.0), 3.0);
+        assert_eq!(f.get(), Some(3.0));
+        // The first sample past the window resets it, even a higher one.
+        assert_eq!(f.update(Time::from_millis(1_001), 5.0), 5.0);
+        assert_eq!(f.get(), Some(5.0));
     }
 
     #[test]
-    fn get_and_reset() {
-        let mut f = WindowedMax::new(Dur::from_secs(1));
-        assert_eq!(f.get(Time::ZERO), None);
-        f.update(Time::ZERO, 3.0);
-        assert_eq!(f.get(Time::from_millis(500)), Some(3.0));
-        f.reset();
-        assert_eq!(f.get(Time::ZERO), None);
+    fn base_delay_keeps_ten_one_minute_minima() {
+        let at = |ms: u64| Time::from_millis(ms);
+        let mut b = BaseDelay::default();
+        assert_eq!(b.get(), None);
+        // The first bucket keeps its minimum up to 59.999 s.
+        b.update(at(0), 5.0);
+        b.update(at(30_000), 7.0);
+        b.update(at(59_999), 3.0);
+        assert_eq!(b.get(), Some(3.0));
+        // A sample at exactly 60 s opens the second bucket; eight more
+        // make ten, and the first bucket's 3.0 still rules.
+        for k in 1..=9u64 {
+            b.update(at(60_000 * k), 8.0 + k as f64);
+            assert_eq!(b.get(), Some(3.0), "bucket {k}");
+        }
+        // The 11th bucket drops the first: the 60 s bucket's 9.0 is the
+        // minimum now, and the next rollover drops it in turn.
+        b.update(at(600_000), 20.0);
+        assert_eq!(b.get(), Some(9.0));
+        b.update(at(660_000), 20.0);
+        assert_eq!(b.get(), Some(10.0));
     }
 }
