@@ -72,7 +72,7 @@ use proteus_netsim::{
     run, AckCompression, ChurnClass, ChurnSpec, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec,
     NoiseConfig, ReorderConfig, Scenario, Topology,
 };
-use proteus_transport::{Dur, Time};
+use proteus_transport::{Dur, Time, DEFAULT_PACKET_BYTES};
 
 struct Args {
     bw: f64,
@@ -131,6 +131,13 @@ const PROB: Rule = (|x| (0.0..=1.0).contains(&x), "a probability in [0, 1]");
 const LINKS: Rule = (
     |x| x.fract() == 0.0 && (1.0..=65_536.0).contains(&x),
     "a whole number of links in [1, 65536]",
+);
+/// A warm-start population: whole flows, at most a million (the largest in
+/// the registry is `scale`'s 10 000), so a typo is an error, not an
+/// allocation that aborts.
+const POPULATION: Rule = (
+    |x| x.fract() == 0.0 && (0.0..=1e6).contains(&x),
+    "a whole number of flows in [0, 1000000]",
 );
 
 /// Splits `spec` into exactly `N` colon-separated numbers, each checked
@@ -230,9 +237,8 @@ fn parse() -> Result<Args, String> {
                 a.churn = Some((arrivals, lifetime));
             }
             "--population" => {
-                a.population = need(&mut it, "--population")?
-                    .parse()
-                    .map_err(|e| format!("bad --population: {e}"))?
+                let v = need(&mut it, "--population")?;
+                a.population = number(&v, "--population", POPULATION)? as usize;
             }
             "--media" => {
                 let v = need(&mut it, "--media")?;
@@ -353,8 +359,12 @@ fn buffer_bytes(spec: &str, bw: f64, rtt_ms: u64) -> Result<u64, String> {
     } else {
         (number(spec, "--buffer", (positive, "KB above 0, or <x>xBDP"))? * 1000.0) as u64
     };
-    if bytes == 0 {
-        return Err(format!("--buffer {spec:?} holds no packet at all"));
+    // `with_buffer_bdp` floors at one byte, so a vanishing BDP passes the
+    // positivity checks above; a buffer must hold one whole packet.
+    if bytes < DEFAULT_PACKET_BYTES {
+        return Err(format!(
+            "--buffer {spec:?} is {bytes} B: it must hold one {DEFAULT_PACKET_BYTES} B packet"
+        ));
     }
     Ok(bytes)
 }

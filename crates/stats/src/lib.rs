@@ -5,7 +5,9 @@
 //!
 //! * [`Welford`] — numerically stable online mean / variance,
 //! * [`Ecdf`] — empirical CDFs (Figs. 8–10),
-//! * [`percentile`] — nearest-rank percentiles (95th-RTT metrics),
+//! * [`percentile`] — nearest-rank percentiles (95th-RTT metrics), and
+//!   [`nearest_rank_index`], the one rank rule, for stores that select on
+//!   their own integers (the simulator's compressed per-flow RTTs),
 //! * [`jain_index`] — Jain's fairness index (Fig. 5),
 //! * [`LinearRegression`] — least-squares slope + residual, the exact
 //!   computation Proteus uses for RTT gradient and regression-error
@@ -50,6 +52,6 @@ mod welford;
 pub use cdf::Ecdf;
 pub use ewma::{Ewma, MeanDeviationTracker};
 pub use jain::jain_index;
-pub use percentile::{median, percentile, percentile_select};
+pub use percentile::{median, nearest_rank_index, percentile};
 pub use regression::{LinearRegression, RegressionAccumulator};
 pub use welford::Welford;
