@@ -11,29 +11,9 @@
 //! metric of the paper's Fig. 6. Expect Proteus-S ≥ ~90 % everywhere while
 //! LEDBAT takes most of the link from the latency-aware primaries.
 
-use proteus_baselines::{Bbr, Copa, Cubic, Ledbat};
-use proteus_core::ProteusSender;
+use proteus_bench::{cc, tail_mbps, PRIMARIES};
 use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
-use proteus_transport::{CongestionControl, Dur, Time};
-
-const PRIMARIES: &[&str] = &["CUBIC", "BBR", "COPA", "Proteus-P", "PCC-Vivace"];
-
-fn make(name: &str, seed: u64) -> Box<dyn CongestionControl> {
-    match name {
-        "CUBIC" => Box::new(Cubic::new()),
-        "BBR" => Box::new(Bbr::new()),
-        "COPA" => Box::new(Copa::new()),
-        "Proteus-P" => Box::new(ProteusSender::primary(seed)),
-        "PCC-Vivace" => Box::new(ProteusSender::vivace(seed)),
-        "Proteus-S" => Box::new(ProteusSender::scavenger(seed)),
-        "LEDBAT" => Box::new(Ledbat::new()),
-        _ => unreachable!(),
-    }
-}
-
-fn tail(res: &proteus_netsim::SimResult, idx: usize) -> f64 {
-    res.flows[idx].throughput_mbps(Time::from_secs_f64(20.0), Time::from_secs_f64(60.0))
-}
+use proteus_transport::Dur;
 
 fn main() {
     let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
@@ -42,20 +22,18 @@ fn main() {
     for &primary in PRIMARIES {
         let alone = {
             let sc = Scenario::new(link, Dur::from_secs(60))
-                .flow(FlowSpec::bulk(primary, Dur::ZERO, move || make(primary, 3)))
+                .flow(FlowSpec::bulk(primary, Dur::ZERO, move || cc(primary, 3)))
                 .with_seed(11);
-            tail(&run(sc), 0)
+            tail_mbps(&run(sc), 0, 60.0)
         };
         let mut ratios = Vec::new();
         for scav in ["Proteus-S", "LEDBAT"] {
             let sc = Scenario::new(link, Dur::from_secs(60))
-                .flow(FlowSpec::bulk(primary, Dur::ZERO, move || make(primary, 3)))
-                .flow(FlowSpec::bulk(scav, Dur::from_secs(5), move || {
-                    make(scav, 9)
-                }))
+                .flow(FlowSpec::bulk(primary, Dur::ZERO, move || cc(primary, 3)))
+                .flow(FlowSpec::bulk(scav, Dur::from_secs(5), move || cc(scav, 9)))
                 .with_seed(11);
             let res = run(sc);
-            ratios.push(tail(&res, 0) / alone);
+            ratios.push(tail_mbps(&res, 0, 60.0) / alone);
         }
         println!(
             "{:<10}  {:>5.1}M  {:>13.1}%  {:>13.1}%",

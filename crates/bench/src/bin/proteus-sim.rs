@@ -66,7 +66,8 @@ use std::process::ExitCode;
 use proteus_apps::{MediaSource, MediaSpec};
 use proteus_bench::protocols::NAMES;
 use proteus_bench::{
-    cc, cc_traced, mi_trace, trace_jsonl, try_cc, MiTraceSink, TraceFormat, TRACE_EVERY,
+    cc, cc_traced_if, mi_trace, tail_window, trace_jsonl, try_cc, MiTraceSink, TraceFormat,
+    TRACE_EVERY,
 };
 use proteus_netsim::{
     run, AckCompression, ChurnClass, ChurnSpec, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec,
@@ -418,11 +419,7 @@ fn main() -> ExitCode {
         let seed = args.seed + i as u64;
         let decisions = args.trace_mi;
         let mut spec = FlowSpec::bulk(name, Dur::from_secs_f64(*start), move || {
-            if decisions {
-                cc_traced(&proto, seed)
-            } else {
-                cc(&proto, seed)
-            }
+            cc_traced_if(&proto, seed, decisions)
         });
         if i == 0 {
             if let Some((fps, ladder)) = &args.media {
@@ -509,8 +506,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let from = Time::from_secs_f64(args.secs / 3.0);
-    let to = Time::from_secs_f64(args.secs);
+    let (from, to) = tail_window(args.secs);
     println!(
         "{:<18} {:>10} {:>10} {:>10} {:>8}",
         "flow", "mbps(tail)", "p50 RTT", "p95 RTT", "loss"

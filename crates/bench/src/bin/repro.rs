@@ -44,19 +44,6 @@ const USAGE: &str = "usage: repro [--quick] [--seed N] [--jobs N] [--shard I/N] 
      [--trace] [--trace-mi] [--trace-format jsonl|chrome|both] [--trace-out DIR] \
      <id>... | all | list | trace-summary";
 
-/// Parsed command line: the run configuration plus experiment ids.
-struct Cli {
-    cfg_quick: bool,
-    seed: u64,
-    jobs: usize,
-    no_cache: bool,
-    trace: bool,
-    trace_mi: bool,
-    trace_format: TraceFormat,
-    shard: Option<(u32, u32)>,
-    ids: Vec<String>,
-}
-
 /// Parses `--shard I/N` (1-based shard `I` of `N`) into the 0-based
 /// `(index, count)` the campaign layer expects.
 fn parse_shard(v: &str) -> Result<(u32, u32), String> {
@@ -70,28 +57,21 @@ fn parse_shard(v: &str) -> Result<(u32, u32), String> {
     Ok((i - 1, n))
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
-    let mut cli = Cli {
-        cfg_quick: false,
-        seed: 1,
-        jobs: 1,
-        no_cache: false,
-        trace: false,
-        trace_mi: false,
-        trace_format: TraceFormat::Both,
-        shard: None,
-        ids: Vec::new(),
-    };
-    let mut args = args;
+/// Parses the command line into the run configuration (defaults
+/// [`RunCfg::full`]) and the experiment ids.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(RunCfg, Vec<String>), String> {
+    let mut cfg = RunCfg::full();
+    let mut ids = Vec::new();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--quick" => cli.cfg_quick = true,
-            "--no-cache" => cli.no_cache = true,
-            "--trace" => cli.trace = true,
-            "--trace-mi" => cli.trace_mi = true,
+            // What `RunCfg::quick()` changes from `full()`.
+            "--quick" => (cfg.quick, cfg.trials) = (true, 1),
+            "--no-cache" => cfg.cache = false,
+            "--trace" => cfg.trace = true,
+            "--trace-mi" => cfg.trace_mi = true,
             "--trace-format" => {
                 let v = args.next().ok_or("--trace-format requires a value")?;
-                cli.trace_format = TraceFormat::parse(&v).ok_or(format!(
+                cfg.trace_format = TraceFormat::parse(&v).ok_or(format!(
                     "--trace-format must be jsonl, chrome or both, got {v:?}"
                 ))?;
             }
@@ -101,42 +81,42 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed requires a value")?;
-                cli.seed = v
+                cfg.seed = v
                     .parse()
                     .map_err(|_| format!("--seed requires a number, got {v:?}"))?;
             }
             "--jobs" => {
                 let v = args.next().ok_or("--jobs requires a value")?;
-                cli.jobs = v
+                cfg.jobs = v
                     .parse()
                     .map_err(|_| format!("--jobs requires a number, got {v:?}"))?;
             }
             "--shard" => {
                 let v = args.next().ok_or("--shard requires a value (I/N)")?;
-                cli.shard = Some(parse_shard(&v)?);
+                cfg.shard = Some(parse_shard(&v)?);
             }
             other if other.starts_with('-') => {
                 return Err(format!("unknown option {other}"));
             }
-            other => cli.ids.push(other.to_string()),
+            other => ids.push(other.to_string()),
         }
     }
-    Ok(cli)
+    Ok((cfg, ids))
 }
 
 /// Where a run that must not touch the committed `results/` writes
 /// instead: a `--quick` or non-default-seed run whose caller did not pick
 /// a directory through `$PROTEUS_RESULTS_DIR`.
-fn scratch_results_dir(cli: &Cli) -> Option<PathBuf> {
+fn scratch_results_dir(cfg: &RunCfg) -> Option<PathBuf> {
     let chosen = env::var_os("PROTEUS_RESULTS_DIR").is_some_and(|d| !d.is_empty());
-    let full_fidelity = !cli.cfg_quick && cli.seed == 1;
+    let full_fidelity = !cfg.quick && cfg.seed == 1;
     let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2)?;
     (!chosen && !full_fidelity).then(|| workspace.join("target/repro-scratch"))
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args(env::args().skip(1)) {
-        Ok(c) => c,
+    let (cfg, ids) = match parse_args(env::args().skip(1)) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("{USAGE}");
@@ -144,7 +124,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(dir) = scratch_results_dir(&cli) {
+    if let Some(dir) = scratch_results_dir(&cfg) {
         eprintln!(
             "not a full default-seed run: writing under {} instead of results/ \
              (set PROTEUS_RESULTS_DIR to choose)",
@@ -154,29 +134,17 @@ fn main() -> ExitCode {
     }
 
     let experiments = registry();
-    if cli.ids.is_empty() || cli.ids.iter().any(|i| i == "list") {
+    if ids.is_empty() || ids.iter().any(|i| i == "list") {
         eprintln!("{USAGE}");
         eprintln!("experiments:");
         for e in &experiments {
             eprintln!("  {:8}  {}", e.id, e.description);
         }
-        return ExitCode::from(if cli.ids.is_empty() { 2 } else { 0 });
+        return ExitCode::from(if ids.is_empty() { 2 } else { 0 });
     }
 
-    let run_all = cli.ids.iter().any(|i| i == "all");
-    let trace_summary = cli.ids.iter().any(|i| i == "trace-summary");
-    let mut cfg = if cli.cfg_quick {
-        RunCfg::quick()
-    } else {
-        RunCfg::full()
-    };
-    cfg.seed = cli.seed;
-    cfg.jobs = cli.jobs;
-    cfg.cache = !cli.no_cache;
-    cfg.trace = cli.trace;
-    cfg.trace_mi = cli.trace_mi;
-    cfg.trace_format = cli.trace_format;
-    cfg.shard = cli.shard;
+    let run_all = ids.iter().any(|i| i == "all");
+    let trace_summary = ids.iter().any(|i| i == "trace-summary");
     if let Some((index, count)) = cfg.shard {
         eprintln!(
             "shard {}/{count}: skipping out-of-shard cache misses; re-run unsharded after all \
@@ -186,7 +154,7 @@ fn main() -> ExitCode {
     }
 
     let mut unknown = Vec::new();
-    for id in &cli.ids {
+    for id in &ids {
         if id != "all" && id != "trace-summary" && !experiments.iter().any(|e| e.id == id) {
             unknown.push(id.clone());
         }
@@ -201,7 +169,7 @@ fn main() -> ExitCode {
     take_session_failures(); // and for invariant verdicts
     let mut timings: Vec<ExperimentTiming> = Vec::new();
     for e in &experiments {
-        if run_all || cli.ids.iter().any(|i| i == e.id) {
+        if run_all || ids.iter().any(|i| i == e.id) {
             eprintln!("=== {} — {} ===", e.id, e.description);
             let t0 = Instant::now();
             let report = (e.run)(cfg);
@@ -322,15 +290,16 @@ mod tests {
 
     #[test]
     fn cli_accepts_shard_flag() {
-        let cli = parse_args(
+        let (cfg, ids) = parse_args(
             ["--quick", "--shard", "2/3", "tune"]
                 .into_iter()
                 .map(String::from),
         )
         .unwrap();
-        assert_eq!(cli.shard, Some((1, 3)));
-        assert!(cli.cfg_quick);
-        assert_eq!(cli.ids, ["tune"]);
+        assert_eq!(cfg.shard, Some((1, 3)));
+        assert!(cfg.quick);
+        assert_eq!(cfg.trials, RunCfg::quick().trials);
+        assert_eq!(ids, ["tune"]);
         assert!(parse_args(["--shard", "9"].into_iter().map(String::from)).is_err());
     }
 }

@@ -117,7 +117,8 @@ pub fn run_experiment(cfg: RunCfg) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jobs::run_pair;
+    use crate::jobs::pair_scenario;
+    use proteus_netsim::run;
 
     #[test]
     fn timeline_job_matches_direct_run() {
@@ -126,7 +127,7 @@ mod tests {
         let v = payload::decode_floats(
             &timeline_job("CUBIC", "BBR-S", link, secs, 3, Traces::off()).execute(),
         );
-        let direct = run_pair("CUBIC", "BBR-S", link, secs, 3);
+        let direct = run(pair_scenario("CUBIC", "BBR-S", link, secs, 3, false));
         // Two whole bins plus the tail summary.
         assert_eq!(v.len(), 6);
         let bin1 = (Time::from_secs_f64(10.0), Time::from_secs_f64(20.0));

@@ -1,44 +1,46 @@
 //! `repro tune`: the offline parameter-search and utility-ablation harness
-//! (`proteus-tune`) over the deterministic evaluator.
+//! over the deterministic evaluator.
 //!
-//! Searches `ProteusConfig` space — the scavenger penalty `d`, the §5 gate
-//! gains G1/G2, the trend window, the probing ε/ω-step and the probe rule —
-//! *and* the utility shape itself (Proteus-S, a loss-only ablation, a
-//! delay-budget scavenger, Proteus-H) for the configuration that best
+//! The paper hand-picks its controller constants (the scavenger penalty
+//! `d = 1500`, the §5 gate gains G1/G2, the trend window, the probing
+//! ε/ω-step) and motivates its utility shape by argument. The tuner turns
+//! both into a searchable space — Proteus-S, a loss-only ablation, a
+//! delay-budget scavenger, Proteus-H — and asks which configuration best
 //! satisfies `maximize scav_util subject to harm < 0.05`. Quick mode runs a
 //! 64-cell grid plus 2 genetic generations on two short scenarios; full
 //! mode a 216-cell grid plus 6 generations including a BBR primary.
 //!
-//! Artifacts land in `results/tune/`: `leaderboard.csv`, `frontier.csv`
-//! and `best_config.json`. Every simulation goes through the shared
-//! campaign cache, so re-runs are cache replays and `--shard i/n` can
-//! split the grid's cold cost across machines (the genetic phase only
+//! The pipeline, one crate module per step:
+//!
+//! 1. [`crate::space`] — the [`Candidate`](crate::space::Candidate) genome
+//!    and its bounded search space with deterministic operators;
+//! 2. [`crate::scenarios`] — the fixed primary/scavenger cells candidates
+//!    are scored on;
+//! 3. [`crate::eval`] — batch evaluation as campaign jobs: content-hashed,
+//!    cached, shard-filtered;
+//! 4. [`crate::objective`] — the objective grammar and constraint scoring;
+//! 5. [`crate::search`] — grid sweep + seeded genetic refinement, same seed
+//!    ⇒ byte-identical leaderboard at any worker count;
+//! 6. [`crate::report`] — `leaderboard.csv`, `frontier.csv`,
+//!    `best_config.json` and the text report.
+//!
+//! Artifacts land in `results/tune/`. Every simulation goes through the
+//! shared campaign cache, so re-runs are cache replays and `--shard i/n`
+//! can split the grid's cold cost across machines (the genetic phase only
 //! runs unsharded; see EXPERIMENTS.md §Tuning).
 
-use proteus_tune::{full_spec, quick_spec, run_tune, TuneOpts};
-
-use crate::report::results_dir;
+use crate::report::{results_dir, write_tune_report};
+use crate::search::{full_spec, quick_spec, run_search};
 use crate::RunCfg;
 
-/// Builds the tuning options implied by the CLI configuration.
-pub fn tune_opts(cfg: RunCfg) -> TuneOpts {
-    TuneOpts {
-        jobs: cfg.jobs,
-        cache: cfg.cache.then(|| results_dir().join(".cache")),
-        summary: Some(results_dir().join("campaigns.jsonl")),
-        out_dir: results_dir().join("tune"),
-        progress: cfg.jobs != 1,
-        shard: cfg.shard,
-        sim_seed: cfg.seed,
-    }
-}
-
-/// Entry point for `repro tune`.
+/// Entry point for `repro tune`: runs the quick or full search, writes its
+/// artifacts under `results/tune/` and returns the text report.
 pub fn run_experiment(cfg: RunCfg) -> String {
     let spec = if cfg.quick {
         quick_spec(cfg.seed)
     } else {
         full_spec(cfg.seed)
     };
-    run_tune(&spec, &tune_opts(cfg))
+    let outcome = run_search(&spec, cfg);
+    write_tune_report(&results_dir().join("tune"), &spec, &outcome)
 }

@@ -14,11 +14,10 @@
 //! status without the registry's `fn(RunCfg) -> String` entry points
 //! changing shape.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
-use crate::report::{results_dir, Table};
+use crate::report::{results_dir, write_files, Table};
 
 /// One invariant verdict: a named check on one cell of a campaign's matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,17 +114,6 @@ fn invariants_table(layout: &Layout, checks: &[Check]) -> Table {
     inv
 }
 
-/// Writes `files` under `dir`, stopping at the first path that cannot be
-/// written and returning it with the reason.
-fn write_files(dir: &Path, files: &[(&str, String)]) -> Result<(), (PathBuf, std::io::Error)> {
-    fs::create_dir_all(dir).map_err(|e| (dir.to_path_buf(), e))?;
-    for (name, content) in files {
-        let path = dir.join(name);
-        fs::write(&path, content).map_err(|e| (path, e))?;
-    }
-    Ok(())
-}
-
 /// [`finish`] with the campaign's report directory given explicitly.
 fn finish_in(dir: &Path, layout: &Layout, checks: Vec<Check>) -> Outcome {
     let inv = invariants_table(layout, &checks);
@@ -151,17 +139,14 @@ fn finish_in(dir: &Path, layout: &Layout, checks: Vec<Check>) -> Outcome {
     }
     report.push('\n');
 
-    let mut files = vec![(layout.report_file, report.clone())];
+    let mut files = vec![(layout.report_file.to_string(), report.clone())];
     for (table, csv) in layout.body {
         if let Some(name) = csv {
-            files.push((name, table.to_csv()));
+            files.push((name.to_string(), table.to_csv()));
         }
     }
-    files.push(("invariants.csv", inv.to_csv()));
-    // A report that cannot be persisted is still returned (and printed).
-    if let Err((path, e)) = write_files(dir, &files) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    files.push(("invariants.csv".into(), inv.to_csv()));
+    write_files(dir, &files);
 
     SESSION_FAILURES
         .lock()
@@ -182,6 +167,8 @@ pub fn finish(layout: &Layout, checks: Vec<Check>) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -326,8 +313,8 @@ mod tests {
         fs::write(&blocker, "").unwrap();
         let dir = blocker.join("campaign");
 
-        let (path, _) = write_files(&dir, &[("report.txt", "x".into())]).unwrap_err();
-        assert_eq!(path, dir);
+        let failed = write_files(&dir, &[("report.txt".into(), "x".into())]);
+        assert_eq!(failed.as_ref(), Some(&dir));
 
         let layout = Layout {
             campaign: "probe-unwritable",

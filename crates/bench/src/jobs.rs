@@ -19,7 +19,7 @@ use proteus_runner::{payload, Campaign, CampaignOpts, SimJob};
 use proteus_transport::{Dur, Time};
 
 use crate::mi_trace::{MiTraceSink, TraceFormat};
-use crate::protocols::{cc, cc_traced};
+use crate::protocols::cc_traced_if;
 use crate::report::results_dir;
 use crate::RunCfg;
 
@@ -211,15 +211,10 @@ fn single_scenario(
     seed: u64,
     decisions: bool,
 ) -> Scenario {
-    let build = move || {
-        if decisions {
-            cc_traced(name, seed ^ 0xA5)
-        } else {
-            cc(name, seed ^ 0xA5)
-        }
-    };
     Scenario::new(link, Dur::from_secs_f64(secs))
-        .flow(FlowSpec::bulk(name, Dur::ZERO, build))
+        .flow(FlowSpec::bulk(name, Dur::ZERO, move || {
+            cc_traced_if(name, seed ^ 0xA5, decisions)
+        }))
         .with_seed(seed)
         .with_rtt_stride(2)
 }
@@ -233,15 +228,8 @@ pub(crate) fn pair_scenario(
     seed: u64,
     decisions: bool,
 ) -> Scenario {
-    let build = move |name: &'static str, salt: u64| {
-        move || {
-            if decisions {
-                cc_traced(name, seed ^ salt)
-            } else {
-                cc(name, seed ^ salt)
-            }
-        }
-    };
+    let build =
+        move |name: &'static str, salt: u64| move || cc_traced_if(name, seed ^ salt, decisions);
     Scenario::new(link, Dur::from_secs_f64(secs))
         .flow(FlowSpec::bulk(primary, Dur::ZERO, build(primary, 0xA5)))
         .flow(FlowSpec::bulk(
@@ -251,25 +239,6 @@ pub(crate) fn pair_scenario(
         ))
         .with_seed(seed)
         .with_rtt_stride(2)
-}
-
-/// Direct-run oracle for [`single_job`].
-#[cfg(test)]
-pub(crate) fn run_single(name: &'static str, link: LinkSpec, secs: f64, seed: u64) -> SimResult {
-    run(single_scenario(name, link, secs, seed, false))
-}
-
-/// Direct-run oracle for [`pair_job`] and the jobs built on
-/// [`pair_scenario`].
-#[cfg(test)]
-pub(crate) fn run_pair(
-    primary: &'static str,
-    scavenger: &'static str,
-    link: LinkSpec,
-    secs: f64,
-    seed: u64,
-) -> SimResult {
-    run(pair_scenario(primary, scavenger, link, secs, seed, false))
 }
 
 // ---------------------------------------------------------------------------
@@ -433,14 +402,18 @@ pub fn pair_job(
         format!("{primary} vs {scavenger}"),
         traces,
         move |decisions| pair_scenario(primary, scavenger, link, secs, seed, decisions),
-        move |res| {
-            vec![
-                tail_mbps(res, 0, secs),
-                tail_mbps(res, 1, secs),
-                res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
-            ]
-        },
+        move |res| pair_payload(res, secs),
     )
+}
+
+/// The [`pair_job`] payload of a `secs`-long run whose flow 0 is the
+/// primary and flow 1 the scavenger (see [`decode_pair`]).
+pub(crate) fn pair_payload(res: &SimResult, secs: f64) -> Vec<f64> {
+    vec![
+        tail_mbps(res, 0, secs),
+        tail_mbps(res, 1, secs),
+        res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
+    ]
 }
 
 #[cfg(test)]
@@ -450,14 +423,14 @@ mod tests {
     #[test]
     fn single_runner_produces_throughput() {
         let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
-        let res = run_single("CUBIC", link, 10.0, 3);
+        let res = run(single_scenario("CUBIC", link, 10.0, 3, false));
         assert!(tail_mbps(&res, 0, 10.0) > 15.0);
     }
 
     #[test]
     fn pair_runner_orders_flows() {
         let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
-        let res = run_pair("CUBIC", "LEDBAT", link, 15.0, 3);
+        let res = run(pair_scenario("CUBIC", "LEDBAT", link, 15.0, 3, false));
         assert_eq!(res.flows[0].name, "CUBIC");
         assert_eq!(res.flows[1].name, "LEDBAT");
         assert!(res.flows[1].started_at.unwrap() > res.flows[0].started_at.unwrap());
@@ -476,7 +449,7 @@ mod tests {
             Traces::off(),
         );
         let out = decode_single(&job.execute());
-        let direct = run_single("CUBIC", link, 10.0, 3);
+        let direct = run(single_scenario("CUBIC", link, 10.0, 3, false));
         assert_eq!(out.tail_mbps, tail_mbps(&direct, 0, 10.0));
         assert_eq!(out.p95_rtt_s, direct.flows[0].rtt_percentile(95.0).unwrap());
     }
@@ -496,7 +469,7 @@ mod tests {
             Traces::off(),
         );
         let out = decode_pair(&job.execute());
-        let direct = run_pair("CUBIC", "LEDBAT", link, 12.0, 3);
+        let direct = run(pair_scenario("CUBIC", "LEDBAT", link, 12.0, 3, false));
         assert_eq!(out.primary_mbps, tail_mbps(&direct, 0, 12.0));
         assert_eq!(out.scav_mbps, tail_mbps(&direct, 1, 12.0));
         let p95 = direct.flows[0].rtt_percentile(95.0).unwrap();

@@ -13,20 +13,29 @@
 //! ```
 //!
 //! Reports are printed and also written under `results/`.
+//!
+//! `repro tune`, the offline parameter search, is built from `space`,
+//! `scenarios`, `eval`, `objective` and `search` (plus the renderers in
+//! `report`); `experiments::tune` describes the pipeline.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod eval;
 pub mod experiments;
 pub mod invariants;
 pub mod jobs;
 pub mod mi_trace;
+pub mod objective;
 pub mod protocols;
 pub mod report;
+pub mod scenarios;
+pub mod search;
+pub mod space;
 
 pub use jobs::{campaign, tail_mbps, tail_window, trace_jsonl, Traces, TRACE_EVERY};
 pub use mi_trace::{mi_trace_dir, MiTraceSink, TraceFormat};
-pub use protocols::{cc, cc_traced, try_cc, PRIMARIES, SCAVENGERS};
+pub use protocols::{cc, cc_traced, cc_traced_if, try_cc, PRIMARIES, SCAVENGERS};
 pub use report::Table;
 
 /// Global knobs for an experiment invocation.

@@ -91,6 +91,15 @@ pub fn cc_traced(name: &str, seed: u64) -> Box<dyn CongestionControl> {
     }
 }
 
+/// [`cc_traced`] when `traced` is set, else [`cc`].
+pub fn cc_traced_if(name: &str, seed: u64, traced: bool) -> Box<dyn CongestionControl> {
+    if traced {
+        cc_traced(name, seed)
+    } else {
+        cc(name, seed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

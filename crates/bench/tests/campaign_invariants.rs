@@ -10,20 +10,16 @@
 //! not deterministic.
 //!
 //! `PROTEUS_RESULTS_DIR` is process-global, so the campaign tests serialize
-//! on one lock. The pure ACK-compression test at the bottom touches no
-//! environment and runs concurrently.
+//! on `common::in_results_dir`'s lock. The pure ACK-compression test at the
+//! bottom touches no environment and runs concurrently.
 
 mod common;
 
-use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use proteus_bench::experiments::{rtc, scale, stress, topology};
 use proteus_bench::invariants::Outcome;
 use proteus_bench::RunCfg;
-
-static RESULTS_DIR: Mutex<()> = Mutex::new(());
 
 /// Campaign, its entry point, and the report files the docs promise under
 /// `results/<campaign>/`.
@@ -61,23 +57,15 @@ fn check_campaign(name: &str) {
         .iter()
         .find(|c| c.0 == name)
         .expect("a campaign of the table");
-    // A poisoned lock only means another campaign's run panicked; that must
-    // not mask this one's verdict.
-    let guard = RESULTS_DIR.lock().unwrap_or_else(|e| e.into_inner());
     let scratch = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("campaign_{name}"));
-    let _ = fs::remove_dir_all(&scratch);
-    std::env::set_var("PROTEUS_RESULTS_DIR", &scratch);
-
     // No cache: both runs must actually simulate, or the byte-identity
     // check would just compare a cache entry with itself.
     let cfg = RunCfg {
         cache: false,
         ..RunCfg::quick()
     };
-    let serial = run(cfg);
-    let parallel = run(RunCfg { jobs: 4, ..cfg });
-    std::env::remove_var("PROTEUS_RESULTS_DIR");
-    drop(guard);
+    let (serial, parallel) =
+        common::in_results_dir(&scratch, || (run(cfg), run(RunCfg { jobs: 4, ..cfg })));
 
     assert_eq!(
         serial.report, parallel.report,

@@ -1,7 +1,28 @@
-//! Shared by the golden-pin and campaign integration tests.
+//! Shared by the golden-pin, campaign and tuner integration tests (each
+//! test target uses a subset).
+
+#![allow(dead_code)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+/// Held by every test that points the process-global
+/// `PROTEUS_RESULTS_DIR` somewhere.
+static RESULTS_DIR: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with `PROTEUS_RESULTS_DIR` pointed at `dir`, emptied first,
+/// under the lock the other redirecting tests of this process share.
+pub fn in_results_dir<T>(dir: &Path, f: impl FnOnce() -> T) -> T {
+    // A poisoned lock only means another test panicked while holding it;
+    // that must not mask this one's verdict.
+    let _guard = RESULTS_DIR.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = fs::remove_dir_all(dir);
+    std::env::set_var("PROTEUS_RESULTS_DIR", dir);
+    let out = f();
+    std::env::remove_var("PROTEUS_RESULTS_DIR");
+    out
+}
 
 /// `rel` resolved against the repository root.
 pub fn repo_path(rel: &str) -> PathBuf {

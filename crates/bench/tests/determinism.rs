@@ -5,14 +5,33 @@
 //! set: the same campaign must produce byte-identical reports whether it
 //! runs on one worker or eight, and a warm cache must short-circuit every
 //! simulation.
+//!
+//! The tuner inherits it end to end:
+//!
+//! * same seed + same cache ⇒ a warm re-run reproduces every artifact
+//!   byte-for-byte from the cache,
+//! * worker count never changes results (`--jobs 1` ≡ `--jobs 4`),
+//! * the genetic operators never escape the declared gene bounds and
+//!   always produce constructible sender configs (property-tested).
+
+mod common;
 
 use std::fs;
 use std::path::PathBuf;
 
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
 use proteus_bench::experiments::video_util::VideoTransport;
 use proteus_bench::experiments::{fig12, fig14, fig2};
 use proteus_bench::jobs::{decode_single, link_tag, pair_job, single_job, Traces};
-use proteus_bench::report::Table;
+use proteus_bench::objective::Objective;
+use proteus_bench::report::{best_config_json, frontier_csv, leaderboard_csv, Table};
+use proteus_bench::scenarios::EvalScenario;
+use proteus_bench::search::{run_search, GridLevels, SearchSpec};
+use proteus_bench::space::{Candidate, SearchSpace, Variant};
+use proteus_bench::RunCfg;
 use proteus_netsim::LinkSpec;
 use proteus_runner::{Campaign, CampaignOpts, JobKey, SimJob};
 use proteus_transport::Dur;
@@ -165,4 +184,150 @@ fn warm_cache_skips_every_simulation() {
     assert_eq!(warm.outputs, cold.outputs);
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// The tuner
+// ---------------------------------------------------------------------------
+
+/// A deliberately tiny search (one short scenario, 4-cell grid, 2 small
+/// generations) so the cold run stays test-suite friendly.
+fn tiny_spec(seed: u64) -> SearchSpec {
+    SearchSpec {
+        space: SearchSpace {
+            variants: vec![Variant::Scavenger, Variant::LossOnly],
+            ..SearchSpace::default()
+        },
+        objective: Objective::default_scavenger(),
+        scenarios: vec![EvalScenario {
+            name: "tiny",
+            primary: "CUBIC",
+            bw_mbps: 16.0,
+            rtt_ms: 20.0,
+            buffer_bdp: 1.0,
+            secs: 6.0,
+        }],
+        grid: GridLevels {
+            deviation: 2,
+            g1: 1,
+            g2: 1,
+        },
+        pop: 6,
+        generations: 2,
+        elitism: 1,
+        tournament: 2,
+        crossover_rate: 0.9,
+        mutation_rate: 0.4,
+        seed,
+    }
+}
+
+/// A quick, cached run on `jobs` workers (seed 1); the cache lives under
+/// whatever [`common::in_results_dir`] points the results at.
+fn tune_cfg(jobs: usize) -> RunCfg {
+    RunCfg {
+        jobs,
+        ..RunCfg::quick()
+    }
+}
+
+fn tune_scratch(tag: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("tune-{tag}"))
+}
+
+fn artifacts(spec: &SearchSpec, cfg: RunCfg) -> (String, String, String, usize, usize) {
+    let outcome = run_search(spec, cfg);
+    (
+        leaderboard_csv(&outcome),
+        frontier_csv(&outcome),
+        best_config_json(spec, &outcome),
+        outcome.jobs_executed,
+        outcome.jobs_cached,
+    )
+}
+
+#[test]
+fn warm_rerun_is_byte_identical_and_cache_pure() {
+    let spec = tiny_spec(42);
+    let ((lb1, fr1, best1, exec1, _), (lb2, fr2, best2, exec2, cached2)) =
+        common::in_results_dir(&tune_scratch("warm"), || {
+            (artifacts(&spec, tune_cfg(2)), artifacts(&spec, tune_cfg(2)))
+        });
+    assert!(exec1 > 0, "cold run executed nothing");
+    assert_eq!(exec2, 0, "warm re-run must be pure cache replay");
+    assert!(cached2 > 0);
+    assert_eq!(lb1, lb2, "leaderboard changed across identical runs");
+    assert_eq!(fr1, fr2, "frontier changed across identical runs");
+    assert_eq!(best1, best2, "best_config changed across identical runs");
+}
+
+#[test]
+fn worker_count_does_not_change_results() {
+    let spec = tiny_spec(7);
+    let (lb1, fr1, best1, _, _) =
+        common::in_results_dir(&tune_scratch("jobs1"), || artifacts(&spec, tune_cfg(1)));
+    let (lb4, fr4, best4, _, _) =
+        common::in_results_dir(&tune_scratch("jobs4"), || artifacts(&spec, tune_cfg(4)));
+    assert_eq!(lb1, lb4, "--jobs 4 diverged from --jobs 1");
+    assert_eq!(fr1, fr4);
+    assert_eq!(best1, best4);
+}
+
+#[test]
+fn different_search_seeds_may_differ_but_stay_ranked() {
+    // Not a determinism assertion per se: just that another seed still
+    // yields a well-formed, fully-ranked board (feasible block first).
+    let spec = tiny_spec(1234);
+    let outcome = common::in_results_dir(&tune_scratch("seed"), || run_search(&spec, tune_cfg(2)));
+    assert!(!outcome.leaderboard.is_empty());
+    let feas: Vec<bool> = outcome
+        .leaderboard
+        .iter()
+        .map(|r| r.eval.feasible)
+        .collect();
+    let first_infeasible = feas.iter().position(|f| !f).unwrap_or(feas.len());
+    assert!(
+        feas[first_infeasible..].iter().all(|f| !f),
+        "feasible candidates must sort before infeasible ones: {feas:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any chain of mutations/crossovers from any seed stays inside the
+    /// declared bounds, and every resulting candidate materializes into a
+    /// constructible sender config (trend window within the gate's limit).
+    #[test]
+    fn operators_never_escape_bounds(seed in any::<u64>(), steps in 1usize..40) {
+        let space = SearchSpace::default();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut c = space.random(&mut rng);
+        let mut mate = space.random(&mut rng);
+        for _ in 0..steps {
+            space.mutate(&mut c, &mut rng, 0.5);
+            prop_assert!(space.contains(&c), "mutation escaped: {c:?}");
+            c = space.crossover(&c, &mate, &mut rng);
+            prop_assert!(space.contains(&c), "crossover escaped: {c:?}");
+            std::mem::swap(&mut c, &mut mate);
+        }
+        let cfg = c.config(7);
+        prop_assert!((1..=proteus_core::noise::TREND_WINDOW_MAX)
+            .contains(&c.trend_window));
+        // Constructing the sender exercises MiNoiseGate's own validation.
+        let _ = proteus_core::ProteusSender::with_config(cfg, c.mode());
+    }
+
+    /// The paper-default genome perturbed by mutation keeps a stable,
+    /// seed-independent canonical identity for unchanged behavior.
+    #[test]
+    fn canonical_identity_is_seed_independent(sim_seed in any::<u64>()) {
+        let c = Candidate::paper_default();
+        let base = c.canonical();
+        prop_assert_eq!(&base, &c.canonical());
+        // Sim seeds enter job descriptors, never the candidate identity.
+        let cfg = c.config(sim_seed);
+        prop_assert_eq!(cfg.seed, sim_seed);
+        prop_assert!(base.contains("seed=0"));
+    }
 }

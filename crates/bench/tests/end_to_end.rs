@@ -5,17 +5,14 @@
 use proteus_apps::video::{corpus_1080p, VideoSession};
 use proteus_apps::WebWorkload;
 use proteus_baselines::{Bbr, Cubic, Ledbat};
+use proteus_bench::tail_mbps;
 use proteus_core::{solve_equilibrium, GameParams, ProteusSender, SenderKind, SharedThreshold};
 use proteus_netsim::{run, FlowSpec, LinkSpec, NoiseConfig, Scenario};
 use proteus_stats::jain_index;
-use proteus_transport::{Application, Dur, Time};
+use proteus_transport::{Application, Dur};
 
 fn paper_link() -> LinkSpec {
     LinkSpec::new(50.0, Dur::from_millis(30), 375_000)
-}
-
-fn tail(res: &proteus_netsim::SimResult, idx: usize, secs: f64) -> f64 {
-    res.flows[idx].throughput_mbps(Time::from_secs_f64(secs / 3.0), Time::from_secs_f64(secs))
 }
 
 #[test]
@@ -27,7 +24,7 @@ fn the_headline_scenario() {
             .flow(FlowSpec::bulk("scav", Dur::from_secs(5), scav))
             .with_seed(11);
         let res = run(sc);
-        tail(&res, 0, 45.0)
+        tail_mbps(&res, 0, 45.0)
     };
     let with_proteus = run_with(|| Box::new(ProteusSender::scavenger(9)));
     let with_ledbat = run_with(|| Box::new(Ledbat::new()));
@@ -55,8 +52,8 @@ fn theory_and_simulation_agree_on_yielding() {
         }))
         .with_seed(11);
     let res = run(sc);
-    let p = tail(&res, 0, 60.0);
-    let s = tail(&res, 1, 60.0);
+    let p = tail_mbps(&res, 0, 60.0);
+    let s = tail_mbps(&res, 1, 60.0);
     let measured_share = s / (p + s);
 
     assert!(predicted_share < 0.2, "theory: {predicted_share}");
@@ -77,8 +74,8 @@ fn scavengers_fill_idle_capacity() {
         }))
         .with_seed(11);
     let res = run(sc);
-    let a = tail(&res, 0, 60.0);
-    let b = tail(&res, 1, 60.0);
+    let a = tail_mbps(&res, 0, 60.0);
+    let b = tail_mbps(&res, 1, 60.0);
     assert!(a + b > 38.0, "joint = {}", a + b);
     assert!(jain_index(&[a, b]).unwrap() > 0.85, "{a} vs {b}");
 }
@@ -156,7 +153,7 @@ fn proteus_survives_wifi_noise() {
         }))
         .with_seed(11);
     let res = run(sc);
-    let thpt = tail(&res, 0, 45.0);
+    let thpt = tail_mbps(&res, 0, 45.0);
     // Noise tolerance keeps the scavenger productive on a noisy idle link.
     assert!(thpt > 18.0, "Proteus-S on WiFi = {thpt}");
 }

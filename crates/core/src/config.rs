@@ -203,7 +203,7 @@ impl ProteusConfig {
     }
 
     /// A stable one-line serialization of every field, for embedding in
-    /// content-hash job descriptors (e.g. `proteus-tune` candidate jobs).
+    /// content-hash job descriptors (e.g. the `repro tune` candidate jobs).
     ///
     /// Two configs render identically iff they are equal: every field is
     /// spelled out, floats use Rust's shortest round-trip `{:?}` form, and
