@@ -12,6 +12,7 @@
 //! share cache entries, and a re-run of the same search is pure cache
 //! replay.
 
+use proteus_netsim::SimResult;
 use proteus_runner::{payload, Campaign, CampaignStats, SimJob};
 
 use crate::jobs::{campaign, decode_pair, pair_payload, scenario_job, tail_mbps, Traces};
@@ -39,10 +40,13 @@ fn baseline_job(sc: EvalScenario, seed: u64) -> SimJob {
         "tune",
         format!("tune/single/{}/secs={:?}/seed={seed}", sc.tag(), sc.secs),
         format!("single-{}-s{seed}", sc.name),
-        format!("{} alone", sc.name),
+        // Untraced: a search runs hundreds of cells, under pinned cache keys.
         Traces::off(),
-        move |_| sc.scenario(seed, None),
-        move |res| vec![tail_mbps(res, 0, sc.secs)],
+        move |_| {
+            (sc.scenario(seed, None), move |res: &SimResult| {
+                vec![tail_mbps(res, 0, sc.secs)]
+            })
+        },
     )
 }
 
@@ -58,10 +62,13 @@ fn pair_job(sc: EvalScenario, cand: Candidate, seed: u64) -> SimJob {
             sc.secs
         ),
         format!("pair-{}-{}-s{seed}", sc.name, cand.variant.name()),
-        format!("{} vs {}", sc.name, cand.variant.name()),
+        // Untraced, like `baseline_job`.
         Traces::off(),
-        move |_| sc.scenario(seed, Some(cand)),
-        move |res| pair_payload(res, sc.secs),
+        move |_| {
+            (sc.scenario(seed, Some(cand)), move |res: &SimResult| {
+                pair_payload(res, sc.secs)
+            })
+        },
     )
 }
 
@@ -149,6 +156,7 @@ fn evaluate_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::Metric;
     use crate::scenarios::quick_scenarios;
     use proteus_runner::CampaignOpts;
 
@@ -233,7 +241,10 @@ mod tests {
     #[test]
     fn duplicate_candidates_share_jobs() {
         let scenarios = [tiny_scenario()];
-        let objective = Objective::parse("maximize scav_mbps").unwrap();
+        let objective = Objective {
+            maximize: Metric::ScavMbps,
+            constraints: Vec::new(),
+        };
         let cands = [Candidate::paper_default(), Candidate::paper_default()];
         let (evals, stats) = evaluate_in(serial_campaign(), &cands, &scenarios, &objective, 1);
         assert_eq!(stats.total, 2, "identical candidates must dedup");

@@ -21,14 +21,16 @@
 
 use proteus_core::{
     AdaptiveNoiseParams, Mode, NoiseTolerance, ProbeRule, ProteusConfig, ProteusSender,
-    UtilityParams,
 };
-use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
+use proteus_netsim::{FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_runner::{payload, Campaign, SimJob};
 use proteus_transport::{CongestionControl, Dur};
 
 use crate::experiments::wifi::{path_tag, wifi_paths};
-use crate::jobs::{campaign, decode_single, link_tag, single_job, tail_mbps, tail_window, Traces};
+use crate::jobs::{
+    campaign, decode_single, link_tag, scenario_job, single_job, tail_mbps, tail_window, Traces,
+};
+use crate::protocols::{cc_traced_if, sender_traced_if};
 use crate::report::{f2, pct, write_report, Table};
 use crate::RunCfg;
 
@@ -65,14 +67,40 @@ fn noise_variants() -> Vec<(&'static str, NoiseTolerance)> {
     ]
 }
 
-fn scavenger_with_noise(noise: NoiseTolerance, seed: u64) -> Box<dyn CongestionControl> {
+/// Proteus-S on the paper's config with `tweak` applied, seeded `seed`,
+/// carrying a decision recorder when `decisions` is set.
+fn tweaked_scavenger(
+    seed: u64,
+    decisions: bool,
+    tweak: impl FnOnce(&mut ProteusConfig),
+) -> Box<dyn CongestionControl> {
     let mut cfg = ProteusConfig::proteus().with_seed(seed);
-    cfg.noise = noise;
-    Box::new(ProteusSender::with_config(cfg, Mode::Scavenger))
+    tweak(&mut cfg);
+    sender_traced_if(ProteusSender::with_config(cfg, Mode::Scavenger), decisions)
+}
+
+/// That scavenger alone on `link`; the reader returns `[utilization]`.
+fn scavenger_alone(
+    link: LinkSpec,
+    secs: f64,
+    seed: u64,
+    decisions: bool,
+    tweak: impl FnOnce(&mut ProteusConfig) + 'static,
+) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
+    let sc = Scenario::new(link, Dur::from_secs_f64(secs))
+        .flow(FlowSpec::bulk("s", Dur::ZERO, move || {
+            tweaked_scavenger(seed, decisions, tweak)
+        }))
+        .with_seed(seed)
+        .with_rtt_stride(2);
+    (sc, move |res: &SimResult| {
+        vec![tail_mbps(res, 0, secs) / link.bandwidth_mbps]
+    })
 }
 
 /// One scavenger flow with the given tolerance on `link`; payload
 /// `[utilization]`.
+#[allow(clippy::too_many_arguments)]
 fn noise_job(
     exp: &'static str,
     label: &'static str,
@@ -81,20 +109,14 @@ fn noise_job(
     link: LinkSpec,
     secs: f64,
     seed: u64,
+    traces: Traces,
 ) -> SimJob {
-    SimJob::new(
-        format!("{exp}/variant={label}/{tag}/secs={secs:?}/seed={seed}/v1"),
-        format!("{exp} {label} {tag}"),
-        move || {
-            let sc = Scenario::new(link, Dur::from_secs_f64(secs))
-                .flow(FlowSpec::bulk("s", Dur::ZERO, move || {
-                    scavenger_with_noise(noise, seed)
-                }))
-                .with_seed(seed)
-                .with_rtt_stride(2);
-            let res = run(sc);
-            payload::encode_floats(&[tail_mbps(&res, 0, secs) / link.bandwidth_mbps])
-        },
+    scenario_job(
+        exp,
+        format!("{exp}/variant={label}/{tag}/secs={secs:?}/seed={seed}"),
+        format!("{label}-{tag}-s{seed}"),
+        traces,
+        move |decisions| scavenger_alone(link, secs, seed, decisions, move |c| c.noise = noise),
     )
 }
 
@@ -118,6 +140,7 @@ fn ablation1_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
                         *link,
                         secs,
                         cfg.seed + ci as u64,
+                        Traces::from_cfg(&cfg),
                     ))
                 })
                 .collect()
@@ -145,6 +168,30 @@ const RULES: &[(&str, ProbeRule)] = &[
     ("2-pair agreement (Vivace)", ProbeRule::Agreement),
 ];
 
+/// One scavenger flow probing by `rule` on WiFi path `tag`; payload
+/// `[utilization]`.
+fn rule_job(
+    label: &'static str,
+    rule: ProbeRule,
+    tag: &str,
+    link: LinkSpec,
+    secs: f64,
+    seed: u64,
+    traces: Traces,
+) -> SimJob {
+    scenario_job(
+        "ablation2",
+        format!("ablation2/rule={label}/{tag}/secs={secs:?}/seed={seed}"),
+        format!("{label}-{tag}-s{seed}"),
+        traces,
+        move |decisions| {
+            scavenger_alone(link, secs, seed, decisions, move |c| {
+                c.rate_control.probe_rule = rule
+            })
+        },
+    )
+}
+
 fn ablation2_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
     let n_paths = if cfg.quick { 2 } else { 10 };
     let secs = if cfg.quick { 20.0 } else { 40.0 };
@@ -157,29 +204,10 @@ fn ablation2_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
                 .iter()
                 .enumerate()
                 .map(|(ci, link)| {
-                    let link = *link;
+                    let tag = path_tag(path_seed, ci);
                     let seed = cfg.seed + ci as u64;
-                    camp.push_dedup(SimJob::new(
-                        format!(
-                            "ablation2/rule={label}/{}/secs={secs:?}/seed={seed}/v1",
-                            path_tag(path_seed, ci)
-                        ),
-                        format!("ablation2 {label} path{ci}"),
-                        move || {
-                            let sc = Scenario::new(link, Dur::from_secs_f64(secs))
-                                .flow(FlowSpec::bulk("s", Dur::ZERO, move || {
-                                    let mut c = ProteusConfig::proteus().with_seed(seed);
-                                    c.rate_control.probe_rule = rule;
-                                    Box::new(ProteusSender::with_config(c, Mode::Scavenger))
-                                }))
-                                .with_seed(seed)
-                                .with_rtt_stride(2);
-                            let res = run(sc);
-                            payload::encode_floats(
-                                &[tail_mbps(&res, 0, secs) / link.bandwidth_mbps],
-                            )
-                        },
-                    ))
+                    let traces = Traces::from_cfg(&cfg);
+                    camp.push_dedup(rule_job(label, rule, &tag, *link, secs, seed, traces))
                 })
                 .collect()
         })
@@ -209,40 +237,42 @@ fn ablation3_coefs(quick: bool) -> &'static [f64] {
     }
 }
 
+/// Proteus-P from 0 against a Proteus-S with deviation coefficient `d`
+/// from 5 s on the paper-default link; payload
+/// `[primary_mbps, scavenger_mbps]` over the tail.
+fn deviation_job(d: f64, secs: f64, seed: u64, traces: Traces) -> SimJob {
+    scenario_job(
+        "ablation3",
+        format!("ablation3/d={d:?}/secs={secs:?}/seed={seed}"),
+        format!("d={d:?}-s{seed}"),
+        traces,
+        move |decisions| {
+            let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
+            let sc = Scenario::new(link, Dur::from_secs_f64(secs))
+                .flow(FlowSpec::bulk("p", Dur::ZERO, move || {
+                    cc_traced_if("Proteus-P", seed ^ 0xA5, decisions)
+                }))
+                .flow(FlowSpec::bulk("s", Dur::from_secs(5), move || {
+                    tweaked_scavenger(seed ^ 0x5A, decisions, |c| c.utility.deviation_coef = d)
+                }))
+                .with_seed(seed)
+                .with_rtt_stride(2);
+            (sc, move |res: &SimResult| {
+                let (a, b) = tail_window(secs);
+                vec![
+                    res.flows[0].throughput_mbps(a, b),
+                    res.flows[1].throughput_mbps(a, b),
+                ]
+            })
+        },
+    )
+}
+
 fn ablation3_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<usize> {
     let secs = if cfg.quick { 30.0 } else { 60.0 };
-    let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
     ablation3_coefs(cfg.quick)
         .iter()
-        .map(|&d| {
-            let seed = cfg.seed;
-            camp.push_dedup(SimJob::new(
-                format!("ablation3/d={d:?}/secs={secs:?}/seed={seed}/v1"),
-                format!("ablation3 d={d:.0}"),
-                move || {
-                    let sc = Scenario::new(link, Dur::from_secs_f64(secs))
-                        .flow(FlowSpec::bulk("p", Dur::ZERO, move || {
-                            Box::new(ProteusSender::primary(seed ^ 0xA5))
-                        }))
-                        .flow(FlowSpec::bulk("s", Dur::from_secs(5), move || {
-                            let mut c = ProteusConfig::proteus().with_seed(seed ^ 0x5A);
-                            c.utility = UtilityParams {
-                                deviation_coef: d,
-                                ..UtilityParams::default()
-                            };
-                            Box::new(ProteusSender::with_config(c, Mode::Scavenger))
-                        }))
-                        .with_seed(seed)
-                        .with_rtt_stride(2);
-                    let res = run(sc);
-                    let (a, b) = tail_window(secs);
-                    payload::encode_floats(&[
-                        res.flows[0].throughput_mbps(a, b),
-                        res.flows[1].throughput_mbps(a, b),
-                    ])
-                },
-            ))
-        })
+        .map(|&d| camp.push_dedup(deviation_job(d, secs, cfg.seed, Traces::from_cfg(&cfg))))
         .collect()
 }
 
@@ -280,6 +310,7 @@ fn ablation4_submit(cfg: RunCfg, camp: &mut Campaign) -> (Vec<usize>, usize) {
                 link,
                 secs,
                 cfg.seed ^ 0xA5,
+                Traces::from_cfg(&cfg),
             ))
         })
         .collect();
@@ -335,4 +366,35 @@ pub fn run_experiment(cfg: RunCfg) -> String {
     );
     write_report("ablation", &text, &[&t1, &t2, &t3, &t4]);
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Ablations 1–3's cache identities, literally, as the parent commit
+    /// wrote them.
+    #[test]
+    fn ablation_descriptors_are_pinned() {
+        let off = Traces::off();
+        let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
+        let (label, noise) = noise_variants()[0];
+        let tag = path_tag(1 ^ 0xAB1, 0);
+        let a1 = noise_job("ablation1", label, &tag, noise, link, 20.0, 1, off);
+        assert_eq!(
+            a1.descriptor(),
+            "ablation1/variant=full (paper)/wifipath=0,pathseed=2736/secs=20.0/seed=1/v1"
+        );
+        assert_eq!(a1.key().hex(), "0875bc53f144a69b");
+        let (label, rule) = RULES[0];
+        let a2 = rule_job(label, rule, &path_tag(1 ^ 0xAB2, 0), link, 20.0, 1, off);
+        assert_eq!(
+            a2.descriptor(),
+            "ablation2/rule=3-pair majority (Proteus)/wifipath=0,pathseed=2739/secs=20.0/seed=1/v1"
+        );
+        assert_eq!(a2.key().hex(), "35819d8c137d3236");
+        let a3 = deviation_job(1500.0, 30.0, 1, off);
+        assert_eq!(a3.descriptor(), "ablation3/d=1500.0/secs=30.0/seed=1/v1");
+        assert_eq!(a3.key().hex(), "f6e6e6b62a3888f6");
+    }
 }

@@ -13,14 +13,14 @@
 //! fairness and yield cells share cache descriptors with Figs. 3/5/6, so
 //! a full `repro all` simulates each overlapping cell only once.
 
-use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
+use proteus_netsim::{FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_runner::{payload, Campaign, SimJob};
 use proteus_transport::{Dur, Time};
 
 use crate::experiments::fig5::fairness_job;
 use crate::experiments::fig6::{cell_from_outputs, push_cell};
-use crate::jobs::{campaign, decode_single, link_tag, single_job, Traces};
-use crate::protocols::{cc, PRIMARIES};
+use crate::jobs::{campaign, decode_single, link_tag, scenario_job, single_job, Traces};
+use crate::protocols::{cc_traced_if, PRIMARIES};
 use crate::report::{f2, f3, pct, write_report, Table};
 use crate::RunCfg;
 
@@ -152,7 +152,10 @@ fn fig17_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
         .map(|&n| {
             LEDBATS
                 .iter()
-                .map(|&proto| camp.push_dedup(fairness_job(proto, n, measure, cfg.seed)))
+                .map(|&proto| {
+                    let traces = Traces::from_cfg(&cfg);
+                    camp.push_dedup(fairness_job("fig17", proto, n, measure, cfg.seed, traces))
+                })
                 .collect()
         })
         .collect()
@@ -174,44 +177,47 @@ fn fig17_table(cfg: RunCfg, outputs: &[String], slots: &[Vec<usize>]) -> Table {
     t
 }
 
+/// Four `proto` flows staggered 60 s apart on a large buffer; payload =
+/// row-major `[flow][40 s bin]` throughput matrix.
+fn fig18_job(proto: &'static str, total: f64, seed: u64, traces: Traces) -> SimJob {
+    scenario_job(
+        "fig18",
+        format!("fig18/proto={proto}/total={total:?}/seed={seed}"),
+        format!("fig18-{proto}-s{seed}"),
+        traces,
+        move |decisions| {
+            let link = LinkSpec::new(80.0, Dur::from_millis(30), 4_000_000);
+            let mut sc = Scenario::new(link, Dur::from_secs_f64(total))
+                .with_seed(seed)
+                .with_rtt_stride(64);
+            for i in 0..4usize {
+                sc = sc.flow(FlowSpec::bulk(
+                    format!("{proto}-{i}"),
+                    Dur::from_secs_f64(60.0 * i as f64),
+                    move || cc_traced_if(proto, seed + i as u64, decisions),
+                ));
+            }
+            (sc, move |res: &SimResult| {
+                let bins = (total / 40.0) as usize;
+                let mut vals = Vec::with_capacity(4 * bins);
+                for f in 0..4 {
+                    for b in 0..bins {
+                        let from = Time::from_secs_f64(b as f64 * 40.0);
+                        let to = Time::from_secs_f64((b + 1) as f64 * 40.0);
+                        vals.push(res.flows[f].throughput_mbps(from, to));
+                    }
+                }
+                vals
+            })
+        },
+    )
+}
+
 fn fig18_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<usize> {
-    // 4 staggered flows on a large buffer; payload = row-major
-    // [flow][40 s bin] throughput matrix.
-    let stagger = 60.0;
     let total = if cfg.quick { 200.0 } else { 400.0 };
-    let bins = (total / 40.0) as usize;
     LEDBATS
         .iter()
-        .map(|&proto| {
-            let seed = cfg.seed;
-            camp.push_dedup(SimJob::new(
-                format!("fig18/proto={proto}/total={total:?}/seed={seed}/v1"),
-                format!("fig18 {proto} x4"),
-                move || {
-                    let link = LinkSpec::new(80.0, Dur::from_millis(30), 4_000_000);
-                    let mut sc = Scenario::new(link, Dur::from_secs_f64(total))
-                        .with_seed(seed)
-                        .with_rtt_stride(64);
-                    for i in 0..4usize {
-                        sc = sc.flow(FlowSpec::bulk(
-                            format!("{proto}-{i}"),
-                            Dur::from_secs_f64(stagger * i as f64),
-                            move || cc(proto, seed + i as u64),
-                        ));
-                    }
-                    let res = run(sc);
-                    let mut vals = Vec::with_capacity(4 * bins);
-                    for f in 0..4 {
-                        for b in 0..bins {
-                            let from = Time::from_secs_f64(b as f64 * 40.0);
-                            let to = Time::from_secs_f64((b + 1) as f64 * 40.0);
-                            vals.push(res.flows[f].throughput_mbps(from, to));
-                        }
-                    }
-                    payload::encode_floats(&vals)
-                },
-            ))
-        })
+        .map(|&proto| camp.push_dedup(fig18_job(proto, total, cfg.seed, Traces::from_cfg(&cfg))))
         .collect()
 }
 
@@ -308,4 +314,20 @@ pub fn run_experiment(cfg: RunCfg) -> String {
     refs.push(&t19);
     write_report("appendixB", &text, &refs);
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig18_descriptor_is_pinned() {
+        // The cache identity, literally, as the parent commit wrote it.
+        let job = fig18_job("LEDBAT-25", 200.0, 1, Traces::off());
+        assert_eq!(
+            job.descriptor(),
+            "fig18/proto=LEDBAT-25/total=200.0/seed=1/v1"
+        );
+        assert_eq!(job.key().hex(), "19623ecd8c1da9ef");
+    }
 }

@@ -12,14 +12,14 @@
 
 use proteus_apps::video::corpus_1080p;
 use proteus_apps::WebWorkload;
-use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
+use proteus_netsim::{FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_runner::{payload, SimJob};
 use proteus_stats::Ecdf;
 use proteus_transport::Dur;
 
 use crate::experiments::video_util::{add_video_flow, VideoTransport};
-use crate::jobs::campaign;
-use crate::protocols::cc;
+use crate::jobs::{campaign, scenario_job, Traces};
+use crate::protocols::cc_traced_if;
 use crate::report::{f2, write_report, Table};
 use crate::RunCfg;
 
@@ -30,17 +30,25 @@ fn link() -> LinkSpec {
     LinkSpec::new(100.0, Dur::from_millis(30), 750_000)
 }
 
-fn add_background(sc: &mut Scenario, bg: &'static str, start: Dur) {
+fn add_background(sc: &mut Scenario, bg: &'static str, start: Dur, decisions: bool) {
     if bg == "none" {
         return;
     }
-    sc.flows
-        .push(FlowSpec::bulk("background", start, move || cc(bg, 0xBADA)));
+    sc.flows.push(FlowSpec::bulk("background", start, move || {
+        cc_traced_if(bg, 0xBADA, decisions)
+    }));
 }
 
-/// Mean chunk bitrate (Mbps) over `n` concurrent DASH sessions sharing the
-/// link with `bg`.
-fn dash_run(n: usize, bg: &'static str, secs: f64, seed: u64) -> f64 {
+/// `n` concurrent DASH sessions sharing the link with `bg`; the reader
+/// returns `[mean chunk bitrate, Mbps]` from the sessions' `Rc` stats
+/// handles, which are created and read inside the job.
+fn dash_build(
+    n: usize,
+    bg: &'static str,
+    secs: f64,
+    seed: u64,
+    decisions: bool,
+) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
     let mut sc = Scenario::new(link(), Dur::from_secs_f64(secs))
         .with_seed(seed)
         .with_rtt_stride(16);
@@ -55,31 +63,42 @@ fn dash_run(n: usize, bg: &'static str, secs: f64, seed: u64) -> f64 {
                 seed + i as u64,
                 false,
                 Dur::ZERO,
+                decisions,
             )
         })
         .collect();
-    add_background(&mut sc, bg, Dur::ZERO);
-    run(sc);
-    handles
-        .iter()
-        .map(|h| h.borrow().avg_bitrate())
-        .sum::<f64>()
-        / n as f64
+    add_background(&mut sc, bg, Dur::ZERO, decisions);
+    (sc, move |_: &SimResult| {
+        vec![
+            handles
+                .iter()
+                .map(|h| h.borrow().avg_bitrate())
+                .sum::<f64>()
+                / n as f64,
+        ]
+    })
 }
 
 /// Campaign job for one DASH cell: payload `[mean chunk bitrate]`.
-fn dash_job(n: usize, bg: &'static str, secs: f64, seed: u64) -> SimJob {
-    SimJob::new(
-        format!("fig11/dash/videos={n}/bg={bg}/secs={secs:?}/seed={seed}/v1"),
-        format!("{n} videos over {bg}"),
-        move || payload::encode_floats(&[dash_run(n, bg, secs, seed)]),
+fn dash_job(n: usize, bg: &'static str, secs: f64, seed: u64, traces: Traces) -> SimJob {
+    scenario_job(
+        "fig11",
+        format!("fig11/dash/videos={n}/bg={bg}/secs={secs:?}/seed={seed}"),
+        format!("dash-{n}-{bg}-s{seed}"),
+        traces,
+        move |decisions| dash_build(n, bg, secs, seed, decisions),
     )
 }
 
-/// `[median, mean, p90, pages]` of the page-load times (seconds) of Poisson
-/// page loads generated for `duration` and sharing the link with `bg`;
-/// the statistics are NaN when no page completed.
-fn web_run(bg: &'static str, duration: Dur, seed: u64) -> [f64; 4] {
+/// Poisson page loads generated for `duration`, sharing the link with
+/// `bg`; the reader returns `[median, mean, p90, pages]` of the page-load
+/// times (seconds), the statistics NaN when no page completed.
+fn web_build(
+    bg: &'static str,
+    duration: Dur,
+    seed: u64,
+    decisions: bool,
+) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
     let workload = WebWorkload {
         duration,
         ..WebWorkload::default()
@@ -93,35 +112,38 @@ fn web_run(bg: &'static str, duration: Dur, seed: u64) -> [f64; 4] {
             format!("page-{i}"),
             p.start,
             p.bytes,
-            move || cc("CUBIC", i as u64),
+            move || cc_traced_if("CUBIC", i as u64, decisions),
         ));
     }
-    add_background(&mut sc, bg, Dur::ZERO);
-    let res = run(sc);
-    let e = Ecdf::new(
-        res.flows
-            .iter()
-            .filter(|f| f.name.starts_with("page-"))
-            .filter_map(|f| f.completion_time().map(|d| d.as_secs_f64())),
-    );
-    [
-        e.median().unwrap_or(f64::NAN),
-        e.mean().unwrap_or(f64::NAN),
-        e.quantile(0.9).unwrap_or(f64::NAN),
-        e.len() as f64,
-    ]
+    add_background(&mut sc, bg, Dur::ZERO, decisions);
+    (sc, |res: &SimResult| {
+        let e = Ecdf::new(
+            res.flows
+                .iter()
+                .filter(|f| f.name.starts_with("page-"))
+                .filter_map(|f| f.completion_time().map(|d| d.as_secs_f64())),
+        );
+        vec![
+            e.median().unwrap_or(f64::NAN),
+            e.mean().unwrap_or(f64::NAN),
+            e.quantile(0.9).unwrap_or(f64::NAN),
+            e.len() as f64,
+        ]
+    })
 }
 
-/// Campaign job for one page-load row: payload is [`web_run`]'s four
+/// Campaign job for one page-load row: payload is [`web_build`]'s four
 /// floats.
-fn web_job(bg: &'static str, duration: Dur, seed: u64) -> SimJob {
-    SimJob::new(
+fn web_job(bg: &'static str, duration: Dur, seed: u64, traces: Traces) -> SimJob {
+    scenario_job(
+        "fig11",
         format!(
-            "fig11/web/bg={bg}/duration={:?}/seed={seed}/v1",
+            "fig11/web/bg={bg}/duration={:?}/seed={seed}",
             duration.as_secs_f64()
         ),
-        format!("page loads over {bg}"),
-        move || payload::encode_floats(&web_run(bg, duration, seed)),
+        format!("web-{bg}-s{seed}"),
+        traces,
+        move |decisions| web_build(bg, duration, seed, decisions),
     )
 }
 
@@ -135,17 +157,18 @@ pub fn run_experiment(cfg: RunCfg) -> String {
         Dur::from_secs(600)
     };
 
+    let traces = Traces::from_cfg(&cfg);
     let mut camp = campaign("fig11", cfg);
     for &n in counts {
         for &bg in BACKGROUNDS {
             // Trial seeds as in Fig. 12: `seed + 101·t`.
             for t in 0..cfg.trials {
-                camp.push(dash_job(n, bg, secs, cfg.seed + 101 * t));
+                camp.push(dash_job(n, bg, secs, cfg.seed + 101 * t, traces));
             }
         }
     }
     for &bg in BACKGROUNDS {
-        camp.push(web_job(bg, duration, cfg.seed));
+        camp.push(web_job(bg, duration, cfg.seed, traces));
     }
     let result = camp.run();
     let mut outputs = result.outputs.iter().map(|o| payload::decode_floats(o));
@@ -193,25 +216,37 @@ mod tests {
 
     #[test]
     fn jobs_match_direct_runs() {
-        let dash = payload::decode_floats(&dash_job(2, "CUBIC", 8.0, 3).execute());
-        assert_eq!(dash, vec![dash_run(2, "CUBIC", 8.0, 3)]);
+        let off = Traces::off();
+        let dash = payload::decode_floats(&dash_job(2, "CUBIC", 8.0, 3, off).execute());
+        let (sc, read) = dash_build(2, "CUBIC", 8.0, 3, false);
+        assert_eq!(dash, read(&proteus_netsim::run(sc)));
         assert!(dash[0] > 0.0);
 
-        let web = payload::decode_floats(&web_job("LEDBAT", Dur::from_secs(60), 3).execute());
-        assert_eq!(web, web_run("LEDBAT", Dur::from_secs(60), 3));
+        let minute = Dur::from_secs(60);
+        let web = payload::decode_floats(&web_job("LEDBAT", minute, 3, off).execute());
+        let (sc, read) = web_build("LEDBAT", minute, 3, false);
+        assert_eq!(web, read(&proteus_netsim::run(sc)));
         assert!(web[3] >= 1.0 && web[0] > 0.0);
     }
 
     #[test]
     fn descriptors_identify_the_cell() {
-        let base = dash_job(4, "LEDBAT", 60.0, 1).key();
-        assert_eq!(base, dash_job(4, "LEDBAT", 60.0, 1).key());
-        assert_ne!(base, dash_job(1, "LEDBAT", 60.0, 1).key());
-        assert_ne!(base, dash_job(4, "none", 60.0, 1).key());
-        assert_ne!(base, dash_job(4, "LEDBAT", 150.0, 1).key());
-        assert_ne!(base, dash_job(4, "LEDBAT", 60.0, 2).key());
-        let web = web_job("none", Dur::from_secs(120), 1).key();
-        assert_ne!(web, web_job("none", Dur::from_secs(600), 1).key());
-        assert_ne!(web, web_job("CUBIC", Dur::from_secs(120), 1).key());
+        let key = |n, bg, secs, seed| dash_job(n, bg, secs, seed, Traces::off()).key();
+        let base = key(4, "LEDBAT", 60.0, 1);
+        assert_eq!(base, key(4, "LEDBAT", 60.0, 1));
+        assert_ne!(base, key(1, "LEDBAT", 60.0, 1));
+        assert_ne!(base, key(4, "none", 60.0, 1));
+        assert_ne!(base, key(4, "LEDBAT", 150.0, 1));
+        assert_ne!(base, key(4, "LEDBAT", 60.0, 2));
+        let web = |bg, secs| web_job(bg, Dur::from_secs(secs), 1, Traces::off()).key();
+        assert_ne!(web("none", 120), web("none", 600));
+        assert_ne!(web("none", 120), web("CUBIC", 120));
+        // The cache identity, literally, as the parent commit wrote it.
+        let quick = dash_job(4, "LEDBAT", 60.0, 1, Traces::off());
+        assert_eq!(
+            quick.descriptor(),
+            "fig11/dash/videos=4/bg=LEDBAT/secs=60.0/seed=1/v1"
+        );
+        assert_eq!(quick.key().hex(), "cf9199920ce3ab1a");
     }
 }

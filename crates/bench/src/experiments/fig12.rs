@@ -8,16 +8,16 @@
 //! class; Fig. 13 forces the highest rung to expose the rebuffering gap.
 
 use proteus_apps::video::{corpus_1080p, corpus_4k};
-use proteus_netsim::{run, LinkSpec, Scenario};
+use proteus_netsim::{LinkSpec, Scenario, SimResult};
 use proteus_runner::{payload, SimJob};
 use proteus_transport::Dur;
 
 use crate::experiments::video_util::{add_video_flow, VideoTransport};
-use crate::jobs::campaign;
+use crate::jobs::{campaign, scenario_job, Traces};
 use crate::report::{f2, pct, write_report, Table};
 use crate::RunCfg;
 
-/// Outcome of one 1×4K + 3×1080P run.
+/// Trial-averaged outcome of 1×4K + 3×1080P runs.
 struct ClassStats {
     bitrate_4k: f64,
     bitrate_1080: f64,
@@ -25,13 +25,17 @@ struct ClassStats {
     rebuffer_1080: f64,
 }
 
-fn streaming_run(
+/// One 1×4K + 3×1080P streaming trial; the reader returns
+/// `[bitrate_4k, bitrate_1080, rebuffer_4k, rebuffer_1080]` from the
+/// sessions' `Rc` stats handles, which are created and read inside the job.
+fn streaming_build(
     bw_mbps: f64,
     transport: VideoTransport,
     forced_max: bool,
     secs: f64,
     seed: u64,
-) -> ClassStats {
+    decisions: bool,
+) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
     let link = LinkSpec::new(bw_mbps, Dur::from_millis(30), 900_000);
     let mut sc = Scenario::new(link, Dur::from_secs_f64(secs))
         .with_seed(seed)
@@ -39,7 +43,15 @@ fn streaming_run(
     // The corpus is fixed across trials; only the dynamics seeds vary.
     let v4k = corpus_4k(1, 1)[0].clone();
     let v1080 = corpus_1080p(3, 1);
-    let h4k = add_video_flow(&mut sc, v4k, transport, seed + 1, forced_max, Dur::ZERO);
+    let h4k = add_video_flow(
+        &mut sc,
+        v4k,
+        transport,
+        seed + 1,
+        forced_max,
+        Dur::ZERO,
+        decisions,
+    );
     let h1080: Vec<_> = v1080
         .into_iter()
         .enumerate()
@@ -51,42 +63,44 @@ fn streaming_run(
                 seed + 10 + i as u64,
                 forced_max,
                 Dur::ZERO,
+                decisions,
             )
         })
         .collect();
-    run(sc);
-    let b4k = h4k.borrow();
-    ClassStats {
-        bitrate_4k: b4k.avg_bitrate(),
-        rebuffer_4k: b4k.rebuffer_ratio,
-        bitrate_1080: h1080.iter().map(|h| h.borrow().avg_bitrate()).sum::<f64>() / 3.0,
-        rebuffer_1080: h1080.iter().map(|h| h.borrow().rebuffer_ratio).sum::<f64>() / 3.0,
-    }
+    (sc, move |_: &SimResult| {
+        let b4k = h4k.borrow();
+        vec![
+            b4k.avg_bitrate(),
+            h1080.iter().map(|h| h.borrow().avg_bitrate()).sum::<f64>() / 3.0,
+            b4k.rebuffer_ratio,
+            h1080.iter().map(|h| h.borrow().rebuffer_ratio).sum::<f64>() / 3.0,
+        ]
+    })
 }
 
 /// Campaign job for one streaming trial: payload
-/// `[bitrate_4k, bitrate_1080, rebuffer_4k, rebuffer_1080]`. The sessions'
-/// `Rc` stats handles are created and read inside the job, so it is `Send`.
+/// `[bitrate_4k, bitrate_1080, rebuffer_4k, rebuffer_1080]`. Forced-max
+/// trials are Fig. 13's and record their traces under its name.
 pub fn streaming_job(
     bw_mbps: f64,
     transport: VideoTransport,
     forced_max: bool,
     secs: f64,
     seed: u64,
+    traces: Traces,
 ) -> SimJob {
     let mode = match transport {
         VideoTransport::Hybrid => "H",
         VideoTransport::Primary => "P",
     };
-    SimJob::new(
+    scenario_job(
+        if forced_max { "fig13" } else { "fig12" },
         format!(
-            "streaming/bw={bw_mbps:?}/transport={mode}/forced={forced_max}/secs={secs:?}/seed={seed}/v1"
+            "streaming/bw={bw_mbps:?}/transport={mode}/forced={forced_max}/secs={secs:?}/seed={seed}"
         ),
-        format!("Proteus-{mode} streaming at {bw_mbps} Mbps"),
-        move || {
-            let s = streaming_run(bw_mbps, transport, forced_max, secs, seed);
-            payload::encode_floats(&[s.bitrate_4k, s.bitrate_1080, s.rebuffer_4k, s.rebuffer_1080])
-        },
+        format!("streaming-{bw_mbps}-{mode}-s{seed}"),
+        traces,
+        move |decisions| streaming_build(bw_mbps, transport, forced_max, secs, seed, decisions),
     )
 }
 
@@ -113,6 +127,7 @@ fn averaged_runs(
                     forced,
                     secs,
                     cfg.seed + 101 * t,
+                    Traces::from_cfg(cfg),
                 ));
             }
         }
@@ -218,26 +233,17 @@ mod tests {
 
     #[test]
     fn streaming_job_matches_direct_run() {
-        let out = payload::decode_floats(
-            &streaming_job(100.0, VideoTransport::Hybrid, true, 10.0, 3).execute(),
-        );
-        let direct = streaming_run(100.0, VideoTransport::Hybrid, true, 10.0, 3);
-        assert_eq!(
-            out,
-            vec![
-                direct.bitrate_4k,
-                direct.bitrate_1080,
-                direct.rebuffer_4k,
-                direct.rebuffer_1080
-            ]
-        );
-        assert!(direct.bitrate_4k > 0.0);
+        let job = streaming_job(100.0, VideoTransport::Hybrid, true, 10.0, 3, Traces::off());
+        let out = payload::decode_floats(&job.execute());
+        let (sc, read) = streaming_build(100.0, VideoTransport::Hybrid, true, 10.0, 3, false);
+        assert_eq!(out, read(&proteus_netsim::run(sc)));
+        assert!(out[0] > 0.0);
     }
 
     #[test]
     fn descriptors_identify_the_trial() {
         let key = |bw, transport, forced, secs, seed| {
-            streaming_job(bw, transport, forced, secs, seed).key()
+            streaming_job(bw, transport, forced, secs, seed, Traces::off()).key()
         };
         let base = key(110.0, VideoTransport::Hybrid, false, 60.0, 1);
         assert_eq!(base, key(110.0, VideoTransport::Hybrid, false, 60.0, 1));
@@ -247,5 +253,12 @@ mod tests {
         assert_ne!(base, key(110.0, VideoTransport::Hybrid, true, 60.0, 1));
         assert_ne!(base, key(110.0, VideoTransport::Hybrid, false, 180.0, 1));
         assert_ne!(base, key(110.0, VideoTransport::Hybrid, false, 60.0, 102));
+        // The cache identity, literally, as the parent commit wrote it.
+        let quick = streaming_job(110.0, VideoTransport::Hybrid, false, 60.0, 1, Traces::off());
+        assert_eq!(
+            quick.descriptor(),
+            "streaming/bw=110.0/transport=H/forced=false/secs=60.0/seed=1/v1"
+        );
+        assert_eq!(quick.key().hex(), "900f609c62e2fb56");
     }
 }

@@ -5,7 +5,7 @@
 //! 50 Mbps / 30 ms / 375 KB; the figure shows throughput over time. We
 //! print 10-second-binned throughput for both flows in each pairing.
 
-use proteus_netsim::LinkSpec;
+use proteus_netsim::{LinkSpec, SimResult};
 use proteus_runner::{payload, SimJob};
 use proteus_transport::{Dur, Time};
 
@@ -36,28 +36,29 @@ pub fn timeline_job(
         "fig14",
         format!("timeline/{tag}/primary={a}/scav={b}/secs={secs:?}/bin={BIN_SECS:?}/seed={seed}"),
         format!("timeline-{tag}-{a}-vs-{b}-s{seed}"),
-        format!("{a} vs {b} timeline"),
         traces,
-        move |decisions| pair_scenario(a, b, link, secs, seed, decisions),
-        move |res| {
-            let mut windows: Vec<(Time, Time)> = (0..bins(secs))
-                .map(|i| {
-                    (
-                        Time::from_secs_f64(i as f64 * BIN_SECS),
-                        Time::from_secs_f64((i + 1) as f64 * BIN_SECS),
-                    )
-                })
-                .collect();
-            windows.push(tail_window(secs));
-            windows
-                .into_iter()
-                .flat_map(|(from, to)| {
-                    [
-                        res.flows[0].throughput_mbps(from, to),
-                        res.flows[1].throughput_mbps(from, to),
-                    ]
-                })
-                .collect()
+        move |decisions| {
+            let sc = pair_scenario(a, b, link, secs, seed, decisions);
+            (sc, move |res: &SimResult| {
+                let mut windows: Vec<(Time, Time)> = (0..bins(secs))
+                    .map(|i| {
+                        (
+                            Time::from_secs_f64(i as f64 * BIN_SECS),
+                            Time::from_secs_f64((i + 1) as f64 * BIN_SECS),
+                        )
+                    })
+                    .collect();
+                windows.push(tail_window(secs));
+                windows
+                    .into_iter()
+                    .flat_map(|(from, to)| {
+                        [
+                            res.flows[0].throughput_mbps(from, to),
+                            res.flows[1].throughput_mbps(from, to),
+                        ]
+                    })
+                    .collect()
+            })
         },
     )
 }

@@ -6,7 +6,7 @@
 //! 0/3/6/9 flows/sec; a fixed-rate 20 Mbps UDP probe measures RTT in
 //! consecutive 1.5-RTT (90 ms) windows over a 2-minute run.
 
-use proteus_netsim::{run, CrossTrafficSpec, FlowSpec, LinkSpec, Scenario};
+use proteus_netsim::{CrossTrafficSpec, FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_runner::{payload, SimJob};
 use proteus_stats::{LinearRegression, Welford};
 use proteus_transport::{factory, Dur};
@@ -94,9 +94,14 @@ fn binned_pmf(samples: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<(f64, f64)>
         .collect()
 }
 
-/// Runs the probe under the given cross-traffic arrival rate; returns
-/// per-window (deviations, |gradients|) in seconds and s/s.
-fn probe_run(rate_per_sec: f64, secs: f64, seed: u64) -> (Vec<f64>, Vec<f64>) {
+/// The probe under the given cross-traffic arrival rate; the reader
+/// returns the per-window deviations (seconds) and |gradients| (s/s) as
+/// two length-prefixed sets ([`payload::float_sets`]).
+fn probe_build(
+    rate_per_sec: f64,
+    secs: f64,
+    seed: u64,
+) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
     let link = LinkSpec::new(100.0, Dur::from_millis(60), 1_500_000);
     let mut sc = Scenario::new(link, Dur::from_secs_f64(secs))
         .flow(FlowSpec::bulk("probe", Dur::ZERO, || cc("probe:20", 0)))
@@ -110,22 +115,24 @@ fn probe_run(rate_per_sec: f64, secs: f64, seed: u64) -> (Vec<f64>, Vec<f64>) {
             stop: Dur::from_secs_f64(secs),
         });
     }
-    let res = run(sc);
-    let samples: Vec<(f64, f64)> = res.flows[0].rtt_samples().collect();
-    window_metrics(&samples, 0.090)
+    (sc, |res: &SimResult| {
+        let samples: Vec<(f64, f64)> = res.flows[0].rtt_samples().collect();
+        let (devs, grads) = window_metrics(&samples, 0.090);
+        payload::float_sets(&[&devs, &grads])
+    })
 }
 
 /// Campaign job for one probe run: payload is the two per-window sample
 /// sets (deviations, then |gradients|), length-prefixed — decode with
-/// [`payload::decode_float_sets`].
-pub fn probe_job(rate_per_sec: f64, secs: f64, seed: u64) -> SimJob {
-    SimJob::new(
-        format!("fig2/probe/rate={rate_per_sec:?}/secs={secs:?}/seed={seed}/v1"),
-        format!("probe under {rate_per_sec}/s"),
-        move || {
-            let (devs, grads) = probe_run(rate_per_sec, secs, seed);
-            payload::encode_float_sets(&[&devs, &grads])
-        },
+/// [`payload::decode_float_sets`]. The probe is a fixed-rate source with
+/// no decisions to record; `--trace-mi` runs add the decision companion.
+pub fn probe_job(rate_per_sec: f64, secs: f64, seed: u64, traces: Traces) -> SimJob {
+    scenario_job(
+        "fig2",
+        format!("fig2/probe/rate={rate_per_sec:?}/secs={secs:?}/seed={seed}"),
+        format!("probe-{rate_per_sec}-s{seed}"),
+        traces,
+        move |_| probe_build(rate_per_sec, secs, seed),
     )
 }
 
@@ -161,13 +168,15 @@ fn decision_job(secs: f64, seed: u64, format: TraceFormat) -> SimJob {
         "fig2",
         format!("fig2/decision/secs={secs:?}/seed={seed}"),
         format!("decision-s{seed}"),
-        "decision companion".into(),
         Traces {
             telemetry: false,
             decisions: Some(format),
         },
-        move |_| decision_scenario(secs, seed),
-        |res| vec![res.decisions.len() as f64],
+        move |_| {
+            (decision_scenario(secs, seed), |res: &SimResult| {
+                vec![res.decisions.len() as f64]
+            })
+        },
     )
 }
 
@@ -187,7 +196,12 @@ pub fn run_experiment(cfg: RunCfg) -> String {
 
     let mut camp = campaign("fig2", cfg);
     for (i, &rate) in rates.iter().enumerate() {
-        camp.push(probe_job(rate, secs, cfg.seed + i as u64));
+        camp.push(probe_job(
+            rate,
+            secs,
+            cfg.seed + i as u64,
+            Traces::from_cfg(&cfg),
+        ));
     }
     if cfg.trace_mi {
         camp.push(decision_job(secs, cfg.seed, cfg.trace_format));
@@ -327,19 +341,30 @@ mod tests {
 
     #[test]
     fn probe_job_matches_direct_run() {
-        let sets = payload::decode_float_sets(&probe_job(9.0, 6.0, 3).execute());
-        let (devs, grads) = probe_run(9.0, 6.0, 3);
-        assert!(!devs.is_empty());
-        assert_eq!(sets, vec![devs, grads]);
+        let job = probe_job(9.0, 6.0, 3, Traces::off());
+        let sets = payload::decode_float_sets(&job.execute());
+        let (sc, read) = probe_build(9.0, 6.0, 3);
+        let direct = read(&proteus_netsim::run(sc));
+        assert_eq!(sets.len(), 2);
+        assert!(!sets[0].is_empty());
+        assert_eq!(direct, payload::float_sets(&[&sets[0], &sets[1]]));
     }
 
     #[test]
     fn descriptors_identify_the_run() {
-        let base = probe_job(3.0, 30.0, 1).key();
-        assert_eq!(base, probe_job(3.0, 30.0, 1).key());
-        assert_ne!(base, probe_job(6.0, 30.0, 1).key());
-        assert_ne!(base, probe_job(3.0, 120.0, 1).key());
-        assert_ne!(base, probe_job(3.0, 30.0, 2).key());
+        let key = |rate, secs, seed| probe_job(rate, secs, seed, Traces::off()).key();
+        let base = key(3.0, 30.0, 1);
+        assert_eq!(base, key(3.0, 30.0, 1));
+        assert_ne!(base, key(6.0, 30.0, 1));
+        assert_ne!(base, key(3.0, 120.0, 1));
+        assert_ne!(base, key(3.0, 30.0, 2));
+        // The cache identity, literally, as the parent commit wrote it.
+        let quick = probe_job(3.0, 30.0, 2, Traces::off());
+        assert_eq!(
+            quick.descriptor(),
+            "fig2/probe/rate=3.0/secs=30.0/seed=2/v1"
+        );
+        assert_eq!(quick.key().hex(), "a18bd79a63829f6c");
 
         // The decision companion declares its exports, one identity per
         // format selection.

@@ -6,13 +6,13 @@
 //! are up. LEDBAT's latecomer advantage shows as a dip that recovers once
 //! the sum of delay targets exceeds the buffer.
 
-use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario};
+use proteus_netsim::{FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_runner::{payload, SimJob};
 use proteus_stats::jain_index;
 use proteus_transport::{Dur, Time};
 
-use crate::jobs::campaign;
-use crate::protocols::{cc, ALL_FIG3};
+use crate::jobs::{campaign, scenario_job, Traces};
+use crate::protocols::{cc_traced_if, ALL_FIG3};
 use crate::report::{f3, write_report, Table};
 use crate::RunCfg;
 
@@ -24,40 +24,49 @@ fn flow_counts(quick: bool) -> Vec<usize> {
     }
 }
 
-/// Jain index of `n` same-protocol flows (staggered starts).
-pub fn fairness_run(proto: &'static str, n: usize, measure_secs: f64, seed: u64) -> f64 {
-    let link = LinkSpec::new(20.0 * n as f64, Dur::from_millis(30), 300_000 * n as u64);
-    let last_start = 20.0 * (n - 1) as f64;
-    let total = last_start + measure_secs;
-    let mut sc = Scenario::new(link, Dur::from_secs_f64(total))
-        .with_seed(seed)
-        .with_rtt_stride(64);
-    for i in 0..n {
-        sc = sc.flow(FlowSpec::bulk(
-            format!("{proto}-{i}"),
-            Dur::from_secs_f64(20.0 * i as f64),
-            move || cc(proto, seed + i as u64),
-        ));
-    }
-    let res = run(sc);
-    let from = Time::from_secs_f64(last_start);
-    let to = Time::from_secs_f64(total);
-    let rates: Vec<f64> = res
-        .flows
-        .iter()
-        .map(|f| f.throughput_mbps(from, to))
-        .collect();
-    jain_index(&rates).unwrap_or(0.0)
-}
-
-/// Campaign job for one intra-protocol fairness cell; payload `[jain]`.
-/// The descriptor is shared with Appendix B's Fig. 17, so overlapping
-/// cells are simulated (and cached) once.
-pub fn fairness_job(proto: &'static str, n: usize, measure_secs: f64, seed: u64) -> SimJob {
-    SimJob::new(
-        format!("fairness/proto={proto}/n={n}/measure={measure_secs:?}/seed={seed}/v1"),
-        format!("fairness {proto} n={n}"),
-        move || payload::encode_floats(&[fairness_run(proto, n, measure_secs, seed)]),
+/// Campaign job for one intra-protocol fairness cell, `n` flows of `proto`
+/// with staggered starts: payload `[Jain]` over per-flow throughput once
+/// all are up. The descriptor is shared with Appendix B's Fig. 17, so
+/// overlapping cells are simulated (and cached) once; `exp` only names the
+/// trace directory.
+pub fn fairness_job(
+    exp: &'static str,
+    proto: &'static str,
+    n: usize,
+    measure_secs: f64,
+    seed: u64,
+    traces: Traces,
+) -> SimJob {
+    scenario_job(
+        exp,
+        format!("fairness/proto={proto}/n={n}/measure={measure_secs:?}/seed={seed}"),
+        format!("fairness-{proto}-n{n}-s{seed}"),
+        traces,
+        move |decisions| {
+            let link = LinkSpec::new(20.0 * n as f64, Dur::from_millis(30), 300_000 * n as u64);
+            let last_start = 20.0 * (n - 1) as f64;
+            let total = last_start + measure_secs;
+            let mut sc = Scenario::new(link, Dur::from_secs_f64(total))
+                .with_seed(seed)
+                .with_rtt_stride(64);
+            for i in 0..n {
+                sc = sc.flow(FlowSpec::bulk(
+                    format!("{proto}-{i}"),
+                    Dur::from_secs_f64(20.0 * i as f64),
+                    move || cc_traced_if(proto, seed + i as u64, decisions),
+                ));
+            }
+            (sc, move |res: &SimResult| {
+                let from = Time::from_secs_f64(last_start);
+                let to = Time::from_secs_f64(total);
+                let rates: Vec<f64> = res
+                    .flows
+                    .iter()
+                    .map(|f| f.throughput_mbps(from, to))
+                    .collect();
+                vec![jain_index(&rates).unwrap_or(0.0)]
+            })
+        },
     )
 }
 
@@ -69,7 +78,14 @@ pub fn run_experiment(cfg: RunCfg) -> String {
     let mut camp = campaign("fig5", cfg);
     for &n in &counts {
         for &proto in ALL_FIG3 {
-            camp.push(fairness_job(proto, n, measure, cfg.seed));
+            camp.push(fairness_job(
+                "fig5",
+                proto,
+                n,
+                measure,
+                cfg.seed,
+                Traces::from_cfg(&cfg),
+            ));
         }
     }
     let result = camp.run();
@@ -91,4 +107,23 @@ pub fn run_experiment(cfg: RunCfg) -> String {
     let text = format!("{}\n", t.render());
     write_report("fig5", &text, &[&t]);
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fairness_descriptor_is_pinned() {
+        // The cache identity, literally, as the parent commit wrote it.
+        let job = fairness_job("fig5", "LEDBAT", 4, 40.0, 1, Traces::off());
+        assert_eq!(
+            job.descriptor(),
+            "fairness/proto=LEDBAT/n=4/measure=40.0/seed=1/v1"
+        );
+        assert_eq!(job.key().hex(), "1a8f505007909b13");
+        // Fig. 17 reads the same cell.
+        let fig17 = fairness_job("fig17", "LEDBAT", 4, 40.0, 1, Traces::off());
+        assert_eq!(job.key(), fig17.key());
+    }
 }

@@ -31,14 +31,14 @@
 //! runs (at any worker count) produce byte-identical reports.
 
 use proteus_apps::{MediaSource, MediaSpec};
-use proteus_netsim::{run, FaultSchedule, FlowSpec, LinkSpec, Scenario, SimResult, Topology};
+use proteus_netsim::{FaultSchedule, FlowSpec, LinkSpec, Scenario, SimResult, Topology};
 use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
-use crate::jobs::{campaign, tail_mbps};
-use crate::protocols::cc;
+use crate::jobs::{campaign, scenario_job, tail_mbps, Traces};
+use crate::protocols::cc_traced_if;
 use crate::report::{f2, Table};
 use crate::RunCfg;
 
@@ -89,12 +89,13 @@ fn two_hop_chain() -> Topology {
 }
 
 /// Builds one cell's scenario: the RTC call from t = 0, the companion (if
-/// any) from t = 5 s.
+/// any) from t = 5 s, with decision recorders when `decisions` is set.
 fn rtc_scenario(
     profile: &'static str,
     companion: Option<&'static str>,
     secs: f64,
     seed: u64,
+    decisions: bool,
 ) -> Scenario {
     let duration = Dur::from_secs_f64(secs);
     let mut sc = match profile {
@@ -114,13 +115,15 @@ fn rtc_scenario(
         ..MediaSpec::default()
     };
     sc = sc.flow(
-        FlowSpec::bulk("RTC", Dur::ZERO, move || cc("Cross", seed ^ 0xC1))
-            .with_app(move || Box::new(MediaSource::new(spec)))
-            .with_reliability(true),
+        FlowSpec::bulk("RTC", Dur::ZERO, move || {
+            cc_traced_if("Cross", seed ^ 0xC1, decisions)
+        })
+        .with_app(move || Box::new(MediaSource::new(spec)))
+        .with_reliability(true),
     );
     if let Some(comp) = companion {
         sc = sc.flow(FlowSpec::bulk(comp, Dur::from_secs(5), move || {
-            cc(comp, seed ^ 0xC2)
+            cc_traced_if(comp, seed ^ 0xC2, decisions)
         }));
     }
     sc
@@ -171,11 +174,12 @@ fn decode_cell(payload_text: &str) -> RtcCellOut {
     }
 }
 
-fn encode_cell(res: &SimResult, has_companion: bool, secs: f64) -> String {
+/// The payload of a `secs`-long cell (see [`decode_cell`]).
+fn cell_floats(res: &SimResult, has_companion: bool, secs: f64) -> Vec<f64> {
     let m = res.flows[0]
         .media()
         .expect("RTC flow carries media metrics");
-    payload::encode_floats(&[
+    vec![
         tail_mbps(res, 0, secs),
         m.frame_delay_percentile(95.0).unwrap_or(0.0),
         m.frame_delay_percentile(99.0).unwrap_or(0.0),
@@ -190,22 +194,27 @@ fn encode_cell(res: &SimResult, has_companion: bool, secs: f64) -> String {
             0.0
         },
         res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
-    ])
+    ]
 }
 
-fn rtc_job(profile: &'static str, companion: &'static str, secs: f64, seed: u64) -> SimJob {
-    let descriptor =
-        format!("rtc/profile={profile}/companion={companion}/secs={secs:?}/seed={seed}/v1");
+fn rtc_job(
+    profile: &'static str,
+    companion: &'static str,
+    secs: f64,
+    seed: u64,
+    traces: Traces,
+) -> SimJob {
     let comp = (companion != "alone").then_some(companion);
-    SimJob::new(
-        descriptor,
-        format!(
-            "RTC {} on {profile}",
-            comp.map_or("alone".into(), |c| format!("vs {c}"))
-        ),
-        move || {
-            let res = run(rtc_scenario(profile, comp, secs, seed));
-            encode_cell(&res, comp.is_some(), secs)
+    scenario_job(
+        "rtc",
+        format!("rtc/profile={profile}/companion={companion}/secs={secs:?}/seed={seed}"),
+        format!("{profile}-{companion}-s{seed}"),
+        traces,
+        move |decisions| {
+            let sc = rtc_scenario(profile, comp, secs, seed, decisions);
+            (sc, move |res: &SimResult| {
+                cell_floats(res, comp.is_some(), secs)
+            })
         },
     )
 }
@@ -224,6 +233,7 @@ fn inflation(cell: &RtcCellOut, alone: &RtcCellOut) -> f64 {
 pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     let secs = if cfg.quick { 24.0 } else { 60.0 };
     let nominal_frames = secs * MediaSpec::default().fps;
+    let traces = Traces::from_cfg(&cfg);
 
     let mut camp = campaign("rtc", cfg);
     let mut slots: Vec<Vec<usize>> = Vec::new(); // [profile][companion]
@@ -231,7 +241,7 @@ pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
         slots.push(
             COMPANIONS
                 .iter()
-                .map(|&comp| camp.push_dedup(rtc_job(profile, comp, secs, cfg.seed)))
+                .map(|&comp| camp.push_dedup(rtc_job(profile, comp, secs, cfg.seed, traces)))
                 .collect(),
         );
     }
@@ -369,21 +379,45 @@ pub fn run_experiment(cfg: RunCfg) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::traced_artifacts;
 
     #[test]
     fn rtc_jobs_have_distinct_identities() {
-        let a = rtc_job("clean", "alone", 24.0, 1);
-        let b = rtc_job("clean", "Proteus-S", 24.0, 1);
-        let c = rtc_job("faulted", "alone", 24.0, 1);
+        let off = Traces::off();
+        let a = rtc_job("clean", "alone", 24.0, 1, off);
+        let b = rtc_job("clean", "Proteus-S", 24.0, 1, off);
+        let c = rtc_job("faulted", "alone", 24.0, 1, off);
         assert_ne!(a.key(), b.key());
         assert_ne!(a.key(), c.key());
         assert_ne!(b.key(), c.key());
+        // The cache identity, literally, as the parent commit wrote it.
+        assert_eq!(
+            b.descriptor(),
+            "rtc/profile=clean/companion=Proteus-S/secs=24.0/seed=1/v1"
+        );
+        assert_eq!(b.key().hex(), "7e66a2253ed2b30d");
+    }
+
+    #[test]
+    fn cell_records_requested_traces() {
+        // 8 s rather than 4: the companion joins at 5 s.
+        let files = traced_artifacts(|traces| rtc_job("clean", "Proteus-S", 8.0, 1, traces));
+        assert_eq!(files.len(), 2, "decision JSONL + telemetry JSONL");
+        let (decisions, telemetry) = (&files[0], &files[1]);
+        assert!(!telemetry.is_empty(), "no telemetry recorded");
+        assert!(
+            decisions
+                .lines()
+                .any(|l| l.contains("\"name\":\"Proteus-S\"")
+                    && l.contains("\"event\":\"mi_close\"")),
+            "the Proteus-S flow recorded no MI close"
+        );
     }
 
     #[test]
     #[should_panic]
     fn unknown_profile_panics() {
-        let _ = run(rtc_scenario("gremlins", None, 1.0, 1));
+        let _ = proteus_netsim::run(rtc_scenario("gremlins", None, 1.0, 1, false));
     }
 
     #[test]

@@ -25,21 +25,23 @@
 //!   CUBIC primary class at most 30% of the aggregate throughput it gets
 //!   alone on the same link (the paper's harm ≤ ε, at population scale).
 //!
-//! Every cell runs without telemetry tracing and with coarse RTT/throughput
-//! sampling (`rtt_stride`, `throughput_bin`): at 10k+ flows, per-ACK
+//! The fair and churn cells never record traces (at up to 10 000
+//! concurrent flows, a decision ring costs ~0.6 MB each); the harm cells
+//! follow `--trace`/`--trace-mi`. Every cell samples RTT and throughput
+//! coarsely (`rtt_stride`, `throughput_bin`): at 10k+ flows, per-ACK
 //! sampling would dominate the run. Reports land in
 //! `results/scale/scale.txt` (+ CSVs); the campaign is deterministic, so
 //! two runs produce byte-identical reports.
 
-use proteus_netsim::{run, ChurnClass, ChurnSpec, FlowSpec, LinkSpec, Scenario, SimResult};
+use proteus_netsim::{ChurnClass, ChurnSpec, FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_stats::jain_index;
 use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
-use crate::jobs::campaign;
-use crate::protocols::cc;
+use crate::jobs::{campaign, scenario_job, Traces};
+use crate::protocols::cc_traced_if;
 use crate::report::{f2, Table};
 use crate::RunCfg;
 
@@ -230,8 +232,8 @@ fn tail(secs: f64) -> (proteus_transport::Time, proteus_transport::Time) {
     )
 }
 
-/// Population scenarios never trace: coarse RTT sampling and 2 s throughput
-/// bins keep 10k-flow metrics from dominating the run.
+/// Coarse RTT sampling and 2 s throughput bins keep 10k-flow metrics from
+/// dominating the run.
 fn scale_scenario(cell: Cell, seed: u64, classes: Vec<ChurnClass>) -> Scenario {
     // Static cells pin the mean lifetime three orders of magnitude beyond
     // the run, so departures are negligible (the exponential tail still
@@ -255,25 +257,27 @@ fn scale_scenario(cell: Cell, seed: u64, classes: Vec<ChurnClass>) -> Scenario {
 }
 
 /// One equal-share class per entry of `mix`; each spawned flow derives its
-/// CC seed from the scenario seed and its flow id.
-fn classes(mix: &'static [(&'static str, f64)], seed: u64) -> Vec<ChurnClass> {
+/// CC seed from the scenario seed and its flow id, and carries a decision
+/// recorder when `decisions` is set.
+fn classes(mix: &'static [(&'static str, f64)], seed: u64, decisions: bool) -> Vec<ChurnClass> {
     mix.iter()
         .map(|&(proto, weight)| {
             ChurnClass::new(
                 proto,
                 weight,
-                Box::new(move |id| cc(proto, seed ^ (id as u64).wrapping_mul(0x9E37_79B9))),
+                Box::new(move |id| {
+                    let cc_seed = seed ^ (id as u64).wrapping_mul(0x9E37_79B9);
+                    cc_traced_if(proto, cc_seed, decisions)
+                }),
             )
         })
         .collect()
 }
 
-/// Sum of tail goodput over flows selected by `pred`, Mbps.
-/// Per-cell engine accounting on stderr: events dispatched, events/sec of
-/// simulated work, and the share served by the fused wire path (DESIGN.md
-/// §4f). Stderr only — committed reports must stay byte-identical across
-/// wire-path changes — and inside the job closure, so cached cells (which
-/// run no simulation) print nothing.
+/// Per-cell engine accounting on stderr: events dispatched, the share the
+/// fused wire path served (DESIGN.md §4f) and the peak queue. The job's
+/// reader prints it, so cached cells (which run no simulation) print
+/// nothing.
 fn eprint_cell_events(cell: &str, res: &SimResult) {
     let ev = &res.events;
     eprintln!(
@@ -284,6 +288,7 @@ fn eprint_cell_events(cell: &str, res: &SimResult) {
     );
 }
 
+/// Sum of tail goodput over flows selected by `pred`, Mbps.
 fn aggregate_mbps(res: &SimResult, secs: f64, pred: impl Fn(&str) -> bool) -> f64 {
     let (from, to) = tail(secs);
     res.flows
@@ -310,31 +315,31 @@ pub struct FairOut {
 }
 
 fn fair_job(cell: Cell, seed: u64) -> SimJob {
-    let descriptor = format!(
-        "scale-fair/cell={}/n={}/bw={:?}/secs={:?}/seed={seed}/v1",
-        cell.name, cell.initial, cell.bw_mbps, cell.secs
-    );
-    SimJob::new(
-        descriptor,
-        format!("{} Proteus-P flows at equilibrium", cell.initial),
-        move || {
-            let res = run(scale_scenario(
-                cell,
-                seed,
-                classes(&[("Proteus-P", 1.0)], seed),
-            ));
-            eprint_cell_events(cell.name, &res);
-            let (from, to) = tail(cell.secs);
-            let rates: Vec<f64> = res
-                .flows
-                .iter()
-                .map(|f| f.throughput_mbps(from, to))
-                .collect();
-            payload::encode_floats(&[
-                jain_index(&rates).unwrap_or(0.0),
-                rates.iter().sum(),
-                res.flows.len() as f64,
-            ])
+    scenario_job(
+        "scale",
+        format!(
+            "scale-fair/cell={}/n={}/bw={:?}/secs={:?}/seed={seed}",
+            cell.name, cell.initial, cell.bw_mbps, cell.secs
+        ),
+        format!("{}-s{seed}", cell.name),
+        // Untraced: up to 10 000 concurrent flows at ~0.6 MB of decision ring each.
+        Traces::off(),
+        move |decisions| {
+            let sc = scale_scenario(cell, seed, classes(&[("Proteus-P", 1.0)], seed, decisions));
+            (sc, move |res: &SimResult| {
+                eprint_cell_events(cell.name, res);
+                let (from, to) = tail(cell.secs);
+                let rates: Vec<f64> = res
+                    .flows
+                    .iter()
+                    .map(|f| f.throughput_mbps(from, to))
+                    .collect();
+                vec![
+                    jain_index(&rates).unwrap_or(0.0),
+                    rates.iter().sum(),
+                    res.flows.len() as f64,
+                ]
+            })
         },
     )
 }
@@ -362,36 +367,37 @@ pub struct ChurnOut {
 }
 
 fn churn_job(cell: Cell, seed: u64) -> SimJob {
-    let descriptor = format!(
-        "scale-churn/cell={}/n={}/arr={:?}/life={:?}/bw={:?}/secs={:?}/seed={seed}/v1",
-        cell.name,
-        cell.initial,
-        cell.arrivals_per_sec,
-        cell.mean_lifetime_s,
-        cell.bw_mbps,
-        cell.secs
-    );
-    SimJob::new(
-        descriptor,
+    scenario_job(
+        "scale",
         format!(
-            "{} concurrent mixed flows, {}/s churn",
-            cell.initial, cell.arrivals_per_sec
+            "scale-churn/cell={}/n={}/arr={:?}/life={:?}/bw={:?}/secs={:?}/seed={seed}",
+            cell.name,
+            cell.initial,
+            cell.arrivals_per_sec,
+            cell.mean_lifetime_s,
+            cell.bw_mbps,
+            cell.secs
         ),
-        move || {
-            let res = run(scale_scenario(cell, seed, classes(CHURN_MIX, seed)));
-            eprint_cell_events(cell.name, &res);
-            let (from, to) = tail(cell.secs);
-            let mut out = vec![
-                res.flows.len() as f64,
-                aggregate_mbps(&res, cell.secs, |_| true),
-                res.utilization(from, to),
-            ];
-            for &(proto, _) in CHURN_MIX {
-                // Churned flows are named `{class}~{n}`.
-                let prefix = format!("{proto}~");
-                out.push(aggregate_mbps(&res, cell.secs, |n| n.starts_with(&prefix)));
-            }
-            payload::encode_floats(&out)
+        format!("{}-s{seed}", cell.name),
+        // Untraced: 250 to 10 000 concurrent flows at ~0.6 MB of decision ring each.
+        Traces::off(),
+        move |decisions| {
+            let sc = scale_scenario(cell, seed, classes(CHURN_MIX, seed, decisions));
+            (sc, move |res: &SimResult| {
+                eprint_cell_events(cell.name, res);
+                let (from, to) = tail(cell.secs);
+                let mut out = vec![
+                    res.flows.len() as f64,
+                    aggregate_mbps(res, cell.secs, |_| true),
+                    res.utilization(from, to),
+                ];
+                for &(proto, _) in CHURN_MIX {
+                    // Churned flows are named `{class}~{n}`.
+                    let prefix = format!("{proto}~");
+                    out.push(aggregate_mbps(res, cell.secs, |n| n.starts_with(&prefix)));
+                }
+                out
+            })
         },
     )
 }
@@ -409,79 +415,71 @@ fn decode_churn(payload_text: &str) -> ChurnOut {
 /// `with_scavengers = false` runs only the static CUBIC primary class (the
 /// alone-throughput baseline); `true` adds the churning Proteus-S
 /// population on the same link and seed.
-fn harm_job(cell: HarmCell, with_scavengers: bool, seed: u64) -> SimJob {
+fn harm_job(cell: HarmCell, with_scavengers: bool, seed: u64, traces: Traces) -> SimJob {
+    let sc = cell.scavengers;
     // The alone baseline has no scavengers, so its identity deliberately
     // omits the cell name and population: every harm cell on the same link
     // shares one baseline run (deduped by the campaign).
-    let descriptor = if with_scavengers {
-        format!(
-            "scale-harm/cell={}/primaries={}/scav={}/arr={:?}/life={:?}/bw={:?}/secs={:?}/seed={seed}/pair/v1",
-            cell.name,
-            cell.primaries,
-            cell.scavengers.initial,
-            cell.scavengers.arrivals_per_sec,
-            cell.scavengers.mean_lifetime_s,
-            cell.scavengers.bw_mbps,
-            cell.scavengers.secs
+    let (stem, name) = if with_scavengers {
+        (
+            format!(
+                "scale-harm/cell={}/primaries={}/scav={}/arr={:?}/life={:?}/bw={:?}/secs={:?}/seed={seed}/pair",
+                cell.name,
+                cell.primaries,
+                sc.initial,
+                sc.arrivals_per_sec,
+                sc.mean_lifetime_s,
+                sc.bw_mbps,
+                sc.secs
+            ),
+            format!("{}-s{seed}", cell.name),
         )
     } else {
-        format!(
-            "scale-harm/primaries={}/bw={:?}/secs={:?}/seed={seed}/alone/v1",
-            cell.primaries, cell.scavengers.bw_mbps, cell.scavengers.secs
+        (
+            format!(
+                "scale-harm/primaries={}/bw={:?}/secs={:?}/seed={seed}/alone",
+                cell.primaries, sc.bw_mbps, sc.secs
+            ),
+            format!("harm-alone-s{seed}"),
         )
     };
-    SimJob::new(
-        descriptor,
-        format!(
-            "{} CUBIC primaries {}",
-            cell.primaries,
-            if with_scavengers {
-                "vs churning Proteus-S population"
-            } else {
-                "alone"
-            }
-        ),
-        move || {
-            let sc = cell.scavengers;
-            let mut scenario = Scenario::new(
-                LinkSpec::new(sc.bw_mbps, Dur::from_millis(30), 1).with_buffer_bdp(1.0),
-                Dur::from_secs_f64(sc.secs),
-            )
-            .with_seed(seed)
-            .with_rtt_stride(64)
-            .with_throughput_bin(Dur::from_secs(2));
-            for i in 0..cell.primaries {
-                scenario =
-                    scenario.flow(FlowSpec::bulk(format!("CUBIC#{i}"), Dur::ZERO, move || {
-                        cc("CUBIC", seed ^ (0xC0B1C + i as u64))
-                    }));
-            }
-            if with_scavengers {
-                scenario = scenario.with_churn(
-                    ChurnSpec::new(
-                        sc.arrivals_per_sec,
-                        Dur::from_secs_f64(sc.mean_lifetime_s),
-                        classes(&[("Proteus-S", 1.0)], seed),
-                    )
-                    .with_initial(sc.initial),
-                );
-            }
-            let res = run(scenario);
-            eprint_cell_events(
-                if with_scavengers {
-                    cell.name
-                } else {
-                    "harm-alone"
-                },
-                &res,
+    scenario_job("scale", stem, name, traces, move |decisions| {
+        let mut scenario = Scenario::new(
+            LinkSpec::new(sc.bw_mbps, Dur::from_millis(30), 1).with_buffer_bdp(1.0),
+            Dur::from_secs_f64(sc.secs),
+        )
+        .with_seed(seed)
+        .with_rtt_stride(64)
+        .with_throughput_bin(Dur::from_secs(2));
+        for i in 0..cell.primaries {
+            scenario = scenario.flow(FlowSpec::bulk(format!("CUBIC#{i}"), Dur::ZERO, move || {
+                cc_traced_if("CUBIC", seed ^ (0xC0B1C + i as u64), decisions)
+            }));
+        }
+        if with_scavengers {
+            scenario = scenario.with_churn(
+                ChurnSpec::new(
+                    sc.arrivals_per_sec,
+                    Dur::from_secs_f64(sc.mean_lifetime_s),
+                    classes(&[("Proteus-S", 1.0)], seed, decisions),
+                )
+                .with_initial(sc.initial),
             );
-            payload::encode_floats(&[
-                aggregate_mbps(&res, sc.secs, |n| n.starts_with("CUBIC#")),
-                aggregate_mbps(&res, sc.secs, |n| n.starts_with("Proteus-S~")),
+        }
+        (scenario, move |res: &SimResult| {
+            let what = if with_scavengers {
+                cell.name
+            } else {
+                "harm-alone"
+            };
+            eprint_cell_events(what, res);
+            vec![
+                aggregate_mbps(res, sc.secs, |n| n.starts_with("CUBIC#")),
+                aggregate_mbps(res, sc.secs, |n| n.starts_with("Proteus-S~")),
                 res.flows.len() as f64,
-            ])
-        },
-    )
+            ]
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -510,11 +508,12 @@ pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     // is reported single-seed: its collapse is an order-of-magnitude
     // effect, not a marginal verdict.
     let dense = harm_dense_cell(cfg.quick);
-    let alone_slot = camp.push_dedup(harm_job(harm, false, cfg.seed));
+    let traces = Traces::from_cfg(&cfg);
+    let alone_slot = camp.push_dedup(harm_job(harm, false, cfg.seed, traces));
     let pair_slots_h: Vec<usize> = (0..3)
-        .map(|t| camp.push_dedup(harm_job(harm, true, cfg.seed + t)))
+        .map(|t| camp.push_dedup(harm_job(harm, true, cfg.seed + t, traces)))
         .collect();
-    let dense_slot = camp.push_dedup(harm_job(dense, true, cfg.seed));
+    let dense_slot = camp.push_dedup(harm_job(dense, true, cfg.seed, traces));
     let result = camp.run();
 
     let mut checks: Vec<Check> = Vec::new();
@@ -678,10 +677,37 @@ mod tests {
         let a = churn_job(cells[0], 1);
         let b = churn_job(cells[1], 1);
         let f = fair_job(fair_cells(false)[0].0, 1);
-        let h0 = harm_job(harm_cell(false), false, 1);
-        let h1 = harm_job(harm_cell(false), true, 1);
+        let h0 = harm_job(harm_cell(false), false, 1, Traces::off());
+        let h1 = harm_job(harm_cell(false), true, 1, Traces::off());
         assert_ne!(a.key(), b.key());
         assert_ne!(a.key(), f.key());
         assert_ne!(h0.key(), h1.key());
+        // The cache identity, literally, as the parent commit wrote it.
+        let quick = churn_job(churn_cells(true)[0], 1);
+        assert_eq!(
+            quick.descriptor(),
+            "scale-churn/cell=churn-250/n=250/arr=50.0/life=5.0/bw=250.0/secs=16.0/seed=1/v1"
+        );
+        assert_eq!(quick.key().hex(), "7446923650ea5286");
+    }
+
+    /// The harm pair's two cache identities, literally, as the parent
+    /// commit wrote them; every harm cell on the link shares the alone run.
+    #[test]
+    fn harm_jobs_keep_their_identities() {
+        let alone = harm_job(harm_cell(true), false, 1, Traces::off());
+        let pair = harm_job(harm_cell(true), true, 1, Traces::off());
+        assert_eq!(
+            alone.descriptor(),
+            "scale-harm/primaries=4/bw=100.0/secs=16.0/seed=1/alone/v1"
+        );
+        assert_eq!(alone.key().hex(), "f8daee39d5dc8976");
+        assert_eq!(
+            pair.descriptor(),
+            "scale-harm/cell=harm-10/primaries=4/scav=10/arr=2.0/life=5.0/bw=100.0/secs=16.0/seed=1/pair/v1"
+        );
+        assert_eq!(pair.key().hex(), "3ec8cbaec28195db");
+        let dense_alone = harm_job(harm_dense_cell(true), false, 1, Traces::off());
+        assert_eq!(alone.key(), dense_alone.key());
     }
 }

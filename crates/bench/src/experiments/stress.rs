@@ -254,20 +254,21 @@ fn stress_single_job(
         "stress",
         format!("stress-single/profile={profile}/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("stress-{profile}-{proto}-s{seed}"),
-        format!("{proto} under {profile}"),
         traces,
-        move |_| stress_scenario(profile, vec![(proto, 0.0, 0xA5)], secs, seed),
-        move |res| {
-            let (max_rate, min_rate) = rate_envelope(res);
-            vec![
-                tail_mbps(res, 0, secs),
-                res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
-                res.flows[0].loss_rate(),
-                max_rate,
-                min_rate,
-                non_finite_count(res) as f64,
-                ack_filter_trips(res) as f64,
-            ]
+        move |_| {
+            let sc = stress_scenario(profile, vec![(proto, 0.0, 0xA5)], secs, seed);
+            (sc, move |res: &SimResult| {
+                let (max_rate, min_rate) = rate_envelope(res);
+                vec![
+                    tail_mbps(res, 0, secs),
+                    res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
+                    res.flows[0].loss_rate(),
+                    max_rate,
+                    min_rate,
+                    non_finite_count(res) as f64,
+                    ack_filter_trips(res) as f64,
+                ]
+            })
         },
     )
 }
@@ -286,18 +287,16 @@ fn stress_pair_job(
             "stress-pair/profile={profile}/primary={primary}/scav={scavenger}/secs={secs:?}/seed={seed}"
         ),
         format!("stress-{profile}-{primary}-vs-{scavenger}-s{seed}"),
-        format!("{primary} vs {scavenger} under {profile}"),
         traces,
         move |_| {
             let flows = vec![(primary, 0.0, 0xA5), (scavenger, 5.0, 0x5A)];
-            stress_scenario(profile, flows, secs, seed)
-        },
-        move |res| {
-            vec![
-                tail_mbps(res, 0, secs),
-                tail_mbps(res, 1, secs),
-                non_finite_count(res) as f64,
-            ]
+            (stress_scenario(profile, flows, secs, seed), move |res: &SimResult| {
+                vec![
+                    tail_mbps(res, 0, secs),
+                    tail_mbps(res, 1, secs),
+                    non_finite_count(res) as f64,
+                ]
+            })
         },
     )
 }

@@ -27,15 +27,15 @@
 //! Reports land in `results/topology/report.txt` (+ CSVs); the campaign is
 //! deterministic, so two runs produce byte-identical reports.
 
-use proteus_netsim::{run, FlowSpec, LinkId, LinkSpec, Scenario, Topology};
+use proteus_netsim::{FlowSpec, LinkId, LinkSpec, Scenario, SimResult, Topology};
 use proteus_stats::jain_index;
 use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
-use crate::jobs::{campaign, tail_mbps};
-use crate::protocols::cc;
+use crate::jobs::{campaign, scenario_job, tail_mbps, Traces};
+use crate::protocols::cc_traced_if;
 use crate::report::{f2, Table};
 use crate::RunCfg;
 
@@ -74,12 +74,13 @@ fn harm_chain() -> Topology {
 
 /// N+1 flows over an N-link parking lot, all running `proto`. Payload:
 /// `[long_mbps, short_mbps × n, link_utilization × n]`.
-fn parking_job(n: usize, proto: &'static str, secs: f64, seed: u64) -> SimJob {
-    let descriptor = format!("topology-parking/n={n}/proto={proto}/secs={secs:?}/seed={seed}/v1");
-    SimJob::new(
-        descriptor,
-        format!("{proto} parking lot, {n} links"),
-        move || {
+fn parking_job(n: usize, proto: &'static str, secs: f64, seed: u64, traces: Traces) -> SimJob {
+    scenario_job(
+        "topology",
+        format!("topology-parking/n={n}/proto={proto}/secs={secs:?}/seed={seed}"),
+        format!("parking-{n}-{proto}-s{seed}"),
+        traces,
+        move |decisions| {
             let mut sc = Scenario::over(
                 Topology::parking_lot(n, parking_link()),
                 Dur::from_secs_f64(secs),
@@ -87,52 +88,62 @@ fn parking_job(n: usize, proto: &'static str, secs: f64, seed: u64) -> SimJob {
             .with_seed(seed)
             .with_rtt_stride(2)
             .flow(FlowSpec::bulk("long", Dur::ZERO, move || {
-                cc(proto, seed ^ 0xB0)
+                cc_traced_if(proto, seed ^ 0xB0, decisions)
             }));
             for i in 0..n {
                 let salt = 0xB1 + i as u64;
                 sc = sc.flow(
-                    FlowSpec::bulk("short", Dur::ZERO, move || cc(proto, seed ^ salt))
-                        .with_path([i as LinkId]),
+                    FlowSpec::bulk("short", Dur::ZERO, move || {
+                        cc_traced_if(proto, seed ^ salt, decisions)
+                    })
+                    .with_path([i as LinkId]),
                 );
             }
-            let res = run(sc);
-            let mut v = vec![tail_mbps(&res, 0, secs)];
-            for i in 0..n {
-                v.push(tail_mbps(&res, 1 + i, secs));
-            }
-            for l in &res.links {
-                v.push(l.utilization(Dur::from_secs_f64(secs)));
-            }
-            payload::encode_floats(&v)
+            (sc, move |res: &SimResult| {
+                let mut v = vec![tail_mbps(res, 0, secs)];
+                v.extend((0..n).map(|i| tail_mbps(res, 1 + i, secs)));
+                v.extend(
+                    res.links
+                        .iter()
+                        .map(|l| l.utilization(Dur::from_secs_f64(secs))),
+                );
+                v
+            })
         },
     )
 }
 
 /// Near (bottleneck only) vs far (access hop + bottleneck) flow, both
 /// running `proto`. Payload: `[near_mbps, far_mbps, bottleneck_util]`.
-fn rtt_job(proto: &'static str, secs: f64, seed: u64) -> SimJob {
-    let descriptor = format!("topology-rtt/proto={proto}/secs={secs:?}/seed={seed}/v1");
-    SimJob::new(
-        descriptor,
-        format!("{proto} RTT-unfairness chain"),
-        move || {
-            let res = run(Scenario::over(rtt_chain(), Dur::from_secs_f64(secs))
+fn rtt_job(proto: &'static str, secs: f64, seed: u64, traces: Traces) -> SimJob {
+    scenario_job(
+        "topology",
+        format!("topology-rtt/proto={proto}/secs={secs:?}/seed={seed}"),
+        format!("rtt-{proto}-s{seed}"),
+        traces,
+        move |decisions| {
+            let sc = Scenario::over(rtt_chain(), Dur::from_secs_f64(secs))
                 .with_seed(seed)
                 .with_rtt_stride(2)
                 .flow(
-                    FlowSpec::bulk("near", Dur::ZERO, move || cc(proto, seed ^ 0xC0))
-                        .with_path([1]),
+                    FlowSpec::bulk("near", Dur::ZERO, move || {
+                        cc_traced_if(proto, seed ^ 0xC0, decisions)
+                    })
+                    .with_path([1]),
                 )
                 .flow(
-                    FlowSpec::bulk("far", Dur::ZERO, move || cc(proto, seed ^ 0xC1))
-                        .with_path([0, 1]),
-                ));
-            payload::encode_floats(&[
-                tail_mbps(&res, 0, secs),
-                tail_mbps(&res, 1, secs),
-                res.links[1].utilization(Dur::from_secs_f64(secs)),
-            ])
+                    FlowSpec::bulk("far", Dur::ZERO, move || {
+                        cc_traced_if(proto, seed ^ 0xC1, decisions)
+                    })
+                    .with_path([0, 1]),
+                );
+            (sc, move |res: &SimResult| {
+                vec![
+                    tail_mbps(res, 0, secs),
+                    tail_mbps(res, 1, secs),
+                    res.links[1].utilization(Dur::from_secs_f64(secs)),
+                ]
+            })
         },
     )
 }
@@ -140,39 +151,44 @@ fn rtt_job(proto: &'static str, secs: f64, seed: u64) -> SimJob {
 /// One CUBIC primary per link of the two-link chain; `scav` adds a late
 /// Proteus-S flow crossing both. Payload:
 /// `[primary0_mbps, primary1_mbps, scav_mbps (0 when absent)]`.
-fn harm_job(scav: bool, secs: f64, seed: u64) -> SimJob {
-    let descriptor = format!("topology-harm/scav={scav}/secs={secs:?}/seed={seed}/v1");
-    let what = if scav {
-        "CUBIC per link vs late Proteus-S across both"
-    } else {
-        "CUBIC per link, no scavenger (baseline)"
-    };
-    SimJob::new(descriptor, what, move || {
-        let mut sc = Scenario::over(harm_chain(), Dur::from_secs_f64(secs))
-            .with_seed(seed)
-            .with_rtt_stride(2)
-            .flow(
-                FlowSpec::bulk("primary-0", Dur::ZERO, move || cc("CUBIC", seed ^ 0xD0))
+fn harm_job(scav: bool, secs: f64, seed: u64, traces: Traces) -> SimJob {
+    scenario_job(
+        "topology",
+        format!("topology-harm/scav={scav}/secs={secs:?}/seed={seed}"),
+        format!("harm-{}-s{seed}", if scav { "pair" } else { "alone" }),
+        traces,
+        move |decisions| {
+            let mut sc = Scenario::over(harm_chain(), Dur::from_secs_f64(secs))
+                .with_seed(seed)
+                .with_rtt_stride(2)
+                .flow(
+                    FlowSpec::bulk("primary-0", Dur::ZERO, move || {
+                        cc_traced_if("CUBIC", seed ^ 0xD0, decisions)
+                    })
                     .with_path([0]),
-            )
-            .flow(
-                FlowSpec::bulk("primary-1", Dur::ZERO, move || cc("CUBIC", seed ^ 0xD1))
+                )
+                .flow(
+                    FlowSpec::bulk("primary-1", Dur::ZERO, move || {
+                        cc_traced_if("CUBIC", seed ^ 0xD1, decisions)
+                    })
                     .with_path([1]),
-            );
-        if scav {
-            sc = sc.flow(FlowSpec::bulk(
-                "scavenger",
-                Dur::from_secs_f64(secs * 0.2),
-                move || cc("Proteus-S", seed ^ 0xD2),
-            ));
-        }
-        let res = run(sc);
-        payload::encode_floats(&[
-            tail_mbps(&res, 0, secs),
-            tail_mbps(&res, 1, secs),
-            if scav { tail_mbps(&res, 2, secs) } else { 0.0 },
-        ])
-    })
+                );
+            if scav {
+                sc = sc.flow(FlowSpec::bulk(
+                    "scavenger",
+                    Dur::from_secs_f64(secs * 0.2),
+                    move || cc_traced_if("Proteus-S", seed ^ 0xD2, decisions),
+                ));
+            }
+            (sc, move |res: &SimResult| {
+                vec![
+                    tail_mbps(res, 0, secs),
+                    tail_mbps(res, 1, secs),
+                    if scav { tail_mbps(res, 2, secs) } else { 0.0 },
+                ]
+            })
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -183,21 +199,27 @@ fn harm_job(scav: bool, secs: f64, seed: u64) -> SimJob {
 /// and the machine-checkable invariant verdicts.
 pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     let secs = if cfg.quick { 24.0 } else { 60.0 };
+    let traces = Traces::from_cfg(&cfg);
 
     let mut camp = campaign("topology", cfg);
     let mut parking_slots: Vec<(usize, &'static str, usize)> = Vec::new();
     for &n in PARKING_SIZES {
         for &proto in PARKING_PROTOCOLS {
-            let slot = camp.push_dedup(parking_job(n, proto, secs, cfg.seed));
+            let slot = camp.push_dedup(parking_job(n, proto, secs, cfg.seed, traces));
             parking_slots.push((n, proto, slot));
         }
     }
     let rtt_slots: Vec<(&'static str, usize)> = PARKING_PROTOCOLS
         .iter()
-        .map(|&proto| (proto, camp.push_dedup(rtt_job(proto, secs, cfg.seed))))
+        .map(|&proto| {
+            (
+                proto,
+                camp.push_dedup(rtt_job(proto, secs, cfg.seed, traces)),
+            )
+        })
         .collect();
-    let harm_alone = camp.push_dedup(harm_job(false, secs, cfg.seed));
-    let harm_pair = camp.push_dedup(harm_job(true, secs, cfg.seed));
+    let harm_alone = camp.push_dedup(harm_job(false, secs, cfg.seed, traces));
+    let harm_pair = camp.push_dedup(harm_job(true, secs, cfg.seed, traces));
     let result = camp.run();
 
     let mut checks: Vec<Check> = Vec::new();
@@ -311,18 +333,41 @@ pub fn run_experiment(cfg: RunCfg) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::traced_artifacts;
 
     #[test]
     fn topology_jobs_have_distinct_identities() {
-        let a = parking_job(2, "CUBIC", 24.0, 1);
-        let b = parking_job(3, "CUBIC", 24.0, 1);
-        let c = parking_job(2, "Proteus-P", 24.0, 1);
+        let off = Traces::off();
+        let a = parking_job(2, "CUBIC", 24.0, 1, off);
+        let b = parking_job(3, "CUBIC", 24.0, 1, off);
+        let c = parking_job(2, "Proteus-P", 24.0, 1, off);
         assert_ne!(a.key(), b.key());
         assert_ne!(a.key(), c.key());
-        let r = rtt_job("CUBIC", 24.0, 1);
-        let h0 = harm_job(false, 24.0, 1);
-        let h1 = harm_job(true, 24.0, 1);
+        let r = rtt_job("CUBIC", 24.0, 1, off);
+        let h0 = harm_job(false, 24.0, 1, off);
+        let h1 = harm_job(true, 24.0, 1, off);
         assert_ne!(r.key(), h0.key());
         assert_ne!(h0.key(), h1.key());
+        // The cache identity, literally, as the parent commit wrote it.
+        assert_eq!(
+            h1.descriptor(),
+            "topology-harm/scav=true/secs=24.0/seed=1/v1"
+        );
+        assert_eq!(h1.key().hex(), "daa3458036951f99");
+    }
+
+    #[test]
+    fn harm_cell_records_requested_traces() {
+        let files = traced_artifacts(|traces| harm_job(true, 4.0, 1, traces));
+        assert_eq!(files.len(), 2, "decision JSONL + telemetry JSONL");
+        let (decisions, telemetry) = (&files[0], &files[1]);
+        assert!(!telemetry.is_empty(), "no telemetry recorded");
+        assert!(
+            decisions
+                .lines()
+                .any(|l| l.contains("\"name\":\"scavenger\"")
+                    && l.contains("\"event\":\"mi_close\"")),
+            "the Proteus-S flow recorded no MI close"
+        );
     }
 }

@@ -18,7 +18,7 @@
 //!    are scored on;
 //! 3. [`crate::eval`] — batch evaluation as campaign jobs: content-hashed,
 //!    cached, shard-filtered;
-//! 4. [`crate::objective`] — the objective grammar and constraint scoring;
+//! 4. [`crate::objective`] — the objective and its constraint scoring;
 //! 5. [`crate::search`] — grid sweep + seeded genetic refinement, same seed
 //!    ⇒ byte-identical leaderboard at any worker count;
 //! 6. [`crate::report`] — `leaderboard.csv`, `frontier.csv`,

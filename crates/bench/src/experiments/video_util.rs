@@ -8,6 +8,8 @@ use proteus_core::{ProteusSender, SharedThreshold};
 use proteus_netsim::{FlowSpec, Scenario};
 use proteus_transport::{Application, Dur};
 
+use crate::protocols::sender_traced_if;
+
 /// Transport used by a video flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VideoTransport {
@@ -17,7 +19,8 @@ pub enum VideoTransport {
     Hybrid,
 }
 
-/// Adds a DASH session flow to a scenario; returns its stats handle.
+/// Adds a DASH session flow to a scenario; returns its stats handle. The
+/// sender carries a decision recorder when `decisions` is set.
 pub fn add_video_flow(
     sc: &mut Scenario,
     spec: VideoSpec,
@@ -25,6 +28,7 @@ pub fn add_video_flow(
     seed: u64,
     forced_max: bool,
     start: Dur,
+    decisions: bool,
 ) -> VideoStatsHandle {
     let threshold = match transport {
         VideoTransport::Hybrid => Some(SharedThreshold::new(f64::INFINITY)),
@@ -40,9 +44,12 @@ pub fn add_video_flow(
         name: format!("video-{}", spec.name),
         start,
         stop: None,
-        cc: Box::new(move || match threshold {
-            Some(t) => Box::new(ProteusSender::hybrid(seed, t)),
-            None => Box::new(ProteusSender::primary(seed)),
+        cc: Box::new(move || {
+            let sender = match threshold {
+                Some(t) => ProteusSender::hybrid(seed, t),
+                None => ProteusSender::primary(seed),
+            };
+            sender_traced_if(sender, decisions)
         }),
         app: Box::new(move || {
             Box::new(session_cell.borrow_mut().take().expect("single use")) as Box<dyn Application>

@@ -2,7 +2,9 @@
 //!
 //! Every experiment submits all of its simulation as [`SimJob`]s through a
 //! [`Campaign`] (built by [`campaign`] from the CLI's `--jobs` /
-//! `--no-cache` knobs), so a warm re-run is pure cache replay. The job
+//! `--no-cache` knobs), so a warm re-run is pure cache replay. Every such
+//! job is made by one function, `scenario_job`, so every cell honours the
+//! invocation's [`Traces`] selection. The job
 //! builders here cover the two shapes nearly every sweep reduces to — one
 //! bulk flow on a link ([`single_job`]) and a primary/scavenger pair
 //! ([`pair_job`]) — with stable descriptors shared across experiments:
@@ -148,28 +150,6 @@ pub fn trace_jsonl(res: &SimResult) -> String {
     out
 }
 
-/// Runs a scenario, writing telemetry and/or decision traces. Any active
-/// sink turns on 100 ms trace sampling, which also makes the engine drain
-/// the flows' decision rings on the same cadence.
-fn run_job(
-    sc: Scenario,
-    telemetry: Option<&TraceSink>,
-    decisions: Option<&MiTraceSink>,
-) -> SimResult {
-    let res = if telemetry.is_some() || decisions.is_some() {
-        run(sc.with_trace(TRACE_EVERY))
-    } else {
-        run(sc)
-    };
-    if let Some(sink) = telemetry {
-        sink.write(&res);
-    }
-    if let Some(sink) = decisions {
-        sink.write(&res);
-    }
-    res
-}
-
 // ---------------------------------------------------------------------------
 // Trace selection
 // ---------------------------------------------------------------------------
@@ -186,7 +166,8 @@ pub struct Traces {
 }
 
 impl Traces {
-    /// No tracing (the job-builder default for tests and helpers).
+    /// No tracing: tests, and the cells that never trace (`scale`'s fair
+    /// and churn cells, `tune`'s candidates).
     pub fn off() -> Self {
         Self::default()
     }
@@ -228,15 +209,13 @@ pub(crate) fn pair_scenario(
     seed: u64,
     decisions: bool,
 ) -> Scenario {
-    let build =
-        move |name: &'static str, salt: u64| move || cc_traced_if(name, seed ^ salt, decisions);
     Scenario::new(link, Dur::from_secs_f64(secs))
-        .flow(FlowSpec::bulk(primary, Dur::ZERO, build(primary, 0xA5)))
-        .flow(FlowSpec::bulk(
-            scavenger,
-            Dur::from_secs(5),
-            build(scavenger, 0x5A),
-        ))
+        .flow(FlowSpec::bulk(primary, Dur::ZERO, move || {
+            cc_traced_if(primary, seed ^ 0xA5, decisions)
+        }))
+        .flow(FlowSpec::bulk(scavenger, Dur::from_secs(5), move || {
+            cc_traced_if(scavenger, seed ^ 0x5A, decisions)
+        }))
         .with_seed(seed)
         .with_rtt_stride(2)
 }
@@ -245,42 +224,41 @@ pub(crate) fn pair_scenario(
 // Campaign jobs
 // ---------------------------------------------------------------------------
 
-fn trace_suffix(traces: Traces) -> String {
+/// The one way a simulation cell becomes a campaign job, with the
+/// invocation's trace selection applied. `build(decisions)` returns the
+/// scenario (with decision-traced controllers when asked) together with the
+/// reader that reduces its result to the payload floats. Both run inside the
+/// job, so the reader may hold state the build created, such as `Rc` stats
+/// handles. `stem` is the descriptor up to the trace suffix and version;
+/// `name` names the trace files under `exp` and the job's progress line.
+pub(crate) fn scenario_job<R>(
+    exp: &'static str,
+    stem: String,
+    name: String,
+    traces: Traces,
+    build: impl FnOnce(bool) -> (Scenario, R) + Send + 'static,
+) -> SimJob
+where
+    R: FnOnce(&SimResult) -> Vec<f64>,
+{
     // Traced and untraced runs are simulated identically, but they get
     // distinct cache identities so enabling --trace / --trace-mi actually
     // (re)writes the exports instead of short-circuiting on a cached
     // payload. (Every trace file is additionally declared as a cache
     // artifact, so even a warm hit replays it from the cache.)
-    let mut s = String::new();
+    let mut descriptor = stem;
     if traces.telemetry {
-        s.push_str("/trace");
+        descriptor.push_str("/trace");
     }
     if let Some(fmt) = traces.decisions {
-        s.push_str("/mi-trace=");
-        s.push_str(fmt.tag());
+        descriptor.push_str("/mi-trace=");
+        descriptor.push_str(fmt.tag());
     }
-    s
-}
-
-/// A job that runs one scenario and reduces its result to floats, with the
-/// invocation's trace selection applied: `scenario(decisions)` builds the
-/// scenario (with decision-traced controllers when asked), `read` extracts
-/// the payload. `stem` is the descriptor up to the trace suffix and version;
-/// `run_name` names the trace files under `exp`.
-pub(crate) fn scenario_job(
-    exp: &'static str,
-    stem: String,
-    run_name: String,
-    label: String,
-    traces: Traces,
-    scenario: impl FnOnce(bool) -> Scenario + Send + 'static,
-    read: impl FnOnce(&SimResult) -> Vec<f64> + Send + 'static,
-) -> SimJob {
-    let descriptor = format!("{stem}{}/v1", trace_suffix(traces));
-    let sink = traces.telemetry.then(|| TraceSink::new(exp, &run_name));
+    descriptor.push_str("/v1");
+    let sink = traces.telemetry.then(|| TraceSink::new(exp, &name));
     let mi = traces
         .decisions
-        .map(|fmt| MiTraceSink::new(exp, &run_name, fmt));
+        .map(|fmt| MiTraceSink::new(exp, &name, fmt));
     // Decision traces first, telemetry last: entries cached before the
     // telemetry file was declared keep their artifact indices.
     let artifacts: Vec<_> = mi
@@ -288,8 +266,22 @@ pub(crate) fn scenario_job(
         .flat_map(|s| s.paths())
         .chain(sink.as_ref().map(TraceSink::path))
         .collect();
-    let mut job = SimJob::new(descriptor, label, move || {
-        let res = run_job(scenario(mi.is_some()), sink.as_ref(), mi.as_ref());
+    let mut job = SimJob::new(descriptor, name, move || {
+        let (sc, read) = build(mi.is_some());
+        // Any active sink turns on 100 ms trace sampling, which also makes
+        // the engine drain the flows' decision rings on the same cadence.
+        let traced = sink.is_some() || mi.is_some();
+        let res = run(if traced {
+            sc.with_trace(TRACE_EVERY)
+        } else {
+            sc
+        });
+        if let Some(sink) = &sink {
+            sink.write(&res);
+        }
+        if let Some(mi) = &mi {
+            mi.write(&res);
+        }
         payload::encode_floats(&read(&res))
     });
     for path in artifacts {
@@ -347,15 +339,18 @@ pub fn single_job(
         exp,
         format!("single/{tag}/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("single-{tag}-{proto}-s{seed}"),
-        format!("{proto} alone"),
         traces,
-        move |decisions| single_scenario(proto, link, secs, seed, decisions),
-        move |res| {
-            vec![
-                tail_mbps(res, 0, secs),
-                res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
-                res.flows[0].loss_rate(),
-            ]
+        move |decisions| {
+            (
+                single_scenario(proto, link, secs, seed, decisions),
+                move |res: &SimResult| {
+                    vec![
+                        tail_mbps(res, 0, secs),
+                        res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
+                        res.flows[0].loss_rate(),
+                    ]
+                },
+            )
         },
     )
 }
@@ -399,10 +394,13 @@ pub fn pair_job(
         exp,
         format!("pair/{tag}/primary={primary}/scav={scavenger}/secs={secs:?}/seed={seed}"),
         format!("pair-{tag}-{primary}-vs-{scavenger}-s{seed}"),
-        format!("{primary} vs {scavenger}"),
         traces,
-        move |decisions| pair_scenario(primary, scavenger, link, secs, seed, decisions),
-        move |res| pair_payload(res, secs),
+        move |decisions| {
+            (
+                pair_scenario(primary, scavenger, link, secs, seed, decisions),
+                move |res: &SimResult| pair_payload(res, secs),
+            )
+        },
     )
 }
 
@@ -414,6 +412,36 @@ pub(crate) fn pair_payload(res: &SimResult, secs: f64) -> Vec<f64> {
         tail_mbps(res, 1, secs),
         res.flows[0].rtt_percentile(95.0).unwrap_or(0.0),
     ]
+}
+
+/// Runs the job `make` builds with telemetry and JSONL decision traces on,
+/// and returns the contents of its declared artifacts in declaration order
+/// (decision JSONL, then telemetry), removing each file once read.
+/// Decision exports go to a per-process temporary directory; telemetry
+/// lands under `results/trace/`, which git ignores.
+#[cfg(test)]
+pub(crate) fn traced_artifacts(make: impl FnOnce(Traces) -> SimJob) -> Vec<String> {
+    crate::mi_trace::set_mi_trace_dir(
+        std::env::temp_dir().join(format!("proteus-bench-trace-mi-{}", std::process::id())),
+    );
+    let job = make(Traces {
+        telemetry: true,
+        decisions: Some(TraceFormat::Jsonl),
+    });
+    let paths = job.artifacts().to_vec();
+    job.execute();
+    paths
+        .iter()
+        .map(|path| {
+            let text = fs::read_to_string(path).unwrap_or_default();
+            let _ = fs::remove_file(path);
+            // The directories go too, once empty.
+            for dir in path.ancestors().skip(1).take(2) {
+                let _ = fs::remove_dir(dir);
+            }
+            text
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
-//! Multi-scenario objectives and the small grammar that declares them.
-//!
-//! An [`Objective`] is a metric to maximize plus upper-bound constraints,
-//! written in a one-line spec such as:
+//! Multi-scenario objectives: a metric to maximize plus upper-bound
+//! constraints. The harness searches under one,
+//! [`Objective::default_scavenger`], whose `Display` form heads the tune
+//! report:
 //!
 //! ```text
 //! maximize scav_util subject to harm < 0.05
-//! maximize scav_mbps subject to harm < 0.05 and p95_rtt < 0.2
 //! ```
 //!
 //! Metrics are aggregates over every evaluation scenario (see
@@ -43,25 +42,13 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Spec-grammar name.
+    /// Name in the objective line of the tune report.
     pub fn name(self) -> &'static str {
         match self {
             Metric::ScavUtil => "scav_util",
             Metric::ScavMbps => "scav_mbps",
             Metric::Harm => "harm",
             Metric::P95Rtt => "p95_rtt",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "scav_util" => Ok(Metric::ScavUtil),
-            "scav_mbps" => Ok(Metric::ScavMbps),
-            "harm" => Ok(Metric::Harm),
-            "p95_rtt" => Ok(Metric::P95Rtt),
-            other => Err(format!(
-                "unknown metric {other:?} (expected scav_util, scav_mbps, harm or p95_rtt)"
-            )),
         }
     }
 
@@ -107,45 +94,6 @@ impl Objective {
         }
     }
 
-    /// Parses a one-line objective spec (see the module docs for the
-    /// grammar): `maximize <metric> [subject to <metric> < <value>
-    /// [and <metric> < <value>]...]`. Commas may replace `and`.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let cleaned = spec.replace(',', " and ");
-        let mut toks = cleaned.split_whitespace().peekable();
-        match toks.next() {
-            Some("maximize") => {}
-            other => return Err(format!("expected 'maximize', got {other:?}")),
-        }
-        let maximize = Metric::parse(toks.next().ok_or("missing metric to maximize")?)?;
-        let mut constraints = Vec::new();
-        if toks.peek().is_some() {
-            if toks.next() != Some("subject") || toks.next() != Some("to") {
-                return Err("expected 'subject to' after the maximized metric".to_string());
-            }
-            loop {
-                let metric = Metric::parse(toks.next().ok_or("missing constraint metric")?)?;
-                if toks.next() != Some("<") {
-                    return Err(format!("expected '<' after {}", metric.name()));
-                }
-                let raw = toks.next().ok_or("missing constraint bound")?;
-                let max: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("bad constraint bound {raw:?}"))?;
-                constraints.push(Constraint { metric, max });
-                match toks.next() {
-                    None => break,
-                    Some("and") => continue,
-                    Some(junk) => return Err(format!("unexpected token {junk:?}")),
-                }
-            }
-        }
-        Ok(Self {
-            maximize,
-            constraints,
-        })
-    }
-
     /// Scores a candidate: `(feasible, fitness)`. Feasible candidates get
     /// the maximized metric as fitness; infeasible ones get the *negated
     /// total constraint violation*, so a genetic search still ranks
@@ -180,45 +128,31 @@ impl fmt::Display for Objective {
 mod tests {
     use super::*;
 
+    /// The tune report's first line and `best_config.json`'s `"objective"`,
+    /// byte for byte.
     #[test]
     fn parses_default_spec_roundtrip() {
-        let o = Objective::default_scavenger();
-        let parsed = Objective::parse(&o.to_string()).unwrap();
-        assert_eq!(parsed, o);
-        assert_eq!(o.to_string(), "maximize scav_util subject to harm < 0.05");
-    }
-
-    #[test]
-    fn parses_multi_constraint() {
-        let o = Objective::parse("maximize scav_mbps subject to harm < 0.05 and p95_rtt < 0.2")
-            .unwrap();
-        assert_eq!(o.maximize, Metric::ScavMbps);
-        assert_eq!(o.constraints.len(), 2);
-        let c =
-            Objective::parse("maximize scav_mbps subject to harm < 0.05, p95_rtt < 0.2").unwrap();
-        assert_eq!(c, o);
-    }
-
-    #[test]
-    fn parses_unconstrained() {
-        let o = Objective::parse("maximize scav_util").unwrap();
-        assert!(o.constraints.is_empty());
-        assert!(o.score(&CandidateMetrics::default()).0);
-    }
-
-    #[test]
-    fn rejects_malformed_specs() {
-        for bad in [
-            "",
-            "minimize harm",
-            "maximize bogus",
-            "maximize scav_util subject harm < 0.05",
-            "maximize scav_util subject to harm > 0.05",
-            "maximize scav_util subject to harm < zebra",
-            "maximize scav_util subject to harm < 0.05 nonsense",
-        ] {
-            assert!(Objective::parse(bad).is_err(), "accepted {bad:?}");
-        }
+        assert_eq!(
+            Objective::default_scavenger().to_string(),
+            "maximize scav_util subject to harm < 0.05"
+        );
+        let two = Objective {
+            maximize: Metric::ScavMbps,
+            constraints: vec![
+                Constraint {
+                    metric: Metric::Harm,
+                    max: 0.05,
+                },
+                Constraint {
+                    metric: Metric::P95Rtt,
+                    max: 0.2,
+                },
+            ],
+        };
+        assert_eq!(
+            two.to_string(),
+            "maximize scav_mbps subject to harm < 0.05 and p95_rtt < 0.2"
+        );
     }
 
     #[test]

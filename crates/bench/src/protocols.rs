@@ -81,22 +81,29 @@ pub fn try_cc(name: &str, seed: u64) -> Option<Box<dyn CongestionControl>> {
 /// protocols have no MI decision points, so they are returned untraced —
 /// the run itself is unchanged either way.
 pub fn cc_traced(name: &str, seed: u64) -> Box<dyn CongestionControl> {
-    let ring = || RingSink::new(crate::mi_trace::MI_RING_CAPACITY);
-    match name {
-        "Proteus-P" => Box::new(ProteusSender::primary(seed).with_sink(ring())),
-        "Proteus-S" => Box::new(ProteusSender::scavenger(seed).with_sink(ring())),
-        "PCC-Vivace" => Box::new(ProteusSender::vivace(seed).with_sink(ring())),
-        "PCC-Allegro" => Box::new(ProteusSender::allegro(seed).with_sink(ring())),
-        other => cc(other, seed),
-    }
+    cc_traced_if(name, seed, true)
 }
 
 /// [`cc_traced`] when `traced` is set, else [`cc`].
 pub fn cc_traced_if(name: &str, seed: u64, traced: bool) -> Box<dyn CongestionControl> {
+    let sender = match name {
+        "Proteus-P" => ProteusSender::primary(seed),
+        "Proteus-S" => ProteusSender::scavenger(seed),
+        "PCC-Vivace" => ProteusSender::vivace(seed),
+        "PCC-Allegro" => ProteusSender::allegro(seed),
+        other => return cc(other, seed),
+    };
+    sender_traced_if(sender, traced)
+}
+
+/// Boxes a PCC-family `sender`, with a [`RingSink`] decision recorder when
+/// `traced` is set: the traced switch for senders built from their own
+/// config rather than by name.
+pub fn sender_traced_if(sender: ProteusSender, traced: bool) -> Box<dyn CongestionControl> {
     if traced {
-        cc_traced(name, seed)
+        Box::new(sender.with_sink(RingSink::new(crate::mi_trace::MI_RING_CAPACITY)))
     } else {
-        cc(name, seed)
+        Box::new(sender)
     }
 }
 

@@ -77,11 +77,25 @@ fn job_grid(seed: u64) -> Vec<SimJob> {
 fn figure_job_grid(seed: u64) -> Vec<SimJob> {
     let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
     vec![
-        fig2::probe_job(9.0, 6.0, seed),
-        fig12::streaming_job(100.0, VideoTransport::Hybrid, false, 8.0, seed),
+        fig2::probe_job(9.0, 6.0, seed, Traces::off()),
+        fig12::streaming_job(
+            100.0,
+            VideoTransport::Hybrid,
+            false,
+            8.0,
+            seed,
+            Traces::off(),
+        ),
         fig14::timeline_job("BBR", "BBR-S", link, 20.0, seed, Traces::off()),
-        fig2::probe_job(0.0, 6.0, seed + 1),
-        fig12::streaming_job(100.0, VideoTransport::Primary, true, 8.0, seed),
+        fig2::probe_job(0.0, 6.0, seed + 1, Traces::off()),
+        fig12::streaming_job(
+            100.0,
+            VideoTransport::Primary,
+            true,
+            8.0,
+            seed,
+            Traces::off(),
+        ),
         fig14::timeline_job("CUBIC", "BBR-S", link, 20.0, seed, Traces::off()),
     ]
 }

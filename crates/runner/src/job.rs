@@ -27,7 +27,7 @@ pub struct SimJob {
 impl SimJob {
     /// Creates a job. `descriptor` is the content identity (see type-level
     /// docs); `label` is a short human-readable name used in progress
-    /// output and telemetry file names.
+    /// output.
     pub fn new(
         descriptor: impl Into<String>,
         label: impl Into<String>,

@@ -44,18 +44,18 @@ pub fn float_at(values: &[f64], index: usize) -> f64 {
     values.get(index).copied().unwrap_or(0.0)
 }
 
-/// Encodes several float sets of varying size as one float list, each set
-/// prefixed by its length: `[n0, s0.., n1, s1.., ...]`.
-pub fn encode_float_sets(sets: &[&[f64]]) -> String {
+/// Flattens several float sets of varying size into one float list, each
+/// set prefixed by its length: `[n0, s0.., n1, s1.., ...]`.
+pub fn float_sets(sets: &[&[f64]]) -> Vec<f64> {
     let mut flat = Vec::with_capacity(sets.iter().map(|s| s.len() + 1).sum());
     for set in sets {
         flat.push(set.len() as f64);
         flat.extend_from_slice(set);
     }
-    encode_floats(&flat)
+    flat
 }
 
-/// Decodes a payload produced by [`encode_float_sets`]. Total on any float
+/// Decodes an [`encode_floats`] payload of a [`float_sets`] list. Total on any float
 /// list: a length prefix that overruns the payload is clamped to what is
 /// there, so [`crate::skipped_payload`] decodes as empty sets.
 pub fn decode_float_sets(payload: &str) -> Vec<Vec<f64>> {
@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn float_sets_round_trip() {
         let (a, b) = ([1.5, -2.0, 0.1 + 0.2], []);
-        let decoded = decode_float_sets(&encode_float_sets(&[&a, &b, &a[..1]]));
+        let decoded = decode_float_sets(&encode_floats(&float_sets(&[&a, &b, &a[..1]])));
         assert_eq!(decoded, vec![a.to_vec(), vec![], vec![1.5]]);
     }
 
