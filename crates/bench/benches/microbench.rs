@@ -195,7 +195,7 @@ fn bench_cc_per_ack(c: &mut Criterion) {
     // BENCH_controller.json).
     group.bench_function("Proteus-S-traced", |b| {
         let mut cc = ProteusSender::scavenger(1).with_sink(proteus_trace::RingSink::new(
-            proteus_bench::mi_trace::MI_RING_CAPACITY,
+            proteus_trace::MI_RING_CAPACITY,
         ));
         cc.on_flow_start(Time::ZERO);
         let mut seq = 0u64;

@@ -66,8 +66,7 @@ use std::process::ExitCode;
 use proteus_apps::{MediaSource, MediaSpec};
 use proteus_bench::protocols::NAMES;
 use proteus_bench::{
-    cc, cc_traced_if, mi_trace, tail_window, trace_jsonl, try_cc, MiTraceSink, TraceFormat,
-    TRACE_EVERY,
+    cc, mi_trace, tail_window, trace_jsonl, try_cc, MiTraceSink, TraceFormat, TRACE_EVERY,
 };
 use proteus_netsim::{
     run, AckCompression, ChurnClass, ChurnSpec, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec,
@@ -417,10 +416,7 @@ fn main() -> ExitCode {
         let name = format!("{proto}#{i}");
         let proto = proto.clone();
         let seed = args.seed + i as u64;
-        let decisions = args.trace_mi;
-        let mut spec = FlowSpec::bulk(name, Dur::from_secs_f64(*start), move || {
-            cc_traced_if(&proto, seed, decisions)
-        });
+        let mut spec = FlowSpec::bulk(name, Dur::from_secs_f64(*start), move || cc(&proto, seed));
         if i == 0 {
             if let Some((fps, ladder)) = &args.media {
                 let media = MediaSpec {

@@ -42,7 +42,7 @@ fn baseline_job(sc: EvalScenario, seed: u64) -> SimJob {
         format!("single-{}-s{seed}", sc.name),
         // Untraced: a search runs hundreds of cells, under pinned cache keys.
         Traces::off(),
-        move |_| {
+        move || {
             (sc.scenario(seed, None), move |res: &SimResult| {
                 vec![tail_mbps(res, 0, sc.secs)]
             })
@@ -64,7 +64,7 @@ fn pair_job(sc: EvalScenario, cand: Candidate, seed: u64) -> SimJob {
         format!("pair-{}-{}-s{seed}", sc.name, cand.variant.name()),
         // Untraced, like `baseline_job`.
         Traces::off(),
-        move |_| {
+        move || {
             (sc.scenario(seed, Some(cand)), move |res: &SimResult| {
                 pair_payload(res, sc.secs)
             })

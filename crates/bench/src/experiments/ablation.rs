@@ -24,20 +24,21 @@ use proteus_core::{
 };
 use proteus_netsim::{FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_runner::{payload, Campaign, SimJob};
-use proteus_transport::{CongestionControl, Dur};
+use proteus_transport::Dur;
 
 use crate::experiments::wifi::{path_tag, wifi_paths};
 use crate::jobs::{
     campaign, decode_single, link_tag, scenario_job, single_job, tail_mbps, tail_window, Traces,
 };
-use crate::protocols::{cc_traced_if, sender_traced_if};
+use crate::protocols::cc;
 use crate::report::{f2, pct, write_report, Table};
 use crate::RunCfg;
 
-/// Named noise-tolerance variants for ablation runs.
-fn noise_variants() -> Vec<(&'static str, NoiseTolerance)> {
+/// Named noise-tolerance variants for ablation runs: the paper's Proteus
+/// config with each tolerance in turn.
+fn noise_variants() -> Vec<(&'static str, ProteusConfig)> {
     let full = AdaptiveNoiseParams::default();
-    vec![
+    [
         ("full (paper)", NoiseTolerance::Adaptive(full)),
         (
             "no ACK filter",
@@ -65,31 +66,29 @@ fn noise_variants() -> Vec<(&'static str, NoiseTolerance)> {
             NoiseTolerance::FixedThreshold(0.01),
         ),
     ]
+    .into_iter()
+    .map(|(label, noise)| {
+        let cfg = ProteusConfig {
+            noise,
+            ..ProteusConfig::proteus()
+        };
+        (label, cfg)
+    })
+    .collect()
 }
 
-/// Proteus-S on the paper's config with `tweak` applied, seeded `seed`,
-/// carrying a decision recorder when `decisions` is set.
-fn tweaked_scavenger(
-    seed: u64,
-    decisions: bool,
-    tweak: impl FnOnce(&mut ProteusConfig),
-) -> Box<dyn CongestionControl> {
-    let mut cfg = ProteusConfig::proteus().with_seed(seed);
-    tweak(&mut cfg);
-    sender_traced_if(ProteusSender::with_config(cfg, Mode::Scavenger), decisions)
-}
-
-/// That scavenger alone on `link`; the reader returns `[utilization]`.
+/// Proteus-S on `cfg`, seeded `seed`, alone on `link`; the reader returns
+/// `[utilization]`.
 fn scavenger_alone(
     link: LinkSpec,
     secs: f64,
     seed: u64,
-    decisions: bool,
-    tweak: impl FnOnce(&mut ProteusConfig) + 'static,
+    cfg: ProteusConfig,
 ) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
+    let cfg = cfg.with_seed(seed);
     let sc = Scenario::new(link, Dur::from_secs_f64(secs))
         .flow(FlowSpec::bulk("s", Dur::ZERO, move || {
-            tweaked_scavenger(seed, decisions, tweak)
+            Box::new(ProteusSender::with_config(cfg, Mode::Scavenger))
         }))
         .with_seed(seed)
         .with_rtt_stride(2);
@@ -98,14 +97,15 @@ fn scavenger_alone(
     })
 }
 
-/// One scavenger flow with the given tolerance on `link`; payload
-/// `[utilization]`.
+/// [`scavenger_alone`] as a job of `exp`, the variant named `key=label` in
+/// its descriptor, on the link `tag` identifies; payload `[utilization]`.
 #[allow(clippy::too_many_arguments)]
-fn noise_job(
+fn scavenger_job(
     exp: &'static str,
+    key: &str,
     label: &'static str,
+    cfg: ProteusConfig,
     tag: &str,
-    noise: NoiseTolerance,
     link: LinkSpec,
     secs: f64,
     seed: u64,
@@ -113,10 +113,10 @@ fn noise_job(
 ) -> SimJob {
     scenario_job(
         exp,
-        format!("{exp}/variant={label}/{tag}/secs={secs:?}/seed={seed}"),
+        format!("{exp}/{key}={label}/{tag}/secs={secs:?}/seed={seed}"),
         format!("{label}-{tag}-s{seed}"),
         traces,
-        move |decisions| scavenger_alone(link, secs, seed, decisions, move |c| c.noise = noise),
+        move || scavenger_alone(link, secs, seed, cfg),
     )
 }
 
@@ -127,16 +127,17 @@ fn ablation1_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
     let paths = wifi_paths(n_paths, path_seed);
     noise_variants()
         .into_iter()
-        .map(|(label, noise)| {
+        .map(|(label, scav)| {
             paths
                 .iter()
                 .enumerate()
                 .map(|(ci, link)| {
-                    camp.push_dedup(noise_job(
+                    camp.push_dedup(scavenger_job(
                         "ablation1",
+                        "variant",
                         label,
+                        scav,
                         &path_tag(path_seed, ci),
-                        noise,
                         *link,
                         secs,
                         cfg.seed + ci as u64,
@@ -168,30 +169,6 @@ const RULES: &[(&str, ProbeRule)] = &[
     ("2-pair agreement (Vivace)", ProbeRule::Agreement),
 ];
 
-/// One scavenger flow probing by `rule` on WiFi path `tag`; payload
-/// `[utilization]`.
-fn rule_job(
-    label: &'static str,
-    rule: ProbeRule,
-    tag: &str,
-    link: LinkSpec,
-    secs: f64,
-    seed: u64,
-    traces: Traces,
-) -> SimJob {
-    scenario_job(
-        "ablation2",
-        format!("ablation2/rule={label}/{tag}/secs={secs:?}/seed={seed}"),
-        format!("{label}-{tag}-s{seed}"),
-        traces,
-        move |decisions| {
-            scavenger_alone(link, secs, seed, decisions, move |c| {
-                c.rate_control.probe_rule = rule
-            })
-        },
-    )
-}
-
 fn ablation2_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
     let n_paths = if cfg.quick { 2 } else { 10 };
     let secs = if cfg.quick { 20.0 } else { 40.0 };
@@ -200,6 +177,8 @@ fn ablation2_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
     RULES
         .iter()
         .map(|&(label, rule)| {
+            let mut scav = ProteusConfig::proteus();
+            scav.rate_control.probe_rule = rule;
             paths
                 .iter()
                 .enumerate()
@@ -207,7 +186,17 @@ fn ablation2_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
                     let tag = path_tag(path_seed, ci);
                     let seed = cfg.seed + ci as u64;
                     let traces = Traces::from_cfg(&cfg);
-                    camp.push_dedup(rule_job(label, rule, &tag, *link, secs, seed, traces))
+                    camp.push_dedup(scavenger_job(
+                        "ablation2",
+                        "rule",
+                        label,
+                        scav,
+                        &tag,
+                        *link,
+                        secs,
+                        seed,
+                        traces,
+                    ))
                 })
                 .collect()
         })
@@ -246,14 +235,16 @@ fn deviation_job(d: f64, secs: f64, seed: u64, traces: Traces) -> SimJob {
         format!("ablation3/d={d:?}/secs={secs:?}/seed={seed}"),
         format!("d={d:?}-s{seed}"),
         traces,
-        move |decisions| {
+        move || {
             let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
+            let mut scav = ProteusConfig::proteus().with_seed(seed ^ 0x5A);
+            scav.utility.deviation_coef = d;
             let sc = Scenario::new(link, Dur::from_secs_f64(secs))
                 .flow(FlowSpec::bulk("p", Dur::ZERO, move || {
-                    cc_traced_if("Proteus-P", seed ^ 0xA5, decisions)
+                    cc("Proteus-P", seed ^ 0xA5)
                 }))
                 .flow(FlowSpec::bulk("s", Dur::from_secs(5), move || {
-                    tweaked_scavenger(seed ^ 0x5A, decisions, |c| c.utility.deviation_coef = d)
+                    Box::new(ProteusSender::with_config(scav, Mode::Scavenger))
                 }))
                 .with_seed(seed)
                 .with_rtt_stride(2);
@@ -301,12 +292,13 @@ fn ablation4_submit(cfg: RunCfg, camp: &mut Campaign) -> (Vec<usize>, usize) {
     let tag = link_tag(&link);
     let variants = noise_variants()
         .into_iter()
-        .map(|(label, noise)| {
-            camp.push_dedup(noise_job(
+        .map(|(label, scav)| {
+            camp.push_dedup(scavenger_job(
                 "ablation4",
+                "variant",
                 label,
+                scav,
                 &tag,
-                noise,
                 link,
                 secs,
                 cfg.seed ^ 0xA5,
@@ -378,16 +370,36 @@ mod tests {
     fn ablation_descriptors_are_pinned() {
         let off = Traces::off();
         let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
-        let (label, noise) = noise_variants()[0];
+        let (label, scav) = noise_variants()[0];
         let tag = path_tag(1 ^ 0xAB1, 0);
-        let a1 = noise_job("ablation1", label, &tag, noise, link, 20.0, 1, off);
+        let a1 = scavenger_job(
+            "ablation1",
+            "variant",
+            label,
+            scav,
+            &tag,
+            link,
+            20.0,
+            1,
+            off,
+        );
         assert_eq!(
             a1.descriptor(),
             "ablation1/variant=full (paper)/wifipath=0,pathseed=2736/secs=20.0/seed=1/v1"
         );
         assert_eq!(a1.key().hex(), "0875bc53f144a69b");
-        let (label, rule) = RULES[0];
-        let a2 = rule_job(label, rule, &path_tag(1 ^ 0xAB2, 0), link, 20.0, 1, off);
+        let tag = path_tag(1 ^ 0xAB2, 0);
+        let a2 = scavenger_job(
+            "ablation2",
+            "rule",
+            RULES[0].0,
+            scav,
+            &tag,
+            link,
+            20.0,
+            1,
+            off,
+        );
         assert_eq!(
             a2.descriptor(),
             "ablation2/rule=3-pair majority (Proteus)/wifipath=0,pathseed=2739/secs=20.0/seed=1/v1"

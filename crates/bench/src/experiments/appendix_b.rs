@@ -20,7 +20,7 @@ use proteus_transport::{Dur, Time};
 use crate::experiments::fig5::fairness_job;
 use crate::experiments::fig6::{cell_from_outputs, push_cell};
 use crate::jobs::{campaign, decode_single, link_tag, scenario_job, single_job, Traces};
-use crate::protocols::{cc_traced_if, PRIMARIES};
+use crate::protocols::{cc, PRIMARIES};
 use crate::report::{f2, f3, pct, write_report, Table};
 use crate::RunCfg;
 
@@ -185,7 +185,7 @@ fn fig18_job(proto: &'static str, total: f64, seed: u64, traces: Traces) -> SimJ
         format!("fig18/proto={proto}/total={total:?}/seed={seed}"),
         format!("fig18-{proto}-s{seed}"),
         traces,
-        move |decisions| {
+        move || {
             let link = LinkSpec::new(80.0, Dur::from_millis(30), 4_000_000);
             let mut sc = Scenario::new(link, Dur::from_secs_f64(total))
                 .with_seed(seed)
@@ -194,7 +194,7 @@ fn fig18_job(proto: &'static str, total: f64, seed: u64, traces: Traces) -> SimJ
                 sc = sc.flow(FlowSpec::bulk(
                     format!("{proto}-{i}"),
                     Dur::from_secs_f64(60.0 * i as f64),
-                    move || cc_traced_if(proto, seed + i as u64, decisions),
+                    move || cc(proto, seed + i as u64),
                 ));
             }
             (sc, move |res: &SimResult| {

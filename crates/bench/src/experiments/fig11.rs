@@ -2,7 +2,7 @@
 //!
 //! (a) 1/2/4/8 concurrent DASH videos on a ~100 Mbps downlink, with a
 //! single background bulk flow running nothing / Proteus-S / LEDBAT /
-//! CUBIC; reports the average chunk bitrate, averaged over `cfg.trials`
+//! CUBIC; reports the average chunk bitrate, averaged over `cfg.trials()`
 //! seeds: one cell is a bimodal draw (an 8-video LEDBAT cell reads ≈ 2 Mbps
 //! on five seeds of six and ≈ 8.5 on the sixth — EXPERIMENTS.md, "Seed
 //! sweeps").
@@ -19,7 +19,7 @@ use proteus_transport::Dur;
 
 use crate::experiments::video_util::{add_video_flow, VideoTransport};
 use crate::jobs::{campaign, scenario_job, Traces};
-use crate::protocols::cc_traced_if;
+use crate::protocols::cc;
 use crate::report::{f2, write_report, Table};
 use crate::RunCfg;
 
@@ -30,13 +30,12 @@ fn link() -> LinkSpec {
     LinkSpec::new(100.0, Dur::from_millis(30), 750_000)
 }
 
-fn add_background(sc: &mut Scenario, bg: &'static str, start: Dur, decisions: bool) {
+fn add_background(sc: &mut Scenario, bg: &'static str, start: Dur) {
     if bg == "none" {
         return;
     }
-    sc.flows.push(FlowSpec::bulk("background", start, move || {
-        cc_traced_if(bg, 0xBADA, decisions)
-    }));
+    sc.flows
+        .push(FlowSpec::bulk("background", start, move || cc(bg, 0xBADA)));
 }
 
 /// `n` concurrent DASH sessions sharing the link with `bg`; the reader
@@ -47,7 +46,6 @@ fn dash_build(
     bg: &'static str,
     secs: f64,
     seed: u64,
-    decisions: bool,
 ) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
     let mut sc = Scenario::new(link(), Dur::from_secs_f64(secs))
         .with_seed(seed)
@@ -63,11 +61,10 @@ fn dash_build(
                 seed + i as u64,
                 false,
                 Dur::ZERO,
-                decisions,
             )
         })
         .collect();
-    add_background(&mut sc, bg, Dur::ZERO, decisions);
+    add_background(&mut sc, bg, Dur::ZERO);
     (sc, move |_: &SimResult| {
         vec![
             handles
@@ -86,7 +83,7 @@ fn dash_job(n: usize, bg: &'static str, secs: f64, seed: u64, traces: Traces) ->
         format!("fig11/dash/videos={n}/bg={bg}/secs={secs:?}/seed={seed}"),
         format!("dash-{n}-{bg}-s{seed}"),
         traces,
-        move |decisions| dash_build(n, bg, secs, seed, decisions),
+        move || dash_build(n, bg, secs, seed),
     )
 }
 
@@ -97,7 +94,6 @@ fn web_build(
     bg: &'static str,
     duration: Dur,
     seed: u64,
-    decisions: bool,
 ) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
     let workload = WebWorkload {
         duration,
@@ -112,10 +108,10 @@ fn web_build(
             format!("page-{i}"),
             p.start,
             p.bytes,
-            move || cc_traced_if("CUBIC", i as u64, decisions),
+            move || cc("CUBIC", i as u64),
         ));
     }
-    add_background(&mut sc, bg, Dur::ZERO, decisions);
+    add_background(&mut sc, bg, Dur::ZERO);
     (sc, |res: &SimResult| {
         let e = Ecdf::new(
             res.flows
@@ -143,7 +139,7 @@ fn web_job(bg: &'static str, duration: Dur, seed: u64, traces: Traces) -> SimJob
         ),
         format!("web-{bg}-s{seed}"),
         traces,
-        move |decisions| web_build(bg, duration, seed, decisions),
+        move || web_build(bg, duration, seed),
     )
 }
 
@@ -162,7 +158,7 @@ pub fn run_experiment(cfg: RunCfg) -> String {
     for &n in counts {
         for &bg in BACKGROUNDS {
             // Trial seeds as in Fig. 12: `seed + 101·t`.
-            for t in 0..cfg.trials {
+            for t in 0..cfg.trials() {
                 camp.push(dash_job(n, bg, secs, cfg.seed + 101 * t, traces));
             }
         }
@@ -185,8 +181,8 @@ pub fn run_experiment(cfg: RunCfg) -> String {
     for &n in counts {
         let mut row = vec![n.to_string()];
         for _ in BACKGROUNDS {
-            let sum: f64 = (0..cfg.trials).map(|_| next()[0]).sum();
-            row.push(f2(sum / cfg.trials as f64));
+            let sum: f64 = (0..cfg.trials()).map(|_| next()[0]).sum();
+            row.push(f2(sum / cfg.trials() as f64));
         }
         dash.row(row);
     }
@@ -218,13 +214,13 @@ mod tests {
     fn jobs_match_direct_runs() {
         let off = Traces::off();
         let dash = payload::decode_floats(&dash_job(2, "CUBIC", 8.0, 3, off).execute());
-        let (sc, read) = dash_build(2, "CUBIC", 8.0, 3, false);
+        let (sc, read) = dash_build(2, "CUBIC", 8.0, 3);
         assert_eq!(dash, read(&proteus_netsim::run(sc)));
         assert!(dash[0] > 0.0);
 
         let minute = Dur::from_secs(60);
         let web = payload::decode_floats(&web_job("LEDBAT", minute, 3, off).execute());
-        let (sc, read) = web_build("LEDBAT", minute, 3, false);
+        let (sc, read) = web_build("LEDBAT", minute, 3);
         assert_eq!(web, read(&proteus_netsim::run(sc)));
         assert!(web[3] >= 1.0 && web[0] > 0.0);
     }

@@ -34,7 +34,6 @@ fn streaming_build(
     forced_max: bool,
     secs: f64,
     seed: u64,
-    decisions: bool,
 ) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
     let link = LinkSpec::new(bw_mbps, Dur::from_millis(30), 900_000);
     let mut sc = Scenario::new(link, Dur::from_secs_f64(secs))
@@ -43,15 +42,7 @@ fn streaming_build(
     // The corpus is fixed across trials; only the dynamics seeds vary.
     let v4k = corpus_4k(1, 1)[0].clone();
     let v1080 = corpus_1080p(3, 1);
-    let h4k = add_video_flow(
-        &mut sc,
-        v4k,
-        transport,
-        seed + 1,
-        forced_max,
-        Dur::ZERO,
-        decisions,
-    );
+    let h4k = add_video_flow(&mut sc, v4k, transport, seed + 1, forced_max, Dur::ZERO);
     let h1080: Vec<_> = v1080
         .into_iter()
         .enumerate()
@@ -63,7 +54,6 @@ fn streaming_build(
                 seed + 10 + i as u64,
                 forced_max,
                 Dur::ZERO,
-                decisions,
             )
         })
         .collect();
@@ -100,11 +90,11 @@ pub fn streaming_job(
         ),
         format!("streaming-{bw_mbps}-{mode}-s{seed}"),
         traces,
-        move |decisions| streaming_build(bw_mbps, transport, forced_max, secs, seed, decisions),
+        move || streaming_build(bw_mbps, transport, forced_max, secs, seed),
     )
 }
 
-/// Submits `cfg.trials` streaming trials per (bandwidth, transport) —
+/// Submits `cfg.trials()` streaming trials per (bandwidth, transport) —
 /// Hybrid then Primary within a bandwidth, trial seeds `seed + 101·t` —
 /// runs them, and returns each bandwidth's `(hybrid, primary)` stats
 /// averaged over the trials (rebuffering outcomes are seed-sensitive; the
@@ -120,7 +110,7 @@ fn averaged_runs(
     let mut camp = campaign(name, *cfg);
     for &bw in bws {
         for transport in TRANSPORTS {
-            for t in 0..cfg.trials {
+            for t in 0..cfg.trials() {
                 camp.push(streaming_job(
                     bw,
                     transport,
@@ -134,10 +124,10 @@ fn averaged_runs(
     }
     let result = camp.run();
     let mut outputs = result.outputs.iter();
-    let n = cfg.trials as f64;
+    let n = cfg.trials() as f64;
     let mut averaged = || {
         let mut acc = [0.0; 4];
-        for _ in 0..cfg.trials {
+        for _ in 0..cfg.trials() {
             let v = payload::decode_floats(outputs.next().expect("one output per trial"));
             for (a, x) in acc.iter_mut().zip(&v) {
                 *a += x;
@@ -235,7 +225,7 @@ mod tests {
     fn streaming_job_matches_direct_run() {
         let job = streaming_job(100.0, VideoTransport::Hybrid, true, 10.0, 3, Traces::off());
         let out = payload::decode_floats(&job.execute());
-        let (sc, read) = streaming_build(100.0, VideoTransport::Hybrid, true, 10.0, 3, false);
+        let (sc, read) = streaming_build(100.0, VideoTransport::Hybrid, true, 10.0, 3);
         assert_eq!(out, read(&proteus_netsim::run(sc)));
         assert!(out[0] > 0.0);
     }

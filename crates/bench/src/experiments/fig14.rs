@@ -37,8 +37,8 @@ pub fn timeline_job(
         format!("timeline/{tag}/primary={a}/scav={b}/secs={secs:?}/bin={BIN_SECS:?}/seed={seed}"),
         format!("timeline-{tag}-{a}-vs-{b}-s{seed}"),
         traces,
-        move |decisions| {
-            let sc = pair_scenario(a, b, link, secs, seed, decisions);
+        move || {
+            let sc = pair_scenario(a, b, link, secs, seed);
             (sc, move |res: &SimResult| {
                 let mut windows: Vec<(Time, Time)> = (0..bins(secs))
                     .map(|i| {
@@ -128,7 +128,7 @@ mod tests {
         let v = payload::decode_floats(
             &timeline_job("CUBIC", "BBR-S", link, secs, 3, Traces::off()).execute(),
         );
-        let direct = run(pair_scenario("CUBIC", "BBR-S", link, secs, 3, false));
+        let direct = run(pair_scenario("CUBIC", "BBR-S", link, secs, 3));
         // Two whole bins plus the tail summary.
         assert_eq!(v.len(), 6);
         let bin1 = (Time::from_secs_f64(10.0), Time::from_secs_f64(20.0));

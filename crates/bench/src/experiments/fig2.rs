@@ -13,7 +13,7 @@ use proteus_transport::{factory, Dur};
 
 use crate::jobs::{campaign, scenario_job, Traces, TRACE_EVERY};
 use crate::mi_trace::TraceFormat;
-use crate::protocols::{cc, cc_traced};
+use crate::protocols::cc;
 use crate::report::{f3, write_report, Table};
 use crate::RunCfg;
 
@@ -132,7 +132,7 @@ pub fn probe_job(rate_per_sec: f64, secs: f64, seed: u64, traces: Traces) -> Sim
         format!("fig2/probe/rate={rate_per_sec:?}/secs={secs:?}/seed={seed}"),
         format!("probe-{rate_per_sec}-s{seed}"),
         traces,
-        move |_| probe_build(rate_per_sec, secs, seed),
+        move || probe_build(rate_per_sec, secs, seed),
     )
 }
 
@@ -147,7 +147,7 @@ pub fn decision_scenario(secs: f64, seed: u64) -> Scenario {
     let link = LinkSpec::new(100.0, Dur::from_millis(60), 1_500_000);
     Scenario::new(link, Dur::from_secs_f64(secs))
         .flow(FlowSpec::bulk("Proteus-S", Dur::ZERO, move || {
-            cc_traced("Proteus-S", seed ^ 0xA5)
+            cc("Proteus-S", seed ^ 0xA5)
         }))
         .with_cross_traffic(CrossTrafficSpec {
             arrivals_per_sec: 9.0,
@@ -172,7 +172,7 @@ fn decision_job(secs: f64, seed: u64, format: TraceFormat) -> SimJob {
             telemetry: false,
             decisions: Some(format),
         },
-        move |_| {
+        move || {
             (decision_scenario(secs, seed), |res: &SimResult| {
                 vec![res.decisions.len() as f64]
             })

@@ -33,7 +33,7 @@ pub(crate) fn submit_sweep(camp: &mut Campaign, cfg: &RunCfg) -> Vec<usize> {
     for &loss in &loss_rates(cfg.quick) {
         let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000).with_random_loss(loss);
         for &proto in ALL_FIG3 {
-            for trial in 0..cfg.trials {
+            for trial in 0..cfg.trials() {
                 slots.push(camp.push_dedup(single_job(
                     "fig4",
                     &link_tag(&link),
@@ -65,11 +65,11 @@ pub fn run_experiment(cfg: RunCfg) -> String {
         let mut row = vec![format!("{loss}")];
         for _ in ALL_FIG3 {
             let mut sum = 0.0;
-            for _ in 0..cfg.trials {
+            for _ in 0..cfg.trials() {
                 let out = &result.outputs[slot.next().expect("slot per trial")];
                 sum += decode_single(out).tail_mbps;
             }
-            row.push(f2(sum / cfg.trials as f64));
+            row.push(f2(sum / cfg.trials() as f64));
         }
         t.row(row);
     }

@@ -12,7 +12,7 @@ use proteus_stats::jain_index;
 use proteus_transport::{Dur, Time};
 
 use crate::jobs::{campaign, scenario_job, Traces};
-use crate::protocols::{cc_traced_if, ALL_FIG3};
+use crate::protocols::{cc, ALL_FIG3};
 use crate::report::{f3, write_report, Table};
 use crate::RunCfg;
 
@@ -42,7 +42,7 @@ pub fn fairness_job(
         format!("fairness/proto={proto}/n={n}/measure={measure_secs:?}/seed={seed}"),
         format!("fairness-{proto}-n{n}-s{seed}"),
         traces,
-        move |decisions| {
+        move || {
             let link = LinkSpec::new(20.0 * n as f64, Dur::from_millis(30), 300_000 * n as u64);
             let last_start = 20.0 * (n - 1) as f64;
             let total = last_start + measure_secs;
@@ -53,7 +53,7 @@ pub fn fairness_job(
                 sc = sc.flow(FlowSpec::bulk(
                     format!("{proto}-{i}"),
                     Dur::from_secs_f64(20.0 * i as f64),
-                    move || cc_traced_if(proto, seed + i as u64, decisions),
+                    move || cc(proto, seed + i as u64),
                 ));
             }
             (sc, move |res: &SimResult| {

@@ -38,7 +38,7 @@ use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
 use crate::jobs::{campaign, scenario_job, tail_mbps, Traces};
-use crate::protocols::cc_traced_if;
+use crate::protocols::cc;
 use crate::report::{f2, Table};
 use crate::RunCfg;
 
@@ -89,13 +89,12 @@ fn two_hop_chain() -> Topology {
 }
 
 /// Builds one cell's scenario: the RTC call from t = 0, the companion (if
-/// any) from t = 5 s, with decision recorders when `decisions` is set.
+/// any) from t = 5 s.
 fn rtc_scenario(
     profile: &'static str,
     companion: Option<&'static str>,
     secs: f64,
     seed: u64,
-    decisions: bool,
 ) -> Scenario {
     let duration = Dur::from_secs_f64(secs);
     let mut sc = match profile {
@@ -115,15 +114,13 @@ fn rtc_scenario(
         ..MediaSpec::default()
     };
     sc = sc.flow(
-        FlowSpec::bulk("RTC", Dur::ZERO, move || {
-            cc_traced_if("Cross", seed ^ 0xC1, decisions)
-        })
-        .with_app(move || Box::new(MediaSource::new(spec)))
-        .with_reliability(true),
+        FlowSpec::bulk("RTC", Dur::ZERO, move || cc("Cross", seed ^ 0xC1))
+            .with_app(move || Box::new(MediaSource::new(spec)))
+            .with_reliability(true),
     );
     if let Some(comp) = companion {
         sc = sc.flow(FlowSpec::bulk(comp, Dur::from_secs(5), move || {
-            cc_traced_if(comp, seed ^ 0xC2, decisions)
+            cc(comp, seed ^ 0xC2)
         }));
     }
     sc
@@ -210,8 +207,8 @@ fn rtc_job(
         format!("rtc/profile={profile}/companion={companion}/secs={secs:?}/seed={seed}"),
         format!("{profile}-{companion}-s{seed}"),
         traces,
-        move |decisions| {
-            let sc = rtc_scenario(profile, comp, secs, seed, decisions);
+        move || {
+            let sc = rtc_scenario(profile, comp, secs, seed);
             (sc, move |res: &SimResult| {
                 cell_floats(res, comp.is_some(), secs)
             })
@@ -417,7 +414,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn unknown_profile_panics() {
-        let _ = proteus_netsim::run(rtc_scenario("gremlins", None, 1.0, 1, false));
+        let _ = proteus_netsim::run(rtc_scenario("gremlins", None, 1.0, 1));
     }
 
     #[test]

@@ -41,7 +41,7 @@ use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
 use crate::jobs::{campaign, scenario_job, Traces};
-use crate::protocols::cc_traced_if;
+use crate::protocols::cc;
 use crate::report::{f2, Table};
 use crate::RunCfg;
 
@@ -257,9 +257,8 @@ fn scale_scenario(cell: Cell, seed: u64, classes: Vec<ChurnClass>) -> Scenario {
 }
 
 /// One equal-share class per entry of `mix`; each spawned flow derives its
-/// CC seed from the scenario seed and its flow id, and carries a decision
-/// recorder when `decisions` is set.
-fn classes(mix: &'static [(&'static str, f64)], seed: u64, decisions: bool) -> Vec<ChurnClass> {
+/// CC seed from the scenario seed and its flow id.
+fn classes(mix: &'static [(&'static str, f64)], seed: u64) -> Vec<ChurnClass> {
     mix.iter()
         .map(|&(proto, weight)| {
             ChurnClass::new(
@@ -267,7 +266,7 @@ fn classes(mix: &'static [(&'static str, f64)], seed: u64, decisions: bool) -> V
                 weight,
                 Box::new(move |id| {
                     let cc_seed = seed ^ (id as u64).wrapping_mul(0x9E37_79B9);
-                    cc_traced_if(proto, cc_seed, decisions)
+                    cc(proto, cc_seed)
                 }),
             )
         })
@@ -324,8 +323,8 @@ fn fair_job(cell: Cell, seed: u64) -> SimJob {
         format!("{}-s{seed}", cell.name),
         // Untraced: up to 10 000 concurrent flows at ~0.6 MB of decision ring each.
         Traces::off(),
-        move |decisions| {
-            let sc = scale_scenario(cell, seed, classes(&[("Proteus-P", 1.0)], seed, decisions));
+        move || {
+            let sc = scale_scenario(cell, seed, classes(&[("Proteus-P", 1.0)], seed));
             (sc, move |res: &SimResult| {
                 eprint_cell_events(cell.name, res);
                 let (from, to) = tail(cell.secs);
@@ -381,8 +380,8 @@ fn churn_job(cell: Cell, seed: u64) -> SimJob {
         format!("{}-s{seed}", cell.name),
         // Untraced: 250 to 10 000 concurrent flows at ~0.6 MB of decision ring each.
         Traces::off(),
-        move |decisions| {
-            let sc = scale_scenario(cell, seed, classes(CHURN_MIX, seed, decisions));
+        move || {
+            let sc = scale_scenario(cell, seed, classes(CHURN_MIX, seed));
             (sc, move |res: &SimResult| {
                 eprint_cell_events(cell.name, res);
                 let (from, to) = tail(cell.secs);
@@ -443,7 +442,7 @@ fn harm_job(cell: HarmCell, with_scavengers: bool, seed: u64, traces: Traces) ->
             format!("harm-alone-s{seed}"),
         )
     };
-    scenario_job("scale", stem, name, traces, move |decisions| {
+    scenario_job("scale", stem, name, traces, move || {
         let mut scenario = Scenario::new(
             LinkSpec::new(sc.bw_mbps, Dur::from_millis(30), 1).with_buffer_bdp(1.0),
             Dur::from_secs_f64(sc.secs),
@@ -453,7 +452,7 @@ fn harm_job(cell: HarmCell, with_scavengers: bool, seed: u64, traces: Traces) ->
         .with_throughput_bin(Dur::from_secs(2));
         for i in 0..cell.primaries {
             scenario = scenario.flow(FlowSpec::bulk(format!("CUBIC#{i}"), Dur::ZERO, move || {
-                cc_traced_if("CUBIC", seed ^ (0xC0B1C + i as u64), decisions)
+                cc("CUBIC", seed ^ (0xC0B1C + i as u64))
             }));
         }
         if with_scavengers {
@@ -461,7 +460,7 @@ fn harm_job(cell: HarmCell, with_scavengers: bool, seed: u64, traces: Traces) ->
                 ChurnSpec::new(
                     sc.arrivals_per_sec,
                     Dur::from_secs_f64(sc.mean_lifetime_s),
-                    classes(&[("Proteus-S", 1.0)], seed, decisions),
+                    classes(&[("Proteus-S", 1.0)], seed),
                 )
                 .with_initial(sc.initial),
             );

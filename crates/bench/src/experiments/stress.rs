@@ -38,7 +38,7 @@ use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
 use crate::jobs::{campaign, scenario_job, tail_mbps, Traces, TRACE_EVERY};
-use crate::protocols::cc_traced;
+use crate::protocols::cc;
 use crate::report::{f2, Table};
 use crate::RunCfg;
 
@@ -227,21 +227,18 @@ fn stress_scenario(
     let mut sc = Scenario::new(LinkSpec::paper_default(), Dur::from_secs_f64(secs))
         .with_seed(seed)
         .with_rtt_stride(2)
-        // Decision traces are always on: the invariant checker reads them.
+        // Always traced: the invariant checker reads the decisions.
         .with_trace(TRACE_EVERY)
         .with_faults(profile_schedule(profile, secs));
     for (proto, start, salt) in flows {
         sc = sc.flow(FlowSpec::bulk(
             proto,
             Dur::from_secs_f64(start),
-            move || cc_traced(proto, seed ^ salt),
+            move || cc(proto, seed ^ salt),
         ));
     }
     sc
 }
-
-// Both builders ignore `scenario_job`'s decision-tracing flag: stress
-// scenarios are always decision-traced, whatever the CLI asked for.
 
 fn stress_single_job(
     profile: &'static str,
@@ -255,7 +252,7 @@ fn stress_single_job(
         format!("stress-single/profile={profile}/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("stress-{profile}-{proto}-s{seed}"),
         traces,
-        move |_| {
+        move || {
             let sc = stress_scenario(profile, vec![(proto, 0.0, 0xA5)], secs, seed);
             (sc, move |res: &SimResult| {
                 let (max_rate, min_rate) = rate_envelope(res);
@@ -288,7 +285,7 @@ fn stress_pair_job(
         ),
         format!("stress-{profile}-{primary}-vs-{scavenger}-s{seed}"),
         traces,
-        move |_| {
+        move || {
             let flows = vec![(primary, 0.0, 0xA5), (scavenger, 5.0, 0x5A)];
             (stress_scenario(profile, flows, secs, seed), move |res: &SimResult| {
                 vec![

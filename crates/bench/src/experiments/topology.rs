@@ -35,7 +35,7 @@ use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
 use crate::jobs::{campaign, scenario_job, tail_mbps, Traces};
-use crate::protocols::cc_traced_if;
+use crate::protocols::cc;
 use crate::report::{f2, Table};
 use crate::RunCfg;
 
@@ -80,7 +80,7 @@ fn parking_job(n: usize, proto: &'static str, secs: f64, seed: u64, traces: Trac
         format!("topology-parking/n={n}/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("parking-{n}-{proto}-s{seed}"),
         traces,
-        move |decisions| {
+        move || {
             let mut sc = Scenario::over(
                 Topology::parking_lot(n, parking_link()),
                 Dur::from_secs_f64(secs),
@@ -88,15 +88,13 @@ fn parking_job(n: usize, proto: &'static str, secs: f64, seed: u64, traces: Trac
             .with_seed(seed)
             .with_rtt_stride(2)
             .flow(FlowSpec::bulk("long", Dur::ZERO, move || {
-                cc_traced_if(proto, seed ^ 0xB0, decisions)
+                cc(proto, seed ^ 0xB0)
             }));
             for i in 0..n {
                 let salt = 0xB1 + i as u64;
                 sc = sc.flow(
-                    FlowSpec::bulk("short", Dur::ZERO, move || {
-                        cc_traced_if(proto, seed ^ salt, decisions)
-                    })
-                    .with_path([i as LinkId]),
+                    FlowSpec::bulk("short", Dur::ZERO, move || cc(proto, seed ^ salt))
+                        .with_path([i as LinkId]),
                 );
             }
             (sc, move |res: &SimResult| {
@@ -121,21 +119,17 @@ fn rtt_job(proto: &'static str, secs: f64, seed: u64, traces: Traces) -> SimJob 
         format!("topology-rtt/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("rtt-{proto}-s{seed}"),
         traces,
-        move |decisions| {
+        move || {
             let sc = Scenario::over(rtt_chain(), Dur::from_secs_f64(secs))
                 .with_seed(seed)
                 .with_rtt_stride(2)
                 .flow(
-                    FlowSpec::bulk("near", Dur::ZERO, move || {
-                        cc_traced_if(proto, seed ^ 0xC0, decisions)
-                    })
-                    .with_path([1]),
+                    FlowSpec::bulk("near", Dur::ZERO, move || cc(proto, seed ^ 0xC0))
+                        .with_path([1]),
                 )
                 .flow(
-                    FlowSpec::bulk("far", Dur::ZERO, move || {
-                        cc_traced_if(proto, seed ^ 0xC1, decisions)
-                    })
-                    .with_path([0, 1]),
+                    FlowSpec::bulk("far", Dur::ZERO, move || cc(proto, seed ^ 0xC1))
+                        .with_path([0, 1]),
                 );
             (sc, move |res: &SimResult| {
                 vec![
@@ -157,27 +151,23 @@ fn harm_job(scav: bool, secs: f64, seed: u64, traces: Traces) -> SimJob {
         format!("topology-harm/scav={scav}/secs={secs:?}/seed={seed}"),
         format!("harm-{}-s{seed}", if scav { "pair" } else { "alone" }),
         traces,
-        move |decisions| {
+        move || {
             let mut sc = Scenario::over(harm_chain(), Dur::from_secs_f64(secs))
                 .with_seed(seed)
                 .with_rtt_stride(2)
                 .flow(
-                    FlowSpec::bulk("primary-0", Dur::ZERO, move || {
-                        cc_traced_if("CUBIC", seed ^ 0xD0, decisions)
-                    })
-                    .with_path([0]),
+                    FlowSpec::bulk("primary-0", Dur::ZERO, move || cc("CUBIC", seed ^ 0xD0))
+                        .with_path([0]),
                 )
                 .flow(
-                    FlowSpec::bulk("primary-1", Dur::ZERO, move || {
-                        cc_traced_if("CUBIC", seed ^ 0xD1, decisions)
-                    })
-                    .with_path([1]),
+                    FlowSpec::bulk("primary-1", Dur::ZERO, move || cc("CUBIC", seed ^ 0xD1))
+                        .with_path([1]),
                 );
             if scav {
                 sc = sc.flow(FlowSpec::bulk(
                     "scavenger",
                     Dur::from_secs_f64(secs * 0.2),
-                    move || cc_traced_if("Proteus-S", seed ^ 0xD2, decisions),
+                    move || cc("Proteus-S", seed ^ 0xD2),
                 ));
             }
             (sc, move |res: &SimResult| {

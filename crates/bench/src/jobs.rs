@@ -21,7 +21,7 @@ use proteus_runner::{payload, Campaign, CampaignOpts, SimJob};
 use proteus_transport::{Dur, Time};
 
 use crate::mi_trace::{MiTraceSink, TraceFormat};
-use crate::protocols::cc_traced_if;
+use crate::protocols::cc;
 use crate::report::results_dir;
 use crate::RunCfg;
 
@@ -185,16 +185,10 @@ impl Traces {
 // Scenario builders
 // ---------------------------------------------------------------------------
 
-fn single_scenario(
-    name: &'static str,
-    link: LinkSpec,
-    secs: f64,
-    seed: u64,
-    decisions: bool,
-) -> Scenario {
+fn single_scenario(name: &'static str, link: LinkSpec, secs: f64, seed: u64) -> Scenario {
     Scenario::new(link, Dur::from_secs_f64(secs))
         .flow(FlowSpec::bulk(name, Dur::ZERO, move || {
-            cc_traced_if(name, seed ^ 0xA5, decisions)
+            cc(name, seed ^ 0xA5)
         }))
         .with_seed(seed)
         .with_rtt_stride(2)
@@ -207,14 +201,13 @@ pub(crate) fn pair_scenario(
     link: LinkSpec,
     secs: f64,
     seed: u64,
-    decisions: bool,
 ) -> Scenario {
     Scenario::new(link, Dur::from_secs_f64(secs))
         .flow(FlowSpec::bulk(primary, Dur::ZERO, move || {
-            cc_traced_if(primary, seed ^ 0xA5, decisions)
+            cc(primary, seed ^ 0xA5)
         }))
         .flow(FlowSpec::bulk(scavenger, Dur::from_secs(5), move || {
-            cc_traced_if(scavenger, seed ^ 0x5A, decisions)
+            cc(scavenger, seed ^ 0x5A)
         }))
         .with_seed(seed)
         .with_rtt_stride(2)
@@ -225,18 +218,17 @@ pub(crate) fn pair_scenario(
 // ---------------------------------------------------------------------------
 
 /// The one way a simulation cell becomes a campaign job, with the
-/// invocation's trace selection applied. `build(decisions)` returns the
-/// scenario (with decision-traced controllers when asked) together with the
-/// reader that reduces its result to the payload floats. Both run inside the
-/// job, so the reader may hold state the build created, such as `Rc` stats
-/// handles. `stem` is the descriptor up to the trace suffix and version;
+/// invocation's trace selection applied. `build()` returns the scenario
+/// together with the reader that reduces its result to the payload floats.
+/// Both run inside the job, so the reader may hold state the build created,
+/// such as `Rc` stats handles. `stem` is the descriptor up to the trace suffix and version;
 /// `name` names the trace files under `exp` and the job's progress line.
 pub(crate) fn scenario_job<R>(
     exp: &'static str,
     stem: String,
     name: String,
     traces: Traces,
-    build: impl FnOnce(bool) -> (Scenario, R) + Send + 'static,
+    build: impl FnOnce() -> (Scenario, R) + Send + 'static,
 ) -> SimJob
 where
     R: FnOnce(&SimResult) -> Vec<f64>,
@@ -267,9 +259,10 @@ where
         .chain(sink.as_ref().map(TraceSink::path))
         .collect();
     let mut job = SimJob::new(descriptor, name, move || {
-        let (sc, read) = build(mi.is_some());
+        let (sc, read) = build();
         // Any active sink turns on 100 ms trace sampling, which also makes
-        // the engine drain the flows' decision rings on the same cadence.
+        // the engine record every controller's decisions and drain them on
+        // the same cadence.
         let traced = sink.is_some() || mi.is_some();
         let res = run(if traced {
             sc.with_trace(TRACE_EVERY)
@@ -340,9 +333,9 @@ pub fn single_job(
         format!("single/{tag}/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("single-{tag}-{proto}-s{seed}"),
         traces,
-        move |decisions| {
+        move || {
             (
-                single_scenario(proto, link, secs, seed, decisions),
+                single_scenario(proto, link, secs, seed),
                 move |res: &SimResult| {
                     vec![
                         tail_mbps(res, 0, secs),
@@ -395,9 +388,9 @@ pub fn pair_job(
         format!("pair/{tag}/primary={primary}/scav={scavenger}/secs={secs:?}/seed={seed}"),
         format!("pair-{tag}-{primary}-vs-{scavenger}-s{seed}"),
         traces,
-        move |decisions| {
+        move || {
             (
-                pair_scenario(primary, scavenger, link, secs, seed, decisions),
+                pair_scenario(primary, scavenger, link, secs, seed),
                 move |res: &SimResult| pair_payload(res, secs),
             )
         },
@@ -451,14 +444,14 @@ mod tests {
     #[test]
     fn single_runner_produces_throughput() {
         let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
-        let res = run(single_scenario("CUBIC", link, 10.0, 3, false));
+        let res = run(single_scenario("CUBIC", link, 10.0, 3));
         assert!(tail_mbps(&res, 0, 10.0) > 15.0);
     }
 
     #[test]
     fn pair_runner_orders_flows() {
         let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
-        let res = run(pair_scenario("CUBIC", "LEDBAT", link, 15.0, 3, false));
+        let res = run(pair_scenario("CUBIC", "LEDBAT", link, 15.0, 3));
         assert_eq!(res.flows[0].name, "CUBIC");
         assert_eq!(res.flows[1].name, "LEDBAT");
         assert!(res.flows[1].started_at.unwrap() > res.flows[0].started_at.unwrap());
@@ -477,7 +470,7 @@ mod tests {
             Traces::off(),
         );
         let out = decode_single(&job.execute());
-        let direct = run(single_scenario("CUBIC", link, 10.0, 3, false));
+        let direct = run(single_scenario("CUBIC", link, 10.0, 3));
         assert_eq!(out.tail_mbps, tail_mbps(&direct, 0, 10.0));
         assert_eq!(out.p95_rtt_s, direct.flows[0].rtt_percentile(95.0).unwrap());
     }
@@ -497,7 +490,7 @@ mod tests {
             Traces::off(),
         );
         let out = decode_pair(&job.execute());
-        let direct = run(pair_scenario("CUBIC", "LEDBAT", link, 12.0, 3, false));
+        let direct = run(pair_scenario("CUBIC", "LEDBAT", link, 12.0, 3));
         assert_eq!(out.primary_mbps, tail_mbps(&direct, 0, 12.0));
         assert_eq!(out.scav_mbps, tail_mbps(&direct, 1, 12.0));
         let p95 = direct.flows[0].rtt_percentile(95.0).unwrap();
@@ -543,18 +536,13 @@ mod tests {
 
     #[test]
     fn traced_controllers_do_not_change_results() {
-        // The decision sink must be an observer: a run with RingSink-backed
-        // senders is byte-identical to the untraced run.
+        // Decision recording is an observer: a traced run (whose senders the
+        // engine swaps for their RingSink twins) is byte-identical to the
+        // untraced run.
         let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
-        let plain = run(pair_scenario(
-            "Proteus-P",
-            "Proteus-S",
-            link,
-            12.0,
-            3,
-            false,
-        ));
-        let traced = run(pair_scenario("Proteus-P", "Proteus-S", link, 12.0, 3, true));
+        let scenario = || pair_scenario("Proteus-P", "Proteus-S", link, 12.0, 3);
+        let plain = run(scenario());
+        let traced = run(scenario().with_trace(TRACE_EVERY));
         assert_eq!(
             tail_mbps(&plain, 0, 12.0),
             tail_mbps(&traced, 0, 12.0),
@@ -562,13 +550,13 @@ mod tests {
         );
         assert_eq!(tail_mbps(&plain, 1, 12.0), tail_mbps(&traced, 1, 12.0));
         assert!(plain.decisions.is_empty());
-        assert!(
-            traced
-                .decisions
-                .iter()
-                .any(|fe| matches!(fe.event.kind, proteus_trace::EventKind::MiClose(_))),
-            "traced run recorded no MI closes"
-        );
+        for flow in 0..2 {
+            assert!(
+                traced.decisions.iter().any(|fe| fe.flow == flow
+                    && matches!(fe.event.kind, proteus_trace::EventKind::MiClose(_))),
+                "traced run recorded no MI closes for flow {flow}"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod space;
 
 pub use jobs::{campaign, tail_mbps, tail_window, trace_jsonl, Traces, TRACE_EVERY};
 pub use mi_trace::{mi_trace_dir, MiTraceSink, TraceFormat};
-pub use protocols::{cc, cc_traced, cc_traced_if, try_cc, PRIMARIES, SCAVENGERS};
+pub use protocols::{cc, try_cc, PRIMARIES, SCAVENGERS};
 pub use report::Table;
 
 /// Global knobs for an experiment invocation.
@@ -45,8 +45,6 @@ pub struct RunCfg {
     pub quick: bool,
     /// Base RNG seed; trials offset from it.
     pub seed: u64,
-    /// Number of trials to average where the paper averages ≥ 10.
-    pub trials: u64,
     /// Worker threads for campaign execution (0 = one per core).
     pub jobs: usize,
     /// Reuse/populate the disk result cache under `results/.cache/`.
@@ -69,7 +67,6 @@ impl RunCfg {
         Self {
             quick: false,
             seed: 1,
-            trials: 10,
             jobs: 1,
             cache: true,
             trace: false,
@@ -83,8 +80,17 @@ impl RunCfg {
     pub fn quick() -> Self {
         Self {
             quick: true,
-            trials: 1,
             ..Self::full()
+        }
+    }
+
+    /// Number of trials to average where the paper averages ≥ 10: one in
+    /// quick mode, ten in full mode.
+    pub fn trials(&self) -> u64 {
+        if self.quick {
+            1
+        } else {
+            10
         }
     }
 }

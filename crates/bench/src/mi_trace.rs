@@ -26,12 +26,6 @@ use crate::report::{results_dir, Table};
 /// (the `--trace-out` flag sets the same override in-process).
 pub const TRACE_DIR_ENV: &str = "PROTEUS_TRACE_DIR";
 
-/// Capacity of each per-flow decision ring. Proteus closes one MI every
-/// 1–2 RTTs and the engine drains rings every 100 ms on traced runs, so a
-/// few events per drain is typical; 4096 keeps minutes of history even if
-/// draining stalls, while costing ~0.6 MB per flow up front.
-pub const MI_RING_CAPACITY: usize = 4096;
-
 /// Export format(s) for decision traces (`--trace-format`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceFormat {

@@ -3,7 +3,6 @@
 
 use proteus_baselines::{Bbr, Copa, Cross, Cubic, FixedRateProbe, Ledbat, ScavengerMod};
 use proteus_core::ProteusSender;
-use proteus_trace::RingSink;
 use proteus_transport::CongestionControl;
 
 /// The primary protocols of §6.
@@ -76,37 +75,6 @@ pub fn try_cc(name: &str, seed: u64) -> Option<Box<dyn CongestionControl>> {
     })
 }
 
-/// Like [`cc`], but PCC-family senders carry a [`RingSink`] decision
-/// recorder (drained into `SimResult::decisions` by the engine). The other
-/// protocols have no MI decision points, so they are returned untraced —
-/// the run itself is unchanged either way.
-pub fn cc_traced(name: &str, seed: u64) -> Box<dyn CongestionControl> {
-    cc_traced_if(name, seed, true)
-}
-
-/// [`cc_traced`] when `traced` is set, else [`cc`].
-pub fn cc_traced_if(name: &str, seed: u64, traced: bool) -> Box<dyn CongestionControl> {
-    let sender = match name {
-        "Proteus-P" => ProteusSender::primary(seed),
-        "Proteus-S" => ProteusSender::scavenger(seed),
-        "PCC-Vivace" => ProteusSender::vivace(seed),
-        "PCC-Allegro" => ProteusSender::allegro(seed),
-        other => return cc(other, seed),
-    };
-    sender_traced_if(sender, traced)
-}
-
-/// Boxes a PCC-family `sender`, with a [`RingSink`] decision recorder when
-/// `traced` is set: the traced switch for senders built from their own
-/// config rather than by name.
-pub fn sender_traced_if(sender: ProteusSender, traced: bool) -> Box<dyn CongestionControl> {
-    if traced {
-        Box::new(sender.with_sink(RingSink::new(crate::mi_trace::MI_RING_CAPACITY)))
-    } else {
-        Box::new(sender)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,9 +113,19 @@ mod tests {
 
     #[test]
     fn traced_registry_builds_everything() {
-        for name in PRIMARIES.iter().chain(SCAVENGERS).chain(ALL_FIG3) {
-            let c = cc_traced(name, 1);
-            assert_eq!(c.name(), cc(name, 1).name());
+        // The PCC family has decision points; a traced run swaps each for
+        // its recording twin (`Sim::spawn`), and nothing else changes.
+        const PCC: &[&str] = &["Proteus-P", "Proteus-S", "PCC-Vivace", "PCC-Allegro"];
+        for name in NAMES.iter().chain(&["probe:20"]) {
+            let c = cc(name, 1);
+            match c.decision_traced() {
+                Some(twin) => {
+                    assert!(PCC.contains(name), "{name} has no decision points");
+                    assert_eq!(twin.name(), c.name());
+                    assert!(twin.decision_traced().is_none(), "{name} traced twice");
+                }
+                None => assert!(!PCC.contains(name), "{name} has no traced twin"),
+            }
         }
     }
 }

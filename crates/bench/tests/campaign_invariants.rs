@@ -114,7 +114,7 @@ fn rtc_campaign() {
 /// makes the §5 per-ACK burst filter start dropping RTT samples.
 #[test]
 fn ack_compression_trips_the_per_ack_filter() {
-    use proteus_bench::cc_traced;
+    use proteus_bench::cc;
     use proteus_netsim::{run, AckCompression, FaultSchedule, FlowSpec, LinkSpec, Scenario};
     use proteus_trace::EventKind;
     use proteus_transport::Dur;
@@ -122,7 +122,7 @@ fn ack_compression_trips_the_per_ack_filter() {
     let mk = |faults: FaultSchedule| {
         run(Scenario::new(LinkSpec::paper_default(), Dur::from_secs(20))
             .flow(FlowSpec::bulk("Proteus-P", Dur::ZERO, || {
-                cc_traced("Proteus-P", 9)
+                cc("Proteus-P", 9)
             }))
             .with_seed(9)
             .with_trace(Dur::from_millis(100))

@@ -129,3 +129,30 @@ fn repro_warm_trace_replays_telemetry() {
     repro();
     assert_eq!(read_traces(), cold);
 }
+
+/// `--trace-mi` records every flow's decisions, churned ones included: the
+/// engine swaps each controller for its recording twin as the flow spawns,
+/// so the `--population` flows (`Proteus-S~1`, `~2`) close MIs in the
+/// export next to the explicit `Proteus-S#0`.
+#[test]
+fn proteus_sim_trace_mi_covers_churned_flows() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = root.join("target/repro-scratch/trace-mi-churn");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_proteus-sim"))
+        .args(["--secs", "4", "--population", "2", "--flow", "Proteus-S"])
+        .args(["--trace-mi", "--trace-format", "jsonl", "--trace-out"])
+        .arg(&dir)
+        .output()
+        .expect("proteus-sim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let jsonl =
+        std::fs::read_to_string(dir.join("adhoc/Proteus-S-s1.jsonl")).expect("a decision trace");
+    assert!(
+        jsonl
+            .lines()
+            .any(|l| l.contains(r#""event":"mi_close""#) && l.contains(r#""name":"Proteus-S~"#)),
+        "no mi_close line from a churned flow"
+    );
+}

@@ -28,7 +28,7 @@
 mod common;
 
 use proteus_bench::experiments::fig2;
-use proteus_bench::{cc, cc_traced, TRACE_EVERY};
+use proteus_bench::{cc, TRACE_EVERY};
 use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_trace::export::{to_chrome_trace, to_jsonl};
 use proteus_transport::Dur;
@@ -61,7 +61,7 @@ fn tiny_deterministic_decision_trace_matches_golden() {
     let sc = Scenario::new(link, Dur::from_secs_f64(4.0))
         .flow(FlowSpec::bulk("CUBIC", Dur::ZERO, || cc("CUBIC", 40)))
         .flow(FlowSpec::bulk("Proteus-S", Dur::from_secs(1), || {
-            cc_traced("Proteus-S", 41)
+            cc("Proteus-S", 41)
         }))
         .with_seed(7)
         .with_trace(TRACE_EVERY);

@@ -10,7 +10,8 @@
 //! implementation, this is a simple API call").
 
 use proteus_trace::{
-    AckFilter, DecisionEvent, EventKind, GateVerdict, MiClose, ModeSwitch, NoopSink, TraceSink,
+    AckFilter, DecisionEvent, EventKind, GateVerdict, MiClose, ModeSwitch, NoopSink, RingSink,
+    TraceSink, MI_RING_CAPACITY,
 };
 use proteus_transport::{
     AckInfo, CcSnapshot, CongestionControl, Dur, LossInfo, MiStats, MiTracker, RttEstimator,
@@ -34,7 +35,9 @@ use crate::utility::{
 /// exactly the pre-tracing code — no branches, no stores, no allocation on
 /// the per-ACK path (guarded by `tests/alloc_free.rs` and the `per_ack`
 /// microbenches). [`ProteusSender::with_sink`] rebuilds the sender with a
-/// recording sink such as [`proteus_trace::RingSink`].
+/// recording sink such as [`proteus_trace::RingSink`]; a simulation that
+/// samples a trace swaps an untraced sender for its
+/// [`CongestionControl::decision_traced`] twin itself.
 pub struct ProteusSender<S: TraceSink = NoopSink> {
     cfg: ProteusConfig,
     mode: Mode,
@@ -452,6 +455,17 @@ impl<S: TraceSink> CongestionControl for ProteusSender<S> {
             self.drain_decisions_into(out);
         }
     }
+
+    /// The same configuration and mode on a [`RingSink`]. A Proteus-H mode
+    /// clones its [`SharedThreshold`] handle, so the twin follows the
+    /// application that sets it.
+    fn decision_traced(&self) -> Option<Box<dyn CongestionControl>> {
+        if S::ENABLED {
+            return None;
+        }
+        let twin = ProteusSender::with_config(self.cfg, self.mode.clone());
+        Some(Box::new(twin.with_sink(RingSink::new(MI_RING_CAPACITY))))
+    }
 }
 
 #[cfg(test)]
@@ -544,26 +558,36 @@ mod tests {
         assert!(p.ack_filter.is_some());
     }
 
-    /// An untraced sender and its `RingSink` twin fed one event stream.
+    /// An untraced sender, its `RingSink` twin and its `decision_traced`
+    /// twin fed one event stream.
     struct Twins {
         plain: ProteusSender,
         traced: ProteusSender<proteus_trace::RingSink>,
+        hooked: Box<dyn CongestionControl>,
         /// Every `MiClose` the traced twin recorded, with its timestamp.
         closes: Vec<(u64, MiClose)>,
     }
 
     impl Twins {
-        /// Feeds one event to both senders, then checks they still agree
-        /// and that the traced twin's newest `MiClose` carries the utility
-        /// its controller was fed.
+        /// Feeds one event to all three senders, then checks they still
+        /// agree, that both recording twins recorded the same events, and
+        /// that the traced twin's newest `MiClose` carries the utility its
+        /// controller was fed.
         fn step(&mut self, event: impl Fn(&mut dyn CongestionControl)) {
             event(&mut self.plain);
             event(&mut self.traced);
+            event(&mut *self.hooked);
             assert_eq!(self.plain.rate_mbps(), self.traced.rate_mbps());
             assert_eq!(self.plain.last_utility(), self.traced.last_utility());
             assert_eq!(self.plain.next_timer(), self.traced.next_timer());
+            assert_eq!(self.plain.pacing_rate(), self.hooked.pacing_rate());
+            assert_eq!(self.plain.snapshot(), self.hooked.snapshot());
+            assert_eq!(self.plain.next_timer(), self.hooked.next_timer());
             let mut events = Vec::new();
             self.traced.drain_decisions_into(&mut events);
+            let mut hooked_events = Vec::new();
+            self.hooked.drain_decisions(&mut hooked_events);
+            assert_eq!(events, hooked_events);
             let before = self.closes.len();
             self.closes
                 .extend(events.iter().filter_map(|e| match e.kind {
@@ -583,10 +607,16 @@ mod tests {
         // the rule (and an implicit switch) are on the traced path.
         let th = SharedThreshold::new(8.0);
         let cfg = ProteusConfig::proteus().with_seed(3);
+        let plain = ProteusSender::with_config(cfg, Mode::Hybrid(th.clone()));
+        let hooked = plain
+            .decision_traced()
+            .expect("an untraced sender has a twin");
+        assert!(hooked.decision_traced().is_none());
         let mut t = Twins {
-            plain: ProteusSender::with_config(cfg, Mode::Hybrid(th.clone())),
+            plain,
             traced: ProteusSender::with_config(cfg, Mode::Hybrid(th))
                 .with_sink(proteus_trace::RingSink::new(256)),
+            hooked,
             closes: Vec::new(),
         };
         let mut now = Time::ZERO;

@@ -3,7 +3,10 @@
 
 use proteus_baselines::{Bbr, Copa, Cubic, Ledbat};
 use proteus_core::{ProteusSender, SharedThreshold};
-use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario, SimResult};
+use proteus_netsim::{
+    run, ChurnClass, ChurnSpec, CrossTrafficSpec, FlowSpec, LinkSpec, Scenario, SimResult,
+};
+use proteus_trace::EventKind;
 use proteus_transport::{CongestionControl, Dur, Time};
 
 fn paper_link(buffer: u64) -> LinkSpec {
@@ -311,4 +314,61 @@ fn deterministic_proteus_runs() {
     let b = mk();
     assert_eq!(a.flows[0].bytes_acked, b.flows[0].bytes_acked);
     assert_eq!(a.flows[1].bytes_acked, b.flows[1].bytes_acked);
+}
+
+/// A traced run records the decisions of every flow that has decision
+/// points — explicit, churned and cross traffic alike, each spawned with
+/// its recording twin — and an untraced run records none. Goodput is
+/// bit-equal either way.
+#[test]
+fn a_traced_run_records_every_flow_kind() {
+    let mk = || {
+        Scenario::new(paper_link(375_000), Dur::from_secs(6))
+            .flow(FlowSpec::bulk("explicit", Dur::ZERO, || {
+                mk_cc("proteus-s", 1)
+            }))
+            .with_churn(
+                ChurnSpec::new(
+                    0.0,
+                    Dur::from_secs(600),
+                    vec![ChurnClass::new(
+                        "churned",
+                        1.0,
+                        Box::new(|id| mk_cc("proteus-s", 10 + id as u64)),
+                    )],
+                )
+                .with_initial(1),
+            )
+            .with_cross_traffic(CrossTrafficSpec {
+                arrivals_per_sec: 2.0,
+                size_range: (200_000, 400_000),
+                cc: Box::new(|id| mk_cc("proteus-s", 20 + id as u64)),
+                start: Dur::ZERO,
+                stop: Dur::from_secs(3),
+            })
+            .with_seed(5)
+    };
+    let plain = run(mk());
+    let traced = run(mk().with_trace(Dur::from_millis(100)));
+    assert!(plain.decisions.is_empty());
+    assert_eq!(plain.flows.len(), traced.flows.len());
+    let end = Time::from_millis(6_000);
+    for (a, b) in plain.flows.iter().zip(&traced.flows) {
+        assert_eq!(a.name, b.name);
+        assert_eq!(
+            a.throughput_mbps(Time::ZERO, end).to_bits(),
+            b.throughput_mbps(Time::ZERO, end).to_bits(),
+            "{} goodput differs under tracing",
+            a.name
+        );
+    }
+    for kind in ["explicit", "churned~", "cross-"] {
+        assert!(
+            traced.decisions.iter().any(|fe| {
+                matches!(fe.event.kind, EventKind::MiClose(_))
+                    && traced.flows[fe.flow as usize].name.starts_with(kind)
+            }),
+            "no MiClose from a {kind} flow"
+        );
+    }
 }

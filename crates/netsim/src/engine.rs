@@ -471,10 +471,17 @@ impl Sim {
 
     /// The one way a flow comes to exist — static, cross-traffic or churn:
     /// a flow-table row, its metrics row, and its start (and stop) events.
+    /// In a run that samples a trace, the controller is swapped for its
+    /// [`proteus_transport::CongestionControl::decision_traced`] twin, if it
+    /// has one.
     fn spawn(&mut self, flow: NewFlow) {
-        let id = self
-            .flows
-            .push_flow(flow.cc, flow.app, flow.reliable, flow.path);
+        let mut cc = flow.cc;
+        if self.telemetry.samples() {
+            if let Some(traced) = cc.decision_traced() {
+                cc = traced;
+            }
+        }
+        let id = self.flows.push_flow(cc, flow.app, flow.reliable, flow.path);
         debug_assert_eq!(id, self.metrics.len(), "one metrics row per flow");
         self.flows.stop_at[id] = flow.stop;
         self.metrics.push(FlowMetrics::new(

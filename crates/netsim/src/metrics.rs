@@ -708,9 +708,10 @@ pub struct SimResult {
     /// [`crate::scenario::Scenario::with_trace`]).
     pub trace: Vec<TraceEvent>,
     /// Structured decision events drained from the controllers, in
-    /// timestamp order (empty unless a flow's controller carries a
-    /// recording `proteus-trace` sink). When a fault schedule is set, also
-    /// contains the link-scoped fault records.
+    /// timestamp order (empty unless the scenario enables
+    /// [`crate::scenario::Scenario::with_trace`] or a flow's controller
+    /// already carries a recording `proteus-trace` sink). When a fault
+    /// schedule is set, also contains the link-scoped fault records.
     pub decisions: Vec<proteus_trace::FlowEvent>,
     /// Event-loop accounting (dispatch counts, scheduler pressure, fused
     /// share). Mechanics, not behavior — see [`EventStats`].

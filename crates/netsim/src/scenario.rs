@@ -414,6 +414,13 @@ impl Scenario {
     /// controller internals are recorded into
     /// [`crate::metrics::SimResult::trace`].
     ///
+    /// A traced run also records every controller that has decision points:
+    /// each flow — static, churned or cross traffic — is spawned with its
+    /// [`proteus_transport::CongestionControl::decision_traced`] twin, whose
+    /// events land in [`crate::metrics::SimResult::decisions`], drained on
+    /// the same cadence. Results are unchanged; a caller that only wants
+    /// the samples still fills the rings, and need not export them.
+    ///
     /// # Panics
     /// Panics if `every` is zero (the sampler would re-arm at the same
     /// instant forever).

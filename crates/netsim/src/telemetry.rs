@@ -37,6 +37,12 @@ impl Telemetry {
         }
     }
 
+    /// Whether the run samples a trace — and so records every controller's
+    /// decisions (see `Sim::spawn`).
+    pub fn samples(&self) -> bool {
+        self.every.is_some()
+    }
+
     /// When the sampling tick after `after` is due, if sampling is on.
     pub fn next_sample(&self, after: Time) -> Option<Time> {
         self.every.map(|every| after + every)

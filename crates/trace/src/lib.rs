@@ -37,5 +37,5 @@ pub use event::{
     ModeSwitch, ProbeOutcome, RateTransition,
 };
 pub use export::{FlowEvent, LINK_FLOW};
-pub use sink::{NoopSink, RingSink, TraceSink};
+pub use sink::{NoopSink, RingSink, TraceSink, MI_RING_CAPACITY};
 pub use summary::TraceSummary;

@@ -37,6 +37,13 @@ impl TraceSink for NoopSink {
     fn drain_into(&mut self, _out: &mut Vec<DecisionEvent>) {}
 }
 
+/// Capacity of a decision-traced sender's ring. Proteus closes one MI
+/// every 1–2 RTTs and a traced run drains rings every telemetry sample
+/// (100 ms in the experiment harness), so a few events per drain is
+/// typical; 4096 keeps minutes of history even if draining stalls, while
+/// reserving ~0.6 MB per flow up front.
+pub const MI_RING_CAPACITY: usize = 4096;
+
 /// A preallocated ring buffer keeping the most recent `capacity` events.
 ///
 /// `record` never allocates: the backing vector is reserved up front and,

@@ -81,6 +81,18 @@ pub trait CongestionControl {
     /// periodically and at flow end; controllers without decision tracing —
     /// or with tracing disabled — use this default and append nothing.
     fn drain_decisions(&mut self, _out: &mut Vec<proteus_trace::DecisionEvent>) {}
+
+    /// A fresh twin of this controller that records its decisions into a
+    /// ring [`CongestionControl::drain_decisions`] empties, and behaves
+    /// exactly as `self` would. The simulator swaps it in for every flow it
+    /// spawns in a run that samples a trace (`Scenario::with_trace`), so a
+    /// traced run records every controller that has decision points, and an
+    /// untraced one pays nothing. Built from the controller's configuration,
+    /// not its state: call it before the flow starts. Default: `None` — no
+    /// decision points, or already recording.
+    fn decision_traced(&self) -> Option<Box<dyn CongestionControl>> {
+        None
+    }
 }
 
 /// Factory producing a fresh controller for a flow; scenarios are described
