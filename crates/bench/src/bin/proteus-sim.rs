@@ -17,7 +17,9 @@
 //!   --seed <n>         RNG seed                  (default 1)
 //!   --churn <a,l>      Poisson flow churn: `a` arrivals/sec, mean
 //!                      lifetime `l` seconds; arrivals draw uniformly from
-//!                      the --flow protocol list (equal-weight classes)
+//!                      the --flow protocol list (equal-weight classes);
+//!                      the population plus a x --secs arrivals may not
+//!                      exceed 1000000 flows
 //!   --population <N>   N long-lived background flows of the same class
 //!                      mix, started at t=0 (with --churn: the warm-start
 //!                      population)
@@ -132,11 +134,14 @@ const LINKS: Rule = (
     |x| x.fract() == 0.0 && (1.0..=65_536.0).contains(&x),
     "a whole number of links in [1, 65536]",
 );
-/// A warm-start population: whole flows, at most a million (the largest in
-/// the registry is `scale`'s 10 000), so a typo is an error, not an
-/// allocation that aborts.
+/// Most flows a run may create, warm-start and churned together (the
+/// registry's largest, `churn-100k`, creates about 110 000), so a typo is
+/// an error, not an allocation that aborts.
+const MAX_FLOWS: f64 = 1e6;
+
+/// A warm-start population: whole flows, at most [`MAX_FLOWS`].
 const POPULATION: Rule = (
-    |x| x.fract() == 0.0 && (0.0..=1e6).contains(&x),
+    |x| x.fract() == 0.0 && (0.0..=MAX_FLOWS).contains(&x),
     "a whole number of flows in [0, 1000000]",
 );
 
@@ -343,6 +348,14 @@ fn parse() -> Result<Args, String> {
     }
     if a.flows.is_empty() {
         return Err("at least one --flow is required".into());
+    }
+    // Checked last: the expected arrivals need the final --secs.
+    let arrivals = a.churn.map_or(0.0, |(arrivals, _)| arrivals);
+    if a.population as f64 + arrivals * a.secs > MAX_FLOWS {
+        return Err(format!(
+            "--churn {arrivals}/s over {} s plus --population {} exceeds 1000000 flows",
+            a.secs, a.population
+        ));
     }
     // Sized last: "xBDP" needs the final --bw and --rtt.
     a.buffer_bytes = buffer_bytes(&buffer, a.bw, a.rtt_ms)?;

@@ -5,7 +5,7 @@
 //! "primary alone" baseline per scenario), submits them through the
 //! invocation's [`campaign`] — so the disk cache, the worker pool and the
 //! shard filter all apply — and aggregates the payloads into
-//! [`CandidateMetrics`].
+//! [`CandidateMetrics`], scored against the one [`OBJECTIVE`].
 //!
 //! Job descriptors embed [`Candidate::canonical`], so candidates that
 //! behave identically (equal config + mode, any seed or unused genes)
@@ -16,10 +16,46 @@ use proteus_netsim::SimResult;
 use proteus_runner::{payload, Campaign, CampaignStats, SimJob};
 
 use crate::jobs::{campaign, decode_pair, pair_payload, scenario_job, tail_mbps, Traces};
-use crate::objective::{CandidateMetrics, Objective};
 use crate::scenarios::EvalScenario;
 use crate::space::Candidate;
 use crate::RunCfg;
+
+/// What every search optimizes: the tune report's first line and
+/// `best_config.json`'s `"objective"`.
+pub const OBJECTIVE: &str = "maximize scav_util subject to harm < 0.05";
+
+/// The harm bound of [`OBJECTIVE`]: feasible iff `harm < MAX_HARM`.
+const MAX_HARM: f64 = 0.05;
+
+/// Aggregated measurements of one candidate across its scenario set.
+/// `harm` uses the *worst* scenario so a candidate cannot hide damage on
+/// one path behind gentleness on another.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CandidateMetrics {
+    /// Mean scavenger tail goodput across scenarios, Mbps.
+    pub scav_mbps: f64,
+    /// Mean scavenger tail goodput as a fraction of each scenario's
+    /// bottleneck bandwidth (comparable across heterogeneous links).
+    pub scav_util: f64,
+    /// Primary harm: `max` over scenarios of
+    /// `max(0, 1 − primary_with / primary_alone)`.
+    pub harm: f64,
+    /// Worst primary 95th-percentile RTT across scenarios, seconds.
+    pub p95_rtt_s: f64,
+}
+
+/// Scores a candidate against [`OBJECTIVE`]: `(feasible, fitness)`. A
+/// feasible candidate's fitness is its `scav_util`; an infeasible one's is
+/// minus its harm excess, so a genetic search still ranks near-feasible
+/// candidates above grossly violating ones. Ranking compares `feasible`
+/// first, then fitness.
+pub fn score(m: &CandidateMetrics) -> (bool, f64) {
+    if m.harm < MAX_HARM {
+        (true, m.scav_util)
+    } else {
+        (false, MAX_HARM - m.harm)
+    }
+}
 
 /// One candidate's aggregated evaluation.
 #[derive(Debug, Clone, Copy)]
@@ -28,9 +64,9 @@ pub struct CandidateEval {
     pub candidate: Candidate,
     /// Aggregates across the scenario set.
     pub metrics: CandidateMetrics,
-    /// Whether every objective constraint holds.
+    /// Whether the harm bound holds.
     pub feasible: bool,
-    /// Ranking fitness (see [`Objective::score`]).
+    /// Ranking fitness (see [`score`]).
     pub fitness: f64,
 }
 
@@ -86,10 +122,9 @@ pub fn evaluate_batch(
     name: &str,
     cands: &[Candidate],
     scenarios: &[EvalScenario],
-    objective: &Objective,
     cfg: RunCfg,
 ) -> (Vec<CandidateEval>, CampaignStats) {
-    evaluate_in(campaign(name, cfg), cands, scenarios, objective, cfg.seed)
+    evaluate_in(campaign(name, cfg), cands, scenarios, cfg.seed)
 }
 
 /// [`evaluate_batch`] on a given campaign, scenario `i` at seed `seed + i`.
@@ -97,7 +132,6 @@ fn evaluate_in(
     mut campaign: Campaign,
     cands: &[Candidate],
     scenarios: &[EvalScenario],
-    objective: &Objective,
     seed: u64,
 ) -> (Vec<CandidateEval>, CampaignStats) {
     assert!(!scenarios.is_empty(), "tuning needs at least one scenario");
@@ -141,7 +175,7 @@ fn evaluate_in(
                 }
                 m.p95_rtt_s = m.p95_rtt_s.max(pair.p95_rtt_s);
             }
-            let (feasible, fitness) = objective.score(&m);
+            let (feasible, fitness) = score(&m);
             CandidateEval {
                 candidate,
                 metrics: m,
@@ -156,7 +190,6 @@ fn evaluate_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::Metric;
     use crate::scenarios::quick_scenarios;
     use proteus_runner::CampaignOpts;
 
@@ -224,9 +257,8 @@ mod tests {
     #[test]
     fn batch_evaluates_scavenger_as_low_harm() {
         let scenarios = [tiny_scenario()];
-        let objective = Objective::default_scavenger();
         let cands = [Candidate::paper_default()];
-        let (evals, stats) = evaluate_in(serial_campaign(), &cands, &scenarios, &objective, 1);
+        let (evals, stats) = evaluate_in(serial_campaign(), &cands, &scenarios, 1);
         assert_eq!(evals.len(), 1);
         assert_eq!(stats.total, 2); // 1 baseline + 1 pair
         let e = &evals[0];
@@ -241,13 +273,27 @@ mod tests {
     #[test]
     fn duplicate_candidates_share_jobs() {
         let scenarios = [tiny_scenario()];
-        let objective = Objective {
-            maximize: Metric::ScavMbps,
-            constraints: Vec::new(),
-        };
         let cands = [Candidate::paper_default(), Candidate::paper_default()];
-        let (evals, stats) = evaluate_in(serial_campaign(), &cands, &scenarios, &objective, 1);
+        let (evals, stats) = evaluate_in(serial_campaign(), &cands, &scenarios, 1);
         assert_eq!(stats.total, 2, "identical candidates must dedup");
         assert_eq!(evals[0].fitness, evals[1].fitness);
+    }
+
+    /// The bound is strict, and the report line names it to the digit.
+    #[test]
+    fn scoring_orders_infeasible_by_violation() {
+        assert!(OBJECTIVE.ends_with(&format!("harm < {MAX_HARM:?}")));
+        let metrics = |scav_util, harm| CandidateMetrics {
+            scav_util,
+            harm,
+            ..Default::default()
+        };
+        let (f_ok, s_ok) = score(&metrics(0.6, 0.03));
+        let (f_edge, _) = score(&metrics(0.7, 0.05));
+        let (f_near, s_near) = score(&metrics(0.9, 0.06));
+        let (f_far, s_far) = score(&metrics(0.95, 0.40));
+        assert!(f_ok && !f_edge && !f_near && !f_far, "the bound is strict");
+        assert_eq!(s_ok, 0.6);
+        assert!(s_near > s_far, "less violation must rank higher");
     }
 }

@@ -197,13 +197,13 @@ pub fn harm_cell(quick: bool) -> HarmCell {
 }
 
 /// The dense companion cell — 100 concurrent churning scavengers on the
-/// same link. Reported but *not* invariant-checked: sustained churn keeps
-/// every scavenger a latecomer (its base-RTT estimate forms inside the
-/// standing queue, so the deviation signal it yields on never fires), and
-/// per-flow shares near the rate floor starve the estimator of ACK
-/// samples. The measured yield ratio collapses (≈ 0.27 static, ≈ 0.03
-/// under churn) — the population-scale failure mode this campaign exists
-/// to surface.
+/// same link. Reported but *not* invariant-checked: the CUBIC primaries
+/// keep 0.039 of their solo throughput (quick, seed 1). The cause is
+/// start-up under churn. Proteus-S keeps no base RTT; every one of the 20
+/// arrivals/s enters at `initial_rate_mbps` (2 Mbps on a 100 Mbps link)
+/// and doubles while its utility rises. Started at 0.5 Mbps the primaries
+/// keep 0.230 (0.2 Mbps: 0.454). This is the population-scale failure
+/// mode the campaign exists to surface.
 pub fn harm_dense_cell(quick: bool) -> HarmCell {
     HarmCell {
         name: "harm-100",

@@ -13,15 +13,14 @@
 //! The pipeline, one crate module per step:
 //!
 //! 1. [`crate::space`] — the [`Candidate`](crate::space::Candidate) genome
-//!    and its bounded search space with deterministic operators;
+//!    with its gene bounds and deterministic operators;
 //! 2. [`crate::scenarios`] — the fixed primary/scavenger cells candidates
 //!    are scored on;
-//! 3. [`crate::eval`] — batch evaluation as campaign jobs: content-hashed,
-//!    cached, shard-filtered;
-//! 4. [`crate::objective`] — the objective and its constraint scoring;
-//! 5. [`crate::search`] — grid sweep + seeded genetic refinement, same seed
+//! 3. [`crate::eval`] — batch evaluation as campaign jobs (content-hashed,
+//!    cached, shard-filtered) scored against the one objective;
+//! 4. [`crate::search`] — grid sweep + seeded genetic refinement, same seed
 //!    ⇒ byte-identical leaderboard at any worker count;
-//! 6. [`crate::report`] — `leaderboard.csv`, `frontier.csv`,
+//! 5. [`crate::report`] — `leaderboard.csv`, `frontier.csv`,
 //!    `best_config.json` and the text report.
 //!
 //! Artifacts land in `results/tune/`. Every simulation goes through the

@@ -15,8 +15,8 @@
 //! Reports are printed and also written under `results/`.
 //!
 //! `repro tune`, the offline parameter search, is built from `space`,
-//! `scenarios`, `eval`, `objective` and `search` (plus the renderers in
-//! `report`); `experiments::tune` describes the pipeline.
+//! `scenarios`, `eval` and `search` (plus the renderers in `report`);
+//! `experiments::tune` describes the pipeline.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -26,7 +26,6 @@ pub mod experiments;
 pub mod invariants;
 pub mod jobs;
 pub mod mi_trace;
-pub mod objective;
 pub mod protocols;
 pub mod report;
 pub mod scenarios;

@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 
 use proteus_runner::json::{array, Obj};
 
+use crate::eval::OBJECTIVE;
 use crate::search::{RankedCandidate, SearchOutcome, SearchSpec};
 use crate::space::Candidate;
 
@@ -300,7 +301,7 @@ pub fn best_config_json(spec: &SearchSpec, outcome: &SearchOutcome) -> String {
         o.render()
     };
     let mut o = Obj::new();
-    o.str("objective", &spec.objective.to_string())
+    o.str("objective", OBJECTIVE)
         .str("id", &best.id)
         .str("origin", &best.origin)
         .bool("feasible", best.eval.feasible)
@@ -323,7 +324,7 @@ pub fn best_config_json(spec: &SearchSpec, outcome: &SearchOutcome) -> String {
 /// search produce identical text.
 pub fn text_report(spec: &SearchSpec, outcome: &SearchOutcome) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "# proteus-tune: {}", spec.objective);
+    let _ = writeln!(s, "# proteus-tune: {OBJECTIVE}");
     let _ = writeln!(
         s,
         "evaluated {} candidates ({} distinct) over {} scenario(s); jobs: {} executed, {} cached, {} skipped",
@@ -402,8 +403,7 @@ pub fn write_tune_report(dir: &Path, spec: &SearchSpec, outcome: &SearchOutcome)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::CandidateEval;
-    use crate::objective::CandidateMetrics;
+    use crate::eval::{CandidateEval, CandidateMetrics};
     use crate::search::quick_spec;
 
     #[test]

@@ -17,13 +17,21 @@ use rand::{RngExt, SeedableRng};
 use proteus_runner::JobKey;
 
 use crate::eval::{evaluate_batch, CandidateEval};
-use crate::objective::Objective;
 use crate::scenarios::{full_scenarios, quick_scenarios, EvalScenario};
-use crate::space::{Candidate, SearchSpace};
+use crate::space::{Candidate, Variant, DEVIATION_COEF, G1, G2};
 use crate::RunCfg;
 
+/// Population slots reserved for the current leaders (not re-bred).
+const ELITISM: usize = 2;
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
+/// Probability a child is a crossover (vs a clone of one parent).
+const CROSSOVER_RATE: f64 = 0.9;
+/// Per-gene mutation probability.
+const MUTATION_RATE: f64 = 0.3;
+
 /// Grid-phase resolution: how many evenly spaced levels each swept gene
-/// gets (the variant axis always enumerates every enabled variant).
+/// gets (the variant axis always enumerates every variant).
 #[derive(Debug, Clone, Copy)]
 pub struct GridLevels {
     /// Levels of the deviation coefficient `d`.
@@ -34,13 +42,11 @@ pub struct GridLevels {
     pub g2: usize,
 }
 
-/// A complete search declaration.
+/// A complete search declaration: what varies between searches. The
+/// objective ([`crate::eval::OBJECTIVE`]), the gene bounds
+/// ([`crate::space`]) and the genetic-operator rates are constants.
 #[derive(Debug, Clone)]
 pub struct SearchSpec {
-    /// Gene bounds and enabled variants.
-    pub space: SearchSpace,
-    /// What the search optimizes.
-    pub objective: Objective,
     /// Scenarios every candidate is scored on.
     pub scenarios: Vec<EvalScenario>,
     /// Grid-phase resolution.
@@ -49,14 +55,6 @@ pub struct SearchSpec {
     pub pop: usize,
     /// GA generations (0 disables the genetic phase).
     pub generations: usize,
-    /// Population slots reserved for the current leaders (not re-bred).
-    pub elitism: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Probability a child is a crossover (vs a clone of one parent).
-    pub crossover_rate: f64,
-    /// Per-gene mutation probability.
-    pub mutation_rate: f64,
     /// Search RNG seed (selection/crossover/mutation draws only; the
     /// simulations take their seeds from [`RunCfg::seed`]).
     pub seed: u64,
@@ -66,8 +64,6 @@ pub struct SearchSpec {
 /// scenarios. Finishes in minutes cold, seconds warm.
 pub fn quick_spec(seed: u64) -> SearchSpec {
     SearchSpec {
-        space: SearchSpace::default(),
-        objective: Objective::default_scavenger(),
         scenarios: quick_scenarios(),
         grid: GridLevels {
             deviation: 4,
@@ -76,17 +72,12 @@ pub fn quick_spec(seed: u64) -> SearchSpec {
         },
         pop: 16,
         generations: 2,
-        elitism: 2,
-        tournament: 3,
-        crossover_rate: 0.9,
-        mutation_rate: 0.3,
         seed,
     }
 }
 
 /// The full search: 216 grid cells + 6 GA generations over three 30 s
-/// scenarios (including a BBR primary), with the quick search's space,
-/// objective and genetic operators.
+/// scenarios (including a BBR primary).
 pub fn full_spec(seed: u64) -> SearchSpec {
     SearchSpec {
         scenarios: full_scenarios(),
@@ -147,14 +138,14 @@ fn levels(n: usize, (lo, hi): (f64, f64)) -> Vec<f64> {
     }
 }
 
-/// The grid-phase candidate list: every enabled variant × evenly spaced
+/// The grid-phase candidate list: every variant × evenly spaced
 /// `d` × G1 × G2, with the remaining genes at their paper defaults.
 pub fn grid_candidates(spec: &SearchSpec) -> Vec<Candidate> {
     let mut out = Vec::new();
-    for &variant in &spec.space.variants {
-        for &d in &levels(spec.grid.deviation, spec.space.deviation_coef) {
-            for &g1 in &levels(spec.grid.g1, spec.space.g1) {
-                for &g2 in &levels(spec.grid.g2, spec.space.g2) {
+    for variant in Variant::ALL {
+        for &d in &levels(spec.grid.deviation, DEVIATION_COEF) {
+            for &g1 in &levels(spec.grid.g1, G1) {
+                for &g2 in &levels(spec.grid.g2, G2) {
                     let mut c = Candidate::paper_default();
                     c.variant = variant;
                     c.deviation_coef = d;
@@ -192,13 +183,13 @@ fn settle(board: &mut Vec<RankedCandidate>) {
     board.retain(|r| seen.insert(r.id.clone()));
 }
 
-/// Best-of-`k` tournament over a pool sorted best-first: the winner is the
-/// lowest drawn index.
-fn tournament(rng: &mut SmallRng, pool: usize, k: usize) -> usize {
-    (0..k.max(1))
+/// Best-of-[`TOURNAMENT`] tournament over a pool sorted best-first: the
+/// winner is the lowest drawn index.
+fn tournament(rng: &mut SmallRng, pool: usize) -> usize {
+    (0..TOURNAMENT)
         .map(|_| rng.random_range(0..pool))
         .min()
-        .expect("k >= 1")
+        .expect("TOURNAMENT >= 1")
 }
 
 /// Runs the full search: grid sweep, then (unless sharded) the GA.
@@ -209,8 +200,7 @@ fn tournament(rng: &mut SmallRng, pool: usize, k: usize) -> usize {
 /// (warming one shared or several mergeable caches), then re-run unsharded
 /// for the full search as pure cache replay of the grid plus a live GA.
 pub fn run_search(spec: &SearchSpec, cfg: RunCfg) -> SearchOutcome {
-    spec.space.validate();
-    assert!(spec.elitism <= spec.pop, "elitism exceeds population");
+    assert!(ELITISM <= spec.pop, "elitism exceeds population");
 
     let mut evaluated = 0;
     let mut executed = 0;
@@ -230,7 +220,7 @@ pub fn run_search(spec: &SearchSpec, cfg: RunCfg) -> SearchOutcome {
     };
 
     let grid = grid_candidates(spec);
-    let (evals, stats) = evaluate_batch("tune-grid", &grid, &spec.scenarios, &spec.objective, cfg);
+    let (evals, stats) = evaluate_batch("tune-grid", &grid, &spec.scenarios, cfg);
     evaluated += grid.len();
     executed += stats.executed;
     cached += stats.cached;
@@ -247,24 +237,23 @@ pub fn run_search(spec: &SearchSpec, cfg: RunCfg) -> SearchOutcome {
                 .take(spec.pop)
                 .map(|r| r.eval.candidate)
                 .collect();
-            let breed = spec.pop.saturating_sub(spec.elitism).max(1);
+            let breed = spec.pop.saturating_sub(ELITISM).max(1);
             let mut children = Vec::with_capacity(breed);
             for _ in 0..breed {
                 // Fixed draw order per child: parent a, parent b,
                 // crossover decision (+ gene picks), mutation.
-                let a = parents[tournament(&mut rng, parents.len(), spec.tournament)];
-                let b = parents[tournament(&mut rng, parents.len(), spec.tournament)];
-                let mut child = if rng.random::<f64>() < spec.crossover_rate {
-                    spec.space.crossover(&a, &b, &mut rng)
+                let a = parents[tournament(&mut rng, parents.len())];
+                let b = parents[tournament(&mut rng, parents.len())];
+                let mut child = if rng.random::<f64>() < CROSSOVER_RATE {
+                    a.crossover(&b, &mut rng)
                 } else {
                     a
                 };
-                spec.space.mutate(&mut child, &mut rng, spec.mutation_rate);
+                child.mutate(&mut rng, MUTATION_RATE);
                 children.push(child);
             }
             let name = format!("tune-gen{gen}");
-            let (evals, stats) =
-                evaluate_batch(&name, &children, &spec.scenarios, &spec.objective, cfg);
+            let (evals, stats) = evaluate_batch(&name, &children, &spec.scenarios, cfg);
             evaluated += children.len();
             executed += stats.executed;
             cached += stats.cached;
@@ -293,7 +282,7 @@ mod tests {
         let grid = grid_candidates(&spec);
         assert_eq!(grid.len(), 64);
         for c in &grid {
-            assert!(spec.space.contains(c), "grid cell out of bounds: {c:?}");
+            assert!(c.in_bounds(), "grid cell out of bounds: {c:?}");
         }
     }
 
@@ -312,7 +301,7 @@ mod tests {
 
     #[test]
     fn ranking_prefers_feasible_then_fitness_then_id() {
-        use crate::objective::CandidateMetrics;
+        use crate::eval::CandidateMetrics;
         let mk = |feasible, fitness, id: &str| RankedCandidate {
             eval: CandidateEval {
                 candidate: Candidate::paper_default(),
@@ -338,7 +327,7 @@ mod tests {
     fn tournament_is_biased_to_the_front() {
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(3);
-        let picks: Vec<usize> = (0..200).map(|_| tournament(&mut rng, 10, 3)).collect();
+        let picks: Vec<usize> = (0..200).map(|_| tournament(&mut rng, 10)).collect();
         let front = picks.iter().filter(|&&i| i < 5).count();
         assert!(
             front > 120,

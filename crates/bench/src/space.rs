@@ -1,13 +1,13 @@
-//! The candidate genome and the bounded search space it lives in.
+//! The candidate genome and the bounds it lives in.
 //!
 //! A [`Candidate`] is one point of `ProteusConfig` space plus a utility
 //! [`Variant`]: the knobs the paper hand-picks (scavenger penalty `d`, §5
 //! gate gains G1/G2, trend window `k`, probing ε/ω-step, probe pair count)
 //! together with *which* utility shape the scavenger optimizes. The
-//! [`SearchSpace`] declares per-gene bounds and provides the deterministic
-//! sampling, mutation and crossover operators the genetic search uses —
-//! every operator keeps its output inside the declared bounds (property
-//! tested in `tests/determinism.rs`).
+//! constants below bound each gene, and the deterministic sampling,
+//! mutation and crossover operators the genetic search uses keep their
+//! output inside them (property tested in `tests/determinism.rs`); every
+//! search enumerates all of [`Variant::ALL`].
 
 use proteus_core::noise::TREND_WINDOW_MAX;
 use proteus_core::{
@@ -55,7 +55,9 @@ impl Variant {
 /// Genes a variant does not consume (`budget_ms` outside `DelayBudget`,
 /// `threshold_mbps` outside `Hybrid`) are carried anyway so the genome has
 /// a fixed shape; they do not enter [`Candidate::canonical`], so two
-/// candidates that behave identically share one cache identity.
+/// candidates that behave identically share one cache identity. Loss-Only
+/// is the exception: its identity still carries `d`, G1, G2 and `k`, which
+/// its utility never reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
     /// Utility shape.
@@ -158,166 +160,120 @@ impl Candidate {
     }
 }
 
-/// Inclusive per-gene bounds plus the enabled variant set.
-#[derive(Debug, Clone)]
-pub struct SearchSpace {
-    /// Enabled utility variants.
-    pub variants: Vec<Variant>,
-    /// Bounds on the deviation coefficient `d`.
-    pub deviation_coef: (f64, f64),
-    /// Bounds on gate gain G1.
-    pub g1: (f64, f64),
-    /// Bounds on gate gain G2.
-    pub g2: (f64, f64),
-    /// Bounds on the trend window `k` (clamped to `1..=TREND_WINDOW_MAX`).
-    pub trend_window: (usize, usize),
-    /// Bounds on the probing perturbation ε.
-    pub epsilon: (f64, f64),
-    /// Bounds on the ω-step increment.
-    pub omega_step: (f64, f64),
-    /// Bounds on the delay budget, ms.
-    pub budget_ms: (f64, f64),
-    /// Bounds on the hybrid threshold, Mbps.
-    pub threshold_mbps: (f64, f64),
-}
-
-impl Default for SearchSpace {
-    fn default() -> Self {
-        Self {
-            variants: Variant::ALL.to_vec(),
-            deviation_coef: (300.0, 3000.0),
-            g1: (0.5, 8.0),
-            g2: (1.0, 16.0),
-            trend_window: (2, TREND_WINDOW_MAX),
-            epsilon: (0.01, 0.10),
-            omega_step: (0.01, 0.10),
-            budget_ms: (40.0, 120.0),
-            threshold_mbps: (1.0, 20.0),
-        }
-    }
-}
+/// Inclusive bounds on the deviation coefficient `d`.
+pub const DEVIATION_COEF: (f64, f64) = (300.0, 3000.0);
+/// Inclusive bounds on gate gain G1.
+pub const G1: (f64, f64) = (0.5, 8.0);
+/// Inclusive bounds on gate gain G2.
+pub const G2: (f64, f64) = (1.0, 16.0);
+/// Inclusive bounds on the trend window `k` (within `1..=TREND_WINDOW_MAX`).
+pub const TREND_WINDOW: (usize, usize) = (2, TREND_WINDOW_MAX);
+/// Inclusive bounds on the probing perturbation ε.
+pub const EPSILON: (f64, f64) = (0.01, 0.10);
+/// Inclusive bounds on the ω-step increment.
+pub const OMEGA_STEP: (f64, f64) = (0.01, 0.10);
+/// Inclusive bounds on the delay budget, ms.
+pub const BUDGET_MS: (f64, f64) = (40.0, 120.0);
+/// Inclusive bounds on the hybrid threshold, Mbps.
+pub const THRESHOLD_MBPS: (f64, f64) = (1.0, 20.0);
 
 /// Uniform jitter half-width for mutation, as a fraction of a gene's range.
 const MUTATION_SPAN: f64 = 0.25;
 
-impl SearchSpace {
-    /// Panics if the space is malformed (empty variant set, inverted
-    /// bounds, or a trend window outside what `MiNoiseGate` accepts).
-    pub fn validate(&self) {
-        assert!(!self.variants.is_empty(), "search space has no variants");
-        let ok = |(lo, hi): (f64, f64)| lo.is_finite() && hi.is_finite() && lo <= hi;
-        assert!(ok(self.deviation_coef), "bad deviation_coef bounds");
-        assert!(ok(self.g1) && ok(self.g2), "bad gate-gain bounds");
-        assert!(
-            ok(self.epsilon) && ok(self.omega_step),
-            "bad probing bounds"
-        );
-        assert!(
-            ok(self.budget_ms) && ok(self.threshold_mbps),
-            "bad variant bounds"
-        );
-        assert!(
-            (1..=TREND_WINDOW_MAX).contains(&self.trend_window.0)
-                && self.trend_window.0 <= self.trend_window.1
-                && self.trend_window.1 <= TREND_WINDOW_MAX,
-            "trend_window bounds outside 1..={TREND_WINDOW_MAX}"
-        );
-    }
+fn sample(rng: &mut SmallRng, (lo, hi): (f64, f64)) -> f64 {
+    lo + (hi - lo) * rng.random::<f64>()
+}
 
-    /// Whether every gene of `c` is inside bounds and its variant enabled.
-    pub fn contains(&self, c: &Candidate) -> bool {
+fn jitter(rng: &mut SmallRng, v: f64, (lo, hi): (f64, f64)) -> f64 {
+    let step = (rng.random::<f64>() * 2.0 - 1.0) * MUTATION_SPAN * (hi - lo);
+    (v + step).clamp(lo, hi)
+}
+
+fn any_variant(rng: &mut SmallRng) -> Variant {
+    Variant::ALL[rng.random_range(0..Variant::ALL.len())]
+}
+
+impl Candidate {
+    /// Whether every gene is inside its bounds.
+    pub fn in_bounds(&self) -> bool {
         let within = |v: f64, (lo, hi): (f64, f64)| (lo..=hi).contains(&v);
-        self.variants.contains(&c.variant)
-            && within(c.deviation_coef, self.deviation_coef)
-            && within(c.g1, self.g1)
-            && within(c.g2, self.g2)
-            && (self.trend_window.0..=self.trend_window.1).contains(&c.trend_window)
-            && within(c.epsilon, self.epsilon)
-            && within(c.omega_step, self.omega_step)
-            && within(c.budget_ms, self.budget_ms)
-            && within(c.threshold_mbps, self.threshold_mbps)
-    }
-
-    fn sample(&self, rng: &mut SmallRng, (lo, hi): (f64, f64)) -> f64 {
-        if lo < hi {
-            lo + (hi - lo) * rng.random::<f64>()
-        } else {
-            lo
-        }
+        within(self.deviation_coef, DEVIATION_COEF)
+            && within(self.g1, G1)
+            && within(self.g2, G2)
+            && (TREND_WINDOW.0..=TREND_WINDOW.1).contains(&self.trend_window)
+            && within(self.epsilon, EPSILON)
+            && within(self.omega_step, OMEGA_STEP)
+            && within(self.budget_ms, BUDGET_MS)
+            && within(self.threshold_mbps, THRESHOLD_MBPS)
     }
 
     /// Draws a uniform candidate.
-    pub fn random(&self, rng: &mut SmallRng) -> Candidate {
-        Candidate {
-            variant: self.variants[rng.random_range(0..self.variants.len())],
-            deviation_coef: self.sample(rng, self.deviation_coef),
-            g1: self.sample(rng, self.g1),
-            g2: self.sample(rng, self.g2),
-            trend_window: rng.random_range(self.trend_window.0..=self.trend_window.1),
-            epsilon: self.sample(rng, self.epsilon),
-            omega_step: self.sample(rng, self.omega_step),
+    pub fn random(rng: &mut SmallRng) -> Self {
+        Self {
+            variant: any_variant(rng),
+            deviation_coef: sample(rng, DEVIATION_COEF),
+            g1: sample(rng, G1),
+            g2: sample(rng, G2),
+            trend_window: rng.random_range(TREND_WINDOW.0..=TREND_WINDOW.1),
+            epsilon: sample(rng, EPSILON),
+            omega_step: sample(rng, OMEGA_STEP),
             majority_probe: rng.random::<bool>(),
-            budget_ms: self.sample(rng, self.budget_ms),
-            threshold_mbps: self.sample(rng, self.threshold_mbps),
+            budget_ms: sample(rng, BUDGET_MS),
+            threshold_mbps: sample(rng, THRESHOLD_MBPS),
         }
-    }
-
-    fn jitter(&self, rng: &mut SmallRng, v: f64, (lo, hi): (f64, f64)) -> f64 {
-        let step = (rng.random::<f64>() * 2.0 - 1.0) * MUTATION_SPAN * (hi - lo);
-        (v + step).clamp(lo, hi)
     }
 
     /// Mutates each gene independently with probability `rate`: numeric
     /// genes take a bounded uniform jitter (±25 % of the gene's range,
     /// clamped), categorical genes redraw. The RNG consumption pattern is
     /// fixed per call, so searches replay identically for a given seed.
-    pub fn mutate(&self, c: &mut Candidate, rng: &mut SmallRng, rate: f64) {
+    pub fn mutate(&mut self, rng: &mut SmallRng, rate: f64) {
         // One decision draw per gene, always consumed in the same order.
         if rng.random::<f64>() < rate {
-            c.variant = self.variants[rng.random_range(0..self.variants.len())];
+            self.variant = any_variant(rng);
         }
         if rng.random::<f64>() < rate {
-            c.deviation_coef = self.jitter(rng, c.deviation_coef, self.deviation_coef);
+            self.deviation_coef = jitter(rng, self.deviation_coef, DEVIATION_COEF);
         }
         if rng.random::<f64>() < rate {
-            c.g1 = self.jitter(rng, c.g1, self.g1);
+            self.g1 = jitter(rng, self.g1, G1);
         }
         if rng.random::<f64>() < rate {
-            c.g2 = self.jitter(rng, c.g2, self.g2);
+            self.g2 = jitter(rng, self.g2, G2);
         }
         if rng.random::<f64>() < rate {
-            c.trend_window = rng.random_range(self.trend_window.0..=self.trend_window.1);
+            self.trend_window = rng.random_range(TREND_WINDOW.0..=TREND_WINDOW.1);
         }
         if rng.random::<f64>() < rate {
-            c.epsilon = self.jitter(rng, c.epsilon, self.epsilon);
+            self.epsilon = jitter(rng, self.epsilon, EPSILON);
         }
         if rng.random::<f64>() < rate {
-            c.omega_step = self.jitter(rng, c.omega_step, self.omega_step);
+            self.omega_step = jitter(rng, self.omega_step, OMEGA_STEP);
         }
         if rng.random::<f64>() < rate {
-            c.majority_probe = rng.random::<bool>();
+            self.majority_probe = rng.random::<bool>();
         }
         if rng.random::<f64>() < rate {
-            c.budget_ms = self.jitter(rng, c.budget_ms, self.budget_ms);
+            self.budget_ms = jitter(rng, self.budget_ms, BUDGET_MS);
         }
         if rng.random::<f64>() < rate {
-            c.threshold_mbps = self.jitter(rng, c.threshold_mbps, self.threshold_mbps);
+            self.threshold_mbps = jitter(rng, self.threshold_mbps, THRESHOLD_MBPS);
         }
     }
 
-    /// Uniform crossover: each gene comes from parent `a` or `b` with equal
+    /// Uniform crossover: each gene comes from `self` or `other` with equal
     /// probability.
-    pub fn crossover(&self, a: &Candidate, b: &Candidate, rng: &mut SmallRng) -> Candidate {
+    pub fn crossover(&self, other: &Self, rng: &mut SmallRng) -> Self {
         macro_rules! pick {
             ($field:ident) => {
                 if rng.random::<bool>() {
-                    a.$field
+                    self.$field
                 } else {
-                    b.$field
+                    other.$field
                 }
             };
         }
-        Candidate {
+        Self {
             variant: pick!(variant),
             deviation_coef: pick!(deviation_coef),
             g1: pick!(g1),
@@ -337,11 +293,24 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// The bounds are well formed, the trend window stays within what
+    /// `MiNoiseGate` accepts, and the paper's configuration is inside them.
     #[test]
     fn paper_default_is_in_default_space() {
-        let space = SearchSpace::default();
-        space.validate();
-        assert!(space.contains(&Candidate::paper_default()));
+        for (lo, hi) in [
+            DEVIATION_COEF,
+            G1,
+            G2,
+            EPSILON,
+            OMEGA_STEP,
+            BUDGET_MS,
+            THRESHOLD_MBPS,
+        ] {
+            assert!(lo.is_finite() && hi.is_finite() && lo < hi, "({lo}, {hi})");
+        }
+        assert!(1 <= TREND_WINDOW.0 && TREND_WINDOW.0 <= TREND_WINDOW.1);
+        assert!(TREND_WINDOW.1 <= TREND_WINDOW_MAX);
+        assert!(Candidate::paper_default().in_bounds());
     }
 
     #[test]
@@ -390,27 +359,24 @@ mod tests {
 
     #[test]
     fn operators_stay_in_bounds() {
-        let space = SearchSpace::default();
         let mut rng = SmallRng::seed_from_u64(11);
-        let mut c = space.random(&mut rng);
-        assert!(space.contains(&c));
+        let mut c = Candidate::random(&mut rng);
+        assert!(c.in_bounds());
         for _ in 0..200 {
-            space.mutate(&mut c, &mut rng, 0.8);
-            assert!(space.contains(&c), "mutation escaped bounds: {c:?}");
+            c.mutate(&mut rng, 0.8);
+            assert!(c.in_bounds(), "mutation escaped bounds: {c:?}");
         }
-        let a = space.random(&mut rng);
-        let b = space.random(&mut rng);
-        let x = space.crossover(&a, &b, &mut rng);
-        assert!(space.contains(&x));
+        let a = Candidate::random(&mut rng);
+        let b = Candidate::random(&mut rng);
+        assert!(a.crossover(&b, &mut rng).in_bounds());
     }
 
     #[test]
     fn same_seed_same_draws() {
-        let space = SearchSpace::default();
         let mut r1 = SmallRng::seed_from_u64(5);
         let mut r2 = SmallRng::seed_from_u64(5);
         for _ in 0..32 {
-            assert_eq!(space.random(&mut r1), space.random(&mut r2));
+            assert_eq!(Candidate::random(&mut r1), Candidate::random(&mut r2));
         }
     }
 }

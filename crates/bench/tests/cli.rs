@@ -10,7 +10,7 @@ use std::process::Command;
 /// (a zero-length run, probabilities above 1, a negative RTT).
 #[test]
 fn proteus_sim_rejects_hostile_flags_with_usage() {
-    let cases: [&[&str]; 28] = [
+    let cases: [&[&str]; 29] = [
         &["--bw", "0"],
         &["--bw", "-5"],
         &["--buffer", "0"],
@@ -35,11 +35,12 @@ fn proteus_sim_rejects_hostile_flags_with_usage() {
         &["--links", "70000"],
         &["--flow", "Reno"],
         &["--flow", "Vegas"],
-        // Buffers that hold no whole packet, and a population that aborts.
+        // Buffers that hold no whole packet, and populations that abort.
         &["--buffer", "1e-30xBDP"],
         &["--buffer", "1.4"],
         &["--bw", "1e-9"],
         &["--population", "5000000000"],
+        &["--churn", "1e9,1"],
     ];
     for case in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_proteus-sim"))

@@ -26,11 +26,10 @@ use rand::SeedableRng;
 use proteus_bench::experiments::video_util::VideoTransport;
 use proteus_bench::experiments::{fig12, fig14, fig2};
 use proteus_bench::jobs::{decode_single, link_tag, pair_job, single_job, Traces};
-use proteus_bench::objective::Objective;
 use proteus_bench::report::{best_config_json, frontier_csv, leaderboard_csv, Table};
 use proteus_bench::scenarios::EvalScenario;
 use proteus_bench::search::{run_search, GridLevels, SearchSpec};
-use proteus_bench::space::{Candidate, SearchSpace, Variant};
+use proteus_bench::space::Candidate;
 use proteus_bench::RunCfg;
 use proteus_netsim::LinkSpec;
 use proteus_runner::{Campaign, CampaignOpts, JobKey, SimJob};
@@ -204,15 +203,11 @@ fn warm_cache_skips_every_simulation() {
 // The tuner
 // ---------------------------------------------------------------------------
 
-/// A deliberately tiny search (one short scenario, 4-cell grid, 2 small
-/// generations) so the cold run stays test-suite friendly.
+/// A deliberately tiny search (one short scenario, a 4-cell grid — one
+/// per variant — and 2 small generations) so the cold run stays
+/// test-suite friendly.
 fn tiny_spec(seed: u64) -> SearchSpec {
     SearchSpec {
-        space: SearchSpace {
-            variants: vec![Variant::Scavenger, Variant::LossOnly],
-            ..SearchSpace::default()
-        },
-        objective: Objective::default_scavenger(),
         scenarios: vec![EvalScenario {
             name: "tiny",
             primary: "CUBIC",
@@ -222,16 +217,12 @@ fn tiny_spec(seed: u64) -> SearchSpec {
             secs: 6.0,
         }],
         grid: GridLevels {
-            deviation: 2,
+            deviation: 1,
             g1: 1,
             g2: 1,
         },
         pop: 6,
         generations: 2,
-        elitism: 1,
-        tournament: 2,
-        crossover_rate: 0.9,
-        mutation_rate: 0.4,
         seed,
     }
 }
@@ -314,15 +305,14 @@ proptest! {
     /// constructible sender config (trend window within the gate's limit).
     #[test]
     fn operators_never_escape_bounds(seed in any::<u64>(), steps in 1usize..40) {
-        let space = SearchSpace::default();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut c = space.random(&mut rng);
-        let mut mate = space.random(&mut rng);
+        let mut c = Candidate::random(&mut rng);
+        let mut mate = Candidate::random(&mut rng);
         for _ in 0..steps {
-            space.mutate(&mut c, &mut rng, 0.5);
-            prop_assert!(space.contains(&c), "mutation escaped: {c:?}");
-            c = space.crossover(&c, &mate, &mut rng);
-            prop_assert!(space.contains(&c), "crossover escaped: {c:?}");
+            c.mutate(&mut rng, 0.5);
+            prop_assert!(c.in_bounds(), "mutation escaped: {c:?}");
+            c = c.crossover(&mate, &mut rng);
+            prop_assert!(c.in_bounds(), "crossover escaped: {c:?}");
             std::mem::swap(&mut c, &mut mate);
         }
         let cfg = c.config(7);
