@@ -13,7 +13,8 @@
 //!   --buffer <KB|xBDP> bottleneck buffer         (default 2xBDP; "375" = KB)
 //!   --loss <rate>      random loss, e.g. 0.01    (default 0)
 //!   --wifi             WiFi-style latency noise
-//!   --secs <s>         duration                  (default 60)
+//!   --secs <s>         duration                  (default 60); every
+//!                      flow's START_S and fault's T must fall before it
 //!   --seed <n>         RNG seed                  (default 1)
 //!   --churn <a,l>      Poisson flow churn: `a` arrivals/sec, mean
 //!                      lifetime `l` seconds; arrivals draw uniformly from
@@ -71,8 +72,8 @@ use proteus_bench::{
     cc, mi_trace, tail_window, trace_jsonl, try_cc, MiTraceSink, TraceFormat, TRACE_EVERY,
 };
 use proteus_netsim::{
-    run, AckCompression, ChurnClass, ChurnSpec, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec,
-    NoiseConfig, ReorderConfig, Scenario, Topology,
+    run, AckCompression, ChurnClass, ChurnSpec, FaultSchedule, FlowSpec, GilbertElliott,
+    LinkChange, LinkSpec, NoiseConfig, ReorderConfig, Scenario, Topology,
 };
 use proteus_transport::{Dur, Time, DEFAULT_PACKET_BYTES};
 
@@ -348,6 +349,27 @@ fn parse() -> Result<Args, String> {
     }
     if a.flows.is_empty() {
         return Err("at least one --flow is required".into());
+    }
+    // Checked last: a start or a fault at or after the final --secs never
+    // happens. (An outage may outlast the run; its end is not checked.)
+    let starts = a
+        .flows
+        .iter()
+        .map(|(proto, at)| (format!("--flow {proto}"), *at));
+    let faults = a.faults.link_events.iter().filter_map(|(at, change)| {
+        let flag = match change {
+            LinkChange::Bandwidth(_) => "--bw-step",
+            LinkChange::Rtt(_) => "--rtt-step",
+            LinkChange::Down => "--outage",
+            LinkChange::Up => return None,
+        };
+        Some((flag.to_string(), at.as_secs_f64()))
+    });
+    if let Some((what, at)) = starts.chain(faults).find(|&(_, at)| at >= a.secs) {
+        return Err(format!(
+            "{what} at {at} s never happens: the run ends at --secs {}",
+            a.secs
+        ));
     }
     // Checked last: the expected arrivals need the final --secs.
     let arrivals = a.churn.map_or(0.0, |(arrivals, _)| arrivals);

@@ -7,10 +7,11 @@ use std::process::Command;
 /// usage and exit status 2 — rather than tripping a library assertion
 /// (status 101 and a backtrace, for `--bw-step` a simulated second into the
 /// run, for `--secs 1e30` the engine's 2^48 ns limit) or running silently
-/// (a zero-length run, probabilities above 1, a negative RTT).
+/// (a zero-length run, probabilities above 1, a negative RTT, a flow or a
+/// fault timed at or after the end of the run).
 #[test]
 fn proteus_sim_rejects_hostile_flags_with_usage() {
-    let cases: [&[&str]; 29] = [
+    let cases: [&[&str]; 33] = [
         &["--bw", "0"],
         &["--bw", "-5"],
         &["--buffer", "0"],
@@ -41,6 +42,11 @@ fn proteus_sim_rejects_hostile_flags_with_usage() {
         &["--bw", "1e-9"],
         &["--population", "5000000000"],
         &["--churn", "1e9,1"],
+        // A start or a fault at or after the end of the 2 s run.
+        &["--flow", "BBR@2"],
+        &["--outage", "100:1"],
+        &["--bw-step", "9:10"],
+        &["--rtt-step", "9:10"],
     ];
     for case in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_proteus-sim"))

@@ -84,25 +84,33 @@ impl MediaMetrics {
     }
 }
 
-/// One flow's `(ACK time, RTT)` samples: exact, in nanoseconds, about three
-/// bytes a sample.
+/// One flow's `(ACK time, RTT)` samples: exact, in nanoseconds, in runs — a
+/// sample that repeats the previous one's send gap and RTT writes no byte.
 ///
-/// Two byte columns of zigzag LEB128 deltas, one entry a sample each:
-/// `gaps` holds the change in the gap since the previous sample (an
-/// ACK-clocked flow repeats its gap, so mostly the one byte 0), `rtts` the
-/// change in RTT (one byte under 64 ns, two under 8 µs, three under 1 ms).
-/// On the benchmark's clean cells that is 1.36 + 1.72 bytes a sample.
+/// Two byte columns of tokens. `gaps` holds the change in the *send-time*
+/// gap since the previous sample (the send time is `ACK time − RTT`, the
+/// packet's exact send instant; a PCC sender holds one rate for a monitor
+/// interval, so its send gap repeats where its ACK gap does not), `rtts`
+/// the change in RTT. A change that is not zero is one zigzag LEB128 value
+/// (one byte under 64 ns, two under 8 µs, three under 1 ms); a run of zero
+/// changes is one token, the byte 0 and the run's length, 1 to
+/// [`RUN_MAX`], in the byte after. A minimal LEB128 value other than 0 never
+/// ends in the byte 0, and no length is 0, so a column whose last but one
+/// byte is 0 ends in an open run, and the next zero change lengthens it in
+/// place: the runs need no field of their own. On the benchmark's clean
+/// cells that is 0.12 + 1.19 bytes a sample, 1.83 in all on its faulted and
+/// multi-hop ones.
 /// Deltas wrap in `u64`, a bijection, so every value decodes exactly at any
 /// size — an outage or a 78 h RTT is a few more bytes, not a second layout.
-/// The first sample's time is kept apart in `first_ns`, the newest time, gap
-/// and RTT are the bases of the next deltas, and `min`/`max` bound the RTTs
-/// for selection.
+/// The first sample's send time is kept apart in `first_sent`, the newest
+/// send time, gap and RTT are the bases of the next deltas, and `min`/`max`
+/// bound the RTTs for selection.
 #[derive(Debug, Clone, Default)]
 struct RttStore {
     gaps: Vec<u8>,
     rtts: Vec<u8>,
-    first_ns: u64,
-    last_ns: u64,
+    first_sent: u64,
+    last_sent: u64,
     last_gap: u64,
     last_rtt: u64,
     len: usize,
@@ -118,14 +126,26 @@ const SELECT_ON_A_COPY: usize = 1 << 16;
 /// counts.
 const DIGIT_BITS: u32 = 16;
 
-/// Runs of samples the first counting pass splits the RTT column into, each
-/// noting where it starts and which digits it holds (96 KiB), so that later
-/// passes decode only the runs that can hold the answer.
+/// Stretches of samples the first counting pass splits the RTT column into,
+/// each noting where it starts, the RTT before it and which digits it holds
+/// (96 KiB), so that later passes decode only the stretches that can hold
+/// the answer.
 const ZONES: usize = 4096;
 
-/// Appends `delta` (wrapping) to `col` as zigzag LEB128.
+/// The most zero changes one run token counts; a longer run takes more.
+const RUN_MAX: u8 = u8::MAX;
+
+/// Appends `delta` (wrapping) to `col`: a zero lengthens the open run or
+/// opens one, anything else is one zigzag LEB128 value.
 #[inline]
 fn put(col: &mut Vec<u8>, delta: u64) {
+    if delta == 0 {
+        match col.as_mut_slice() {
+            [.., 0, run] if *run < RUN_MAX => *run += 1,
+            _ => col.extend_from_slice(&[0, 1]),
+        }
+        return;
+    }
     let mut z = (delta << 1) ^ ((delta as i64 >> 63) as u64);
     while z >= 0x80 {
         col.push(z as u8 | 0x80);
@@ -134,13 +154,14 @@ fn put(col: &mut Vec<u8>, delta: u64) {
     col.push(z as u8);
 }
 
-/// The running sums of a column of zigzag LEB128 deltas, from `value`.
-struct Decode<'a> {
+/// The tokens of a column, from `value`: each the running sum it leaves and
+/// how many samples hold that sum (1 for a value, the length for a run).
+struct Runs<'a> {
     bytes: std::slice::Iter<'a, u8>,
     value: u64,
 }
 
-impl<'a> Decode<'a> {
+impl<'a> Runs<'a> {
     fn new(col: &'a [u8], value: u64) -> Self {
         Self {
             bytes: col.iter(),
@@ -149,12 +170,16 @@ impl<'a> Decode<'a> {
     }
 }
 
-impl Iterator for Decode<'_> {
-    type Item = u64;
+impl Iterator for Runs<'_> {
+    type Item = (u64, u32);
 
     #[inline]
-    fn next(&mut self) -> Option<u64> {
+    fn next(&mut self) -> Option<(u64, u32)> {
         let &b = self.bytes.next()?;
+        if b == 0 {
+            let &run = self.bytes.next()?;
+            return Some((self.value, u32::from(run)));
+        }
         let mut z = u64::from(b & 0x7f);
         if b >= 0x80 {
             let mut shift = 7;
@@ -168,12 +193,18 @@ impl Iterator for Decode<'_> {
             }
         }
         self.value = self.value.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
-        Some(self.value)
+        Some((self.value, 1))
     }
 }
 
-/// A run of samples in the RTT column: its byte offset, the RTT before it,
-/// and the lowest and highest first-pass digit among its samples.
+/// The running sums of a column, one a sample: its runs, expanded.
+fn samples(col: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    Runs::new(col, 0).flat_map(|(value, n)| std::iter::repeat_n(value, n as usize))
+}
+
+/// A stretch of the RTT column, whole tokens up to the next stretch: its
+/// byte offset, the RTT before it, and the lowest and highest first-pass
+/// digit among its samples.
 struct Zone {
     at: usize,
     base: u64,
@@ -194,15 +225,16 @@ fn digit_of_rank(counts: &[u32], k: &mut usize) -> usize {
 impl RttStore {
     #[inline]
     fn push(&mut self, at: Time, rtt: Dur) {
-        let (t_ns, rtt_ns) = (at.as_nanos(), rtt.as_nanos());
+        let rtt_ns = rtt.as_nanos();
+        let sent = at.as_nanos().wrapping_sub(rtt_ns);
         if self.len == 0 {
-            (self.first_ns, self.last_ns) = (t_ns, t_ns);
+            (self.first_sent, self.last_sent) = (sent, sent);
             (self.min, self.max) = (rtt_ns, rtt_ns);
         }
-        let gap = t_ns.wrapping_sub(self.last_ns);
+        let gap = sent.wrapping_sub(self.last_sent);
         put(&mut self.gaps, gap.wrapping_sub(self.last_gap));
         put(&mut self.rtts, rtt_ns.wrapping_sub(self.last_rtt));
-        (self.last_ns, self.last_gap, self.last_rtt) = (t_ns, gap, rtt_ns);
+        (self.last_sent, self.last_gap, self.last_rtt) = (sent, gap, rtt_ns);
         self.len += 1;
         self.min = self.min.min(rtt_ns);
         self.max = self.max.max(rtt_ns);
@@ -213,19 +245,26 @@ impl RttStore {
     }
 
     /// RTTs in nanoseconds, in sample order.
-    fn rtts(&self) -> Decode<'_> {
-        Decode::new(&self.rtts, 0)
+    fn rtts(&self) -> impl Iterator<Item = u64> + '_ {
+        samples(&self.rtts)
     }
 
-    /// `(ACK time, RTT)` in sample order.
+    /// Runs of equal RTTs in nanoseconds, in sample order: `(RTT, samples)`.
+    fn rtt_runs(&self) -> Runs<'_> {
+        Runs::new(&self.rtts, 0)
+    }
+
+    /// `(ACK time, RTT)` in sample order: the ACK time is the send time
+    /// plus the RTT.
     fn iter(&self) -> impl Iterator<Item = (Time, Dur)> + '_ {
-        let mut t = self.first_ns;
-        Decode::new(&self.gaps, 0)
-            .zip(self.rtts())
-            .map(move |(gap, rtt)| {
-                t = t.wrapping_add(gap);
-                (Time::from_nanos(t), Dur::from_nanos(rtt))
-            })
+        let mut sent = self.first_sent;
+        samples(&self.gaps).zip(self.rtts()).map(move |(gap, rtt)| {
+            sent = sent.wrapping_add(gap);
+            (
+                Time::from_nanos(sent.wrapping_add(rtt)),
+                Dur::from_nanos(rtt),
+            )
+        })
     }
 
     /// The nearest-rank `p`-th percentile RTT: an exact order statistic.
@@ -245,11 +284,12 @@ impl RttStore {
 
     /// The `k`-th smallest RTT (from 0) by counting, in passes over the RTT
     /// column: each histograms the top [`DIGIT_BITS`] of `rtt − lo` over the
-    /// values still in the running (`lo..=lo + span`), then keeps in the
-    /// running only the one bucket that holds rank `k`. The first pass reads
-    /// every sample, [`ZONES`] runs of them; the later ones decode only the
-    /// runs that held the chosen first digit. Two passes settle a span under
-    /// 2^32 ns (4.29 s); one up to 2^48 ns takes a third.
+    /// values still in the running (`lo..=lo + span`), a run at once, then
+    /// keeps in the running only the one bucket that holds rank `k`. The
+    /// first pass reads every token, in at most [`ZONES`] stretches of
+    /// whole tokens; the later ones decode only the stretches that held the
+    /// chosen first digit. Two passes settle a span under 2^32 ns (4.29 s);
+    /// one up to 2^48 ns takes a third.
     fn count_select(&self, mut k: usize) -> u64 {
         assert!(self.len <= u32::MAX as usize, "a flow of 2^32 RTT samples");
         const MASK: usize = (1 << DIGIT_BITS) - 1;
@@ -259,15 +299,19 @@ impl RttStore {
         let (mut lo, mut span) = (self.min, self.max - self.min);
         let mut shift = shift_for(span);
 
+        // Every stretch but the last holds at least `per_zone` samples, so
+        // there are at most ZONES of them.
         let per_zone = self.len.div_ceil(ZONES);
         let mut zones = Vec::with_capacity(ZONES);
-        let mut rtts = self.rtts();
-        while rtts.bytes.len() > 0 {
-            let (at, base) = (self.rtts.len() - rtts.bytes.len(), rtts.value);
-            let (mut first, mut last) = (u32::MAX, 0);
-            for rtt in rtts.by_ref().take(per_zone) {
+        let mut runs = self.rtt_runs();
+        while runs.bytes.len() > 0 {
+            let (at, base) = (self.rtts.len() - runs.bytes.len(), runs.value);
+            let (mut first, mut last, mut held) = (u32::MAX, 0, 0);
+            while held < per_zone {
+                let Some((rtt, n)) = runs.next() else { break };
                 let digit = ((rtt - lo) >> shift) as usize & MASK;
-                counts[digit] += 1;
+                counts[digit] += n;
+                held += n as usize;
                 (first, last) = (first.min(digit as u32), last.max(digit as u32));
             }
             zones.push(Zone {
@@ -277,7 +321,7 @@ impl RttStore {
             });
         }
         let mut digit = digit_of_rank(counts, &mut k);
-        zones.retain(|z| (z.digits.0..=z.digits.1).contains(&(digit as u32)));
+        let first_digit = digit as u32;
 
         loop {
             let base = (digit as u64) << shift;
@@ -288,11 +332,15 @@ impl RttStore {
             span = (span - base).min((1 << shift) - 1);
             shift = shift_for(span);
             counts.fill(0);
-            for z in &zones {
-                for rtt in Decode::new(&self.rtts[z.at..], z.base).take(per_zone) {
+            let ends = zones.iter().skip(1).map(|z| z.at);
+            for (z, end) in zones.iter().zip(ends.chain([self.rtts.len()])) {
+                if !(z.digits.0..=z.digits.1).contains(&first_digit) {
+                    continue;
+                }
+                for (rtt, n) in Runs::new(&self.rtts[z.at..end], z.base) {
                     let off = rtt.wrapping_sub(lo);
                     if off <= span {
-                        counts[(off >> shift) as usize & MASK] += 1;
+                        counts[(off >> shift) as usize & MASK] += n;
                     }
                 }
             }
@@ -540,7 +588,16 @@ impl FlowMetrics {
     /// Mean RTT in seconds.
     pub fn rtt_mean(&self) -> Option<f64> {
         let n = self.rtt.len();
-        (n > 0).then(|| self.rtt_secs().sum::<f64>() / n as f64)
+        // One conversion a run, then one addition a sample, in order: f64
+        // addition is not associative, so `secs × run` could round apart.
+        let mut sum = 0.0;
+        for (ns, run) in self.rtt.rtt_runs() {
+            let secs = Dur::from_nanos(ns).as_secs_f64();
+            for _ in 0..run {
+                sum += secs;
+            }
+        }
+        (n > 0).then(|| sum / n as f64)
     }
 
     /// Loss rate observed by the sender: `lost / sent`.
@@ -799,10 +856,24 @@ mod tests {
     /// seconds the field used to be. Returns the metrics.
     fn check_against_float_record(trace: &[(u64, u64)]) -> FlowMetrics {
         let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
+        feed(&mut m, trace);
+        check_readers(&m, trace);
+        m
+    }
+
+    /// Feeds `trace` (`(ACK time, RTT)`, nanoseconds) to `m`.
+    fn feed(m: &mut FlowMetrics, trace: &[(u64, u64)]) {
+        for &(t, rtt) in trace {
+            m.on_ack(Time::from_nanos(t), 1500, Dur::from_nanos(rtt));
+        }
+    }
+
+    /// Checks every RTT reader of `m`, fed `trace` and nothing else, bit
+    /// for bit against the float record.
+    fn check_readers(m: &FlowMetrics, trace: &[(u64, u64)]) {
         let mut want = Vec::new();
         for &(t, rtt) in trace {
             let (t, rtt) = (Time::from_nanos(t), Dur::from_nanos(rtt));
-            m.on_ack(t, 1500, rtt);
             want.push((t.as_secs_f64(), rtt.as_secs_f64()));
         }
         let got: Vec<(f64, f64)> = m.rtt_samples().collect();
@@ -826,7 +897,6 @@ mod tests {
             .map(|&(_, r)| r)
             .collect();
         assert_eq!(m.rtt_values_in(from, to), in_window);
-        m
     }
 
     /// Every percentile the readers are checked at: the edges, the clamped
@@ -894,7 +964,92 @@ mod tests {
                     check_against_float_record(&same_instant);
                 }
             }
+            // The same draws as runs, read half-way through (mostly inside
+            // an open run) and again once the run is extended.
+            let runs = in_runs(&draws, first_ms * 1_000_000);
+            let cut = runs.len().div_ceil(2);
+            let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
+            feed(&mut m, &runs[..cut]);
+            check_readers(&m, &runs[..cut]);
+            feed(&mut m, &runs[cut..]);
+            check_readers(&m, &runs);
         }
+    }
+
+    /// A trace in runs, one a draw of the first 48 of `draws`, from sample 0
+    /// on: each `d` is 1 to 2^14 samples (about log-uniform, so runs cross
+    /// tokens, zones and, in about a fifth of the traces, the selection
+    /// threshold) that repeat one send gap (`d & 1`; a quarter of those
+    /// send at one instant), one RTT (`d & 2`), both, or neither. The first
+    /// sample is sent at `first`, and ACK times never go back.
+    fn in_runs(draws: &[u64], first: u64) -> Vec<(u64, u64)> {
+        let (mut sent, mut rtt) = (first, 0u64);
+        let mut trace = Vec::new();
+        for &d in draws.iter().take(48) {
+            let mut x = d;
+            let mut fresh = |m: u64| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 24) % m
+            };
+            let mut gap = if d >> 6 & 3 == 0 {
+                0
+            } else {
+                fresh(40_000_000)
+            };
+            let run_rtt = (1_000_000 + fresh(400_000_000)).max(rtt.saturating_sub(gap));
+            for i in 0..1 + (d >> 8) % (2 << ((d >> 2) % 14)) {
+                if d & 1 == 0 && i > 0 {
+                    gap = fresh(40_000_000);
+                }
+                rtt = if d & 2 == 0 {
+                    (1_000_000 + fresh(400_000_000)).max(rtt.saturating_sub(gap))
+                } else {
+                    run_rtt
+                };
+                sent += gap;
+                trace.push((sent + rtt, rtt));
+            }
+        }
+        trace
+    }
+
+    /// The run tokens themselves: a run from the first sample is split at
+    /// [`RUN_MAX`], and a run open across the selection threshold and many
+    /// of `count_select`'s zones reads the same before and after it is
+    /// extended.
+    #[test]
+    fn runs_split_at_the_token_limit_and_extend_in_place() {
+        // A thousand samples at one instant with one RTT: the gap column is
+        // one run from sample 0, the RTT column a value and then a run.
+        let same = vec![(7_000_000_000, 30_000_000); 1000];
+        let m = check_against_float_record(&same);
+        let runs = [0, 255, 0, 255, 0, 255, 0, 235];
+        assert_eq!(m.rtt.gaps, runs);
+        let mut rtts = vec![0x80, 0x8e, 0xce, 0x1c];
+        rtts.extend([0, 255, 0, 255, 0, 255, 0, 234]);
+        assert_eq!(m.rtt.rtts, rtts, "30 ms is 4 bytes, then 999 repeats");
+
+        // 1 000-sample plateaus every 24 µs, one stepping up 1 µs, the next
+        // down 500 ns: read at the threshold (on a copy), mid-run past it
+        // (counting, 17 samples a zone) and at the end.
+        let trace: Vec<(u64, u64)> = (0..SELECT_ON_A_COPY as u64 + 3_500)
+            .map(|i| {
+                let step = i / 1000;
+                let rtt = 20_000_000 + step * 1000 - (step / 2) * 1500;
+                (5_000_000_000 + i * 24_000 + rtt, rtt)
+            })
+            .collect();
+        let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
+        let mut fed = 0;
+        for cut in [SELECT_ON_A_COPY, SELECT_ON_A_COPY + 1_250, trace.len()] {
+            feed(&mut m, &trace[fed..cut]);
+            check_readers(&m, &trace[..cut]);
+            fed = cut;
+        }
+        let bytes = m.rtt.gaps.len() + m.rtt.rtts.len();
+        assert!(bytes < 2_000, "{bytes} bytes for {} samples", m.rtt.len());
     }
 
     /// Stores on both sides of the selection threshold, their RTTs spread

@@ -1,14 +1,16 @@
 //! A flow's RTT record costs about what its samples carry, and reading a
 //! percentile from it costs fixed scratch, not a copy (DESIGN.md §4c): a
-//! million ACK-clocked samples hold about two bytes each, a percentile of
-//! four million allocates no more than 512 KiB at its peak, and the store
-//! adds at most 40 bytes to a `FlowMetrics`.
+//! million ACK-clocked samples hold at most three bytes each, a million that
+//! repeat one another hold next to nothing, a percentile of four million
+//! allocates no more than 512 KiB at its peak, and the store adds at most
+//! 40 bytes to a `FlowMetrics`.
 //!
 //! A counting global allocator wraps the system one, as in `sched_memory.rs`.
-//! The counters are process-wide, so the whole check is one `#[test]`.
+//! The counters are process-wide, so the tests take turns on [`SERIAL`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use proteus_netsim::FlowMetrics;
 use proteus_transport::{Dur, Time};
@@ -75,10 +77,22 @@ fn live() -> i64 {
     LIVE_BYTES.load(Ordering::Relaxed)
 }
 
+/// Held by each test for its whole run, so that no other test allocates
+/// while it counts.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn flow_metrics_hold_about_two_bytes_a_sample_and_select_in_fixed_scratch() {
-    // A million samples: a gap repeated is one byte, 40 ns more RTT is one.
-    // (As two 32-bit integers a sample they held 8 MB.)
+    let _alone = alone();
+    // A million samples: a send gap repeated is part of a run, 40 ns more
+    // RTT is one byte (1.08 MB in all). (As two 32-bit integers a sample
+    // they held 8 MB.)
     let before = live();
     let m = ack_clocked(1_000_000);
     let held = live() - before;
@@ -109,4 +123,26 @@ fn flow_metrics_hold_about_two_bytes_a_sample_and_select_in_fixed_scratch() {
         size <= FLOW_METRICS_BEFORE + 40,
         "FlowMetrics grew {FLOW_METRICS_BEFORE} -> {size} bytes"
     );
+}
+
+#[test]
+fn flow_metrics_hold_a_million_repeated_samples_in_64_kib() {
+    let _alone = alone();
+    // A million ACKs 24 µs apart at one RTT: after the first two samples
+    // every change is zero, so each column is runs of 255 in two bytes.
+    // (As one byte a zero change they held 2 MB.)
+    let before = live();
+    let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
+    for i in 0..1_000_000 {
+        m.on_ack(
+            Time::from_nanos(48_000_000_000 + i * 24_000),
+            1500,
+            Dur::from_millis(30),
+        );
+    }
+    let held = live() - before;
+    assert!(held <= 64 << 10, "a million repeats hold {held} bytes");
+    assert_eq!(m.rtt_samples().count(), 1_000_000);
+    assert_eq!(m.rtt_samples().last(), Some((71.999976, 0.030)));
+    assert_eq!(m.rtt_percentile(50.0), Some(0.030));
 }
