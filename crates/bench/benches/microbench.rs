@@ -191,8 +191,8 @@ fn bench_cc_per_ack(c: &mut Criterion) {
     // Proteus-S loop as above, so the delta against `per_ack/Proteus-S`
     // is the full cost of recording MI-close/gate/transition events. The
     // untraced rows must not move at all — with the default NoopSink the
-    // recording sites compile away (the ≤2% acceptance bound vs
-    // BENCH_controller.json).
+    // recording sites compile away (the ≤2% acceptance bound vs the
+    // untraced numbers recorded in CHANGES.md).
     group.bench_function("Proteus-S-traced", |b| {
         let mut cc = ProteusSender::scavenger(1).with_sink(proteus_trace::RingSink::new(
             proteus_trace::MI_RING_CAPACITY,

@@ -32,9 +32,11 @@
 //!                      after the flow table (see SCENARIOS.md "Media
 //!                      sources")
 //!   --timeline         print 5-second per-flow throughput bins
-//!   --trace <file>     write per-flow telemetry JSONL (100 ms samples)
-//!   --trace-mi         record structured decision traces (see OBSERVABILITY.md)
-//!   --trace-format <f> decision-trace format: jsonl, chrome or both
+//!   --trace            trace the run: structured decision traces (see
+//!                      OBSERVABILITY.md) as JSONL and as a Chrome trace under
+//!                      <dir>/adhoc/, and per-flow telemetry JSONL (100 ms
+//!                      samples) under results/trace/adhoc/, all named
+//!                      <PROTO+PROTO...>-s<seed>
 //!   --trace-out <dir>  decision-trace directory (default results/trace-mi)
 //!
 //! Fault injection (see SCENARIOS.md; all flags repeatable where sensible):
@@ -63,14 +65,11 @@
 //! ```
 
 use std::env;
-use std::fs;
 use std::process::ExitCode;
 
 use proteus_apps::{MediaSource, MediaSpec};
 use proteus_bench::protocols::NAMES;
-use proteus_bench::{
-    cc, mi_trace, tail_window, trace_jsonl, try_cc, MiTraceSink, TraceFormat, TRACE_EVERY,
-};
+use proteus_bench::{cc, mi_trace, tail_window, try_cc, TraceSink};
 use proteus_netsim::{
     run, AckCompression, ChurnClass, ChurnSpec, FaultSchedule, FlowSpec, GilbertElliott,
     LinkChange, LinkSpec, NoiseConfig, ReorderConfig, Scenario, Topology,
@@ -87,9 +86,7 @@ struct Args {
     secs: f64,
     seed: u64,
     timeline: bool,
-    trace: Option<String>,
-    trace_mi: bool,
-    trace_format: TraceFormat,
+    trace: bool,
     flows: Vec<(String, f64)>,
     /// `(fps, bitrate ladder in Mbps)` for the first flow, from `--media`.
     media: Option<(f64, Vec<f64>)>,
@@ -173,9 +170,7 @@ fn parse() -> Result<Args, String> {
         secs: 60.0,
         seed: 1,
         timeline: false,
-        trace: None,
-        trace_mi: false,
-        trace_format: TraceFormat::Both,
+        trace: false,
         flows: Vec::new(),
         media: None,
         faults: FaultSchedule::new(),
@@ -183,6 +178,7 @@ fn parse() -> Result<Args, String> {
         population: 0,
     };
     let mut buffer = String::from("2xBDP");
+    let mut trace_out = None;
     let mut it = env::args().skip(1);
     let need = |it: &mut dyn Iterator<Item = String>, what: &str| {
         it.next().ok_or(format!("{what} requires a value"))
@@ -271,15 +267,8 @@ fn parse() -> Result<Args, String> {
                 a.media = Some((fps, ladder));
             }
             "--timeline" => a.timeline = true,
-            "--trace" => a.trace = Some(need(&mut it, "--trace")?),
-            "--trace-mi" => a.trace_mi = true,
-            "--trace-format" => {
-                let v = need(&mut it, "--trace-format")?;
-                a.trace_format = TraceFormat::parse(&v).ok_or(format!(
-                    "--trace-format must be jsonl, chrome or both, got {v:?}"
-                ))?;
-            }
-            "--trace-out" => mi_trace::set_mi_trace_dir(need(&mut it, "--trace-out")?),
+            "--trace" => a.trace = true,
+            "--trace-out" => trace_out = Some(need(&mut it, "--trace-out")?),
             "--bw-step" => {
                 let [at, mbps] =
                     fields(&need(&mut it, "--bw-step")?, "--bw-step", [AT, BANDWIDTH])?;
@@ -381,6 +370,10 @@ fn parse() -> Result<Args, String> {
     }
     // Sized last: "xBDP" needs the final --bw and --rtt.
     a.buffer_bytes = buffer_bytes(&buffer, a.bw, a.rtt_ms)?;
+    // Installed last, so the last --trace-out wins.
+    if let Some(dir) = trace_out {
+        mi_trace::set_mi_trace_dir(dir);
+    }
     Ok(a)
 }
 
@@ -413,8 +406,7 @@ fn main() -> ExitCode {
             }
             eprintln!(
                 "usage: proteus-sim [--bw Mbps] [--rtt ms] [--links N] [--buffer KB|xBDP] [--loss p] \
-                 [--wifi] [--secs s] [--seed n] [--timeline] [--trace FILE] \
-                 [--trace-mi] [--trace-format jsonl|chrome|both] [--trace-out DIR] \
+                 [--wifi] [--secs s] [--seed n] [--timeline] [--trace] [--trace-out DIR] \
                  [--churn ARRIVALS,LIFETIME] [--population N] [--media FPS,L1:L2:...] \
                  [--bw-step T:MBPS] [--rtt-step T:MS] [--outage T:LEN] \
                  [--burst-loss PE:PX:PB] [--reorder PROB:MS] [--ack-comp EVERY:HOLD] \
@@ -444,8 +436,8 @@ fn main() -> ExitCode {
     let mut sc = Scenario::over(topology, Dur::from_secs_f64(args.secs))
         .with_seed(args.seed)
         .with_faults(args.faults.clone());
-    if args.trace.is_some() || args.trace_mi {
-        sc = sc.with_trace(TRACE_EVERY);
+    if args.trace {
+        sc = sc.with_trace();
     }
     for (i, (proto, start)) in args.flows.iter().enumerate() {
         let name = format!("{proto}#{i}");
@@ -510,31 +502,27 @@ fn main() -> ExitCode {
         if args.wifi { "wifi" } else { "none" }
     );
     let res = run(sc);
-    if let Some(path) = &args.trace {
-        match fs::write(path, trace_jsonl(&res)) {
-            Ok(()) => eprintln!("trace: {} samples -> {path}", res.trace.len()),
-            Err(e) => {
-                eprintln!("error: cannot write trace to {path}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if args.trace_mi {
+    if args.trace {
         let mix = args
             .flows
             .iter()
             .map(|(p, _)| p.as_str())
             .collect::<Vec<_>>()
             .join("+");
-        let sink = MiTraceSink::new("adhoc", format!("{mix}-s{}", args.seed), args.trace_format);
-        sink.write(&res);
-        for path in sink.paths() {
-            eprintln!(
-                "decision trace: {} events -> {}",
-                res.decisions.len(),
-                path.display()
-            );
+        let sink = TraceSink::new("adhoc", format!("{mix}-s{}", args.seed));
+        let [jsonl, chrome, telemetry] = sink.paths();
+        if let Err(e) = sink.write(&res) {
+            eprintln!("error: cannot write trace {e}");
+            return ExitCode::from(2);
         }
+        let events = res.decisions.len();
+        eprintln!("decision trace: {events} events -> {}", jsonl.display());
+        eprintln!("decision trace: {events} events -> {}", chrome.display());
+        eprintln!(
+            "trace: {} samples -> {}",
+            res.trace.len(),
+            telemetry.display()
+        );
     }
 
     let (from, to) = tail_window(args.secs);

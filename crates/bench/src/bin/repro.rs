@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--seed N] [--jobs N] [--shard I/N] [--no-cache]
-//!       [--trace] [--trace-mi] [--trace-format jsonl|chrome|both]
-//!       [--trace-out DIR] <id>... | all | list | trace-summary
+//!       [--trace] [--trace-out DIR] <id>... | all | list | trace-summary
 //! ```
 //!
 //! `--jobs N` runs each experiment's simulation campaign on `N` worker
@@ -23,13 +22,12 @@
 //! A campaign invariant that fails (`stress`, `scale`, `topology`, `rtc`) is
 //! listed on stderr and makes the exit status 1 — except under `--shard`,
 //! where skipped cells are placeholders, not measurements.
-//! `--trace` records per-flow telemetry JSONL under `results/trace/`.
-//! `--trace-mi` records structured decision traces (MI closes, mode
-//! switches, filter verdicts — see `OBSERVABILITY.md`) under
-//! `results/trace-mi/` (or `--trace-out DIR` / `$PROTEUS_TRACE_DIR`), in
-//! the format(s) `--trace-format` selects. The pseudo-experiment
-//! `trace-summary` aggregates previously recorded decision traces instead
-//! of running simulations.
+//! `--trace` traces every cell: per-flow telemetry JSONL under
+//! `results/trace/`, and structured decision traces (MI closes, mode
+//! switches, filter verdicts — see `OBSERVABILITY.md`) as JSONL and as a
+//! Chrome trace under `results/trace-mi/` (or `--trace-out DIR` /
+//! `$PROTEUS_TRACE_DIR`). The pseudo-experiment `trace-summary` aggregates
+//! previously recorded decision traces instead of running simulations.
 
 use std::env;
 use std::path::{Path, PathBuf};
@@ -38,11 +36,10 @@ use std::time::Instant;
 
 use proteus_bench::experiments::registry;
 use proteus_bench::invariants::take_session_failures;
-use proteus_bench::{mi_trace, RunCfg, TraceFormat};
+use proteus_bench::{mi_trace, RunCfg};
 
 const USAGE: &str = "usage: repro [--quick] [--seed N] [--jobs N] [--shard I/N] [--no-cache] \
-     [--trace] [--trace-mi] [--trace-format jsonl|chrome|both] [--trace-out DIR] \
-     <id>... | all | list | trace-summary";
+     [--trace] [--trace-out DIR] <id>... | all | list | trace-summary";
 
 /// Parses `--shard I/N` (1-based shard `I` of `N`) into the 0-based
 /// `(index, count)` the campaign layer expects.
@@ -58,25 +55,19 @@ fn parse_shard(v: &str) -> Result<(u32, u32), String> {
 }
 
 /// Parses the command line into the run configuration (defaults
-/// [`RunCfg::full`]) and the experiment ids.
+/// [`RunCfg::full`]) and the experiment ids, and installs the last
+/// `--trace-out` directory.
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(RunCfg, Vec<String>), String> {
     let mut cfg = RunCfg::full();
     let mut ids = Vec::new();
+    let mut trace_out = None;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => cfg.quick = true,
             "--no-cache" => cfg.cache = false,
             "--trace" => cfg.trace = true,
-            "--trace-mi" => cfg.trace_mi = true,
-            "--trace-format" => {
-                let v = args.next().ok_or("--trace-format requires a value")?;
-                cfg.trace_format = TraceFormat::parse(&v).ok_or(format!(
-                    "--trace-format must be jsonl, chrome or both, got {v:?}"
-                ))?;
-            }
             "--trace-out" => {
-                let v = args.next().ok_or("--trace-out requires a value")?;
-                mi_trace::set_mi_trace_dir(v);
+                trace_out = Some(args.next().ok_or("--trace-out requires a value")?);
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed requires a value")?;
@@ -99,6 +90,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(RunCfg, Vec<Str
             }
             other => ids.push(other.to_string()),
         }
+    }
+    if let Some(dir) = trace_out {
+        mi_trace::set_mi_trace_dir(dir);
     }
     Ok((cfg, ids))
 }
@@ -188,7 +182,7 @@ fn main() -> ExitCode {
     }
 
     if trace_summary {
-        // After any requested experiments, so `repro --trace-mi fig6
+        // After any requested experiments, so `repro --trace fig6
         // trace-summary` aggregates the traces it just recorded.
         print!("{}", mi_trace::summary_report());
     }

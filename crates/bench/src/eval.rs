@@ -15,7 +15,7 @@
 use proteus_netsim::SimResult;
 use proteus_runner::{payload, Campaign, CampaignStats, SimJob};
 
-use crate::jobs::{campaign, decode_pair, pair_payload, scenario_job, tail_mbps, Traces};
+use crate::jobs::{campaign, decode_pair, pair_payload, scenario_job, tail_mbps};
 use crate::scenarios::EvalScenario;
 use crate::space::Candidate;
 use crate::RunCfg;
@@ -77,7 +77,7 @@ fn baseline_job(sc: EvalScenario, seed: u64) -> SimJob {
         format!("tune/single/{}/secs={:?}/seed={seed}", sc.tag(), sc.secs),
         format!("single-{}-s{seed}", sc.name),
         // Untraced: a search runs hundreds of cells, under pinned cache keys.
-        Traces::off(),
+        false,
         move || {
             (sc.scenario(seed, None), move |res: &SimResult| {
                 vec![tail_mbps(res, 0, sc.secs)]
@@ -99,7 +99,7 @@ fn pair_job(sc: EvalScenario, cand: Candidate, seed: u64) -> SimJob {
         ),
         format!("pair-{}-{}-s{seed}", sc.name, cand.variant.name()),
         // Untraced, like `baseline_job`.
-        Traces::off(),
+        false,
         move || {
             (sc.scenario(seed, Some(cand)), move |res: &SimResult| {
                 pair_payload(res, sc.secs)

@@ -28,7 +28,7 @@ use proteus_transport::Dur;
 
 use crate::experiments::wifi::{path_tag, wifi_paths};
 use crate::jobs::{
-    campaign, decode_single, link_tag, scenario_job, single_job, tail_mbps, tail_window, Traces,
+    campaign, decode_single, link_tag, scenario_job, single_job, tail_mbps, tail_window,
 };
 use crate::protocols::cc;
 use crate::report::{f2, pct, write_report, Table};
@@ -109,13 +109,13 @@ fn scavenger_job(
     link: LinkSpec,
     secs: f64,
     seed: u64,
-    traces: Traces,
+    traced: bool,
 ) -> SimJob {
     scenario_job(
         exp,
         format!("{exp}/{key}={label}/{tag}/secs={secs:?}/seed={seed}"),
         format!("{label}-{tag}-s{seed}"),
-        traces,
+        traced,
         move || scavenger_alone(link, secs, seed, cfg),
     )
 }
@@ -141,7 +141,7 @@ fn ablation1_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
                         *link,
                         secs,
                         cfg.seed + ci as u64,
-                        Traces::from_cfg(&cfg),
+                        cfg.trace,
                     ))
                 })
                 .collect()
@@ -185,7 +185,6 @@ fn ablation2_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
                 .map(|(ci, link)| {
                     let tag = path_tag(path_seed, ci);
                     let seed = cfg.seed + ci as u64;
-                    let traces = Traces::from_cfg(&cfg);
                     camp.push_dedup(scavenger_job(
                         "ablation2",
                         "rule",
@@ -195,7 +194,7 @@ fn ablation2_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
                         *link,
                         secs,
                         seed,
-                        traces,
+                        cfg.trace,
                     ))
                 })
                 .collect()
@@ -229,12 +228,12 @@ fn ablation3_coefs(quick: bool) -> &'static [f64] {
 /// Proteus-P from 0 against a Proteus-S with deviation coefficient `d`
 /// from 5 s on the paper-default link; payload
 /// `[primary_mbps, scavenger_mbps]` over the tail.
-fn deviation_job(d: f64, secs: f64, seed: u64, traces: Traces) -> SimJob {
+fn deviation_job(d: f64, secs: f64, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "ablation3",
         format!("ablation3/d={d:?}/secs={secs:?}/seed={seed}"),
         format!("d={d:?}-s{seed}"),
-        traces,
+        traced,
         move || {
             let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
             let mut scav = ProteusConfig::proteus().with_seed(seed ^ 0x5A);
@@ -263,7 +262,7 @@ fn ablation3_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<usize> {
     let secs = if cfg.quick { 30.0 } else { 60.0 };
     ablation3_coefs(cfg.quick)
         .iter()
-        .map(|&d| camp.push_dedup(deviation_job(d, secs, cfg.seed, Traces::from_cfg(&cfg))))
+        .map(|&d| camp.push_dedup(deviation_job(d, secs, cfg.seed, cfg.trace)))
         .collect()
 }
 
@@ -302,7 +301,7 @@ fn ablation4_submit(cfg: RunCfg, camp: &mut Campaign) -> (Vec<usize>, usize) {
                 link,
                 secs,
                 cfg.seed ^ 0xA5,
-                Traces::from_cfg(&cfg),
+                cfg.trace,
             ))
         })
         .collect();
@@ -315,7 +314,7 @@ fn ablation4_submit(cfg: RunCfg, camp: &mut Campaign) -> (Vec<usize>, usize) {
         link,
         secs,
         cfg.seed,
-        Traces::from_cfg(&cfg),
+        cfg.trace,
     ));
     (variants, reference)
 }
@@ -368,7 +367,7 @@ mod tests {
     /// wrote them.
     #[test]
     fn ablation_descriptors_are_pinned() {
-        let off = Traces::off();
+        let off = false;
         let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
         let (label, scav) = noise_variants()[0];
         let tag = path_tag(1 ^ 0xAB1, 0);

@@ -19,7 +19,7 @@ use proteus_transport::{Dur, Time};
 
 use crate::experiments::fig5::fairness_job;
 use crate::experiments::fig6::{cell_from_outputs, push_cell};
-use crate::jobs::{campaign, decode_single, link_tag, scenario_job, single_job, Traces};
+use crate::jobs::{campaign, decode_single, link_tag, scenario_job, single_job};
 use crate::protocols::{cc, PRIMARIES};
 use crate::report::{f2, f3, pct, write_report, Table};
 use crate::RunCfg;
@@ -47,7 +47,7 @@ fn fig15_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
                         link,
                         secs,
                         cfg.seed,
-                        Traces::from_cfg(&cfg),
+                        cfg.trace,
                     ))
                 })
                 .collect()
@@ -113,7 +113,7 @@ fn fig16_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
                         link,
                         secs,
                         cfg.seed,
-                        Traces::from_cfg(&cfg),
+                        cfg.trace,
                     ))
                 })
                 .collect()
@@ -153,8 +153,9 @@ fn fig17_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<Vec<usize>> {
             LEDBATS
                 .iter()
                 .map(|&proto| {
-                    let traces = Traces::from_cfg(&cfg);
-                    camp.push_dedup(fairness_job("fig17", proto, n, measure, cfg.seed, traces))
+                    camp.push_dedup(fairness_job(
+                        "fig17", proto, n, measure, cfg.seed, cfg.trace,
+                    ))
                 })
                 .collect()
         })
@@ -179,12 +180,12 @@ fn fig17_table(cfg: RunCfg, outputs: &[String], slots: &[Vec<usize>]) -> Table {
 
 /// Four `proto` flows staggered 60 s apart on a large buffer; payload =
 /// row-major `[flow][40 s bin]` throughput matrix.
-fn fig18_job(proto: &'static str, total: f64, seed: u64, traces: Traces) -> SimJob {
+fn fig18_job(proto: &'static str, total: f64, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "fig18",
         format!("fig18/proto={proto}/total={total:?}/seed={seed}"),
         format!("fig18-{proto}-s{seed}"),
-        traces,
+        traced,
         move || {
             let link = LinkSpec::new(80.0, Dur::from_millis(30), 4_000_000);
             let mut sc = Scenario::new(link, Dur::from_secs_f64(total))
@@ -217,7 +218,7 @@ fn fig18_submit(cfg: RunCfg, camp: &mut Campaign) -> Vec<usize> {
     let total = if cfg.quick { 200.0 } else { 400.0 };
     LEDBATS
         .iter()
-        .map(|&proto| camp.push_dedup(fig18_job(proto, total, cfg.seed, Traces::from_cfg(&cfg))))
+        .map(|&proto| camp.push_dedup(fig18_job(proto, total, cfg.seed, cfg.trace)))
         .collect()
 }
 
@@ -263,7 +264,7 @@ fn fig19_submit(cfg: RunCfg, camp: &mut Campaign) -> Fig19Slots {
                         buf,
                         secs,
                         cfg.seed,
-                        Traces::from_cfg(&cfg),
+                        cfg.trace,
                     )
                 })
                 .collect()
@@ -323,7 +324,7 @@ mod tests {
     #[test]
     fn fig18_descriptor_is_pinned() {
         // The cache identity, literally, as the parent commit wrote it.
-        let job = fig18_job("LEDBAT-25", 200.0, 1, Traces::off());
+        let job = fig18_job("LEDBAT-25", 200.0, 1, false);
         assert_eq!(
             job.descriptor(),
             "fig18/proto=LEDBAT-25/total=200.0/seed=1/v1"

@@ -18,7 +18,7 @@ use proteus_stats::Ecdf;
 use proteus_transport::Dur;
 
 use crate::experiments::video_util::{add_video_flow, VideoTransport};
-use crate::jobs::{campaign, scenario_job, Traces};
+use crate::jobs::{campaign, scenario_job};
 use crate::protocols::cc;
 use crate::report::{f2, write_report, Table};
 use crate::RunCfg;
@@ -77,12 +77,12 @@ fn dash_build(
 }
 
 /// Campaign job for one DASH cell: payload `[mean chunk bitrate]`.
-fn dash_job(n: usize, bg: &'static str, secs: f64, seed: u64, traces: Traces) -> SimJob {
+fn dash_job(n: usize, bg: &'static str, secs: f64, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "fig11",
         format!("fig11/dash/videos={n}/bg={bg}/secs={secs:?}/seed={seed}"),
         format!("dash-{n}-{bg}-s{seed}"),
-        traces,
+        traced,
         move || dash_build(n, bg, secs, seed),
     )
 }
@@ -130,7 +130,7 @@ fn web_build(
 
 /// Campaign job for one page-load row: payload is [`web_build`]'s four
 /// floats.
-fn web_job(bg: &'static str, duration: Dur, seed: u64, traces: Traces) -> SimJob {
+fn web_job(bg: &'static str, duration: Dur, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "fig11",
         format!(
@@ -138,7 +138,7 @@ fn web_job(bg: &'static str, duration: Dur, seed: u64, traces: Traces) -> SimJob
             duration.as_secs_f64()
         ),
         format!("web-{bg}-s{seed}"),
-        traces,
+        traced,
         move || web_build(bg, duration, seed),
     )
 }
@@ -153,18 +153,17 @@ pub fn run_experiment(cfg: RunCfg) -> String {
         Dur::from_secs(600)
     };
 
-    let traces = Traces::from_cfg(&cfg);
     let mut camp = campaign("fig11", cfg);
     for &n in counts {
         for &bg in BACKGROUNDS {
             // Trial seeds as in Fig. 12: `seed + 101·t`.
             for t in 0..cfg.trials() {
-                camp.push(dash_job(n, bg, secs, cfg.seed + 101 * t, traces));
+                camp.push(dash_job(n, bg, secs, cfg.seed + 101 * t, cfg.trace));
             }
         }
     }
     for &bg in BACKGROUNDS {
-        camp.push(web_job(bg, duration, cfg.seed, traces));
+        camp.push(web_job(bg, duration, cfg.seed, cfg.trace));
     }
     let result = camp.run();
     let mut outputs = result.outputs.iter().map(|o| payload::decode_floats(o));
@@ -212,7 +211,7 @@ mod tests {
 
     #[test]
     fn jobs_match_direct_runs() {
-        let off = Traces::off();
+        let off = false;
         let dash = payload::decode_floats(&dash_job(2, "CUBIC", 8.0, 3, off).execute());
         let (sc, read) = dash_build(2, "CUBIC", 8.0, 3);
         assert_eq!(dash, read(&proteus_netsim::run(sc)));
@@ -227,18 +226,18 @@ mod tests {
 
     #[test]
     fn descriptors_identify_the_cell() {
-        let key = |n, bg, secs, seed| dash_job(n, bg, secs, seed, Traces::off()).key();
+        let key = |n, bg, secs, seed| dash_job(n, bg, secs, seed, false).key();
         let base = key(4, "LEDBAT", 60.0, 1);
         assert_eq!(base, key(4, "LEDBAT", 60.0, 1));
         assert_ne!(base, key(1, "LEDBAT", 60.0, 1));
         assert_ne!(base, key(4, "none", 60.0, 1));
         assert_ne!(base, key(4, "LEDBAT", 150.0, 1));
         assert_ne!(base, key(4, "LEDBAT", 60.0, 2));
-        let web = |bg, secs| web_job(bg, Dur::from_secs(secs), 1, Traces::off()).key();
+        let web = |bg, secs| web_job(bg, Dur::from_secs(secs), 1, false).key();
         assert_ne!(web("none", 120), web("none", 600));
         assert_ne!(web("none", 120), web("CUBIC", 120));
         // The cache identity, literally, as the parent commit wrote it.
-        let quick = dash_job(4, "LEDBAT", 60.0, 1, Traces::off());
+        let quick = dash_job(4, "LEDBAT", 60.0, 1, false);
         assert_eq!(
             quick.descriptor(),
             "fig11/dash/videos=4/bg=LEDBAT/secs=60.0/seed=1/v1"

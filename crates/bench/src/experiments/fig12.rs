@@ -13,7 +13,7 @@ use proteus_runner::{payload, SimJob};
 use proteus_transport::Dur;
 
 use crate::experiments::video_util::{add_video_flow, VideoTransport};
-use crate::jobs::{campaign, scenario_job, Traces};
+use crate::jobs::{campaign, scenario_job};
 use crate::report::{f2, pct, write_report, Table};
 use crate::RunCfg;
 
@@ -77,7 +77,7 @@ pub fn streaming_job(
     forced_max: bool,
     secs: f64,
     seed: u64,
-    traces: Traces,
+    traced: bool,
 ) -> SimJob {
     let mode = match transport {
         VideoTransport::Hybrid => "H",
@@ -89,7 +89,7 @@ pub fn streaming_job(
             "streaming/bw={bw_mbps:?}/transport={mode}/forced={forced_max}/secs={secs:?}/seed={seed}"
         ),
         format!("streaming-{bw_mbps}-{mode}-s{seed}"),
-        traces,
+        traced,
         move || streaming_build(bw_mbps, transport, forced_max, secs, seed),
     )
 }
@@ -117,7 +117,7 @@ fn averaged_runs(
                     forced,
                     secs,
                     cfg.seed + 101 * t,
-                    Traces::from_cfg(cfg),
+                    cfg.trace,
                 ));
             }
         }
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn streaming_job_matches_direct_run() {
-        let job = streaming_job(100.0, VideoTransport::Hybrid, true, 10.0, 3, Traces::off());
+        let job = streaming_job(100.0, VideoTransport::Hybrid, true, 10.0, 3, false);
         let out = payload::decode_floats(&job.execute());
         let (sc, read) = streaming_build(100.0, VideoTransport::Hybrid, true, 10.0, 3);
         assert_eq!(out, read(&proteus_netsim::run(sc)));
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn descriptors_identify_the_trial() {
         let key = |bw, transport, forced, secs, seed| {
-            streaming_job(bw, transport, forced, secs, seed, Traces::off()).key()
+            streaming_job(bw, transport, forced, secs, seed, false).key()
         };
         let base = key(110.0, VideoTransport::Hybrid, false, 60.0, 1);
         assert_eq!(base, key(110.0, VideoTransport::Hybrid, false, 60.0, 1));
@@ -244,7 +244,7 @@ mod tests {
         assert_ne!(base, key(110.0, VideoTransport::Hybrid, false, 180.0, 1));
         assert_ne!(base, key(110.0, VideoTransport::Hybrid, false, 60.0, 102));
         // The cache identity, literally, as the parent commit wrote it.
-        let quick = streaming_job(110.0, VideoTransport::Hybrid, false, 60.0, 1, Traces::off());
+        let quick = streaming_job(110.0, VideoTransport::Hybrid, false, 60.0, 1, false);
         assert_eq!(
             quick.descriptor(),
             "streaming/bw=110.0/transport=H/forced=false/secs=60.0/seed=1/v1"

@@ -9,7 +9,7 @@ use proteus_netsim::{LinkSpec, SimResult};
 use proteus_runner::{payload, SimJob};
 use proteus_transport::{Dur, Time};
 
-use crate::jobs::{campaign, link_tag, pair_scenario, scenario_job, tail_window, Traces};
+use crate::jobs::{campaign, link_tag, pair_scenario, scenario_job, tail_window};
 use crate::report::{f2, write_report, Table};
 use crate::RunCfg;
 
@@ -29,14 +29,14 @@ pub fn timeline_job(
     link: LinkSpec,
     secs: f64,
     seed: u64,
-    traces: Traces,
+    traced: bool,
 ) -> SimJob {
     let tag = link_tag(&link);
     scenario_job(
         "fig14",
         format!("timeline/{tag}/primary={a}/scav={b}/secs={secs:?}/bin={BIN_SECS:?}/seed={seed}"),
         format!("timeline-{tag}-{a}-vs-{b}-s{seed}"),
-        traces,
+        traced,
         move || {
             let sc = pair_scenario(a, b, link, secs, seed);
             (sc, move |res: &SimResult| {
@@ -71,14 +71,7 @@ pub fn run_experiment(cfg: RunCfg) -> String {
 
     let mut camp = campaign("fig14", cfg);
     for &(a, b) in pairings {
-        camp.push(timeline_job(
-            a,
-            b,
-            link,
-            secs,
-            cfg.seed,
-            Traces::from_cfg(&cfg),
-        ));
+        camp.push(timeline_job(a, b, link, secs, cfg.seed, cfg.trace));
     }
     let result = camp.run();
 
@@ -125,9 +118,8 @@ mod tests {
     fn timeline_job_matches_direct_run() {
         let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
         let secs = 25.0;
-        let v = payload::decode_floats(
-            &timeline_job("CUBIC", "BBR-S", link, secs, 3, Traces::off()).execute(),
-        );
+        let v =
+            payload::decode_floats(&timeline_job("CUBIC", "BBR-S", link, secs, 3, false).execute());
         let direct = run(pair_scenario("CUBIC", "BBR-S", link, secs, 3));
         // Two whole bins plus the tail summary.
         assert_eq!(v.len(), 6);
@@ -143,7 +135,7 @@ mod tests {
     #[test]
     fn timeline_descriptor_is_its_own_identity() {
         let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
-        let key = |a, b, secs, seed| timeline_job(a, b, link, secs, seed, Traces::off()).key();
+        let key = |a, b, secs, seed| timeline_job(a, b, link, secs, seed, false).key();
         let base = key("BBR", "BBR-S", 60.0, 1);
         assert_eq!(base, key("BBR", "BBR-S", 60.0, 1));
         assert_ne!(base, key("CUBIC", "BBR-S", 60.0, 1));
@@ -158,7 +150,7 @@ mod tests {
             link,
             60.0,
             1,
-            Traces::off(),
+            false,
         );
         assert_ne!(base, pair.key());
     }

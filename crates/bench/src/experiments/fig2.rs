@@ -11,8 +11,7 @@ use proteus_runner::{payload, SimJob};
 use proteus_stats::{LinearRegression, Welford};
 use proteus_transport::{factory, Dur};
 
-use crate::jobs::{campaign, scenario_job, Traces, TRACE_EVERY};
-use crate::mi_trace::TraceFormat;
+use crate::jobs::{campaign, scenario_job};
 use crate::protocols::cc;
 use crate::report::{f3, write_report, Table};
 use crate::RunCfg;
@@ -125,18 +124,18 @@ fn probe_build(
 /// Campaign job for one probe run: payload is the two per-window sample
 /// sets (deviations, then |gradients|), length-prefixed — decode with
 /// [`payload::decode_float_sets`]. The probe is a fixed-rate source with
-/// no decisions to record; `--trace-mi` runs add the decision companion.
-pub fn probe_job(rate_per_sec: f64, secs: f64, seed: u64, traces: Traces) -> SimJob {
+/// no decisions to record; `--trace` runs add the decision companion.
+pub fn probe_job(rate_per_sec: f64, secs: f64, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "fig2",
         format!("fig2/probe/rate={rate_per_sec:?}/secs={secs:?}/seed={seed}"),
         format!("probe-{rate_per_sec}-s{seed}"),
-        traces,
+        traced,
         move || probe_build(rate_per_sec, secs, seed),
     )
 }
 
-/// The decision-trace companion scenario for `--trace-mi` runs of Fig. 2
+/// The decision-trace companion scenario for `--trace` runs of Fig. 2
 /// (and the golden decision-trace pin, see
 /// `crates/bench/tests/golden_trace.rs`): the figure's own probe is a
 /// fixed-rate UDP source with no MI decision points, so a Proteus-S flow on
@@ -157,21 +156,19 @@ pub fn decision_scenario(secs: f64, seed: u64) -> Scenario {
             stop: Dur::from_secs_f64(secs),
         })
         .with_seed(seed)
-        .with_trace(TRACE_EVERY)
+        .with_trace()
 }
 
-/// Campaign job exporting [`decision_scenario`]'s trace under
-/// `trace-mi/fig2/`. The export files are declared artifacts, so a warm hit
-/// replays them; the payload is the number of decision events recorded.
-fn decision_job(secs: f64, seed: u64, format: TraceFormat) -> SimJob {
+/// Campaign job exporting [`decision_scenario`]'s traces under
+/// `trace-mi/fig2/` and `trace/fig2/`. The export files are declared
+/// artifacts, so a warm hit replays them; the payload is the number of
+/// decision events recorded.
+fn decision_job(secs: f64, seed: u64) -> SimJob {
     scenario_job(
         "fig2",
         format!("fig2/decision/secs={secs:?}/seed={seed}"),
         format!("decision-s{seed}"),
-        Traces {
-            telemetry: false,
-            decisions: Some(format),
-        },
+        true,
         move || {
             (decision_scenario(secs, seed), |res: &SimResult| {
                 vec![res.decisions.len() as f64]
@@ -196,15 +193,10 @@ pub fn run_experiment(cfg: RunCfg) -> String {
 
     let mut camp = campaign("fig2", cfg);
     for (i, &rate) in rates.iter().enumerate() {
-        camp.push(probe_job(
-            rate,
-            secs,
-            cfg.seed + i as u64,
-            Traces::from_cfg(&cfg),
-        ));
+        camp.push(probe_job(rate, secs, cfg.seed + i as u64, cfg.trace));
     }
-    if cfg.trace_mi {
-        camp.push(decision_job(secs, cfg.seed, cfg.trace_format));
+    if cfg.trace {
+        camp.push(decision_job(secs, cfg.seed));
     }
     let result = camp.run();
 
@@ -341,7 +333,7 @@ mod tests {
 
     #[test]
     fn probe_job_matches_direct_run() {
-        let job = probe_job(9.0, 6.0, 3, Traces::off());
+        let job = probe_job(9.0, 6.0, 3, false);
         let sets = payload::decode_float_sets(&job.execute());
         let (sc, read) = probe_build(9.0, 6.0, 3);
         let direct = read(&proteus_netsim::run(sc));
@@ -352,27 +344,23 @@ mod tests {
 
     #[test]
     fn descriptors_identify_the_run() {
-        let key = |rate, secs, seed| probe_job(rate, secs, seed, Traces::off()).key();
+        let key = |rate, secs, seed| probe_job(rate, secs, seed, false).key();
         let base = key(3.0, 30.0, 1);
         assert_eq!(base, key(3.0, 30.0, 1));
         assert_ne!(base, key(6.0, 30.0, 1));
         assert_ne!(base, key(3.0, 120.0, 1));
         assert_ne!(base, key(3.0, 30.0, 2));
         // The cache identity, literally, as the parent commit wrote it.
-        let quick = probe_job(3.0, 30.0, 2, Traces::off());
+        let quick = probe_job(3.0, 30.0, 2, false);
         assert_eq!(
             quick.descriptor(),
             "fig2/probe/rate=3.0/secs=30.0/seed=2/v1"
         );
         assert_eq!(quick.key().hex(), "a18bd79a63829f6c");
 
-        // The decision companion declares its exports, one identity per
-        // format selection.
-        let both = decision_job(30.0, 1, TraceFormat::Both);
-        let jsonl = decision_job(30.0, 1, TraceFormat::Jsonl);
-        assert_eq!(both.artifacts().len(), 2);
-        assert_eq!(jsonl.artifacts().len(), 1);
-        assert_ne!(both.key(), jsonl.key());
-        assert_ne!(both.key(), base);
+        // The decision companion is traced: it declares all three exports.
+        let decision = decision_job(30.0, 1);
+        assert_eq!(decision.artifacts().len(), 3);
+        assert_ne!(decision.key(), base);
     }
 }

@@ -9,7 +9,7 @@ use proteus_transport::Dur;
 
 use proteus_runner::{Campaign, SimJob};
 
-use crate::jobs::{campaign, decode_single, link_tag, p95_or, single_job, Traces};
+use crate::jobs::{campaign, decode_single, link_tag, p95_or, single_job};
 use crate::protocols::ALL_FIG3;
 use crate::report::{f2, write_report, Table};
 use crate::RunCfg;
@@ -39,9 +39,9 @@ fn secs(cfg: &RunCfg) -> f64 {
 /// One protocol alone on the 50 Mbps / 30 ms link with a `buf`-byte
 /// buffer. The shared [`single_job`] descriptor: Fig. 4's zero-loss row
 /// and Fig. 6/7's "alone" baselines are the same cells.
-fn cell_job(proto: &'static str, buf: u64, secs: f64, seed: u64, traces: Traces) -> SimJob {
+fn cell_job(proto: &'static str, buf: u64, secs: f64, seed: u64, traced: bool) -> SimJob {
     let link = LinkSpec::new(50.0, Dur::from_millis(30), buf);
-    single_job("fig3", &link_tag(&link), proto, link, secs, seed, traces)
+    single_job("fig3", &link_tag(&link), proto, link, secs, seed, traced)
 }
 
 /// Submits the (a)/(b) sweep, buffer-major; returns the output slots in
@@ -50,7 +50,7 @@ pub(crate) fn submit_sweep(camp: &mut Campaign, cfg: &RunCfg) -> Vec<usize> {
     let mut slots = Vec::new();
     for &buf in &buffers(cfg.quick) {
         for &proto in ALL_FIG3 {
-            let job = cell_job(proto, buf, secs(cfg), cfg.seed, Traces::from_cfg(cfg));
+            let job = cell_job(proto, buf, secs(cfg), cfg.seed, cfg.trace);
             slots.push(camp.push_dedup(job));
         }
     }
@@ -110,13 +110,7 @@ pub fn run_experiment(cfg: RunCfg) -> String {
         }
         let mut wave = campaign("fig3-need", cfg);
         for &p in &pending {
-            wave.push(cell_job(
-                ALL_FIG3[p],
-                buf,
-                secs,
-                cfg.seed + 17,
-                Traces::from_cfg(&cfg),
-            ));
+            wave.push(cell_job(ALL_FIG3[p], buf, secs, cfg.seed + 17, cfg.trace));
         }
         for (&p, out) in pending.iter().zip(&wave.run().outputs) {
             if decode_single(out).tail_mbps >= 45.0 {

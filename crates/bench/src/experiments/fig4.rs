@@ -10,7 +10,7 @@ use proteus_transport::Dur;
 
 use proteus_runner::Campaign;
 
-use crate::jobs::{campaign, decode_single, link_tag, single_job, Traces};
+use crate::jobs::{campaign, decode_single, link_tag, single_job};
 use crate::protocols::ALL_FIG3;
 use crate::report::{f2, write_report, Table};
 use crate::RunCfg;
@@ -41,7 +41,7 @@ pub(crate) fn submit_sweep(camp: &mut Campaign, cfg: &RunCfg) -> Vec<usize> {
                     link,
                     secs,
                     cfg.seed + 31 * trial,
-                    Traces::from_cfg(cfg),
+                    cfg.trace,
                 )));
             }
         }

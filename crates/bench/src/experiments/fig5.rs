@@ -11,7 +11,7 @@ use proteus_runner::{payload, SimJob};
 use proteus_stats::jain_index;
 use proteus_transport::{Dur, Time};
 
-use crate::jobs::{campaign, scenario_job, Traces};
+use crate::jobs::{campaign, scenario_job};
 use crate::protocols::{cc, ALL_FIG3};
 use crate::report::{f3, write_report, Table};
 use crate::RunCfg;
@@ -35,13 +35,13 @@ pub fn fairness_job(
     n: usize,
     measure_secs: f64,
     seed: u64,
-    traces: Traces,
+    traced: bool,
 ) -> SimJob {
     scenario_job(
         exp,
         format!("fairness/proto={proto}/n={n}/measure={measure_secs:?}/seed={seed}"),
         format!("fairness-{proto}-n{n}-s{seed}"),
-        traces,
+        traced,
         move || {
             let link = LinkSpec::new(20.0 * n as f64, Dur::from_millis(30), 300_000 * n as u64);
             let last_start = 20.0 * (n - 1) as f64;
@@ -78,14 +78,7 @@ pub fn run_experiment(cfg: RunCfg) -> String {
     let mut camp = campaign("fig5", cfg);
     for &n in &counts {
         for &proto in ALL_FIG3 {
-            camp.push(fairness_job(
-                "fig5",
-                proto,
-                n,
-                measure,
-                cfg.seed,
-                Traces::from_cfg(&cfg),
-            ));
+            camp.push(fairness_job("fig5", proto, n, measure, cfg.seed, cfg.trace));
         }
     }
     let result = camp.run();
@@ -116,14 +109,14 @@ mod tests {
     #[test]
     fn fairness_descriptor_is_pinned() {
         // The cache identity, literally, as the parent commit wrote it.
-        let job = fairness_job("fig5", "LEDBAT", 4, 40.0, 1, Traces::off());
+        let job = fairness_job("fig5", "LEDBAT", 4, 40.0, 1, false);
         assert_eq!(
             job.descriptor(),
             "fairness/proto=LEDBAT/n=4/measure=40.0/seed=1/v1"
         );
         assert_eq!(job.key().hex(), "1a8f505007909b13");
         // Fig. 17 reads the same cell.
-        let fig17 = fairness_job("fig17", "LEDBAT", 4, 40.0, 1, Traces::off());
+        let fig17 = fairness_job("fig17", "LEDBAT", 4, 40.0, 1, false);
         assert_eq!(job.key(), fig17.key());
     }
 }

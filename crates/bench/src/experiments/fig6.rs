@@ -10,7 +10,7 @@
 use proteus_netsim::LinkSpec;
 use proteus_transport::Dur;
 
-use crate::jobs::{campaign, decode_pair, decode_single, link_tag, pair_job, single_job, Traces};
+use crate::jobs::{campaign, decode_pair, decode_single, link_tag, pair_job, single_job};
 use crate::protocols::PRIMARIES;
 use crate::report::{f2, pct, write_report, Table};
 use crate::RunCfg;
@@ -58,13 +58,13 @@ pub fn push_cell(
     buffer: u64,
     secs: f64,
     seed: u64,
-    trace: Traces,
+    traced: bool,
 ) -> (usize, usize) {
     let link = LinkSpec::new(50.0, Dur::from_millis(30), buffer);
     let tag = link_tag(&link);
-    let alone = camp.push_dedup(single_job(exp, &tag, primary, link, secs, seed, trace));
+    let alone = camp.push_dedup(single_job(exp, &tag, primary, link, secs, seed, traced));
     let both = camp.push_dedup(pair_job(
-        exp, &tag, primary, scavenger, link, secs, seed, trace,
+        exp, &tag, primary, scavenger, link, secs, seed, traced,
     ));
     (alone, both)
 }
@@ -98,14 +98,7 @@ pub(crate) fn submit_cells(
             }
             for buf in BUFFERS {
                 slots.push(push_cell(
-                    camp,
-                    "fig6",
-                    primary,
-                    scav,
-                    buf,
-                    secs,
-                    cfg.seed,
-                    Traces::from_cfg(cfg),
+                    camp, "fig6", primary, scav, buf, secs, cfg.seed, cfg.trace,
                 ));
             }
         }

@@ -8,7 +8,7 @@
 use proteus_runner::Campaign;
 
 use crate::experiments::fig6::push_cell;
-use crate::jobs::{campaign, decode_pair, decode_single, p95_or, Traces};
+use crate::jobs::{campaign, decode_pair, decode_single, p95_or};
 use crate::protocols::PRIMARIES;
 use crate::report::{f2, write_report, Table};
 use crate::RunCfg;
@@ -25,14 +25,7 @@ pub(crate) fn submit_cells(camp: &mut Campaign, cfg: &RunCfg) -> Vec<(usize, usi
     for &primary in PRIMARIES {
         for &scav in SCAV_ROLES.iter().filter(|&&s| s != primary) {
             slots.push(push_cell(
-                camp,
-                "fig7",
-                primary,
-                scav,
-                375_000,
-                secs,
-                cfg.seed,
-                Traces::from_cfg(cfg),
+                camp, "fig7", primary, scav, 375_000, secs, cfg.seed, cfg.trace,
             ));
         }
     }

@@ -11,7 +11,7 @@ use proteus_netsim::LinkSpec;
 use proteus_stats::Ecdf;
 use proteus_transport::Dur;
 
-use crate::jobs::{campaign, decode_pair, decode_single, link_tag, pair_job, single_job, Traces};
+use crate::jobs::{campaign, decode_pair, decode_single, link_tag, pair_job, single_job};
 use crate::report::{pct, write_report, Table};
 use crate::RunCfg;
 
@@ -51,26 +51,13 @@ pub fn run_experiment(cfg: RunCfg) -> String {
             let tag = link_tag(&link);
             let seed = cfg.seed + ci as u64 * 13;
             let alone = camp.push_dedup(single_job(
-                "fig8",
-                &tag,
-                primary,
-                link,
-                secs,
-                seed,
-                Traces::from_cfg(&cfg),
+                "fig8", &tag, primary, link, secs, seed, cfg.trace,
             ));
             let pairs = SCAVS_FIG8
                 .iter()
                 .map(|&scav| {
                     camp.push_dedup(pair_job(
-                        "fig8",
-                        &tag,
-                        primary,
-                        scav,
-                        link,
-                        secs,
-                        seed,
-                        Traces::from_cfg(&cfg),
+                        "fig8", &tag, primary, scav, link, secs, seed, cfg.trace,
                     ))
                 })
                 .collect();

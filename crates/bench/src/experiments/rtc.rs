@@ -37,7 +37,7 @@ use proteus_transport::Dur;
 use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
-use crate::jobs::{campaign, scenario_job, tail_mbps, Traces};
+use crate::jobs::{campaign, scenario_job, tail_mbps};
 use crate::protocols::cc;
 use crate::report::{f2, Table};
 use crate::RunCfg;
@@ -199,14 +199,14 @@ fn rtc_job(
     companion: &'static str,
     secs: f64,
     seed: u64,
-    traces: Traces,
+    traced: bool,
 ) -> SimJob {
     let comp = (companion != "alone").then_some(companion);
     scenario_job(
         "rtc",
         format!("rtc/profile={profile}/companion={companion}/secs={secs:?}/seed={seed}"),
         format!("{profile}-{companion}-s{seed}"),
-        traces,
+        traced,
         move || {
             let sc = rtc_scenario(profile, comp, secs, seed);
             (sc, move |res: &SimResult| {
@@ -230,7 +230,6 @@ fn inflation(cell: &RtcCellOut, alone: &RtcCellOut) -> f64 {
 pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     let secs = if cfg.quick { 24.0 } else { 60.0 };
     let nominal_frames = secs * MediaSpec::default().fps;
-    let traces = Traces::from_cfg(&cfg);
 
     let mut camp = campaign("rtc", cfg);
     let mut slots: Vec<Vec<usize>> = Vec::new(); // [profile][companion]
@@ -238,7 +237,7 @@ pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
         slots.push(
             COMPANIONS
                 .iter()
-                .map(|&comp| camp.push_dedup(rtc_job(profile, comp, secs, cfg.seed, traces)))
+                .map(|&comp| camp.push_dedup(rtc_job(profile, comp, secs, cfg.seed, cfg.trace)))
                 .collect(),
         );
     }
@@ -380,7 +379,7 @@ mod tests {
 
     #[test]
     fn rtc_jobs_have_distinct_identities() {
-        let off = Traces::off();
+        let off = false;
         let a = rtc_job("clean", "alone", 24.0, 1, off);
         let b = rtc_job("clean", "Proteus-S", 24.0, 1, off);
         let c = rtc_job("faulted", "alone", 24.0, 1, off);
@@ -398,9 +397,13 @@ mod tests {
     #[test]
     fn cell_records_requested_traces() {
         // 8 s rather than 4: the companion joins at 5 s.
-        let files = traced_artifacts(|traces| rtc_job("clean", "Proteus-S", 8.0, 1, traces));
-        assert_eq!(files.len(), 2, "decision JSONL + telemetry JSONL");
-        let (decisions, telemetry) = (&files[0], &files[1]);
+        let files = traced_artifacts(|traced| rtc_job("clean", "Proteus-S", 8.0, 1, traced));
+        assert_eq!(
+            files.len(),
+            3,
+            "decision JSONL + Chrome trace + telemetry JSONL"
+        );
+        let (decisions, telemetry) = (&files[0], &files[2]);
         assert!(!telemetry.is_empty(), "no telemetry recorded");
         assert!(
             decisions

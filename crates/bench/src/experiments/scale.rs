@@ -27,7 +27,7 @@
 //!
 //! The fair and churn cells never record traces (at up to 10 000
 //! concurrent flows, a decision ring costs ~0.6 MB each); the harm cells
-//! follow `--trace`/`--trace-mi`. Every cell samples RTT and throughput
+//! follow `--trace`. Every cell samples RTT and throughput
 //! coarsely (`rtt_stride`, `throughput_bin`): at 10k+ flows, per-ACK
 //! sampling would dominate the run. Reports land in
 //! `results/scale/scale.txt` (+ CSVs); the campaign is deterministic, so
@@ -40,7 +40,7 @@ use proteus_transport::Dur;
 use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
-use crate::jobs::{campaign, scenario_job, Traces};
+use crate::jobs::{campaign, scenario_job};
 use crate::protocols::cc;
 use crate::report::{f2, Table};
 use crate::RunCfg;
@@ -322,7 +322,7 @@ fn fair_job(cell: Cell, seed: u64) -> SimJob {
         ),
         format!("{}-s{seed}", cell.name),
         // Untraced: up to 10 000 concurrent flows at ~0.6 MB of decision ring each.
-        Traces::off(),
+        false,
         move || {
             let sc = scale_scenario(cell, seed, classes(&[("Proteus-P", 1.0)], seed));
             (sc, move |res: &SimResult| {
@@ -379,7 +379,7 @@ fn churn_job(cell: Cell, seed: u64) -> SimJob {
         ),
         format!("{}-s{seed}", cell.name),
         // Untraced: 250 to 10 000 concurrent flows at ~0.6 MB of decision ring each.
-        Traces::off(),
+        false,
         move || {
             let sc = scale_scenario(cell, seed, classes(CHURN_MIX, seed));
             (sc, move |res: &SimResult| {
@@ -414,7 +414,7 @@ fn decode_churn(payload_text: &str) -> ChurnOut {
 /// `with_scavengers = false` runs only the static CUBIC primary class (the
 /// alone-throughput baseline); `true` adds the churning Proteus-S
 /// population on the same link and seed.
-fn harm_job(cell: HarmCell, with_scavengers: bool, seed: u64, traces: Traces) -> SimJob {
+fn harm_job(cell: HarmCell, with_scavengers: bool, seed: u64, traced: bool) -> SimJob {
     let sc = cell.scavengers;
     // The alone baseline has no scavengers, so its identity deliberately
     // omits the cell name and population: every harm cell on the same link
@@ -442,7 +442,7 @@ fn harm_job(cell: HarmCell, with_scavengers: bool, seed: u64, traces: Traces) ->
             format!("harm-alone-s{seed}"),
         )
     };
-    scenario_job("scale", stem, name, traces, move || {
+    scenario_job("scale", stem, name, traced, move || {
         let mut scenario = Scenario::new(
             LinkSpec::new(sc.bw_mbps, Dur::from_millis(30), 1).with_buffer_bdp(1.0),
             Dur::from_secs_f64(sc.secs),
@@ -507,12 +507,11 @@ pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     // is reported single-seed: its collapse is an order-of-magnitude
     // effect, not a marginal verdict.
     let dense = harm_dense_cell(cfg.quick);
-    let traces = Traces::from_cfg(&cfg);
-    let alone_slot = camp.push_dedup(harm_job(harm, false, cfg.seed, traces));
+    let alone_slot = camp.push_dedup(harm_job(harm, false, cfg.seed, cfg.trace));
     let pair_slots_h: Vec<usize> = (0..3)
-        .map(|t| camp.push_dedup(harm_job(harm, true, cfg.seed + t, traces)))
+        .map(|t| camp.push_dedup(harm_job(harm, true, cfg.seed + t, cfg.trace)))
         .collect();
-    let dense_slot = camp.push_dedup(harm_job(dense, true, cfg.seed, traces));
+    let dense_slot = camp.push_dedup(harm_job(dense, true, cfg.seed, cfg.trace));
     let result = camp.run();
 
     let mut checks: Vec<Check> = Vec::new();
@@ -676,8 +675,8 @@ mod tests {
         let a = churn_job(cells[0], 1);
         let b = churn_job(cells[1], 1);
         let f = fair_job(fair_cells(false)[0].0, 1);
-        let h0 = harm_job(harm_cell(false), false, 1, Traces::off());
-        let h1 = harm_job(harm_cell(false), true, 1, Traces::off());
+        let h0 = harm_job(harm_cell(false), false, 1, false);
+        let h1 = harm_job(harm_cell(false), true, 1, false);
         assert_ne!(a.key(), b.key());
         assert_ne!(a.key(), f.key());
         assert_ne!(h0.key(), h1.key());
@@ -694,8 +693,8 @@ mod tests {
     /// commit wrote them; every harm cell on the link shares the alone run.
     #[test]
     fn harm_jobs_keep_their_identities() {
-        let alone = harm_job(harm_cell(true), false, 1, Traces::off());
-        let pair = harm_job(harm_cell(true), true, 1, Traces::off());
+        let alone = harm_job(harm_cell(true), false, 1, false);
+        let pair = harm_job(harm_cell(true), true, 1, false);
         assert_eq!(
             alone.descriptor(),
             "scale-harm/primaries=4/bw=100.0/secs=16.0/seed=1/alone/v1"
@@ -706,7 +705,7 @@ mod tests {
             "scale-harm/cell=harm-10/primaries=4/scav=10/arr=2.0/life=5.0/bw=100.0/secs=16.0/seed=1/pair/v1"
         );
         assert_eq!(pair.key().hex(), "3ec8cbaec28195db");
-        let dense_alone = harm_job(harm_dense_cell(true), false, 1, Traces::off());
+        let dense_alone = harm_job(harm_dense_cell(true), false, 1, false);
         assert_eq!(alone.key(), dense_alone.key());
     }
 }

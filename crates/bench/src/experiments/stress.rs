@@ -37,7 +37,7 @@ use proteus_transport::Dur;
 use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
-use crate::jobs::{campaign, scenario_job, tail_mbps, Traces, TRACE_EVERY};
+use crate::jobs::{campaign, scenario_job, tail_mbps};
 use crate::protocols::cc;
 use crate::report::{f2, Table};
 use crate::RunCfg;
@@ -228,7 +228,7 @@ fn stress_scenario(
         .with_seed(seed)
         .with_rtt_stride(2)
         // Always traced: the invariant checker reads the decisions.
-        .with_trace(TRACE_EVERY)
+        .with_trace()
         .with_faults(profile_schedule(profile, secs));
     for (proto, start, salt) in flows {
         sc = sc.flow(FlowSpec::bulk(
@@ -245,13 +245,13 @@ fn stress_single_job(
     proto: &'static str,
     secs: f64,
     seed: u64,
-    traces: Traces,
+    traced: bool,
 ) -> SimJob {
     scenario_job(
         "stress",
         format!("stress-single/profile={profile}/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("stress-{profile}-{proto}-s{seed}"),
-        traces,
+        traced,
         move || {
             let sc = stress_scenario(profile, vec![(proto, 0.0, 0xA5)], secs, seed);
             (sc, move |res: &SimResult| {
@@ -276,7 +276,7 @@ fn stress_pair_job(
     scavenger: &'static str,
     secs: f64,
     seed: u64,
-    traces: Traces,
+    traced: bool,
 ) -> SimJob {
     scenario_job(
         "stress",
@@ -284,7 +284,7 @@ fn stress_pair_job(
             "stress-pair/profile={profile}/primary={primary}/scav={scavenger}/secs={secs:?}/seed={seed}"
         ),
         format!("stress-{profile}-{primary}-vs-{scavenger}-s{seed}"),
-        traces,
+        traced,
         move || {
             let flows = vec![(primary, 0.0, 0xA5), (scavenger, 5.0, 0x5A)];
             (stress_scenario(profile, flows, secs, seed), move |res: &SimResult| {
@@ -307,7 +307,6 @@ fn stress_pair_job(
 pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     let secs = if cfg.quick { 24.0 } else { 60.0 };
     let nominal_mbps = LinkSpec::paper_default().bandwidth_mbps;
-    let traces = Traces::from_cfg(&cfg);
 
     let mut camp = campaign("stress", cfg);
     let mut single_slots: Vec<Vec<usize>> = Vec::new(); // [profile][proto]
@@ -317,7 +316,7 @@ pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
             PROTOCOLS
                 .iter()
                 .map(|&proto| {
-                    camp.push_dedup(stress_single_job(profile, proto, secs, cfg.seed, traces))
+                    camp.push_dedup(stress_single_job(profile, proto, secs, cfg.seed, cfg.trace))
                 })
                 .collect(),
         );
@@ -327,7 +326,7 @@ pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
             "Proteus-S",
             secs,
             cfg.seed,
-            traces,
+            cfg.trace,
         )));
     }
     let result = camp.run();
@@ -446,12 +445,12 @@ mod tests {
 
     #[test]
     fn stress_jobs_have_distinct_identities() {
-        let a = stress_single_job("flap", "CUBIC", 24.0, 1, Traces::off());
-        let b = stress_single_job("bw_step", "CUBIC", 24.0, 1, Traces::off());
-        let c = stress_single_job("flap", "BBR", 24.0, 1, Traces::off());
+        let a = stress_single_job("flap", "CUBIC", 24.0, 1, false);
+        let b = stress_single_job("bw_step", "CUBIC", 24.0, 1, false);
+        let c = stress_single_job("flap", "BBR", 24.0, 1, false);
         assert_ne!(a.key(), b.key());
         assert_ne!(a.key(), c.key());
-        let p = stress_pair_job("flap", "CUBIC", "Proteus-S", 24.0, 1, Traces::off());
+        let p = stress_pair_job("flap", "CUBIC", "Proteus-S", 24.0, 1, false);
         assert_ne!(a.key(), p.key());
     }
 }

@@ -34,7 +34,7 @@ use proteus_transport::Dur;
 use proteus_runner::{payload, SimJob};
 
 use crate::invariants::{finish, Check, Layout, Outcome};
-use crate::jobs::{campaign, scenario_job, tail_mbps, Traces};
+use crate::jobs::{campaign, scenario_job, tail_mbps};
 use crate::protocols::cc;
 use crate::report::{f2, Table};
 use crate::RunCfg;
@@ -74,12 +74,12 @@ fn harm_chain() -> Topology {
 
 /// N+1 flows over an N-link parking lot, all running `proto`. Payload:
 /// `[long_mbps, short_mbps × n, link_utilization × n]`.
-fn parking_job(n: usize, proto: &'static str, secs: f64, seed: u64, traces: Traces) -> SimJob {
+fn parking_job(n: usize, proto: &'static str, secs: f64, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "topology",
         format!("topology-parking/n={n}/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("parking-{n}-{proto}-s{seed}"),
-        traces,
+        traced,
         move || {
             let mut sc = Scenario::over(
                 Topology::parking_lot(n, parking_link()),
@@ -113,12 +113,12 @@ fn parking_job(n: usize, proto: &'static str, secs: f64, seed: u64, traces: Trac
 
 /// Near (bottleneck only) vs far (access hop + bottleneck) flow, both
 /// running `proto`. Payload: `[near_mbps, far_mbps, bottleneck_util]`.
-fn rtt_job(proto: &'static str, secs: f64, seed: u64, traces: Traces) -> SimJob {
+fn rtt_job(proto: &'static str, secs: f64, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "topology",
         format!("topology-rtt/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("rtt-{proto}-s{seed}"),
-        traces,
+        traced,
         move || {
             let sc = Scenario::over(rtt_chain(), Dur::from_secs_f64(secs))
                 .with_seed(seed)
@@ -145,12 +145,12 @@ fn rtt_job(proto: &'static str, secs: f64, seed: u64, traces: Traces) -> SimJob 
 /// One CUBIC primary per link of the two-link chain; `scav` adds a late
 /// Proteus-S flow crossing both. Payload:
 /// `[primary0_mbps, primary1_mbps, scav_mbps (0 when absent)]`.
-fn harm_job(scav: bool, secs: f64, seed: u64, traces: Traces) -> SimJob {
+fn harm_job(scav: bool, secs: f64, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "topology",
         format!("topology-harm/scav={scav}/secs={secs:?}/seed={seed}"),
         format!("harm-{}-s{seed}", if scav { "pair" } else { "alone" }),
-        traces,
+        traced,
         move || {
             let mut sc = Scenario::over(harm_chain(), Dur::from_secs_f64(secs))
                 .with_seed(seed)
@@ -189,13 +189,12 @@ fn harm_job(scav: bool, secs: f64, seed: u64, traces: Traces) -> SimJob {
 /// and the machine-checkable invariant verdicts.
 pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
     let secs = if cfg.quick { 24.0 } else { 60.0 };
-    let traces = Traces::from_cfg(&cfg);
 
     let mut camp = campaign("topology", cfg);
     let mut parking_slots: Vec<(usize, &'static str, usize)> = Vec::new();
     for &n in PARKING_SIZES {
         for &proto in PARKING_PROTOCOLS {
-            let slot = camp.push_dedup(parking_job(n, proto, secs, cfg.seed, traces));
+            let slot = camp.push_dedup(parking_job(n, proto, secs, cfg.seed, cfg.trace));
             parking_slots.push((n, proto, slot));
         }
     }
@@ -204,12 +203,12 @@ pub fn run_with_outcome(cfg: RunCfg) -> Outcome {
         .map(|&proto| {
             (
                 proto,
-                camp.push_dedup(rtt_job(proto, secs, cfg.seed, traces)),
+                camp.push_dedup(rtt_job(proto, secs, cfg.seed, cfg.trace)),
             )
         })
         .collect();
-    let harm_alone = camp.push_dedup(harm_job(false, secs, cfg.seed, traces));
-    let harm_pair = camp.push_dedup(harm_job(true, secs, cfg.seed, traces));
+    let harm_alone = camp.push_dedup(harm_job(false, secs, cfg.seed, cfg.trace));
+    let harm_pair = camp.push_dedup(harm_job(true, secs, cfg.seed, cfg.trace));
     let result = camp.run();
 
     let mut checks: Vec<Check> = Vec::new();
@@ -327,7 +326,7 @@ mod tests {
 
     #[test]
     fn topology_jobs_have_distinct_identities() {
-        let off = Traces::off();
+        let off = false;
         let a = parking_job(2, "CUBIC", 24.0, 1, off);
         let b = parking_job(3, "CUBIC", 24.0, 1, off);
         let c = parking_job(2, "Proteus-P", 24.0, 1, off);
@@ -348,9 +347,13 @@ mod tests {
 
     #[test]
     fn harm_cell_records_requested_traces() {
-        let files = traced_artifacts(|traces| harm_job(true, 4.0, 1, traces));
-        assert_eq!(files.len(), 2, "decision JSONL + telemetry JSONL");
-        let (decisions, telemetry) = (&files[0], &files[1]);
+        let files = traced_artifacts(|traced| harm_job(true, 4.0, 1, traced));
+        assert_eq!(
+            files.len(),
+            3,
+            "decision JSONL + Chrome trace + telemetry JSONL"
+        );
+        let (decisions, telemetry) = (&files[0], &files[2]);
         assert!(!telemetry.is_empty(), "no telemetry recorded");
         assert!(
             decisions

@@ -15,7 +15,7 @@ use proteus_transport::Dur;
 use rand::rngs::SmallRng;
 use rand::{RngExt as _, SeedableRng};
 
-use crate::jobs::{campaign, decode_pair, decode_single, pair_job, single_job, Traces};
+use crate::jobs::{campaign, decode_pair, decode_single, pair_job, single_job};
 use crate::protocols::{ALL_FIG3, PRIMARIES};
 use crate::report::{pct, write_report, Table};
 use crate::RunCfg;
@@ -72,13 +72,7 @@ pub fn run_experiment(cfg: RunCfg) -> String {
                 .iter()
                 .map(|&proto| {
                     camp.push_dedup(single_job(
-                        "fig9",
-                        &tag,
-                        proto,
-                        *link,
-                        secs,
-                        seed,
-                        Traces::from_cfg(&cfg),
+                        "fig9", &tag, proto, *link, secs, seed, cfg.trace,
                     ))
                 })
                 .collect(),
@@ -88,13 +82,7 @@ pub fn run_experiment(cfg: RunCfg) -> String {
                 .iter()
                 .map(|&primary| {
                     camp.push_dedup(single_job(
-                        "fig10",
-                        &tag,
-                        primary,
-                        *link,
-                        secs,
-                        seed,
-                        Traces::from_cfg(&cfg),
+                        "fig10", &tag, primary, *link, secs, seed, cfg.trace,
                     ))
                 })
                 .collect(),
@@ -107,14 +95,7 @@ pub fn run_experiment(cfg: RunCfg) -> String {
                         .iter()
                         .map(|&scav| {
                             camp.push_dedup(pair_job(
-                                "fig10",
-                                &tag,
-                                primary,
-                                scav,
-                                *link,
-                                secs,
-                                seed,
-                                Traces::from_cfg(&cfg),
+                                "fig10", &tag, primary, scav, *link, secs, seed, cfg.trace,
                             ))
                         })
                         .collect()

@@ -4,7 +4,7 @@
 //! [`Campaign`] (built by [`campaign`] from the CLI's `--jobs` /
 //! `--no-cache` knobs), so a warm re-run is pure cache replay. Every such
 //! job is made by one function, `scenario_job`, so every cell honours the
-//! invocation's [`Traces`] selection. The job
+//! invocation's `--trace`. The job
 //! builders here cover the two shapes nearly every sweep reduces to — one
 //! bulk flow on a link ([`single_job`]) and a primary/scavenger pair
 //! ([`pair_job`]) — with stable descriptors shared across experiments:
@@ -12,21 +12,14 @@
 //! row, and Fig. 6 and Fig. 19 reuse each other's "primary alone"
 //! baselines.
 
-use std::fs;
-use std::path::PathBuf;
-
 use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario, SimResult};
-use proteus_runner::json::Obj;
 use proteus_runner::{payload, Campaign, CampaignOpts, SimJob};
 use proteus_transport::{Dur, Time};
 
-use crate::mi_trace::{MiTraceSink, TraceFormat};
+use crate::mi_trace::TraceSink;
 use crate::protocols::cc;
 use crate::report::results_dir;
 use crate::RunCfg;
-
-/// Telemetry sampling period for traced runs.
-pub const TRACE_EVERY: Dur = Dur::from_millis(100);
 
 /// Measurement window: the last 2/3 of a run (skipping convergence).
 pub fn tail_window(secs: f64) -> (Time, Time) {
@@ -70,118 +63,6 @@ pub fn link_tag(link: &LinkSpec) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry sink
-// ---------------------------------------------------------------------------
-
-/// Destination for one run's per-flow telemetry:
-/// `results/trace/<exp>/<run>.jsonl`.
-#[derive(Debug, Clone)]
-pub struct TraceSink {
-    exp: String,
-    run: String,
-}
-
-impl TraceSink {
-    /// Creates a sink; path components are sanitized for the filesystem.
-    pub fn new(exp: impl Into<String>, run: impl Into<String>) -> Self {
-        let clean = |s: String| s.replace(['/', '\\', ' '], "_");
-        Self {
-            exp: clean(exp.into()),
-            run: clean(run.into()),
-        }
-    }
-
-    /// Where this sink writes.
-    pub fn path(&self) -> PathBuf {
-        results_dir()
-            .join("trace")
-            .join(&self.exp)
-            .join(format!("{}.jsonl", self.run))
-    }
-
-    /// Writes the run's trace as JSONL, one object per sample. I/O errors
-    /// are ignored: telemetry must never fail an experiment.
-    pub fn write(&self, res: &SimResult) {
-        let path = self.path();
-        if let Some(parent) = path.parent() {
-            let _ = fs::create_dir_all(parent);
-        }
-        let _ = fs::write(path, trace_jsonl(res));
-    }
-}
-
-/// Renders a run's telemetry trace as JSONL, one object per sample.
-pub fn trace_jsonl(res: &SimResult) -> String {
-    let mut out = String::new();
-    for e in &res.trace {
-        let mut o = Obj::new();
-        o.num("t", e.t)
-            .int("flow", e.flow as u64)
-            .str("name", &res.flows[e.flow].name);
-        match e.rate_mbps {
-            Some(r) => o.num("rate_mbps", r),
-            None => o.raw("rate_mbps", "null"),
-        };
-        match e.cwnd_bytes {
-            Some(w) => o.int("cwnd_bytes", w),
-            None => o.raw("cwnd_bytes", "null"),
-        };
-        o.int("inflight_bytes", e.inflight_bytes);
-        match e.srtt_ms {
-            Some(v) => o.num("srtt_ms", v),
-            None => o.raw("srtt_ms", "null"),
-        };
-        match e.rttvar_ms {
-            Some(v) => o.num("rttvar_ms", v),
-            None => o.raw("rttvar_ms", "null"),
-        };
-        match e.utility {
-            Some(u) => o.num("utility", u),
-            None => o.raw("utility", "null"),
-        };
-        match e.mode {
-            Some(m) => o.str("mode", m),
-            None => o.raw("mode", "null"),
-        };
-        o.int("mode_switches", e.mode_switches);
-        out.push_str(&o.render());
-        out.push('\n');
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Trace selection
-// ---------------------------------------------------------------------------
-
-/// Which trace streams a job records, derived from the CLI flags
-/// (`--trace`, `--trace-mi`, `--trace-format`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Traces {
-    /// Per-flow telemetry JSONL under `results/trace/` (`--trace`).
-    pub telemetry: bool,
-    /// Structured decision traces under the MI-trace directory
-    /// (`--trace-mi`), with the selected export format(s).
-    pub decisions: Option<TraceFormat>,
-}
-
-impl Traces {
-    /// No tracing: tests, and the cells that never trace (`scale`'s fair
-    /// and churn cells, `tune`'s candidates).
-    pub fn off() -> Self {
-        Self::default()
-    }
-
-    /// The trace selection an invocation's [`RunCfg`] asks for.
-    pub fn from_cfg(cfg: &RunCfg) -> Self {
-        Self {
-            telemetry: cfg.trace,
-            decisions: cfg.trace_mi.then_some(cfg.trace_format),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Scenario builders
 // ---------------------------------------------------------------------------
 
@@ -217,8 +98,8 @@ pub(crate) fn pair_scenario(
 // Campaign jobs
 // ---------------------------------------------------------------------------
 
-/// The one way a simulation cell becomes a campaign job, with the
-/// invocation's trace selection applied. `build()` returns the scenario
+/// The one way a simulation cell becomes a campaign job, traced when
+/// `traced` is set (`--trace`). `build()` returns the scenario
 /// together with the reader that reduces its result to the payload floats.
 /// Both run inside the job, so the reader may hold state the build created,
 /// such as `Rc` stats handles. `stem` is the descriptor up to the trace suffix and version;
@@ -227,57 +108,40 @@ pub(crate) fn scenario_job<R>(
     exp: &'static str,
     stem: String,
     name: String,
-    traces: Traces,
+    traced: bool,
     build: impl FnOnce() -> (Scenario, R) + Send + 'static,
 ) -> SimJob
 where
     R: FnOnce(&SimResult) -> Vec<f64>,
 {
     // Traced and untraced runs are simulated identically, but they get
-    // distinct cache identities so enabling --trace / --trace-mi actually
-    // (re)writes the exports instead of short-circuiting on a cached
-    // payload. (Every trace file is additionally declared as a cache
-    // artifact, so even a warm hit replays it from the cache.)
+    // distinct cache identities so enabling --trace actually (re)writes
+    // the exports instead of short-circuiting on a cached payload. (Every
+    // trace file is additionally declared as a cache artifact, so even a
+    // warm hit replays it from the cache.)
     let mut descriptor = stem;
-    if traces.telemetry {
-        descriptor.push_str("/trace");
-    }
-    if let Some(fmt) = traces.decisions {
-        descriptor.push_str("/mi-trace=");
-        descriptor.push_str(fmt.tag());
+    if traced {
+        // The suffix of the telemetry-and-decisions selection this flag
+        // replaced, kept so a cache traced before it still replays.
+        descriptor.push_str("/trace/mi-trace=both");
     }
     descriptor.push_str("/v1");
-    let sink = traces.telemetry.then(|| TraceSink::new(exp, &name));
-    let mi = traces
-        .decisions
-        .map(|fmt| MiTraceSink::new(exp, &name, fmt));
-    // Decision traces first, telemetry last: entries cached before the
-    // telemetry file was declared keep their artifact indices.
-    let artifacts: Vec<_> = mi
-        .iter()
-        .flat_map(|s| s.paths())
-        .chain(sink.as_ref().map(TraceSink::path))
-        .collect();
+    let sink = traced.then(|| TraceSink::new(exp, &name));
+    let artifacts = sink.as_ref().map(TraceSink::paths);
     let mut job = SimJob::new(descriptor, name, move || {
         let (sc, read) = build();
-        // Any active sink turns on 100 ms trace sampling, which also makes
-        // the engine record every controller's decisions and drain them on
-        // the same cadence.
-        let traced = sink.is_some() || mi.is_some();
-        let res = run(if traced {
-            sc.with_trace(TRACE_EVERY)
-        } else {
-            sc
-        });
-        if let Some(sink) = &sink {
-            sink.write(&res);
-        }
-        if let Some(mi) = &mi {
-            mi.write(&res);
-        }
+        let res = match &sink {
+            None => run(sc),
+            Some(sink) => {
+                let res = run(sc.with_trace());
+                // Tracing must never fail an experiment.
+                let _ = sink.write(&res);
+                res
+            }
+        };
         payload::encode_floats(&read(&res))
     });
-    for path in artifacts {
+    for path in artifacts.into_iter().flatten() {
         job = job.with_artifact(path);
     }
     job
@@ -326,13 +190,13 @@ pub fn single_job(
     link: LinkSpec,
     secs: f64,
     seed: u64,
-    traces: Traces,
+    traced: bool,
 ) -> SimJob {
     scenario_job(
         exp,
         format!("single/{tag}/proto={proto}/secs={secs:?}/seed={seed}"),
         format!("single-{tag}-{proto}-s{seed}"),
-        traces,
+        traced,
         move || {
             (
                 single_scenario(proto, link, secs, seed),
@@ -381,13 +245,13 @@ pub fn pair_job(
     link: LinkSpec,
     secs: f64,
     seed: u64,
-    traces: Traces,
+    traced: bool,
 ) -> SimJob {
     scenario_job(
         exp,
         format!("pair/{tag}/primary={primary}/scav={scavenger}/secs={secs:?}/seed={seed}"),
         format!("pair-{tag}-{primary}-vs-{scavenger}-s{seed}"),
-        traces,
+        traced,
         move || {
             (
                 pair_scenario(primary, scavenger, link, secs, seed),
@@ -407,30 +271,27 @@ pub(crate) fn pair_payload(res: &SimResult, secs: f64) -> Vec<f64> {
     ]
 }
 
-/// Runs the job `make` builds with telemetry and JSONL decision traces on,
-/// and returns the contents of its declared artifacts in declaration order
-/// (decision JSONL, then telemetry), removing each file once read.
-/// Decision exports go to a per-process temporary directory; telemetry
-/// lands under `results/trace/`, which git ignores.
+/// Runs the job `make` builds traced and returns the contents of its
+/// declared artifacts in declaration order (decision JSONL, Chrome trace,
+/// telemetry), removing each file once read. Decision exports go to a
+/// per-process temporary directory; telemetry lands under
+/// `results/trace/`, which git ignores.
 #[cfg(test)]
-pub(crate) fn traced_artifacts(make: impl FnOnce(Traces) -> SimJob) -> Vec<String> {
+pub(crate) fn traced_artifacts(make: impl FnOnce(bool) -> SimJob) -> Vec<String> {
     crate::mi_trace::set_mi_trace_dir(
         std::env::temp_dir().join(format!("proteus-bench-trace-mi-{}", std::process::id())),
     );
-    let job = make(Traces {
-        telemetry: true,
-        decisions: Some(TraceFormat::Jsonl),
-    });
+    let job = make(true);
     let paths = job.artifacts().to_vec();
     job.execute();
     paths
         .iter()
         .map(|path| {
-            let text = fs::read_to_string(path).unwrap_or_default();
-            let _ = fs::remove_file(path);
+            let text = std::fs::read_to_string(path).unwrap_or_default();
+            let _ = std::fs::remove_file(path);
             // The directories go too, once empty.
             for dir in path.ancestors().skip(1).take(2) {
-                let _ = fs::remove_dir(dir);
+                let _ = std::fs::remove_dir(dir);
             }
             text
         })
@@ -460,15 +321,7 @@ mod tests {
     #[test]
     fn single_job_matches_direct_run() {
         let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
-        let job = single_job(
-            "test",
-            &link_tag(&link),
-            "CUBIC",
-            link,
-            10.0,
-            3,
-            Traces::off(),
-        );
+        let job = single_job("test", &link_tag(&link), "CUBIC", link, 10.0, 3, false);
         let out = decode_single(&job.execute());
         let direct = run(single_scenario("CUBIC", link, 10.0, 3));
         assert_eq!(out.tail_mbps, tail_mbps(&direct, 0, 10.0));
@@ -479,16 +332,7 @@ mod tests {
     fn pair_job_matches_direct_run() {
         let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
         let tag = link_tag(&link);
-        let job = pair_job(
-            "test",
-            &tag,
-            "CUBIC",
-            "LEDBAT",
-            link,
-            12.0,
-            3,
-            Traces::off(),
-        );
+        let job = pair_job("test", &tag, "CUBIC", "LEDBAT", link, 12.0, 3, false);
         let out = decode_pair(&job.execute());
         let direct = run(pair_scenario("CUBIC", "LEDBAT", link, 12.0, 3));
         assert_eq!(out.primary_mbps, tail_mbps(&direct, 0, 12.0));
@@ -503,35 +347,26 @@ mod tests {
     fn job_descriptors_are_stable_identities() {
         let link = LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
         let tag = link_tag(&link);
-        let a = single_job("x", &tag, "BBR", link, 30.0, 7, Traces::off());
-        let b = single_job("y", &tag, "BBR", link, 30.0, 7, Traces::off());
+        let a = single_job("x", &tag, "BBR", link, 30.0, 7, false);
+        let b = single_job("y", &tag, "BBR", link, 30.0, 7, false);
         // Same cell from different experiments shares one cache identity.
         assert_eq!(a.key(), b.key());
-        // Each trace selection gets its own identity.
-        let telemetry = Traces {
-            telemetry: true,
-            ..Traces::off()
-        };
-        let t = single_job("x", &tag, "BBR", link, 30.0, 7, telemetry);
+        // A traced run gets its own identity and declares every file it
+        // writes as an artifact, telemetry last.
+        let t = single_job("x", &tag, "BBR", link, 30.0, 7, true);
         assert_ne!(a.key(), t.key());
-        let mi = Traces {
-            decisions: Some(TraceFormat::Both),
-            ..Traces::off()
-        };
-        let m = single_job("x", &tag, "BBR", link, 30.0, 7, mi);
-        assert_ne!(a.key(), m.key());
-        assert_ne!(t.key(), m.key());
-        // Tracing jobs declare every file they write as an artifact.
         assert_eq!(a.artifacts().len(), 0);
-        assert_eq!(t.artifacts().len(), 1);
-        assert_eq!(m.artifacts().len(), 2);
-        let both = Traces {
-            telemetry: true,
-            decisions: Some(TraceFormat::Both),
-        };
-        let tb = single_job("x", &tag, "BBR", link, 30.0, 7, both);
-        assert_eq!(tb.artifacts().len(), 3);
-        assert!(tb.artifacts()[2].starts_with(results_dir().join("trace").join("x")));
+        assert_eq!(t.artifacts().len(), 3);
+        assert!(t.artifacts()[2].starts_with(results_dir().join("trace").join("x")));
+        // The traced identity, literally, as a traced cache of the
+        // telemetry-and-decisions flags holds it.
+        let quick = single_job("x", &tag, "BBR", link, 20.0, 1, true);
+        assert_eq!(
+            quick.descriptor(),
+            "single/bw=50.0,rtt=30.0ms,buf=375000,loss=0.0/proto=BBR/secs=20.0/seed=1\
+             /trace/mi-trace=both/v1"
+        );
+        assert_eq!(quick.key().hex(), "2c78b343ac562f78");
     }
 
     #[test]
@@ -542,7 +377,7 @@ mod tests {
         let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
         let scenario = || pair_scenario("Proteus-P", "Proteus-S", link, 12.0, 3);
         let plain = run(scenario());
-        let traced = run(scenario().with_trace(TRACE_EVERY));
+        let traced = run(scenario().with_trace());
         assert_eq!(
             tail_mbps(&plain, 0, 12.0),
             tail_mbps(&traced, 0, 12.0),

@@ -32,8 +32,8 @@ pub mod scenarios;
 pub mod search;
 pub mod space;
 
-pub use jobs::{campaign, tail_mbps, tail_window, trace_jsonl, Traces, TRACE_EVERY};
-pub use mi_trace::{mi_trace_dir, MiTraceSink, TraceFormat};
+pub use jobs::{campaign, tail_mbps, tail_window};
+pub use mi_trace::{mi_trace_dir, TraceSink};
 pub use protocols::{cc, try_cc, PRIMARIES, SCAVENGERS};
 pub use report::Table;
 
@@ -48,13 +48,10 @@ pub struct RunCfg {
     pub jobs: usize,
     /// Reuse/populate the disk result cache under `results/.cache/`.
     pub cache: bool,
-    /// Record per-flow telemetry JSONL under `results/trace/`.
+    /// Trace every cell: per-flow telemetry JSONL under `results/trace/`
+    /// and structured decision traces (MI closes, mode switches, filter
+    /// verdicts) under [`mi_trace::mi_trace_dir`] (see [`TraceSink`]).
     pub trace: bool,
-    /// Record structured decision traces (MI closes, mode switches, filter
-    /// verdicts) under [`mi_trace::mi_trace_dir`].
-    pub trace_mi: bool,
-    /// Export format(s) for decision traces.
-    pub trace_format: TraceFormat,
     /// Shard filter `(index, count)` forwarded to every campaign: cache-
     /// miss jobs outside the shard are skipped (see `repro --shard i/n`).
     pub shard: Option<(u32, u32)>,
@@ -69,8 +66,6 @@ impl RunCfg {
             jobs: 1,
             cache: true,
             trace: false,
-            trace_mi: false,
-            trace_format: TraceFormat::Both,
             shard: None,
         }
     }

@@ -1,22 +1,23 @@
-//! Decision-trace ("MI trace") export plumbing for `--trace-mi`.
+//! Trace exports for `--trace`.
 //!
-//! Telemetry traces (`--trace`, see [`crate::jobs::TraceSink`]) sample
-//! *state* every 100 ms; decision traces record the discrete *decisions*
-//! the controllers make — MI closes with the full utility breakdown, rate
-//! transitions, probe outcomes, §4.4 mode switches and §5 filter verdicts
-//! (see `proteus-trace` and `OBSERVABILITY.md`). This module decides where
-//! those exports land and writes them in the formats the CLI selected.
-//!
-//! Files go under [`mi_trace_dir`] — `results/trace-mi/` by default,
-//! `$PROTEUS_TRACE_DIR` or `--trace-out DIR` when set — as
-//! `<exp>/<run>.jsonl` (one event per line) and `<exp>/<run>.trace.json`
-//! (Chrome `trace_event`, loadable in Perfetto).
+//! A traced run (`Scenario::with_trace`) samples every flow's *state*
+//! every 100 ms and records the discrete *decisions* the controllers make —
+//! MI closes with the full utility breakdown, rate transitions, probe
+//! outcomes, §4.4 mode switches and §5 filter verdicts (see `proteus-trace`
+//! and `OBSERVABILITY.md`). [`TraceSink`] writes one run's three exports:
+//! the decisions as `<exp>/<run>.jsonl` (one event per line) and
+//! `<exp>/<run>.trace.json` (Chrome `trace_event`, loadable in Perfetto)
+//! under [`mi_trace_dir`] — `results/trace-mi/` by default,
+//! `$PROTEUS_TRACE_DIR` or `--trace-out DIR` when set — and the telemetry
+//! as `results/trace/<exp>/<run>.jsonl`, one sample per line.
 
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use proteus_netsim::SimResult;
+use proteus_runner::json::Obj;
 use proteus_trace::export::{to_chrome_trace, to_jsonl};
 use proteus_trace::TraceSummary;
 
@@ -26,53 +27,10 @@ use crate::report::{results_dir, Table};
 /// (the `--trace-out` flag sets the same override in-process).
 pub const TRACE_DIR_ENV: &str = "PROTEUS_TRACE_DIR";
 
-/// Export format(s) for decision traces (`--trace-format`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceFormat {
-    /// JSONL only (`<run>.jsonl`).
-    Jsonl,
-    /// Chrome `trace_event` only (`<run>.trace.json`).
-    Chrome,
-    /// Both files (the default).
-    #[default]
-    Both,
-}
-
-impl TraceFormat {
-    /// Parses a `--trace-format` value (`jsonl`, `chrome`, or `both`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "jsonl" => Some(Self::Jsonl),
-            "chrome" => Some(Self::Chrome),
-            "both" => Some(Self::Both),
-            _ => None,
-        }
-    }
-
-    /// Stable tag used in cache descriptors and `--trace-format` values.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Self::Jsonl => "jsonl",
-            Self::Chrome => "chrome",
-            Self::Both => "both",
-        }
-    }
-
-    /// Whether the JSONL file is written.
-    pub fn jsonl(self) -> bool {
-        matches!(self, Self::Jsonl | Self::Both)
-    }
-
-    /// Whether the Chrome-trace file is written.
-    pub fn chrome(self) -> bool {
-        matches!(self, Self::Chrome | Self::Both)
-    }
-}
-
 static DIR_OVERRIDE: OnceLock<PathBuf> = OnceLock::new();
 
 /// Installs the `--trace-out` directory override for this process. Only the
-/// first call wins (the CLI parses flags once).
+/// first call wins: the CLIs call it once, after parsing every flag.
 pub fn set_mi_trace_dir(dir: impl Into<PathBuf>) {
     let _ = DIR_OVERRIDE.set(dir.into());
 }
@@ -89,74 +47,95 @@ pub fn mi_trace_dir() -> PathBuf {
     }
 }
 
-/// Destination for one run's decision trace:
-/// `<mi_trace_dir>/<exp>/<run>.jsonl` and/or `<run>.trace.json`.
+/// Destination for one traced run's exports (see the module docs).
 #[derive(Debug, Clone)]
-pub struct MiTraceSink {
+pub struct TraceSink {
     exp: String,
     run: String,
-    format: TraceFormat,
 }
 
-impl MiTraceSink {
+impl TraceSink {
     /// Creates a sink; path components are sanitized for the filesystem.
-    pub fn new(exp: impl Into<String>, run: impl Into<String>, format: TraceFormat) -> Self {
+    pub fn new(exp: impl Into<String>, run: impl Into<String>) -> Self {
         let clean = |s: String| s.replace(['/', '\\', ' '], "_");
         Self {
             exp: clean(exp.into()),
             run: clean(run.into()),
-            format,
         }
     }
 
-    /// Path of the JSONL export.
-    pub fn jsonl_path(&self) -> PathBuf {
-        mi_trace_dir()
-            .join(&self.exp)
-            .join(format!("{}.jsonl", self.run))
+    /// Every file this sink writes, in write order: decision JSONL, Chrome
+    /// trace, telemetry JSONL. Jobs declare them as cache artifacts
+    /// (`SimJob::with_artifact`) in this order, so a warm hit replays the
+    /// stored traces instead of leaving the files stale or missing.
+    pub fn paths(&self) -> [PathBuf; 3] {
+        let decisions = mi_trace_dir().join(&self.exp);
+        [
+            decisions.join(format!("{}.jsonl", self.run)),
+            decisions.join(format!("{}.trace.json", self.run)),
+            results_dir()
+                .join("trace")
+                .join(&self.exp)
+                .join(format!("{}.jsonl", self.run)),
+        ]
     }
 
-    /// Path of the Chrome `trace_event` export.
-    pub fn chrome_path(&self) -> PathBuf {
-        mi_trace_dir()
-            .join(&self.exp)
-            .join(format!("{}.trace.json", self.run))
-    }
-
-    /// Every file this sink writes, in a stable order — jobs declare these
-    /// as cache artifacts (`SimJob::with_artifact`) so warm cache hits
-    /// replay the stored traces instead of leaving the files stale or
-    /// missing.
-    pub fn paths(&self) -> Vec<PathBuf> {
-        let mut out = Vec::new();
-        if self.format.jsonl() {
-            out.push(self.jsonl_path());
-        }
-        if self.format.chrome() {
-            out.push(self.chrome_path());
-        }
-        out
-    }
-
-    /// Writes the run's decision trace in the selected format(s). I/O
-    /// errors are ignored: tracing must never fail an experiment.
-    pub fn write(&self, res: &SimResult) {
+    /// Writes the run's three exports, stopping at the first I/O error,
+    /// which names the file it could not write.
+    pub fn write(&self, res: &SimResult) -> io::Result<()> {
         let names: Vec<&str> = res.flows.iter().map(|f| f.name.as_str()).collect();
-        if self.format.jsonl() {
-            let path = self.jsonl_path();
-            if let Some(parent) = path.parent() {
-                let _ = fs::create_dir_all(parent);
-            }
-            let _ = fs::write(path, to_jsonl(&res.decisions, &names));
-        }
-        if self.format.chrome() {
-            let path = self.chrome_path();
-            if let Some(parent) = path.parent() {
-                let _ = fs::create_dir_all(parent);
-            }
-            let _ = fs::write(path, to_chrome_trace(&res.decisions, &names));
-        }
+        let [jsonl, chrome, telemetry] = self.paths();
+        put(&jsonl, to_jsonl(&res.decisions, &names))?;
+        put(&chrome, to_chrome_trace(&res.decisions, &names))?;
+        put(&telemetry, trace_jsonl(res))
     }
+}
+
+/// Writes `text` to `path`, creating its directory.
+fn put(path: &Path, text: String) -> io::Result<()> {
+    let dir = path.parent().map_or(Ok(()), fs::create_dir_all);
+    dir.and_then(|()| fs::write(path, text))
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+}
+
+/// Renders a run's telemetry trace as JSONL, one object per sample.
+fn trace_jsonl(res: &SimResult) -> String {
+    let mut out = String::new();
+    for e in &res.trace {
+        let mut o = Obj::new();
+        o.num("t", e.t)
+            .int("flow", e.flow as u64)
+            .str("name", &res.flows[e.flow].name);
+        match e.rate_mbps {
+            Some(r) => o.num("rate_mbps", r),
+            None => o.raw("rate_mbps", "null"),
+        };
+        match e.cwnd_bytes {
+            Some(w) => o.int("cwnd_bytes", w),
+            None => o.raw("cwnd_bytes", "null"),
+        };
+        o.int("inflight_bytes", e.inflight_bytes);
+        match e.srtt_ms {
+            Some(v) => o.num("srtt_ms", v),
+            None => o.raw("srtt_ms", "null"),
+        };
+        match e.rttvar_ms {
+            Some(v) => o.num("rttvar_ms", v),
+            None => o.raw("rttvar_ms", "null"),
+        };
+        match e.utility {
+            Some(u) => o.num("utility", u),
+            None => o.raw("utility", "null"),
+        };
+        match e.mode {
+            Some(m) => o.str("mode", m),
+            None => o.raw("mode", "null"),
+        };
+        o.int("mode_switches", e.mode_switches);
+        out.push_str(&o.render());
+        out.push('\n');
+    }
+    out
 }
 
 /// The `repro trace-summary` report: aggregates every JSONL decision trace
@@ -169,7 +148,7 @@ pub fn summary_report() -> String {
         Ok(e) => e,
         Err(_) => {
             return format!(
-                "no decision traces under {} — run an experiment with --trace-mi first\n",
+                "no decision traces under {} — run an experiment with --trace first\n",
                 dir.display()
             );
         }
@@ -210,7 +189,7 @@ pub fn summary_report() -> String {
     }
     if exps.is_empty() {
         return format!(
-            "no decision traces under {} — run an experiment with --trace-mi first\n",
+            "no decision traces under {} — run an experiment with --trace first\n",
             dir.display()
         );
     }
@@ -280,29 +259,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn format_parses_and_selects_files() {
-        assert_eq!(TraceFormat::parse("jsonl"), Some(TraceFormat::Jsonl));
-        assert_eq!(TraceFormat::parse("chrome"), Some(TraceFormat::Chrome));
-        assert_eq!(TraceFormat::parse("both"), Some(TraceFormat::Both));
-        assert_eq!(TraceFormat::parse("xml"), None);
-        assert!(TraceFormat::Jsonl.jsonl() && !TraceFormat::Jsonl.chrome());
-        assert!(!TraceFormat::Chrome.jsonl() && TraceFormat::Chrome.chrome());
-        assert!(TraceFormat::Both.jsonl() && TraceFormat::Both.chrome());
-        for f in [TraceFormat::Jsonl, TraceFormat::Chrome, TraceFormat::Both] {
-            assert_eq!(TraceFormat::parse(f.tag()), Some(f));
-        }
-    }
-
-    #[test]
-    fn sink_paths_follow_format() {
-        let s = MiTraceSink::new("fig6", "pair a/b", TraceFormat::Both);
-        let paths = s.paths();
-        assert_eq!(paths.len(), 2);
+    fn sink_paths_are_sanitized_and_ordered() {
+        let paths = TraceSink::new("fig6", "pair a/b").paths();
         assert!(paths[0].ends_with("fig6/pair_a_b.jsonl"));
         assert!(paths[1].ends_with("fig6/pair_a_b.trace.json"));
-        assert_eq!(
-            MiTraceSink::new("x", "r", TraceFormat::Jsonl).paths().len(),
-            1
-        );
+        assert!(paths[2].ends_with("trace/fig6/pair_a_b.jsonl"));
     }
 }

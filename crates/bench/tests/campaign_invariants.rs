@@ -125,7 +125,7 @@ fn ack_compression_trips_the_per_ack_filter() {
                 cc("Proteus-P", 9)
             }))
             .with_seed(9)
-            .with_trace(Dur::from_millis(100))
+            .with_trace()
             .with_faults(faults))
     };
     let trips = |res: &proteus_netsim::SimResult| {

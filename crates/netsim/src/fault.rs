@@ -98,13 +98,6 @@ impl Default for GilbertElliott {
     }
 }
 
-impl GilbertElliott {
-    /// Mean burst length in packets (`1 / p_exit`).
-    pub fn mean_burst_pkts(&self) -> f64 {
-        1.0 / self.p_exit.max(f64::MIN_POSITIVE)
-    }
-}
-
 /// Bounded packet reordering: each delivered data packet is, with
 /// probability `prob`, held back by an extra uniform `(0, max_extra]` delay
 /// and exempted from the FIFO delivery clamp, so later packets can overtake

@@ -71,7 +71,7 @@ pub use metrics::{
 };
 pub use noise::{NoiseConfig, WifiNoiseConfig};
 pub use scenario::{
-    CcBuilder, ChurnClass, ChurnSpec, CrossTrafficSpec, FlowSpec, LinkSpec, Scenario,
+    CcBuilder, ChurnClass, ChurnSpec, CrossTrafficSpec, FlowSpec, LinkSpec, Scenario, TRACE_EVERY,
 };
 pub use sched::Scheduler;
 pub use topology::{LinkId, Topology};

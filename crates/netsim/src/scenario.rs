@@ -324,6 +324,11 @@ impl std::fmt::Debug for ChurnSpec {
     }
 }
 
+/// Telemetry sampling period of a traced run ([`Scenario::with_trace`]),
+/// which is also how often the engine drains the controllers' decision
+/// rings.
+pub const TRACE_EVERY: Dur = Dur::from_millis(100);
+
 /// A complete simulation scenario.
 pub struct Scenario {
     /// The bottleneck links (a single dumbbell unless built with
@@ -343,7 +348,8 @@ pub struct Scenario {
     /// Keep every `stride`-th RTT sample (1 = all).
     pub rtt_stride: usize,
     /// Record per-flow telemetry ([`crate::metrics::TraceEvent`]) at this
-    /// period, if set.
+    /// period, if set: [`TRACE_EVERY`] once [`Scenario::with_trace`] is
+    /// called.
     pub trace_every: Option<Dur>,
     /// Poisson flow churn (population scenarios), if any. `None` keeps the
     /// static-flow path: existing results stay byte-identical.
@@ -409,10 +415,9 @@ impl Scenario {
         self
     }
 
-    /// Enables periodic per-flow telemetry sampling: every `every`, each
-    /// active flow's rate, window, in-flight bytes, RTT estimator state and
-    /// controller internals are recorded into
-    /// [`crate::metrics::SimResult::trace`].
+    /// Traces the run: every [`TRACE_EVERY`], each active flow's rate,
+    /// window, in-flight bytes, RTT estimator state and controller internals
+    /// are recorded into [`crate::metrics::SimResult::trace`].
     ///
     /// A traced run also records every controller that has decision points:
     /// each flow — static, churned or cross traffic — is spawned with its
@@ -420,13 +425,8 @@ impl Scenario {
     /// events land in [`crate::metrics::SimResult::decisions`], drained on
     /// the same cadence. Results are unchanged; a caller that only wants
     /// the samples still fills the rings, and need not export them.
-    ///
-    /// # Panics
-    /// Panics if `every` is zero (the sampler would re-arm at the same
-    /// instant forever).
-    pub fn with_trace(mut self, every: Dur) -> Self {
-        assert!(!every.is_zero(), "the trace period must be positive");
-        self.trace_every = Some(every);
+    pub fn with_trace(mut self) -> Self {
+        self.trace_every = Some(TRACE_EVERY);
         self
     }
 
@@ -538,12 +538,6 @@ mod tests {
     fn zero_throughput_bin_is_rejected() {
         let _ = Scenario::new(LinkSpec::paper_default(), Dur::from_secs(5))
             .with_throughput_bin(Dur::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "the trace period must be positive")]
-    fn zero_trace_period_is_rejected() {
-        let _ = Scenario::new(LinkSpec::paper_default(), Dur::from_secs(5)).with_trace(Dur::ZERO);
     }
 
     /// The controller factories are never called: `with_churn` only reads

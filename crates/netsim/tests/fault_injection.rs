@@ -39,7 +39,7 @@ fn same_seed_same_schedule_is_byte_identical() {
         Scenario::new(link_20mbps_30ms(), Dur::from_secs(12))
             .flow(window_flow(150_000))
             .with_seed(42)
-            .with_trace(Dur::from_millis(100))
+            .with_trace()
             .with_faults(
                 FaultSchedule::new()
                     .bandwidth_step(Dur::from_secs(4), 8.0)
@@ -73,7 +73,7 @@ fn empty_schedule_is_identical_to_no_schedule() {
         Scenario::new(link_20mbps_30ms().with_random_loss(0.01), Dur::from_secs(8))
             .flow(window_flow(150_000))
             .with_seed(7)
-            .with_trace(Dur::from_millis(100))
+            .with_trace()
     };
     let plain = run(base());
     let empty = run(base().with_faults(FaultSchedule::new()));

@@ -55,7 +55,7 @@ fn legacy_shaped_scenario_is_scheduler_independent() {
             start: Dur::ZERO,
             stop: Dur::from_secs(7),
         })
-        .with_trace(Dur::from_millis(100))
+        .with_trace()
         .with_seed(1234)
     });
 }
@@ -82,7 +82,7 @@ fn faulted_scenario_is_scheduler_independent() {
                     loss_bad: 0.4,
                 }),
         )
-        .with_trace(Dur::from_millis(200))
+        .with_trace()
         .with_seed(77)
     });
 }

@@ -44,7 +44,7 @@ fn legacy_matrix(link: LinkSpec) -> Scenario {
         start: Dur::ZERO,
         stop: Dur::from_secs(7),
     })
-    .with_trace(Dur::from_millis(100))
+    .with_trace()
     .with_seed(1234)
 }
 
@@ -89,7 +89,7 @@ fn topology_fault_attachment_matches_legacy() {
         sc.flow(FlowSpec::bulk("win", Dur::ZERO, || {
             Box::new(TestWindow { cwnd: 100_000 })
         }))
-        .with_trace(Dur::from_millis(200))
+        .with_trace()
         .with_seed(77)
     };
     let legacy = run(mk_flows(

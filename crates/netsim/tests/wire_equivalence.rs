@@ -62,7 +62,7 @@ fn clean_ack_clocked_scenario_fuses_and_matches() {
             })
             .with_stop(Dur::from_secs(4)),
         )
-        .with_trace(Dur::from_millis(100))
+        .with_trace()
         .with_seed(7)
     });
     assert!(
@@ -98,7 +98,7 @@ fn clean_scenario_with_random_loss_fuses_and_matches() {
             start: Dur::ZERO,
             stop: Dur::from_secs(5),
         })
-        .with_trace(Dur::from_millis(100))
+        .with_trace()
         .with_seed(1234)
     });
     assert!(fused.events.fused > 0);
@@ -150,7 +150,7 @@ fn noisy_scenario_fuses_and_matches_staged() {
         .flow(FlowSpec::bulk("win", Dur::ZERO, || {
             Box::new(TestWindow { cwnd: 150_000 })
         }))
-        .with_trace(Dur::from_millis(100))
+        .with_trace()
         .with_seed(1234)
     });
     assert!(fused.events.fused > 0, "noise must not gate the lanes off");
@@ -184,7 +184,7 @@ fn faulted_scenario_fuses_and_matches_staged() {
                     loss_bad: 0.4,
                 }),
         )
-        .with_trace(Dur::from_millis(200))
+        .with_trace()
         .with_seed(77)
     });
     assert!(
@@ -243,7 +243,7 @@ fn reference_on_wheel_and_fused_is_the_production_engine() {
             .flow(FlowSpec::bulk("paced", Dur::ZERO, || {
                 Box::new(TestPaced { rate: 250_000.0 })
             }))
-            .with_trace(Dur::from_millis(200))
+            .with_trace()
             .with_seed(77)
     };
     let production = run(mk());

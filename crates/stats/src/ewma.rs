@@ -33,11 +33,6 @@ impl Ewma {
         self.value
     }
 
-    /// Current average or the provided default.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
     /// Clears the average.
     pub fn reset(&mut self) {
         self.value = None;

@@ -39,7 +39,7 @@ impl TraceSink for NoopSink {
 
 /// Capacity of a decision-traced sender's ring. Proteus closes one MI
 /// every 1–2 RTTs and a traced run drains rings every telemetry sample
-/// (100 ms in the experiment harness), so a few events per drain is
+/// (every 100 ms, netsim's `TRACE_EVERY`), so a few events per drain is
 /// typical; 4096 keeps minutes of history even if draining stalls, while
 /// reserving ~0.6 MB per flow up front.
 pub const MI_RING_CAPACITY: usize = 4096;

@@ -94,11 +94,6 @@ impl SizedApp {
         }
     }
 
-    /// Total transfer size.
-    pub fn total_bytes(&self) -> u64 {
-        self.total
-    }
-
     /// Bytes confirmed delivered so far.
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered

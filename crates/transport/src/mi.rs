@@ -225,22 +225,6 @@ impl MiTracker {
         id
     }
 
-    /// The id of the currently open MI, if any.
-    pub fn open_mi(&self) -> Option<MiId> {
-        self.pending
-            .back()
-            .filter(|mi| mi.end.is_none())
-            .map(|mi| mi.id)
-    }
-
-    /// Start time of the currently open MI.
-    pub fn open_mi_start(&self) -> Option<Time> {
-        self.pending
-            .back()
-            .filter(|mi| mi.end.is_none())
-            .map(|mi| mi.start)
-    }
-
     /// Number of MIs not yet fully accounted.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
