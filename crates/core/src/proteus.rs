@@ -347,8 +347,7 @@ impl<S: TraceSink> ProteusSender<S> {
         let t_ns = at.as_nanos();
         let sink = &mut self.sink;
         self.controller
-            .log
-            .drain(|kind| sink.record(DecisionEvent { t_ns, kind }));
+            .drain_log(|kind| sink.record(DecisionEvent { t_ns, kind }));
     }
 }
 
@@ -599,6 +598,14 @@ mod tests {
                 assert_eq!(Some(newest), self.traced.last_utility());
             }
         }
+    }
+
+    #[test]
+    fn an_untraced_sender_carries_no_decision_log() {
+        // Populations hold thousands of these boxed; the four-event log is
+        // built only for a recording sink (2 016 bytes with it inline).
+        let size = std::mem::size_of::<ProteusSender>();
+        assert!(size <= 1_500, "ProteusSender is {size} bytes");
     }
 
     #[test]

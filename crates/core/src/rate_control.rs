@@ -146,21 +146,17 @@ enum State {
 /// Fixed-capacity scratch log of controller decisions taken while
 /// processing one MI completion (at most a probe outcome plus the state
 /// transition it causes — capacity 4 leaves slack). The owning sender
-/// drains it after each `on_mi_complete`, stamping timestamps; when tracing
-/// is disabled (the default) nothing is ever pushed, so the completion path
-/// stays write-free.
+/// drains it after each `on_mi_complete`, stamping timestamps. It exists
+/// only while tracing is on: an untraced controller carries no log and its
+/// completion path stays write-free.
 #[derive(Debug, Default)]
-pub(crate) struct CtlLog {
-    enabled: bool,
+struct CtlLog {
     slots: [Option<EventKind>; 4],
     len: usize,
 }
 
 impl CtlLog {
     fn push(&mut self, kind: EventKind) {
-        if !self.enabled {
-            return;
-        }
         if self.len < self.slots.len() {
             self.slots[self.len] = Some(kind);
             self.len += 1;
@@ -170,7 +166,7 @@ impl CtlLog {
         // still the right failure mode for a tracing path.
     }
 
-    pub(crate) fn drain(&mut self, mut f: impl FnMut(EventKind)) {
+    fn drain(&mut self, mut f: impl FnMut(EventKind)) {
         for slot in &mut self.slots[..self.len] {
             if let Some(kind) = slot.take() {
                 f(kind);
@@ -192,8 +188,9 @@ pub struct RateController {
     epoch: u64,
     /// Tags for MIs handed out and not yet completed, front = oldest.
     pending: VecDeque<(u64, Tag)>,
-    /// Decision log scratch, drained by the sender per completion.
-    pub(crate) log: CtlLog,
+    /// Decision log scratch, drained by the sender per completion; built
+    /// only while tracing is on.
+    log: Option<Box<CtlLog>>,
 }
 
 impl RateController {
@@ -209,14 +206,29 @@ impl RateController {
             rate: params.initial_rate_mbps,
             epoch: 0,
             pending: VecDeque::new(),
-            log: CtlLog::default(),
+            log: None,
         }
     }
 
     /// Turns decision logging on or off (off by default; the log is only
-    /// written when a tracing sender will drain it).
+    /// built when a tracing sender will drain it).
     pub(crate) fn set_trace_enabled(&mut self, enabled: bool) {
-        self.log.enabled = enabled;
+        self.log = enabled.then(Box::default);
+    }
+
+    /// Moves the decisions logged since the last drain into `f`, oldest
+    /// first.
+    pub(crate) fn drain_log(&mut self, f: impl FnMut(EventKind)) {
+        if let Some(log) = &mut self.log {
+            log.drain(f);
+        }
+    }
+
+    /// Logs a decision if tracing is on.
+    fn note(&mut self, kind: EventKind) {
+        if let Some(log) = &mut self.log {
+            log.push(kind);
+        }
     }
 
     /// Current controller phase, for decision traces.
@@ -286,7 +298,7 @@ impl RateController {
     fn enter_probing(&mut self, base: f64) {
         self.bump_epoch();
         let base = base.max(self.params.min_rate_mbps);
-        self.log.push(EventKind::RateTransition(RateTransition {
+        self.note(EventKind::RateTransition(RateTransition {
             from: self.phase(),
             to: CtlPhase::Probing,
             rate_mbps: base,
@@ -319,7 +331,7 @@ impl RateController {
         self.bump_epoch();
         let direction = if gradient >= 0.0 { 1.0 } else { -1.0 };
         let theta = self.clamped_step(gradient, 1, base);
-        self.log.push(EventKind::RateTransition(RateTransition {
+        self.note(EventKind::RateTransition(RateTransition {
             from: self.phase(),
             to: CtlPhase::Moving,
             rate_mbps: (base + theta).max(self.params.min_rate_mbps),
@@ -436,7 +448,7 @@ impl RateController {
                 }
                 ProbeRule::Agreement => gradient,
             };
-            self.log.push(EventKind::ProbeOutcome(ProbeOutcome {
+            self.note(EventKind::ProbeOutcome(ProbeOutcome {
                 base_mbps: base,
                 decided: true,
                 vote: direction_sum,
@@ -444,7 +456,7 @@ impl RateController {
             }));
             self.enter_moving(base, base_utility, signed);
         } else {
-            self.log.push(EventKind::ProbeOutcome(ProbeOutcome {
+            self.note(EventKind::ProbeOutcome(ProbeOutcome {
                 base_mbps: base,
                 decided: false,
                 vote: direction_sum,
@@ -717,7 +729,7 @@ mod tests {
         c.set_trace_enabled(true);
         force_probing(&mut c);
         let mut kinds = Vec::new();
-        c.log.drain(|k| kinds.push(k));
+        c.drain_log(|k| kinds.push(k));
         // Leaving slow start logs a Starting → Probing transition.
         assert!(kinds.iter().any(|k| matches!(
             k,
@@ -729,7 +741,7 @@ mod tests {
         kinds.clear();
         while c.is_probing() {
             step(&mut c, |r| r);
-            c.log.drain(|k| kinds.push(k));
+            c.drain_log(|k| kinds.push(k));
         }
         let outcome = kinds
             .iter()
@@ -749,7 +761,7 @@ mod tests {
             step(&mut c, |r| r);
         }
         let mut kinds = Vec::new();
-        c.log.drain(|k| kinds.push(k));
+        c.drain_log(|k| kinds.push(k));
         assert!(kinds.is_empty());
     }
 

@@ -2,43 +2,85 @@
 //!
 //! A sender hands out sequence numbers monotonically and the simulated path
 //! never reorders a flow's packets, so the packets that still carry state —
-//! outstanding in the engine, attributed to a monitor interval, awaiting a
-//! BBR delivery-rate sample — are always a contiguous run of sequence
-//! numbers with holes where a packet was already acknowledged or declared
-//! lost. [`SeqRing`] exploits that: a `VecDeque` indexed by
-//! `seq - head_seq`, where a slot is `None` once its packet has been
-//! removed. Insert at the tail, remove an arbitrary sequence number, read or
-//! pop the oldest entry — each is O(1) (amortized), with no hashing and no
-//! allocation once the ring has grown to the flow's in-flight window.
+//! outstanding in the engine, awaiting a BBR delivery-rate sample — are
+//! always a contiguous run of sequence numbers with holes where a packet was
+//! already acknowledged or declared lost. [`SeqRing`] exploits that: it keeps
+//! the run in pages of 64 slots, a page holding the sequence numbers from a
+//! multiple of 64 up to the next, where a slot is `None` once its packet has
+//! been removed. A sequence number's page and slot are a shift and a mask
+//! away. Insert at the tail, remove an arbitrary sequence number, read or pop
+//! the oldest entry — each is O(1) (amortized), with no hashing; an in-order
+//! ACK and a tail insert touch one page.
 //!
-//! Invariant: when the ring is non-empty, the front slot is `Some` (leading
-//! holes are trimmed on removal), so the oldest entry is directly readable.
+//! Memory follows what is outstanding now, not the widest window the flow
+//! ever had: the ring holds the pages its span (oldest entry to last insert)
+//! covers plus one spare, and gives a page up as soon as the oldest entry
+//! moves past it — into the spare, or back to the allocator if the spare is
+//! taken. The spare makes a steady span allocation-free: the page the tail
+//! moves into is the one the head last left. Every page of a `SeqRing<T>` is
+//! the same size, so freed pages are recycled across flows.
 //!
-//! [`SeqSet`] is the same structure for a user that needs membership only
-//! (`MiTracker`'s "still outstanding" guard): one bit per sequence number.
+//! Invariant: when the ring is non-empty, the oldest entry's slot is the
+//! `Some` at `head` in the head page (leading holes are trimmed on removal,
+//! a page at a time), so the oldest entry is directly readable.
+//!
+//! [`SeqSet`] is the same idea for a user that needs membership only
+//! (`MiTracker`'s "still outstanding" guard): one bit per sequence number,
+//! in a ring of 64-bit words.
 
 use std::collections::VecDeque;
 
 use crate::packet::SeqNr;
 
+/// Sequence numbers a page holds: `2^PAGE_BITS`.
+const PAGE_BITS: u32 = 6;
+/// Slots a page holds.
+const PAGE: usize = 1 << PAGE_BITS;
+/// A sequence number's slot within its page.
+const SLOT_MASK: SeqNr = PAGE as SeqNr - 1;
+/// A page directory that has emptied is freed if it has room for more page
+/// pointers than this: it indexed a window that is gone. One this small is
+/// kept, so a steady span of two to three pages never allocates.
+const DIRECTORY_KEEP: usize = 4;
+
+/// The slots of 64 consecutive sequence numbers from a multiple of 64.
+type Page<T> = [Option<T>; PAGE];
+
 /// Seq-indexed ring of per-packet values (see module docs).
+///
+/// The pages of the span are the head page, then the directory's, then the
+/// tail page: the in-order ACK and the tail insert each reach their page
+/// through one pointer, and only a removal in the middle of a span wider
+/// than two pages reads the directory.
 #[derive(Debug, Clone)]
 pub struct SeqRing<T> {
-    /// Slot `i` holds the value of sequence number `head_seq + i`; `None`
-    /// marks one already removed or skipped.
-    slots: VecDeque<Option<T>>,
-    /// Sequence number of `slots[0]`.
-    head_seq: SeqNr,
+    /// Lowest live sequence number; `end` when the ring is empty.
+    head: SeqNr,
+    /// One past the last sequence number inserted.
+    end: SeqNr,
     /// Number of `Some` slots.
     live: usize,
+    /// The page holding `head`; `None` exactly when the ring is empty.
+    head_page: Option<Box<Page<T>>>,
+    /// The page holding `end - 1` when that is not the head page.
+    tail_page: Option<Box<Page<T>>>,
+    /// The pages between the two, in order (empty unless there is a tail
+    /// page).
+    middle: VecDeque<Box<Page<T>>>,
+    /// An all-`None` page kept for the tail's next one.
+    spare: Option<Box<Page<T>>>,
 }
 
 impl<T> Default for SeqRing<T> {
     fn default() -> Self {
         Self {
-            slots: VecDeque::new(),
-            head_seq: 0,
+            head: 0,
+            end: 0,
             live: 0,
+            head_page: None,
+            tail_page: None,
+            middle: VecDeque::new(),
+            spare: None,
         }
     }
 }
@@ -59,15 +101,20 @@ impl<T> SeqRing<T> {
         self.live == 0
     }
 
-    /// Slots allocated: the widest span of sequence numbers the ring has
-    /// held at once, rounded up by the buffer's growth.
+    /// Slots allocated: 64 for every page the current span covers, plus 64
+    /// for the spare page if one is kept.
     pub fn capacity(&self) -> usize {
-        self.slots.capacity()
+        let pages = usize::from(self.head_page.is_some())
+            + self.middle.len()
+            + usize::from(self.tail_page.is_some())
+            + usize::from(self.spare.is_some());
+        pages * PAGE
     }
 
     /// Stores `value` under `seq`. Sequence numbers must rise across calls;
     /// a sender's `next_seq++` guarantees it. Gaps (sequence numbers skipped
-    /// entirely) are tolerated and read as already removed.
+    /// entirely) are tolerated and read as already removed. An empty ring
+    /// re-anchors wherever `seq` lands.
     ///
     /// # Panics
     /// Panics if `seq` is not above every sequence number the ring still
@@ -75,19 +122,28 @@ impl<T> SeqRing<T> {
     /// the value under the wrong number or grow the ring without bound).
     #[inline]
     pub fn insert(&mut self, seq: SeqNr, value: T) {
-        if self.slots.is_empty() {
-            self.head_seq = seq;
+        if self.head_page.is_none() {
+            self.head_page = Some(self.take_page());
+            self.head = seq;
+            self.end = seq;
         }
-        let tail = self.head_seq + self.slots.len() as SeqNr;
         assert!(
-            seq >= tail,
+            seq >= self.end,
             "sequence numbers must be inserted in increasing order: {seq} after {}",
-            tail.wrapping_sub(1)
+            self.end.wrapping_sub(1)
         );
-        for _ in tail..seq {
-            self.slots.push_back(None);
-        }
-        self.slots.push_back(Some(value));
+        // `seq` lies on the last page of the span or past it.
+        let page = match self.page_index(seq) {
+            0 => self.head_page.as_deref_mut(),
+            i => {
+                if i > self.middle.len() + usize::from(self.tail_page.is_some()) {
+                    self.extend_to(i);
+                }
+                self.tail_page.as_deref_mut()
+            }
+        };
+        page.expect("the span's last page exists")[(seq & SLOT_MASK) as usize] = Some(value);
+        self.end = seq + 1;
         self.live += 1;
     }
 
@@ -95,12 +151,19 @@ impl<T> SeqRing<T> {
     /// there.
     #[inline]
     pub fn remove(&mut self, seq: SeqNr) -> Option<T> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        let taken = self.slots.get_mut(idx)?.take();
+        if seq < self.head || seq >= self.end {
+            return None;
+        }
+        let page = match self.page_index(seq) {
+            0 => self.head_page.as_deref_mut()?,
+            i if i <= self.middle.len() => &mut *self.middle[i - 1],
+            _ => self.tail_page.as_deref_mut()?,
+        };
+        let taken = page[(seq & SLOT_MASK) as usize].take();
         if taken.is_some() {
             self.live -= 1;
-            if idx == 0 {
-                self.trim_front();
+            if seq == self.head {
+                self.advance_head();
             }
         }
         taken
@@ -108,27 +171,121 @@ impl<T> SeqRing<T> {
 
     /// The entry with the lowest sequence number, if any.
     pub fn front(&self) -> Option<(SeqNr, &T)> {
-        let value = self.slots.front()?.as_ref().expect("front slot is live");
-        Some((self.head_seq, value))
+        let page = self.head_page.as_deref()?;
+        let value = page[(self.head & SLOT_MASK) as usize]
+            .as_ref()
+            .expect("front slot is live");
+        Some((self.head, value))
     }
 
     /// Removes and returns the entry with the lowest sequence number.
     pub fn pop_front(&mut self) -> Option<(SeqNr, T)> {
-        let value = self.slots.front_mut()?.take().expect("front slot is live");
-        let seq = self.head_seq;
+        let seq = self.head;
+        let value = self.head_page.as_deref_mut()?[(seq & SLOT_MASK) as usize]
+            .take()
+            .expect("front slot is live");
         self.live -= 1;
-        self.trim_front();
+        self.advance_head();
         Some((seq, value))
     }
 
-    /// Drops leading holes so the front slot is live again (or the ring is
-    /// empty). Amortized O(1): every slot is pushed and popped once.
-    fn trim_front(&mut self) {
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.head_seq += 1;
+    /// How many pages past the head page `seq` lies (`seq >= head`).
+    #[inline]
+    fn page_index(&self, seq: SeqNr) -> usize {
+        ((seq >> PAGE_BITS) - (self.head >> PAGE_BITS)) as usize
+    }
+
+    /// Makes page `i` of the span (past its last page) the tail page, with
+    /// all-`None` pages for any gap before it.
+    #[cold]
+    fn extend_to(&mut self, i: usize) {
+        if let Some(tail) = self.tail_page.take() {
+            self.middle.push_back(tail);
         }
-        debug_assert!(!self.slots.is_empty() || self.live == 0);
+        while self.middle.len() + 1 < i {
+            let page = self.take_page();
+            self.middle.push_back(page);
+        }
+        self.tail_page = Some(self.take_page());
+    }
+
+    /// Moves the head past the entry just taken from it: to the next slot
+    /// when that is live, as it is under in-order ACKs, else by [`seek`].
+    /// (At a page edge the slot read is the head page's first, at or below
+    /// the old head and so empty: the edge goes to `seek` too.)
+    ///
+    /// [`seek`]: Self::seek
+    #[inline]
+    fn advance_head(&mut self) {
+        let next = self.head + 1;
+        if let Some(page) = self.head_page.as_deref() {
+            if page[(next & SLOT_MASK) as usize].is_some() {
+                self.head = next;
+                return;
+            }
+        }
+        self.seek(next);
+    }
+
+    /// Moves the head to the lowest live sequence number at or above `from`,
+    /// one past the old head, giving up every page it leaves; an emptied
+    /// ring gives up all its pages. Amortized O(1): every slot is passed
+    /// once, and a page of holes is scanned as one slice.
+    fn seek(&mut self, mut from: SeqNr) {
+        if self.live == 0 {
+            self.head = self.end;
+            for page in [self.head_page.take(), self.tail_page.take()] {
+                self.give_up(page);
+            }
+            while let Some(page) = self.middle.pop_front() {
+                self.give_up(Some(page));
+            }
+            self.trim_directory();
+            return;
+        }
+        let mut base = self.head & !SLOT_MASK;
+        loop {
+            let page = self
+                .head_page
+                .as_deref()
+                .expect("a non-empty ring has a head page");
+            if let Some(k) = page[(from - base) as usize..]
+                .iter()
+                .position(Option::is_some)
+            {
+                self.head = from + k as SeqNr;
+                return;
+            }
+            let next = self.middle.pop_front().or_else(|| self.tail_page.take());
+            debug_assert!(next.is_some(), "a live entry lies past the head page");
+            let left = std::mem::replace(&mut self.head_page, next);
+            self.give_up(left);
+            self.trim_directory();
+            base += PAGE as SeqNr;
+            from = base;
+        }
+    }
+
+    /// A page for the tail: the spare if there is one.
+    fn take_page(&mut self) -> Box<Page<T>> {
+        self.spare
+            .take()
+            .unwrap_or_else(|| Box::new([const { None }; PAGE]))
+    }
+
+    /// Keeps an all-`None` page as the spare, or frees it if one is kept.
+    fn give_up(&mut self, page: Option<Box<Page<T>>>) {
+        debug_assert!(page.iter().flat_map(|p| p.iter()).all(Option::is_none));
+        if self.spare.is_none() {
+            self.spare = page;
+        }
+    }
+
+    /// Frees an emptied page directory that outgrew [`DIRECTORY_KEEP`].
+    fn trim_directory(&mut self) {
+        if self.middle.is_empty() && self.middle.capacity() > DIRECTORY_KEEP {
+            self.middle = VecDeque::new();
+        }
     }
 }
 
