@@ -87,28 +87,41 @@ impl MediaMetrics {
 /// One flow's `(ACK time, RTT)` samples: exact, in nanoseconds, in runs — a
 /// sample that repeats the previous one's send gap and RTT writes no byte.
 ///
-/// Two byte columns of tokens. `gaps` holds the change in the *send-time*
-/// gap since the previous sample (the send time is `ACK time − RTT`, the
-/// packet's exact send instant; a PCC sender holds one rate for a monitor
-/// interval, so its send gap repeats where its ACK gap does not), `rtts`
-/// the change in RTT. A change that is not zero is one zigzag LEB128 value
-/// (one byte under 64 ns, two under 8 µs, three under 1 ms); a run of zero
-/// changes is one token, the byte 0 and the run's length, 1 to
+/// Two byte columns of tokens. The gap column holds the change in the
+/// *send-time* gap since the previous sample (the send time is `ACK time −
+/// RTT`, the packet's exact send instant; a PCC sender holds one rate for a
+/// monitor interval, so its send gap repeats where its ACK gap does not),
+/// the RTT column the change in RTT. A change that is not zero is one zigzag
+/// LEB128 value (one byte under 64 ns, two under 8 µs, three under 1 ms); a
+/// run of zero changes is one token, the byte 0 and the run's length, 1 to
 /// [`RUN_MAX`], in the byte after. A minimal LEB128 value other than 0 never
-/// ends in the byte 0, and no length is 0, so a column whose last but one
+/// ends in the byte 0, and no length is 0, so a block whose last but one
 /// byte is 0 ends in an open run, and the next zero change lengthens it in
 /// place: the runs need no field of their own. On the benchmark's clean
 /// cells that is 0.12 + 1.19 bytes a sample, 1.83 in all on its faulted and
 /// multi-hop ones.
 /// Deltas wrap in `u64`, a bijection, so every value decodes exactly at any
 /// size — an outage or a 78 h RTT is a few more bytes, not a second layout.
+///
+/// Each column is a list of blocks of at most [`BLOCK`] bytes, and no token
+/// straddles two. The open block grows as a `Vec` does, up to `BLOCK`; a
+/// token that does not fit seals it and opens the next at `BLOCK`, and a
+/// sealed block is never moved or resized again: a doubling buffer of
+/// megabytes is copied by every `realloc`, old and new both live while it
+/// moves, and past glibc's adaptive mmap threshold it is mapped afresh each
+/// time. The open blocks sit in the store, the sealed ones behind one box
+/// that stays `None` until a column fills its first block, so a store that
+/// never does allocates what one doubling `Vec` a column would.
+///
 /// The first sample's send time is kept apart in `first_sent`, the newest
 /// send time, gap and RTT are the bases of the next deltas, and `min`/`max`
 /// bound the RTTs for selection.
 #[derive(Debug, Clone, Default)]
 struct RttStore {
-    gaps: Vec<u8>,
-    rtts: Vec<u8>,
+    /// Each column's open block, [`GAPS`] then [`RTTS`].
+    open: [Vec<u8>; 2],
+    /// Each column's sealed blocks, in order.
+    sealed: Option<Box<[Vec<Vec<u8>>; 2]>>,
     first_sent: u64,
     last_sent: u64,
     last_gap: u64,
@@ -117,6 +130,15 @@ struct RttStore {
     min: u64,
     max: u64,
 }
+
+/// The gap column's index in [`RttStore`]'s block lists.
+const GAPS: usize = 0;
+/// The RTT column's.
+const RTTS: usize = 1;
+
+/// Bytes of one column block: a power of two below glibc's default 128 KiB
+/// mmap threshold, so that a block is an ordinary heap chunk.
+const BLOCK: usize = 32 << 10;
 
 /// Samples up to which a percentile selects on a decoded copy of the RTT
 /// column (8 B a sample, 512 KiB at most); above it, by counting.
@@ -127,46 +149,84 @@ const SELECT_ON_A_COPY: usize = 1 << 16;
 const DIGIT_BITS: u32 = 16;
 
 /// Stretches of samples the first counting pass splits the RTT column into,
-/// each noting where it starts, the RTT before it and which digits it holds
-/// (96 KiB), so that later passes decode only the stretches that can hold
-/// the answer.
+/// each noting where it starts, the RTT before it, how many samples it holds
+/// and which digits (96 KiB), so that later passes decode only the stretches
+/// that can hold the answer.
 const ZONES: usize = 4096;
 
 /// The most zero changes one run token counts; a longer run takes more.
 const RUN_MAX: u8 = u8::MAX;
 
-/// Appends `delta` (wrapping) to `col`: a zero lengthens the open run or
-/// opens one, anything else is one zigzag LEB128 value.
-#[inline]
-fn put(col: &mut Vec<u8>, delta: u64) {
-    if delta == 0 {
-        match col.as_mut_slice() {
-            [.., 0, run] if *run < RUN_MAX => *run += 1,
-            _ => col.extend_from_slice(&[0, 1]),
-        }
-        return;
-    }
-    let mut z = (delta << 1) ^ ((delta as i64 >> 63) as u64);
-    while z >= 0x80 {
-        col.push(z as u8 | 0x80);
-        z >>= 7;
-    }
-    col.push(z as u8);
+/// The longest token: a zigzag LEB128 `u64`.
+const MAX_TOKEN: usize = 10;
+
+/// A column's blocks, read-only: the sealed ones, then the open one.
+#[derive(Clone, Copy)]
+struct Column<'a> {
+    sealed: &'a [Vec<u8>],
+    open: &'a [u8],
 }
 
-/// The tokens of a column, from `value`: each the running sum it leaves and
-/// how many samples hold that sum (1 for a value, the length for a run).
+impl<'a> Column<'a> {
+    /// Block `i`: the open one for `i` = the count of sealed blocks.
+    fn block(self, i: usize) -> &'a [u8] {
+        self.sealed.get(i).map_or(self.open, Vec::as_slice)
+    }
+
+    /// The first block from `i` on that holds a byte, and its index. Out of
+    /// line, and on a copy of the column rather than on the reader, so that
+    /// `Runs::next` stays small enough to inline into the loops that read.
+    #[cold]
+    #[inline(never)]
+    fn nonempty_from(self, i: usize) -> Option<(usize, &'a [u8])> {
+        (i..=self.sealed.len())
+            .map(|i| (i, self.block(i)))
+            .find(|(_, b)| !b.is_empty())
+    }
+
+    fn blocks(self) -> impl Iterator<Item = &'a [u8]> {
+        self.sealed.iter().map(Vec::as_slice).chain([self.open])
+    }
+
+    /// Bytes of tokens.
+    fn len(self) -> usize {
+        self.blocks().map(<[u8]>::len).sum()
+    }
+}
+
+/// `delta` as a signed change, zigzagged: small changes either way are
+/// small numbers.
+#[inline]
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64 >> 63) as u64)
+}
+
+/// The tokens of a column from a token's start, one block slice at a time:
+/// each the running sum it leaves and how many samples hold that sum (1 for
+/// a value, the length for a run).
 struct Runs<'a> {
+    col: Column<'a>,
+    /// The block after the one `bytes` reads.
+    next: usize,
     bytes: std::slice::Iter<'a, u8>,
     value: u64,
 }
 
 impl<'a> Runs<'a> {
-    fn new(col: &'a [u8], value: u64) -> Self {
+    /// From byte `at` of block `block`, after the running sum `value`.
+    fn new(col: Column<'a>, block: usize, at: usize, value: u64) -> Self {
         Self {
-            bytes: col.iter(),
+            col,
+            next: block + 1,
+            bytes: col.block(block)[at..].iter(),
             value,
         }
+    }
+
+    /// Where the next token starts: its block and byte.
+    fn pos(&self) -> (usize, usize) {
+        let block = self.next - 1;
+        (block, self.col.block(block).len() - self.bytes.len())
     }
 }
 
@@ -175,7 +235,15 @@ impl Iterator for Runs<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(u64, u32)> {
-        let &b = self.bytes.next()?;
+        let b = match self.bytes.next() {
+            Some(&b) => b,
+            None => {
+                let (i, block) = self.col.nonempty_from(self.next)?;
+                (self.next, self.bytes) = (i + 1, block[1..].iter());
+                block[0]
+            }
+        };
+        // A token ends in the block it starts in.
         if b == 0 {
             let &run = self.bytes.next()?;
             return Some((self.value, u32::from(run)));
@@ -197,18 +265,29 @@ impl Iterator for Runs<'_> {
     }
 }
 
-/// The running sums of a column, one a sample: its runs, expanded.
-fn samples(col: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    Runs::new(col, 0).flat_map(|(value, n)| std::iter::repeat_n(value, n as usize))
+/// The running sums of a column, one a sample: its runs, expanded (by hand:
+/// a `flat_map` over [`Runs`] was not inlined, and read 10 % slower).
+fn samples(col: Column<'_>) -> impl Iterator<Item = u64> + '_ {
+    let mut runs = Runs::new(col, 0, 0, 0);
+    let (mut value, mut left) = (0, 0);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            (value, left) = runs.next()?;
+        }
+        left -= 1;
+        Some(value)
+    })
 }
 
-/// A stretch of the RTT column, whole tokens up to the next stretch: its
-/// byte offset, the RTT before it, and the lowest and highest first-pass
-/// digit among its samples.
+/// A stretch of the RTT column, whole tokens up to the next stretch: the
+/// block and byte it starts at, the RTT before it, the samples it holds, and
+/// the lowest and highest first-pass digit among them.
 struct Zone {
-    at: usize,
     base: u64,
-    digits: (u32, u32),
+    block: u32,
+    at: u32,
+    held: u32,
+    digits: (u16, u16),
 }
 
 /// The digit whose bucket holds rank `k` of the counted values; `k` becomes
@@ -232,39 +311,106 @@ impl RttStore {
             (self.min, self.max) = (rtt_ns, rtt_ns);
         }
         let gap = sent.wrapping_sub(self.last_sent);
-        put(&mut self.gaps, gap.wrapping_sub(self.last_gap));
-        put(&mut self.rtts, rtt_ns.wrapping_sub(self.last_rtt));
+        self.put(GAPS, gap.wrapping_sub(self.last_gap));
+        self.put(RTTS, rtt_ns.wrapping_sub(self.last_rtt));
         (self.last_sent, self.last_gap, self.last_rtt) = (sent, gap, rtt_ns);
         self.len += 1;
         self.min = self.min.min(rtt_ns);
         self.max = self.max.max(rtt_ns);
     }
 
+    /// Appends `delta` (wrapping) to column `c`: a zero lengthens the open
+    /// run or opens one, anything else is one zigzag LEB128 value.
+    // Out of line, with `c` a variable, it took half as much time again
+    // (3.2 % of `clean_dumbbell`'s profile samples against 2.2 %).
+    #[inline(always)]
+    fn put(&mut self, c: usize, delta: u64) {
+        let col = &mut self.open[c];
+        if delta == 0 {
+            if let [.., 0, run] = col.as_mut_slice() {
+                if *run < RUN_MAX {
+                    *run += 1;
+                    return;
+                }
+            }
+        }
+        if col.capacity() - col.len() < MAX_TOKEN {
+            self.make_room(c, delta);
+        }
+        let col = &mut self.open[c];
+        if delta == 0 {
+            col.extend_from_slice(&[0, 1]);
+            return;
+        }
+        let mut z = zigzag(delta);
+        while z >= 0x80 {
+            col.push(z as u8 | 0x80);
+            z >>= 7;
+        }
+        col.push(z as u8);
+    }
+
+    /// Makes room in column `c` for the token of `delta`, a new run if it
+    /// is 0: grows the open block as a `Vec` grows (double, at least 8
+    /// bytes) but to [`BLOCK`] at most, or, if the token would not fit even
+    /// then, seals it and opens the next one at `BLOCK`.
+    #[cold]
+    #[inline(never)]
+    fn make_room(&mut self, c: usize, delta: u64) {
+        let z = zigzag(delta);
+        let n = match z {
+            0 => 2,
+            _ => (u64::BITS - z.leading_zeros()).div_ceil(7) as usize,
+        };
+        let open = &mut self.open[c];
+        let need = open.len() + n;
+        if need <= open.capacity() {
+            return;
+        }
+        if need <= BLOCK {
+            let cap = (open.capacity() * 2).max(need).clamp(8, BLOCK);
+            open.reserve_exact(cap - open.len());
+        } else {
+            let full = std::mem::replace(open, Vec::with_capacity(BLOCK));
+            self.sealed.get_or_insert_default()[c].push(full);
+        }
+    }
+
     fn len(&self) -> usize {
         self.len
     }
 
+    /// Column `c`'s blocks.
+    fn column(&self, c: usize) -> Column<'_> {
+        Column {
+            sealed: self.sealed.as_ref().map_or(&[], |s| &s[c]),
+            open: &self.open[c],
+        }
+    }
+
     /// RTTs in nanoseconds, in sample order.
     fn rtts(&self) -> impl Iterator<Item = u64> + '_ {
-        samples(&self.rtts)
+        samples(self.column(RTTS))
     }
 
     /// Runs of equal RTTs in nanoseconds, in sample order: `(RTT, samples)`.
     fn rtt_runs(&self) -> Runs<'_> {
-        Runs::new(&self.rtts, 0)
+        Runs::new(self.column(RTTS), 0, 0, 0)
     }
 
     /// `(ACK time, RTT)` in sample order: the ACK time is the send time
     /// plus the RTT.
     fn iter(&self) -> impl Iterator<Item = (Time, Dur)> + '_ {
         let mut sent = self.first_sent;
-        samples(&self.gaps).zip(self.rtts()).map(move |(gap, rtt)| {
-            sent = sent.wrapping_add(gap);
-            (
-                Time::from_nanos(sent.wrapping_add(rtt)),
-                Dur::from_nanos(rtt),
-            )
-        })
+        samples(self.column(GAPS))
+            .zip(self.rtts())
+            .map(move |(gap, rtt)| {
+                sent = sent.wrapping_add(gap);
+                (
+                    Time::from_nanos(sent.wrapping_add(rtt)),
+                    Dur::from_nanos(rtt),
+                )
+            })
     }
 
     /// The nearest-rank `p`-th percentile RTT: an exact order statistic.
@@ -274,7 +420,9 @@ impl RttStore {
         let k = nearest_rank_index(self.len, p)?;
         let ns = if self.len <= SELECT_ON_A_COPY {
             let mut v = Vec::with_capacity(self.len);
-            v.extend(self.rtts());
+            for (rtt, n) in self.rtt_runs() {
+                v.extend(std::iter::repeat_n(rtt, n as usize));
+            }
             *v.select_nth_unstable(k).1
         } else {
             self.count_select(k)
@@ -301,27 +449,33 @@ impl RttStore {
 
         // Every stretch but the last holds at least `per_zone` samples, so
         // there are at most ZONES of them.
+        let col = self.column(RTTS);
         let per_zone = self.len.div_ceil(ZONES);
         let mut zones = Vec::with_capacity(ZONES);
-        let mut runs = self.rtt_runs();
-        while runs.bytes.len() > 0 {
-            let (at, base) = (self.rtts.len() - runs.bytes.len(), runs.value);
-            let (mut first, mut last, mut held) = (u32::MAX, 0, 0);
-            while held < per_zone {
+        let mut runs = Runs::new(col, 0, 0, 0);
+        loop {
+            let ((block, at), base) = (runs.pos(), runs.value);
+            let (mut first, mut last, mut held) = (u16::MAX, 0, 0);
+            while (held as usize) < per_zone {
                 let Some((rtt, n)) = runs.next() else { break };
                 let digit = ((rtt - lo) >> shift) as usize & MASK;
                 counts[digit] += n;
-                held += n as usize;
-                (first, last) = (first.min(digit as u32), last.max(digit as u32));
+                held += n;
+                (first, last) = (first.min(digit as u16), last.max(digit as u16));
+            }
+            if held == 0 {
+                break;
             }
             zones.push(Zone {
-                at,
                 base,
+                block: block as u32,
+                at: at as u32,
+                held,
                 digits: (first, last),
             });
         }
         let mut digit = digit_of_rank(counts, &mut k);
-        let first_digit = digit as u32;
+        let first_digit = digit as u16;
 
         loop {
             let base = (digit as u64) << shift;
@@ -332,12 +486,15 @@ impl RttStore {
             span = (span - base).min((1 << shift) - 1);
             shift = shift_for(span);
             counts.fill(0);
-            let ends = zones.iter().skip(1).map(|z| z.at);
-            for (z, end) in zones.iter().zip(ends.chain([self.rtts.len()])) {
+            for z in &zones {
                 if !(z.digits.0..=z.digits.1).contains(&first_digit) {
                     continue;
                 }
-                for (rtt, n) in Runs::new(&self.rtts[z.at..end], z.base) {
+                let mut runs = Runs::new(col, z.block as usize, z.at as usize, z.base);
+                let mut left = z.held;
+                while left > 0 {
+                    let (rtt, n) = runs.next().expect("a zone holds `held` samples");
+                    left -= n;
                     let off = rtt.wrapping_sub(lo);
                     if off <= span {
                         counts[(off >> shift) as usize & MASK] += n;
@@ -381,9 +538,11 @@ pub struct FlowMetrics {
     /// End of the newest bin in `acked_cum`, nanoseconds (0 before the
     /// first ACK): an ACK before it needs no division to find its bin.
     bin_end_ns: u64,
-    rtt_stride: usize,
+    /// Every `rtt_stride`-th ACK is sampled (a stride past `u32::MAX` is
+    /// `u32::MAX`: 4.29 billion ACKs).
+    rtt_stride: u32,
     /// ACKs left until the next RTT sample.
-    rtt_countdown: usize,
+    rtt_countdown: u32,
     /// Frame-latency accounting; `None` for every non-media flow (boxed so
     /// the common case costs one pointer, keeping media-free scenarios'
     /// layout and results untouched).
@@ -393,7 +552,7 @@ pub struct FlowMetrics {
 impl FlowMetrics {
     /// Creates an empty metrics record.
     pub fn new(id: FlowId, name: String, bin: Dur, rtt_stride: usize) -> Self {
-        let rtt_stride = rtt_stride.max(1);
+        let rtt_stride = u32::try_from(rtt_stride.max(1)).unwrap_or(u32::MAX);
         Self {
             id,
             name,
@@ -555,6 +714,13 @@ impl FlowMetrics {
         self.rtt
             .iter()
             .map(|(t, rtt)| (t.as_secs_f64(), rtt.as_secs_f64()))
+    }
+
+    /// Bytes of tokens in the RTT record, both columns: what a memory test
+    /// compares the record's heap with.
+    #[doc(hidden)]
+    pub fn rtt_record_bytes(&self) -> usize {
+        self.rtt.column(GAPS).len() + self.rtt.column(RTTS).len()
     }
 
     /// RTT values (seconds), discarding timestamps.
@@ -1026,10 +1192,11 @@ mod tests {
         let same = vec![(7_000_000_000, 30_000_000); 1000];
         let m = check_against_float_record(&same);
         let runs = [0, 255, 0, 255, 0, 255, 0, 235];
-        assert_eq!(m.rtt.gaps, runs);
+        assert_eq!(column_bytes(m.rtt.column(GAPS)), runs);
         let mut rtts = vec![0x80, 0x8e, 0xce, 0x1c];
         rtts.extend([0, 255, 0, 255, 0, 255, 0, 234]);
-        assert_eq!(m.rtt.rtts, rtts, "30 ms is 4 bytes, then 999 repeats");
+        let got = column_bytes(m.rtt.column(RTTS));
+        assert_eq!(got, rtts, "30 ms is 4 bytes, then 999 repeats");
 
         // 1 000-sample plateaus every 24 µs, one stepping up 1 µs, the next
         // down 500 ns: read at the threshold (on a copy), mid-run past it
@@ -1048,8 +1215,143 @@ mod tests {
             check_readers(&m, &trace[..cut]);
             fed = cut;
         }
-        let bytes = m.rtt.gaps.len() + m.rtt.rtts.len();
+        let bytes = m.rtt_record_bytes();
         assert!(bytes < 2_000, "{bytes} bytes for {} samples", m.rtt.len());
+    }
+
+    /// A column's tokens, block after block.
+    fn column_bytes(col: Column<'_>) -> Vec<u8> {
+        col.blocks().flatten().copied().collect()
+    }
+
+    /// Checks that every sealed block of column `c` kept the `BLOCK` bytes
+    /// it was given, filled to within one token (10 bytes at most), and
+    /// returns how many blocks the column has.
+    fn check_blocks(m: &FlowMetrics, c: usize) -> usize {
+        let col = m.rtt.column(c);
+        for (i, b) in col.sealed.iter().enumerate() {
+            assert_eq!(b.capacity(), BLOCK, "block {i} of column {c}");
+            assert!(
+                (BLOCK - 9..=BLOCK).contains(&b.len()),
+                "block {i} holds {}",
+                b.len()
+            );
+        }
+        assert!(m.rtt.open[c].capacity() <= BLOCK);
+        col.sealed.len() + 1
+    }
+
+    /// `n` samples sent every 24 µs (so the gap column is one run) whose RTT
+    /// starts at 20 ms and changes by `step`, up and down in turn, every
+    /// `every` samples: a change of 40 ns is one byte, of 10 µs three, of
+    /// 2^40 ns six.
+    fn stepping(n: u64, every: u64, step: u64) -> Vec<(u64, u64)> {
+        (0..n)
+            .map(|i| {
+                let rtt = 20_000_000 + (i / every) % 2 * step;
+                (5_000_000_000 + i * 24_000 + rtt, rtt)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flow_metrics_keep_their_size() {
+        assert_eq!(std::mem::size_of::<FlowMetrics>(), 272);
+        assert_eq!(std::mem::size_of::<Zone>() * ZONES, 96 << 10);
+    }
+
+    /// A value of three and of eight bytes, and a run token, written where
+    /// 0 to 9 bytes are left in the RTT column's first block: each moves
+    /// whole to the next block, and every reader sees the same samples.
+    #[test]
+    fn a_token_that_meets_a_block_edge_moves_whole_to_the_next_block() {
+        // 30 ms is 4 bytes, then 1-byte changes up to `left` bytes short.
+        for left in 0..10 {
+            let fill = (BLOCK - 4 - left) as u64;
+            for next in [1_000_000, 0, HORIZON] {
+                let mut trace = stepping(1 + fill, 1, 40);
+                trace.iter_mut().for_each(|s| s.1 += 10_000_000);
+                let sent = 5_000_000_000 + trace.len() as u64 * 24_000;
+                let rtt = trace[trace.len() - 1].1;
+                // The token at the edge, then a run across `RUN_MAX`, a
+                // jump back down and more 1-byte changes.
+                let tail = [rtt + next; 300].into_iter().chain([rtt, rtt + 40, rtt]);
+                for (i, rtt) in tail.enumerate() {
+                    trace.push((sent + i as u64 * 24_000 + rtt, rtt));
+                }
+                let m = check_against_float_record(&trace);
+                let blocks = check_blocks(&m, RTTS);
+                let first = m.rtt.column(RTTS).block(0).len();
+                let token = match next {
+                    0 => 2,
+                    1_000_000 => 3,
+                    _ => 8,
+                };
+                if left < token {
+                    assert!(blocks > 1, "{left} left, next {next}");
+                    assert_eq!(first, BLOCK - left, "{left} left, next {next}");
+                } else {
+                    assert!(first > BLOCK - left, "{left} left, next {next}");
+                }
+            }
+        }
+    }
+
+    /// Each column holds a run whose samples span several blocks of the
+    /// other: a sawtooth of 1-byte RTT changes under one run of send gaps,
+    /// then one of 1-byte gap changes under one run of RTTs (sawtooths, so
+    /// that no two blocks read alike). Read mid-run (by counting) and once
+    /// the run is extended.
+    #[test]
+    fn a_run_spans_many_blocks_of_the_other_column() {
+        let n = 4 * BLOCK as u64;
+        let mut trace: Vec<(u64, u64)> = (0..n)
+            .map(|i| {
+                let rtt = 20_000_000 + i % 4_000 * 40;
+                (5_000_000_000 + i * 24_000 + rtt, rtt)
+            })
+            .collect();
+        let (t, rtt) = trace[trace.len() - 1];
+        let mut sent = t - rtt;
+        for i in 0..n {
+            sent += 24_000 + i % 3_000 * 40;
+            trace.push((sent + rtt, rtt));
+        }
+        let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
+        let mut fed = 0;
+        for cut in [n as usize + 5_000, trace.len()] {
+            feed(&mut m, &trace[fed..cut]);
+            check_readers(&m, &trace[..cut]);
+            fed = cut;
+        }
+        assert_eq!((check_blocks(&m, GAPS), check_blocks(&m, RTTS)), (5, 5));
+    }
+
+    /// RTT columns of one, two and many blocks, each on both sides of the
+    /// selection threshold. Above it the first counting pass splits the
+    /// column into stretches of 17 samples, 6 to 102 bytes, so stretches
+    /// span block edges.
+    #[test]
+    fn selection_over_one_two_and_many_blocks_is_exact() {
+        let (below, above) = (SELECT_ON_A_COPY as u64 - 1, SELECT_ON_A_COPY as u64 + 1);
+        // (samples, samples a change, change, blocks)
+        let cases = [
+            (20_000, 1, 40, 1),
+            (above, 8, 40, 1),
+            (40_000, 1, 40, 2),
+            (above, 4, 40, 2),
+            (below, 1, 10_000, 7),
+            (above, 1, 1 << 40, 13),
+        ];
+        for (n, every, step, blocks) in cases {
+            let m = check_against_float_record(&stepping(n, every, step));
+            assert_eq!(
+                check_blocks(&m, RTTS),
+                blocks,
+                "{n} samples, {step} ns every {every}"
+            );
+            assert_eq!(check_blocks(&m, GAPS), 1);
+        }
     }
 
     /// Stores on both sides of the selection threshold, their RTTs spread

@@ -3,7 +3,8 @@
 //! million ACK-clocked samples hold at most three bytes each, a million that
 //! repeat one another hold next to nothing, a percentile of four million
 //! allocates no more than 512 KiB at its peak, and the store adds at most
-//! 40 bytes to a `FlowMetrics`.
+//! 40 bytes to a `FlowMetrics`. Its columns grow in blocks: no allocation is
+//! larger than one, and none is copied to grow.
 //!
 //! A counting global allocator wraps the system one, as in `sched_memory.rs`.
 //! The counters are process-wide, so the tests take turns on [`SERIAL`].
@@ -20,10 +21,13 @@ struct CountingAlloc;
 
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+/// The largest single allocation asked for.
+static LARGEST: AtomicI64 = AtomicI64::new(0);
 
 fn grow(by: i64) {
     let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    LARGEST.fetch_max(by, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -52,6 +56,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// `size_of::<FlowMetrics>()` with 8 bytes a sample in two `Vec`s.
 const FLOW_METRICS_BEFORE: usize = 232;
+
+/// Bytes of one block of an RTT column (`metrics::BLOCK`).
+const BLOCK: i64 = 32 << 10;
 
 /// RTT of ACK `i` of an ACK-clocked sawtooth: 30 ms of base delay, and a
 /// queue that grows 40 ns an ACK for 4 000 ACKs, then drains.
@@ -145,4 +152,35 @@ fn flow_metrics_hold_a_million_repeated_samples_in_64_kib() {
     assert_eq!(m.rtt_samples().count(), 1_000_000);
     assert_eq!(m.rtt_samples().last(), Some((71.999976, 0.030)));
     assert_eq!(m.rtt_percentile(50.0), Some(0.030));
+}
+
+#[test]
+fn flow_metrics_grow_their_rtt_record_a_block_at_a_time_and_never_reallocate() {
+    let _alone = alone();
+    // Four million ACK-clocked samples: 4.04 MB of tokens in 125 blocks.
+    // (In one doubling `Vec` a column the RTT column became one 4 MiB
+    // buffer, and the `realloc` that made it held 6 MiB at once.)
+    let before = live();
+    PEAK_BYTES.store(before, Ordering::Relaxed);
+    LARGEST.store(0, Ordering::Relaxed);
+    let m = ack_clocked(4_000_000);
+    let (held, peak) = (live() - before, PEAK_BYTES.load(Ordering::Relaxed) - before);
+    let largest = LARGEST.load(Ordering::Relaxed);
+    let tokens = m.rtt_record_bytes() as i64;
+    assert!(tokens > 100 * BLOCK, "{tokens} bytes of tokens");
+    assert!(largest <= BLOCK, "an allocation of {largest} bytes");
+    assert!(
+        peak <= held + BLOCK,
+        "feeding peaked at {peak} bytes to hold {held}"
+    );
+    assert!(
+        held <= tokens + 2 * BLOCK,
+        "{tokens} bytes of tokens held in {held}"
+    );
+    // Read across every block edge, and selected by counting over zones
+    // that cross them.
+    assert_eq!(m.rtt_samples().count(), 4_000_000);
+    assert_eq!(m.rtt_samples().last(), Some((143.999976, 0.030_159_96)));
+    assert_eq!(m.rtt_percentile(50.0), Some(sawtooth(1_999).as_secs_f64()));
+    assert_eq!(m.rtt_percentile(99.0), Some(sawtooth(3_959).as_secs_f64()));
 }
