@@ -1,43 +1,93 @@
 //! Theory tables: the Appendix-A equilibrium model and the §4.4 Proteus-H
 //! ideal-allocation formula, checked numerically.
+//!
+//! The six Appendix-A solves are one campaign job, so a warm run replays
+//! them from the cache like every simulated cell; the §4.4 closed form is
+//! evaluated inline.
 
+use proteus_core::equilibrium::{DAMPING, MAX_SWEEPS, SEARCH_STEPS, TOLERANCE};
 use proteus_core::{hybrid_ideal_allocation, solve_equilibrium, GameParams, SenderKind};
+use proteus_runner::{payload, SimJob};
 
+use crate::jobs::campaign;
 use crate::report::{f2, write_report, Table};
 use crate::RunCfg;
 
+use SenderKind::{Primary as P, Scavenger as S};
+
+/// Bottleneck capacity of the Appendix-A game, Mbps.
+const CAPACITY: f64 = 100.0;
+
+/// The Appendix-A cases: a row label and the senders' kinds.
+const CASES: [(&str, &[SenderKind]); 6] = [
+    ("1 P", &[P]),
+    ("1 S", &[S]),
+    ("4 P", &[P; 4]),
+    ("3 S", &[S; 3]),
+    ("P + S", &[P, S]),
+    ("2P + 2S", &[P, P, S, S]),
+];
+
+/// The [`CASES`]' equilibria as one job: payload
+/// [`payload::float_sets`] of each case's rates, in case order. The
+/// descriptor spells out every input of the solve — the game's parameters,
+/// the cases and the solver's constants — so a change to any of them
+/// misses the cache instead of replaying a stale table. A change to the
+/// solver's code that moves its output must bump the trailing `v1`.
+fn equilibria_job(params: GameParams) -> SimJob {
+    // Exhaustive, so a new parameter cannot be left out of the descriptor.
+    let GameParams {
+        exponent,
+        gradient_coef,
+        deviation_coef,
+        a_const,
+        capacity,
+        probe_eps,
+    } = params;
+    let cases: Vec<String> = CASES
+        .iter()
+        .map(|(_, kinds)| {
+            let code = |k: &SenderKind| if *k == P { 'P' } else { 'S' };
+            kinds.iter().map(code).collect()
+        })
+        .collect();
+    let descriptor = format!(
+        "theory/equilibria/d={exponent:?}/b={gradient_coef:?}/d_dev={deviation_coef:?}\
+         /A={a_const:?}/C={capacity:?}/eps={probe_eps:?}/cases={}/damping={DAMPING:?}\
+         /tol={TOLERANCE:?}/sweeps={MAX_SWEEPS}/steps={SEARCH_STEPS}/v1",
+        cases.join(",")
+    );
+    SimJob::new(descriptor, "theory-equilibria", move || {
+        let rates: Vec<Vec<f64>> = CASES
+            .iter()
+            .map(|(_, kinds)| solve_equilibrium(&params, kinds).rates)
+            .collect();
+        let sets: Vec<&[f64]> = rates.iter().map(Vec::as_slice).collect();
+        payload::encode_floats(&payload::float_sets(&sets))
+    })
+}
+
 /// Runs the theory tables.
-pub fn run_experiment(_cfg: RunCfg) -> String {
+pub fn run_experiment(cfg: RunCfg) -> String {
     // --- Symmetric and mixed equilibria of the Appendix-A game. ---
+    // A job of a few milliseconds is not worth sharding: every shard runs
+    // it, so none writes a table of placeholders.
+    let mut camp = campaign("theory", RunCfg { shard: None, ..cfg });
+    camp.push(equilibria_job(GameParams::paper_defaults(CAPACITY)));
+    let result = camp.run();
     let mut eq = Table::new(
         "Appendix A: numeric equilibria of the simplified game (C = 100 Mbps)",
         &["senders", "rates_Mbps", "total", "utilization"],
     );
-    let cases: Vec<(&str, Vec<SenderKind>)> = vec![
-        ("1 P", vec![SenderKind::Primary]),
-        ("1 S", vec![SenderKind::Scavenger]),
-        ("4 P", vec![SenderKind::Primary; 4]),
-        ("3 S", vec![SenderKind::Scavenger; 3]),
-        ("P + S", vec![SenderKind::Primary, SenderKind::Scavenger]),
-        (
-            "2P + 2S",
-            vec![
-                SenderKind::Primary,
-                SenderKind::Primary,
-                SenderKind::Scavenger,
-                SenderKind::Scavenger,
-            ],
-        ),
-    ];
-    let params = GameParams::paper_defaults(100.0);
-    for (label, kinds) in cases {
-        let sol = solve_equilibrium(&params, &kinds);
-        let rates: Vec<String> = sol.rates.iter().map(|r| f2(*r)).collect();
+    let sets = payload::decode_float_sets(&result.outputs[0]);
+    for ((label, _), rates) in CASES.iter().zip(&sets) {
+        let total: f64 = rates.iter().sum();
+        let shown: Vec<String> = rates.iter().map(|r| f2(*r)).collect();
         eq.row(vec![
-            label.into(),
-            rates.join(" "),
-            f2(sol.total()),
-            f2(sol.utilization(100.0)),
+            (*label).into(),
+            shown.join(" "),
+            f2(total),
+            f2(total.min(CAPACITY) / CAPACITY),
         ]);
     }
 
@@ -63,4 +113,38 @@ pub fn run_experiment(_cfg: RunCfg) -> String {
     let text = format!("{}\n{}\n", eq.render(), hy.render());
     write_report("tbl_equilibrium", &text, &[&eq, &hy]);
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_job_carries_every_cases_rates_bit_for_bit() {
+        let params = GameParams::paper_defaults(CAPACITY);
+        let sets = payload::decode_float_sets(&equilibria_job(params).execute());
+        assert_eq!(sets.len(), CASES.len());
+        let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        for ((label, kinds), rates) in CASES.iter().zip(&sets) {
+            let solved = solve_equilibrium(&params, kinds).rates;
+            assert_eq!(bits(rates), bits(&solved), "{label}");
+        }
+    }
+
+    #[test]
+    fn the_descriptor_spells_out_the_solve() {
+        let params = GameParams::paper_defaults(CAPACITY);
+        assert_eq!(
+            equilibria_job(params).descriptor(),
+            "theory/equilibria/d=0.9/b=900.0/d_dev=1500.0/A=0.008660254037844387/C=100.0\
+             /eps=0.05/cases=P,S,PPPP,SSS,PS,PPSS/damping=0.5/tol=1e-7/sweeps=20000\
+             /steps=200/v1"
+        );
+        let mut static_game = params;
+        static_game.probe_eps = 0.0;
+        assert_ne!(
+            equilibria_job(static_game).key(),
+            equilibria_job(params).key()
+        );
+    }
 }

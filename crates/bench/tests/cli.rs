@@ -129,6 +129,30 @@ fn repro_quick_and_reseeded_runs_leave_results_alone() {
     assert!(dir.join("tbl_equilibrium.txt").exists());
 }
 
+/// `theory` ignores `--shard`: each shard, on its own cold cache, solves the
+/// equilibria and writes the committed table, not one of placeholders.
+#[test]
+fn repro_theory_writes_the_whole_table_under_every_shard() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let committed = std::fs::read(root.join("results/tbl_equilibrium.txt")).unwrap();
+    for shard in ["1/2", "2/2"] {
+        let dir = root.join(format!("target/repro-scratch/theory-shard{}", &shard[..1]));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .env("PROTEUS_RESULTS_DIR", &dir)
+            .args(["--quick", "--shard", shard, "theory"])
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{shard}: {stderr}");
+        let table = std::fs::read(dir.join("tbl_equilibrium.txt")).expect("a theory report");
+        assert!(
+            table == committed,
+            "{shard}: the table differs from results/"
+        );
+    }
+}
+
 /// A warm `repro --trace` run restores every trace file it declared, not
 /// only the decision traces: delete `trace/` after a cold run, re-run, and
 /// the telemetry JSONL comes back byte-identical from the cache.

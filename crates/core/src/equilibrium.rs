@@ -40,6 +40,19 @@
 //! [`hybrid_ideal_allocation`] implements the §4.4 closed form for two
 //! Proteus-H senders.
 
+/// Step budget of [`GameParams::best_response`]'s ternary search.
+pub const SEARCH_STEPS: usize = 200;
+
+/// Damping of the best-response dynamics: each sweep moves a sender half
+/// way to its best response.
+pub const DAMPING: f64 = 0.5;
+
+/// Sweep budget of the best-response dynamics.
+pub const MAX_SWEEPS: usize = 20_000;
+
+/// Convergence tolerance of [`solve_equilibrium`], relative to capacity.
+pub const TOLERANCE: f64 = 1e-7;
+
 /// Which utility a player in the game uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SenderKind {
@@ -106,15 +119,26 @@ impl GameParams {
     }
 
     /// Best response of one sender to the others' total rate, by ternary
-    /// search on the concave utility.
+    /// search on the concave utility: at most [`SEARCH_STEPS`] steps, and
+    /// none after the bracket's fixed point.
+    ///
+    /// The fixed point is a step whose two probes round back to the
+    /// bracket ends (`m1 == lo && m2 == hi`): whichever branch it takes
+    /// writes back the value already there, so it and every later step
+    /// leave `lo` and `hi` as they are. Stopping there returns the very
+    /// bits the full [`SEARCH_STEPS`] would; on the Appendix-A cases the
+    /// bracket gets there after 91–101 steps.
     pub fn best_response(&self, kind: SenderKind, others: f64) -> f64 {
         let mut lo = 0.0_f64;
         // The utility is decreasing well above capacity; 2·C is a safe
         // upper bracket for any best response.
         let mut hi = 2.0 * self.capacity;
-        for _ in 0..200 {
+        for _ in 0..SEARCH_STEPS {
             let m1 = lo + (hi - lo) / 3.0;
             let m2 = hi - (hi - lo) / 3.0;
+            if m1 == lo && m2 == hi {
+                break;
+            }
             if self.utility(kind, m1, others) < self.utility(kind, m2, others) {
                 lo = m1;
             } else {
@@ -156,16 +180,26 @@ pub fn solve_equilibrium_from(
     start: &[f64],
     tol: f64,
 ) -> Equilibrium {
+    solve_with(params, kinds, start, tol, GameParams::best_response)
+}
+
+/// [`solve_equilibrium_from`] with the best response as an argument, so the
+/// tests can drive the dynamics with a reference search.
+fn solve_with(
+    params: &GameParams,
+    kinds: &[SenderKind],
+    start: &[f64],
+    tol: f64,
+    best_response: impl Fn(&GameParams, SenderKind, f64) -> f64,
+) -> Equilibrium {
     assert_eq!(kinds.len(), start.len());
     let mut rates = start.to_vec();
-    let damping = 0.5;
-    let max_sweeps = 20_000;
-    for sweep in 0..max_sweeps {
+    for sweep in 0..MAX_SWEEPS {
         let mut max_delta = 0.0_f64;
         for i in 0..rates.len() {
             let others: f64 = rates.iter().sum::<f64>() - rates[i];
-            let br = params.best_response(kinds[i], others);
-            let next = rates[i] + damping * (br - rates[i]);
+            let br = best_response(params, kinds[i], others);
+            let next = rates[i] + DAMPING * (br - rates[i]);
             max_delta = max_delta.max((next - rates[i]).abs());
             rates[i] = next;
         }
@@ -179,16 +213,17 @@ pub fn solve_equilibrium_from(
     }
     Equilibrium {
         rates,
-        iterations: max_sweeps,
+        iterations: MAX_SWEEPS,
         converged: false,
     }
 }
 
-/// Solves the game from the symmetric interior starting point `C/n`.
+/// Solves the game from the symmetric interior starting point `C/n`, to
+/// [`TOLERANCE`].
 pub fn solve_equilibrium(params: &GameParams, kinds: &[SenderKind]) -> Equilibrium {
     let n = kinds.len().max(1) as f64;
     let start = vec![params.capacity / n; kinds.len()];
-    solve_equilibrium_from(params, kinds, &start, 1e-7)
+    solve_equilibrium_from(params, kinds, &start, TOLERANCE)
 }
 
 /// The §4.4 ideal allocation for two Proteus-H senders with switching
@@ -375,6 +410,58 @@ mod tests {
     #[should_panic]
     fn hybrid_allocation_requires_ordered_thresholds() {
         let _ = hybrid_ideal_allocation(10.0, 20.0, 10.0);
+    }
+
+    /// The reference search: every one of the [`SEARCH_STEPS`] steps, with
+    /// no early exit.
+    fn full_search(p: &GameParams, kind: SenderKind, others: f64) -> f64 {
+        let (mut lo, mut hi) = (0.0_f64, 2.0 * p.capacity);
+        for _ in 0..SEARCH_STEPS {
+            let m1 = lo + (hi - lo) / 3.0;
+            let m2 = hi - (hi - lo) / 3.0;
+            if p.utility(kind, m1, others) < p.utility(kind, m2, others) {
+                lo = m1;
+            } else {
+                hi = m2;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn best_response_stops_on_the_full_searchs_bits() {
+        for capacity in [10.0, 100.0, 1000.0] {
+            let p = GameParams::paper_defaults(capacity);
+            for kind in [SenderKind::Primary, SenderKind::Scavenger] {
+                // 401 points over [0, 2C], the ends included.
+                for step in 0..=400 {
+                    let others = 2.0 * capacity * step as f64 / 400.0;
+                    let (got, want) =
+                        (p.best_response(kind, others), full_search(&p, kind, others));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{kind:?} C={capacity} others={others}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn appendix_a_cases_solve_to_the_full_searchs_bits() {
+        use SenderKind::{Primary as P, Scavenger as S};
+        let p = GameParams::paper_defaults(100.0);
+        let cases: [&[SenderKind]; 6] = [&[P], &[S], &[P; 4], &[S; 3], &[P, S], &[P, P, S, S]];
+        for kinds in cases {
+            let got = solve_equilibrium(&p, kinds);
+            let start = vec![p.capacity / kinds.len() as f64; kinds.len()];
+            let want = solve_with(&p, kinds, &start, TOLERANCE, full_search);
+            let bits = |e: &Equilibrium| e.rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{kinds:?}");
+            assert_eq!(got.iterations, want.iterations, "{kinds:?}");
+            assert!(got.converged && want.converged, "{kinds:?}");
+        }
     }
 
     #[test]
