@@ -42,7 +42,6 @@ pub fn campaign(name: &str, cfg: RunCfg) -> Campaign {
         CampaignOpts {
             jobs: cfg.jobs,
             cache: cfg.cache.then(|| results_dir().join(".cache")),
-            progress: cfg.jobs != 1,
             summary: Some(results_dir().join("campaigns.jsonl")),
             shard: cfg.shard,
         },

@@ -33,9 +33,10 @@ use crate::utility::{
 /// The default, [`NoopSink`], has `ENABLED = false`: every emission site is
 /// guarded by that associated constant, so an untraced sender compiles to
 /// exactly the pre-tracing code — no branches, no stores, no allocation on
-/// the per-ACK path (guarded by `tests/alloc_free.rs` and the `per_ack`
-/// microbenches). [`ProteusSender::with_sink`] rebuilds the sender with a
-/// recording sink such as [`proteus_trace::RingSink`]; a simulation that
+/// the per-ACK path (guarded by `tests/alloc_free.rs`; the benchmark's
+/// `core.per_ack_ns.*` and `trace.per_ack_overhead_share` probes time it).
+/// [`ProteusSender::with_sink`] rebuilds the sender with a recording sink
+/// such as [`proteus_trace::RingSink`]; a simulation that
 /// samples a trace swaps an untraced sender for its
 /// [`CongestionControl::decision_traced`] twin itself.
 pub struct ProteusSender<S: TraceSink = NoopSink> {

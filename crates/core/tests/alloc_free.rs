@@ -6,8 +6,8 @@
 //! phase (which is allowed to grow every reusable buffer — the MI drain
 //! scratch, the attribution bit set, the controller's tag queue — to its
 //! steady-state capacity), the allocation counter must not move across a
-//! long measurement window. This is the test form of the ISSUE's acceptance
-//! criterion and guards every structure DESIGN.md §4d describes:
+//! long measurement window. This is the test form of the zero-allocation
+//! contract and guards every structure DESIGN.md §4d describes:
 //! `RegressionAccumulator` (fixed-size MI state), the `SeqSet` attribution
 //! guard (seq-indexed, amortized O(1)), `ProbePlan`/`ProbeResults` (stack-fixed
 //! probe buffers) and the `[_; TREND_WINDOW_MAX]` trending window.
@@ -50,8 +50,11 @@ const RTT_MS: u64 = 30;
 
 /// Drives `events` send+ACK pairs (1 ms apart, fixed 30 ms RTT), firing the
 /// MI timer whenever it is due — the same shape the simulator produces for
-/// a paced steady flow, so MIs roll and complete throughout.
-fn drive<S: TraceSink>(cc: &mut ProteusSender<S>, seq: &mut u64, events: u64) {
+/// a paced steady flow, so MIs roll and complete throughout. Each step ACKs
+/// `seq − depth`, so `depth` packets stay in flight (the first `depth`
+/// sends of a fresh sender fill the window unacknowledged); depth 0 ACKs
+/// every packet as it is sent.
+fn drive<S: TraceSink>(cc: &mut ProteusSender<S>, seq: &mut u64, events: u64, depth: u64) {
     for _ in 0..events {
         *seq += 1;
         let now = Time::from_millis(*seq);
@@ -68,13 +71,17 @@ fn drive<S: TraceSink>(cc: &mut ProteusSender<S>, seq: &mut u64, events: u64) {
                 sent_at: now,
             },
         );
+        let Some(acked) = seq.checked_sub(depth).filter(|&a| a > 0) else {
+            continue;
+        };
+        let recv_at = Time::from_millis(acked + RTT_MS);
         cc.on_ack(
-            Time::from_millis(*seq + RTT_MS),
+            recv_at.max(now),
             &AckInfo {
-                seq: *seq,
+                seq: acked,
                 bytes: 1500,
-                sent_at: now,
-                recv_at: Time::from_millis(*seq + RTT_MS),
+                sent_at: Time::from_millis(acked),
+                recv_at,
                 rtt: Dur::from_millis(RTT_MS),
                 one_way_delay: Dur::from_millis(RTT_MS / 2),
             },
@@ -105,17 +112,21 @@ fn assert_window_alloc_free(what: &str, mut window: impl FnMut()) {
 /// running sibling tests would pollute the measurement windows.
 #[test]
 fn steady_state_controller_path_does_not_allocate() {
-    // Phase 1: Proteus-S. ~160 MIs of warm-up reach steady probing/moving
-    // cycles and size every reusable buffer.
-    let mut cc = ProteusSender::scavenger(7);
-    cc.on_flow_start(Time::ZERO);
-    let mut seq = 0u64;
-    drive(&mut cc, &mut seq, 5_000);
+    // Phase 1: Proteus-S, one packet in flight and then 256 — the depth of
+    // a saturated flow, where attribution spans several pending MIs. ~160
+    // MIs of warm-up reach steady probing/moving cycles and size every
+    // reusable buffer.
+    for depth in [0, 256] {
+        let mut cc = ProteusSender::scavenger(7);
+        cc.on_flow_start(Time::ZERO);
+        let mut seq = 0u64;
+        drive(&mut cc, &mut seq, 5_000, depth);
 
-    assert_window_alloc_free(
-        "steady-state Proteus-S path (10k send+ACK+MI events)",
-        || drive(&mut cc, &mut seq, 10_000),
-    );
+        assert_window_alloc_free(
+            &format!("steady-state Proteus-S path, {depth} in flight (10k send+ACK+MI events)"),
+            || drive(&mut cc, &mut seq, 10_000, depth),
+        );
+    }
 
     // Phase 2: Proteus-H with live §4.4 mode switching — threshold retunes
     // and `set_mode` flips between hybrid and scavenger objectives. `Mode`
@@ -124,7 +135,7 @@ fn steady_state_controller_path_does_not_allocate() {
     let mut cc = ProteusSender::hybrid(7, threshold.clone());
     cc.on_flow_start(Time::ZERO);
     let mut seq = 0u64;
-    drive(&mut cc, &mut seq, 5_000);
+    drive(&mut cc, &mut seq, 5_000, 0);
 
     let mut round = 0u64;
     assert_window_alloc_free(
@@ -139,7 +150,7 @@ fn steady_state_controller_path_does_not_allocate() {
                     cc.set_mode(Mode::Scavenger);
                 }
                 round += 1;
-                drive(&mut cc, &mut seq, 100);
+                drive(&mut cc, &mut seq, 100, 0);
             }
         },
     );
@@ -154,13 +165,13 @@ fn steady_state_controller_path_does_not_allocate() {
     cc.on_flow_start(Time::ZERO);
     let mut seq = 0u64;
     let mut events: Vec<proteus_trace::DecisionEvent> = Vec::with_capacity(4096);
-    drive(&mut cc, &mut seq, 5_000);
+    drive(&mut cc, &mut seq, 5_000, 0);
     cc.drain_decisions_into(&mut events);
 
     assert_window_alloc_free(
         "steady-state traced (RingSink) path (10k events + drain)",
         || {
-            drive(&mut cc, &mut seq, 10_000);
+            drive(&mut cc, &mut seq, 10_000, 0);
             events.clear();
             cc.drain_decisions_into(&mut events);
         },

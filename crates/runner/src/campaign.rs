@@ -17,12 +17,11 @@ use crate::pool::Executor;
 /// Options controlling how a campaign executes.
 #[derive(Debug, Clone)]
 pub struct CampaignOpts {
-    /// Worker threads (0 → one per available core).
+    /// Worker threads (0 → one per available core). Any value but 1 also
+    /// prints per-job progress lines to stderr.
     pub jobs: usize,
     /// Result-cache directory; `None` disables caching.
     pub cache: Option<PathBuf>,
-    /// Print per-job progress lines to stderr.
-    pub progress: bool,
     /// File to append the run's [`CampaignStats`] JSON line to (JSONL
     /// trajectory across invocations); `None` disables it.
     pub summary: Option<PathBuf>,
@@ -44,7 +43,6 @@ impl Default for CampaignOpts {
         Self {
             jobs: 1,
             cache: None,
-            progress: false,
             summary: None,
             shard: None,
         }
@@ -247,7 +245,8 @@ impl Campaign {
         let cached = total - to_run.len() - skipped;
         let executed = to_run.len();
 
-        if self.opts.progress && total > 0 {
+        let progress = self.opts.jobs != 1;
+        if progress && total > 0 {
             eprintln!(
                 "[{}] {} job(s): {} cached, {} skipped (shard), {} to run on {} worker(s)",
                 self.name, total, cached, skipped, executed, workers
@@ -272,7 +271,6 @@ impl Campaign {
             let jobs: Vec<SimJob> = to_run.into_iter().map(|(_, job)| job).collect();
 
             let name = self.name.clone();
-            let progress = self.opts.progress;
             let cb = move |done: usize, run_total: usize, label: &str| {
                 if progress {
                     eprintln!("[{name}] {done}/{run_total} {label}");

@@ -9,8 +9,8 @@
 //!
 //! * [`NoopSink`] — the default; `ENABLED = false`, so every recording site
 //!   compiles to nothing (the per-ACK hot path stays allocation-free and
-//!   branch-free, guarded by `crates/core/tests/alloc_free.rs` and the
-//!   `per_ack` microbenches),
+//!   branch-free, guarded by `crates/core/tests/alloc_free.rs`; the
+//!   benchmark's `trace.per_ack_overhead_share` probe times it),
 //! * [`RingSink`] — a preallocated per-flow ring buffer that keeps the most
 //!   recent events and never allocates after construction,
 //! * [`export::to_jsonl`] — one JSON object per event (grep/jq-friendly),
