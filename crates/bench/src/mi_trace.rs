@@ -18,6 +18,7 @@ use std::sync::OnceLock;
 
 use proteus_netsim::SimResult;
 use proteus_runner::json::Obj;
+use proteus_runner::write_if_changed;
 use proteus_trace::export::{to_chrome_trace, to_jsonl};
 use proteus_trace::TraceSummary;
 
@@ -91,10 +92,11 @@ impl TraceSink {
     }
 }
 
-/// Writes `text` to `path`, creating its directory.
+/// Writes `text` to `path` unless it already holds it
+/// ([`write_if_changed`]), creating its directory.
 fn put(path: &Path, text: String) -> io::Result<()> {
-    let dir = path.parent().map_or(Ok(()), fs::create_dir_all);
-    dir.and_then(|()| fs::write(path, text))
+    write_if_changed(path, text.as_bytes())
+        .map(drop)
         .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
 }
 

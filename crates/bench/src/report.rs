@@ -3,10 +3,10 @@
 //! reaches disk.
 
 use std::fmt::Write as _;
-use std::fs;
 use std::path::{Path, PathBuf};
 
 use proteus_runner::json::{array, Obj};
+use proteus_runner::write_if_changed;
 
 use crate::eval::OBJECTIVE;
 use crate::search::{RankedCandidate, SearchOutcome, SearchSpec};
@@ -92,30 +92,34 @@ impl Table {
 /// Directory where experiment reports are written: `results/` at the repo
 /// root, or `$PROTEUS_RESULTS_DIR` when set (the golden-output test points
 /// this at a scratch directory so running experiments cannot clobber the
-/// committed full-fidelity reports).
+/// committed full-fidelity reports). It is not created here: each writer
+/// creates the directories of what it writes.
 pub fn results_dir() -> PathBuf {
-    let dir = match std::env::var_os("PROTEUS_RESULTS_DIR") {
+    match std::env::var_os("PROTEUS_RESULTS_DIR") {
         Some(d) if !d.is_empty() => PathBuf::from(d),
         _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-    };
-    let _ = fs::create_dir_all(&dir);
-    dir
+    }
 }
 
-/// Writes `files` (name, contents) under `dir`, creating it. A report that
-/// cannot be persisted is still returned and printed by its experiment, so
-/// a failure is not fatal: the first path that cannot be written is named
-/// in a warning on stderr and returned, and the rest are not attempted.
+/// Writes `files` (name, contents) under `dir` through
+/// [`write_if_changed`]: a file that already holds its contents — every
+/// report of a warm replay — is left untouched, and `dir` is created only
+/// when something must be written. A report that cannot be persisted is
+/// still returned and printed by its experiment, so a failure is not
+/// fatal: the first path that cannot be written (`dir` itself when it
+/// cannot be created) is named in a warning on stderr and returned, and
+/// the rest are not attempted.
 pub fn write_files(dir: &Path, files: &[(String, String)]) -> Option<PathBuf> {
-    let written = fs::create_dir_all(dir)
-        .map_err(|e| (dir.to_path_buf(), e))
-        .and_then(|()| {
-            files.iter().try_for_each(|(name, content)| {
-                let path = dir.join(name);
-                fs::write(&path, content).map_err(|e| (path, e))
-            })
-        });
-    let (path, e) = written.err()?;
+    let (path, e) = files.iter().find_map(|(name, content)| {
+        let path = dir.join(name);
+        let written = write_if_changed(&path, content.as_bytes());
+        written.err().map(|e| (path, e))
+    })?;
+    let path = if dir.is_dir() {
+        path
+    } else {
+        dir.to_path_buf()
+    };
     eprintln!("warning: could not write {}: {e}", path.display());
     Some(path)
 }
@@ -405,6 +409,7 @@ mod tests {
     use super::*;
     use crate::eval::{CandidateEval, CandidateMetrics};
     use crate::search::quick_spec;
+    use std::fs;
 
     #[test]
     fn renders_aligned() {

@@ -6,6 +6,11 @@
 //! variable-length payloads (Fig. 2's window sets, Fig. 14's timeline) are
 //! longer than the shard placeholder.
 //!
+//! The warm pass also writes nothing that is already on disk: every file
+//! the cold pass left — reports, CSVs, cache entries — keeps its bytes and
+//! its modification time, and the campaign log is the one file it appends
+//! to.
+//!
 //! Runs the whole quick registry cold, so it is release-only (CI's "Warm
 //! replay check" step); under a debug `cargo test` it is ignored.
 //!
@@ -13,7 +18,8 @@
 //! counters are process-global.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, SystemTime};
 
 use proteus_bench::experiments::{registry, Experiment};
 use proteus_bench::RunCfg;
@@ -52,6 +58,28 @@ fn run(e: &Experiment, cfg: RunCfg) -> Pass {
     }
 }
 
+/// Every regular file under `dir`, sorted.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(d) = dirs.pop() {
+        for entry in fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+fn mtime(path: &Path) -> SystemTime {
+    fs::metadata(path).unwrap().modified().unwrap()
+}
+
 fn scratch(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     let _ = fs::remove_dir_all(&dir);
@@ -69,8 +97,24 @@ fn warm_registry_is_pure_replay_and_shards_merge() {
     assert!(cfg.cache && cfg.jobs == 1);
     let experiments = registry();
 
-    scratch("warm_replay");
+    let dir = scratch("warm_replay");
     let cold: Vec<Pass> = experiments.iter().map(|e| run(e, cfg)).collect();
+    // Backdate everything the cold pass wrote, so that a warm rewrite of
+    // even the same bytes shows.
+    let old = SystemTime::UNIX_EPOCH + Duration::from_secs(946_684_800);
+    let before: Vec<(PathBuf, Vec<u8>)> = files_under(&dir)
+        .into_iter()
+        .map(|path| {
+            fs::File::open(&path).unwrap().set_modified(old).unwrap();
+            let bytes = fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect();
+    assert!(
+        before.len() > 500,
+        "{} files after the cold pass",
+        before.len()
+    );
     for (e, cold) in experiments.iter().zip(&cold) {
         let warm = run(e, cfg);
         assert_eq!(warm.report, cold.report, "{}: warm report differs", e.id);
@@ -82,6 +126,22 @@ fn warm_registry_is_pure_replay_and_shards_merge() {
         // solves included: none recomputes anything warm.
         assert!(!warm.campaigns.is_empty(), "{}: no campaign", e.id);
     }
+    let log = dir.join("campaigns.jsonl");
+    let after = files_under(&dir);
+    assert_eq!(
+        after,
+        before.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>(),
+        "the warm pass added or removed files"
+    );
+    for (path, bytes) in before.iter().filter(|(p, _)| *p != log) {
+        assert_eq!(mtime(path), old, "warm pass rewrote {}", path.display());
+        assert!(
+            fs::read(path).unwrap() == *bytes,
+            "{} changed",
+            path.display()
+        );
+    }
+    assert!(mtime(&log) > old, "the warm pass logged no campaign");
 
     // Two shards, each on its own machine's cache — so every converted
     // experiment renders a report from placeholders in at least one of

@@ -471,6 +471,7 @@ impl<S: TraceSink> CongestionControl for ProteusSender<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rate_control::MAX_RATE_MBPS;
 
     fn ack(seq: u64, sent: Time, now: Time) -> AckInfo {
         AckInfo {
@@ -501,6 +502,38 @@ mod tests {
         s.on_timer(first_end);
         let second_end = s.next_timer().unwrap();
         assert!(second_end > first_end);
+    }
+
+    #[test]
+    fn loss_free_scripted_acks_stop_at_the_rate_ceiling() {
+        // One packet a millisecond, each ACKed as it is sent after a
+        // constant 30 ms RTT, nothing lost: every MI's utility beats the
+        // last, so slow start never ends and only the ceiling stops the
+        // doubling (without it the rate passes 1e300 Mbps by ACK 30 000).
+        let mut s = ProteusSender::scavenger(7);
+        s.on_flow_start(Time::ZERO);
+        let mut peak = 0.0f64;
+        for seq in 1..=30_000u64 {
+            let now = Time::from_millis(seq);
+            if s.next_timer().is_some_and(|end| end <= now) {
+                s.on_timer(now);
+            }
+            let sent = SentPacket {
+                seq,
+                bytes: 1500,
+                sent_at: now,
+            };
+            s.on_packet_sent(now, &sent);
+            let recv_at = Time::from_millis(seq + 30);
+            s.on_ack(recv_at, &ack(seq, now, recv_at));
+            let rate = s.rate_mbps();
+            assert!(
+                rate.is_finite() && rate <= MAX_RATE_MBPS,
+                "ACK {seq}: {rate} Mbps"
+            );
+            peak = peak.max(rate);
+        }
+        assert_eq!(peak, MAX_RATE_MBPS, "the script never reached the ceiling");
     }
 
     #[test]

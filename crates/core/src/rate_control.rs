@@ -34,6 +34,15 @@ use crate::config::{ProbeRule, RateControlParams};
 /// Proteus §5 uses 3). Sizes the fixed probe buffers below.
 const MAX_PAIRS: usize = 4;
 
+/// Highest rate, Mbps, the controller hands out or holds. Utility feedback
+/// alone never stops a slow start that keeps seeing its utility rise (a
+/// scripted loss-free, constant-RTT feed doubles it to infinity), so the
+/// rate needs a finite ceiling. A constant, not a [`RateControlParams`]
+/// field, so configurations and cache keys stay as they are; at 10^9 Mbps
+/// it is far above any rate a simulated link lets a sender reach, so it
+/// never binds there.
+pub(crate) const MAX_RATE_MBPS: f64 = 1e9;
+
 /// A probe trial: `(pair index, high side, rate)`.
 type Trial = (usize, bool, f64);
 
@@ -261,7 +270,7 @@ impl RateController {
             State::Starting { .. } => {
                 let r = self.rate;
                 // Pipeline the doubling; completions will catch a drop.
-                self.rate *= 2.0;
+                self.rate = self.bounded(r * 2.0);
                 (Tag::Starting { rate: r }, r)
             }
             State::Probing { plan, .. } => match plan.pop_front() {
@@ -271,7 +280,13 @@ impl RateController {
             State::Moving { .. } => (Tag::Moving { rate: self.rate }, self.rate),
         };
         self.pending.push_back((self.epoch, tag));
-        rate.max(self.params.min_rate_mbps)
+        self.bounded(rate)
+    }
+
+    /// `rate` held within `[min_rate_mbps, MAX_RATE_MBPS]`; a NaN reads as
+    /// the floor.
+    fn bounded(&self, rate: f64) -> f64 {
+        rate.max(self.params.min_rate_mbps).min(MAX_RATE_MBPS)
     }
 
     /// Feeds the utility of the oldest outstanding MI (MIs complete in
@@ -297,7 +312,7 @@ impl RateController {
 
     fn enter_probing(&mut self, base: f64) {
         self.bump_epoch();
-        let base = base.max(self.params.min_rate_mbps);
+        let base = self.bounded(base);
         self.note(EventKind::RateTransition(RateTransition {
             from: self.phase(),
             to: CtlPhase::Probing,
@@ -331,12 +346,13 @@ impl RateController {
         self.bump_epoch();
         let direction = if gradient >= 0.0 { 1.0 } else { -1.0 };
         let theta = self.clamped_step(gradient, 1, base);
+        let rate = self.bounded(base + theta);
         self.note(EventKind::RateTransition(RateTransition {
             from: self.phase(),
             to: CtlPhase::Moving,
-            rate_mbps: (base + theta).max(self.params.min_rate_mbps),
+            rate_mbps: rate,
         }));
-        self.rate = (base + theta).max(self.params.min_rate_mbps);
+        self.rate = rate;
         self.state = State::Moving {
             prev_rate: base,
             prev_utility: base_utility,
@@ -355,7 +371,7 @@ impl RateController {
     /// rate-proportional steps would let the incumbent run away.
     fn clamped_step(&self, gradient: f64, steps: u32, rate: f64) -> f64 {
         let m = steps as f64;
-        let rate = rate.max(self.params.min_rate_mbps);
+        let rate = self.bounded(rate);
         let raw = m * self.params.gamma * gradient;
         let omega = (self.params.omega_init + self.params.omega_step * (steps - 1) as f64)
             .min(self.params.omega_max);
@@ -521,7 +537,7 @@ impl RateController {
         *prev_rate = rate;
         *prev_utility = utility;
         let theta = self.clamped_step(gradient, steps_now, rate);
-        self.rate = (rate + theta).max(self.params.min_rate_mbps);
+        self.rate = self.bounded(rate + theta);
     }
 }
 
@@ -696,6 +712,19 @@ mod tests {
         // Negative gradients clamp symmetrically.
         let down = c.clamped_step(-1e9, 1, 100.0);
         assert!((down + 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn starting_doubles_no_higher_than_the_ceiling() {
+        let mut c = controller(ProbeRule::Majority);
+        // Utility rising with the rate never ends slow start; 2 000
+        // doublings would overflow to infinity.
+        for _ in 0..2_000 {
+            let r = step(&mut c, |r| r);
+            assert!(r <= MAX_RATE_MBPS, "rate {r}");
+        }
+        assert!(c.is_starting());
+        assert_eq!(c.rate_mbps(), MAX_RATE_MBPS);
     }
 
     #[test]

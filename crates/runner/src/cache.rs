@@ -44,19 +44,20 @@ impl ResultCache {
     /// body. Anything that does not match — an entry of an older format, a
     /// different descriptor (hash-scheme change or collision), or a body
     /// shorter or longer than its recorded length (a torn or truncated
-    /// write) — is a miss.
+    /// write) — is a miss. The body is returned in the `String` the file
+    /// was read into, the header drained off its front: one allocation.
     fn read_entry(path: &Path, descriptor: &str) -> Option<String> {
-        let text = fs::read_to_string(path).ok()?;
+        let mut text = fs::read_to_string(path).ok()?;
         let mut lines = text.splitn(5, '\n');
         if lines.next() != Some(MAGIC) || lines.next() != Some(descriptor) {
             return None;
         }
         let len: usize = lines.next()?.parse().ok()?;
-        if lines.next() != Some("---") {
+        if lines.next() != Some("---") || lines.next().unwrap_or("").len() != len {
             return None;
         }
-        let body = lines.next().unwrap_or("");
-        (body.len() == len).then(|| body.to_string())
+        text.drain(..text.len() - len);
+        Some(text)
     }
 
     /// Writes one entry file through a temporary name unique to this

@@ -10,6 +10,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::cache::ResultCache;
+use crate::files::write_if_changed;
 use crate::job::SimJob;
 use crate::json::Obj;
 use crate::pool::Executor;
@@ -321,15 +322,13 @@ impl Campaign {
         CampaignResult { outputs, stats }
     }
 
-    /// Rewrites one cached artifact to its declared path. Write failures
-    /// are ignored like cache-store failures: replay is best-effort, and a
-    /// reader that needs the file will see it missing and re-run without a
-    /// cache (`--no-cache`) to regenerate it.
+    /// Restores one cached artifact to its declared path, leaving a file
+    /// that already holds it untouched ([`write_if_changed`]). Write
+    /// failures are ignored like cache-store failures: replay is
+    /// best-effort, and a reader that needs the file will see it missing
+    /// and re-run without a cache (`--no-cache`) to regenerate it.
     fn replay_artifact(path: &std::path::Path, content: &str) {
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let _ = std::fs::write(path, content);
+        let _ = write_if_changed(path, content.as_bytes());
     }
 
     /// Appends one stats line to the JSONL trajectory file. I/O errors are

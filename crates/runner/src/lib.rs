@@ -15,6 +15,8 @@
 //!   so re-running `repro` only recomputes cells whose descriptors changed,
 //! * [`Campaign`] — ties the three together and reports progress and a
 //!   machine-readable JSON summary for the bench trajectory,
+//! * [`write_if_changed`] — the one way reports and replayed artifacts
+//!   reach disk: a file that already holds the bytes is left untouched,
 //! * [`payload`] / [`json`] — round-trip float encoding for job payloads
 //!   and a tiny JSON writer for telemetry (no serde in the tree).
 //!
@@ -41,6 +43,7 @@
 
 pub mod cache;
 pub mod campaign;
+mod files;
 pub mod hash;
 pub mod job;
 pub mod json;
@@ -52,6 +55,7 @@ pub use campaign::{
     skipped_payload, take_session_stats, Campaign, CampaignOpts, CampaignResult, CampaignStats,
     SKIPPED_PAYLOAD_FLOATS,
 };
+pub use files::write_if_changed;
 pub use hash::JobKey;
 pub use job::SimJob;
 pub use pool::Executor;
