@@ -25,9 +25,9 @@
 //! `--trace` traces every cell: per-flow telemetry JSONL under
 //! `results/trace/`, and structured decision traces (MI closes, mode
 //! switches, filter verdicts — see `OBSERVABILITY.md`) as JSONL and as a
-//! Chrome trace under `results/trace-mi/` (or `--trace-out DIR` /
-//! `$PROTEUS_TRACE_DIR`). The pseudo-experiment `trace-summary` aggregates
-//! previously recorded decision traces instead of running simulations.
+//! Chrome trace under `results/trace-mi/` (or `--trace-out DIR`). The
+//! pseudo-experiment `trace-summary` aggregates previously recorded
+//! decision traces instead of running simulations.
 
 use std::env;
 use std::path::{Path, PathBuf};

@@ -7,9 +7,9 @@
 //! and `OBSERVABILITY.md`). [`TraceSink`] writes one run's three exports:
 //! the decisions as `<exp>/<run>.jsonl` (one event per line) and
 //! `<exp>/<run>.trace.json` (Chrome `trace_event`, loadable in Perfetto)
-//! under [`mi_trace_dir`] — `results/trace-mi/` by default,
-//! `$PROTEUS_TRACE_DIR` or `--trace-out DIR` when set — and the telemetry
-//! as `results/trace/<exp>/<run>.jsonl`, one sample per line.
+//! under [`mi_trace_dir`] — `results/trace-mi/` by default, `--trace-out
+//! DIR` when given — and the telemetry as `results/trace/<exp>/<run>.jsonl`,
+//! one sample per line.
 
 use std::fs;
 use std::io;
@@ -24,10 +24,6 @@ use proteus_trace::TraceSummary;
 
 use crate::report::{results_dir, Table};
 
-/// Environment variable overriding the decision-trace output directory
-/// (the `--trace-out` flag sets the same override in-process).
-pub const TRACE_DIR_ENV: &str = "PROTEUS_TRACE_DIR";
-
 static DIR_OVERRIDE: OnceLock<PathBuf> = OnceLock::new();
 
 /// Installs the `--trace-out` directory override for this process. Only the
@@ -37,14 +33,11 @@ pub fn set_mi_trace_dir(dir: impl Into<PathBuf>) {
 }
 
 /// Where decision traces are written: the `--trace-out` override, else
-/// `$PROTEUS_TRACE_DIR`, else `results/trace-mi/`.
+/// `results/trace-mi/`.
 pub fn mi_trace_dir() -> PathBuf {
-    if let Some(dir) = DIR_OVERRIDE.get() {
-        return dir.clone();
-    }
-    match std::env::var_os(TRACE_DIR_ENV) {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => results_dir().join("trace-mi"),
+    match DIR_OVERRIDE.get() {
+        Some(dir) => dir.clone(),
+        None => results_dir().join("trace-mi"),
     }
 }
 
@@ -146,16 +139,9 @@ fn trace_jsonl(res: &SimResult) -> String {
 pub fn summary_report() -> String {
     let dir = mi_trace_dir();
     let mut exps: Vec<(String, TraceSummary, usize)> = Vec::new();
-    let entries = match fs::read_dir(&dir) {
-        Ok(e) => e,
-        Err(_) => {
-            return format!(
-                "no decision traces under {} — run an experiment with --trace first\n",
-                dir.display()
-            );
-        }
-    };
-    let mut subdirs: Vec<PathBuf> = entries
+    let mut subdirs: Vec<PathBuf> = fs::read_dir(&dir)
+        .into_iter()
+        .flatten()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| p.is_dir())
@@ -219,13 +205,9 @@ pub fn summary_report() -> String {
             format!("{:.1}", x * 100.0)
         }
     };
-    let mut total = TraceSummary::default();
-    let mut total_files = 0usize;
-    for (exp, s, files) in &exps {
-        total.merge(s);
-        total_files += files;
+    let row = |t: &mut Table, name: &str, files: usize, s: &TraceSummary| {
         t.row(vec![
-            exp.clone(),
+            name.to_string(),
             files.to_string(),
             s.events.to_string(),
             s.mi_closes.to_string(),
@@ -237,21 +219,16 @@ pub fn summary_report() -> String {
             pct(s.probe_decision_rate()),
             s.fault_events.to_string(),
         ]);
+    };
+    let mut total = TraceSummary::default();
+    let mut total_files = 0usize;
+    for (exp, s, files) in &exps {
+        total.merge(s);
+        total_files += files;
+        row(&mut t, exp, *files, s);
     }
     if exps.len() > 1 {
-        t.row(vec![
-            "total".into(),
-            total_files.to_string(),
-            total.events.to_string(),
-            total.mi_closes.to_string(),
-            total.mode_switches.to_string(),
-            total.implicit_mode_switches.to_string(),
-            pct(total.gate_hit_rate()),
-            total.ack_filter_events.to_string(),
-            total.probe_outcomes.to_string(),
-            pct(total.probe_decision_rate()),
-            total.fault_events.to_string(),
-        ]);
+        row(&mut t, "total", total_files, &total);
     }
     format!("{}\n", t.render())
 }

@@ -202,7 +202,6 @@ fn repro_trace_writes_every_stream() {
     let _ = std::fs::remove_dir_all(&dir);
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .env("PROTEUS_RESULTS_DIR", &dir)
-        .env_remove("PROTEUS_TRACE_DIR")
         .args(["--quick", "--trace", "fig2"])
         .output()
         .expect("repro runs");

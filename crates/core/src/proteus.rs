@@ -22,7 +22,7 @@ use proteus_stats::Ewma;
 
 use crate::config::{NoiseTolerance, ProteusConfig};
 use crate::noise::{AckIntervalFilter, GatedMetrics, MiNoiseGate};
-use crate::rate_control::RateController;
+use crate::rate_control::{Decisions, RateController};
 use crate::utility::{
     evaluate_terms, hybrid_uses_scavenger, MiObservation, Mode, SharedThreshold, UtilityTerms,
 };
@@ -35,6 +35,9 @@ use crate::utility::{
 /// exactly the pre-tracing code — no branches, no stores, no allocation on
 /// the per-ACK path (guarded by `tests/alloc_free.rs`; the benchmark's
 /// `core.per_ack_ns.*` and `trace.per_ack_overhead_share` probes time it).
+/// The rate controller's probe outcomes and transitions are the return
+/// value of [`RateController::on_mi_complete`]; a recording sender writes
+/// them to its sink stamped with the completing MI's end time.
 /// [`ProteusSender::with_sink`] rebuilds the sender with a recording sink
 /// such as [`proteus_trace::RingSink`]; a simulation that
 /// samples a trace swaps an untraced sender for its
@@ -138,10 +141,9 @@ impl ProteusSender {
 impl<S: TraceSink> ProteusSender<S> {
     /// Rebuilds the sender with a different decision-trace sink (all
     /// controller and measurement state carries over; typically called
-    /// right after construction). Enabling a recording sink also turns on
-    /// the rate controller's transition log.
+    /// right after construction).
     pub fn with_sink<S2: TraceSink>(self, sink: S2) -> ProteusSender<S2> {
-        let mut s = ProteusSender {
+        ProteusSender {
             cfg: self.cfg,
             mode: self.mode,
             tracker: self.tracker,
@@ -158,20 +160,7 @@ impl<S: TraceSink> ProteusSender<S> {
             sink,
             clock: self.clock,
             hybrid_branch: self.hybrid_branch,
-        };
-        s.controller.set_trace_enabled(S2::ENABLED);
-        s
-    }
-
-    /// The decision-trace sink (e.g. to inspect `RingSink::dropped`).
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Moves all buffered decision events into `out`, oldest first (the
-    /// [`CongestionControl::drain_decisions`] hook forwards here).
-    pub fn drain_decisions_into(&mut self, out: &mut Vec<DecisionEvent>) {
-        self.sink.drain_into(out);
+        }
     }
 
     /// Switches the utility function, even mid-flow (the paper's
@@ -243,10 +232,11 @@ impl<S: TraceSink> ProteusSender<S> {
         for &mi in &completed {
             // MIs with no packets (e.g. app-limited gaps) carry no signal.
             if mi.pkts_sent == 0 {
-                self.controller
+                let decisions = self
+                    .controller
                     .on_mi_complete(self.last_utility.unwrap_or(0.0));
                 if S::ENABLED {
-                    self.drain_controller_log(mi.end);
+                    self.record_decisions(mi.end, decisions);
                 }
                 continue;
             }
@@ -265,9 +255,9 @@ impl<S: TraceSink> ProteusSender<S> {
                 self.record_mi(&mi, &gated, &obs, &terms);
             }
             self.last_utility = Some(terms.utility);
-            self.controller.on_mi_complete(terms.utility);
+            let decisions = self.controller.on_mi_complete(terms.utility);
             if S::ENABLED {
-                self.drain_controller_log(mi.end);
+                self.record_decisions(mi.end, decisions);
             }
         }
         self.mi_scratch = completed;
@@ -342,13 +332,13 @@ impl<S: TraceSink> ProteusSender<S> {
         });
     }
 
-    /// Moves the controller's per-completion decision log into the sink,
-    /// stamped with the completing MI's end time.
-    fn drain_controller_log(&mut self, at: Time) {
+    /// Records what the controller decided on one MI completion, stamped
+    /// with the completing MI's end time.
+    fn record_decisions(&mut self, at: Time, decisions: Decisions) {
         let t_ns = at.as_nanos();
-        let sink = &mut self.sink;
-        self.controller
-            .drain_log(|kind| sink.record(DecisionEvent { t_ns, kind }));
+        for kind in decisions.kinds() {
+            self.sink.record(DecisionEvent { t_ns, kind });
+        }
     }
 }
 
@@ -451,9 +441,7 @@ impl<S: TraceSink> CongestionControl for ProteusSender<S> {
     }
 
     fn drain_decisions(&mut self, out: &mut Vec<DecisionEvent>) {
-        if S::ENABLED {
-            self.drain_decisions_into(out);
-        }
+        self.sink.drain_into(out);
     }
 
     /// The same configuration and mode on a [`RingSink`]. A Proteus-H mode
@@ -617,7 +605,7 @@ mod tests {
             assert_eq!(self.plain.snapshot(), self.hooked.snapshot());
             assert_eq!(self.plain.next_timer(), self.hooked.next_timer());
             let mut events = Vec::new();
-            self.traced.drain_decisions_into(&mut events);
+            self.traced.drain_decisions(&mut events);
             let mut hooked_events = Vec::new();
             self.hooked.drain_decisions(&mut hooked_events);
             assert_eq!(events, hooked_events);
@@ -635,11 +623,11 @@ mod tests {
     }
 
     #[test]
-    fn an_untraced_sender_carries_no_decision_log() {
-        // Populations hold thousands of these boxed; the four-event log is
-        // built only for a recording sink (2 016 bytes with it inline).
+    fn an_untraced_sender_fits_in_1_488_bytes() {
+        // Populations hold thousands of these boxed; the controller's
+        // decisions are a return value, so no sender carries a log.
         let size = std::mem::size_of::<ProteusSender>();
-        assert!(size <= 1_500, "ProteusSender is {size} bytes");
+        assert!(size <= 1_488, "ProteusSender is {size} bytes");
     }
 
     #[test]
@@ -738,7 +726,7 @@ mod tests {
     /// Drains the sender's sink and returns `(t_ns, switch)` pairs.
     fn drain_switches(s: &mut ProteusSender<proteus_trace::RingSink>) -> Vec<(u64, ModeSwitch)> {
         let mut events = Vec::new();
-        s.drain_decisions_into(&mut events);
+        s.drain_decisions(&mut events);
         events
             .iter()
             .filter_map(|e| match e.kind {

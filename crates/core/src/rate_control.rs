@@ -21,6 +21,11 @@
 //! rates *ahead* of the utility results; a tag queue matches each completed
 //! MI back to the purpose it was issued for, and an epoch counter discards
 //! results that belong to an abandoned plan.
+//!
+//! The controller's output is its decisions: [`RateController::on_mi_complete`]
+//! returns what a completion decided as a [`Decisions`] stack value (at most
+//! one probe outcome and one phase transition). The controller keeps no
+//! trace state; a tracing sender records the value, an untraced one drops it.
 
 use std::collections::VecDeque;
 
@@ -152,36 +157,26 @@ enum State {
     },
 }
 
-/// Fixed-capacity scratch log of controller decisions taken while
-/// processing one MI completion (at most a probe outcome plus the state
-/// transition it causes — capacity 4 leaves slack). The owning sender
-/// drains it after each `on_mi_complete`, stamping timestamps. It exists
-/// only while tracing is on: an untraced controller carries no log and its
-/// completion path stays write-free.
-#[derive(Debug, Default)]
-struct CtlLog {
-    slots: [Option<EventKind>; 4],
-    len: usize,
+/// What one MI completion decided, for decision traces: the conclusion of
+/// a probe round and the state transition that it, or a utility drop,
+/// caused. A completion makes at most one of each, the outcome first.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Decisions {
+    /// A probe round's conclusion.
+    pub outcome: Option<ProbeOutcome>,
+    /// A change of controller phase.
+    pub transition: Option<RateTransition>,
 }
 
-impl CtlLog {
-    fn push(&mut self, kind: EventKind) {
-        if self.len < self.slots.len() {
-            self.slots[self.len] = Some(kind);
-            self.len += 1;
-        }
-        // Overflow is impossible by construction (≤ 2 pushes per
-        // completion, drained every completion); dropping on the floor is
-        // still the right failure mode for a tracing path.
-    }
-
-    fn drain(&mut self, mut f: impl FnMut(EventKind)) {
-        for slot in &mut self.slots[..self.len] {
-            if let Some(kind) = slot.take() {
-                f(kind);
-            }
-        }
-        self.len = 0;
+impl Decisions {
+    /// The decisions as trace events, the outcome first.
+    pub(crate) fn kinds(self) -> impl Iterator<Item = EventKind> {
+        [
+            self.outcome.map(EventKind::ProbeOutcome),
+            self.transition.map(EventKind::RateTransition),
+        ]
+        .into_iter()
+        .flatten()
     }
 }
 
@@ -197,9 +192,6 @@ pub struct RateController {
     epoch: u64,
     /// Tags for MIs handed out and not yet completed, front = oldest.
     pending: VecDeque<(u64, Tag)>,
-    /// Decision log scratch, drained by the sender per completion; built
-    /// only while tracing is on.
-    log: Option<Box<CtlLog>>,
 }
 
 impl RateController {
@@ -215,28 +207,6 @@ impl RateController {
             rate: params.initial_rate_mbps,
             epoch: 0,
             pending: VecDeque::new(),
-            log: None,
-        }
-    }
-
-    /// Turns decision logging on or off (off by default; the log is only
-    /// built when a tracing sender will drain it).
-    pub(crate) fn set_trace_enabled(&mut self, enabled: bool) {
-        self.log = enabled.then(Box::default);
-    }
-
-    /// Moves the decisions logged since the last drain into `f`, oldest
-    /// first.
-    pub(crate) fn drain_log(&mut self, f: impl FnMut(EventKind)) {
-        if let Some(log) = &mut self.log {
-            log.drain(f);
-        }
-    }
-
-    /// Logs a decision if tracing is on.
-    fn note(&mut self, kind: EventKind) {
-        if let Some(log) = &mut self.log {
-            log.push(kind);
         }
     }
 
@@ -290,18 +260,18 @@ impl RateController {
     }
 
     /// Feeds the utility of the oldest outstanding MI (MIs complete in
-    /// order).
-    pub fn on_mi_complete(&mut self, utility: f64) {
+    /// order) and returns what the completion decided.
+    pub fn on_mi_complete(&mut self, utility: f64) -> Decisions {
         let Some((epoch, tag)) = self.pending.pop_front() else {
-            return;
+            return Decisions::default();
         };
         if epoch != self.epoch {
-            return; // belongs to an abandoned plan
+            return Decisions::default(); // belongs to an abandoned plan
         }
         match tag {
             Tag::Starting { rate } => self.handle_starting(rate, utility),
             Tag::Probe { pair, high, .. } => self.handle_probe(pair, high, utility),
-            Tag::Filler => {}
+            Tag::Filler => Decisions::default(),
             Tag::Moving { rate } => self.handle_moving(rate, utility),
         }
     }
@@ -310,14 +280,14 @@ impl RateController {
         self.epoch += 1;
     }
 
-    fn enter_probing(&mut self, base: f64) {
+    fn enter_probing(&mut self, base: f64) -> RateTransition {
         self.bump_epoch();
         let base = self.bounded(base);
-        self.note(EventKind::RateTransition(RateTransition {
+        let transition = RateTransition {
             from: self.phase(),
             to: CtlPhase::Probing,
             rate_mbps: base,
-        }));
+        };
         self.rate = base;
         let eps = self.params.epsilon;
         let pairs = self.params.probe_rule.pairs();
@@ -340,18 +310,19 @@ impl RateController {
             plan,
             results: ProbeResults::default(),
         };
+        transition
     }
 
-    fn enter_moving(&mut self, base: f64, base_utility: f64, gradient: f64) {
+    fn enter_moving(&mut self, base: f64, base_utility: f64, gradient: f64) -> RateTransition {
         self.bump_epoch();
         let direction = if gradient >= 0.0 { 1.0 } else { -1.0 };
         let theta = self.clamped_step(gradient, 1, base);
         let rate = self.bounded(base + theta);
-        self.note(EventKind::RateTransition(RateTransition {
+        let transition = RateTransition {
             from: self.phase(),
             to: CtlPhase::Moving,
             rate_mbps: rate,
-        }));
+        };
         self.rate = rate;
         self.state = State::Moving {
             prev_rate: base,
@@ -361,6 +332,7 @@ impl RateController {
             last_gradient: gradient,
             flips: 0,
         };
+        transition
     }
 
     /// `θ = m·γ·grad`, clamped to the dynamic boundary `ω(k)·rate`.
@@ -379,9 +351,9 @@ impl RateController {
         raw.clamp(-bound, bound)
     }
 
-    fn handle_starting(&mut self, rate: f64, utility: f64) {
+    fn handle_starting(&mut self, rate: f64, utility: f64) -> Decisions {
         let State::Starting { prev, drops } = &mut self.state else {
-            return;
+            return Decisions::default();
         };
         match *prev {
             None => *prev = Some((rate, utility)),
@@ -392,7 +364,10 @@ impl RateController {
                     // otherwise require confirmation to ride out noise.
                     if utility < 0.0 || *drops >= 2 {
                         // Overshot: revert to the last good rate and probe.
-                        self.enter_probing(prev_rate);
+                        return Decisions {
+                            outcome: None,
+                            transition: Some(self.enter_probing(prev_rate)),
+                        };
                     }
                 } else {
                     *drops = 0;
@@ -400,23 +375,24 @@ impl RateController {
                 }
             }
         }
+        Decisions::default()
     }
 
-    fn handle_probe(&mut self, pair: usize, high: bool, utility: f64) {
+    fn handle_probe(&mut self, pair: usize, high: bool, utility: f64) -> Decisions {
         let State::Probing {
             base,
             plan: _,
             results,
         } = &mut self.state
         else {
-            return;
+            return Decisions::default();
         };
         let base = *base;
         results.push((pair, high, utility));
         let pairs_needed = self.params.probe_rule.pairs();
         // Wait until every trial of every pair has reported.
         if results.len() < 2 * pairs_needed {
-            return;
+            return Decisions::default();
         }
         // Tally per-pair directions and the average gradient.
         let mut direction_sum: i32 = 0;
@@ -449,45 +425,41 @@ impl RateController {
             }
         }
         let base_utility = results.iter().map(|&(_, _, u)| u).sum::<f64>() / results.len() as f64;
-        let decided = match self.params.probe_rule {
-            ProbeRule::Agreement => agreed,
-            ProbeRule::Majority => direction_sum != 0,
+        let decided = gradient_n > 0
+            && match self.params.probe_rule {
+                ProbeRule::Agreement => agreed,
+                ProbeRule::Majority => direction_sum != 0,
+            };
+        let mut gradient = if gradient_n > 0 {
+            gradient_sum / gradient_n as f64
+        } else {
+            0.0
         };
-        if decided && gradient_n > 0 {
-            let gradient = gradient_sum / gradient_n as f64;
+        if decided && self.params.probe_rule == ProbeRule::Majority {
             // Majority rule: the sign comes from the vote, the magnitude
             // from the measured gradient.
-            let signed = match self.params.probe_rule {
-                ProbeRule::Majority => {
-                    let sign = if direction_sum > 0 { 1.0 } else { -1.0 };
-                    sign * gradient.abs()
-                }
-                ProbeRule::Agreement => gradient,
-            };
-            self.note(EventKind::ProbeOutcome(ProbeOutcome {
-                base_mbps: base,
-                decided: true,
-                vote: direction_sum,
-                gradient: signed,
-            }));
-            self.enter_moving(base, base_utility, signed);
+            let sign = if direction_sum > 0 { 1.0 } else { -1.0 };
+            gradient = sign * gradient.abs();
+        }
+        let outcome = ProbeOutcome {
+            base_mbps: base,
+            decided,
+            vote: direction_sum,
+            gradient,
+        };
+        let transition = if decided {
+            self.enter_moving(base, base_utility, gradient)
         } else {
-            self.note(EventKind::ProbeOutcome(ProbeOutcome {
-                base_mbps: base,
-                decided: false,
-                vote: direction_sum,
-                gradient: if gradient_n > 0 {
-                    gradient_sum / gradient_n as f64
-                } else {
-                    0.0
-                },
-            }));
             // Inconclusive: probe again around the same base.
-            self.enter_probing(base);
+            self.enter_probing(base)
+        };
+        Decisions {
+            outcome: Some(outcome),
+            transition: Some(transition),
         }
     }
 
-    fn handle_moving(&mut self, rate: f64, utility: f64) {
+    fn handle_moving(&mut self, rate: f64, utility: f64) -> Decisions {
         let State::Moving {
             prev_rate,
             prev_utility,
@@ -497,7 +469,7 @@ impl RateController {
             flips,
         } = &mut self.state
         else {
-            return;
+            return Decisions::default();
         };
         let dr = rate - *prev_rate;
         // The 1-2 MI completion pipeline means consecutive completions
@@ -530,14 +502,17 @@ impl RateController {
             } else {
                 *prev_rate
             };
-            self.enter_probing(base);
-            return;
+            return Decisions {
+                outcome: None,
+                transition: Some(self.enter_probing(base)),
+            };
         }
         let steps_now = *steps;
         *prev_rate = rate;
         *prev_utility = utility;
         let theta = self.clamped_step(gradient, steps_now, rate);
         self.rate = self.bounded(rate + theta);
+        Decisions::default()
     }
 }
 
@@ -755,43 +730,33 @@ mod tests {
     #[test]
     fn decision_log_records_outcomes_and_transitions() {
         let mut c = controller(ProbeRule::Majority);
-        c.set_trace_enabled(true);
-        force_probing(&mut c);
         let mut kinds = Vec::new();
-        c.drain_log(|k| kinds.push(k));
-        // Leaving slow start logs a Starting → Probing transition.
+        let _ = c.next_mi_rate();
+        kinds.extend(c.on_mi_complete(1.0).kinds());
+        let _ = c.next_mi_rate();
+        kinds.extend(c.on_mi_complete(-2.0).kinds());
+        assert!(c.is_probing());
+        // Leaving slow start returns a Starting → Probing transition.
         assert!(kinds.iter().any(|k| matches!(
             k,
             EventKind::RateTransition(t)
                 if t.from == CtlPhase::Starting && t.to == CtlPhase::Probing
         )));
-        // A unanimous "up" probe round logs a decided outcome and the
+        // A unanimous "up" probe round returns a decided outcome and the
         // Probing → Moving transition it causes, in that order.
         kinds.clear();
         while c.is_probing() {
-            step(&mut c, |r| r);
-            c.drain_log(|k| kinds.push(k));
+            let r = c.next_mi_rate();
+            kinds.extend(c.on_mi_complete(r).kinds());
         }
         let outcome = kinds
             .iter()
             .position(|k| matches!(k, EventKind::ProbeOutcome(o) if o.decided && o.vote > 0))
-            .expect("no decided probe outcome logged");
+            .expect("no decided probe outcome returned");
         assert!(matches!(
             kinds[outcome + 1],
             EventKind::RateTransition(t) if t.to == CtlPhase::Moving
         ));
-    }
-
-    #[test]
-    fn decision_log_disabled_by_default() {
-        let mut c = controller(ProbeRule::Majority);
-        force_probing(&mut c);
-        while c.is_probing() {
-            step(&mut c, |r| r);
-        }
-        let mut kinds = Vec::new();
-        c.drain_log(|k| kinds.push(k));
-        assert!(kinds.is_empty());
     }
 
     #[test]

@@ -166,14 +166,14 @@ fn steady_state_controller_path_does_not_allocate() {
     let mut seq = 0u64;
     let mut events: Vec<proteus_trace::DecisionEvent> = Vec::with_capacity(4096);
     drive(&mut cc, &mut seq, 5_000, 0);
-    cc.drain_decisions_into(&mut events);
+    cc.drain_decisions(&mut events);
 
     assert_window_alloc_free(
         "steady-state traced (RingSink) path (10k events + drain)",
         || {
             drive(&mut cc, &mut seq, 10_000, 0);
             events.clear();
-            cc.drain_decisions_into(&mut events);
+            cc.drain_decisions(&mut events);
         },
     );
     assert!(

@@ -187,16 +187,6 @@ impl FaultSchedule {
         s
     }
 
-    /// Drives the bottleneck bandwidth along a `(time, Mbit/s)` trace
-    /// (piecewise-constant; e.g. replaying a measured cellular trace).
-    pub fn bandwidth_trace(self, points: impl IntoIterator<Item = (Dur, f64)>) -> Self {
-        let mut s = self;
-        for (at, mbps) in points {
-            s = s.bandwidth_step(at, mbps);
-        }
-        s
-    }
-
     /// Enables Gilbert–Elliott bursty loss.
     pub fn with_burst_loss(mut self, ge: GilbertElliott) -> Self {
         self.burst_loss = Some(ge);
@@ -398,17 +388,6 @@ mod tests {
                 (Dur::from_secs(6), LinkChange::Down),
                 (Dur::from_secs(7), LinkChange::Up),
             ]
-        );
-    }
-
-    #[test]
-    fn bandwidth_trace_expands_to_steps() {
-        let s = FaultSchedule::new()
-            .bandwidth_trace([(Dur::from_secs(1), 20.0), (Dur::from_secs(2), 5.0)]);
-        assert_eq!(s.link_events.len(), 2);
-        assert_eq!(
-            s.link_events[1],
-            (Dur::from_secs(2), LinkChange::Bandwidth(5.0))
         );
     }
 

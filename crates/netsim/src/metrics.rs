@@ -73,15 +73,6 @@ impl MediaMetrics {
     pub fn frame_delay_percentile(&self, p: f64) -> Option<f64> {
         percentile(&self.delays, p)
     }
-
-    /// Mean frame completion delay in seconds.
-    pub fn frame_delay_mean(&self) -> Option<f64> {
-        if self.delays.is_empty() {
-            None
-        } else {
-            Some(self.delays.iter().sum::<f64>() / self.delays.len() as f64)
-        }
-    }
 }
 
 /// One flow's `(ACK time, RTT)` samples: exact, in nanoseconds, in runs — a
@@ -693,19 +684,6 @@ impl FlowMetrics {
     /// Mean goodput in Mbit/sec over `[from, to)`.
     pub fn throughput_mbps(&self, from: Time, to: Time) -> f64 {
         self.throughput_bps(from, to) / 1e6
-    }
-
-    /// `(bin_start_seconds, Mbit/sec)` goodput timeline (Fig. 14 / Fig. 18).
-    pub fn throughput_timeline_mbps(&self) -> Vec<(f64, f64)> {
-        let bin_s = self.bin.as_secs_f64();
-        (0..self.acked_cum.len())
-            .map(|i| {
-                (
-                    i as f64 * bin_s,
-                    self.bin_bytes(i) as f64 * 8.0 / bin_s / 1e6,
-                )
-            })
-            .collect()
     }
 
     /// `(ack_time_seconds, rtt_seconds)` of every sampled ACK (every one,
@@ -1453,15 +1431,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_units() {
-        let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
-        m.on_ack(Time::from_millis(100), 125_000, Dur::from_millis(10)); // 1 Mbit
-        let tl = m.throughput_timeline_mbps();
-        assert_eq!(tl.len(), 1);
-        assert!((tl[0].1 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn sim_result_utilization() {
         let mut m = FlowMetrics::new(0, "a".into(), Dur::from_secs(1), 1);
         m.on_ack(Time::from_millis(10), 625_000, Dur::from_millis(10)); // 5 Mbit
@@ -1527,7 +1496,6 @@ mod tests {
             let want = sorted_percentile(mm.frame_delays(), p);
             assert_eq!(mm.frame_delay_percentile(p), want, "p{p}");
         }
-        assert!(mm.frame_delay_mean().unwrap() > 0.2);
     }
 
     #[test]

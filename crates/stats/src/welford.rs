@@ -76,16 +76,6 @@ impl Welford {
         self.variance().sqrt()
     }
 
-    /// Unbiased sample variance (divides by `n - 1`); 0 when fewer than two
-    /// samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Smallest sample; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         if self.n == 0 {
@@ -174,13 +164,12 @@ mod tests {
     }
 
     #[test]
-    fn sample_variance_uses_n_minus_one() {
+    fn variance_divides_by_n() {
         let mut w = Welford::new();
         for x in [1.0, 2.0, 3.0] {
             w.add(x);
         }
         assert!((w.variance() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((w.sample_variance() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl Time {
     pub fn since(self, earlier: Time) -> Dur {
         Dur(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction producing a duration.
-    pub fn checked_since(self, earlier: Time) -> Option<Dur> {
-        self.0.checked_sub(earlier.0).map(Dur)
-    }
 }
 
 impl Dur {
@@ -240,10 +235,6 @@ mod tests {
         assert_eq!(t.since(Time::from_millis(10)), Dur::from_millis(5));
         // Saturating: asking for time "since the future" gives zero.
         assert_eq!(Time::from_millis(1).since(Time::from_millis(2)), Dur::ZERO);
-        assert_eq!(
-            Time::from_millis(1).checked_since(Time::from_millis(2)),
-            None
-        );
         assert_eq!(t - Dur::from_millis(20), Time::ZERO);
     }
 
