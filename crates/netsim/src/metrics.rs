@@ -88,9 +88,7 @@ impl MediaMetrics {
 /// [`RUN_MAX`], in the byte after. A minimal LEB128 value other than 0 never
 /// ends in the byte 0, and no length is 0, so a block whose last but one
 /// byte is 0 ends in an open run, and the next zero change lengthens it in
-/// place: the runs need no field of their own. On the benchmark's clean
-/// cells that is 0.12 + 1.19 bytes a sample, 1.83 in all on its faulted and
-/// multi-hop ones.
+/// place: the runs need no field of their own.
 /// Deltas wrap in `u64`, a bijection, so every value decodes exactly at any
 /// size — an outage or a 78 h RTT is a few more bytes, not a second layout.
 ///
@@ -104,6 +102,21 @@ impl MediaMetrics {
 /// that stays `None` until a column fills its first block, so a store that
 /// never does allocates what one doubling `Vec` a column would.
 ///
+/// The RTT column's blocks after its first are *coded*: a paced flow's RTT
+/// steps by a few distinct amounts, so a change that equals one of the
+/// block's four most recent distinct non-zero changes ([`Recent`], a
+/// move-to-front table emptied at each block edge) is the one byte
+/// [`REPEAT`]` + i`, `i` its place in the table. Those four bytes were the
+/// one-byte values of 62, −63, 63 and −64 ns, which there take two bytes: a
+/// zigzag value `z` from `REPEAT` on is written as `z + 4`. Tables of one,
+/// two, four, eight and sixteen entries hold the RTT columns of
+/// `clean_dumbbell`'s largest cell in 2.43, 1.92, 1.52, 1.47 and 1.45 MB
+/// (2.84 MB without): four take most of what a table can. The encoder's
+/// table sits in the box beside the sealed blocks, so a record still in its
+/// first block has none and keeps its plain bytes. On the benchmark's clean
+/// cells the columns hold 0.75 bytes a sample, 1.14 on its faulted and
+/// multi-hop ones (1.31 and 1.83 uncoded).
+///
 /// The first sample's send time is kept apart in `first_sent`, the newest
 /// send time, gap and RTT are the bases of the next deltas, and `min`/`max`
 /// bound the RTTs for selection.
@@ -111,8 +124,7 @@ impl MediaMetrics {
 struct RttStore {
     /// Each column's open block, [`GAPS`] then [`RTTS`].
     open: [Vec<u8>; 2],
-    /// Each column's sealed blocks, in order.
-    sealed: Option<Box<[Vec<Vec<u8>>; 2]>>,
+    sealed: Option<Box<Sealed>>,
     first_sent: u64,
     last_sent: u64,
     last_gap: u64,
@@ -121,6 +133,56 @@ struct RttStore {
     min: u64,
     max: u64,
 }
+
+/// What a store holds once either column fills its first block.
+#[derive(Debug, Clone, Default)]
+struct Sealed {
+    /// Each column's sealed blocks, in order.
+    blocks: [Vec<Vec<u8>>; 2],
+    /// The table of the RTT column's open block, once that is coded.
+    recent: Recent,
+}
+
+/// A coded block's four most recent distinct non-zero changes, most recent
+/// first; 0 is an empty entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Recent([u64; 4]);
+
+impl Recent {
+    /// The entry that holds `delta`, a change that is not zero.
+    #[inline]
+    fn find(&self, delta: u64) -> Option<usize> {
+        self.0.iter().position(|&d| d == delta)
+    }
+
+    /// Moves entry `i`, which holds `delta`, to the front; for `i` = 3 or
+    /// a `delta` not in the table, puts it in front of the others and drops
+    /// the last.
+    #[inline]
+    fn promote(&mut self, i: usize, delta: u64) {
+        // Selects, not a `match` on `i`: a repeat's place is data, and a
+        // branch on it is mispredicted.
+        let [a, b, c, d] = self.0;
+        let pick = |from: usize, x: u64, y: u64| if i >= from { x } else { y };
+        self.0 = [delta, pick(1, a, b), pick(2, b, c), pick(3, c, d)];
+    }
+}
+
+/// The table of column `c`'s open block, if that is coded: the RTT
+/// column's once it has sealed its first block.
+#[inline(always)]
+fn table(sealed: &mut Option<Box<Sealed>>, c: usize) -> Option<&mut Recent> {
+    let s = sealed.as_deref_mut()?;
+    (c == RTTS && !s.blocks[RTTS].is_empty()).then_some(&mut s.recent)
+}
+
+/// The first of a coded block's four repeat codes, one-byte values: byte
+/// `REPEAT + i` repeats entry `i` of the block's [`Recent`] table.
+const REPEAT: u8 = 0x7c;
+
+/// Where a plain block's repeat codes would start: past every one-byte
+/// value, so it has none.
+const NO_REPEAT: u8 = 0x80;
 
 /// The gap column's index in [`RttStore`]'s block lists.
 const GAPS: usize = 0;
@@ -156,12 +218,24 @@ const MAX_TOKEN: usize = 10;
 struct Column<'a> {
     sealed: &'a [Vec<u8>],
     open: &'a [u8],
+    /// Whether its blocks after the first are coded (the RTT column's).
+    coded: bool,
 }
 
 impl<'a> Column<'a> {
     /// Block `i`: the open one for `i` = the count of sealed blocks.
     fn block(self, i: usize) -> &'a [u8] {
         self.sealed.get(i).map_or(self.open, Vec::as_slice)
+    }
+
+    /// Where block `i`'s repeat codes start: [`REPEAT`] if it is coded,
+    /// else [`NO_REPEAT`].
+    fn codes(self, i: usize) -> u8 {
+        if self.coded && i > 0 {
+            REPEAT
+        } else {
+            NO_REPEAT
+        }
     }
 
     /// The first block from `i` on that holds a byte, and its index. Out of
@@ -192,25 +266,65 @@ fn zigzag(delta: u64) -> u64 {
     (delta << 1) ^ ((delta as i64 >> 63) as u64)
 }
 
-/// The tokens of a column from a token's start, one block slice at a time:
-/// each the running sum it leaves and how many samples hold that sum (1 for
-/// a value, the length for a run).
+/// Appends the value token of `delta`, a change that is not zero, to `col`,
+/// a block whose repeat codes start at `codes`: a zigzag value `z` below
+/// `codes` is one byte, one from it on is `z + (0x80 − codes)` in LEB128 —
+/// two bytes or more, 65 bits for the last four `z` of a coded block, still
+/// within [`MAX_TOKEN`].
+#[inline(always)]
+fn put_value(col: &mut Vec<u8>, delta: u64, codes: u8) {
+    let z = zigzag(delta);
+    if z < u64::from(codes) {
+        col.push(z as u8);
+        return;
+    }
+    let (z, carry) = z.overflowing_add(u64::from(NO_REPEAT - codes));
+    col.push(z as u8 | 0x80);
+    let mut z = z >> 7 | u64::from(carry) << 57;
+    while z >= 0x80 {
+        col.push(z as u8 | 0x80);
+        z >>= 7;
+    }
+    col.push(z as u8);
+}
+
+/// The bytes [`put_value`] writes.
+fn value_len(delta: u64, codes: u8) -> usize {
+    let z = zigzag(delta);
+    if z < u64::from(codes) {
+        return 1;
+    }
+    match z.overflowing_add(u64::from(NO_REPEAT - codes)) {
+        (_, true) => MAX_TOKEN,
+        (z, false) => (u64::BITS - z.leading_zeros()).div_ceil(7) as usize,
+    }
+}
+
+/// The tokens of a column, one block slice at a time: each the running sum
+/// it leaves and how many samples hold that sum (1 for a value or a repeat,
+/// the length for a run).
 struct Runs<'a> {
     col: Column<'a>,
     /// The block after the one `bytes` reads.
     next: usize,
     bytes: std::slice::Iter<'a, u8>,
     value: u64,
+    /// The block's table, as the encoder had it before the next token.
+    recent: Recent,
+    /// Where the block's repeat codes start.
+    codes: u8,
 }
 
 impl<'a> Runs<'a> {
-    /// From byte `at` of block `block`, after the running sum `value`.
-    fn new(col: Column<'a>, block: usize, at: usize, value: u64) -> Self {
+    /// From the column's first token.
+    fn new(col: Column<'a>) -> Self {
         Self {
             col,
-            next: block + 1,
-            bytes: col.block(block)[at..].iter(),
-            value,
+            next: 1,
+            bytes: col.block(0).iter(),
+            value: 0,
+            recent: Recent::default(),
+            codes: col.codes(0),
         }
     }
 
@@ -218,6 +332,28 @@ impl<'a> Runs<'a> {
     fn pos(&self) -> (usize, usize) {
         let block = self.next - 1;
         (block, self.col.block(block).len() - self.bytes.len())
+    }
+
+    /// Moves to byte `at` of block `block`, a token's start at or after
+    /// [`Runs::pos`], after the running sum `value`. A coded block's table
+    /// is rebuilt by decoding up to `at`: from where the reader is, if that
+    /// is in the same block, else from the block's start. (At the block's
+    /// end no token is left to need it.)
+    fn seek(&mut self, block: usize, at: usize, value: u64) {
+        let bytes = self.col.block(block);
+        if self.next != block + 1 {
+            self.next = block + 1;
+            self.bytes = bytes.iter();
+            self.recent = Recent::default();
+            self.codes = self.col.codes(block);
+        }
+        if self.codes == NO_REPEAT || at == bytes.len() {
+            self.bytes = bytes[at..].iter();
+        }
+        while self.bytes.len() > bytes.len() - at {
+            self.next();
+        }
+        self.value = value;
     }
 }
 
@@ -231,6 +367,7 @@ impl Iterator for Runs<'_> {
             None => {
                 let (i, block) = self.col.nonempty_from(self.next)?;
                 (self.next, self.bytes) = (i + 1, block[1..].iter());
+                (self.recent, self.codes) = (Recent::default(), self.col.codes(i));
                 block[0]
             }
         };
@@ -239,8 +376,17 @@ impl Iterator for Runs<'_> {
             let &run = self.bytes.next()?;
             return Some((self.value, u32::from(run)));
         }
-        let mut z = u64::from(b & 0x7f);
-        if b >= 0x80 {
+        let delta = if b < self.codes {
+            let z = u64::from(b);
+            (z >> 1) ^ (z & 1).wrapping_neg()
+        } else if b < 0x80 {
+            let i = usize::from(b & 3);
+            let delta = self.recent.0[i];
+            self.recent.promote(i, delta);
+            self.value = self.value.wrapping_add(delta);
+            return Some((self.value, 1));
+        } else {
+            let mut z = u64::from(b & 0x7f);
             let mut shift = 7;
             loop {
                 let &b = self.bytes.next()?;
@@ -250,8 +396,12 @@ impl Iterator for Runs<'_> {
                 }
                 shift += 7;
             }
-        }
-        self.value = self.value.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
+            // The 65th bit of a coded value falls off: the sum wraps.
+            let z = z.wrapping_sub(u64::from(NO_REPEAT - self.codes));
+            (z >> 1) ^ (z & 1).wrapping_neg()
+        };
+        self.recent.promote(3, delta);
+        self.value = self.value.wrapping_add(delta);
         Some((self.value, 1))
     }
 }
@@ -259,7 +409,7 @@ impl Iterator for Runs<'_> {
 /// The running sums of a column, one a sample: its runs, expanded (by hand:
 /// a `flat_map` over [`Runs`] was not inlined, and read 10 % slower).
 fn samples(col: Column<'_>) -> impl Iterator<Item = u64> + '_ {
-    let mut runs = Runs::new(col, 0, 0, 0);
+    let mut runs = Runs::new(col);
     let (mut value, mut left) = (0, 0);
     std::iter::from_fn(move || {
         if left == 0 {
@@ -311,7 +461,8 @@ impl RttStore {
     }
 
     /// Appends `delta` (wrapping) to column `c`: a zero lengthens the open
-    /// run or opens one, anything else is one zigzag LEB128 value.
+    /// run or opens one; anything else is a repeat code if the open block
+    /// is coded and its table holds it, else one value.
     // Out of line, with `c` a variable, it took half as much time again
     // (3.2 % of `clean_dumbbell`'s profile samples against 2.2 %).
     #[inline(always)]
@@ -333,25 +484,32 @@ impl RttStore {
             col.extend_from_slice(&[0, 1]);
             return;
         }
-        let mut z = zigzag(delta);
-        while z >= 0x80 {
-            col.push(z as u8 | 0x80);
-            z >>= 7;
+        let mut codes = NO_REPEAT;
+        if let Some(recent) = table(&mut self.sealed, c) {
+            let hit = recent.find(delta);
+            recent.promote(hit.unwrap_or(3), delta);
+            if let Some(i) = hit {
+                col.push(REPEAT + i as u8);
+                return;
+            }
+            codes = REPEAT;
         }
-        col.push(z as u8);
+        put_value(col, delta, codes);
     }
 
     /// Makes room in column `c` for the token of `delta`, a new run if it
     /// is 0: grows the open block as a `Vec` grows (double, at least 8
     /// bytes) but to [`BLOCK`] at most, or, if the token would not fit even
-    /// then, seals it and opens the next one at `BLOCK`.
+    /// then, seals it and opens the next one at `BLOCK`, with an empty
+    /// table.
     #[cold]
     #[inline(never)]
     fn make_room(&mut self, c: usize, delta: u64) {
-        let z = zigzag(delta);
-        let n = match z {
-            0 => 2,
-            _ => (u64::BITS - z.leading_zeros()).div_ceil(7) as usize,
+        let n = match table(&mut self.sealed, c) {
+            _ if delta == 0 => 2,
+            Some(recent) if recent.find(delta).is_some() => 1,
+            Some(_) => value_len(delta, REPEAT),
+            None => value_len(delta, NO_REPEAT),
         };
         let open = &mut self.open[c];
         let need = open.len() + n;
@@ -363,7 +521,11 @@ impl RttStore {
             open.reserve_exact(cap - open.len());
         } else {
             let full = std::mem::replace(open, Vec::with_capacity(BLOCK));
-            self.sealed.get_or_insert_default()[c].push(full);
+            let sealed = self.sealed.get_or_insert_default();
+            sealed.blocks[c].push(full);
+            if c == RTTS {
+                sealed.recent = Recent::default();
+            }
         }
     }
 
@@ -374,8 +536,9 @@ impl RttStore {
     /// Column `c`'s blocks.
     fn column(&self, c: usize) -> Column<'_> {
         Column {
-            sealed: self.sealed.as_ref().map_or(&[], |s| &s[c]),
+            sealed: self.sealed.as_ref().map_or(&[], |s| &s.blocks[c]),
             open: &self.open[c],
+            coded: c == RTTS,
         }
     }
 
@@ -386,7 +549,7 @@ impl RttStore {
 
     /// Runs of equal RTTs in nanoseconds, in sample order: `(RTT, samples)`.
     fn rtt_runs(&self) -> Runs<'_> {
-        Runs::new(self.column(RTTS), 0, 0, 0)
+        Runs::new(self.column(RTTS))
     }
 
     /// `(ACK time, RTT)` in sample order: the ACK time is the send time
@@ -427,7 +590,8 @@ impl RttStore {
     /// keeps in the running only the one bucket that holds rank `k`. The
     /// first pass reads every token, in at most [`ZONES`] stretches of
     /// whole tokens; the later ones decode only the stretches that held the
-    /// chosen first digit. Two passes settle a span under 2^32 ns (4.29 s);
+    /// chosen first digit (and, in a coded block, what comes before one to
+    /// rebuild its table). Two passes settle a span under 2^32 ns (4.29 s);
     /// one up to 2^48 ns takes a third.
     fn count_select(&self, mut k: usize) -> u64 {
         assert!(self.len <= u32::MAX as usize, "a flow of 2^32 RTT samples");
@@ -443,7 +607,7 @@ impl RttStore {
         let col = self.column(RTTS);
         let per_zone = self.len.div_ceil(ZONES);
         let mut zones = Vec::with_capacity(ZONES);
-        let mut runs = Runs::new(col, 0, 0, 0);
+        let mut runs = Runs::new(col);
         loop {
             let ((block, at), base) = (runs.pos(), runs.value);
             let (mut first, mut last, mut held) = (u16::MAX, 0, 0);
@@ -477,11 +641,14 @@ impl RttStore {
             span = (span - base).min((1 << shift) - 1);
             shift = shift_for(span);
             counts.fill(0);
+            // One reader a pass, so that a zone whose block it is already
+            // in rebuilds its table from where the last zone ended.
+            let mut runs = Runs::new(col);
             for z in &zones {
                 if !(z.digits.0..=z.digits.1).contains(&first_digit) {
                     continue;
                 }
-                let mut runs = Runs::new(col, z.block as usize, z.at as usize, z.base);
+                runs.seek(z.block as usize, z.at as usize, z.base);
                 let mut left = z.held;
                 while left > 0 {
                     let (rtt, n) = runs.next().expect("a zone holds `held` samples");
@@ -1072,11 +1239,13 @@ mod tests {
         /// as they are, then with, at the first, a middle and the last
         /// sample: an RTT over 4.29 s, an RTT at the 78 h horizon, a gap
         /// over 4.29 s, a sample at the same instant as the one before, and
-        /// a plateau of identical RTTs from there on.
+        /// a plateau of identical RTTs from there on. Then the draws as
+        /// runs, and a trace whose RTT changes repeat.
         #[test]
         fn rtt_store_equals_the_float_record(
             draws in proptest::collection::vec(proptest::any::<u64>(), 1..120),
             first_ms in 0u64..60_000,
+            cycle in proptest::any::<u64>(),
         ) {
             let mut t = first_ms * 1_000_000;
             let base: Vec<(u64, u64)> = draws
@@ -1117,7 +1286,45 @@ mod tests {
             check_readers(&m, &runs[..cut]);
             feed(&mut m, &runs[cut..]);
             check_readers(&m, &runs);
+            check_against_float_record(&in_cycles(cycle, first_ms * 1_000_000));
         }
+    }
+
+    /// A trace whose RTT takes turns through 2 to 6 levels, so that its
+    /// changes repeat with that period: levels that are multiples of 64 ns
+    /// under 40 µs, no two in a row equal, so every change is 64 ns or more
+    /// either way (−64 ns is one of the values a coded block writes in two
+    /// bytes). 2^7 to 2^17 samples, about log-uniform: about a third cross
+    /// a block edge and a tenth the selection threshold. One send gap
+    /// of 40 to 41 µs, so ACK times never go back; the first is sent at
+    /// `first`.
+    fn in_cycles(seed: u64, first: u64) -> Vec<(u64, u64)> {
+        let mut x = seed;
+        let mut fresh = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 24) % m
+        };
+        let period = 2 + fresh(5) as usize;
+        let mut levels = vec![fresh(625) * 64];
+        while levels.len() < period {
+            let level = fresh(625) * 64;
+            let last = levels.len() + 1 == period;
+            if level != levels[levels.len() - 1] && !(last && level == levels[0]) {
+                levels.push(level);
+            }
+        }
+        let gap = 40_000 + fresh(1_000);
+        let bits = 7 + fresh(10);
+        let n = (1 << bits) + fresh(1 << bits);
+        let rtt = 1_000_000 + fresh(400_000_000);
+        (0..n)
+            .map(|i| {
+                let rtt = rtt + levels[i as usize % period];
+                (first + i * gap + rtt, rtt)
+            })
+            .collect()
     }
 
     /// A trace in runs, one a draw of the first 48 of `draws`, from sample 0
@@ -1305,31 +1512,136 @@ mod tests {
         assert_eq!((check_blocks(&m, GAPS), check_blocks(&m, RTTS)), (5, 5));
     }
 
+    /// `n` samples sent every 24 µs whose RTT is 20 ms plus `levels[i %
+    /// levels.len()]`: its changes repeat with the period of `levels`.
+    fn cycling(n: u64, levels: &[u64]) -> Vec<(u64, u64)> {
+        (0..n)
+            .map(|i| {
+                let rtt = 20_000_000 + levels[i as usize % levels.len()];
+                (5_000_000_000 + i * 24_000 + rtt, rtt)
+            })
+            .collect()
+    }
+
     /// RTT columns of one, two and many blocks, each on both sides of the
     /// selection threshold. Above it the first counting pass splits the
     /// column into stretches of 17 samples, 6 to 102 bytes, so stretches
-    /// span block edges.
+    /// span block edges. A change that repeats is one byte past the first
+    /// block, whatever its size; five that take turns never repeat within
+    /// the four a table holds, so each stays a value of three to seven
+    /// bytes.
     #[test]
     fn selection_over_one_two_and_many_blocks_is_exact() {
         let (below, above) = (SELECT_ON_A_COPY as u64 - 1, SELECT_ON_A_COPY as u64 + 1);
-        // (samples, samples a change, change, blocks)
+        let five = |unit: u64| [0, 1, 3, 6, 10].map(|k| k * unit);
+        // (trace, blocks)
         let cases = [
-            (20_000, 1, 40, 1),
-            (above, 8, 40, 1),
-            (40_000, 1, 40, 2),
-            (above, 4, 40, 2),
-            (below, 1, 10_000, 7),
-            (above, 1, 1 << 40, 13),
+            (stepping(20_000, 1, 40), 1),
+            (stepping(above, 8, 40), 1),
+            (stepping(40_000, 1, 40), 2),
+            (stepping(above, 4, 40), 2),
+            (stepping(below, 1, 10_000), 3),
+            (stepping(above, 1, 1 << 40), 3),
+            (cycling(below, &five(10_000)), 7),
+            (cycling(above, &five(1 << 40)), 14),
         ];
-        for (n, every, step, blocks) in cases {
-            let m = check_against_float_record(&stepping(n, every, step));
-            assert_eq!(
-                check_blocks(&m, RTTS),
-                blocks,
-                "{n} samples, {step} ns every {every}"
-            );
+        for (i, (trace, blocks)) in cases.iter().enumerate() {
+            let m = check_against_float_record(trace);
+            assert_eq!(check_blocks(&m, RTTS), *blocks, "case {i}");
             assert_eq!(check_blocks(&m, GAPS), 1);
         }
+    }
+
+    /// The bytes of a coded block: a change right after a block edge is a
+    /// value (its table is empty), the four values whose bytes became the
+    /// repeat codes take two bytes there and one in a first block, and a
+    /// change the table holds is its code, the table kept in move-to-front
+    /// order. Then a counting read whose 17-sample zones start mid-block
+    /// with a full table: the zones that hold the answer are every other
+    /// stretch of 500 samples, so each later pass rebuilds tables.
+    #[test]
+    fn coded_blocks_pin_their_bytes_and_zones_rebuild_their_tables() {
+        // 20 ms, then +10 µs: in a first block, and in a coded one.
+        const FIRST: [u8; 4] = [0x80, 0xb4, 0x89, 0x13];
+        const UP_PLAIN: [u8; 3] = [0xa0, 0x9c, 0x01];
+        let (up, down) = ([0xa4, 0x9c, 0x01], [0xa3, 0x9c, 0x01]);
+        let m = check_against_float_record(&stepping(3, 1, 10_000));
+        let plain = column_bytes(m.rtt.column(RTTS));
+        assert_eq!(plain[..7], [FIRST.as_slice(), &UP_PLAIN].concat());
+
+        // ±10 µs changes, 3 bytes a value: three blocks. Each coded block
+        // starts with two values, then repeats the older of the two.
+        let mut trace = stepping(45_000, 1, 10_000);
+        let m = check_against_float_record(&trace);
+        assert_eq!(check_blocks(&m, RTTS), 3);
+        for b in 1..3 {
+            let block = m.rtt.column(RTTS).block(b);
+            let starts_up = block[0] == up[0];
+            let (one, two) = if starts_up { (up, down) } else { (down, up) };
+            let want = [one.as_slice(), &two, &[REPEAT + 1; 4]].concat();
+            assert_eq!(block[..10], want, "block {b}");
+        }
+
+        // Changes of 62, −63, 63 and −64 ns: one byte each in a first
+        // block, two in a coded one. Then 62 ns, entry 3, taken between
+        // new changes: each use moves it to the front, so it is entry 1
+        // when it comes back (an insert-only table drops it at the fourth
+        // new change).
+        let shifted = [62, -63, 63, -64];
+        let then = [62, 1_000, 62, 2_000, 62, 3_000, 62, 4_000, 62];
+        let with_changes = |trace: &mut Vec<(u64, u64)>, changes: &[i64]| {
+            let (mut t, mut rtt) = trace[trace.len() - 1];
+            for &d in changes {
+                rtt = rtt.wrapping_add_signed(d);
+                t += 24_000 + d.unsigned_abs();
+                trace.push((t, rtt));
+            }
+        };
+        let mut short = stepping(1, 1, 0);
+        with_changes(&mut short, &shifted);
+        let m = check_against_float_record(&short);
+        let plain = column_bytes(m.rtt.column(RTTS));
+        assert_eq!(
+            plain,
+            [FIRST.as_slice(), &[0x7c, 0x7d, 0x7e, 0x7f]].concat()
+        );
+        with_changes(&mut trace, &shifted);
+        with_changes(&mut trace, &then);
+        let m = check_against_float_record(&trace);
+        let coded = column_bytes(m.rtt.column(RTTS));
+        let two_bytes = [0x80, 0x01, 0x81, 0x01, 0x82, 0x01, 0x83, 0x01];
+        let lit = |ns: u64| [(2 * ns + 4) as u8 | 0x80, ((2 * ns + 4) >> 7) as u8];
+        let second = REPEAT + 1;
+        let tail = [
+            two_bytes.as_slice(),
+            &[REPEAT + 3],
+            &lit(1_000),
+            &[second],
+            &lit(2_000),
+            &[second],
+            &lit(3_000),
+            &[second],
+            &lit(4_000),
+            &[second],
+        ]
+        .concat();
+        assert_eq!(coded[coded.len() - tail.len()..], tail);
+
+        // 69 000 samples: 17 a zone. Four levels 640 ns apart and more
+        // (four changes, a full table), in stretches of 500 that take turns
+        // 2^30 ns apart; the median is the low stretches' highest level.
+        let levels = [0, 640, 1_920, 640];
+        let trace: Vec<(u64, u64)> = cycling(69_000, &levels)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (t, rtt))| {
+                let high = (i as u64 / 500 % 2) << 30;
+                (t + high, rtt + high)
+            })
+            .collect();
+        let m = check_against_float_record(&trace);
+        assert_eq!(check_blocks(&m, RTTS), 3);
+        assert_eq!(m.rtt_percentile(50.0), Some(0.020_001_92));
     }
 
     /// Stores on both sides of the selection threshold, their RTTs spread

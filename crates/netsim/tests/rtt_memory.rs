@@ -1,7 +1,8 @@
 //! A flow's RTT record costs about what its samples carry, and reading a
 //! percentile from it costs fixed scratch, not a copy (DESIGN.md §4c): a
-//! million ACK-clocked samples hold at most three bytes each, a million that
-//! repeat one another hold next to nothing, a percentile of four million
+//! million ACK-clocked samples hold at most three bytes each, a million whose
+//! RTT changes take turns about one byte each, a million that repeat one
+//! another next to nothing, a percentile of four million
 //! allocates no more than 512 KiB at its peak, and the store adds at most
 //! 40 bytes to a `FlowMetrics`. Its columns grow in blocks: no allocation is
 //! larger than one, and none is copied to grow.
@@ -130,6 +131,33 @@ fn flow_metrics_hold_about_two_bytes_a_sample_and_select_in_fixed_scratch() {
         size <= FLOW_METRICS_BEFORE + 40,
         "FlowMetrics grew {FLOW_METRICS_BEFORE} -> {size} bytes"
     );
+}
+
+#[test]
+fn flow_metrics_hold_a_million_cycling_samples_in_about_a_byte_each() {
+    let _alone = alone();
+    // A million packets paced every 240 µs (50 Mbps of 1 500 B), their RTT
+    // taking turns at 30.00, 30.06 and 30.20 ms: steps of +60, +140 and
+    // −200 µs, three bytes each as values (3.03 MB), and one send gap. Past
+    // the RTT column's first block each step is a one-byte repeat (1.06 MB
+    // in all).
+    let level = |i: u64| Dur::from_nanos(30_000_000 + [0, 60_000, 200_000][i as usize % 3]);
+    let before = live();
+    let mut m = FlowMetrics::new(0, "t".into(), Dur::from_secs(1), 1);
+    for i in 0..1_000_000 {
+        let sent = Time::from_nanos(48_000_000_000 + i * 240_000);
+        m.on_ack(sent + level(i), 1500, level(i));
+    }
+    let held = live() - before;
+    assert!(
+        held <= 1_200_000,
+        "a million cycling samples hold {held} bytes"
+    );
+    assert_eq!(m.rtt_samples().last(), Some((288.02976, 0.030)));
+    // A third of the samples at each level: counted over zones that start
+    // inside coded blocks.
+    assert_eq!(m.rtt_percentile(50.0), Some(0.030_06));
+    assert_eq!(m.rtt_percentile(95.0), Some(0.030_2));
 }
 
 #[test]
