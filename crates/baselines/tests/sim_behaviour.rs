@@ -94,7 +94,11 @@ fn ledbat_inflates_to_its_target() {
     let res = single_flow(paper_link(1_000_000), 180, Ledbat::new());
     let thpt = steady_throughput_mbps(&res, 180);
     assert!(thpt > 40.0, "LEDBAT throughput = {thpt}");
-    let tail = res.flows[0].rtt_values_in(Time::from_secs_f64(120.0), Time::from_secs_f64(180.0));
+    let tail: Vec<f64> = res.flows[0]
+        .rtt_samples()
+        .filter(|&(t, _)| (120.0..180.0).contains(&t))
+        .map(|(_, rtt)| rtt)
+        .collect();
     let p50 = proteus_stats::median(&tail).unwrap();
     // base 30 ms + ~100 ms target queueing.
     assert!(p50 > 0.100 && p50 < 0.165, "LEDBAT tail median RTT = {p50}");

@@ -38,98 +38,51 @@ fn add_background(sc: &mut Scenario, bg: &'static str, start: Dur) {
         .push(FlowSpec::bulk("background", start, move || cc(bg, 0xBADA)));
 }
 
-/// `n` concurrent DASH sessions sharing the link with `bg`; the reader
-/// returns `[mean chunk bitrate, Mbps]` from the sessions' `Rc` stats
-/// handles, which are created and read inside the job.
-fn dash_build(
-    n: usize,
-    bg: &'static str,
-    secs: f64,
-    seed: u64,
-) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
-    let mut sc = Scenario::new(link(), Dur::from_secs_f64(secs))
-        .with_seed(seed)
-        .with_rtt_stride(16);
-    let handles: Vec<_> = corpus_1080p(n, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| {
-            add_video_flow(
-                &mut sc,
-                v,
-                VideoTransport::Primary,
-                seed + i as u64,
-                false,
-                Dur::ZERO,
-            )
-        })
-        .collect();
-    add_background(&mut sc, bg, Dur::ZERO);
-    (sc, move |_: &SimResult| {
-        vec![
-            handles
-                .iter()
-                .map(|h| h.borrow().avg_bitrate())
-                .sum::<f64>()
-                / n as f64,
-        ]
-    })
-}
-
-/// Campaign job for one DASH cell: payload `[mean chunk bitrate]`.
+/// Campaign job for one DASH cell, `n` concurrent sessions sharing the link
+/// with `bg`: payload `[mean chunk bitrate, Mbps]`, read from the sessions'
+/// `Rc` stats handles, which are created and read inside the job.
 fn dash_job(n: usize, bg: &'static str, secs: f64, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "fig11",
         format!("fig11/dash/videos={n}/bg={bg}/secs={secs:?}/seed={seed}"),
         format!("dash-{n}-{bg}-s{seed}"),
         traced,
-        move || dash_build(n, bg, secs, seed),
+        move || {
+            let mut sc = Scenario::new(link(), Dur::from_secs_f64(secs))
+                .with_seed(seed)
+                .with_rtt_stride(16);
+            let handles: Vec<_> = corpus_1080p(n, seed)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    add_video_flow(
+                        &mut sc,
+                        v,
+                        VideoTransport::Primary,
+                        seed + i as u64,
+                        false,
+                        Dur::ZERO,
+                    )
+                })
+                .collect();
+            add_background(&mut sc, bg, Dur::ZERO);
+            (sc, move |_: &SimResult| {
+                vec![
+                    handles
+                        .iter()
+                        .map(|h| h.borrow().avg_bitrate())
+                        .sum::<f64>()
+                        / n as f64,
+                ]
+            })
+        },
     )
 }
 
-/// Poisson page loads generated for `duration`, sharing the link with
-/// `bg`; the reader returns `[median, mean, p90, pages]` of the page-load
-/// times (seconds), the statistics NaN when no page completed.
-fn web_build(
-    bg: &'static str,
-    duration: Dur,
-    seed: u64,
-) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
-    let workload = WebWorkload {
-        duration,
-        ..WebWorkload::default()
-    };
-    let pages = workload.generate(seed);
-    let mut sc = Scenario::new(link(), duration + Dur::from_secs(60))
-        .with_seed(seed)
-        .with_rtt_stride(16);
-    for (i, p) in pages.iter().enumerate() {
-        sc = sc.flow(FlowSpec::sized(
-            format!("page-{i}"),
-            p.start,
-            p.bytes,
-            move || cc("CUBIC", i as u64),
-        ));
-    }
-    add_background(&mut sc, bg, Dur::ZERO);
-    (sc, |res: &SimResult| {
-        let e = Ecdf::new(
-            res.flows
-                .iter()
-                .filter(|f| f.name.starts_with("page-"))
-                .filter_map(|f| f.completion_time().map(|d| d.as_secs_f64())),
-        );
-        vec![
-            e.median().unwrap_or(f64::NAN),
-            e.mean().unwrap_or(f64::NAN),
-            e.quantile(0.9).unwrap_or(f64::NAN),
-            e.len() as f64,
-        ]
-    })
-}
-
-/// Campaign job for one page-load row: payload is [`web_build`]'s four
-/// floats.
+/// Campaign job for one page-load row, Poisson page loads generated for
+/// `duration` sharing the link with `bg`: payload `[median, mean, p90,
+/// pages]` of the page-load times (seconds), the statistics NaN when no
+/// page completed.
 fn web_job(bg: &'static str, duration: Dur, seed: u64, traced: bool) -> SimJob {
     scenario_job(
         "fig11",
@@ -139,7 +92,39 @@ fn web_job(bg: &'static str, duration: Dur, seed: u64, traced: bool) -> SimJob {
         ),
         format!("web-{bg}-s{seed}"),
         traced,
-        move || web_build(bg, duration, seed),
+        move || {
+            let workload = WebWorkload {
+                duration,
+                ..WebWorkload::default()
+            };
+            let pages = workload.generate(seed);
+            let mut sc = Scenario::new(link(), duration + Dur::from_secs(60))
+                .with_seed(seed)
+                .with_rtt_stride(16);
+            for (i, p) in pages.iter().enumerate() {
+                sc = sc.flow(FlowSpec::sized(
+                    format!("page-{i}"),
+                    p.start,
+                    p.bytes,
+                    move || cc("CUBIC", i as u64),
+                ));
+            }
+            add_background(&mut sc, bg, Dur::ZERO);
+            (sc, |res: &SimResult| {
+                let e = Ecdf::new(
+                    res.flows
+                        .iter()
+                        .filter(|f| f.name.starts_with("page-"))
+                        .filter_map(|f| f.completion_time().map(|d| d.as_secs_f64())),
+                );
+                vec![
+                    e.median().unwrap_or(f64::NAN),
+                    e.mean().unwrap_or(f64::NAN),
+                    e.quantile(0.9).unwrap_or(f64::NAN),
+                    e.len() as f64,
+                ]
+            })
+        },
     )
 }
 
@@ -210,17 +195,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jobs_match_direct_runs() {
-        let off = false;
-        let dash = payload::decode_floats(&dash_job(2, "CUBIC", 8.0, 3, off).execute());
-        let (sc, read) = dash_build(2, "CUBIC", 8.0, 3);
-        assert_eq!(dash, read(&proteus_netsim::run(sc)));
+    fn jobs_return_their_payloads() {
+        let dash = payload::decode_floats(&dash_job(2, "CUBIC", 8.0, 3, false).execute());
+        assert_eq!(dash.len(), 1);
         assert!(dash[0] > 0.0);
 
         let minute = Dur::from_secs(60);
-        let web = payload::decode_floats(&web_job("LEDBAT", minute, 3, off).execute());
-        let (sc, read) = web_build("LEDBAT", minute, 3);
-        assert_eq!(web, read(&proteus_netsim::run(sc)));
+        let web = payload::decode_floats(&web_job("LEDBAT", minute, 3, false).execute());
+        assert_eq!(web.len(), 4);
         assert!(web[3] >= 1.0 && web[0] > 0.0);
     }
 

@@ -25,52 +25,10 @@ struct ClassStats {
     rebuffer_1080: f64,
 }
 
-/// One 1×4K + 3×1080P streaming trial; the reader returns
-/// `[bitrate_4k, bitrate_1080, rebuffer_4k, rebuffer_1080]` from the
+/// Campaign job for one 1×4K + 3×1080P streaming trial: payload
+/// `[bitrate_4k, bitrate_1080, rebuffer_4k, rebuffer_1080]`, read from the
 /// sessions' `Rc` stats handles, which are created and read inside the job.
-fn streaming_build(
-    bw_mbps: f64,
-    transport: VideoTransport,
-    forced_max: bool,
-    secs: f64,
-    seed: u64,
-) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
-    let link = LinkSpec::new(bw_mbps, Dur::from_millis(30), 900_000);
-    let mut sc = Scenario::new(link, Dur::from_secs_f64(secs))
-        .with_seed(seed)
-        .with_rtt_stride(16);
-    // The corpus is fixed across trials; only the dynamics seeds vary.
-    let v4k = corpus_4k(1, 1)[0].clone();
-    let v1080 = corpus_1080p(3, 1);
-    let h4k = add_video_flow(&mut sc, v4k, transport, seed + 1, forced_max, Dur::ZERO);
-    let h1080: Vec<_> = v1080
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| {
-            add_video_flow(
-                &mut sc,
-                v,
-                transport,
-                seed + 10 + i as u64,
-                forced_max,
-                Dur::ZERO,
-            )
-        })
-        .collect();
-    (sc, move |_: &SimResult| {
-        let b4k = h4k.borrow();
-        vec![
-            b4k.avg_bitrate(),
-            h1080.iter().map(|h| h.borrow().avg_bitrate()).sum::<f64>() / 3.0,
-            b4k.rebuffer_ratio,
-            h1080.iter().map(|h| h.borrow().rebuffer_ratio).sum::<f64>() / 3.0,
-        ]
-    })
-}
-
-/// Campaign job for one streaming trial: payload
-/// `[bitrate_4k, bitrate_1080, rebuffer_4k, rebuffer_1080]`. Forced-max
-/// trials are Fig. 13's and record their traces under its name.
+/// Forced-max trials are Fig. 13's and record their traces under its name.
 pub fn streaming_job(
     bw_mbps: f64,
     transport: VideoTransport,
@@ -90,7 +48,39 @@ pub fn streaming_job(
         ),
         format!("streaming-{bw_mbps}-{mode}-s{seed}"),
         traced,
-        move || streaming_build(bw_mbps, transport, forced_max, secs, seed),
+        move || {
+            let link = LinkSpec::new(bw_mbps, Dur::from_millis(30), 900_000);
+            let mut sc = Scenario::new(link, Dur::from_secs_f64(secs))
+                .with_seed(seed)
+                .with_rtt_stride(16);
+            // The corpus is fixed across trials; only the dynamics seeds vary.
+            let v4k = corpus_4k(1, 1)[0].clone();
+            let v1080 = corpus_1080p(3, 1);
+            let h4k = add_video_flow(&mut sc, v4k, transport, seed + 1, forced_max, Dur::ZERO);
+            let h1080: Vec<_> = v1080
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    add_video_flow(
+                        &mut sc,
+                        v,
+                        transport,
+                        seed + 10 + i as u64,
+                        forced_max,
+                        Dur::ZERO,
+                    )
+                })
+                .collect();
+            (sc, move |_: &SimResult| {
+                let b4k = h4k.borrow();
+                vec![
+                    b4k.avg_bitrate(),
+                    h1080.iter().map(|h| h.borrow().avg_bitrate()).sum::<f64>() / 3.0,
+                    b4k.rebuffer_ratio,
+                    h1080.iter().map(|h| h.borrow().rebuffer_ratio).sum::<f64>() / 3.0,
+                ]
+            })
+        },
     )
 }
 
@@ -220,15 +210,6 @@ pub fn run_experiment_forced(cfg: RunCfg) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn streaming_job_matches_direct_run() {
-        let job = streaming_job(100.0, VideoTransport::Hybrid, true, 10.0, 3, false);
-        let out = payload::decode_floats(&job.execute());
-        let (sc, read) = streaming_build(100.0, VideoTransport::Hybrid, true, 10.0, 3);
-        assert_eq!(out, read(&proteus_netsim::run(sc)));
-        assert!(out[0] > 0.0);
-    }
 
     #[test]
     fn descriptors_identify_the_trial() {

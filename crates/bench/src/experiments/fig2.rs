@@ -93,36 +93,9 @@ fn binned_pmf(samples: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<(f64, f64)>
         .collect()
 }
 
-/// The probe under the given cross-traffic arrival rate; the reader
-/// returns the per-window deviations (seconds) and |gradients| (s/s) as
-/// two length-prefixed sets ([`payload::float_sets`]).
-fn probe_build(
-    rate_per_sec: f64,
-    secs: f64,
-    seed: u64,
-) -> (Scenario, impl FnOnce(&SimResult) -> Vec<f64>) {
-    let link = LinkSpec::new(100.0, Dur::from_millis(60), 1_500_000);
-    let mut sc = Scenario::new(link, Dur::from_secs_f64(secs))
-        .flow(FlowSpec::bulk("probe", Dur::ZERO, || cc("probe:20", 0)))
-        .with_seed(seed);
-    if rate_per_sec > 0.0 {
-        sc = sc.with_cross_traffic(CrossTrafficSpec {
-            arrivals_per_sec: rate_per_sec,
-            size_range: (20_000, 100_000),
-            cc: factory(|_| proteus_baselines::Cubic::new()),
-            start: Dur::ZERO,
-            stop: Dur::from_secs_f64(secs),
-        });
-    }
-    (sc, |res: &SimResult| {
-        let samples: Vec<(f64, f64)> = res.flows[0].rtt_samples().collect();
-        let (devs, grads) = window_metrics(&samples, 0.090);
-        payload::float_sets(&[&devs, &grads])
-    })
-}
-
-/// Campaign job for one probe run: payload is the two per-window sample
-/// sets (deviations, then |gradients|), length-prefixed — decode with
+/// Campaign job for one probe run under the given cross-traffic arrival
+/// rate: payload is the two per-window sample sets (deviations in seconds,
+/// then |gradients| in s/s), length-prefixed — decode with
 /// [`payload::decode_float_sets`]. The probe is a fixed-rate source with
 /// no decisions to record; `--trace` runs add the decision companion.
 pub fn probe_job(rate_per_sec: f64, secs: f64, seed: u64, traced: bool) -> SimJob {
@@ -131,7 +104,26 @@ pub fn probe_job(rate_per_sec: f64, secs: f64, seed: u64, traced: bool) -> SimJo
         format!("fig2/probe/rate={rate_per_sec:?}/secs={secs:?}/seed={seed}"),
         format!("probe-{rate_per_sec}-s{seed}"),
         traced,
-        move || probe_build(rate_per_sec, secs, seed),
+        move || {
+            let link = LinkSpec::new(100.0, Dur::from_millis(60), 1_500_000);
+            let mut sc = Scenario::new(link, Dur::from_secs_f64(secs))
+                .flow(FlowSpec::bulk("probe", Dur::ZERO, || cc("probe:20", 0)))
+                .with_seed(seed);
+            if rate_per_sec > 0.0 {
+                sc = sc.with_cross_traffic(CrossTrafficSpec {
+                    arrivals_per_sec: rate_per_sec,
+                    size_range: (20_000, 100_000),
+                    cc: factory(|_| proteus_baselines::Cubic::new()),
+                    start: Dur::ZERO,
+                    stop: Dur::from_secs_f64(secs),
+                });
+            }
+            (sc, |res: &SimResult| {
+                let samples: Vec<(f64, f64)> = res.flows[0].rtt_samples().collect();
+                let (devs, grads) = window_metrics(&samples, 0.090);
+                payload::float_sets(&[&devs, &grads])
+            })
+        },
     )
 }
 
@@ -329,17 +321,6 @@ mod tests {
         let (d, g) = window_metrics(&[], 0.09);
         assert!(d.is_empty() && g.is_empty());
         assert!(confusion_probability(&[], &[1.0]).is_nan());
-    }
-
-    #[test]
-    fn probe_job_matches_direct_run() {
-        let job = probe_job(9.0, 6.0, 3, false);
-        let sets = payload::decode_float_sets(&job.execute());
-        let (sc, read) = probe_build(9.0, 6.0, 3);
-        let direct = read(&proteus_netsim::run(sc));
-        assert_eq!(sets.len(), 2);
-        assert!(!sets[0].is_empty());
-        assert_eq!(direct, payload::float_sets(&[&sets[0], &sets[1]]));
     }
 
     #[test]

@@ -357,7 +357,7 @@ impl Sim {
             seed,
             throughput_bin,
             rtt_stride,
-            trace_every,
+            traced,
             churn,
         } = scenario;
         let n_links = topology.links.len();
@@ -398,7 +398,7 @@ impl Sim {
             duration,
             throughput_bin,
             rtt_stride,
-            telemetry: Telemetry::new(trace_every),
+            telemetry: Telemetry::new(traced),
             cross: None,
             churn: None,
             loss_scratch: Vec::new(),

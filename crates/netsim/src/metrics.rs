@@ -117,6 +117,12 @@ impl MediaMetrics {
 /// cells the columns hold 0.75 bytes a sample, 1.14 on its faulted and
 /// multi-hop ones (1.31 and 1.83 uncoded).
 ///
+/// Every reader decodes a column from its first token, so a coded block is
+/// only ever decoded from its own start, and nothing indexes into the
+/// columns: a percentile above [`SELECT_ON_A_COPY`] samples counts in whole
+/// passes over the RTT column ([`RttStore::count_select`]), in 256 KiB of
+/// scratch.
+///
 /// The first sample's send time is kept apart in `first_sent`, the newest
 /// send time, gap and RTT are the bases of the next deltas, and `min`/`max`
 /// bound the RTTs for selection.
@@ -200,12 +206,6 @@ const SELECT_ON_A_COPY: usize = 1 << 16;
 /// Bits of `rtt − lo` one counting pass resolves: a 256 KiB table of `u32`
 /// counts.
 const DIGIT_BITS: u32 = 16;
-
-/// Stretches of samples the first counting pass splits the RTT column into,
-/// each noting where it starts, the RTT before it, how many samples it holds
-/// and which digits (96 KiB), so that later passes decode only the stretches
-/// that can hold the answer.
-const ZONES: usize = 4096;
 
 /// The most zero changes one run token counts; a longer run takes more.
 const RUN_MAX: u8 = u8::MAX;
@@ -327,34 +327,6 @@ impl<'a> Runs<'a> {
             codes: col.codes(0),
         }
     }
-
-    /// Where the next token starts: its block and byte.
-    fn pos(&self) -> (usize, usize) {
-        let block = self.next - 1;
-        (block, self.col.block(block).len() - self.bytes.len())
-    }
-
-    /// Moves to byte `at` of block `block`, a token's start at or after
-    /// [`Runs::pos`], after the running sum `value`. A coded block's table
-    /// is rebuilt by decoding up to `at`: from where the reader is, if that
-    /// is in the same block, else from the block's start. (At the block's
-    /// end no token is left to need it.)
-    fn seek(&mut self, block: usize, at: usize, value: u64) {
-        let bytes = self.col.block(block);
-        if self.next != block + 1 {
-            self.next = block + 1;
-            self.bytes = bytes.iter();
-            self.recent = Recent::default();
-            self.codes = self.col.codes(block);
-        }
-        if self.codes == NO_REPEAT || at == bytes.len() {
-            self.bytes = bytes[at..].iter();
-        }
-        while self.bytes.len() > bytes.len() - at {
-            self.next();
-        }
-        self.value = value;
-    }
 }
 
 impl Iterator for Runs<'_> {
@@ -418,17 +390,6 @@ fn samples(col: Column<'_>) -> impl Iterator<Item = u64> + '_ {
         left -= 1;
         Some(value)
     })
-}
-
-/// A stretch of the RTT column, whole tokens up to the next stretch: the
-/// block and byte it starts at, the RTT before it, the samples it holds, and
-/// the lowest and highest first-pass digit among them.
-struct Zone {
-    base: u64,
-    block: u32,
-    at: u32,
-    held: u32,
-    digits: (u16, u16),
 }
 
 /// The digit whose bucket holds rank `k` of the counted values; `k` becomes
@@ -529,10 +490,6 @@ impl RttStore {
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
-    }
-
     /// Column `c`'s blocks.
     fn column(&self, c: usize) -> Column<'_> {
         Column {
@@ -569,7 +526,8 @@ impl RttStore {
 
     /// The nearest-rank `p`-th percentile RTT: an exact order statistic.
     /// Up to [`SELECT_ON_A_COPY`] samples it selects on a decoded copy;
-    /// above that it counts, in 352 KiB of scratch.
+    /// above that it counts, in whole passes over the column and 256 KiB of
+    /// scratch (the counts).
     fn rtt_percentile(&self, p: f64) -> Option<Dur> {
         let k = nearest_rank_index(self.len, p)?;
         let ns = if self.len <= SELECT_ON_A_COPY {
@@ -584,82 +542,37 @@ impl RttStore {
         Some(Dur::from_nanos(ns))
     }
 
-    /// The `k`-th smallest RTT (from 0) by counting, in passes over the RTT
-    /// column: each histograms the top [`DIGIT_BITS`] of `rtt − lo` over the
-    /// values still in the running (`lo..=lo + span`), a run at once, then
-    /// keeps in the running only the one bucket that holds rank `k`. The
-    /// first pass reads every token, in at most [`ZONES`] stretches of
-    /// whole tokens; the later ones decode only the stretches that held the
-    /// chosen first digit (and, in a coded block, what comes before one to
-    /// rebuild its table). Two passes settle a span under 2^32 ns (4.29 s);
-    /// one up to 2^48 ns takes a third.
+    /// The `k`-th smallest RTT (from 0) by counting, in whole passes over
+    /// the RTT column: each zeroes the counts, reads the column from its
+    /// first token, histograms the top [`DIGIT_BITS`] of `rtt − lo` over the
+    /// values still in the running (`lo..=lo + span`), a run at once, and
+    /// then keeps in the running only the one bucket that holds rank `k`.
+    /// Two passes settle a span under 2^32 ns (4.29 s); one up to 2^48 ns
+    /// takes a third. The counts are the only scratch, 256 KiB: an index
+    /// that let later passes skip stretches of the column took 96 KiB more
+    /// and a table rebuild to enter a coded block mid-way, for a traced
+    /// `netsim.read_s` on `clean_dumbbell` of 0.091 s against 0.104 s without it.
     fn count_select(&self, mut k: usize) -> u64 {
         assert!(self.len <= u32::MAX as usize, "a flow of 2^32 RTT samples");
         const MASK: usize = (1 << DIGIT_BITS) - 1;
-        let shift_for = |span: u64| (u64::BITS - span.leading_zeros()).saturating_sub(DIGIT_BITS);
         let mut table = vec![0u32; 1 << DIGIT_BITS];
         let counts: &mut [u32; 1 << DIGIT_BITS] = (&mut table[..]).try_into().expect("sized");
         let (mut lo, mut span) = (self.min, self.max - self.min);
-        let mut shift = shift_for(span);
-
-        // Every stretch but the last holds at least `per_zone` samples, so
-        // there are at most ZONES of them.
-        let col = self.column(RTTS);
-        let per_zone = self.len.div_ceil(ZONES);
-        let mut zones = Vec::with_capacity(ZONES);
-        let mut runs = Runs::new(col);
         loop {
-            let ((block, at), base) = (runs.pos(), runs.value);
-            let (mut first, mut last, mut held) = (u16::MAX, 0, 0);
-            while (held as usize) < per_zone {
-                let Some((rtt, n)) = runs.next() else { break };
-                let digit = ((rtt - lo) >> shift) as usize & MASK;
-                counts[digit] += n;
-                held += n;
-                (first, last) = (first.min(digit as u16), last.max(digit as u16));
+            let shift = (u64::BITS - span.leading_zeros()).saturating_sub(DIGIT_BITS);
+            counts.fill(0);
+            for (rtt, n) in self.rtt_runs() {
+                let off = rtt.wrapping_sub(lo);
+                if off <= span {
+                    counts[(off >> shift) as usize & MASK] += n;
+                }
             }
-            if held == 0 {
-                break;
-            }
-            zones.push(Zone {
-                base,
-                block: block as u32,
-                at: at as u32,
-                held,
-                digits: (first, last),
-            });
-        }
-        let mut digit = digit_of_rank(counts, &mut k);
-        let first_digit = digit as u16;
-
-        loop {
-            let base = (digit as u64) << shift;
+            let base = (digit_of_rank(counts, &mut k) as u64) << shift;
             lo += base;
             if shift == 0 {
                 return lo;
             }
             span = (span - base).min((1 << shift) - 1);
-            shift = shift_for(span);
-            counts.fill(0);
-            // One reader a pass, so that a zone whose block it is already
-            // in rebuilds its table from where the last zone ended.
-            let mut runs = Runs::new(col);
-            for z in &zones {
-                if !(z.digits.0..=z.digits.1).contains(&first_digit) {
-                    continue;
-                }
-                runs.seek(z.block as usize, z.at as usize, z.base);
-                let mut left = z.held;
-                while left > 0 {
-                    let (rtt, n) = runs.next().expect("a zone holds `held` samples");
-                    left -= n;
-                    let off = rtt.wrapping_sub(lo);
-                    if off <= span {
-                        counts[(off >> shift) as usize & MASK] += n;
-                    }
-                }
-            }
-            digit = digit_of_rank(counts, &mut k);
         }
     }
 }
@@ -878,37 +791,14 @@ impl FlowMetrics {
         self.rtt.rtts().map(|ns| Dur::from_nanos(ns).as_secs_f64())
     }
 
-    /// RTT values within a time window `[from, to)`, seconds.
-    pub fn rtt_values_in(&self, from: Time, to: Time) -> Vec<f64> {
-        let (a, b) = (from.as_secs_f64(), to.as_secs_f64());
-        self.rtt_samples()
-            .filter(|&(t, _)| t >= a && t < b)
-            .map(|(_, r)| r)
-            .collect()
-    }
-
     /// The `p`-th percentile RTT in seconds (nearest rank), if samples
     /// exist: an O(n) selection over the integer samples — nanoseconds to
     /// seconds is monotone, so the value is the one a sort of the `f64`s
-    /// would pick — with nothing cached between queries and at most 512 KiB
-    /// of scratch.
+    /// would pick — with nothing cached between queries: a decoded copy of
+    /// at most 512 KiB up to 2^16 samples, above that whole passes over the
+    /// record that count in 256 KiB.
     pub fn rtt_percentile(&self, p: f64) -> Option<f64> {
         self.rtt.rtt_percentile(p).map(Dur::as_secs_f64)
-    }
-
-    /// Mean RTT in seconds.
-    pub fn rtt_mean(&self) -> Option<f64> {
-        let n = self.rtt.len();
-        // One conversion a run, then one addition a sample, in order: f64
-        // addition is not associative, so `secs × run` could round apart.
-        let mut sum = 0.0;
-        for (ns, run) in self.rtt.rtt_runs() {
-            let secs = Dur::from_nanos(ns).as_secs_f64();
-            for _ in 0..run {
-                sum += secs;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
     }
 
     /// Loss rate observed by the sender: `lost / sent`.
@@ -1191,23 +1081,12 @@ mod tests {
         assert_eq!(bits(&got), bits(&want));
         let rtts: Vec<f64> = want.iter().map(|&(_, r)| r).collect();
         assert_eq!(m.rtt_values(), rtts);
-        let mean = (!rtts.is_empty()).then(|| rtts.iter().sum::<f64>() / rtts.len() as f64);
-        assert_eq!(m.rtt_mean().map(f64::to_bits), mean.map(f64::to_bits));
-        let mut sorted = rtts.clone();
+        let mut sorted = rtts;
         sorted.sort_unstable_by(f64::total_cmp);
         for p in PS {
             let (got, want) = (m.rtt_percentile(p), pick_rank(&sorted, p));
             assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "p{p}");
         }
-        let (first, last) = (trace[0].0, trace[trace.len() - 1].0);
-        let from = Time::from_nanos(first + (last - first) / 3);
-        let to = Time::from_nanos(last - (last - first) / 3);
-        let in_window: Vec<f64> = want
-            .iter()
-            .filter(|&&(t, _)| t >= from.as_secs_f64() && t < to.as_secs_f64())
-            .map(|&(_, r)| r)
-            .collect();
-        assert_eq!(m.rtt_values_in(from, to), in_window);
     }
 
     /// Every percentile the readers are checked at: the edges, the clamped
@@ -1329,10 +1208,10 @@ mod tests {
 
     /// A trace in runs, one a draw of the first 48 of `draws`, from sample 0
     /// on: each `d` is 1 to 2^14 samples (about log-uniform, so runs cross
-    /// tokens, zones and, in about a fifth of the traces, the selection
-    /// threshold) that repeat one send gap (`d & 1`; a quarter of those
-    /// send at one instant), one RTT (`d & 2`), both, or neither. The first
-    /// sample is sent at `first`, and ACK times never go back.
+    /// tokens and, in about a fifth of the traces, the selection threshold)
+    /// that repeat one send gap (`d & 1`; a quarter of those send at one
+    /// instant), one RTT (`d & 2`), both, or neither. The first sample is
+    /// sent at `first`, and ACK times never go back.
     fn in_runs(draws: &[u64], first: u64) -> Vec<(u64, u64)> {
         let (mut sent, mut rtt) = (first, 0u64);
         let mut trace = Vec::new();
@@ -1367,9 +1246,8 @@ mod tests {
     }
 
     /// The run tokens themselves: a run from the first sample is split at
-    /// [`RUN_MAX`], and a run open across the selection threshold and many
-    /// of `count_select`'s zones reads the same before and after it is
-    /// extended.
+    /// [`RUN_MAX`], and a run open across the selection threshold reads the
+    /// same before and after it is extended.
     #[test]
     fn runs_split_at_the_token_limit_and_extend_in_place() {
         // A thousand samples at one instant with one RTT: the gap column is
@@ -1385,7 +1263,7 @@ mod tests {
 
         // 1 000-sample plateaus every 24 µs, one stepping up 1 µs, the next
         // down 500 ns: read at the threshold (on a copy), mid-run past it
-        // (counting, 17 samples a zone) and at the end.
+        // (counting) and at the end.
         let trace: Vec<(u64, u64)> = (0..SELECT_ON_A_COPY as u64 + 3_500)
             .map(|i| {
                 let step = i / 1000;
@@ -1401,7 +1279,7 @@ mod tests {
             fed = cut;
         }
         let bytes = m.rtt_record_bytes();
-        assert!(bytes < 2_000, "{bytes} bytes for {} samples", m.rtt.len());
+        assert!(bytes < 2_000, "{bytes} bytes for {} samples", m.rtt.len);
     }
 
     /// A column's tokens, block after block.
@@ -1442,7 +1320,6 @@ mod tests {
     #[test]
     fn flow_metrics_keep_their_size() {
         assert_eq!(std::mem::size_of::<FlowMetrics>(), 272);
-        assert_eq!(std::mem::size_of::<Zone>() * ZONES, 96 << 10);
     }
 
     /// A value of three and of eight bytes, and a run token, written where
@@ -1524,12 +1401,11 @@ mod tests {
     }
 
     /// RTT columns of one, two and many blocks, each on both sides of the
-    /// selection threshold. Above it the first counting pass splits the
-    /// column into stretches of 17 samples, 6 to 102 bytes, so stretches
-    /// span block edges. A change that repeats is one byte past the first
-    /// block, whatever its size; five that take turns never repeat within
-    /// the four a table holds, so each stays a value of three to seven
-    /// bytes.
+    /// selection threshold, so that every counting pass reads across block
+    /// edges and into coded blocks. A change that repeats is one byte past
+    /// the first block, whatever its size; five that take turns never repeat
+    /// within the four a table holds, so each stays a value of three to
+    /// seven bytes.
     #[test]
     fn selection_over_one_two_and_many_blocks_is_exact() {
         let (below, above) = (SELECT_ON_A_COPY as u64 - 1, SELECT_ON_A_COPY as u64 + 1);
@@ -1556,11 +1432,10 @@ mod tests {
     /// value (its table is empty), the four values whose bytes became the
     /// repeat codes take two bytes there and one in a first block, and a
     /// change the table holds is its code, the table kept in move-to-front
-    /// order. Then a counting read whose 17-sample zones start mid-block
-    /// with a full table: the zones that hold the answer are every other
-    /// stretch of 500 samples, so each later pass rebuilds tables.
+    /// order. Then a counting read over coded blocks whose tables are full,
+    /// where the samples that hold the answer are every other stretch of 500.
     #[test]
-    fn coded_blocks_pin_their_bytes_and_zones_rebuild_their_tables() {
+    fn coded_blocks_pin_their_bytes_and_count_exactly() {
         // 20 ms, then +10 µs: in a first block, and in a coded one.
         const FIRST: [u8; 4] = [0x80, 0xb4, 0x89, 0x13];
         const UP_PLAIN: [u8; 3] = [0xa0, 0x9c, 0x01];
@@ -1627,7 +1502,7 @@ mod tests {
         .concat();
         assert_eq!(coded[coded.len() - tail.len()..], tail);
 
-        // 69 000 samples: 17 a zone. Four levels 640 ns apart and more
+        // 69 000 samples, so counted: four levels 640 ns apart and more
         // (four changes, a full table), in stretches of 500 that take turns
         // 2^30 ns apart; the median is the low stretches' highest level.
         let levels = [0, 640, 1_920, 640];
@@ -1665,7 +1540,7 @@ mod tests {
                     })
                     .collect();
                 let m = check_against_float_record(&trace);
-                assert_eq!(m.rtt.len(), n);
+                assert_eq!(m.rtt.len, n);
             }
         }
     }
@@ -1739,7 +1614,6 @@ mod tests {
         }
         assert!((m.loss_rate() - 0.2).abs() < 1e-12);
         assert!(m.rtt_percentile(95.0).unwrap() >= 0.036);
-        assert!(m.rtt_mean().unwrap() > 0.030);
     }
 
     #[test]

@@ -347,10 +347,9 @@ pub struct Scenario {
     pub throughput_bin: Dur,
     /// Keep every `stride`-th RTT sample (1 = all).
     pub rtt_stride: usize,
-    /// Record per-flow telemetry ([`crate::metrics::TraceEvent`]) at this
-    /// period, if set: [`TRACE_EVERY`] once [`Scenario::with_trace`] is
-    /// called.
-    pub trace_every: Option<Dur>,
+    /// Record per-flow telemetry ([`crate::metrics::TraceEvent`]) every
+    /// [`TRACE_EVERY`]: set by [`Scenario::with_trace`].
+    pub traced: bool,
     /// Poisson flow churn (population scenarios), if any. `None` keeps the
     /// static-flow path: existing results stay byte-identical.
     pub churn: Option<ChurnSpec>,
@@ -375,7 +374,7 @@ impl Scenario {
             seed: 1,
             throughput_bin: Dur::from_secs(1),
             rtt_stride: 1,
-            trace_every: None,
+            traced: false,
             churn: None,
         }
     }
@@ -426,7 +425,7 @@ impl Scenario {
     /// the same cadence. Results are unchanged; a caller that only wants
     /// the samples still fills the rings, and need not export them.
     pub fn with_trace(mut self) -> Self {
-        self.trace_every = Some(TRACE_EVERY);
+        self.traced = true;
         self
     }
 

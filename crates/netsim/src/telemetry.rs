@@ -8,16 +8,17 @@
 //! [`Telemetry::next_sample`].
 
 use proteus_trace::{DecisionEvent, EventKind, Fault, FlowEvent, LINK_FLOW};
-use proteus_transport::{Dur, FlowId, Time};
+use proteus_transport::{FlowId, Time};
 
 use crate::flows::FlowTable;
 use crate::metrics::TraceEvent;
+use crate::scenario::TRACE_EVERY;
 
 /// The run's sample and decision streams (see module docs).
 pub(crate) struct Telemetry {
-    /// Sampling period (`None`: no samples, decisions drained at
-    /// retirement and run end only).
-    every: Option<Dur>,
+    /// Whether the run samples every [`TRACE_EVERY`] (if not, decisions are
+    /// drained at retirement and run end only).
+    traced: bool,
     trace: Vec<TraceEvent>,
     decisions: Vec<FlowEvent>,
     /// Reusable drain buffer for one controller's decisions.
@@ -27,9 +28,9 @@ pub(crate) struct Telemetry {
 }
 
 impl Telemetry {
-    pub fn new(every: Option<Dur>) -> Self {
+    pub fn new(traced: bool) -> Self {
         Telemetry {
-            every,
+            traced,
             trace: Vec::new(),
             decisions: Vec::new(),
             decision_scratch: Vec::new(),
@@ -40,12 +41,12 @@ impl Telemetry {
     /// Whether the run samples a trace — and so records every controller's
     /// decisions (see `Sim::spawn`).
     pub fn samples(&self) -> bool {
-        self.every.is_some()
+        self.traced
     }
 
     /// When the sampling tick after `after` is due, if sampling is on.
     pub fn next_sample(&self, after: Time) -> Option<Time> {
-        self.every.map(|every| after + every)
+        self.traced.then(|| after + TRACE_EVERY)
     }
 
     /// One sampling tick: a [`TraceEvent`] per active flow in id order

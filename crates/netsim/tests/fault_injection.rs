@@ -130,10 +130,13 @@ fn rtt_step_moves_base_rtt() {
         .with_faults(FaultSchedule::new().rtt_step(Dur::from_secs(5), Dur::from_millis(90)));
     let res = run(sc);
     let m = &res.flows[0];
-    let early: Vec<f64> = m.rtt_values_in(Time::from_secs_f64(1.0), Time::from_secs_f64(5.0));
-    let late: Vec<f64> = m.rtt_values_in(Time::from_secs_f64(6.0), Time::from_secs_f64(10.0));
-    let min_early = early.iter().cloned().fold(f64::INFINITY, f64::min);
-    let min_late = late.iter().cloned().fold(f64::INFINITY, f64::min);
+    let min_in = |from: f64, to: f64| {
+        m.rtt_samples()
+            .filter(|&(t, _)| (from..to).contains(&t))
+            .map(|(_, rtt)| rtt)
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (min_early, min_late) = (min_in(1.0, 5.0), min_in(6.0, 10.0));
     assert!((min_early - 0.030).abs() < 0.002, "early min = {min_early}");
     assert!((min_late - 0.090).abs() < 0.002, "late min = {min_late}");
 }

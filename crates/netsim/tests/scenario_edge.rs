@@ -107,19 +107,6 @@ fn gaussian_noise_spreads_rtt_without_breaking_transport() {
     assert!(p95 - p5 > 0.002, "jitter should spread RTTs: {p5}..{p95}");
 }
 
-#[test]
-fn rtt_values_in_window_filters_by_time() {
-    let link = LinkSpec::new(20.0, Dur::from_millis(20), 100_000);
-    let sc = Scenario::new(link, Dur::from_secs(10))
-        .flow(FlowSpec::bulk("p", Dur::ZERO, || Box::new(Rate(500_000.0))))
-        .with_seed(7);
-    let res = run(sc);
-    let early = res.flows[0].rtt_values_in(Time::ZERO, Time::from_secs_f64(2.0));
-    let all = res.flows[0].rtt_values();
-    assert!(!early.is_empty());
-    assert!(early.len() < all.len());
-}
-
 /// Occupancy is bounded by the buffer, and an over-driven window pins it
 /// near full: read off the link's own peak (there is no queue sampler).
 #[test]
